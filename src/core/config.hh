@@ -97,7 +97,7 @@ struct SystemConfig
      * @name Hot-table pre-reservation hints
      * Expected touched footprint of the sparse PM image and counter
      * store. These size the open-addressing tables up front so warm-up
-     * rehash churn stops skewing short perf_baseline reps; the tables
+     * rehash churn stops skewing short benchmark rounds; the tables
      * still grow past the hint if a workload outruns it.
      * @{
      */

@@ -13,32 +13,6 @@ namespace
 {
 
 void
-accumulate(CrashWork &into, const CrashWork &w)
-{
-    into.entriesDrained += w.entriesDrained;
-    into.countersIncremented += w.countersIncremented;
-    into.counterFetches += w.counterFetches;
-    into.otpsGenerated += w.otpsGenerated;
-    into.bmtRootUpdates += w.bmtRootUpdates;
-    into.bmtLevelsWalked += w.bmtLevelsWalked;
-    into.macsComputed += w.macsComputed;
-    into.ciphertexts += w.ciphertexts;
-    into.pmBlockWrites += w.pmBlockWrites;
-    into.mdcBlockFlushes += w.mdcBlockFlushes;
-    into.cacheLinesFlushed += w.cacheLinesFlushed;
-    into.bmtNodesRebuilt += w.bmtNodesRebuilt;
-    into.batteryExhausted = into.batteryExhausted || w.batteryExhausted;
-    into.energySpentJ += w.energySpentJ;
-    into.drainedBlocks.insert(into.drainedBlocks.end(),
-                              w.drainedBlocks.begin(),
-                              w.drainedBlocks.end());
-    into.abandoned.insert(into.abandoned.end(), w.abandoned.begin(),
-                          w.abandoned.end());
-    into.absorbedApplied += w.absorbedApplied;
-    into.absorbedLost += w.absorbedLost;
-}
-
-void
 accumulate(RecoveryReport &into, const RecoveryReport &r)
 {
     into.blocksChecked += r.blocksChecked;
@@ -392,7 +366,7 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
         const CrashReport cr = slice->crashNow(per);
         if (remaining)
             remaining = std::max(0.0, *remaining - cr.work.energySpentJ);
-        accumulate(agg.work, cr.work);
+        agg.work += cr.work;
         accumulate(agg.recovery, cr.recovery);
         agg.actualEnergyJ += cr.actualEnergyJ;
         // Per-core batteries drain in parallel; the observer-blocked
@@ -402,13 +376,9 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
         recovered = recovered && cr.recovered;
     }
 
-    const EnergyModel &em = _slices[0]->energyModel();
-    const SystemConfig &base = _cfg.base;
+    // One battery per core, each sized by the scheme's own rule.
     agg.provisionedEnergyJ =
-        numCores() *
-        (schemeTraits(base.scheme).secure
-             ? em.secPbBatteryEnergy(base.scheme, base.secpb.numEntries)
-             : em.bbbBatteryEnergy(base.secpb.numEntries));
+        numCores() * _slices[0]->provisionedCrashEnergy();
     agg.recovered = recovered;
     return agg;
 }

@@ -99,15 +99,16 @@ double
 EnergyModel::provisionedEnergy(Scheme scheme, unsigned secpb_entries,
                                unsigned wpq_entries) const
 {
-    if (scheme == Scheme::Sp)
+    const SchemeTraits &t = schemeTraits(scheme);
+    if (t.wpqPersistDomain)
         return spAdrEnergy(wpq_entries);
-    if (scheme == Scheme::Eadr) {
+    if (t.flushesHierarchy) {
         // eADR: the persist domain is the whole cache hierarchy, every
         // line assumed dirty with a full late tuple owed (the secure
         // eADR row of the Table V comparison).
         return sEadrBatteryEnergy();
     }
-    if (schemeTraits(scheme).secure)
+    if (t.secure)
         return secPbBatteryEnergy(scheme, secpb_entries);
     return bbbBatteryEnergy(secpb_entries);
 }

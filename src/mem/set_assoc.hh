@@ -104,6 +104,7 @@ class SetAssocCache
         std::optional<Victim> evicted;
         if (victim->valid)
             evicted = Victim{victim->tag, victim->dirty};
+        _numDirty -= victim->dirty ? 1 : 0;
         victim->valid = true;
         victim->tag = aligned;
         victim->dirty = false;
@@ -116,6 +117,7 @@ class SetAssocCache
     markDirty(Addr addr)
     {
         if (Way *way = findWay(blockAlign(addr))) {
+            _numDirty += way->dirty ? 0 : 1;
             way->dirty = true;
             return true;
         }
@@ -127,6 +129,7 @@ class SetAssocCache
     markClean(Addr addr)
     {
         if (Way *way = findWay(blockAlign(addr))) {
+            _numDirty -= way->dirty ? 1 : 0;
             way->dirty = false;
             return true;
         }
@@ -147,6 +150,7 @@ class SetAssocCache
     invalidate(Addr addr)
     {
         if (Way *way = findWay(blockAlign(addr))) {
+            _numDirty -= way->dirty ? 1 : 0;
             way->valid = false;
             way->dirty = false;
             return true;
@@ -162,6 +166,7 @@ class SetAssocCache
             w.valid = false;
             w.dirty = false;
         }
+        _numDirty = 0;
     }
 
     /** Addresses of all valid (optionally only dirty) blocks. */
@@ -186,6 +191,10 @@ class SetAssocCache
             n += w.valid ? 1 : 0;
         return n;
     }
+
+    /** residentBlocks(true).size(), kept current by every mutator: the
+     *  adaptive drain policy prices the dirty count on every accept. */
+    std::uint64_t numDirty() const { return _numDirty; }
 
   private:
     struct Way
@@ -218,6 +227,7 @@ class SetAssocCache
     std::uint64_t _numSets;
     std::vector<Way> _ways;
     std::uint64_t _useClock = 0;
+    std::uint64_t _numDirty = 0;
 };
 
 } // namespace secpb

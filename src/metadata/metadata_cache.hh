@@ -100,6 +100,9 @@ class MetadataCache
         return _tags.residentBlocks(true);
     }
 
+    /** dirtyBlocks().size() without the copy (crash-work pricing). */
+    std::uint64_t numDirty() const { return _tags.numDirty(); }
+
     /**
      * Write back up to @p max_blocks dirty blocks to PCM and mark them
      * clean, without evicting. This is the powered write-through

@@ -1,38 +1,43 @@
 /**
  * @file
- * The SecPB secure-persistency scheme spectrum (paper Section IV, Table II),
- * plus the related-work scheme zoo (ROADMAP item 2).
+ * The scheme table: every persistency scheme the simulator models, one
+ * constexpr row each (paper Section IV, Table II, plus the related-work
+ * zoo).
  *
- * Each scheme decides which components of the memory tuple
- * (counter, OTP, BMT root, ciphertext, MAC) are produced *early* -- on the
- * critical path of a store entering the SecPB -- versus *late* -- when the
- * entry drains, or post-crash on battery power. Scheme names list the
+ * A row says which components of the memory tuple (counter, OTP, BMT
+ * root, ciphertext, MAC) the scheme produces *early* -- on the critical
+ * path of a store entering the SecPB -- versus *late* -- when the entry
+ * drains, or post-crash on battery power. Scheme names list the
  * components deferred to late time: e.g. BCM defers Bmt root, Ciphertext,
  * and Mac; COBCM defers everything (Counter, Otp, Bmt, Ciphertext, Mac).
  *
- * The zoo adds four designs from the related work as first-class schemes
- * (see src/schemes/policy.hh for the per-scheme behavior they plug in):
+ * The zoo designs differ from the paper's six along one mechanics column
+ * each, not along new mechanics:
  *
+ *  - sp:     PLP-style strict persistency -- the ADR WPQ, not the SecPB,
+ *    is the persist domain (`wpqPersistDomain`).
  *  - secpm:  SecPM's counter write-through (Zuo/Hua/Xie) -- the counter
  *    cache writes through to PCM so data+counter persist atomically; the
- *    BMT stays lazy.
+ *    BMT stays lazy (`counterWriteThrough`).
  *  - triad:  Triad-NVM's selective BMT persistence (Awad et al.) -- only
  *    the lowest N tree levels are persisted (knob: `triad:levels=N`);
  *    recovery rebuilds the volatile upper tree, trading recovery time
- *    against runtime/battery cost.
+ *    against runtime/battery cost (`partialBmtPersist`).
  *  - eadr:   the eADR-ideal baseline -- the battery flushes the *entire*
  *    cache hierarchy at crash time, so runtime is COBCM-lazy but the
  *    provisioned battery must cover the hierarchy footprint (priced via
- *    the sEADR row of the energy model).
+ *    the sEADR row of the energy model) (`flushesHierarchy`).
  *  - stream: Freij/Zhou/Solihin "Streamlining Integrity Tree Updates" --
  *    NoGap-strict BMT security, but the store unblocks at pipelined walk
- *    *issue* (coalesced root updates retire in the background).
+ *    *issue* (coalesced root updates retire in the background)
+ *    (`streamlinedIssue`).
  */
 
 #ifndef SECPB_SECPB_SCHEME_HH
 #define SECPB_SECPB_SCHEME_HH
 
 #include <cctype>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,7 +47,7 @@
 namespace secpb
 {
 
-/** Evaluated persistency schemes (paper Table II + the scheme zoo). */
+/** Evaluated persistency schemes; each indexes its SchemeTable row. */
 enum class Scheme
 {
     Bbb,    ///< Insecure battery-backed buffer baseline (HPCA'21).
@@ -73,9 +78,11 @@ struct SchemeParams
     unsigned triadLevels = 2;
 };
 
-/** Which tuple components a scheme produces early. */
+/** One row of the scheme table: every per-scheme fact. */
 struct SchemeTraits
 {
+    Scheme scheme;        ///< The enumerator this row describes.
+    const char *name;     ///< Canonical (lowercase) CLI/JSON name.
     bool secure;          ///< Any security metadata at all.
     bool earlyCounter;    ///< Counter fetched+incremented at store persist.
     bool earlyOtp;        ///< One-time pad generated at store persist.
@@ -86,90 +93,98 @@ struct SchemeTraits
      * Apply the Section IV-A optimization: data-value-independent metadata
      * (counter, OTP, BMT root) is produced once per dirty block rather than
      * once per store. On for every scheme except the write-through
-     * strawman.
+     * strawmen.
      */
     bool coalesceValueIndependent;
+    /**
+     * The ADR WPQ, not the SecPB, is the persist domain: stores persist
+     * on WPQ arrival, and the crash drain completes the pending tuples
+     * instead of entries.
+     */
+    bool wpqPersistDomain;
+    /**
+     * Counter updates write through to PCM: the counter-cache block stays
+     * clean, so crashes never lose counters, at a per-update PCM write.
+     */
+    bool counterWriteThrough;
+    /**
+     * Only the lowest min(SchemeParams::triadLevels, tree levels) BMT
+     * levels persist: written through at drain, walked at crash; recovery
+     * rebuilds the volatile levels above them.
+     */
+    bool partialBmtPersist;
+    /** The battery flushes the whole cache hierarchy at crash time. */
+    bool flushesHierarchy;
+    /**
+     * An early tree update only gates the store unblock on pipelined walk
+     * *issue*; the coalesced root update retires in the background.
+     */
+    bool streamlinedIssue;
 };
 
-/** Traits lookup for @p s. */
-constexpr SchemeTraits
+/**
+ * The scheme table, indexed by Scheme. Columns: secure; the five early
+ * bits (counter, OTP, BMT root, ciphertext, MAC); coalesceValueIndependent;
+ * then the mechanics columns wpqPersistDomain, counterWriteThrough,
+ * partialBmtPersist, flushesHierarchy, streamlinedIssue.
+ */
+constexpr SchemeTraits SchemeTable[] = {
+    //                         sec ctr otp bmt ct mac coal wpq wtc tri hie str
+    {Scheme::Bbb,    "bbb",    0,  0,  0,  0,  0, 0,  1,   0,  0,  0,  0,  0},
+    {Scheme::Sp,     "sp",     1,  1,  1,  1,  1, 1,  0,   1,  0,  0,  0,  0},
+    {Scheme::SecWt,  "sec_wt", 1,  1,  1,  1,  1, 1,  0,   0,  0,  0,  0,  0},
+    {Scheme::NoGap,  "nogap",  1,  1,  1,  1,  1, 1,  1,   0,  0,  0,  0,  0},
+    {Scheme::M,      "m",      1,  1,  1,  1,  1, 0,  1,   0,  0,  0,  0,  0},
+    {Scheme::Cm,     "cm",     1,  1,  1,  1,  0, 0,  1,   0,  0,  0,  0,  0},
+    {Scheme::Bcm,    "bcm",    1,  1,  1,  0,  0, 0,  1,   0,  0,  0,  0,  0},
+    {Scheme::Obcm,   "obcm",   1,  1,  0,  0,  0, 0,  1,   0,  0,  0,  0,  0},
+    {Scheme::Cobcm,  "cobcm",  1,  0,  0,  0,  0, 0,  1,   0,  0,  0,  0,  0},
+    // Everything early except the BMT root: the write-through counter
+    // persists with the data; the tree is the one lazy component.
+    {Scheme::Secpm,  "secpm",  1,  1,  1,  0,  1, 1,  1,   0,  1,  0,  0,  0},
+    // BCM-like runtime: counter+OTP early, tree/ciphertext/MAC late.
+    {Scheme::Triad,  "triad",  1,  1,  1,  0,  0, 0,  1,   0,  0,  1,  0,  0},
+    // COBCM-lazy runtime; the battery covers the whole hierarchy.
+    {Scheme::Eadr,   "eadr",   1,  0,  0,  0,  0, 0,  1,   0,  0,  0,  1,  0},
+    // NoGap-strict tuple, but the walk only gates at pipe issue.
+    {Scheme::Stream, "stream", 1,  1,  1,  1,  1, 1,  1,   0,  0,  0,  0,  1},
+};
+
+constexpr bool
+schemeTableInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(SchemeTable); ++i)
+        if (SchemeTable[i].scheme != static_cast<Scheme>(i))
+            return false;
+    return std::size(SchemeTable) ==
+           static_cast<std::size_t>(Scheme::Stream) + 1;
+}
+static_assert(schemeTableInEnumOrder(),
+              "SchemeTable row i must describe enumerator i, one per scheme");
+
+/** The table row for @p s. */
+constexpr const SchemeTraits &
 schemeTraits(Scheme s)
 {
-    switch (s) {
-      case Scheme::Bbb:
-        return {false, false, false, false, false, false, true};
-      case Scheme::Sp:
-        return {true, true, true, true, true, true, false};
-      case Scheme::SecWt:
-        return {true, true, true, true, true, true, false};
-      case Scheme::NoGap:
-        return {true, true, true, true, true, true, true};
-      case Scheme::M:
-        return {true, true, true, true, true, false, true};
-      case Scheme::Cm:
-        return {true, true, true, true, false, false, true};
-      case Scheme::Bcm:
-        return {true, true, true, false, false, false, true};
-      case Scheme::Obcm:
-        return {true, true, false, false, false, false, true};
-      case Scheme::Cobcm:
-        return {true, false, false, false, false, false, true};
-      case Scheme::Secpm:
-        // Everything early except the BMT root: the write-through counter
-        // persists with the data; the tree is the one lazy component.
-        return {true, true, true, false, true, true, true};
-      case Scheme::Triad:
-        // BCM-like runtime: counter+OTP early, tree/ciphertext/MAC late.
-        // The triad twist (partial tree persistence) lives in the policy.
-        return {true, true, true, false, false, false, true};
-      case Scheme::Eadr:
-        // COBCM-lazy runtime; the battery covers the whole hierarchy.
-        return {true, false, false, false, false, false, true};
-      case Scheme::Stream:
-        // NoGap-strict tuple, but the walk only gates at pipe issue.
-        return {true, true, true, true, true, true, true};
-    }
-    return {false, false, false, false, false, false, true};
+    return SchemeTable[static_cast<std::size_t>(s)];
 }
 
 /** Canonical (lowercase) scheme name, used in CLI and JSON. */
-inline const char *
+constexpr const char *
 schemeName(Scheme s)
 {
-    switch (s) {
-      case Scheme::Bbb:    return "bbb";
-      case Scheme::Sp:     return "sp";
-      case Scheme::SecWt:  return "sec_wt";
-      case Scheme::NoGap:  return "nogap";
-      case Scheme::M:      return "m";
-      case Scheme::Cm:     return "cm";
-      case Scheme::Bcm:    return "bcm";
-      case Scheme::Obcm:   return "obcm";
-      case Scheme::Cobcm:  return "cobcm";
-      case Scheme::Secpm:  return "secpm";
-      case Scheme::Triad:  return "triad";
-      case Scheme::Eadr:   return "eadr";
-      case Scheme::Stream: return "stream";
-    }
-    return "?";
+    return schemeTraits(s).name;
 }
-
-/** Every scheme, for parsing and "valid names" messages. */
-constexpr Scheme SchemeList[] = {
-    Scheme::Bbb, Scheme::Sp, Scheme::SecWt, Scheme::NoGap, Scheme::M,
-    Scheme::Cm, Scheme::Bcm, Scheme::Obcm, Scheme::Cobcm,
-    Scheme::Secpm, Scheme::Triad, Scheme::Eadr, Scheme::Stream,
-};
 
 /** Comma-separated list of every canonical scheme name. */
 inline std::string
 allSchemeNames()
 {
     std::string out;
-    for (Scheme s : SchemeList) {
+    for (const SchemeTraits &row : SchemeTable) {
         if (!out.empty())
             out += ", ";
-        out += schemeName(s);
+        out += row.name;
     }
     return out;
 }
@@ -192,9 +207,9 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
 
     Scheme parsed = Scheme::Bbb;
     bool found = false;
-    for (Scheme s : SchemeList) {
-        if (lower == schemeName(s)) {
-            parsed = s;
+    for (const SchemeTraits &row : SchemeTable) {
+        if (lower == row.name) {
+            parsed = row.scheme;
             found = true;
             break;
         }
@@ -218,7 +233,7 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
 
     if (colon != std::string::npos) {
         const std::string tail = spec.substr(colon + 1);
-        fatal_if(parsed != Scheme::Triad,
+        fatal_if(!schemeTraits(parsed).partialBmtPersist,
                  "scheme '%s' takes no parameters (got '%s')",
                  schemeName(parsed), spec.c_str());
         const char *prefix = "levels=";
@@ -250,8 +265,8 @@ parseScheme(const std::string &name)
 inline std::string
 schemeSpecName(Scheme s, const SchemeParams &params)
 {
-    if (s == Scheme::Triad)
-        return std::string("triad:levels=") +
+    if (schemeTraits(s).partialBmtPersist)
+        return std::string(schemeName(s)) + ":levels=" +
                std::to_string(params.triadLevels);
     return schemeName(s);
 }

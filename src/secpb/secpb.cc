@@ -1,15 +1,41 @@
 #include "secpb/secpb.hh"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 
 #include "energy/energy_model.hh"
 #include "obs/trace.hh"
-#include "schemes/policy.hh"
 #include "sim/debug.hh"
 
 namespace secpb
 {
+
+CrashWork &
+CrashWork::operator+=(const CrashWork &w)
+{
+    entriesDrained += w.entriesDrained;
+    countersIncremented += w.countersIncremented;
+    counterFetches += w.counterFetches;
+    otpsGenerated += w.otpsGenerated;
+    bmtRootUpdates += w.bmtRootUpdates;
+    bmtLevelsWalked += w.bmtLevelsWalked;
+    macsComputed += w.macsComputed;
+    ciphertexts += w.ciphertexts;
+    pmBlockWrites += w.pmBlockWrites;
+    mdcBlockFlushes += w.mdcBlockFlushes;
+    cacheLinesFlushed += w.cacheLinesFlushed;
+    bmtNodesRebuilt += w.bmtNodesRebuilt;
+    batteryExhausted = batteryExhausted || w.batteryExhausted;
+    energySpentJ += w.energySpentJ;
+    drainedBlocks.insert(drainedBlocks.end(), w.drainedBlocks.begin(),
+                         w.drainedBlocks.end());
+    abandoned.insert(abandoned.end(), w.abandoned.begin(),
+                     w.abandoned.end());
+    absorbedApplied += w.absorbedApplied;
+    absorbedLost += w.absorbedLost;
+    return *this;
+}
 
 SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              const MetadataLayout &layout, const SecurityKeys &keys,
@@ -17,8 +43,7 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              CryptoEngine &crypto, BmtWalker &walker,
              MetadataCache &ctr_cache, MetadataCache &mac_cache,
              WritePendingQueue &wpq, StatGroup &parent)
-    : _eq(eq), _scheme(scheme), _traits(schemeTraits(scheme)),
-      _policy(makeSchemePolicy(scheme, cfg.params)), _cfg(cfg),
+    : _eq(eq), _traits(schemeTraits(scheme)), _cfg(cfg),
       _layout(layout), _keys(keys), _counters(counters), _oracle(oracle),
       _pm(pm), _crypto(crypto), _walker(walker), _ctrCache(ctr_cache),
       _macCache(mac_cache), _wpq(wpq),
@@ -54,6 +79,8 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              "SecPB high watermark fraction must be in (0, 1]");
     fatal_if(cfg.lowWatermark < 0.0,
              "SecPB low watermark fraction must be non-negative");
+    fatal_if(_traits.partialBmtPersist && cfg.params.triadLevels < 1,
+             "triad needs at least one persisted BMT level");
     // For tiny buffers the watermark *fractions* can derive to the same
     // entry count (e.g. numEntries=2 with 0.75/0.50 gives 1/1), which
     // would stall the drain engine the moment it starts. The watermarks
@@ -66,19 +93,17 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              _lowWm, _highWm);
     _index.reserve(cfg.numEntries);
     _freeList.reserve(cfg.numEntries);
-    if (_policy->wpqIsPersistDomain())
+    if (_traits.wpqPersistDomain)
         _spPending.reserve(64);
     for (unsigned i = 0; i < cfg.numEntries; ++i)
         _freeList.push_back(cfg.numEntries - 1 - i);
     _dbg = debug::enabled("SecPb");
 }
 
-SecPb::~SecPb() = default;
-
 Cycles
 SecPb::counterWriteAccess(Addr addr)
 {
-    if (_policy->counterWriteThrough())
+    if (_traits.counterWriteThrough)
         return _ctrCache.writeThroughAccess(_layout.counterAddr(addr));
     return _ctrCache.writeAccess(_layout.counterAddr(addr));
 }
@@ -163,6 +188,16 @@ SecPb::refreshMac(PbEntry &e)
     e.vMac = true;
 }
 
+Cycles
+SecPb::bumpCounter(PbEntry &e)
+{
+    const Cycles d_ctr =
+        counterWriteAccess(e.addr) + _crypto.latencies().counterInc;
+    e.counter = incrementCounter(e.addr);
+    e.ctrIncremented = true;
+    return d_ctr;
+}
+
 BlockCounter
 SecPb::incrementCounter(Addr addr)
 {
@@ -235,35 +270,32 @@ bool
 SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
                       EventCallback unblocked, std::uint32_t asid)
 {
+    const auto reject = [&](const char *why, bool kick_drain = false) {
+        ++statFullRejects;
+        TRACE_INSTANT_P("secpb", why, _eq.curTick(), asid);
+        if (kick_drain)
+            maybeStartDrain();
+        return false;
+    };
+
     // Coherence (Section IV-C(c)): the gate rejects stores to pages this
     // core does not own, exactly like a full buffer -- the store buffer
     // waits for space, and the epoch engine kicks the waiters once the
     // barrier has migrated the page's entries here. Checked before the
     // SP dispatch so the SPoP-at-the-MC baseline is gated too.
-    if (_gate && !_gate->allows(addr, _eq.curTick())) {
-        ++statFullRejects;
-        TRACE_INSTANT_P("secpb", "gate_reject", _eq.curTick(), asid);
-        return false;
-    }
+    if (_gate && !_gate->allows(addr, _eq.curTick()))
+        return reject("gate_reject");
 
-    if (_policy->wpqIsPersistDomain())
+    if (_traits.wpqPersistDomain)
         return acceptStoreSp(addr, value, std::move(unblocked));
 
     PbEntry *e = find(addr);
-    if (e && e->draining) {
-        // The entry is mid-drain; a fresh residency must wait for the
-        // drain to free the slot. Treat as full.
-        ++statFullRejects;
-        TRACE_INSTANT_P("secpb", "pb_full", _eq.curTick(), asid);
-        return false;
-    }
-
-    if (!e && _freeList.empty()) {
-        ++statFullRejects;
-        TRACE_INSTANT_P("secpb", "pb_full", _eq.curTick(), asid);
-        maybeStartDrain();
-        return false;
-    }
+    // An entry mid-drain makes a fresh residency wait for the drain to
+    // free the slot: treat as full.
+    if (e && e->draining)
+        return reject("pb_full");
+    if (!e && _freeList.empty())
+        return reject("pb_full", true);
 
     // Adaptive drain policy: admitting a new residency must leave the
     // battery able to cover the priced crash prediction plus one
@@ -279,10 +311,7 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         shedMetadataDirt();
     if (!e && batteryGateBlocksAllocation()) {
         ++statBatteryStalls;
-        ++statFullRejects;
-        TRACE_INSTANT_P("secpb", "battery_stall", _eq.curTick(), asid);
-        maybeStartDrain();
-        return false;
+        return reject("battery_stall", true);
     }
 
     panic_if(_accept.pending != 0,
@@ -308,7 +337,7 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         // updated.
         setBlockWord(e->plaintext, blockOffset(addr) / 8, value);
         _oracle.applyStore(addr, value);
-        launchHitOps(*e, base, nullptr);
+        launchHitOps(*e, base);
     } else {
         e = allocate(addr);
         ++statAllocs;
@@ -324,23 +353,29 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         setBlockWord(e->plaintext, blockOffset(addr) / 8, value);
         e->vData = true;
         _oracle.applyStore(addr, value);
-        launchEarlyOps(*e, base, nullptr);
+        launchEarlyOps(*e, base);
         maybeStartDrain();
     }
     return true;
 }
 
 void
-SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
+SecPb::launchEarlyOps(PbEntry &e, Tick base)
 {
     PbEntry *ep = &e;
 
     // The buffer write itself (access latency).
     opStarted(ep);
     _eq.schedule(base, [this, ep] { opFinished(ep); });
+    launchTupleOps(e, base);
+}
 
+void
+SecPb::launchTupleOps(PbEntry &e, Tick base)
+{
     if (!_traits.secure)
         return;
+    PbEntry *ep = &e;
 
     // Counter: fetch from the counter cache (miss -> PCM) and increment.
     // When nothing downstream is produced early (OBCM), the fetch runs in
@@ -349,12 +384,7 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     Tick t_ctr = base;
     if (_traits.earlyCounter) {
         const bool gates = _traits.earlyOtp || _traits.earlyBmt;
-        const Cycles d_ctr =
-            counterWriteAccess(e.addr) +
-            _crypto.latencies().counterInc;
-        e.counter = incrementCounter(e.addr);
-        e.ctrIncremented = true;
-        t_ctr = base + d_ctr;
+        t_ctr = base + bumpCounter(e);
         opStarted(ep, gates);
         _eq.schedule(t_ctr, [this, ep, gates] {
             ep->vCtr = true;
@@ -375,23 +405,9 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
             _crypto.generateOtp([this, ep] {
                 ep->otp = generatePad(_keys, ep->addr, ep->counter);
                 ep->vOtp = true;
-                if (_traits.earlyCiphertext) {
-                    opStarted(ep);
-                    _eq.scheduleIn(_crypto.generateCiphertext(),
-                                   [this, ep] {
-                        refreshCiphertext(*ep);
-                        if (_traits.earlyMac) {
-                            opStarted(ep);
-                            _crypto.generateMac([this, ep] {
-                                refreshMac(*ep);
-                                _macCache.writeAccess(
-                                    _layout.macAddr(ep->addr));
-                                opFinished(ep);
-                            });
-                        }
-                        opFinished(ep);
-                    });
-                }
+                if (_traits.earlyCiphertext)
+                    launchValueOps(
+                        ep, _eq.curTick() + _crypto.generateCiphertext());
                 opFinished(ep);
             });
         });
@@ -404,7 +420,7 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
             const std::uint64_t page = _layout.pageIndex(ep->addr);
             const Digest d =
                 _walker.tree().leafDigest(_counters.block(page));
-            if (_policy->streamlinedBmtIssue()) {
+            if (_traits.streamlinedIssue) {
                 // Streamlined updates: the store only waits for the
                 // pipelined walker to *accept* the walk; the coalesced
                 // root update retires in the background (the battery
@@ -426,7 +442,7 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
 }
 
 void
-SecPb::launchHitOps(PbEntry &e, Tick base, EventCallback /*unused*/)
+SecPb::launchHitOps(PbEntry &e, Tick base)
 {
     PbEntry *ep = &e;
 
@@ -437,85 +453,37 @@ SecPb::launchHitOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     if (!_traits.secure)
         return;
 
-    if (!_traits.coalesceValueIndependent) {
-        // sec_wt strawman: every store redoes the whole tuple.
-        e.vCtr = e.vOtp = e.vBmt = false;
-        e.vCt = e.vMac = false;
-        e.ctrIncremented = false;
-        launchSecWtRegen(e, base);
-        return;
-    }
-
     // Value-dependent metadata must reflect the new plaintext: invalidate
     // stale ciphertext/MAC immediately; eager schemes regenerate them now,
     // lazy schemes leave them for drain time.
     e.vCt = false;
     e.vMac = false;
 
-    if (_traits.earlyCiphertext) {
-        opStarted(ep);
-        _eq.schedule(base + _crypto.generateCiphertext(), [this, ep] {
-            refreshCiphertext(*ep);
-            if (_traits.earlyMac) {
-                opStarted(ep);
-                _crypto.generateMac([this, ep] {
-                    refreshMac(*ep);
-                    _macCache.writeAccess(_layout.macAddr(ep->addr));
-                    opFinished(ep);
-                });
-            }
-            opFinished(ep);
-        });
+    if (!_traits.coalesceValueIndependent) {
+        // sec_wt strawman: every store redoes the whole (all-early) tuple.
+        e.vCtr = e.vOtp = e.vBmt = false;
+        e.ctrIncremented = false;
+        launchTupleOps(e, base);
+    } else if (_traits.earlyCiphertext) {
+        launchValueOps(&e, base + _crypto.generateCiphertext());
     }
 }
 
 void
-SecPb::launchSecWtRegen(PbEntry &e, Tick base)
+SecPb::launchValueOps(PbEntry *ep, Tick at)
 {
-    // Write-through security: redo counter, OTP, BMT, ciphertext, MAC for
-    // this store, with no coalescing of value-independent work.
-    PbEntry *ep = &e;
-    const Cycles d_ctr =
-        _ctrCache.writeAccess(_layout.counterAddr(e.addr)) +
-        _crypto.latencies().counterInc;
-    e.counter = incrementCounter(e.addr);
-    e.ctrIncremented = true;
-    const Tick t_ctr = base + d_ctr;
-
     opStarted(ep);
-    _eq.schedule(t_ctr, [this, ep] {
-        ep->vCtr = true;
-        opFinished(ep);
-    });
-
-    opStarted(ep);
-    _eq.schedule(t_ctr, [this, ep] {
-        _crypto.generateOtp([this, ep] {
-            ep->otp = generatePad(_keys, ep->addr, ep->counter);
-            ep->vOtp = true;
+    _eq.schedule(at, [this, ep] {
+        refreshCiphertext(*ep);
+        if (_traits.earlyMac) {
             opStarted(ep);
-            _eq.scheduleIn(_crypto.generateCiphertext(), [this, ep] {
-                refreshCiphertext(*ep);
-                opStarted(ep);
-                _crypto.generateMac([this, ep] {
-                    refreshMac(*ep);
-                    _macCache.writeAccess(_layout.macAddr(ep->addr));
-                    opFinished(ep);
-                });
+            _crypto.generateMac([this, ep] {
+                refreshMac(*ep);
+                _macCache.writeAccess(_layout.macAddr(ep->addr));
                 opFinished(ep);
             });
-            opFinished(ep);
-        });
-    });
-
-    opStarted(ep);
-    _eq.schedule(t_ctr, [this, ep] {
-        const std::uint64_t page = _layout.pageIndex(ep->addr);
-        const Digest d = _walker.tree().leafDigest(_counters.block(page));
-        _walker.update(ep->addr, d, [this, ep] {
-            ep->vBmt = true;
-            opFinished(ep);
-        });
+        }
+        opFinished(ep);
     });
 }
 
@@ -558,23 +526,21 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
     const Cycles d_ctr =
         _ctrCache.writeAccess(_layout.counterAddr(block_addr)) +
         _crypto.latencies().counterInc;
-    const BlockCounter ctr = incrementCounter(block_addr);
+    incrementCounter(block_addr);
     const Tick t_ctr = _eq.curTick() + _cfg.spTraversalCycles + d_ctr;
 
     _oracle.applyStore(addr, value);
-    _spPending.insert(block_addr, ctr);
+    _spPending.insert(block_addr);
 
     // Shared finalization state for the parallel chains.
     struct SpState
     {
         unsigned pending = 0;
         Addr blockAddr;
-        BlockCounter ctr;
         bool pushedData = false;
     };
     auto st = std::make_shared<SpState>();
     st->blockAddr = block_addr;
-    st->ctr = ctr;
 
     // Persist the data block through the WPQ (metadata lands dirty in the
     // MDCs); retried if the WPQ is momentarily full.
@@ -589,7 +555,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
             _macCache.writeAccess(_layout.macAddr(st->blockAddr));
         }
         // The tuple is generated from the final (coalesced) plaintext.
-        persistSpTuple(st->blockAddr, st->ctr);
+        persistSpTuple(st->blockAddr);
         _spPending.erase(st->blockAddr);
     };
 
@@ -635,8 +601,9 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
 }
 
 void
-SecPb::persistSpTuple(Addr block_addr, const BlockCounter &ctr)
+SecPb::persistSpTuple(Addr block_addr)
 {
+    const BlockCounter ctr = _counters.counterFor(block_addr);
     const BlockData pt = _oracle.blockContent(block_addr);
     const BlockData pad = generatePad(_keys, block_addr, ctr);
     const BlockData ct = encryptBlock(pt, pad);
@@ -673,34 +640,45 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
         _battery = nullptr;
         _pricing = nullptr;
         _adaptive = AdaptiveDrainConfig{};
-        _worstEntryJ = _gateMarginJ = 0.0;
+        _worstEntryJ = _regenJ = _gateMarginJ = 0.0;
         return;
     }
     _battery = battery;
     _pricing = pricing;
     _adaptive = cfg;
 
-    // Worst-case completion of one entry under this scheme: the policy
-    // knows which lazy fields can be missing, how deep a crash-time BMT
-    // walk goes, and (for SP) that the unit of crash work is a
-    // WPQ-resident block write instead of an entry.
-    const CrashWork w =
-        _policy->worstEntryWork(_walker.tree().numLevels());
+    // Worst-case completion of one entry under this scheme: every lazy
+    // field missing and the counter block absent on-chip. Ciphertext and
+    // MAC are always missing -- they are value-dependent, so even an
+    // eager scheme can hold them invalid while a coalescing store's
+    // regeneration is in flight. SP completes the whole tuple before the
+    // WPQ admits the store, so its worst unit is one WPQ-resident block
+    // write (predictCrashDrainWork prices the full queue the same way).
+    CrashWork w;
+    if (_traits.wpqPersistDomain) {
+        w.pmBlockWrites = 1;
+    } else {
+        PbEntry worst;
+        worst.ctrIncremented = _traits.earlyCounter;
+        worst.vOtp = _traits.earlyOtp;
+        worst.vBmt = _traits.earlyBmt;
+        addEntryWork(worst, /*ctr_on_chip=*/false, w);
+    }
     _worstEntryJ = pricing->actualCrashEnergy(w);
 
-    // Gate margin: the marginEntries reserve plus one in-flight
-    // ciphertext+MAC regeneration (the store buffer issues one store at
-    // a time, so at most one regeneration is pending at any instant).
-    // SP has no crash-time regeneration -- its value work happens on
-    // mains power before the WPQ ever admits the store.
+    // One in-flight ciphertext+MAC regeneration (the store buffer issues
+    // one store at a time, so at most one is pending at any instant).
     CrashWork transient;
-    if (!_policy->wpqIsPersistDomain()) {
-        transient.ciphertexts = 1;
-        transient.macsComputed = 1;
-    }
+    transient.ciphertexts = 1;
+    transient.macsComputed = 1;
+    _regenJ = pricing->actualCrashEnergy(transient);
+
+    // Gate margin: the marginEntries reserve plus the in-flight
+    // regeneration. SP has no crash-time regeneration -- its value work
+    // happens on mains power before the WPQ ever admits the store.
     _gateMarginJ =
         double(std::max(1u, _adaptive.marginEntries)) * _worstEntryJ +
-        pricing->actualCrashEnergy(transient);
+        (_traits.wpqPersistDomain ? 0.0 : _regenJ);
 }
 
 double
@@ -731,12 +709,11 @@ SecPb::shedMetadataDirt()
 {
     if (!_adaptive.enabled || !_traits.secure)
         return;
-    const double safety = std::max(_adaptive.safetyFactor, 1.0);
-    const double budget = _battery->deliverableEnergyJ() / safety;
+    const double budget = batteryBudgetJ();
     // Resident entries cannot be shed from here (the gate and the
     // effective watermarks bound those); once the caches are clean the
     // loop stops making progress and exits, leaving the gate to reject.
-    while (predictedDrainEnergyJ() + _gateMarginJ > budget) {
+    while (crashReserveEnergyJ() > budget) {
         const std::size_t cleaned =
             _ctrCache.cleanDirty(4) + _macCache.cleanDirty(4);
         if (cleaned == 0)
@@ -752,9 +729,14 @@ SecPb::batteryGateBlocksAllocation() const
         return false;
     if (_index.empty())
         return false;  // liveness floor: one entry may always allocate
-    const double safety = std::max(_adaptive.safetyFactor, 1.0);
-    return predictedDrainEnergyJ() + _gateMarginJ >
-           _battery->deliverableEnergyJ() / safety;
+    return crashReserveEnergyJ() > batteryBudgetJ();
+}
+
+double
+SecPb::batteryBudgetJ() const
+{
+    return _battery->deliverableEnergyJ() /
+           std::max(_adaptive.safetyFactor, 1.0);
 }
 
 unsigned
@@ -767,18 +749,8 @@ SecPb::adaptiveOccupancyBoundNow() const
     // gate's margin keeps the two halves consistent: whenever the gate
     // rejects, occupancy already exceeds this bound, so the (tightened)
     // high watermark has drains running and space waiters will wake.
-    CrashWork floor_work;
-    if (_traits.secure) {
-        floor_work.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
-                                     _macCache.dirtyBlocks().size();
-        floor_work.pmBlockWrites += floor_work.mdcBlockFlushes;
-        floor_work.cacheLinesFlushed = _policy->crashCacheFlushLines();
-    }
-    CrashWork transient;
-    transient.ciphertexts = 1;
-    transient.macsComputed = 1;
-    const double fixed_floor = _pricing->actualCrashEnergy(floor_work) +
-                               _pricing->actualCrashEnergy(transient);
+    const double fixed_floor =
+        _pricing->actualCrashEnergy(crashFloorWork()) + _regenJ;
     AdaptiveDrainConfig cfg = _adaptive;
     cfg.marginEntries = std::max(1u, _adaptive.marginEntries);
     return adaptiveOccupancyBound(_battery->deliverableEnergyJ(),
@@ -851,9 +823,7 @@ void
 SecPb::startDrainOf(PbEntry &e)
 {
     PbEntry *ep = &e;
-    const std::uint64_t *idxp = _index.find(e.addr);
-    panic_if(!idxp, "draining an entry the index does not know");
-    const std::uint64_t idx = *idxp;
+    const std::uint64_t idx = slotOf(e);
     e.drainStart = _eq.curTick();
 
     if (!_traits.secure) {
@@ -874,14 +844,8 @@ SecPb::startDrainOf(PbEntry &e)
 
     // Complete the missing tuple components at the MC ("late" work).
     Tick t_ctr = _eq.curTick();
-    if (!e.ctrIncremented) {
-        const Cycles d_ctr =
-            counterWriteAccess(e.addr) +
-            _crypto.latencies().counterInc;
-        e.counter = incrementCounter(e.addr);
-        e.ctrIncremented = true;
-        t_ctr += d_ctr;
-    }
+    if (!e.ctrIncremented)
+        t_ctr += bumpCounter(e);
     e.vCtr = true;
 
     e.drainPending = 2;
@@ -946,10 +910,8 @@ SecPb::startDrainOf(PbEntry &e)
             // Triad-NVM runtime cost: the persisted frontier (the
             // lowest N path levels) must actually reach PCM at drain
             // time, not just the walker's volatile node cache.
-            const unsigned wt = _policy->drainBmtWriteThroughLevels(
-                _walker.tree().numLevels());
-            if (wt > 0)
-                persistBmtPathPrefix(ep->addr, wt);
+            if (_traits.partialBmtPersist)
+                persistBmtPathPrefix(ep->addr, persistedBmtLevels());
             _eq.schedule(std::max(t.issue, _eq.curTick()),
                          [branch_done] { branch_done(); });
         } else {
@@ -1023,13 +985,17 @@ SecPb::releaseEntry(PbEntry &e)
                 static_cast<unsigned long long>(_eq.curTick()));
     ++statDrainedEntries;
     statNwpe.sample(static_cast<double>(e.numWrites));
-    const std::uint64_t *idxp = _index.find(e.addr);
-    panic_if(!idxp, "releasing an entry the index does not know");
-    const std::uint64_t idx = *idxp;
-    _index.erase(e.addr);
-    e.clear();
-    _freeList.push_back(idx);
+    freeSlot(e);
     wakeSpaceWaiters();
+}
+
+void
+SecPb::freeSlot(PbEntry &e)
+{
+    panic_if(!_index.erase(e.addr),
+             "freeing an entry the index does not know");
+    e.clear();
+    _freeList.push_back(slotOf(e));
 }
 
 void
@@ -1048,53 +1014,53 @@ SecPb::drainAll(EventCallback done)
 void
 SecPb::completeEntryFunctionally(PbEntry &e, CrashWork &work)
 {
-    ++work.entriesDrained;
+    addEntryWork(e, work);
 
     if (!_traits.secure) {
         // BBB: the battery just moves the plaintext blocks out.
         _pm.writeData(e.addr, e.plaintext);
-        ++work.pmBlockWrites;
         return;
     }
 
     if (!e.ctrIncremented) {
-        if (!_ctrCache.contains(_layout.counterAddr(e.addr)))
-            ++work.counterFetches;
         e.counter = incrementCounter(e.addr);
         e.ctrIncremented = true;
-        ++work.countersIncremented;
     }
     if (!e.vOtp) {
         e.otp = generatePad(_keys, e.addr, e.counter);
         e.vOtp = true;
-        ++work.otpsGenerated;
     }
-    if (!e.vCt) {
+    if (!e.vCt)
         refreshCiphertext(e);
-        ++work.ciphertexts;
-    }
-    if (!e.vMac) {
+    if (!e.vMac)
         refreshMac(e);
-        ++work.macsComputed;
-    }
     if (!e.vBmt) {
+        // Triad-NVM walks only the persisted levels on battery power (as
+        // addEntryWork() prices it); the volatile remainder is rebuilt at
+        // recovery (bmtNodesRebuilt, counted by crashDrainAll).
         const std::uint64_t page = _layout.pageIndex(e.addr);
         _walker.tree().updateLeaf(
             page, _walker.tree().leafDigest(_counters.block(page)));
         e.vBmt = true;
-        ++work.bmtRootUpdates;
-        // Triad-NVM persists only the lowest N path levels on battery
-        // power; the volatile remainder is rebuilt at recovery (counted
-        // separately in bmtNodesRebuilt by crashDrainAll).
-        work.bmtLevelsWalked +=
-            _policy->crashBmtLevels(_walker.tree().numLevels());
     }
 
     const std::uint64_t page = _layout.pageIndex(e.addr);
     _pm.writeData(e.addr, e.ciphertext);
     _pm.writeCounterBlock(page, _counters.block(page));
     _pm.writeMac(e.addr, e.mac);
-    work.pmBlockWrites += 3;
+}
+
+std::vector<PbEntry *>
+SecPb::residentInPersistOrder()
+{
+    std::vector<PbEntry *> out;
+    out.reserve(_index.size());
+    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
+        out.push_back(&_entries[idx]);
+    });
+    std::sort(out.begin(), out.end(), [](const PbEntry *a, const PbEntry *b)
+              { return a->allocSeq < b->allocSeq; });
+    return out;
 }
 
 CrashWork
@@ -1103,35 +1069,88 @@ SecPb::applicationCrash(std::uint32_t asid, AppCrashPolicy policy)
     CrashWork work;
     TRACE_INSTANT_P("secpb", "app_crash", _eq.curTick(), asid);
 
-    // Collect the victims in persist order. Entries with early ops or a
+    // Complete the victims in persist order. Entries with early ops or a
     // drain in flight are left to their normal pipelines -- an
     // application crash does not stop the clock, so in-flight hardware
     // operations retire normally.
-    std::vector<PbEntry *> victims;
-    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        PbEntry &e = _entries[idx];
-        if (e.draining || e.pendingEarlyOps != 0)
-            return;
-        if (policy == AppCrashPolicy::DrainProcess && e.asid != asid)
-            return;
-        victims.push_back(&e);
-    });
-    std::sort(victims.begin(), victims.end(),
-              [](const PbEntry *a, const PbEntry *b)
-              { return a->allocSeq < b->allocSeq; });
-
-    for (PbEntry *ep : victims) {
+    for (PbEntry *ep : residentInPersistOrder()) {
+        if (ep->draining || ep->pendingEarlyOps != 0 ||
+            (policy == AppCrashPolicy::DrainProcess && ep->asid != asid))
+            continue;
         completeEntryFunctionally(*ep, work);
         releaseEntry(*ep);
     }
     return work;
 }
 
+void
+SecPb::addEntryWork(const PbEntry &e, bool ctr_on_chip, CrashWork &w) const
+{
+    ++w.entriesDrained;
+    if (!_traits.secure) {
+        ++w.pmBlockWrites;
+        return;
+    }
+    if (!e.ctrIncremented) {
+        if (!ctr_on_chip)
+            ++w.counterFetches;
+        ++w.countersIncremented;
+    }
+    if (!e.vOtp)
+        ++w.otpsGenerated;
+    if (!e.vCt)
+        ++w.ciphertexts;
+    if (!e.vMac)
+        ++w.macsComputed;
+    if (!e.vBmt) {
+        ++w.bmtRootUpdates;
+        w.bmtLevelsWalked += persistedBmtLevels();
+    }
+    w.pmBlockWrites += 3;  // data, counter block, MAC
+}
+
+void
+SecPb::addEntryWork(const PbEntry &e, CrashWork &w) const
+{
+    addEntryWork(e,
+                 e.ctrIncremented ||
+                     _ctrCache.contains(_layout.counterAddr(e.addr)),
+                 w);
+}
+
+CrashWork
+SecPb::crashFloorWork() const
+{
+    // The persistent copies of counters and MACs for already drained
+    // blocks live dirty in the MDCs (assumptions (2) and (4) of the
+    // battery sizing). eADR: the whole volatile hierarchy is inside the
+    // persist domain, so every crash owes the full flush.
+    CrashWork w;
+    if (!_traits.secure)
+        return w;
+    w.mdcBlockFlushes = _ctrCache.numDirty() + _macCache.numDirty();
+    w.pmBlockWrites = w.mdcBlockFlushes;
+    if (_traits.flushesHierarchy) {
+        const HierarchyFootprint h;
+        w.cacheLinesFlushed = (h.l1Bytes + h.l2Bytes + h.l3Bytes) / BlockSize;
+    }
+    return w;
+}
+
+unsigned
+SecPb::persistedBmtLevels() const
+{
+    const unsigned levels = _walker.tree().numLevels();
+    return _traits.partialBmtPersist
+               ? std::min(_cfg.params.triadLevels, levels)
+               : levels;
+}
+
 CrashWork
 SecPb::predictCrashDrainWork() const
 {
-    CrashWork w;
-    if (_policy->wpqIsPersistDomain()) {
+    CrashWork w = crashFloorWork();
+    if (_traits.wpqPersistDomain) {
         // SP's crash-time obligation lives in the WPQ, not the PB: every
         // queued write still owes one PCM block write at power failure.
         // The WPQ sits in the ADR domain, but a battery sized for SP has
@@ -1141,57 +1160,10 @@ SecPb::predictCrashDrainWork() const
         // WPQ traffic is already-persisted data on its way out.
         w.pmBlockWrites += _wpq.pendingAtCrash();
     }
-    if (_traits.secure) {
-        w.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
-                            _macCache.dirtyBlocks().size();
-        w.pmBlockWrites += w.mdcBlockFlushes;
-        // eADR: the whole volatile hierarchy is inside the persist
-        // domain, so every crash owes the full flush regardless of
-        // SecPB occupancy.
-        w.cacheLinesFlushed = _policy->crashCacheFlushLines();
-    }
     _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        const CrashWork d = predictEntryWork(_entries[idx]);
-        w.entriesDrained += d.entriesDrained;
-        w.countersIncremented += d.countersIncremented;
-        w.counterFetches += d.counterFetches;
-        w.otpsGenerated += d.otpsGenerated;
-        w.bmtRootUpdates += d.bmtRootUpdates;
-        w.bmtLevelsWalked += d.bmtLevelsWalked;
-        w.macsComputed += d.macsComputed;
-        w.ciphertexts += d.ciphertexts;
-        w.pmBlockWrites += d.pmBlockWrites;
+        addEntryWork(_entries[idx], w);
     });
     return w;
-}
-
-CrashWork
-SecPb::predictEntryWork(const PbEntry &e) const
-{
-    CrashWork d;
-    ++d.entriesDrained;
-    if (!_traits.secure) {
-        ++d.pmBlockWrites;
-        return d;
-    }
-    if (!e.ctrIncremented) {
-        if (!_ctrCache.contains(_layout.counterAddr(e.addr)))
-            ++d.counterFetches;
-        ++d.countersIncremented;
-    }
-    if (!e.vOtp)
-        ++d.otpsGenerated;
-    if (!e.vCt)
-        ++d.ciphertexts;
-    if (!e.vMac)
-        ++d.macsComputed;
-    if (!e.vBmt) {
-        ++d.bmtRootUpdates;
-        d.bmtLevelsWalked +=
-            _policy->crashBmtLevels(_walker.tree().numLevels());
-    }
-    d.pmBlockWrites += 3;
-    return d;
 }
 
 CrashWork
@@ -1206,6 +1178,11 @@ SecPb::crashDrainAll(
 
     const auto price = [&budget](const CrashWork &w) {
         return budget.pricing ? budget.pricing->actualCrashEnergy(w) : 0.0;
+    };
+    const auto fits = [&](const PbEntry &e) {
+        CrashWork d;
+        addEntryWork(e, d);
+        return price(work) + price(d) <= *budget.energyJ;
     };
 
     if (_dbg)
@@ -1242,8 +1219,8 @@ SecPb::crashDrainAll(
     // functional BMT/counter state and the PM image stay consistent.
     // Visit order is slot order, which is fine: each tuple touches only
     // its own block/page, and the work counters are order-insensitive.
-    _spPending.forEach([&](const Addr &addr, const BlockCounter &ctr) {
-        persistSpTuple(addr, ctr);
+    _spPending.forEach([&](const Addr &addr) {
+        persistSpTuple(addr);
         const std::uint64_t page = _layout.pageIndex(addr);
         _walker.tree().updateLeaf(
             page, _walker.tree().leafDigest(_counters.block(page)));
@@ -1256,91 +1233,62 @@ SecPb::crashDrainAll(
     });
     _spPending.clear();
 
-    // Reserve the metadata-cache flush up front: the persistent copies
-    // of counters and MACs for *already drained* blocks live dirty in
-    // the MDCs (assumptions (2) and (4) of the battery sizing), so their
-    // flush outranks draining further entries. It is mandatory, charged
-    // even when it alone exceeds a tiny budget (those functional writes
-    // happened at drain time and cannot be torn in this model), so
-    // energySpentJ can exceed the budget by at most this fixed floor.
-    // The flush itself runs after the entry pass so the cache contents
-    // still inform the per-entry predictions.
-    if (_traits.secure) {
-        work.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
-                               _macCache.dirtyBlocks().size();
-        work.pmBlockWrites += work.mdcBlockFlushes;
-        // eADR: the hierarchy flush is as mandatory as the MDC flush --
-        // the battery contract is "everything volatile reaches PM" --
-        // and is charged up front on the same terms.
-        work.cacheLinesFlushed = _policy->crashCacheFlushLines();
-    }
+    // Reserve the crash floor up front: the metadata-cache flush (and
+    // eADR's hierarchy flush) outranks draining further entries. It is
+    // mandatory, charged even when it alone exceeds a tiny budget (those
+    // functional writes happened at drain time and cannot be torn in
+    // this model), so energySpentJ can exceed the budget by at most this
+    // fixed floor. The flush itself runs after the entry pass so the
+    // cache contents still inform the per-entry predictions.
+    work += crashFloorWork();
 
     // Persist order: complete entries oldest-first. A bounded battery
     // prices each entry before committing to it and stops at the first
     // entry that no longer fits -- the drained set is an in-order prefix
     // and the abandoned suffix is reported for prefix verification.
-    std::vector<PbEntry *> resident;
-    resident.reserve(_index.size());
-    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        resident.push_back(&_entries[idx]);
-    });
-    std::sort(resident.begin(), resident.end(),
-              [](const PbEntry *a, const PbEntry *b)
-              { return a->allocSeq < b->allocSeq; });
-
-    std::vector<PbEntry *> drained;
-    drained.reserve(resident.size());
-    for (PbEntry *ep : resident) {
-        if (work.batteryExhausted) {
-            work.abandoned.push_back({ep->addr, ep->numWrites});
-            continue;
-        }
-        if (budget.bounded() &&
-            price(work) + price(predictEntryWork(*ep)) > *budget.energyJ) {
+    for (PbEntry *ep : residentInPersistOrder()) {
+        if (work.batteryExhausted || (budget.bounded() && !fits(*ep))) {
             work.batteryExhausted = true;
             work.abandoned.push_back({ep->addr, ep->numWrites});
             continue;
         }
         completeEntryFunctionally(*ep, work);
         work.drainedBlocks.push_back(ep->addr);
-        drained.push_back(ep);
+        // Leave the index at once (the WPQ content was already
+        // functionally applied when pushed -- ADR guarantees it reaches
+        // the cell array): a later entry's counter overflow must
+        // re-encrypt this block's persisted copy, not a dead buffer copy.
+        // Abandoned entries stay resident: their state was never
+        // persisted and simply dies with the machine.
+        freeSlot(*ep);
     }
 
     // Complete the absorbed stores. Unbounded: the deduplicated blocks
     // that had no resident entry. Bounded: every store, in program
     // order, each priced as a full one-off tuple; the battery stops
     // mid-list when the budget dies, losing only newer stores.
+    const auto complete_absorbed = [&](Addr block) {
+        PbEntry tmp;
+        tmp.valid = tmp.vData = true;
+        tmp.addr = block;
+        tmp.plaintext = _oracle.blockContent(block);
+        completeEntryFunctionally(tmp, work);
+        ++work.absorbedApplied;
+    };
     if (!budget.bounded()) {
-        for (Addr block : absorbed_blocks) {
-            PbEntry tmp;
-            tmp.valid = true;
-            tmp.addr = block;
-            tmp.plaintext = _oracle.blockContent(block);
-            tmp.vData = true;
-            completeEntryFunctionally(tmp, work);
-            work.absorbedApplied += 1;
-        }
+        for (Addr block : absorbed_blocks)
+            complete_absorbed(block);
     } else {
         for (const auto &[addr, value] : absorbed_stores) {
-            if (work.batteryExhausted) {
-                ++work.absorbedLost;
-                continue;
-            }
-            const Addr block = blockAlign(addr);
-            PbEntry tmp;
-            tmp.valid = true;
-            tmp.addr = block;
-            if (price(work) + price(predictEntryWork(tmp)) >
-                *budget.energyJ) {
+            PbEntry fresh;  // nothing early: priced as a full tuple
+            fresh.addr = blockAlign(addr);
+            if (work.batteryExhausted || !fits(fresh)) {
                 work.batteryExhausted = true;
                 ++work.absorbedLost;
                 continue;
             }
             _oracle.applyStore(addr, value);
-            tmp.plaintext = _oracle.blockContent(block);
-            tmp.vData = true;
-            completeEntryFunctionally(tmp, work);
-            ++work.absorbedApplied;
+            complete_absorbed(fresh.addr);
         }
     }
 
@@ -1350,18 +1298,6 @@ SecPb::crashDrainAll(
         _macCache.flushAll();
     }
 
-    // Clear the drained entries (the WPQ content was already
-    // functionally applied when pushed -- ADR guarantees it reaches the
-    // cell array). Abandoned entries stay resident: their state was
-    // never persisted and simply dies with the machine.
-    for (PbEntry *ep : drained) {
-        const std::uint64_t *idxp = _index.find(ep->addr);
-        panic_if(!idxp, "crash-drained entry missing from the index");
-        const std::uint64_t idx = *idxp;
-        _index.erase(ep->addr);
-        ep->clear();
-        _freeList.push_back(idx);
-    }
     _drainsActive = 0;
 
     // Triad-NVM recovery: the battery persisted only the lowest path
@@ -1370,10 +1306,8 @@ SecPb::crashDrainAll(
     // mains power at restart -- it lengthens the recovery window (the
     // drain-latency model prices bmtNodesRebuilt) but costs the battery
     // nothing.
-    const unsigned tree_levels = _walker.tree().numLevels();
-    const unsigned rebuild_from =
-        _policy->recoveryRebuildFromLevel(tree_levels);
-    if (rebuild_from < tree_levels)
+    const unsigned rebuild_from = persistedBmtLevels();
+    if (rebuild_from < _walker.tree().numLevels())
         work.bmtNodesRebuilt =
             _walker.tree().rebuildFromLevel(rebuild_from);
 
@@ -1384,19 +1318,11 @@ SecPb::crashDrainAll(
 std::optional<PbEntry>
 SecPb::extractForMigration(Addr addr)
 {
-    const std::uint64_t *idxp = _index.find(blockAlign(addr));
-    if (!idxp)
+    PbEntry *e = find(addr);
+    if (!e || e->draining || e->pendingEarlyOps != 0)
         return std::nullopt;
-    // Copy the slot index out before erasing: erase back-shifts the
-    // probe cluster, so the pointer from find() does not survive it.
-    const std::uint64_t idx = *idxp;
-    PbEntry &e = _entries[idx];
-    if (e.draining || e.pendingEarlyOps != 0)
-        return std::nullopt;
-    PbEntry copy = e;
-    _index.erase(e.addr);
-    e.clear();
-    _freeList.push_back(idx);
+    PbEntry copy = *e;
+    freeSlot(*e);
     wakeSpaceWaiters();
     return copy;
 }
@@ -1432,12 +1358,8 @@ SecPb::flushForRemoteRead(Addr addr)
 std::vector<Addr>
 SecPb::entriesForPage(std::uint64_t page) const
 {
-    std::vector<Addr> out;
-    _index.forEach([&](const Addr &addr, const std::uint64_t &) {
-        if (addr / PageSize == page)
-            out.push_back(addr);
-    });
-    std::sort(out.begin(), out.end());
+    std::vector<Addr> out = residentAddrs();
+    std::erase_if(out, [page](Addr a) { return a / PageSize != page; });
     return out;
 }
 
@@ -1455,7 +1377,7 @@ SecPb::pageQuiescent(std::uint64_t page) const
     // SP baseline: a pending tuple update is an in-flight WPQ persist for
     // the page -- its functional effects landed, but the timed completion
     // closure still references this slice's counter store.
-    _spPending.forEach([&](const Addr &addr, const BlockCounter &) {
+    _spPending.forEach([&](const Addr &addr) {
         if (addr / PageSize == page)
             quiescent = false;
     });

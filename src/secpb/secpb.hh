@@ -6,9 +6,13 @@
  * point of persistency (PoP) for stores. This class implements:
  *
  *  - the BBB-style coalescing buffer with high/low watermark draining;
- *  - the six secure-persistency schemes of Table II, which split the
- *    memory-tuple work (counter, OTP, BMT root, ciphertext, MAC) between
- *    store-persist time ("early") and drain/post-crash time ("late");
+ *  - every scheme of the scheme table (secpb/scheme.hh): each row splits
+ *    the memory-tuple work (counter, OTP, BMT root, ciphertext, MAC)
+ *    between store-persist time ("early") and drain/post-crash time
+ *    ("late"), and sets the few mechanics columns the related-work zoo
+ *    varies (persist domain, counter write-through, BMT persist depth,
+ *    hierarchy flush, streamlined walk issue) -- the mechanics read the
+ *    row, they are not forked per scheme;
  *  - the Section IV-A optimization: data-value-independent metadata is
  *    produced once per dirty block, not once per store;
  *  - the drain engine, which completes the tuple at the MC and pushes the
@@ -29,7 +33,6 @@
 #define SECPB_SECPB_SECPB_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -53,7 +56,6 @@ namespace secpb
 
 class Capacitor;
 class EnergyModel;
-class SchemePolicy;
 
 /** SecPB structural configuration (Table I defaults). */
 struct SecPbConfig
@@ -111,6 +113,9 @@ struct CrashWork
     std::uint64_t absorbedApplied = 0;
     std::uint64_t absorbedLost = 0;
     /** @} */
+
+    /** Sum @p w into this accounting: every count, the spend, both lists. */
+    CrashWork &operator+=(const CrashWork &w);
 };
 
 /**
@@ -146,12 +151,6 @@ class SecPb
           CryptoEngine &crypto, BmtWalker &walker,
           MetadataCache &ctr_cache, MetadataCache &mac_cache,
           WritePendingQueue &wpq, StatGroup &parent);
-
-    /** Out-of-line: _policy is an incomplete type here. */
-    ~SecPb();
-
-    /** The pluggable per-scheme behavior (src/schemes/policy.hh). */
-    const SchemePolicy &policy() const { return *_policy; }
 
     /**
      * Offer the head store of the store buffer to the SecPB.
@@ -224,7 +223,7 @@ class SecPb
 
     std::size_t occupancy() const { return _index.size(); }
     bool empty() const { return _index.empty(); }
-    Scheme scheme() const { return _scheme; }
+    Scheme scheme() const { return _traits.scheme; }
     const SecPbConfig &config() const { return _cfg; }
 
     /**
@@ -351,37 +350,72 @@ class SecPb
     /** Entry for @p addr or nullptr. */
     PbEntry *find(Addr addr);
 
-    /** Launch the early (store-persist-time) tuple ops for a fresh entry. */
-    void launchEarlyOps(PbEntry &e, Tick base, EventCallback unblocked);
+    /** Launch the early (store-persist-time) ops for a fresh entry: the
+     *  buffer write, then launchTupleOps(). */
+    void launchEarlyOps(PbEntry &e, Tick base);
 
-    /** Per-store early value-dependent work on a coalescing hit. */
-    void launchHitOps(PbEntry &e, Tick base, EventCallback unblocked);
+    /** The row's early tuple ops: counter, then OTP -> ciphertext -> MAC
+     *  in parallel with the BMT root update. */
+    void launchTupleOps(PbEntry &e, Tick base);
 
-    /** sec_wt strawman: redo the full tuple for every coalescing store. */
-    void launchSecWtRegen(PbEntry &e, Tick base);
+    /** Per-store early work on a coalescing hit. */
+    void launchHitOps(PbEntry &e, Tick base);
 
-    /** Functionally persist one SP tuple from the oracle plaintext. */
-    void persistSpTuple(Addr block_addr, const BlockCounter &ctr);
+    /** Early ciphertext ready at @p at, then the MAC if the row has it
+     *  early: the value-dependent chain a store regenerates. */
+    void launchValueOps(PbEntry *ep, Tick at);
+
+    /**
+     * Functionally persist one SP tuple from the oracle plaintext, under
+     * the block's current counter (a page re-encryption may have moved it
+     * since the store was accepted).
+     */
+    void persistSpTuple(Addr block_addr);
 
     /** SP baseline: full tuple update at the MC, per store. */
     bool acceptStoreSp(Addr addr, std::uint64_t value,
                        EventCallback unblocked);
 
+    /** Every resident entry, oldest (persist order) first. */
+    std::vector<PbEntry *> residentInPersistOrder();
+
     /** Functionally complete + persist one entry (crash-drain helper). */
     void completeEntryFunctionally(PbEntry &e, CrashWork &work);
 
     /**
-     * Predict (without side effects) the work completing @p e would add,
-     * so a bounded battery can price the entry before committing to it.
+     * The crash-work model: add to @p w what completing @p e on battery
+     * power costs (predicted without side effects, so a bounded battery
+     * can price the entry before committing to it). @p ctr_on_chip false
+     * prices a counter-block fetch from PM.
      */
-    CrashWork predictEntryWork(const PbEntry &e) const;
+    void addEntryWork(const PbEntry &e, bool ctr_on_chip,
+                      CrashWork &w) const;
+
+    /** addEntryWork() of a resident entry, against the live counter
+     *  cache. */
+    void addEntryWork(const PbEntry &e, CrashWork &w) const;
+
+    /**
+     * Work every crash owes regardless of occupancy: the dirty
+     * metadata-cache flush and, when the row flushes the hierarchy, every
+     * cache line.
+     */
+    CrashWork crashFloorWork() const;
+
+    /** BMT levels the battery persists: the full path, or Triad-NVM's
+     *  lowest min(triadLevels, tree levels). */
+    unsigned persistedBmtLevels() const;
 
     /** Functional counter increment + page re-encryption on overflow. */
     BlockCounter incrementCounter(Addr addr);
 
+    /** Fetch @p e's counter through the counter cache and increment it
+     *  into the entry; returns the fetch + increment latency. */
+    Cycles bumpCounter(PbEntry &e);
+
     /**
-     * Counter-cache update dispatched on the policy: lazy write-back for
-     * the paper's schemes, write-through to PCM for SecPM.
+     * Counter-cache update per the row: lazy write-back, or write-through
+     * to PCM (SecPM).
      */
     Cycles counterWriteAccess(Addr addr);
 
@@ -401,6 +435,9 @@ class SecPb
     /** True when the adaptive policy must refuse a new allocation. */
     bool batteryGateBlocksAllocation() const;
 
+    /** Deliverable battery energy over the policy's safety factor. */
+    double batteryBudgetJ() const;
+
     /** Kick the drain engine if the high watermark is reached. */
     void maybeStartDrain();
 
@@ -416,13 +453,20 @@ class SecPb
     /** Free a drained entry and wake space waiters. */
     void releaseEntry(PbEntry &e);
 
+    /** Drop @p e from the index and return its slot to the free list. */
+    void freeSlot(PbEntry &e);
+
+    /** @p e's slot in _entries. */
+    std::uint64_t slotOf(const PbEntry &e) const
+    {
+        return static_cast<std::uint64_t>(&e - _entries.data());
+    }
+
     /** Fire and clear all registered space waiters. */
     void wakeSpaceWaiters();
 
     EventQueue &_eq;
-    Scheme _scheme;
     SchemeTraits _traits;
-    std::unique_ptr<SchemePolicy> _policy;
     SecPbConfig _cfg;
     const MetadataLayout &_layout;
     SecurityKeys _keys;
@@ -449,6 +493,7 @@ class SecPb
     const EnergyModel *_pricing = nullptr;
     AdaptiveDrainConfig _adaptive;
     double _worstEntryJ = 0.0;   ///< Priced worst-case entry completion.
+    double _regenJ = 0.0;        ///< Priced in-flight ct+MAC regeneration.
     double _gateMarginJ = 0.0;   ///< Headroom an admission must leave.
     /** @} */
 
@@ -485,7 +530,7 @@ class SecPb
      * update completes. On a crash the battery completes every pending
      * tuple -- covered by the in-flight provisioning margin.
      */
-    FlatMap<Addr, BlockCounter> _spPending;
+    FlatSet<Addr> _spPending;
 
     /**
      * Begin tracking one early op for the in-flight acceptance.

@@ -94,15 +94,17 @@ TEST(Scheme, OnlySecWtSkipsCoalescing)
 
 TEST(Scheme, NamesRoundTrip)
 {
-    for (Scheme s : SchemeList)
-        EXPECT_EQ(parseScheme(schemeName(s)), s);
-    ASSERT_EQ(std::size(SchemeList), 13u);
+    for (const SchemeTraits &row : SchemeTable) {
+        EXPECT_EQ(parseScheme(row.name), row.scheme);
+        EXPECT_STREQ(schemeName(row.scheme), row.name);
+    }
+    ASSERT_EQ(std::size(SchemeTable), 13u);
 }
 
 TEST(Scheme, NamesAreCanonicalLowercase)
 {
-    for (Scheme s : SchemeList) {
-        const std::string name = schemeName(s);
+    for (const SchemeTraits &row : SchemeTable) {
+        const std::string name = row.name;
         for (char c : name)
             EXPECT_FALSE(std::isupper(static_cast<unsigned char>(c)))
                 << name;
@@ -189,4 +191,24 @@ TEST(Scheme, ZooExtendsTheSixWithRelatedWork)
     // Every zoo scheme is secure (the zoo sweeps the recovery verifier).
     for (Scheme s : SchemeZoo)
         EXPECT_TRUE(schemeTraits(s).secure) << schemeName(s);
+}
+
+TEST(Scheme, EachMechanicsColumnBelongsToOneZooRow)
+{
+    // The related-work designs differ from the paper's six in exactly one
+    // mechanics column each; no other row turns it on.
+    const struct
+    {
+        bool SchemeTraits::*column;
+        Scheme owner;
+    } columns[] = {
+        {&SchemeTraits::wpqPersistDomain, Scheme::Sp},
+        {&SchemeTraits::counterWriteThrough, Scheme::Secpm},
+        {&SchemeTraits::partialBmtPersist, Scheme::Triad},
+        {&SchemeTraits::flushesHierarchy, Scheme::Eadr},
+        {&SchemeTraits::streamlinedIssue, Scheme::Stream},
+    };
+    for (const auto &c : columns)
+        for (const SchemeTraits &row : SchemeTable)
+            EXPECT_EQ(row.*c.column, row.scheme == c.owner) << row.name;
 }

@@ -77,6 +77,26 @@ TEST_P(AllSchemes, CrashRecoveryMatchesOracle)
     EXPECT_EQ(cr.recovery.bmtFailures, 0u);
 }
 
+TEST_P(AllSchemes, PageReencryptionReachesHeldCounterSnapshots)
+{
+    // Block 1 of page 0 sits one increment from minor-counter overflow,
+    // so the store to 0x040 re-encrypts the page. Block 0's counter
+    // snapshot is then held outside the resident index: an SP tuple still
+    // in flight, or (lazy schemes) an entry the crash drain has already
+    // completed. Re-encryption must move every copy to the new major.
+    SecPbSystem sys(cfgFor(GetParam()));
+    CounterBlock cb;
+    cb.minors[1] = MinorCounterMax;
+    sys.counters().setBlock(0, cb);
+    ScriptedGenerator gen;
+    gen.store(0x000, 0xA).store(0x040, 0xB);
+    sys.run(gen);
+    CrashReport cr = sys.crashNow();
+    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.recovery.macFailures, 0u);
+    EXPECT_EQ(cr.recovery.plaintextMismatches, 0u);
+}
+
 TEST_P(SecureSchemes, TupleConsistentMidExecutionCrash)
 {
     // Crash at several points mid-run; recovery must always verify.
@@ -250,7 +270,7 @@ TEST_P(SecureSchemes, ReplayedTupleFailsBmtVerification)
 
 // ---------------------------------------------------------------------------
 // Scheme-zoo invariants: the per-design behavior each related-work scheme
-// plugs in through its SchemePolicy.
+// switches on through its scheme-table column.
 // ---------------------------------------------------------------------------
 
 TEST(SchemeZoo, SecpmCounterWriteThroughKeepsCtrCacheClean)

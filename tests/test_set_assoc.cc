@@ -129,3 +129,27 @@ TEST(SetAssoc, FullyAssociativeWorks)
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, 0x000u);  // LRU
 }
+
+TEST(SetAssoc, DirtyCountMatchesResidentDirtyBlocks)
+{
+    // numDirty() is maintained incrementally; every mutator must keep it
+    // equal to the scanned count, including dirty-victim evictions and
+    // repeated marks of the same block.
+    SetAssocCache c(tinyGeom());
+    std::uint64_t x = 0x5eed;
+    for (int step = 0; step < 5000; ++step) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const Addr addr = ((x >> 33) % 32) * 64;
+        switch ((x >> 59) % 5) {
+          case 0: c.insert(addr); break;
+          case 1: c.markDirty(addr); break;
+          case 2: c.markClean(addr); break;
+          case 3: c.invalidate(addr); break;
+          default:
+            if ((x >> 20) % 64 == 0)
+                c.flushAll();
+            break;
+        }
+        ASSERT_EQ(c.numDirty(), c.residentBlocks(true).size()) << step;
+    }
+}
