@@ -39,7 +39,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "ablation_design");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile,
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         p.scheme = s;
         p.profile = profile;
         p.instructions = instr;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         p.tag(knob, value);
         p.configure = std::move(configure);
         return sweep.add(std::move(p));

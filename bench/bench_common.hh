@@ -10,44 +10,24 @@
  * produce bit-identical results, and `--json` serializes every point plus
  * derived rows to the schema-versioned sweep document.
  *
- * Common CLI (BenchCli::parse; env fallbacks in parentheses):
- *   --jobs N            concurrent points        (SECPB_BENCH_JOBS, 1)
- *   --json PATH         write sweep JSON         (SECPB_BENCH_JSON)
+ * Common CLI (BenchCli::parse):
+ *   --jobs N            concurrent points (default 1)
+ *   --json PATH         write sweep JSON
  *   --scheme A[,B...]   keep matching schemes    (repeatable; canonical
  *                       lowercase names, legacy spellings accepted
  *                       case-insensitively, triad takes "triad:levels=N")
  *   --profile A[,B...]  keep matching profiles   (repeatable)
- *   --instr N           instructions per point   (SECPB_BENCH_INSTR, 300k;
- *                       the paper simulates 250M on gem5 -- the synthetic
- *                       workloads reach steady state within tens of
- *                       thousands)
- *   --seed N            base workload seed       (SECPB_BENCH_SEED, 7)
  *   --no-progress       suppress the stderr progress/ETA line
  *   --trace-out PATH    write a Perfetto trace of the first point
  *   --sample-every N    epoch-sample every point every N ticks
  *   --stats             embed the full stats dump in each JSON point
  *   --debug FLAG[,..]   enable DPRINTF debug flags (see --help)
- *   --battery-tech T    capacitor physics preset   (SECPB_BENCH_BATTERY_TECH,
- *                       ideal; ideal|supercap|li-thin)
- *   --battery-derate F  end-of-life capacity derate in (0,1]
- *                       (SECPB_BENCH_BATTERY_DERATE, 1.0)
- *   --power-schedule S  intermittent-power schedule "k=v,k=v" (see
- *                       PowerScheduleSpec::parse; SECPB_BENCH_POWER_SCHEDULE)
- *   --workload SPEC     registry workload "name:k=v,..." for every
- *                       default-runner point     (SECPB_BENCH_WORKLOAD)
- *   --trace-in PATH     replay a recorded trace (sugar for
- *                       --workload replay:file=PATH; SECPB_BENCH_TRACE_IN)
- *   --trace-record PATH record the first point's op stream to a trace
- *                       file                (SECPB_BENCH_TRACE_RECORD)
- *   --cores N           simulated cores for spec-driven runs (default 1)
- *   --shards N          host worker threads for multi-core runs; results
- *                       are bit-identical for every value
- *
- * The simulation-level flags (everything except --jobs/--json/--scheme/
- * --profile/--no-progress/--trace-out/--sample-every/--stats/--debug)
- * are parsed by SimulationSpec::fromCli -- the single parse point shared
- * with every non-bench driver; the SECPB_BENCH_* env fallbacks still
- * work there but are deprecated (one-time stderr note).
+ * plus the simulation-level flags SimulationSpec::fromCli owns and
+ * consumes first (--instr, --seed, --workload, --trace-in,
+ * --trace-record, --battery-tech, --battery-derate, --power-schedule,
+ * --cores; see SimulationSpec::cliHelp). Benches read those from
+ * `cli.spec`. Flags are the only way to configure a run; integer values
+ * go through the one strict parseDecimalU64.
  *
  * bench/micro_ops.cc is the one exception: google-benchmark owns its
  * argv, so these flags do not apply there (its tracing macros stay
@@ -58,7 +38,6 @@
 #define SECPB_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -84,61 +63,15 @@ namespace secpb::bench
 {
 
 /**
- * Strict env-var parse: the whole value must be one non-negative decimal
- * integer that fits in 64 bits; anything else (trailing garbage, sign,
- * overflow) is a fatal misconfiguration, never a silent truncation.
+ * A non-negative integer knob from the environment, or @p fallback when
+ * @p name is unset or empty. The value goes through the same strict
+ * parse as the command line (fault_soak's SECPB_SOAK_* knobs).
  */
 inline std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
     const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    fatal_if(v[0] == '-' || v[0] == '+',
-             "%s='%s': must be a plain non-negative decimal integer",
-             name, v);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal integer (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE, "%s='%s': out of range for a 64-bit value",
-             name, v);
-    return parsed;
-}
-
-/**
- * Strict env-var parse for a floating-point knob: the whole value must be
- * one finite decimal number; anything else is a fatal misconfiguration.
- */
-inline double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal number (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE || !std::isfinite(parsed),
-             "%s='%s': out of range for a finite double", name, v);
-    return parsed;
-}
-
-inline std::uint64_t
-benchInstructions()
-{
-    return envU64("SECPB_BENCH_INSTR", 300'000);
-}
-
-inline std::uint64_t
-benchSeed()
-{
-    return envU64("SECPB_BENCH_SEED", 7);
+    return v && *v ? parseDecimalU64(name, v) : fallback;
 }
 
 /** Parsed shared command line of one bench binary. */
@@ -157,27 +90,8 @@ struct BenchCli
     Tick sampleEvery = 0;            ///< 0 = no epoch sampling.
     bool captureStats = false;       ///< Embed stats dump per point.
 
-    /**
-     * The simulation-level knobs, parsed by SimulationSpec::fromCli
-     * (the single parse point for --instr/--seed/--workload/--trace-in/
-     * --trace-record/--battery-tech/--battery-derate/--power-schedule/
-     * --cores/--shards and their deprecated SECPB_BENCH_* fallbacks).
-     */
+    /** The simulation-level knobs, parsed by SimulationSpec::fromCli. */
     SimulationSpec spec;
-
-    /** @name Mirrors of `spec` fields (kept for bench-code brevity). */
-    /** @{ */
-    std::uint64_t instructions = 300'000;
-    std::uint64_t seed = 7;
-    std::string batteryTech = "ideal";  ///< Capacitor physics preset.
-    double batteryDerate = 1.0;      ///< End-of-life capacity derate.
-    std::string powerSchedule;       ///< Empty = no intermittent power.
-    std::string workload;            ///< Registry selector; "" = profiles.
-    std::string traceRecord;         ///< Record first point; "" = off.
-    /** @} */
-
-    /** The parsed physics preset with the derate applied. */
-    CapacitorParams batteryParams() const { return spec.batteryParams(); }
 
     /** Parse argv; prints usage and exits on unknown flags. */
     static BenchCli
@@ -185,33 +99,25 @@ struct BenchCli
     {
         BenchCli cli;
         cli.bench = bench_name;
-        // The spec flags (and their env fallbacks) are owned by the
-        // facade's parser; it consumes them from argv, leaving only the
-        // sweep-level flags below for this loop.
+        // The spec flags are owned by the facade's parser; it consumes
+        // them from argv, leaving only the sweep-level flags below for
+        // this loop.
         cli.spec = SimulationSpec::fromCli(argc, argv, bench_name);
-        cli.instructions = cli.spec.instructions;
-        cli.seed = cli.spec.seed;
-        cli.batteryTech = cli.spec.batteryTech;
-        cli.batteryDerate = cli.spec.batteryDerate;
-        cli.powerSchedule = cli.spec.powerSchedule;
-        cli.workload = cli.spec.workload;
-        cli.traceRecord = cli.spec.traceRecord;
-
-        cli.jobs = static_cast<unsigned>(
-            std::max<std::uint64_t>(1, envU64("SECPB_BENCH_JOBS", 1)));
-        if (const char *p = std::getenv("SECPB_BENCH_JSON"))
-            cli.jsonPath = p;
 
         auto need = [&](int i) -> const char * {
             fatal_if(i + 1 >= argc, "%s: flag %s needs a value",
                      bench_name, argv[i]);
             return argv[i + 1];
         };
+        auto parseU64 = [&](const char *flag, const char *v) {
+            return parseDecimalU64(
+                (std::string(bench_name) + ": " + flag).c_str(), v);
+        };
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
             if (a == "--jobs") {
-                cli.jobs = static_cast<unsigned>(
-                    std::max(1L, std::atol(need(i))));
+                cli.jobs = static_cast<unsigned>(std::max<std::uint64_t>(
+                    1, parseU64("--jobs", need(i))));
                 ++i;
             } else if (a == "--json") {
                 cli.jsonPath = need(i);
@@ -234,7 +140,7 @@ struct BenchCli
                 cli.traceOut = need(i);
                 ++i;
             } else if (a == "--sample-every") {
-                cli.sampleEvery = std::strtoull(need(i), nullptr, 10);
+                cli.sampleEvery = parseU64("--sample-every", need(i));
                 ++i;
             } else if (a == "--stats") {
                 cli.captureStats = true;
@@ -259,7 +165,7 @@ struct BenchCli
                     "          [--battery-derate F] [--power-schedule S]\n"
                     "          [--workload SPEC] [--trace-in PATH]\n"
                     "          [--trace-record PATH] [--cores N]\n"
-                    "          [--shards N] [--debug FLAG[,FLAG]]\n"
+                    "          [--debug FLAG[,FLAG]]\n"
                     "  --trace-out PATH    Perfetto trace_event JSON of the"
                     " sweep's\n"
                     "                      first point (load in"
@@ -386,18 +292,18 @@ class Sweep
             // registry generator; custom runners opt in themselves
             // (fault_soak does), and points that pinned their own
             // workload keep it.
-            if (!_cli.workload.empty() && !p.custom && p.workload.empty())
-                p.workload = _cli.workload;
+            if (!_cli.spec.workload.empty() && !p.custom && p.workload.empty())
+                p.workload = _cli.spec.workload;
         }
         if (_tracer && !_points.empty())
             _points.front().tracer = _tracer.get();
-        if (!_cli.traceRecord.empty()) {
+        if (!_cli.spec.traceRecord.empty()) {
             // Like --trace-out: record exactly the first point (one
             // trace file holds one op stream).
             for (ExperimentPoint &p : _points) {
                 if (p.custom)
                     continue;
-                p.traceRecord = _cli.traceRecord;
+                p.traceRecord = _cli.spec.traceRecord;
                 break;
             }
         }
@@ -484,24 +390,6 @@ class Sweep
     std::vector<DerivedRow> _derived;
     double _hostSeconds = 0.0;
 };
-
-/** Run one (scheme, profile) point on a fresh system (direct API; the
- *  sweeps go through ExperimentPoint instead). */
-inline SimulationResult
-runOne(Scheme scheme, const BenchmarkProfile &profile,
-       std::uint64_t instructions, unsigned secpb_entries = 32,
-       BmfMode bmf = BmfMode::None, std::uint64_t seed = benchSeed())
-{
-    SimulationSpec spec;
-    spec.base = SecPbSystem::configFor(scheme, profile);
-    spec.base.secpb.numEntries = secpb_entries;
-    spec.base.walker.bmfMode = bmf;
-    spec.instructions = instructions;
-    spec.seed = seed;
-    Simulation sim(spec);
-    SyntheticGenerator gen(profile, instructions, seed);
-    return sim.run(gen);
-}
 
 /** Geometric mean of a vector of ratios. */
 inline double

@@ -22,14 +22,14 @@
  * the classic soak crashes a registry workload (e.g. kv_wal mid-commit)
  * instead of the synthetic profiles.
  *
- * With --power-schedule (or SECPB_BENCH_POWER_SCHEDULE) the soak runs in
- * intermittent-power mode instead: each trial is a multi-cycle
- * crash-recover-crash sequence on a physical Capacitor (brownouts,
- * partial recharges, aging, power loss mid-recovery), scheme picked by
- * trial index mod 10 and the adaptive drain policy alternating on/off by
- * trial parity. Adaptive trials additionally assert the never-overspend
- * invariant (drain energy <= deliverable at crash). --battery-tech and
- * --battery-derate select the cell.
+ * With --power-schedule the soak runs in intermittent-power mode
+ * instead: each trial is a multi-cycle crash-recover-crash sequence on
+ * a physical Capacitor (brownouts, partial recharges, aging, power loss
+ * mid-recovery), scheme picked by trial index mod 10 and the adaptive
+ * drain policy alternating on/off by trial parity. Adaptive trials
+ * additionally assert the never-overspend invariant (drain energy <=
+ * deliverable at crash). --battery-tech and --battery-derate select the
+ * cell.
  */
 
 #include <cstdio>
@@ -112,19 +112,19 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
                     std::uint64_t first, std::uint64_t trials)
 {
     const PowerScheduleSpec base =
-        PowerScheduleSpec::parse(cli.powerSchedule);
+        PowerScheduleSpec::parse(cli.spec.powerSchedule);
     std::printf("intermittent soak: trials [%llu, %llu), seed %llu, "
                 "schedule [%s], tech %s derate %.2f\n\n",
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(trials),
                 static_cast<unsigned long long>(seed),
-                base.describe().c_str(), cli.batteryTech.c_str(),
-                cli.batteryDerate);
+                base.describe().c_str(), cli.spec.batteryTech.c_str(),
+                cli.spec.batteryDerate);
 
     bench::Sweep sweep(cli);
     std::vector<std::size_t> idx;
     std::vector<std::uint64_t> schemeOf;
-    const CapacitorParams params = cli.batteryParams();
+    const CapacitorParams params = cli.spec.batteryParams();
     for (std::uint64_t trial = first; trial < trials; ++trial) {
         const std::uint64_t si = trial % std::size(SchemeZoo);
         schemeOf.push_back(si);
@@ -219,7 +219,7 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
                         static_cast<unsigned long long>(seed),
                         static_cast<unsigned long long>(first + i),
                         schemeName(SchemeZoo[schemeOf[i]]),
-                        cli.powerSchedule.c_str(),
+                        cli.spec.powerSchedule.c_str(),
                         r.extraValue("overspent_drains") > 0.0
                             ? " (drain exceeded capacitor energy)"
                             : "");
@@ -258,7 +258,7 @@ main(int argc, char **argv)
             ? first + 1
             : envU64("SECPB_SOAK_TRIALS", 300);
 
-    if (!cli.powerSchedule.empty())
+    if (!cli.spec.powerSchedule.empty())
         return runIntermittentSoak(cli, seed, first, trials);
 
     std::printf("fault soak: trials [%llu, %llu), seed %llu, jobs %u\n\n",
@@ -280,7 +280,7 @@ main(int argc, char **argv)
         p.profile = t.profile;
         // --workload crash-soaks a registry workload (WAL commits and
         // journal trains crashing mid-burst) instead of the profiles.
-        p.workload = cli.workload;
+        p.workload = cli.spec.workload;
         p.instructions = t.instructions;
         p.seed = t.wseed;
         p.tag("plan", t.plan.describe());

@@ -22,7 +22,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig6");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     const Scheme all_schemes[] = {Scheme::Cobcm, Scheme::Obcm,
                                   Scheme::Bcm,   Scheme::Cm,
@@ -43,7 +43,7 @@ main(int argc, char **argv)
         p.schemeParams = cli.schemeParams;
         p.profile = profile;
         p.instructions = instr;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 

@@ -20,7 +20,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig7");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
     const unsigned sizes[] = {8, 16, 32, 64, 128, 512};
     const std::vector<BenchmarkProfile> profiles = cli.profilesToRun();
 
@@ -33,7 +33,7 @@ main(int argc, char **argv)
         p.profile = profile;
         p.instructions = instr;
         p.secpbEntries = size;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 

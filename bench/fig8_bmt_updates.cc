@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig8");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     const Scheme all_schemes[] = {Scheme::Cobcm, Scheme::Obcm, Scheme::Bcm,
                                   Scheme::Cm, Scheme::M, Scheme::NoGap};
@@ -38,7 +38,7 @@ main(int argc, char **argv)
         p.profile = profile;
         p.instructions = instr;
         p.secpbEntries = size;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 

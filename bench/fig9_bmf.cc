@@ -21,7 +21,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig9");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     struct Variant
     {
@@ -51,7 +51,7 @@ main(int argc, char **argv)
         base.scheme = Scheme::Bbb;
         base.profile = p.name;
         base.instructions = instr;
-        base.seed = cli.seed;
+        base.seed = cli.spec.seed;
         base_idx.push_back(sweep.add(std::move(base)));
 
         cell_idx.emplace_back();
@@ -62,7 +62,7 @@ main(int argc, char **argv)
             pt.profile = p.name;
             pt.instructions = instr;
             pt.bmf = v.bmf;
-            pt.seed = cli.seed;
+            pt.seed = cli.spec.seed;
             pt.tag("variant", v.name);
             cell_idx.back().push_back(sweep.add(std::move(pt)));
         }

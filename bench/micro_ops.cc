@@ -9,12 +9,11 @@
  *
  * This binary stays on google-benchmark (its timing loop is the right
  * tool for host-side microbenchmarks), but it honors the shared bench
- * CLI's `--json PATH` (and SECPB_BENCH_JSON) by mapping it to
+ * CLI's `--json PATH` by mapping it to
  * --benchmark_out=PATH --benchmark_out_format=json, so every binary in
  * bench/ takes the same flag for machine-readable results.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -131,8 +130,6 @@ main(int argc, char **argv)
     // Translate the shared bench CLI's --json into google-benchmark's
     // output flags; pass everything else through untouched.
     std::string json_path;
-    if (const char *env = std::getenv("SECPB_BENCH_JSON"))
-        json_path = env;
     std::vector<char *> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {

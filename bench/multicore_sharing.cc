@@ -9,8 +9,7 @@
  * no-replication invariant while forwarding value-independent metadata,
  * and the cost shows up as extra acceptance latency. Each (scheme, share)
  * cell is one custom experiment point building a 4-core machine through
- * the Simulation facade; `--shards N` fans the epoch engine out across
- * host threads without changing a byte of the output.
+ * the Simulation facade.
  */
 
 #include <memory>
@@ -76,7 +75,6 @@ runSharingPoint(const ExperimentPoint &pt, double share)
     SimulationSpec spec;
     spec.base.scheme = pt.scheme;
     spec.cores = pt.cores;
-    spec.shards = pt.shards;  // Host parallelism only; never the results.
     Simulation sim(spec);
     std::vector<std::unique_ptr<SharingGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
@@ -113,7 +111,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "multicore_sharing");
-    const std::uint64_t instr = cli.instructions / 4;
+    const std::uint64_t instr = cli.spec.instructions / 4;
     const double shares[] = {0.0, 0.05, 0.10, 0.25, 0.50, 1.0};
 
     std::vector<Scheme> schemes;
@@ -130,12 +128,8 @@ main(int argc, char **argv)
                       std::to_string(share);
             p.scheme = schemes[si];
             p.instructions = instr;
-            p.seed = cli.seed;
+            p.seed = cli.spec.seed;
             p.cores = 4;
-            // --shards only changes which host threads advance the
-            // slices; the sweep JSON stays byte-identical for every
-            // value (the CI determinism gate diffs it).
-            p.shards = cli.spec.shards;
             p.tag("cores", "4");
             p.custom = [share](const ExperimentPoint &pt) {
                 return runSharingPoint(pt, share);

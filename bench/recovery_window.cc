@@ -92,7 +92,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "recovery_window");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
     const std::string profile = "gamess";
 
     // Crash table: the insecure baseline plus the whole secure zoo.
@@ -120,7 +120,7 @@ main(int argc, char **argv)
     std::vector<std::size_t> idx;
     for (const FrontierSpec &fs : schemes)
         idx.push_back(sweep.add(crashPoint(fs.scheme, fs.params, profile,
-                                           instr, cli.seed,
+                                           instr, cli.spec.seed,
                                            "/crash@quarter")));
 
     // Frontier: each candidate contributes a run-to-end point (runtime
@@ -133,7 +133,7 @@ main(int argc, char **argv)
         base.scheme = Scheme::Bbb;
         base.profile = profile;
         base.instructions = instr;
-        base.seed = cli.seed;
+        base.seed = cli.spec.seed;
         baseline_idx = sweep.add(std::move(base));
         for (const FrontierSpec &fs : frontier) {
             ExperimentPoint run;
@@ -142,11 +142,11 @@ main(int argc, char **argv)
             run.schemeParams = fs.params;
             run.profile = profile;
             run.instructions = instr;
-            run.seed = cli.seed;
+            run.seed = cli.spec.seed;
             frontier_run.push_back(sweep.add(std::move(run)));
             frontier_crash.push_back(
                 sweep.add(crashPoint(fs.scheme, fs.params, profile, instr,
-                                     cli.seed, "/frontier-crash")));
+                                     cli.spec.seed, "/frontier-crash")));
         }
     }
 

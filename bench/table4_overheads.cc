@@ -30,7 +30,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "table4");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     struct Row
     {
@@ -54,7 +54,7 @@ main(int argc, char **argv)
         p.scheme = s;
         p.profile = profile;
         p.instructions = instr;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 
@@ -71,14 +71,14 @@ main(int argc, char **argv)
     // policy on. The policy sheds dirty metadata early to keep the
     // crash prediction affordable -- that extra PCM write traffic is
     // the overhead this table surfaces.
-    const CapacitorParams cap = cli.batteryParams();
+    const CapacitorParams cap = cli.spec.batteryParams();
     auto shed_point = [&](Scheme s, const std::string &profile) {
         ExperimentPoint p;
         p.label = profile + "/" + schemeName(s) + "/shed";
         p.scheme = s;
         p.profile = profile;
         p.instructions = instr;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         p.tag("battery", "provision=0.6,adaptive=on");
         p.custom = [cap](const ExperimentPoint &pt) {
             const BenchmarkProfile &prof = profileByName(pt.profile);

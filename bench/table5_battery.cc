@@ -93,7 +93,7 @@ main(int argc, char **argv)
         p.secpbEntries = entries;
         p.tag("kind", "battery_sizing");
         const double energy = r.energyJ;
-        const double derate = cli.batteryDerate;
+        const double derate = cli.spec.batteryDerate;
         p.custom = [energy, derate](const ExperimentPoint &) {
             return sizePoint(energy, derate);
         };
@@ -121,7 +121,7 @@ main(int argc, char **argv)
 
     std::printf("\nRealistic physics (voltage window + derate %.2f): "
                 "each tech's own usable window inflates the volume\n\n",
-                cli.batteryDerate);
+                cli.spec.batteryDerate);
     std::printf("%-8s %12s %12s %11s %10s\n", "System",
                 "SuperCap mm3", "Li-Thin mm3", "SC/core", "Li/core");
     for (std::size_t i = 0; i < std::size(rows); ++i) {

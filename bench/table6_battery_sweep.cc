@@ -32,7 +32,7 @@ main(int argc, char **argv)
             p.instructions = 0;
             p.secpbEntries = entries;
             p.tag("kind", "battery_sizing");
-            const double derate = cli.batteryDerate;
+            const double derate = cli.spec.batteryDerate;
             p.custom = [scheme, entries, derate](const ExperimentPoint &) {
                 const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
                 const double e = em.secPbBatteryEnergy(scheme, entries);
@@ -83,7 +83,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\nRealistic physics (voltage window + derate %.2f):\n\n",
-                cli.batteryDerate);
+                cli.spec.batteryDerate);
     std::printf("%8s | %12s %12s | %12s %12s\n", "entries",
                 "COBCM SC", "COBCM Li", "NoGap SC", "NoGap Li");
     for (std::size_t i = 0; i < std::size(sizes); ++i) {

@@ -25,7 +25,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "workload_suite");
-    const std::uint64_t instr = cli.instructions;
+    const std::uint64_t instr = cli.spec.instructions;
 
     struct Entry
     {
@@ -33,9 +33,9 @@ main(int argc, char **argv)
         std::string spec;
     };
     std::vector<Entry> workloads;
-    if (!cli.workload.empty()) {
+    if (!cli.spec.workload.empty()) {
         workloads.push_back(
-            {WorkloadSpec::parse(cli.workload).name, cli.workload});
+            {WorkloadSpec::parse(cli.spec.workload).name, cli.spec.workload});
     } else {
         workloads = {
             {"kv_wal", "kv_wal"},
@@ -63,7 +63,7 @@ main(int argc, char **argv)
         p.schemeParams = cli.schemeParams;
         p.workload = wl.spec;
         p.instructions = instr;
-        p.seed = cli.seed;
+        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 

@@ -71,7 +71,7 @@ struct SystemConfig
 
     /**
      * Root name of the system's stat tree. Single-core systems keep the
-     * historical "system" root (stat dumps are byte-stable); the sharded
+     * historical "system" root (stat dumps are byte-stable); the
      * multi-core engine names each per-core slice "core<N>".
      */
     const char *statsName = "system";

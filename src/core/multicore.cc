@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "exp/thread_pool.hh"
+#include "obs/trace.hh"
 #include "sim/logging.hh"
 
 namespace secpb
@@ -25,6 +25,15 @@ accumulate(RecoveryReport &into, const RecoveryReport &r)
     into.tornDetected += r.tornDetected;
     into.staleConsistent += r.staleConsistent;
     into.faults.insert(into.faults.end(), r.faults.begin(), r.faults.end());
+}
+
+/** Record into trace lane @p lane (core i uses lane i; see
+ *  obs::Tracer::setLane). No-op when nothing is tracing. */
+void
+traceLane(std::size_t lane)
+{
+    if (obs::Tracer *t = obs::current())
+        t->setLane(static_cast<std::uint32_t>(lane));
 }
 
 } // namespace
@@ -62,23 +71,11 @@ MultiCoreSystem::start(std::vector<WorkloadGenerator *> gens)
     panic_if(gens.size() != _slices.size(),
              "%zu generators for %zu cores", gens.size(), _slices.size());
     _started = true;
-
-    // When the caller traces, record into per-slice buffers: shard
-    // threads may not share one Tracer, and merging in core order keeps
-    // the output independent of the shard count.
-    _parentTracer = obs::current();
-    if (_parentTracer) {
-        _sliceTracers.reserve(_slices.size());
-        for (std::size_t i = 0; i < _slices.size(); ++i)
-            _sliceTracers.push_back(
-                std::make_unique<obs::Tracer>(_parentTracer->capacity()));
-    }
-
     for (std::size_t i = 0; i < _slices.size(); ++i) {
-        obs::TraceSession session(
-            _sliceTracers.empty() ? nullptr : _sliceTracers[i].get());
+        traceLane(i);
         _slices[i]->start(*gens[i]);
     }
+    traceLane(_slices.size());
 }
 
 bool
@@ -105,20 +102,12 @@ MultiCoreSystem::anyWorkPending() const
 void
 MultiCoreSystem::advanceSlices(Tick target)
 {
-    const auto advanceOne = [&](std::size_t i) {
-        obs::TraceSession session(
-            _sliceTracers.empty() ? nullptr : _sliceTracers[i].get());
+    for (std::size_t i = 0; i < _slices.size(); ++i) {
+        traceLane(i);
         _slices[i]->runUntil(target);
-    };
-    if (_cfg.shards <= 1 || _slices.size() <= 1) {
-        for (std::size_t i = 0; i < _slices.size(); ++i)
-            advanceOne(i);
-        return;
     }
-    // Shard workers draw from the one global pool (shared with sweep
-    // --jobs); the cap keeps one simulation from claiming every worker.
-    ThreadPool::global().parallelFor(_slices.size(), advanceOne,
-                                     _cfg.shards);
+    // Barrier and crash work records after every core's events.
+    traceLane(_slices.size());
 }
 
 void
@@ -147,8 +136,7 @@ MultiCoreSystem::processBarrier(Tick T)
     if (reqs.empty())
         return;
     // The canonical total order: request time, then core, then per-gate
-    // filing order. A pure function of the simulated run -- never of
-    // shard scheduling.
+    // filing order -- a pure function of the simulated run.
     std::sort(reqs.begin(), reqs.end(), [](const Req &a, const Req &b) {
         if (a.tick != b.tick)
             return a.tick < b.tick;
@@ -309,7 +297,6 @@ MultiCoreSystem::run(std::vector<WorkloadGenerator *> gens)
         _now = barrier;
         processBarrier(barrier);
     }
-    flushTraces();
 
     MultiCoreResult res;
     res.perCore.reserve(_slices.size());
@@ -350,8 +337,6 @@ MultiCoreSystem::coreRead(CoreId core, Addr addr)
 CrashReport
 MultiCoreSystem::crashNow(const CrashOptions &opts)
 {
-    flushTraces();
-
     CrashReport agg;
     agg.batteryBudgetJ = opts.batteryEnergyJ;
     std::optional<double> remaining = opts.batteryEnergyJ;
@@ -420,20 +405,6 @@ MultiCoreSystem::dumpStats(std::ostream &os) const
     _rootStats.dump(os);
     for (const auto &slice : _slices)
         slice->dumpStats(os);
-}
-
-void
-MultiCoreSystem::flushTraces()
-{
-    if (!_parentTracer || _sliceTracers.empty())
-        return;
-    std::vector<const obs::Tracer *> sources;
-    sources.reserve(_sliceTracers.size());
-    for (const auto &t : _sliceTracers)
-        sources.push_back(t.get());
-    _parentTracer->mergeFrom(sources);
-    for (const auto &t : _sliceTracers)
-        t->clear();
 }
 
 } // namespace secpb

@@ -6,19 +6,14 @@
  * Each core owns a complete machine slice -- TraceCpu, StoreBuffer,
  * SecPB, crypto engine, metadata caches, BMT, WPQ, PCM channel, PM
  * image, persist oracle -- with its own EventQueue. Slices share no
- * mutable state while an epoch runs, so the engine may advance them on
- * separate OS threads (`--shards N`) and the simulation stays
- * bit-identical to the serial schedule: all cross-core interaction is
- * deferred to the barrier, which runs serially in a canonical order.
+ * mutable state while an epoch runs: all cross-core interaction is
+ * deferred to the barrier, which runs in a canonical order.
  *
  * Conservative epoch-barrier protocol (see DESIGN.md):
  *
  *   1. Pick the next barrier tick T on the absolute epoch grid
- *      (multiples of epochTicks, independent of shard count and of
- *      runUntil() slicing).
- *   2. Advance every slice to T (in parallel across at most `shards`
- *      pool workers; each slice is deterministic on its own, so the
- *      thread assignment is irrelevant).
+ *      (multiples of epochTicks, independent of runUntil() slicing).
+ *   2. Advance every slice to T, in core order.
  *   3. Process the coherence mailbox serially: every CoherenceGate
  *      rejection filed during the epoch is a PageRequest stamped
  *      (tick, core, seq); requests are granted in that total order.
@@ -46,7 +41,6 @@
 #include <vector>
 
 #include "core/system.hh"
-#include "obs/trace.hh"
 #include "secpb/coherence.hh"
 
 namespace secpb
@@ -62,14 +56,6 @@ struct MultiCoreConfig
 
     /** Cycles to hand a PB entry and its page to another core. */
     Cycles migrationLatency = 24;
-
-    /**
-     * Worker threads advancing slices concurrently. 1 = serial (the
-     * reference schedule); N <= numCores shards the epoch across the
-     * global pool. Results are identical for every value -- shards is
-     * host parallelism, not simulated behavior.
-     */
-    unsigned shards = 1;
 
     /**
      * Epoch (barrier period) in ticks; 0 derives it from
@@ -176,7 +162,7 @@ class MultiCoreSystem
         return (t / _epochTicks + 1) * _epochTicks;
     }
 
-    /** Advance every slice to @p target (parallel across shards). */
+    /** Advance every slice to @p target, in core order. */
     void advanceSlices(Tick target);
 
     /** Serially grant/defer the epoch's page requests at tick @p T. */
@@ -191,9 +177,6 @@ class MultiCoreSystem
     /** True if any slice has pending events or any gate has requests. */
     bool anyWorkPending() const;
 
-    /** Merge per-slice trace buffers into the ambient tracer. */
-    void flushTraces();
-
     MultiCoreConfig _cfg;
     Tick _epochTicks;
     Tick _now = 0;
@@ -203,11 +186,6 @@ class MultiCoreSystem
     std::vector<std::string> _sliceNames;
     std::vector<std::unique_ptr<SecPbSystem>> _slices;
     std::vector<std::unique_ptr<CoherenceGate>> _gates;
-
-    /** Per-slice trace buffers (only when an ambient tracer exists):
-     *  shard threads must not share the caller's tracer. */
-    obs::Tracer *_parentTracer = nullptr;
-    std::vector<std::unique_ptr<obs::Tracer>> _sliceTracers;
 
     bool _started = false;
 };

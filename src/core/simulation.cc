@@ -1,10 +1,8 @@
 #include "core/simulation.hh"
 
+#include <cctype>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,75 +15,6 @@ namespace secpb
 
 namespace
 {
-
-/** One-time stderr note when a deprecated SECPB_BENCH_* fallback fires. */
-void
-noteDeprecatedEnv(const char *name)
-{
-    static bool noted = false;
-    if (!noted) {
-        std::fprintf(stderr,
-                     "note: %s is deprecated; pass the matching command-line "
-                     "flag instead (env fallbacks will be removed)\n",
-                     name);
-        noted = true;
-    }
-}
-
-/**
- * Strict env-var parse: the whole value must be one non-negative decimal
- * integer that fits in 64 bits; anything else (trailing garbage, sign,
- * overflow) is a fatal misconfiguration, never a silent truncation.
- */
-std::uint64_t
-specEnvU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    noteDeprecatedEnv(name);
-    fatal_if(v[0] == '-' || v[0] == '+',
-             "%s='%s': must be a plain non-negative decimal integer",
-             name, v);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal integer (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE, "%s='%s': out of range for a 64-bit value",
-             name, v);
-    return parsed;
-}
-
-/** Strict env-var parse for a floating-point knob (same contract). */
-double
-specEnvDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    noteDeprecatedEnv(name);
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal number (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE || !std::isfinite(parsed),
-             "%s='%s': out of range for a finite double", name, v);
-    return parsed;
-}
-
-std::string
-specEnvStr(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return {};
-    noteDeprecatedEnv(name);
-    return v;
-}
 
 std::string
 joinNames(const std::vector<std::string> &v)
@@ -101,6 +30,26 @@ joinNames(const std::vector<std::string> &v)
 
 } // namespace
 
+std::uint64_t
+parseDecimalU64(const char *what, const char *v)
+{
+    // strtoull alone would accept a sign (wrapping "-1" to 2^64-1) or
+    // leading blanks, so the first character must already be a digit.
+    fatal_if(!std::isdigit(static_cast<unsigned char>(v[0])),
+             "%s '%s': not a decimal integer (must be plain non-negative "
+             "digits)",
+             what, v);
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long parsed = std::strtoull(v, &end, 10);
+    fatal_if(*end != '\0',
+             "%s '%s': not a decimal integer (trailing garbage at '%s')",
+             what, v, end);
+    fatal_if(errno == ERANGE, "%s '%s': out of range for a 64-bit value",
+             what, v);
+    return parsed;
+}
+
 CapacitorParams
 SimulationSpec::batteryParams() const
 {
@@ -113,28 +62,12 @@ SimulationSpec
 SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
 {
     SimulationSpec spec;
-
-    // Deprecated environment fallbacks (flags below override them).
-    spec.instructions = specEnvU64("SECPB_BENCH_INSTR", spec.instructions);
-    spec.seed = specEnvU64("SECPB_BENCH_SEED", spec.seed);
-    spec.workload = specEnvStr("SECPB_BENCH_WORKLOAD");
-    std::string traceIn = specEnvStr("SECPB_BENCH_TRACE_IN");
-    spec.traceRecord = specEnvStr("SECPB_BENCH_TRACE_RECORD");
-    if (std::string t = specEnvStr("SECPB_BENCH_BATTERY_TECH"); !t.empty())
-        spec.batteryTech = std::move(t);
-    spec.batteryDerate =
-        specEnvDouble("SECPB_BENCH_BATTERY_DERATE", spec.batteryDerate);
-    spec.powerSchedule = specEnvStr("SECPB_BENCH_POWER_SCHEDULE");
+    std::string traceIn;
 
     // Parse our flags out of argv, compacting the survivors in place so
     // the caller's parser never sees what we consumed.
-    auto parseU64 = [&](const char *flag, const char *v) -> std::uint64_t {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(v, &end, 10);
-        fatal_if(v[0] == '-' || end == v || *end != '\0' || errno == ERANGE,
-                 "%s: %s '%s' is not a non-negative integer", prog, flag, v);
-        return parsed;
+    auto parseU64 = [&](const char *flag, const char *v) {
+        return parseDecimalU64((std::string(prog) + ": " + flag).c_str(), v);
     };
     int out = 1;
     for (int i = 1; i < argc; ++i) {
@@ -167,9 +100,6 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
         } else if (a == "--cores") {
             spec.cores =
                 static_cast<unsigned>(parseU64("--cores", need()));
-        } else if (a == "--shards") {
-            spec.shards =
-                static_cast<unsigned>(parseU64("--shards", need()));
         } else {
             argv[out++] = argv[i];
         }
@@ -180,12 +110,8 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
     // Validate eagerly: a bad value dies here, before any run starts,
     // with a diagnostic that lists the valid choices.
     fatal_if(spec.cores < 1, "%s: --cores must be >= 1", prog);
-    fatal_if(spec.shards < 1,
-             "%s: --shards must be >= 1 (1 = serial; N caps the worker "
-             "threads and never changes results)",
-             prog);
     capacitorPresetFor(spec.batteryTech);
-    fatal_if(spec.batteryDerate <= 0.0 || spec.batteryDerate > 1.0,
+    fatal_if(!(spec.batteryDerate > 0.0 && spec.batteryDerate <= 1.0),
              "%s: --battery-derate %.3f out of (0, 1]", prog,
              spec.batteryDerate);
     if (!spec.powerSchedule.empty())
@@ -224,9 +150,7 @@ SimulationSpec::cliHelp()
         "  --battery-derate F  end-of-life capacity derate in (0,1]\n"
         "  --power-schedule S  seeded intermittent-power schedule"
         " \"k=v,...\"\n"
-        "  --cores N           simulated cores (default 1)\n"
-        "  --shards N          host worker threads for multi-core runs;\n"
-        "                      results are identical for every value\n";
+        "  --cores N           simulated cores (default 1)\n";
 }
 
 Simulation::Simulation(const SimulationSpec &spec)

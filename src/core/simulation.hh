@@ -6,24 +6,21 @@
  * fault soak, the intermittent-power injector, examples -- builds its
  * machine from a SimulationSpec and talks to the Simulation facade. The
  * spec pins everything a run needs: the per-core SystemConfig, the core
- * count, the shard count (host parallelism for the multi-core epoch
- * engine), and the workload-level knobs the shared CLI owns
- * (instructions, seed, workload selector, battery physics, power
- * schedule). One lifecycle -- start / runUntil / run / crashNow /
- * result -- covers the single-core machine and the sharded multi-core
- * machine; callers stop special-casing which one they drive.
+ * count, and the workload-level knobs the shared CLI owns (instructions,
+ * seed, workload selector, battery physics, power schedule). One
+ * lifecycle -- start / runUntil / run / crashNow / result -- covers the
+ * single-core machine and the multi-core machine; callers stop
+ * special-casing which one they drive.
  *
  * cores == 1 instantiates SecPbSystem directly (bit-identical to the
  * pre-facade behavior: no gate, no directory, "system" stat root);
- * cores > 1 instantiates the epoch-barrier MultiCoreSystem, where
- * `shards` caps the worker threads and never changes results.
+ * cores > 1 instantiates the epoch-barrier MultiCoreSystem.
  *
  * SimulationSpec::fromCli is the single parse point for the spec-level
  * command line: it consumes the flags it owns from argv (leaving
- * sweep-level flags like --jobs for the caller), applies the deprecated
- * SECPB_BENCH_* environment fallbacks with a one-time note, validates
- * everything eagerly with diagnostics that list the valid values, and
- * is where `--shards N` exists exactly once.
+ * sweep-level flags like --jobs for the caller) and validates everything
+ * eagerly with diagnostics that list the valid values. Flags are the
+ * only way to configure a run; no environment variable feeds the spec.
  */
 
 #ifndef SECPB_CORE_SIMULATION_HH
@@ -50,13 +47,6 @@ struct SimulationSpec
     /** Simulated cores; 1 = the classic single-core machine. */
     unsigned cores = 1;
 
-    /**
-     * Host worker threads for the multi-core epoch engine (capped at
-     * cores; ignored when cores == 1). Results are bit-identical for
-     * every value -- this is wall-clock parallelism only.
-     */
-    unsigned shards = 1;
-
     /** Cycles to migrate a page between SecPBs (multi-core). */
     Cycles migrationLatency = 24;
 
@@ -82,7 +72,6 @@ struct SimulationSpec
         mc.base = base;
         mc.numCores = cores;
         mc.migrationLatency = migrationLatency;
-        mc.shards = shards;
         mc.epochTicks = epochTicks;
         return mc;
     }
@@ -95,10 +84,8 @@ struct SimulationSpec
      * place, updating @p argc), so the caller's parser only sees what
      * it owns. Flags: --instr, --seed, --workload, --trace-in,
      * --trace-record, --battery-tech, --battery-derate,
-     * --power-schedule, --cores, --shards. Deprecated SECPB_BENCH_*
-     * environment fallbacks still apply (one-time stderr note). All
-     * values are validated eagerly; a bad one dies listing the valid
-     * choices.
+     * --power-schedule, --cores. All values are validated eagerly; a
+     * bad one dies listing the valid choices.
      */
     static SimulationSpec fromCli(int &argc, char **argv, const char *prog);
 
@@ -106,6 +93,14 @@ struct SimulationSpec
      *  their --help output). */
     static const char *cliHelp();
 };
+
+/**
+ * Strict decimal parse of a command-line or environment value: the whole
+ * of @p v must be one non-negative decimal integer that fits in 64 bits.
+ * Anything else (sign, blank, trailing garbage, overflow) dies with a
+ * diagnostic naming @p what ("fig6: --jobs"), never a silent truncation.
+ */
+std::uint64_t parseDecimalU64(const char *what, const char *v);
 
 /**
  * The facade: one machine (single- or multi-core per the spec), one

@@ -104,7 +104,6 @@ runExperimentPoint(const ExperimentPoint &point)
     if (point.configure)
         point.configure(spec.base);
     spec.cores = std::max(1u, point.cores);
-    spec.shards = std::max(1u, point.shards);
     spec.instructions = point.instructions;
     spec.seed = point.seed;
     spec.workload = point.workload;

@@ -112,10 +112,6 @@ struct ExperimentPoint
      */
     unsigned cores = 1;
 
-    /** Host worker threads for multi-core points. Never affects
-     *  results -- `--shards 1` and `--shards N` are bit-identical. */
-    unsigned shards = 1;
-
     /** Workload seed. Determinism is per-point: same seed, same result,
      *  regardless of which thread runs it or in what order. */
     std::uint64_t seed = 7;

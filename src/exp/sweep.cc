@@ -84,11 +84,9 @@ SweepRunner::run(const std::vector<ExperimentPoint> &points) const
         return results;
     }
 
-    // One process-wide worker budget: sweep points and the shard workers
-    // they may spawn (multi-core points under --shards) all draw from
-    // ThreadPool::global(), so `--jobs N` never multiplies into N x M
-    // oversubscription. parallelFor caps concurrent points at jobs and
-    // rethrows the first point failure after every point ran.
+    // Points run on the process-wide pool; parallelFor caps concurrent
+    // points at jobs and rethrows the first point failure after every
+    // point ran.
     ThreadPool::global().parallelFor(
         points.size(),
         [&](std::size_t i) {

@@ -2,61 +2,31 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 namespace secpb
 {
 
-ThreadPool::ThreadPool(unsigned workers, std::size_t queue_bound)
-    : _deques(workers ? workers : 1),
-      _bound(queue_bound ? queue_bound : 4 * _deques.size())
+ThreadPool::ThreadPool(unsigned workers)
 {
-    _threads.reserve(_deques.size());
-    for (unsigned i = 0; i < _deques.size(); ++i)
-        _threads.emplace_back(
-            [this, i](std::stop_token st) { workerLoop(st, i); });
+    workers = std::max(1u, workers);
+    _threads.reserve(workers);
+    for (unsigned i = 0; i < workers; ++i)
+        _threads.emplace_back([this](std::stop_token st) { workerLoop(st); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    for (auto &t : _threads)
-        t.request_stop();
-    _cvTask.notify_all();
-    _cvSpace.notify_all();
-    // std::jthread joins on destruction; workers drain their queues first.
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> fn)
-{
-    Task task(std::move(fn));
-    std::future<void> fut = task.get_future();
     {
-        std::unique_lock lock(_mx);
-        _cvSpace.wait(lock, [this] { return _queued < _bound; });
-        _deques[_nextDeque].push_back(std::move(task));
-        _nextDeque = (_nextDeque + 1) % _deques.size();
-        ++_queued;
+        // Under the lock, so no worker is between its predicate check
+        // and its wait when the notify lands.
+        std::lock_guard lock(_mx);
+        for (auto &t : _threads)
+            t.request_stop();
     }
-    _cvTask.notify_one();
-    return fut;
-}
-
-std::optional<std::future<void>>
-ThreadPool::trySubmit(std::function<void()> fn)
-{
-    Task task(std::move(fn));
-    std::future<void> fut = task.get_future();
-    {
-        std::unique_lock lock(_mx);
-        if (_queued >= _bound)
-            return std::nullopt;
-        _deques[_nextDeque].push_back(std::move(task));
-        _nextDeque = (_nextDeque + 1) % _deques.size();
-        ++_queued;
-    }
-    _cvTask.notify_one();
-    return fut;
+    _cv.notify_all();
+    // std::jthread joins on destruction; workers drain the queue first.
 }
 
 void
@@ -110,27 +80,22 @@ ThreadPool::parallelFor(std::size_t n,
     std::size_t helpers = std::min<std::size_t>(n - 1, workers());
     if (max_concurrency > 0)
         helpers = std::min(helpers, max_concurrency - 1);
-    std::vector<std::future<void>> futs;
-    futs.reserve(helpers);
-    for (std::size_t i = 0; i < helpers; ++i) {
-        if (auto f = trySubmit(work))
-            futs.push_back(std::move(*f));
+    if (helpers > 0) {
+        {
+            std::lock_guard lock(_mx);
+            _queue.insert(_queue.end(), helpers, work);
+        }
+        _cv.notify_all();
     }
 
     work();  // The caller claims indices alongside the helpers.
 
-    {
-        std::unique_lock lock(shared->mx);
-        shared->cv.wait(lock,
-                        [&] { return shared->done.load() >= shared->n; });
-    }
-    // done == n means every index ran and every error is in shared->error,
-    // so the helper futures are deliberately abandoned: a helper that is
-    // still queued behind workers blocked in THIS function would never
-    // run, and waiting on it here would deadlock nested calls. Stray
-    // helpers own `shared` and exit via the next >= n check whenever the
-    // pool eventually runs them.
-    futs.clear();
+    // done == n means every index ran and every error is in
+    // shared->error. Helpers still queued own `shared` and return at
+    // once whenever a worker reaches them; waiting for them instead
+    // would deadlock a call made from inside a pool task.
+    std::unique_lock lock(shared->mx);
+    shared->cv.wait(lock, [&] { return shared->done.load() >= shared->n; });
     if (shared->error)
         std::rethrow_exception(shared->error);
 }
@@ -143,50 +108,20 @@ ThreadPool::global()
     return pool;
 }
 
-bool
-ThreadPool::takeTask(unsigned self, Task &out)
-{
-    if (!_deques[self].empty()) {
-        out = std::move(_deques[self].front());
-        _deques[self].pop_front();
-        --_queued;
-        return true;
-    }
-    // Steal from the back of the most loaded sibling, oldest task first.
-    unsigned victim = self;
-    std::size_t best = 0;
-    for (unsigned i = 0; i < _deques.size(); ++i) {
-        if (i != self && _deques[i].size() > best) {
-            best = _deques[i].size();
-            victim = i;
-        }
-    }
-    if (best == 0)
-        return false;
-    out = std::move(_deques[victim].back());
-    _deques[victim].pop_back();
-    --_queued;
-    return true;
-}
-
 void
-ThreadPool::workerLoop(std::stop_token st, unsigned index)
+ThreadPool::workerLoop(std::stop_token st)
 {
     for (;;) {
-        Task task;
+        std::function<void()> task;
         {
             std::unique_lock lock(_mx);
-            _cvTask.wait(lock, [&] {
-                return st.stop_requested() || _queued > 0;
-            });
-            if (!takeTask(index, task)) {
-                if (st.stop_requested())
-                    return;
-                continue;
-            }
+            _cv.wait(lock,
+                     [&] { return st.stop_requested() || !_queue.empty(); });
+            if (_queue.empty())
+                return;  // Stop requested and nothing left to drain.
+            task = std::move(_queue.front());
+            _queue.pop_front();
         }
-        _cvSpace.notify_one();
-        // packaged_task captures any exception into the future.
         task();
     }
 }

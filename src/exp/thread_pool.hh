@@ -1,22 +1,25 @@
 /**
  * @file
- * Work-stealing thread pool for the experiment engine.
+ * The experiment engine's worker pool: persistent threads that exist to
+ * run ThreadPool::parallelFor.
  *
- * Each worker owns a deque: it pops its own work LIFO from the front and
- * steals FIFO from the back of a sibling when empty, so long point chains
- * stay cache-warm on one worker while idle workers drain the stragglers.
- * Submission is round-robin across worker deques and blocks once the
- * total backlog reaches the queue bound -- a producer building a huge
- * point vector cannot outrun the workers into unbounded memory.
+ * parallelFor is the only way in. The calling thread claims indices from
+ * one atomic counter, and up to max_concurrency - 1 helper tasks queued
+ * on the pool claim from the same counter, so the load balances itself
+ * and a helper that starts late finds nothing left and returns. The
+ * caller waits for indices, never for helpers, which is why a call from
+ * inside a pool task cannot deadlock: it just does all the work itself.
  *
- * Tasks are std::packaged_task<void()>, so an exception thrown by a task
- * is captured and rethrown from the future submit() returned; the pool
- * itself never dies from a task failure. One mutex guards all deques:
- * experiment points run for milliseconds to seconds, so queue contention
- * is noise and simplicity wins over lock-free choreography.
+ * One mutex guards one FIFO task queue. The only tasks are parallelFor
+ * helpers, which catch every exception for the caller to rethrow, and
+ * points run for milliseconds to seconds, so queue contention is noise.
+ * The workers are persistent rather than spawned per call: the sweep
+ * runs on them, and host-speed calibration must measure the same
+ * threads. global() builds the shared pool on first use, so a run that
+ * never asks for it (a `--jobs 1` sweep) starts no threads.
  *
  * Destruction requests stop, wakes everyone, and std::jthread joins;
- * already-queued tasks are completed first so no future is abandoned.
+ * already-queued helpers run first (they return at once).
  */
 
 #ifndef SECPB_EXP_THREAD_POOL_HH
@@ -26,52 +29,28 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 namespace secpb
 {
 
-/** Bounded, exception-propagating, work-stealing task pool. */
+/** Persistent workers that serve parallelFor; see the file comment. */
 class ThreadPool
 {
   public:
-    /**
-     * @param workers      Worker-thread count (>= 1; 0 is clamped to 1).
-     * @param queue_bound  Max queued-but-unstarted tasks before submit()
-     *                     blocks; 0 picks 4x workers.
-     */
-    explicit ThreadPool(unsigned workers, std::size_t queue_bound = 0);
+    /** @param workers Worker-thread count (>= 1; 0 is clamped to 1). */
+    explicit ThreadPool(unsigned workers);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Queue @p fn; blocks while the backlog is at the bound. The returned
-     * future completes when the task ran and rethrows anything it threw.
-     */
-    std::future<void> submit(std::function<void()> fn);
-
-    /**
-     * Non-blocking submit: nullopt when the backlog is at the bound.
-     * The building block for nested helpers that must never wait on the
-     * pool (a worker waiting on its own pool's queue is a deadlock).
-     */
-    std::optional<std::future<void>> trySubmit(std::function<void()> fn);
-
-    /**
      * Run fn(0..n-1) across the pool, with the CALLING thread claiming
-     * indices too. Helpers are enlisted with trySubmit, so a nested call
-     * from inside a pool task degrades to the caller doing all the work
-     * instead of deadlocking -- this is the nested-parallelism
-     * arbitration between sweep-level jobs and shard-level workers: both
-     * draw from one global worker budget and oversubscription is
-     * impossible by construction. The first exception any index throws
-     * is rethrown here after all indices finish.
+     * indices too. The first exception any index throws is rethrown
+     * here after all indices finish.
      *
      * @param max_concurrency  Cap on threads working indices at once
      *                         (caller included); 0 = no cap beyond the
@@ -81,30 +60,17 @@ class ThreadPool
                      const std::function<void(std::size_t)> &fn,
                      std::size_t max_concurrency = 0);
 
-    /**
-     * The process-wide pool, sized to the hardware concurrency. Sweep
-     * jobs and shard workers share this one budget.
-     */
+    /** The process-wide pool, sized to the hardware concurrency. */
     static ThreadPool &global();
 
-    unsigned workers() const { return static_cast<unsigned>(_deques.size()); }
-    std::size_t queueBound() const { return _bound; }
+    unsigned workers() const { return static_cast<unsigned>(_threads.size()); }
 
   private:
-    using Task = std::packaged_task<void()>;
-
-    void workerLoop(std::stop_token st, unsigned index);
-
-    /** Pop own front, else steal a sibling's back. Caller holds _mx. */
-    bool takeTask(unsigned self, Task &out);
+    void workerLoop(std::stop_token st);
 
     std::mutex _mx;
-    std::condition_variable _cvTask;   ///< Workers wait for work.
-    std::condition_variable _cvSpace;  ///< Producers wait for queue space.
-    std::vector<std::deque<Task>> _deques;
-    std::size_t _queued = 0;           ///< Total tasks across all deques.
-    std::size_t _bound;
-    unsigned _nextDeque = 0;           ///< Round-robin submission cursor.
+    std::condition_variable _cv;       ///< Workers wait for tasks.
+    std::deque<std::function<void()>> _queue;
 
     std::vector<std::jthread> _threads;  ///< Last member: joins first.
 };

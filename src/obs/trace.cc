@@ -41,7 +41,7 @@ Tracer::append()
     }
     _events.emplace_back();
     TraceEvent &ev = _events.back();
-    ev.seq = _nextSeq++;
+    ev.seq = _laneBits | _nextSeq++;
     return &ev;
 }
 
@@ -110,45 +110,6 @@ Tracer::clear()
     _events.clear();
     _dropped = 0;
     _nextSeq = 0;
-}
-
-void
-Tracer::mergeFrom(const std::vector<const Tracer *> &sources)
-{
-    struct Tagged
-    {
-        const TraceEvent *ev;
-        const Tracer *src;
-        std::size_t srcIdx;
-    };
-    std::vector<Tagged> all;
-    std::size_t total = 0;
-    for (const Tracer *src : sources)
-        total += src->_events.size();
-    all.reserve(total);
-    for (std::size_t i = 0; i < sources.size(); ++i)
-        for (const TraceEvent &ev : sources[i]->_events)
-            all.push_back(Tagged{&ev, sources[i], i});
-
-    std::sort(all.begin(), all.end(), [](const Tagged &a, const Tagged &b) {
-        if (a.ev->ts != b.ev->ts)
-            return a.ev->ts < b.ev->ts;
-        if (a.srcIdx != b.srcIdx)
-            return a.srcIdx < b.srcIdx;
-        return a.ev->seq < b.ev->seq;
-    });
-
-    for (const Tagged &t : all) {
-        TraceEvent *ev = append();
-        if (!ev)
-            break;
-        const std::uint64_t seq = ev->seq;
-        *ev = *t.ev;
-        ev->seq = seq;
-        ev->tid = tid(t.src->_components.at(t.ev->tid));
-    }
-    for (const Tracer *src : sources)
-        _dropped += src->_dropped;
 }
 
 void

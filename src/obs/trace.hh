@@ -49,7 +49,7 @@ struct TraceEvent
 
     Tick ts = 0;            ///< Start tick.
     Tick dur = 0;           ///< Duration (spans only).
-    std::uint64_t seq = 0;  ///< Recording order; stable sort tiebreak.
+    std::uint64_t seq = 0;  ///< Lane, then recording order; sort tiebreak.
     std::uint32_t tid = 0;  ///< Interned component id.
     std::uint32_t pid = 0;  ///< ASID (0 = machine-level).
     Phase phase = Phase::Instant;
@@ -85,7 +85,6 @@ class Tracer
 
     std::size_t numEvents() const { return _events.size(); }
     std::uint64_t numDropped() const { return _dropped; }
-    std::size_t capacity() const { return _capacity; }
 
     /** Events in recording order (unsorted). */
     const std::vector<TraceEvent> &events() const { return _events; }
@@ -111,14 +110,16 @@ class Tracer
     void clear();
 
     /**
-     * Deterministic cross-shard merge: append every event of @p sources
-     * interleaved in (ts, sourceIndex, seq) order -- source index is the
-     * canonical core order, so the merged timeline is a pure function of
-     * the simulated run, never of shard scheduling. Component names are
-     * re-interned here and events receive fresh seqs in merge order, so
-     * writeJson() emits the canonical order directly.
+     * Events recorded from now on sort after every lower lane's events
+     * of the same tick, whenever they were recorded. The multi-core
+     * engine gives each core its own lane, so a span that an epoch
+     * barrier cuts (recorded an epoch after it starts) still sorts in
+     * core order, and the trace does not depend on the epoch length.
      */
-    void mergeFrom(const std::vector<const Tracer *> &sources);
+    void setLane(std::uint32_t lane)
+    {
+        _laneBits = static_cast<std::uint64_t>(lane) << 40;
+    }
 
   private:
     TraceEvent *append();
@@ -126,6 +127,7 @@ class Tracer
     std::size_t _capacity;
     std::uint64_t _dropped = 0;
     std::uint64_t _nextSeq = 0;
+    std::uint64_t _laneBits = 0;  ///< Current lane, pre-shifted into seq.
     std::vector<TraceEvent> _events;
     std::vector<std::string> _components;        ///< tid -> name.
     std::unordered_map<std::string, std::uint32_t> _tids;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-core SecPB coherence (paper Section IV-C) -- page directory and
- * per-core admission gates for the sharded epoch-barrier engine.
+ * per-core admission gates for the epoch-barrier engine.
  *
  * With one SecPB per core, two kinds of state must never be replicated:
  *
@@ -20,16 +20,15 @@
  * so ownership of a page is exactly the right to mutate that page's
  * counter block and leaf.
  *
- * Concurrency contract (this is what makes the sharded engine both safe
- * and deterministic):
+ * Epoch contract (this is what makes the epoch engine deterministic):
  *
- *  - during an epoch, the owner map is READ-ONLY; every shard thread may
- *    call PageDirectory::owner() concurrently;
+ *  - during an epoch, the owner map is READ-ONLY: a slice sees the
+ *    ownership the last barrier left, whatever the other slices do;
  *  - a CoherenceGate belongs to one core and is touched only by that
- *    core's slice thread during an epoch (allows() files requests into
+ *    core's slice during an epoch (allows() files requests into
  *    per-gate storage);
  *  - all mutation (ownership transfer, stop marks, request retirement)
- *    happens at epoch barriers, on one thread, in canonical
+ *    happens at epoch barriers, in canonical
  *    (requestTick, coreId, perGateSeq) order.
  */
 
@@ -67,8 +66,7 @@ coherencePage(Addr addr)
  * One denied store admission, filed by a CoherenceGate for its core.
  * Barriers grant requests in (tick, core, seq) order; tick is the slice
  * time of the *first* denial for the page, seq the per-gate filing
- * order -- both are pure functions of the simulated run, never of shard
- * scheduling.
+ * order -- both are pure functions of the simulated run.
  */
 struct PageRequest
 {

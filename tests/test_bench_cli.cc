@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the shared bench harness: the hardened envU64 (trailing
- * garbage, signs, and overflow are fatal, never a silent truncation) and
- * the BenchCli filter/parse helpers.
+ * garbage, signs, and overflow are fatal, never a silent truncation),
+ * the same strict parse on --jobs and --sample-every, and the BenchCli
+ * filter/parse helpers. Every argv is nullptr-terminated like a real
+ * main()'s: SimulationSpec::fromCli re-terminates the array it compacts.
  */
 
 #include <gtest/gtest.h>
@@ -91,19 +93,17 @@ TEST(BenchCli, SplitCommas)
 
 TEST(BenchCli, ParseFlagsOverrideEnv)
 {
-    EnvGuard guard("SECPB_BENCH_JOBS");
-    setenv("SECPB_BENCH_JOBS", "3", 1);
     const char *argv[] = {"bench",     "--jobs",   "5",
                           "--scheme",  "CM,COBCM", "--profile",
                           "gamess",    "--instr",  "1234",
                           "--seed",    "9",        "--json",
-                          "/tmp/x.json"};
+                          "/tmp/x.json", nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)),
+        static_cast<int>(std::size(argv)) - 1,
         const_cast<char **>(argv), "bench");
     EXPECT_EQ(cli.jobs, 5u);
-    EXPECT_EQ(cli.instructions, 1234u);
-    EXPECT_EQ(cli.seed, 9u);
+    EXPECT_EQ(cli.spec.instructions, 1234u);
+    EXPECT_EQ(cli.spec.seed, 9u);
     EXPECT_EQ(cli.jsonPath, "/tmp/x.json");
     EXPECT_TRUE(cli.wantScheme(Scheme::Cm));
     EXPECT_TRUE(cli.wantScheme(Scheme::Cobcm));
@@ -116,13 +116,12 @@ TEST(BenchCli, ParseFlagsOverrideEnv)
 
 TEST(BenchCli, EnvFallbacksAndDefaults)
 {
-    EnvGuard j("SECPB_BENCH_JOBS"), p("SECPB_BENCH_JSON");
-    setenv("SECPB_BENCH_JOBS", "7", 1);
-    setenv("SECPB_BENCH_JSON", "/tmp/env.json", 1);
-    const char *argv[] = {"bench"};
+    const char *argv[] = {"bench", nullptr};
     BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.jobs, 7u);
-    EXPECT_EQ(cli.jsonPath, "/tmp/env.json");
+    EXPECT_EQ(cli.jobs, 1u);
+    EXPECT_TRUE(cli.jsonPath.empty());
+    EXPECT_EQ(cli.spec.instructions, 300'000u);
+    EXPECT_EQ(cli.spec.seed, 7u);
     // Empty filters pass everything.
     EXPECT_TRUE(cli.wantScheme(Scheme::Sp));
     EXPECT_TRUE(cli.wantProfile("anything"));
@@ -130,10 +129,11 @@ TEST(BenchCli, EnvFallbacksAndDefaults)
 
 TEST(BenchCli, ObservabilityFlagsParse)
 {
-    const char *argv[] = {"bench",        "--trace-out", "/tmp/t.json",
-                          "--sample-every", "2500",      "--stats"};
+    const char *argv[] = {"bench",          "--trace-out", "/tmp/t.json",
+                          "--sample-every", "2500",        "--stats",
+                          nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)),
+        static_cast<int>(std::size(argv)) - 1,
         const_cast<char **>(argv), "bench");
     EXPECT_EQ(cli.traceOut, "/tmp/t.json");
     EXPECT_EQ(cli.sampleEvery, 2500u);
@@ -142,7 +142,7 @@ TEST(BenchCli, ObservabilityFlagsParse)
 
 TEST(BenchCli, ObservabilityDefaultsOff)
 {
-    const char *argv[] = {"bench"};
+    const char *argv[] = {"bench", nullptr};
     BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
     EXPECT_TRUE(cli.traceOut.empty());
     EXPECT_EQ(cli.sampleEvery, 0u);
@@ -152,7 +152,7 @@ TEST(BenchCli, ObservabilityDefaultsOff)
 TEST(BenchCli, DebugFlagEnablesKnownFlags)
 {
     ASSERT_FALSE(debug::enabled("Sampler"));
-    const char *argv[] = {"bench", "--debug", "Sampler,Fault"};
+    const char *argv[] = {"bench", "--debug", "Sampler,Fault", nullptr};
     BenchCli::parse(3, const_cast<char **>(argv), "bench");
     EXPECT_TRUE(debug::enabled("Sampler"));
     EXPECT_TRUE(debug::enabled("Fault"));
@@ -162,21 +162,21 @@ TEST(BenchCli, DebugFlagEnablesKnownFlags)
 
 TEST(BenchCliDeath, UnknownDebugFlagIsFatal)
 {
-    const char *argv[] = {"bench", "--debug", "Bogus"};
+    const char *argv[] = {"bench", "--debug", "Bogus", nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "unknown --debug flag");
 }
 
 TEST(BenchCliDeath, UnknownFlagIsFatal)
 {
-    const char *argv[] = {"bench", "--frobnicate"};
+    const char *argv[] = {"bench", "--frobnicate", nullptr};
     EXPECT_EXIT(BenchCli::parse(2, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "unknown flag");
 }
 
 TEST(BenchCliDeath, UnknownProfileFilterIsFatal)
 {
-    const char *argv[] = {"bench", "--profile", "nonesuch"};
+    const char *argv[] = {"bench", "--profile", "nonesuch", nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "");
 }
@@ -185,80 +185,73 @@ TEST(BenchCli, BatteryFlagsParse)
 {
     const char *argv[] = {"bench",           "--battery-tech", "supercap",
                           "--battery-derate", "0.8",
-                          "--power-schedule", "cycles=3,seed=11"};
+                          "--power-schedule", "cycles=3,seed=11", nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)),
+        static_cast<int>(std::size(argv)) - 1,
         const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.batteryTech, "supercap");
-    EXPECT_DOUBLE_EQ(cli.batteryDerate, 0.8);
-    EXPECT_EQ(cli.powerSchedule, "cycles=3,seed=11");
-    const CapacitorParams p = cli.batteryParams();
+    EXPECT_EQ(cli.spec.batteryTech, "supercap");
+    EXPECT_DOUBLE_EQ(cli.spec.batteryDerate, 0.8);
+    EXPECT_EQ(cli.spec.powerSchedule, "cycles=3,seed=11");
+    const CapacitorParams p = cli.spec.batteryParams();
     EXPECT_EQ(p.tech, "supercap");
     EXPECT_DOUBLE_EQ(p.capacitanceDerate, 0.8);
     const PowerScheduleSpec spec =
-        PowerScheduleSpec::parse(cli.powerSchedule);
+        PowerScheduleSpec::parse(cli.spec.powerSchedule);
     EXPECT_EQ(spec.cycles, 3u);
     EXPECT_EQ(spec.seed, 11u);
 }
 
 TEST(BenchCli, BatteryDefaultsIdealFullCapacity)
 {
-    const char *argv[] = {"bench"};
+    const char *argv[] = {"bench", nullptr};
     BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.batteryTech, "ideal");
-    EXPECT_DOUBLE_EQ(cli.batteryDerate, 1.0);
-    EXPECT_TRUE(cli.powerSchedule.empty());
-}
-
-TEST(BenchCli, BatteryEnvFallbacks)
-{
-    EnvGuard t("SECPB_BENCH_BATTERY_TECH");
-    EnvGuard d("SECPB_BENCH_BATTERY_DERATE");
-    EnvGuard s("SECPB_BENCH_POWER_SCHEDULE");
-    setenv("SECPB_BENCH_BATTERY_TECH", "li-thin", 1);
-    setenv("SECPB_BENCH_BATTERY_DERATE", "0.5", 1);
-    setenv("SECPB_BENCH_POWER_SCHEDULE", "cycles=2", 1);
-    const char *argv[] = {"bench"};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.batteryTech, "li-thin");
-    EXPECT_DOUBLE_EQ(cli.batteryDerate, 0.5);
-    EXPECT_EQ(cli.powerSchedule, "cycles=2");
+    EXPECT_EQ(cli.spec.batteryTech, "ideal");
+    EXPECT_DOUBLE_EQ(cli.spec.batteryDerate, 1.0);
+    EXPECT_TRUE(cli.spec.powerSchedule.empty());
 }
 
 TEST(BenchCliDeath, UnknownBatteryTechIsFatal)
 {
-    const char *argv[] = {"bench", "--battery-tech", "fusion"};
+    const char *argv[] = {"bench", "--battery-tech", "fusion", nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "unknown battery tech");
 }
 
 TEST(BenchCliDeath, OutOfRangeDerateIsFatal)
 {
-    const char *argv[] = {"bench", "--battery-derate", "1.5"};
+    const char *argv[] = {"bench", "--battery-derate", "1.5", nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "out of \\(0, 1\\]");
 }
 
 TEST(BenchCliDeath, MalformedPowerScheduleIsFatal)
 {
-    const char *argv[] = {"bench", "--power-schedule", "cycles=3,warp=9"};
+    const char *argv[] = {"bench", "--power-schedule", "cycles=3,warp=9",
+                          nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "unknown key");
 }
 
-TEST(EnvDouble, StrictParse)
+TEST(BenchCliDeath, NonNumericJobsIsFatal)
 {
-    EnvGuard guard("SECPB_TEST_ENVD");
-    unsetenv("SECPB_TEST_ENVD");
-    EXPECT_DOUBLE_EQ(envDouble("SECPB_TEST_ENVD", 0.25), 0.25);
-    setenv("SECPB_TEST_ENVD", "0.75", 1);
-    EXPECT_DOUBLE_EQ(envDouble("SECPB_TEST_ENVD", 0.25), 0.75);
+    const char *argv[] = {"bench", "--jobs", "abc", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+                ::testing::ExitedWithCode(1),
+                "--jobs 'abc': not a decimal integer");
 }
 
-TEST(EnvDoubleDeath, TrailingGarbageIsFatal)
+TEST(BenchCliDeath, TrailingGarbageJobsIsFatal)
 {
-    EnvGuard guard("SECPB_TEST_ENVD");
-    setenv("SECPB_TEST_ENVD", "0.5x", 1);
-    EXPECT_EXIT(envDouble("SECPB_TEST_ENVD", 0.0),
-                ::testing::ExitedWithCode(1), "not a decimal number");
+    const char *argv[] = {"bench", "--jobs", "4x", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+                ::testing::ExitedWithCode(1),
+                "--jobs '4x': not a decimal integer");
+}
+
+TEST(BenchCliDeath, ExponentSampleEveryIsFatal)
+{
+    const char *argv[] = {"bench", "--sample-every", "1e3", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+                ::testing::ExitedWithCode(1),
+                "--sample-every '1e3': not a decimal integer");
 }

@@ -2,10 +2,19 @@
  * @file
  * Multi-core SecPB tests (paper Section IV-C(c)): entry migration on
  * remote writes, flush on remote reads, metadata travelling with
- * migrated entries, and crash recovery with per-core buffers.
+ * migrated entries, and crash recovery with per-core buffers. The
+ * EpochGrid suite pins the epoch engine's schedule: barriers sit on the
+ * absolute grid, so chopping a run into runUntil() steps changes
+ * nothing.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/multicore.hh"
 #include "workload/scripted.hh"
@@ -25,6 +34,65 @@ mcCfg(unsigned cores, Scheme scheme = Scheme::Cobcm)
     cfg.base.secpb.numEntries = 8;
     cfg.base.pmDataBytes = 1ULL << 30;
     return cfg;
+}
+
+/** Owned generators + the raw-pointer view MultiCoreSystem wants. */
+struct GenSet
+{
+    std::vector<std::unique_ptr<SyntheticGenerator>> owned;
+    std::vector<WorkloadGenerator *> raw;
+};
+
+/**
+ * Four generators with pairwise-overlapping regions (cores 0/2 and 1/3
+ * share pages), so the run exercises migrations, stop marks, and grant
+ * ordering -- the machinery a shifted barrier would change.
+ */
+GenSet
+sharingGens(std::uint64_t instr, std::uint64_t seed)
+{
+    GenSet g;
+    for (unsigned c = 0; c < 4; ++c) {
+        g.owned.push_back(std::make_unique<SyntheticGenerator>(
+            profileByName("gcc"), instr, seed + c,
+            /*region_base=*/0x100000ULL * (c % 2)));
+        g.raw.push_back(g.owned.back().get());
+    }
+    return g;
+}
+
+std::string
+fingerprint(const SimulationResult &r)
+{
+    std::ostringstream os;
+    os.precision(17);
+    r.visitFields([&](const char *k, auto v) { os << k << '=' << v << '\n'; });
+    return os.str();
+}
+
+std::string
+statsDump(const MultiCoreSystem &sys)
+{
+    std::ostringstream os;
+    sys.dumpStats(os);
+    return os.str();
+}
+
+/** Crash-report fields plus every stat, as one comparable string. */
+std::string
+crashFingerprint(MultiCoreSystem &sys)
+{
+    const CrashReport cr = sys.crashNow();
+    std::ostringstream os;
+    os.precision(17);
+    os << "drained=" << cr.work.entriesDrained
+       << " root_updates=" << cr.work.bmtRootUpdates
+       << " rebuilt=" << cr.work.bmtNodesRebuilt
+       << " flushed=" << cr.work.cacheLinesFlushed
+       << " window=" << cr.drainLatency << " energy=" << cr.actualEnergyJ
+       << " recovered=" << cr.recovered << '\n';
+    sys.dumpStats(os);
+    return os.str();
 }
 
 } // namespace
@@ -217,4 +285,50 @@ TEST(MultiCore, CrashEnergyProvisionsPerCore)
     EnergyModel em(EnergyCosts{}, sys.slice(0).tree().numLevels() + 1);
     EXPECT_NEAR(cr.provisionedEnergyJ,
                 4 * em.secPbBatteryEnergy(Scheme::Cobcm, 8), 1e-9);
+}
+
+TEST(EpochGrid, RunUntilSlicingDoesNotChangeBehavior)
+{
+    // Epochs end on multiples of epochTicks regardless of how the run is
+    // chopped into runUntil() calls: one run() and many odd-sized steps
+    // land on the same barriers, hence the same grant order and the
+    // same final state.
+    MultiCoreSystem whole(mcCfg(4));
+    GenSet wholeGens = sharingGens(4'000, 99);
+    const MultiCoreResult r = whole.run(wholeGens.raw);
+    EXPECT_GT(r.migrations, 0u) << "workload must exercise sharing";
+
+    MultiCoreSystem stepped(mcCfg(4));
+    GenSet stepGens = sharingGens(4'000, 99);
+    stepped.start(stepGens.raw);
+    while (!stepped.finished())
+        stepped.runUntil(stepped.now() + 777);
+
+    EXPECT_EQ(statsDump(stepped), statsDump(whole));
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(fingerprint(stepped.slice(c).result()),
+                  fingerprint(whole.slice(c).result()))
+            << "core " << c;
+}
+
+TEST(EpochGrid, CrashMidEpochIndependentOfRunUntilSlicing)
+{
+    // Crash at a tick that is NOT on the epoch grid, reached in one
+    // runUntil() and in odd-sized steps: the barriers before the crash,
+    // and so the crashed state, must be the same.
+    MultiCoreSystem once(mcCfg(4));
+    GenSet onceGens = sharingGens(6'000, 7);
+    once.start(onceGens.raw);
+    const Tick et = once.epochTicks();
+    const Tick crashAt = 2 * et + et / 3;
+    once.runUntil(crashAt);
+    const std::string ref = crashFingerprint(once);
+    EXPECT_NE(ref.find("recovered=1"), std::string::npos);
+
+    MultiCoreSystem stepped(mcCfg(4));
+    GenSet stepGens = sharingGens(6'000, 7);
+    stepped.start(stepGens.raw);
+    while (stepped.now() < crashAt)
+        stepped.runUntil(std::min<Tick>(crashAt, stepped.now() + 13));
+    EXPECT_EQ(crashFingerprint(stepped), ref);
 }

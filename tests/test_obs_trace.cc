@@ -67,6 +67,24 @@ TEST(ObsTrace, SortedEventsOrderByTickThenSeq)
     EXPECT_EQ(sorted[3].name, "late");
 }
 
+TEST(ObsTrace, LaneOrdersSameTickEventsBeforeRecordingOrder)
+{
+    // A span cut by an epoch barrier is recorded after a later lane's
+    // events of the same tick; its lane still sorts it first.
+    Tracer t;
+    t.setLane(1);
+    t.instant("c", "core1", 30);
+    t.setLane(0);
+    t.span("c", "core0_span", 30, 40);
+    t.instant("c", "core0_next", 31);
+
+    const auto sorted = t.sortedEvents();
+    ASSERT_EQ(sorted.size(), 3u);
+    EXPECT_EQ(sorted[0].name, "core0_span");
+    EXPECT_EQ(sorted[1].name, "core1");
+    EXPECT_EQ(sorted[2].name, "core0_next");  // tick still decides first
+}
+
 TEST(ObsTrace, CapacityBoundsBufferAndCountsDrops)
 {
     Tracer t(/*capacity=*/4);

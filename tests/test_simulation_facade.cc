@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <initializer_list>
 #include <memory>
 #include <sstream>
@@ -61,18 +60,6 @@ struct Argv
 
     char **data() { return ptrs.data(); }
 };
-
-/** The deprecated env fallbacks must not leak into CLI tests. */
-void
-clearSpecEnv()
-{
-    for (const char *v :
-         {"SECPB_BENCH_INSTR", "SECPB_BENCH_SEED", "SECPB_BENCH_WORKLOAD",
-          "SECPB_BENCH_TRACE_IN", "SECPB_BENCH_TRACE_RECORD",
-          "SECPB_BENCH_BATTERY_TECH", "SECPB_BENCH_BATTERY_DERATE",
-          "SECPB_BENCH_POWER_SCHEDULE"})
-        unsetenv(v);
-}
 
 } // namespace
 
@@ -174,17 +161,14 @@ TEST(SimulationFacade, GeneratorArityMismatchPanics)
 
 TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
 {
-    clearSpecEnv();
-    Argv av{"prog",   "--jobs",   "3",      "--instr", "5000",
-            "--seed", "9",        "--cores", "2",      "--shards",
-            "4",      "--json",   "out.json"};
+    Argv av{"prog", "--jobs",  "3", "--instr", "5000",    "--seed",
+            "9",    "--cores", "2", "--json",  "out.json"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
 
     EXPECT_EQ(spec.instructions, 5'000u);
     EXPECT_EQ(spec.seed, 9u);
     EXPECT_EQ(spec.cores, 2u);
-    EXPECT_EQ(spec.shards, 4u);
 
     // Only the caller-owned flags survive, order preserved, array
     // re-terminated.
@@ -199,14 +183,12 @@ TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
 
 TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
 {
-    clearSpecEnv();
     Argv av{"prog"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
     EXPECT_EQ(spec.instructions, 300'000u);
     EXPECT_EQ(spec.seed, 7u);
     EXPECT_EQ(spec.cores, 1u);
-    EXPECT_EQ(spec.shards, 1u);
     EXPECT_EQ(spec.batteryTech, "ideal");
     EXPECT_DOUBLE_EQ(spec.batteryDerate, 1.0);
     EXPECT_TRUE(spec.workload.empty());
@@ -215,7 +197,6 @@ TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
 
 TEST(SimulationSpecCli, TraceInIsReplayWorkloadSugar)
 {
-    clearSpecEnv();
     Argv av{"prog", "--trace-in", "/tmp/ops.trace"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
@@ -224,12 +205,15 @@ TEST(SimulationSpecCli, TraceInIsReplayWorkloadSugar)
 
 TEST(SimulationSpecCli, BadValuesDieEagerly)
 {
-    clearSpecEnv();
     auto parse = [](std::initializer_list<const char *> args) {
         Argv av(args);
         SimulationSpec::fromCli(av.argc, av.data(), "test");
     };
-    EXPECT_DEATH(parse({"prog", "--shards", "0"}), "--shards must be >= 1");
+    EXPECT_DEATH(parse({"prog", "--cores", "0"}), "--cores must be >= 1");
+    EXPECT_DEATH(parse({"prog", "--instr", "-5"}),
+                 "--instr '-5': not a decimal integer");
+    EXPECT_DEATH(parse({"prog", "--battery-derate", "nan"}),
+                 "out of \\(0, 1\\]");
     EXPECT_DEATH(parse({"prog", "--workload", "no-such-workload"}),
                  "unknown workload");
     EXPECT_DEATH(parse({"prog", "--trace-in", "x.trc", "--workload",

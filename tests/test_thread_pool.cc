@@ -1,16 +1,17 @@
 /**
  * @file
- * Unit tests for the experiment engine's work-stealing thread pool:
- * exception propagation through futures, completion of every submitted
- * task, the zero-task and oversubscribed cases, the bounded queue, and
- * nested parallelFor arbitration (sweep jobs vs shard workers on one
- * worker budget).
+ * Unit tests for the experiment engine's thread pool, which exists to
+ * run parallelFor: every index exactly once, the first exception
+ * rethrown, helpers on pool threads, the zero-task and oversubscribed
+ * cases, stray helpers drained at destruction, and calls from inside a
+ * pool task completing without deadlock.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -23,7 +24,7 @@ TEST(ThreadPool, ZeroTasksConstructsAndJoins)
 {
     ThreadPool pool(4);
     EXPECT_EQ(pool.workers(), 4u);
-    // Destructor must join idle workers without a single submit().
+    // Destructor must join idle workers that never ran a task.
 }
 
 TEST(ThreadPool, ZeroWorkersClampsToOne)
@@ -31,30 +32,31 @@ TEST(ThreadPool, ZeroWorkersClampsToOne)
     ThreadPool pool(0);
     EXPECT_EQ(pool.workers(), 1u);
     std::atomic<int> ran{0};
-    pool.submit([&] { ++ran; }).get();
-    EXPECT_EQ(ran.load(), 1);
+    pool.parallelFor(2, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPool, ExecutesEveryTask)
 {
+    // Back-to-back calls on one pool: each call's indices all run, and
+    // helpers left over from one call never leak into the next.
     ThreadPool pool(4);
     std::atomic<int> count{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 200; ++i)
-        futs.push_back(pool.submit([&] { ++count; }));
-    for (auto &f : futs)
-        f.get();
+    for (int call = 0; call < 50; ++call)
+        pool.parallelFor(4, [&](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
+TEST(ThreadPool, ParallelForRethrowsFirstException)
 {
     ThreadPool pool(2);
-    auto bad = pool.submit([] { throw std::runtime_error("point failed"); });
     EXPECT_THROW(
         {
             try {
-                bad.get();
+                pool.parallelFor(4, [](std::size_t i) {
+                    if (i == 2)
+                        throw std::runtime_error("point failed");
+                });
             } catch (const std::runtime_error &e) {
                 EXPECT_STREQ(e.what(), "point failed");
                 throw;
@@ -62,89 +64,59 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture)
         },
         std::runtime_error);
 
-    // The pool survives a throwing task and keeps executing.
+    // The pool survives a throwing index and keeps executing.
     std::atomic<int> ran{0};
-    pool.submit([&] { ++ran; }).get();
-    EXPECT_EQ(ran.load(), 1);
+    pool.parallelFor(3, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ThreadPool, OversubscribedCompletesAll)
 {
-    // Far more workers than cores, far more tasks than the queue bound:
-    // submission must block rather than drop, and every task must run
-    // exactly once.
-    ThreadPool pool(16, /*queue_bound=*/8);
-    EXPECT_EQ(pool.queueBound(), 8u);
+    // Far more workers than cores and far more indices than workers:
+    // every index must run exactly once.
+    ThreadPool pool(16);
     std::atomic<int> count{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 500; ++i)
-        futs.push_back(pool.submit([&] {
-            ++count;
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }));
-    for (auto &f : futs)
-        f.get();
+    pool.parallelFor(500, [&](std::size_t) {
+        ++count;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
     EXPECT_EQ(count.load(), 500);
 }
 
 TEST(ThreadPool, PendingTasksDrainOnDestruction)
 {
+    // The caller finishes every index before the helpers it queued are
+    // picked up; destroying the pool right away must run those stray
+    // helpers (they find no index left) and join, not hang or crash.
     std::atomic<int> count{0};
-    std::vector<std::future<void>> futs;
-    {
+    for (int round = 0; round < 16; ++round) {
         ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            futs.push_back(pool.submit([&] {
-                std::this_thread::sleep_for(std::chrono::microseconds(200));
-                ++count;
-            }));
-        // Destroy with most tasks still queued.
+        pool.parallelFor(3, [&](std::size_t) { ++count; });
     }
-    // Destruction drains the queue: every future is ready, none broken.
-    for (auto &f : futs)
-        EXPECT_NO_THROW(f.get());
-    EXPECT_EQ(count.load(), 64);
+    EXPECT_EQ(count.load(), 48);
 }
 
 TEST(ThreadPool, TasksRunOnPoolThreads)
 {
+    // Each index waits until two distinct threads have claimed one, so
+    // the test cannot pass by one thread doing everything: at least one
+    // index must run on a pool worker beside the caller.
     ThreadPool pool(4);
     const auto caller = std::this_thread::get_id();
     std::mutex mx;
     std::set<std::thread::id> ids;
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 32; ++i)
-        futs.push_back(pool.submit([&] {
-            std::lock_guard lock(mx);
-            ids.insert(std::this_thread::get_id());
-        }));
-    for (auto &f : futs)
-        f.get();
-    EXPECT_EQ(ids.count(caller), 0u);
-    EXPECT_GE(ids.size(), 1u);
-}
-
-TEST(ThreadPool, TrySubmitRefusesAtBoundInsteadOfBlocking)
-{
-    ThreadPool pool(1, /*queue_bound=*/2);
-    std::atomic<bool> release{false};
-    // Occupy the lone worker, then fill the queue to the bound.
-    auto blocker = pool.submit([&] {
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    pool.parallelFor(32, [&](std::size_t) {
+        std::unique_lock lock(mx);
+        ids.insert(std::this_thread::get_id());
+        while (ids.size() < 2) {
+            lock.unlock();
+            std::this_thread::yield();
+            lock.lock();
+        }
     });
-    auto q1 = pool.submit([] {});
-    auto q2 = pool.submit([] {});
-    // Backlog is at the bound: trySubmit must decline, not wait.
-    EXPECT_FALSE(pool.trySubmit([] {}).has_value());
-    release = true;
-    blocker.get();
-    q1.get();
-    q2.get();
-    // With the backlog drained it accepts again.
-    auto late = pool.trySubmit([] {});
-    ASSERT_TRUE(late.has_value());
-    late->get();
+    EXPECT_GE(ids.size(), 2u);
+    ids.erase(caller);
+    EXPECT_GE(ids.size(), 1u);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
@@ -162,30 +134,24 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
-    // The sweep/shard arbitration case: every worker is occupied by an
-    // outer pool task, and each of those tasks issues its own
-    // parallelFor against the same pool. Helper enlistment uses
-    // trySubmit, so the inner loops degrade to their calling workers
-    // instead of waiting on a queue only they could drain.
-    ThreadPool pool(2, /*queue_bound=*/2);
+    // Every worker is busy with an outer index, and each issues its own
+    // parallelFor against the same pool. The callers wait for indices,
+    // never for helpers, so the inner loops finish on their calling
+    // threads instead of waiting on a queue only they could drain.
+    ThreadPool pool(2);
     constexpr int kOuter = 6;
     constexpr std::size_t kInner = 64;
     std::atomic<int> inner{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < kOuter; ++i)
-        futs.push_back(pool.submit([&] {
-            pool.parallelFor(kInner, [&](std::size_t) { ++inner; });
-        }));
-    for (auto &f : futs)
-        f.get();
+    pool.parallelFor(kOuter, [&](std::size_t) {
+        pool.parallelFor(kInner, [&](std::size_t) { ++inner; });
+    });
     EXPECT_EQ(inner.load(), kOuter * static_cast<int>(kInner));
 }
 
 TEST(ThreadPool, NestedParallelForOnGlobalPool)
 {
-    // SweepRunner jobs and shard workers both draw from the global
-    // pool; two nesting levels deep must still complete and cover
-    // every index exactly once.
+    // Two nesting levels deep on the shared global pool must still
+    // complete and cover every index exactly once.
     ThreadPool &g = ThreadPool::global();
     std::vector<std::atomic<int>> hits(96);
     g.parallelFor(4, [&](std::size_t outer) {
@@ -204,14 +170,16 @@ TEST(ThreadPool, NestedParallelForPropagatesException)
     // still usable.
     ThreadPool pool(2);
     std::atomic<int> ran{0};
-    EXPECT_THROW(
-        pool.parallelFor(8,
-                         [&](std::size_t i) {
-                             ++ran;
-                             if (i == 3)
-                                 throw std::runtime_error("index 3");
-                         }),
-        std::runtime_error);
+    EXPECT_THROW(pool.parallelFor(2,
+                                  [&](std::size_t outer) {
+                                      pool.parallelFor(4, [&](std::size_t i) {
+                                          ++ran;
+                                          if (outer == 1 && i == 3)
+                                              throw std::runtime_error(
+                                                  "index 3");
+                                      });
+                                  }),
+                 std::runtime_error);
     EXPECT_EQ(ran.load(), 8);
-    pool.submit([] {}).get();
+    pool.parallelFor(2, [](std::size_t) {});
 }
