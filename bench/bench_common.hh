@@ -24,8 +24,8 @@
  *   --debug FLAG[,..]   enable DPRINTF debug flags (see --help)
  * plus the simulation-level flags SimulationSpec::fromCli owns and
  * consumes first (--instr, --seed, --workload, --trace-in,
- * --trace-record, --battery-tech, --battery-derate, --power-schedule,
- * --cores; see SimulationSpec::cliHelp). Benches read those from
+ * --trace-record, --battery-tech, --battery-derate, --power-schedule;
+ * see SimulationSpec::cliHelp). Benches read those from
  * `cli.spec`. Flags are the only way to configure a run; integer values
  * go through the one strict parseDecimalU64.
  *
@@ -164,7 +164,7 @@ struct BenchCli
                     "          [--battery-tech ideal|supercap|li-thin]\n"
                     "          [--battery-derate F] [--power-schedule S]\n"
                     "          [--workload SPEC] [--trace-in PATH]\n"
-                    "          [--trace-record PATH] [--cores N]\n"
+                    "          [--trace-record PATH]\n"
                     "          [--debug FLAG[,FLAG]]\n"
                     "  --trace-out PATH    Perfetto trace_event JSON of the"
                     " sweep's\n"

@@ -23,6 +23,9 @@ using namespace secpb::bench;
 namespace
 {
 
+/** Simulated cores in every cell. */
+constexpr unsigned NumCores = 4;
+
 /** Private-region writer with probabilistic shared-pool stores. */
 class SharingGenerator : public WorkloadGenerator
 {
@@ -74,7 +77,7 @@ runSharingPoint(const ExperimentPoint &pt, double share)
 {
     SimulationSpec spec;
     spec.base.scheme = pt.scheme;
-    spec.cores = pt.cores;
+    spec.cores = NumCores;
     Simulation sim(spec);
     std::vector<std::unique_ptr<SharingGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
@@ -111,7 +114,7 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "multicore_sharing");
-    const std::uint64_t instr = cli.spec.instructions / 4;
+    const std::uint64_t instr = cli.spec.instructions / NumCores;
     const double shares[] = {0.0, 0.05, 0.10, 0.25, 0.50, 1.0};
 
     std::vector<Scheme> schemes;
@@ -129,8 +132,7 @@ main(int argc, char **argv)
             p.scheme = schemes[si];
             p.instructions = instr;
             p.seed = cli.spec.seed;
-            p.cores = 4;
-            p.tag("cores", "4");
+            p.tag("cores", std::to_string(NumCores));
             p.custom = [share](const ExperimentPoint &pt) {
                 return runSharingPoint(pt, share);
             };
@@ -140,9 +142,9 @@ main(int argc, char **argv)
 
     sweep.run();
 
-    std::printf("Multi-core SecPB sharing sweep (4 cores, "
+    std::printf("Multi-core SecPB sharing sweep (%u cores, "
                 "%llu instructions/core)\n",
-                static_cast<unsigned long long>(instr));
+                NumCores, static_cast<unsigned long long>(instr));
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         std::printf("\n[%s]\n%8s %14s %14s %16s %10s\n",
                     schemeName(schemes[si]), "share", "exec cycles",

@@ -27,41 +27,42 @@ accumulate(RecoveryReport &into, const RecoveryReport &r)
     into.faults.insert(into.faults.end(), r.faults.begin(), r.faults.end());
 }
 
-/** Record into trace lane @p lane (core i uses lane i; see
- *  obs::Tracer::setLane). No-op when nothing is tracing. */
-void
-traceLane(std::size_t lane)
-{
-    if (obs::Tracer *t = obs::current())
-        t->setLane(static_cast<std::uint32_t>(lane));
-}
-
 } // namespace
 
-MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
-    : _cfg(cfg),
-      _epochTicks(cfg.epochTicks
-                      ? cfg.epochTicks
-                      : std::max<Tick>(cfg.migrationLatency, 64)),
-      _rootStats("mc_system"),
-      _dir(cfg.numCores, _rootStats)
+MultiCoreSystem::MultiCoreSystem(const SystemConfig &base, unsigned cores)
+    : _rootStats("mc_system"), _dir(cores, _rootStats)
 {
-    fatal_if(cfg.numCores == 0, "need at least one core");
+    fatal_if(cores == 0, "need at least one core");
+    if (cores == 1) {
+        // Nothing to be coherent with: no gate, and the slice keeps the
+        // base stat root. solo() reads this decision everywhere else.
+        _slices.push_back(std::make_unique<SecPbSystem>(base));
+        return;
+    }
     // Slice stat roots borrow their names (SystemConfig::statsName is a
     // raw pointer), so fill the name vector up front and never touch it
     // again.
-    _sliceNames.reserve(cfg.numCores);
-    for (unsigned i = 0; i < cfg.numCores; ++i)
+    _sliceNames.reserve(cores);
+    for (unsigned i = 0; i < cores; ++i)
         _sliceNames.push_back("core" + std::to_string(i));
-    _slices.reserve(cfg.numCores);
-    _gates.reserve(cfg.numCores);
-    for (unsigned i = 0; i < cfg.numCores; ++i) {
-        SystemConfig sc = cfg.base;
+    _slices.reserve(cores);
+    _gates.reserve(cores);
+    for (unsigned i = 0; i < cores; ++i) {
+        SystemConfig sc = base;
         sc.statsName = _sliceNames[i].c_str();
         _slices.push_back(std::make_unique<SecPbSystem>(sc));
         _gates.push_back(std::make_unique<CoherenceGate>(_dir, i));
         _slices.back()->secpb().attachGate(_gates.back().get());
     }
+}
+
+void
+MultiCoreSystem::traceLane(std::size_t lane) const
+{
+    if (solo())
+        return;
+    if (obs::Tracer *t = obs::current())
+        t->setLane(static_cast<std::uint32_t>(lane));
 }
 
 void
@@ -192,7 +193,7 @@ MultiCoreSystem::processBarrier(Tick T)
                     _dir.setResidence(r.page, r.core);
                     ++_dir.statMigrations;
                     _gates[r.core]->retireRequest(r.page);
-                    kickCore(r.core, T + _cfg.migrationLatency);
+                    kickCore(r.core, T + MigrationLatency);
                     handled.insert(r.page);
                 }
             }
@@ -220,7 +221,7 @@ MultiCoreSystem::processBarrier(Tick T)
             ++_dir.statMigrations;
             _gates[owner]->clearStop(r.page);
             _gates[r.core]->retireRequest(r.page);
-            kickCore(r.core, T + _cfg.migrationLatency);
+            kickCore(r.core, T + MigrationLatency);
         } else {
             // Quiesce the page: no new stores at the owner, and every
             // extractable entry starts draining so a later barrier can
@@ -269,6 +270,11 @@ void
 MultiCoreSystem::runUntil(Tick limit)
 {
     panic_if(!_started, "runUntil before start");
+    if (solo()) {
+        _slices[0]->runUntil(limit);
+        _now = std::max(_now, limit);
+        return;
+    }
     while (_now < limit) {
         const Tick barrier = nextBarrier(_now);
         const Tick target = std::min(limit, barrier);
@@ -287,6 +293,9 @@ MultiCoreSystem::run(std::vector<WorkloadGenerator *> gens)
 {
     if (!_started)
         start(std::move(gens));
+    // One core stops at its finishing event, exactly as SecPbSystem::run.
+    if (solo())
+        _slices[0]->runToEnd();
     while (!finished()) {
         panic_if(!anyWorkPending(),
                  "multi-core deadlock: no events and no page requests "
@@ -341,6 +350,11 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
     agg.batteryBudgetJ = opts.batteryEnergyJ;
     std::optional<double> remaining = opts.batteryEnergyJ;
     bool recovered = true;
+    // Add @p v into @p sum when set (unset + unset stays unset).
+    auto addTo = [](std::optional<double> &sum, std::optional<double> v) {
+        if (v)
+            sum = sum.value_or(0.0) + *v;
+    };
 
     // Serial core order: with one shared pool each core drains from what
     // the previous cores left, so the persist-order prefix guarantee
@@ -351,6 +365,9 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
         const CrashReport cr = slice->crashNow(per);
         if (remaining)
             remaining = std::max(0.0, *remaining - cr.work.energySpentJ);
+        else
+            addTo(agg.batteryBudgetJ, cr.batteryBudgetJ);
+        addTo(agg.batteryAfterJ, cr.batteryAfterJ);
         agg.work += cr.work;
         accumulate(agg.recovery, cr.recovery);
         agg.actualEnergyJ += cr.actualEnergyJ;
@@ -387,6 +404,9 @@ MultiCoreSystem::totalPersists() const
 bool
 MultiCoreSystem::invariantNoReplication() const
 {
+    // One buffer cannot replicate, and without a gate no page is owned.
+    if (solo())
+        return true;
     std::unordered_set<Addr> seen;
     for (CoreId c = 0; c < numCores(); ++c) {
         for (Addr a : _slices[c]->secpb().residentAddrs()) {
@@ -402,7 +422,8 @@ MultiCoreSystem::invariantNoReplication() const
 void
 MultiCoreSystem::dumpStats(std::ostream &os) const
 {
-    _rootStats.dump(os);
+    if (!solo())
+        _rootStats.dump(os);
     for (const auto &slice : _slices)
         slice->dumpStats(os);
 }

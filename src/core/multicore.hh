@@ -24,16 +24,24 @@
  *      the requester's slice. Non-quiescent pages get a stop mark plus
  *      a forced drain, and the request retries at a later barrier.
  *
- * The epoch length (lookahead) is a pure timing knob: any value is
- * *correct* because slices cannot observe each other mid-epoch; it
- * only quantizes when ownership transfers happen. It defaults to the
- * migration latency (floored for efficiency), the natural scale of
- * cross-core events.
+ * The epoch length (lookahead) is a constant, EpochTicks: the migration
+ * latency (the natural scale of cross-core events) floored at 64 ticks
+ * for efficiency. Any length would be *correct* because slices cannot
+ * observe each other mid-epoch; it only quantizes when ownership
+ * transfers happen.
+ *
+ * One core is the N = 1 case with nothing to be coherent with. The
+ * constructor decides it once by attaching no gate, and every other
+ * method reads that decision: the slice keeps the base stat root
+ * ("system"), there are no barriers (runUntil and run are the slice's
+ * own), trace lanes never switch, and dumpStats prints the slice alone.
+ * So a one-core machine runs exactly SecPbSystem's event sequence.
  */
 
 #ifndef SECPB_CORE_MULTICORE_HH
 #define SECPB_CORE_MULTICORE_HH
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -46,24 +54,14 @@
 namespace secpb
 {
 
-/** Configuration of the multi-core machine. */
-struct MultiCoreConfig
-{
-    /** Per-core slice configuration (every core gets a copy). */
-    SystemConfig base;
+/** Cycles to hand a PB entry and its page to another core. */
+constexpr Cycles MigrationLatency = 24;
 
-    unsigned numCores = 4;
-
-    /** Cycles to hand a PB entry and its page to another core. */
-    Cycles migrationLatency = 24;
-
-    /**
-     * Epoch (barrier period) in ticks; 0 derives it from
-     * migrationLatency. Affects simulated transfer timing (coarser
-     * epochs delay ownership grants), never correctness.
-     */
-    Tick epochTicks = 0;
-};
+/**
+ * Epoch (barrier period) in ticks. Affects simulated transfer timing
+ * (coarser epochs delay ownership grants), never correctness.
+ */
+constexpr Tick EpochTicks = std::max<Tick>(MigrationLatency, 64);
 
 /** Aggregate outcome of a multi-core run. */
 struct MultiCoreResult
@@ -82,7 +80,9 @@ struct MultiCoreResult
 class MultiCoreSystem
 {
   public:
-    explicit MultiCoreSystem(const MultiCoreConfig &cfg = {});
+    /** @p cores slices, each a copy of @p base; see the file comment
+     *  for what one core leaves out. */
+    MultiCoreSystem(const SystemConfig &base, unsigned cores);
 
     /** Begin executing one generator per core (size must match). */
     void start(std::vector<WorkloadGenerator *> gens);
@@ -109,21 +109,21 @@ class MultiCoreSystem
      */
     bool coreRead(CoreId core, Addr addr);
 
-    /** Crash with the classic unbounded per-core batteries. */
-    CrashReport crashNow() { return crashNow(CrashOptions{}); }
-
     /**
      * Crash every core now. A bounded CrashOptions budget is one
      * shared energy pool: cores drain in core order, each spending
-     * from what the previous cores left. Recovery verification runs
-     * per slice (each core recovers its resident pages) and the report
-     * aggregates work, energy, and verification across cores.
+     * from what the previous cores left; unbounded, each core drains
+     * from its own battery (its Capacitor, if configured). Recovery
+     * verification runs per slice (each core recovers its resident
+     * pages) and the report aggregates work, energy, and verification
+     * across cores: the budget is the pool, else the sum of the
+     * slices' budgets; batteryAfterJ sums the slices' cells.
      */
-    CrashReport crashNow(const CrashOptions &opts);
+    CrashReport crashNow(const CrashOptions &opts = {});
 
     unsigned numCores() const { return static_cast<unsigned>(_slices.size()); }
     Tick now() const { return _now; }
-    Tick epochTicks() const { return _epochTicks; }
+    Tick epochTicks() const { return EpochTicks; }
 
     /** @name Component access (tests, examples). */
     /** @{ */
@@ -137,7 +137,6 @@ class MultiCoreSystem
     TraceCpu &cpu(unsigned core) { return _slices.at(core)->cpu(); }
     PageDirectory &directory() { return _dir; }
     const PageDirectory &directory() const { return _dir; }
-    const MultiCoreConfig &config() const { return _cfg; }
 
     /** The slice holding @p addr's durable state (slice 0 if untouched). */
     SecPbSystem &residentSystem(Addr addr);
@@ -159,8 +158,15 @@ class MultiCoreSystem
     /** Next barrier strictly after @p t on the absolute epoch grid. */
     Tick nextBarrier(Tick t) const
     {
-        return (t / _epochTicks + 1) * _epochTicks;
+        return (t / EpochTicks + 1) * EpochTicks;
     }
+
+    /** One core: no gate was attached, so nothing is coordinated. */
+    bool solo() const { return _gates.empty(); }
+
+    /** Record into trace lane @p lane (core i uses lane i; see
+     *  obs::Tracer::setLane). A one-core machine never switches. */
+    void traceLane(std::size_t lane) const;
 
     /** Advance every slice to @p target, in core order. */
     void advanceSlices(Tick target);
@@ -177,8 +183,6 @@ class MultiCoreSystem
     /** True if any slice has pending events or any gate has requests. */
     bool anyWorkPending() const;
 
-    MultiCoreConfig _cfg;
-    Tick _epochTicks;
     Tick _now = 0;
 
     StatGroup _rootStats;

@@ -97,9 +97,6 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
                      "%s: --battery-derate '%s' is not a number", prog, v);
         } else if (a == "--power-schedule") {
             spec.powerSchedule = need();
-        } else if (a == "--cores") {
-            spec.cores =
-                static_cast<unsigned>(parseU64("--cores", need()));
         } else {
             argv[out++] = argv[i];
         }
@@ -109,7 +106,6 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
 
     // Validate eagerly: a bad value dies here, before any run starts,
     // with a diagnostic that lists the valid choices.
-    fatal_if(spec.cores < 1, "%s: --cores must be >= 1", prog);
     capacitorPresetFor(spec.batteryTech);
     fatal_if(!(spec.batteryDerate > 0.0 && spec.batteryDerate <= 1.0),
              "%s: --battery-derate %.3f out of (0, 1]", prog,
@@ -149,140 +145,11 @@ SimulationSpec::cliHelp()
         "                      (ideal|supercap|li-thin)\n"
         "  --battery-derate F  end-of-life capacity derate in (0,1]\n"
         "  --power-schedule S  seeded intermittent-power schedule"
-        " \"k=v,...\"\n"
-        "  --cores N           simulated cores (default 1)\n";
+        " \"k=v,...\"\n";
 }
 
 Simulation::Simulation(const SimulationSpec &spec)
-{
-    if (spec.cores <= 1) {
-        // The classic machine, byte-identical to pre-facade drivers: no
-        // gate, no directory, the "system" stat root.
-        _single = std::make_unique<SecPbSystem>(spec.base);
-    } else {
-        _multi = std::make_unique<MultiCoreSystem>(spec.multiCoreConfig());
-    }
-}
-
-SecPbSystem &
-Simulation::system()
-{
-    panic_if(!_single,
-             "Simulation::system(): this is a %u-core simulation; use "
-             "multi() / slice access",
-             numCores());
-    return *_single;
-}
-
-MultiCoreSystem &
-Simulation::multi()
-{
-    panic_if(!_multi,
-             "Simulation::multi(): this is a single-core simulation; use "
-             "system()");
-    return *_multi;
-}
-
-void
-Simulation::start(WorkloadGenerator &gen)
-{
-    if (_single) {
-        _single->start(gen);
-        return;
-    }
-    panic_if(_multi->numCores() != 1,
-             "Simulation::start(gen): %u cores need one generator each "
-             "(use the vector overload)",
-             _multi->numCores());
-    _multi->start({&gen});
-}
-
-void
-Simulation::start(std::vector<WorkloadGenerator *> gens)
-{
-    if (_multi) {
-        _multi->start(std::move(gens));
-        return;
-    }
-    panic_if(gens.size() != 1,
-             "Simulation::start: single-core simulation got %zu generators",
-             gens.size());
-    _single->start(*gens.front());
-}
-
-void
-Simulation::runUntil(Tick limit)
-{
-    if (_single)
-        _single->runUntil(limit);
-    else
-        _multi->runUntil(limit);
-}
-
-SimulationResult
-Simulation::run(WorkloadGenerator &gen)
-{
-    if (_single)
-        return _single->run(gen);
-    panic_if(_multi->numCores() != 1,
-             "Simulation::run(gen): %u cores need one generator each "
-             "(use the vector overload)",
-             _multi->numCores());
-    return _multi->run({&gen}).perCore.front();
-}
-
-MultiCoreResult
-Simulation::run(std::vector<WorkloadGenerator *> gens)
-{
-    if (_multi)
-        return _multi->run(std::move(gens));
-    panic_if(gens.size() != 1,
-             "Simulation::run: single-core simulation got %zu generators",
-             gens.size());
-    MultiCoreResult mr;
-    mr.perCore.push_back(_single->run(*gens.front()));
-    mr.execTicks = mr.perCore.front().execTicks;
-    mr.totalInstructions = mr.perCore.front().instructions;
-    return mr;
-}
-
-bool
-Simulation::finished() const
-{
-    return _single ? _single->finished() : _multi->finished();
-}
-
-CrashReport
-Simulation::crashNow(const CrashOptions &opts)
-{
-    return _single ? _single->crashNow(opts) : _multi->crashNow(opts);
-}
-
-SimulationResult
-Simulation::result() const
-{
-    return _single ? _single->result() : _multi->slice(0).result();
-}
-
-obs::Sampler *
-Simulation::sampler()
-{
-    return _single ? _single->sampler() : _multi->slice(0).sampler();
-}
-
-const StatGroup &
-Simulation::stats() const
-{
-    return _single ? _single->stats() : _multi->slice(0).stats();
-}
-
-void
-Simulation::dumpStats(std::ostream &os) const
-{
-    if (_single)
-        _single->dumpStats(os);
-    else
-        _multi->dumpStats(os);
-}
+    : _machine(std::make_unique<MultiCoreSystem>(spec.base, spec.cores))
+{}
 
 } // namespace secpb

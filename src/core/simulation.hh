@@ -8,13 +8,12 @@
  * spec pins everything a run needs: the per-core SystemConfig, the core
  * count, and the workload-level knobs the shared CLI owns (instructions,
  * seed, workload selector, battery physics, power schedule). One
- * lifecycle -- start / runUntil / run / crashNow / result -- covers the
- * single-core machine and the multi-core machine; callers stop
- * special-casing which one they drive.
+ * lifecycle -- start / runUntil / run / crashNow / result -- covers
+ * every core count.
  *
- * cores == 1 instantiates SecPbSystem directly (bit-identical to the
- * pre-facade behavior: no gate, no directory, "system" stat root);
- * cores > 1 instantiates the epoch-barrier MultiCoreSystem.
+ * Every Simulation holds one MultiCoreSystem. A single core is its
+ * N = 1 case: no coherence gate, no epoch barriers, and the "system"
+ * stat root, so it runs exactly SecPbSystem's event sequence.
  *
  * SimulationSpec::fromCli is the single parse point for the spec-level
  * command line: it consumes the flags it owns from argv (leaving
@@ -47,12 +46,6 @@ struct SimulationSpec
     /** Simulated cores; 1 = the classic single-core machine. */
     unsigned cores = 1;
 
-    /** Cycles to migrate a page between SecPBs (multi-core). */
-    Cycles migrationLatency = 24;
-
-    /** Epoch length in ticks; 0 derives it from migrationLatency. */
-    Tick epochTicks = 0;
-
     /** @name Workload-level knobs owned by the shared CLI. */
     /** @{ */
     std::uint64_t instructions = 300'000;
@@ -64,18 +57,6 @@ struct SimulationSpec
     std::string powerSchedule;   ///< Intermittent power; "" = none.
     /** @} */
 
-    /** The multi-core config this spec describes. */
-    MultiCoreConfig
-    multiCoreConfig() const
-    {
-        MultiCoreConfig mc;
-        mc.base = base;
-        mc.numCores = cores;
-        mc.migrationLatency = migrationLatency;
-        mc.epochTicks = epochTicks;
-        return mc;
-    }
-
     /** The parsed battery physics preset with the derate applied. */
     CapacitorParams batteryParams() const;
 
@@ -84,7 +65,7 @@ struct SimulationSpec
      * place, updating @p argc), so the caller's parser only sees what
      * it owns. Flags: --instr, --seed, --workload, --trace-in,
      * --trace-record, --battery-tech, --battery-derate,
-     * --power-schedule, --cores. All values are validated eagerly; a
+     * --power-schedule. All values are validated eagerly; a
      * bad one dies listing the valid choices.
      */
     static SimulationSpec fromCli(int &argc, char **argv, const char *prog);
@@ -102,62 +83,72 @@ struct SimulationSpec
  */
 std::uint64_t parseDecimalU64(const char *what, const char *v);
 
-/**
- * The facade: one machine (single- or multi-core per the spec), one
- * lifecycle. See the file comment.
- */
+/** The facade: one machine, one lifecycle. See the file comment. */
 class Simulation
 {
   public:
     explicit Simulation(const SimulationSpec &spec);
 
-    bool multiCore() const { return _multi != nullptr; }
-    unsigned numCores() const
-    {
-        return _multi ? _multi->numCores() : 1;
-    }
+    unsigned numCores() const { return _machine->numCores(); }
 
-    /** The single-core machine (panics on a multi-core simulation). */
-    SecPbSystem &system();
-    /** The multi-core machine (panics on a single-core simulation). */
-    MultiCoreSystem &multi();
+    /** Core 0's machine slice (the whole machine when single-core). */
+    SecPbSystem &system() { return _machine->slice(0); }
+    /** The machine, for per-core access. */
+    MultiCoreSystem &multi() { return *_machine; }
 
     /** @name Unified lifecycle. */
     /** @{ */
     /** Begin executing; one generator (single-core). */
-    void start(WorkloadGenerator &gen);
+    void start(WorkloadGenerator &gen) { _machine->start({&gen}); }
     /** Begin executing; one generator per core. */
-    void start(std::vector<WorkloadGenerator *> gens);
+    void
+    start(std::vector<WorkloadGenerator *> gens)
+    {
+        _machine->start(std::move(gens));
+    }
 
     /** Advance simulated time to @p limit. */
-    void runUntil(Tick limit);
+    void runUntil(Tick limit) { _machine->runUntil(limit); }
 
     /** Run one generator to completion (single-core). */
-    SimulationResult run(WorkloadGenerator &gen);
+    SimulationResult
+    run(WorkloadGenerator &gen)
+    {
+        return _machine->run({&gen}).perCore.front();
+    }
     /** Run one generator per core to completion. */
-    MultiCoreResult run(std::vector<WorkloadGenerator *> gens);
+    MultiCoreResult
+    run(std::vector<WorkloadGenerator *> gens)
+    {
+        return _machine->run(std::move(gens));
+    }
 
-    bool finished() const;
+    bool finished() const { return _machine->finished(); }
 
-    /** Crash the machine now (every core, for multi-core specs). */
-    CrashReport crashNow(const CrashOptions &opts = {});
+    /** Crash the machine now (every core). */
+    CrashReport
+    crashNow(const CrashOptions &opts = {})
+    {
+        return _machine->crashNow(opts);
+    }
 
-    /** Single-core result snapshot (core 0's for multi-core specs). */
-    SimulationResult result() const;
+    /** Core 0's result snapshot. */
+    SimulationResult result() const { return _machine->slice(0).result(); }
     /** @} */
 
     /** The core-0 epoch sampler (nullptr when sampling is off). */
-    obs::Sampler *sampler();
+    obs::Sampler *sampler() { return system().sampler(); }
 
-    /** Stat root: the system's (single-core) or core 0's (multi). */
-    const StatGroup &stats() const;
+    /** Core 0's stat root ("system" when single-core). */
+    const StatGroup &stats() const { return _machine->slice(0).stats(); }
 
     /** Dump every stat tree this machine owns. */
-    void dumpStats(std::ostream &os) const;
+    void dumpStats(std::ostream &os) const { _machine->dumpStats(os); }
 
   private:
-    std::unique_ptr<SecPbSystem> _single;
-    std::unique_ptr<MultiCoreSystem> _multi;
+    /** Held by pointer: slices borrow their stat names from the
+     *  machine, so it must not move when the Simulation does. */
+    std::unique_ptr<MultiCoreSystem> _machine;
 };
 
 } // namespace secpb

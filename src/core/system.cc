@@ -183,6 +183,12 @@ SimulationResult
 SecPbSystem::run(WorkloadGenerator &gen)
 {
     start(gen);
+    return runToEnd();
+}
+
+SimulationResult
+SecPbSystem::runToEnd()
+{
     while (!_finished) {
         if (_eq.empty()) {
             panic("simulation deadlock: no events pending but the run has "
@@ -237,7 +243,7 @@ SecPbSystem::crashNow(const CrashOptions &opts)
     CrashReport cr;
     DrainLatencyModel latency(_cfg.crypto, _cfg.pcm);
     CrashDrainBudget budget;
-    if (opts.bounded()) {
+    if (opts.batteryEnergyJ) {
         budget.energyJ = *opts.batteryEnergyJ;
         budget.pricing = &_energy;
     } else if (_battery) {

@@ -67,13 +67,6 @@ struct CrashOptions
      * infinity sentinel; see FaultPlan::batteryFraction.)
      */
     std::optional<double> batteryEnergyJ;
-
-    /** Shim kept from the infinity-sentinel era: is a bound set? */
-    bool
-    bounded() const
-    {
-        return batteryEnergyJ.has_value();
-    }
 };
 
 /** The assembled simulated machine. */
@@ -93,6 +86,10 @@ class SecPbSystem
     /** Run @p gen to completion (generator exhausted, store buffer empty). */
     SimulationResult run(WorkloadGenerator &gen);
 
+    /** Run a started workload to completion, stopping at the event that
+     *  finishes it (run() is start() plus this). */
+    SimulationResult runToEnd();
+
     /** Begin executing @p gen without advancing time. */
     void start(WorkloadGenerator &gen);
 
@@ -104,17 +101,13 @@ class SecPbSystem
 
     /**
      * Crash now: battery-drain the SecPB, then run recovery verification
-     * against the persist oracle. Simulated time does not advance.
+     * against the persist oracle. Simulated time does not advance. A
+     * bounded battery budget makes the drain stop once the energy runs
+     * out; recovery then verifies that the drained entries form an
+     * in-order prefix of the persist order and classifies every
+     * abandoned block.
      */
-    CrashReport crashNow() { return crashNow(CrashOptions{}); }
-
-    /**
-     * Crash with explicit options. A bounded battery budget makes the
-     * drain stop once the energy runs out; recovery then verifies that
-     * the drained entries form an in-order prefix of the persist order
-     * and classifies every abandoned block.
-     */
-    CrashReport crashNow(const CrashOptions &opts);
+    CrashReport crashNow(const CrashOptions &opts = {});
 
     /**
      * The worst-case battery energy this configuration provisions

@@ -15,9 +15,9 @@
  *    like drain width or watermarks) after the scheme/profile defaults;
  *    `tags` records what the override did, so the JSON stays
  *    self-describing even though a closure is not serializable.
- *  - `custom` replaces the default run-to-completion runner entirely, for
- *    points that crash mid-run, drive a MultiCoreSystem, or only evaluate
- *    the energy model.
+ *  - `custom` replaces the default single-core run-to-completion runner
+ *    entirely, for points that crash mid-run, build a multi-core
+ *    Simulation, or only evaluate the energy model.
  */
 
 #ifndef SECPB_EXP_EXPERIMENT_HH
@@ -104,14 +104,6 @@ struct ExperimentPoint
     unsigned secpbEntries = 32;
     BmfMode bmf = BmfMode::None;
 
-    /**
-     * Simulated cores (1 = the classic single-core machine). Multi-core
-     * points run one generator per core, seeded seed+core, and report
-     * the aggregate in `sim` (per-core counters summed, rates from the
-     * aggregate).
-     */
-    unsigned cores = 1;
-
     /** Workload seed. Determinism is per-point: same seed, same result,
      *  regardless of which thread runs it or in what order. */
     std::uint64_t seed = 7;
@@ -158,7 +150,7 @@ const char *bmfModeName(BmfMode mode);
 
 /**
  * Execute one point: the custom runner if set, otherwise a fresh
- * SecPbSystem over a fresh SyntheticGenerator, run to completion.
+ * single-core Simulation over a fresh generator, run to completion.
  * hostSeconds is left 0 -- the SweepRunner stamps it.
  */
 ExperimentResult runExperimentPoint(const ExperimentPoint &point);

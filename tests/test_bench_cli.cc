@@ -172,6 +172,10 @@ TEST(BenchCliDeath, UnknownFlagIsFatal)
     const char *argv[] = {"bench", "--frobnicate", nullptr};
     EXPECT_EXIT(BenchCli::parse(2, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "unknown flag");
+    // The core count is set in code (SimulationSpec::cores), not a flag.
+    const char *cores[] = {"bench", "--cores", "4", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(cores), "bench"),
+                ::testing::ExitedWithCode(1), "unknown flag '--cores'");
 }
 
 TEST(BenchCliDeath, UnknownProfileFilterIsFatal)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,14 +26,13 @@ using namespace secpb;
 namespace
 {
 
-MultiCoreConfig
-mcCfg(unsigned cores, Scheme scheme = Scheme::Cobcm)
+SystemConfig
+mcBase(Scheme scheme = Scheme::Cobcm)
 {
-    MultiCoreConfig cfg;
-    cfg.numCores = cores;
-    cfg.base.scheme = scheme;
-    cfg.base.secpb.numEntries = 8;
-    cfg.base.pmDataBytes = 1ULL << 30;
+    SystemConfig cfg;
+    cfg.scheme = scheme;
+    cfg.secpb.numEntries = 8;
+    cfg.pmDataBytes = 1ULL << 30;
     return cfg;
 }
 
@@ -99,7 +99,7 @@ crashFingerprint(MultiCoreSystem &sys)
 
 TEST(MultiCore, PrivateWorkingSetsRunToCompletion)
 {
-    MultiCoreSystem sys(mcCfg(4));
+    MultiCoreSystem sys(mcBase(), 4);
     std::vector<std::unique_ptr<ScriptedGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
     for (unsigned c = 0; c < 4; ++c) {
@@ -120,7 +120,7 @@ TEST(MultiCore, PrivateWorkingSetsRunToCompletion)
 
 TEST(MultiCore, SharedBlockMigratesBetweenCores)
 {
-    MultiCoreSystem sys(mcCfg(2));
+    MultiCoreSystem sys(mcBase(), 2);
     ScriptedGenerator g0, g1;
     g0.store(0x1000, 0xAAAA).instr(200);
     g1.instr(200).store(0x1000, 0xBBBB);
@@ -145,7 +145,7 @@ TEST(MultiCore, MigrationCarriesValueIndependentMetadata)
     // Paper: "the requesting core would not require a counter, OTP, or
     // BMT root update" -- the counter bumps once per residency even when
     // the residency spans two cores.
-    MultiCoreSystem sys(mcCfg(2, Scheme::NoGap));
+    MultiCoreSystem sys(mcBase(Scheme::NoGap), 2);
     ScriptedGenerator g0, g1;
     g0.store(0x2000, 0x1);
     g1.instr(2000).store(0x2000, 0x2);
@@ -168,7 +168,7 @@ TEST(MultiCore, MigrationCarriesValueIndependentMetadata)
 
 TEST(MultiCore, RemoteReadFlushesOwnerEntry)
 {
-    MultiCoreSystem sys(mcCfg(2));
+    MultiCoreSystem sys(mcBase(), 2);
     ScriptedGenerator g0, g1;
     g0.store(0x3000, 0x77);
     g1.instr(100);
@@ -186,7 +186,7 @@ TEST(MultiCore, RemoteReadFlushesOwnerEntry)
 
 TEST(MultiCore, LocalReadDoesNotFlush)
 {
-    MultiCoreSystem sys(mcCfg(2));
+    MultiCoreSystem sys(mcBase(), 2);
     ScriptedGenerator g0, g1;
     g0.store(0x3000, 0x77);
     g1.instr(10);
@@ -203,7 +203,7 @@ TEST(MultiCore, PingPongSharingStillRecovers)
     // Coherence is page-granular and grants batch at epoch barriers, so
     // the four shared blocks (one page) ping-pong as a unit: expect the
     // page to move both directions, not once per block.
-    MultiCoreSystem sys(mcCfg(2, Scheme::Cobcm));
+    MultiCoreSystem sys(mcBase(Scheme::Cobcm), 2);
     ScriptedGenerator g0, g1;
     for (int i = 0; i < 30; ++i) {
         g0.store((i % 4) * BlockSize, 0xA000 + i).instr(60);
@@ -222,7 +222,7 @@ TEST(MultiCore, RandomSharingPropertyCrash)
     // Four cores, overlapping random writes, crash mid-flight: recovery
     // must match the shared oracle for every secure scheme class.
     for (Scheme s : {Scheme::Cobcm, Scheme::Cm, Scheme::NoGap}) {
-        MultiCoreSystem sys(mcCfg(4, s));
+        MultiCoreSystem sys(mcBase(s), 4);
         Rng rng(314);
         std::vector<std::unique_ptr<ScriptedGenerator>> gens;
         std::vector<WorkloadGenerator *> raw;
@@ -249,9 +249,9 @@ TEST(MultiCore, RandomSharingPropertyCrash)
 TEST(MultiCore, FourCoresAggregateThroughput)
 {
     // Scaling smoke test: four cores retire four workloads' instructions.
-    MultiCoreConfig cfg = mcCfg(4);
-    cfg.base.secpb.numEntries = 32;
-    MultiCoreSystem sys(cfg);
+    SystemConfig cfg = mcBase();
+    cfg.secpb.numEntries = 32;
+    MultiCoreSystem sys(cfg, 4);
     std::vector<std::unique_ptr<SyntheticGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
     for (unsigned c = 0; c < 4; ++c) {
@@ -270,7 +270,7 @@ TEST(MultiCore, FourCoresAggregateThroughput)
 
 TEST(MultiCore, CrashEnergyProvisionsPerCore)
 {
-    MultiCoreSystem sys(mcCfg(4));
+    MultiCoreSystem sys(mcBase(), 4);
     ScriptedGenerator g0, g1, g2, g3;
     g0.store(0x000, 1);
     g1.store(0x100000, 2);
@@ -287,18 +287,56 @@ TEST(MultiCore, CrashEnergyProvisionsPerCore)
                 4 * em.secPbBatteryEnergy(Scheme::Cobcm, 8), 1e-9);
 }
 
+TEST(MultiCore, CrashReportSumsPerCoreBatteries)
+{
+    // With no budget given each core drains from its own Capacitor: the
+    // report's budget is what the cells could deliver. An explicit
+    // budget is one shared pool and is reported as given. Either way the
+    // charge left is what the cells hold afterwards.
+    SystemConfig cfg = mcBase();
+    cfg.battery.enabled = true;
+    auto check = [&](std::optional<double> pool_share) {
+        MultiCoreSystem sys(cfg, 2);
+        SyntheticGenerator g0(profileByName("gcc"), 20'000, 5);
+        SyntheticGenerator g1(profileByName("gcc"), 20'000, 6,
+                              /*region_base=*/0x100000);
+        sys.start({&g0, &g1});
+        sys.runUntil(20'000);
+        double deliverable = 0.0;
+        for (unsigned c = 0; c < 2; ++c)
+            deliverable += sys.slice(c).battery()->deliverableEnergyJ();
+        CrashOptions opts;
+        if (pool_share)
+            opts.batteryEnergyJ = *pool_share * deliverable;
+        const CrashReport cr = sys.crashNow(opts);
+        double stored = 0.0;
+        for (unsigned c = 0; c < 2; ++c)
+            stored += sys.slice(c).battery()->storedEnergyJ();
+
+        EXPECT_GT(cr.work.entriesDrained, 0u);
+        EXPECT_TRUE(cr.recovered);
+        ASSERT_TRUE(cr.batteryBudgetJ.has_value());
+        EXPECT_DOUBLE_EQ(*cr.batteryBudgetJ,
+                         opts.batteryEnergyJ.value_or(deliverable));
+        ASSERT_TRUE(cr.batteryAfterJ.has_value());
+        EXPECT_DOUBLE_EQ(*cr.batteryAfterJ, stored);
+    };
+    check(std::nullopt);  // each core drains its own cell
+    check(0.5);           // one shared pool of half the charge
+}
+
 TEST(EpochGrid, RunUntilSlicingDoesNotChangeBehavior)
 {
     // Epochs end on multiples of epochTicks regardless of how the run is
     // chopped into runUntil() calls: one run() and many odd-sized steps
     // land on the same barriers, hence the same grant order and the
     // same final state.
-    MultiCoreSystem whole(mcCfg(4));
+    MultiCoreSystem whole(mcBase(), 4);
     GenSet wholeGens = sharingGens(4'000, 99);
     const MultiCoreResult r = whole.run(wholeGens.raw);
     EXPECT_GT(r.migrations, 0u) << "workload must exercise sharing";
 
-    MultiCoreSystem stepped(mcCfg(4));
+    MultiCoreSystem stepped(mcBase(), 4);
     GenSet stepGens = sharingGens(4'000, 99);
     stepped.start(stepGens.raw);
     while (!stepped.finished())
@@ -316,7 +354,7 @@ TEST(EpochGrid, CrashMidEpochIndependentOfRunUntilSlicing)
     // Crash at a tick that is NOT on the epoch grid, reached in one
     // runUntil() and in odd-sized steps: the barriers before the crash,
     // and so the crashed state, must be the same.
-    MultiCoreSystem once(mcCfg(4));
+    MultiCoreSystem once(mcBase(), 4);
     GenSet onceGens = sharingGens(6'000, 7);
     once.start(onceGens.raw);
     const Tick et = once.epochTicks();
@@ -325,7 +363,7 @@ TEST(EpochGrid, CrashMidEpochIndependentOfRunUntilSlicing)
     const std::string ref = crashFingerprint(once);
     EXPECT_NE(ref.find("recovered=1"), std::string::npos);
 
-    MultiCoreSystem stepped(mcCfg(4));
+    MultiCoreSystem stepped(mcBase(), 4);
     GenSet stepGens = sharingGens(6'000, 7);
     stepped.start(stepGens.raw);
     while (stepped.now() < crashAt)

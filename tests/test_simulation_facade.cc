@@ -2,7 +2,8 @@
  * @file
  * Conformance tests for the Simulation facade and SimulationSpec CLI:
  * the facade must be a zero-cost veneer (cores == 1 byte-identical to a
- * direct SecPbSystem, cores > 1 to a direct MultiCoreSystem), and
+ * direct SecPbSystem, run to completion or crashed mid-run; cores > 1
+ * to a direct MultiCoreSystem), and
  * SimulationSpec::fromCli must consume exactly its own flags from argv,
  * compact the survivors in place, and validate eagerly.
  */
@@ -41,6 +42,36 @@ statsDumpOf(const auto &machine)
     return os.str();
 }
 
+/** Every CrashReport field, as one comparable string. */
+std::string
+crashFingerprint(const CrashReport &cr)
+{
+    std::ostringstream os;
+    os.precision(17);
+    const CrashWork &w = cr.work;
+    os << "work=" << w.entriesDrained << ',' << w.countersIncremented << ','
+       << w.counterFetches << ',' << w.otpsGenerated << ','
+       << w.bmtRootUpdates << ',' << w.bmtLevelsWalked << ','
+       << w.macsComputed << ',' << w.ciphertexts << ',' << w.pmBlockWrites
+       << ',' << w.mdcBlockFlushes << ',' << w.cacheLinesFlushed << ','
+       << w.bmtNodesRebuilt << ',' << w.batteryExhausted << ','
+       << w.energySpentJ << ',' << w.drainedBlocks.size() << ','
+       << w.abandoned.size() << ',' << w.absorbedApplied << ','
+       << w.absorbedLost << '\n';
+    const RecoveryReport &r = cr.recovery;
+    os << "recovery=" << r.blocksChecked << ',' << r.macFailures << ','
+       << r.bmtFailures << ',' << r.plaintextMismatches << ','
+       << r.spuriousBlocks << ',' << r.missingBlocks << ','
+       << r.prefixViolations << ',' << r.tornDetected << ','
+       << r.staleConsistent << ',' << r.faults.size() << '\n';
+    os << "energy=" << cr.provisionedEnergyJ << ',' << cr.actualEnergyJ
+       << " latency=" << cr.drainLatency << ',' << cr.drainLatencyNs
+       << " recovered=" << cr.recovered
+       << " budget=" << cr.batteryBudgetJ.value_or(-1.0)
+       << " after=" << cr.batteryAfterJ.value_or(-1.0) << '\n';
+    return os.str();
+}
+
 /** Mutable argc/argv pair for exercising fromCli's in-place compaction. */
 struct Argv
 {
@@ -75,13 +106,38 @@ TEST(SimulationFacade, SingleCoreMatchesDirectSystem)
     SimulationSpec spec;
     spec.base = cfg;
     Simulation sim(spec);
-    ASSERT_FALSE(sim.multiCore());
     EXPECT_EQ(sim.numCores(), 1u);
     SyntheticGenerator fgen(prof, 8'000, 42);
     const SimulationResult fres = sim.run(fgen);
 
     EXPECT_EQ(fingerprint(fres), fingerprint(dres));
     EXPECT_EQ(statsDumpOf(sim), statsDumpOf(direct));
+
+    // The crash path: a battery-backed machine crashed mid-run reports
+    // exactly what the direct system reports, budget and charge left
+    // included.
+    SystemConfig bcfg = cfg;
+    bcfg.battery.enabled = true;
+    const Tick mid = dres.execTicks / 2;
+
+    SecPbSystem bdirect(bcfg);
+    SyntheticGenerator bdgen(prof, 8'000, 42);
+    bdirect.start(bdgen);
+    bdirect.runUntil(mid);
+    const CrashReport dcr = bdirect.crashNow();
+    ASSERT_TRUE(dcr.batteryBudgetJ.has_value());
+    ASSERT_TRUE(dcr.batteryAfterJ.has_value());
+    ASSERT_GT(dcr.work.entriesDrained, 0u);
+
+    spec.base = bcfg;
+    Simulation bsim(spec);
+    SyntheticGenerator bfgen(prof, 8'000, 42);
+    bsim.start(bfgen);
+    bsim.runUntil(mid);
+    const CrashReport fcr = bsim.crashNow();
+
+    EXPECT_EQ(crashFingerprint(fcr), crashFingerprint(dcr));
+    EXPECT_EQ(statsDumpOf(bsim), statsDumpOf(bdirect));
 }
 
 TEST(SimulationFacade, MultiCoreMatchesDirectMultiSystem)
@@ -103,12 +159,11 @@ TEST(SimulationFacade, MultiCoreMatchesDirectMultiSystem)
         return owned;
     };
 
-    MultiCoreSystem direct(spec.multiCoreConfig());
+    MultiCoreSystem direct(spec.base, spec.cores);
     auto dOwned = makeGens();
     const MultiCoreResult dres = direct.run({dOwned[0].get(), dOwned[1].get()});
 
     Simulation sim(spec);
-    ASSERT_TRUE(sim.multiCore());
     EXPECT_EQ(sim.numCores(), 2u);
     auto fOwned = makeGens();
     const MultiCoreResult fres = sim.run({fOwned[0].get(), fOwned[1].get()});
@@ -138,37 +193,24 @@ TEST(SimulationFacade, SingleCoreVectorRunWrapsMultiResult)
     EXPECT_EQ(r.execTicks, r.perCore[0].execTicks);
 }
 
-TEST(SimulationFacade, WrongMachineAccessorPanics)
-{
-    SimulationSpec single;
-    Simulation s(single);
-    EXPECT_DEATH(s.multi(), "single-core simulation");
-
-    SimulationSpec multi;
-    multi.cores = 2;
-    Simulation m(multi);
-    EXPECT_DEATH(m.system(), "2-core simulation");
-}
-
 TEST(SimulationFacade, GeneratorArityMismatchPanics)
 {
     SimulationSpec spec;
     Simulation sim(spec);
     ScriptedGenerator a, b;
     std::vector<WorkloadGenerator *> two{&a, &b};
-    EXPECT_DEATH(sim.run(two), "got 2 generators");
+    EXPECT_DEATH(sim.run(two), "2 generators for 1 cores");
 }
 
 TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
 {
-    Argv av{"prog", "--jobs",  "3", "--instr", "5000",    "--seed",
-            "9",    "--cores", "2", "--json",  "out.json"};
+    Argv av{"prog", "--jobs", "3",      "--instr", "5000",
+            "--seed", "9",    "--json", "out.json"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
 
     EXPECT_EQ(spec.instructions, 5'000u);
     EXPECT_EQ(spec.seed, 9u);
-    EXPECT_EQ(spec.cores, 2u);
 
     // Only the caller-owned flags survive, order preserved, array
     // re-terminated.
@@ -209,7 +251,6 @@ TEST(SimulationSpecCli, BadValuesDieEagerly)
         Argv av(args);
         SimulationSpec::fromCli(av.argc, av.data(), "test");
     };
-    EXPECT_DEATH(parse({"prog", "--cores", "0"}), "--cores must be >= 1");
     EXPECT_DEATH(parse({"prog", "--instr", "-5"}),
                  "--instr '-5': not a decimal integer");
     EXPECT_DEATH(parse({"prog", "--battery-derate", "nan"}),
