@@ -37,20 +37,14 @@ struct Pair
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "ablation_design");
-    const std::uint64_t instr = cli.spec.instructions;
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile,
                      const std::string &knob, const std::string &value,
                      std::function<void(SystemConfig &)> configure) {
-        ExperimentPoint p;
-        p.label = profile + "/" + schemeName(s) + "/" + knob + "=" + value;
-        p.scheme = s;
-        p.profile = profile;
-        p.instructions = instr;
-        p.seed = cli.spec.seed;
+        ExperimentPoint p = cli.point(s, profile);
+        p.label += "/" + knob + "=" + value;
         p.tag(knob, value);
         p.configure = std::move(configure);
         return sweep.add(std::move(p));
@@ -116,12 +110,11 @@ main(int argc, char **argv)
     sweep.run();
 
     auto ratio = [&](const Pair &pr) {
-        return static_cast<double>(sweep.at(pr.variant).sim.execTicks) /
-               sweep.at(pr.base).sim.execTicks;
+        return sweep.execRatio(pr.variant, pr.base);
     };
 
     std::printf("Design ablations (%llu instructions/run)\n",
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(cli.spec.instructions));
 
     std::printf("\n[1] COBCM slowdown vs BBB on gamess, by drain width\n");
     for (std::size_t i = 0; i < std::size(widths); ++i) {

@@ -10,6 +10,13 @@
  * produce bit-identical results, and `--json` serializes every point plus
  * derived rows to the schema-versioned sweep document.
  *
+ * Most benches are one grid: schemes (or sizes, or variants) x profiles,
+ * each cell normalized to a baseline point. They share three pieces:
+ * BenchCli::point (a point carrying --instr, --seed and the scheme
+ * knobs), BenchCli::pick (a declared scheme list under the --scheme
+ * filter) and Table (print a row, then reduce each column into a
+ * derived row).
+ *
  * Common CLI (BenchCli::parse):
  *   --jobs N            concurrent points (default 1)
  *   --json PATH         write sweep JSON
@@ -28,10 +35,6 @@
  * see SimulationSpec::cliHelp). Benches read those from
  * `cli.spec`. Flags are the only way to configure a run; integer values
  * go through the one strict parseDecimalU64.
- *
- * bench/micro_ops.cc is the one exception: google-benchmark owns its
- * argv, so these flags do not apply there (its tracing macros stay
- * compiled in but disabled -- that is what it measures).
  */
 
 #ifndef SECPB_BENCH_BENCH_COMMON_HH
@@ -44,8 +47,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/simulation.hh"
@@ -93,10 +98,15 @@ struct BenchCli
     /** The simulation-level knobs, parsed by SimulationSpec::fromCli. */
     SimulationSpec spec;
 
-    /** Parse argv; prints usage and exits on unknown flags. */
+    /**
+     * Parse argv; prints usage and exits on unknown flags. Benches print
+     * their own tables, so this first turns the simulator's warn/inform
+     * chatter off.
+     */
     static BenchCli
     parse(int argc, char **argv, const char *bench_name)
     {
+        setQuietLogging(true);
         BenchCli cli;
         cli.bench = bench_name;
         // The spec flags are owned by the facade's parser; it consumes
@@ -151,7 +161,7 @@ struct BenchCli
                                  known.end(),
                              "%s: unknown --debug flag '%s' (known: %s)",
                              bench_name, flag.c_str(),
-                             joinCommas(known).c_str());
+                             joinNames(known).c_str());
                     debug::enable(flag);
                 }
                 ++i;
@@ -179,8 +189,8 @@ struct BenchCli
                     "                      (workload names: %s)\n"
                     "  --debug FLAGS       enable DPRINTF flags: %s\n",
                     bench_name, SimulationSpec::cliHelp(),
-                    joinCommas(registeredWorkloadNames()).c_str(),
-                    joinCommas(debug::knownFlags()).c_str());
+                    joinNames(registeredWorkloadNames()).c_str(),
+                    joinNames(debug::knownFlags()).c_str());
                 std::exit(0);
             } else {
                 fatal("%s: unknown flag '%s' (try --help)", bench_name,
@@ -212,6 +222,46 @@ struct BenchCli
                    profiles.end();
     }
 
+    /**
+     * The declared @p all in declaration order, keeping the entries whose
+     * scheme passes the filter. An entry is a Scheme or a row with a
+     * `scheme` member.
+     */
+    template <typename T>
+    std::vector<T>
+    pick(std::initializer_list<T> all) const
+    {
+        std::vector<T> out;
+        for (const T &x : all) {
+            if constexpr (std::is_same_v<T, Scheme>) {
+                if (wantScheme(x))
+                    out.push_back(x);
+            } else if (wantScheme(x.scheme)) {
+                out.push_back(x);
+            }
+        }
+        return out;
+    }
+
+    /**
+     * A default-runner point of @p s on @p profile labelled
+     * "<profile>/<scheme>", carrying --instr, --seed and the --scheme
+     * knobs (only triad reads them). Callers extend the label and set
+     * the coordinates their grid varies.
+     */
+    ExperimentPoint
+    point(Scheme s, const std::string &profile) const
+    {
+        ExperimentPoint p;
+        p.label = profile + "/" + schemeName(s);
+        p.scheme = s;
+        p.schemeParams = schemeParams;
+        p.profile = profile;
+        p.instructions = spec.instructions;
+        p.seed = spec.seed;
+        return p;
+    }
+
     /** spec2006Profiles() restricted to the profile filter. */
     std::vector<BenchmarkProfile>
     profilesToRun() const
@@ -220,18 +270,6 @@ struct BenchCli
         for (const BenchmarkProfile &p : spec2006Profiles())
             if (wantProfile(p.name))
                 out.push_back(p);
-        return out;
-    }
-
-    static std::string
-    joinCommas(const std::vector<std::string> &v)
-    {
-        std::string out;
-        for (const std::string &s : v) {
-            if (!out.empty())
-                out += ",";
-            out += s;
-        }
         return out;
     }
 
@@ -326,8 +364,15 @@ class Sweep
         return _results.at(index);
     }
 
+    /** Execution time of point @p cell normalized to point @p base. */
+    double
+    execRatio(std::size_t cell, std::size_t base) const
+    {
+        return static_cast<double>(at(cell).sim.execTicks) /
+               static_cast<double>(at(base).sim.execTicks);
+    }
+
     const std::vector<ExperimentPoint> &points() const { return _points; }
-    double hostSeconds() const { return _hostSeconds; }
 
     /** Record a derived aggregate row (also serialized to JSON). */
     void
@@ -414,6 +459,71 @@ mean(const std::vector<double> &v)
         s += x;
     return s / static_cast<double>(v.size());
 }
+
+/**
+ * A printed table with one column per derived-row group (a scheme, a
+ * size, a variant). row() prints a labelled row and files each value
+ * under its column; summary() reduces every column, records each result
+ * as the derived row (name, group) and prints the results as a row.
+ */
+class Table
+{
+  public:
+    /** Each value prints as printf(@p cell, value * @p scale) after a
+     *  label padded to @p width. */
+    Table(Sweep &sweep, std::vector<std::string> groups, const char *cell,
+          int width = 12, double scale = 1.0)
+        : _sweep(sweep), _groups(std::move(groups)),
+          _columns(_groups.size()), _cell(cell), _width(width),
+          _scale(scale)
+    {
+    }
+
+    /** File @p values under their columns without printing them. */
+    void
+    add(const std::vector<double> &values)
+    {
+        for (std::size_t i = 0; i < values.size(); ++i)
+            _columns.at(i).push_back(values[i]);
+    }
+
+    void
+    row(const std::string &label, const std::vector<double> &values)
+    {
+        print(label, values);
+        add(values);
+    }
+
+    /** @p reduce is geomean or mean. */
+    void
+    summary(const std::string &label, const std::string &name,
+            double (*reduce)(const std::vector<double> &))
+    {
+        std::vector<double> out;
+        for (std::size_t i = 0; i < _columns.size(); ++i) {
+            out.push_back(reduce(_columns[i]));
+            _sweep.derive(name, _groups[i], out.back());
+        }
+        print(label, out);
+    }
+
+  private:
+    void
+    print(const std::string &label, const std::vector<double> &values) const
+    {
+        std::printf("%-*s |", _width, label.c_str());
+        for (double v : values)
+            std::printf(_cell, v * _scale);
+        std::printf("\n");
+    }
+
+    Sweep &_sweep;
+    std::vector<std::string> _groups;
+    std::vector<std::vector<double>> _columns;
+    const char *_cell;
+    int _width;
+    double _scale;
+};
 
 } // namespace secpb::bench
 

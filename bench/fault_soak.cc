@@ -246,7 +246,6 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const bench::BenchCli cli =
         bench::BenchCli::parse(argc, argv, "fault_soak");
     const std::uint64_t seed = envU64("SECPB_SOAK_SEED", 2026);

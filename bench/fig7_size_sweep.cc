@@ -18,22 +18,15 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig7");
-    const std::uint64_t instr = cli.spec.instructions;
     const unsigned sizes[] = {8, 16, 32, 64, 128, 512};
     const std::vector<BenchmarkProfile> profiles = cli.profilesToRun();
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile, unsigned size) {
-        ExperimentPoint p;
-        p.label = profile + "/" + schemeName(s) + "/entries=" +
-                  std::to_string(size);
-        p.scheme = s;
-        p.profile = profile;
-        p.instructions = instr;
+        ExperimentPoint p = cli.point(s, profile);
+        p.label += "/entries=" + std::to_string(size);
         p.secpbEntries = size;
-        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 
@@ -50,43 +43,30 @@ main(int argc, char **argv)
 
     std::printf("Figure 7: CM execution time vs SecPB size, normalized "
                 "to same-size BBB (%llu instructions/run)\n\n",
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(cli.spec.instructions));
     std::printf("%-12s |", "benchmark");
-    for (unsigned s : sizes)
+    std::vector<std::string> groups;
+    for (unsigned s : sizes) {
+        groups.push_back("entries=" + std::to_string(s));
         std::printf(" %7u", s);
+    }
     std::printf("\n");
 
-    std::vector<std::vector<double>> ratios(std::size(sizes));
-    std::vector<std::vector<double>> nwpes(std::size(sizes));
+    Table ratios(sweep, groups, " %7.3f");
+    Table nwpes(sweep, groups, " %7.2f");
     for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        std::printf("%-12s |", profiles[pi].name.c_str());
-        for (std::size_t si = 0; si < std::size(sizes); ++si) {
-            const SimulationResult &base = sweep.at(idx[pi][si].first).sim;
-            const SimulationResult &r = sweep.at(idx[pi][si].second).sim;
-            const double ratio =
-                static_cast<double>(r.execTicks) / base.execTicks;
-            ratios[si].push_back(ratio);
-            nwpes[si].push_back(r.nwpe);
-            std::printf(" %7.3f", ratio);
+        std::vector<double> ratio, nwpe;
+        for (const auto &[base, cm] : idx[pi]) {
+            ratio.push_back(sweep.execRatio(cm, base));
+            nwpe.push_back(sweep.at(cm).sim.nwpe);
         }
-        std::printf("\n");
+        ratios.row(profiles[pi].name, ratio);
+        nwpes.add(nwpe);
     }
-
-    std::printf("\n%-12s |", "geomean");
-    for (std::size_t si = 0; si < std::size(sizes); ++si) {
-        const double g = geomean(ratios[si]);
-        sweep.derive("geomean_exec_ratio",
-                     "entries=" + std::to_string(sizes[si]), g);
-        std::printf(" %7.3f", g);
-    }
-    std::printf("\n%-12s |", "mean NWPE");
-    for (std::size_t si = 0; si < std::size(sizes); ++si) {
-        const double m = mean(nwpes[si]);
-        sweep.derive("mean_nwpe", "entries=" + std::to_string(sizes[si]),
-                     m);
-        std::printf(" %7.2f", m);
-    }
-    std::printf("\n\npaper: 8-entry overhead 112.3%%, 512-entry 24%%; "
+    std::printf("\n");
+    ratios.summary("geomean", "geomean_exec_ratio", geomean);
+    nwpes.summary("mean NWPE", "mean_nwpe", mean);
+    std::printf("\npaper: 8-entry overhead 112.3%%, 512-entry 24%%; "
                 "diminishing returns at 32-64 entries\n");
 
     sweep.writeJson();

@@ -15,31 +15,26 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "fig8");
-    const std::uint64_t instr = cli.spec.instructions;
 
-    const Scheme all_schemes[] = {Scheme::Cobcm, Scheme::Obcm, Scheme::Bcm,
-                                  Scheme::Cm, Scheme::M, Scheme::NoGap};
-    std::vector<Scheme> schemes;
-    for (Scheme s : all_schemes)
-        if (cli.wantScheme(s))
-            schemes.push_back(s);
+    const std::vector<Scheme> schemes =
+        cli.pick({Scheme::Cobcm, Scheme::Obcm, Scheme::Bcm, Scheme::Cm,
+                  Scheme::M, Scheme::NoGap});
     const std::vector<BenchmarkProfile> profiles = cli.profilesToRun();
     const unsigned sizes[] = {8, 16, 32, 64, 128, 512};
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile,
                      unsigned size = 32) {
-        ExperimentPoint p;
-        p.label = profile + "/" + schemeName(s) + "/entries=" +
-                  std::to_string(size);
-        p.scheme = s;
-        p.profile = profile;
-        p.instructions = instr;
+        ExperimentPoint p = cli.point(s, profile);
+        p.label += "/entries=" + std::to_string(size);
         p.secpbEntries = size;
-        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
+    };
+    // Root updates of a point as a fraction of its sec_wt baseline.
+    auto frac = [&](std::size_t cell, std::size_t wt) {
+        return sweep.at(cell).sim.bmtRootUpdates /
+               std::max<double>(1.0, sweep.at(wt).sim.bmtRootUpdates);
     };
 
     std::vector<std::size_t> wt_idx;
@@ -64,54 +59,42 @@ main(int argc, char **argv)
 
     std::printf("Figure 8: BMT root updates normalized to sec_wt "
                 "(%llu instructions/run)\n\n",
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(cli.spec.instructions));
     std::printf("%-12s |", "benchmark");
-    for (Scheme s : schemes)
+    std::vector<std::string> names;
+    for (Scheme s : schemes) {
+        names.push_back(schemeName(s));
         std::printf(" %7s", schemeName(s));
+    }
     std::printf("\n");
 
-    std::vector<std::vector<double>> fracs(schemes.size());
+    Table table(sweep, names, " %6.1f%%", 12, 100.0);
     for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        const SimulationResult &wt = sweep.at(wt_idx[pi]).sim;
-        const double wt_updates =
-            std::max<std::uint64_t>(1, wt.bmtRootUpdates);
-        std::printf("%-12s |", profiles[pi].name.c_str());
-        for (std::size_t si = 0; si < schemes.size(); ++si) {
-            const SimulationResult &r = sweep.at(cell_idx[pi][si]).sim;
-            const double frac = r.bmtRootUpdates / wt_updates;
-            fracs[si].push_back(frac);
-            std::printf(" %6.1f%%", frac * 100.0);
-        }
-        std::printf("\n");
-    }
-    std::printf("\n%-12s |", "mean");
-    for (std::size_t si = 0; si < schemes.size(); ++si) {
-        const double m = mean(fracs[si]);
-        sweep.derive("mean_bmt_update_frac", schemeName(schemes[si]), m);
-        std::printf(" %6.1f%%", m * 100.0);
+        std::vector<double> fracs;
+        for (std::size_t cell : cell_idx[pi])
+            fracs.push_back(frac(cell, wt_idx[pi]));
+        table.row(profiles[pi].name, fracs);
     }
     std::printf("\n");
+    table.summary("mean", "mean_bmt_update_frac", mean);
 
     std::printf("\nCM BMT root updates vs SecPB size "
                 "(normalized to sec_wt; paper: 8 -> 12.7%%, "
                 "512 -> 1.8%%)\n\n%-12s |", "size");
-    for (unsigned s : sizes)
+    std::vector<std::string> groups;
+    for (unsigned s : sizes) {
+        groups.push_back("entries=" + std::to_string(s));
         std::printf(" %7u", s);
-    std::printf("\n%-12s |", "mean frac");
-    for (std::size_t si = 0; si < std::size(sizes); ++si) {
-        std::vector<double> f;
-        for (const auto &[wt_i, cm_i] : size_idx[si]) {
-            const SimulationResult &wt = sweep.at(wt_i).sim;
-            const SimulationResult &r = sweep.at(cm_i).sim;
-            f.push_back(r.bmtRootUpdates /
-                        std::max<double>(1.0, wt.bmtRootUpdates));
-        }
-        const double m = mean(f);
-        sweep.derive("mean_bmt_update_frac_cm",
-                     "entries=" + std::to_string(sizes[si]), m);
-        std::printf(" %6.1f%%", m * 100.0);
     }
     std::printf("\n");
+    Table by_size(sweep, groups, " %6.1f%%", 12, 100.0);
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+        std::vector<double> fracs;
+        for (const auto &pairs : size_idx)
+            fracs.push_back(frac(pairs[pi].second, pairs[pi].first));
+        by_size.add(fracs);
+    }
+    by_size.summary("mean frac", "mean_bmt_update_frac_cm", mean);
 
     sweep.writeJson();
     return 0;

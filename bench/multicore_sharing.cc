@@ -112,26 +112,21 @@ runSharingPoint(const ExperimentPoint &pt, double share)
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "multicore_sharing");
     const std::uint64_t instr = cli.spec.instructions / NumCores;
     const double shares[] = {0.0, 0.05, 0.10, 0.25, 0.50, 1.0};
 
-    std::vector<Scheme> schemes;
-    for (Scheme s : {Scheme::Cobcm, Scheme::NoGap})
-        if (cli.wantScheme(s))
-            schemes.push_back(s);
+    const std::vector<Scheme> schemes =
+        cli.pick({Scheme::Cobcm, Scheme::NoGap});
 
     Sweep sweep(cli);
     std::vector<std::vector<std::size_t>> idx(schemes.size());
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         for (double share : shares) {
-            ExperimentPoint p;
+            ExperimentPoint p = cli.point(schemes[si], "");
             p.label = std::string(schemeName(schemes[si])) + "/share=" +
                       std::to_string(share);
-            p.scheme = schemes[si];
             p.instructions = instr;
-            p.seed = cli.spec.seed;
             p.tag("cores", std::to_string(NumCores));
             p.custom = [share](const ExperimentPoint &pt) {
                 return runSharingPoint(pt, share);

@@ -40,18 +40,14 @@ struct FrontierSpec
 
 /** The crash@quarter custom runner shared by both sections. */
 ExperimentPoint
-crashPoint(Scheme s, const SchemeParams &params, const std::string &profile,
-           std::uint64_t instr, std::uint64_t seed, const char *suffix)
+crashPoint(const BenchCli &cli, const FrontierSpec &fs,
+           const std::string &profile, const char *suffix)
 {
-    ExperimentPoint p;
-    p.label = schemeSpecName(s, params) + suffix;
-    p.scheme = s;
-    p.schemeParams = params;
-    p.profile = profile;
-    p.instructions = instr;
-    p.seed = seed;
+    ExperimentPoint p = cli.point(fs.scheme, profile);
+    p.label = fs.label() + suffix;
+    p.schemeParams = fs.params;
     p.tag("crash_at", "instr/4");
-    p.custom = [instr](const ExperimentPoint &pt) {
+    p.custom = [](const ExperimentPoint &pt) {
         const BenchmarkProfile &prof = profileByName(pt.profile);
         SimulationSpec spec;
         spec.base = SecPbSystem::configFor(pt.scheme, prof);
@@ -62,7 +58,7 @@ crashPoint(Scheme s, const SchemeParams &params, const std::string &profile,
         Simulation sim(spec);
         SyntheticGenerator gen(prof, pt.instructions, pt.seed);
         sim.start(gen);
-        sim.runUntil(instr / 4);
+        sim.runUntil(pt.instructions / 4);
         const CrashReport cr = sim.crashNow();
         ExperimentResult r;
         r.sim = sim.result();
@@ -90,9 +86,7 @@ crashPoint(Scheme s, const SchemeParams &params, const std::string &profile,
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "recovery_window");
-    const std::uint64_t instr = cli.spec.instructions;
     const std::string profile = "gamess";
 
     // Crash table: the insecure baseline plus the whole secure zoo.
@@ -119,34 +113,24 @@ main(int argc, char **argv)
     Sweep sweep(cli);
     std::vector<std::size_t> idx;
     for (const FrontierSpec &fs : schemes)
-        idx.push_back(sweep.add(crashPoint(fs.scheme, fs.params, profile,
-                                           instr, cli.spec.seed,
-                                           "/crash@quarter")));
+        idx.push_back(
+            sweep.add(crashPoint(cli, fs, profile, "/crash@quarter")));
 
     // Frontier: each candidate contributes a run-to-end point (runtime
     // overhead vs the insecure baseline) and a crash point (window).
     std::size_t baseline_idx = 0;
     std::vector<std::size_t> frontier_run, frontier_crash;
     if (!frontier.empty()) {
-        ExperimentPoint base;
+        ExperimentPoint base = cli.point(Scheme::Bbb, profile);
         base.label = "bbb/run-to-end";
-        base.scheme = Scheme::Bbb;
-        base.profile = profile;
-        base.instructions = instr;
-        base.seed = cli.spec.seed;
         baseline_idx = sweep.add(std::move(base));
         for (const FrontierSpec &fs : frontier) {
-            ExperimentPoint run;
+            ExperimentPoint run = cli.point(fs.scheme, profile);
             run.label = fs.label() + "/run-to-end";
-            run.scheme = fs.scheme;
             run.schemeParams = fs.params;
-            run.profile = profile;
-            run.instructions = instr;
-            run.seed = cli.spec.seed;
             frontier_run.push_back(sweep.add(std::move(run)));
             frontier_crash.push_back(
-                sweep.add(crashPoint(fs.scheme, fs.params, profile, instr,
-                                     cli.spec.seed, "/frontier-crash")));
+                sweep.add(crashPoint(cli, fs, profile, "/frontier-crash")));
         }
     }
 

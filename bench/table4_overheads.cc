@@ -28,7 +28,6 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "table4");
     const std::uint64_t instr = cli.spec.instructions;
 
@@ -37,34 +36,22 @@ main(int argc, char **argv)
         Scheme scheme;
         double paperPct;  ///< Table IV "Slowdown(%)".
     };
-    const Row all_rows[] = {
+    const std::vector<Row> rows = cli.pick<Row>({
         {Scheme::Cobcm, 1.3},  {Scheme::Obcm, 1.5}, {Scheme::Bcm, 14.8},
         {Scheme::Cm, 71.3},    {Scheme::M, 73.8},   {Scheme::NoGap, 118.4},
-    };
-    std::vector<Row> rows;
-    for (const Row &r : all_rows)
-        if (cli.wantScheme(r.scheme))
-            rows.push_back(r);
+    });
     const std::vector<BenchmarkProfile> profiles = cli.profilesToRun();
 
+    // Scheme-major: every profile's baseline, then one block per scheme.
     Sweep sweep(cli);
-    auto point = [&](Scheme s, const std::string &profile) {
-        ExperimentPoint p;
-        p.label = profile + "/" + schemeName(s);
-        p.scheme = s;
-        p.profile = profile;
-        p.instructions = instr;
-        p.seed = cli.spec.seed;
-        return sweep.add(std::move(p));
-    };
-
     std::vector<std::size_t> base_idx;
     std::vector<std::vector<std::size_t>> cell_idx(rows.size());
     for (const BenchmarkProfile &p : profiles)
-        base_idx.push_back(point(Scheme::Bbb, p.name));
+        base_idx.push_back(sweep.add(cli.point(Scheme::Bbb, p.name)));
     for (std::size_t ri = 0; ri < rows.size(); ++ri)
         for (const BenchmarkProfile &p : profiles)
-            cell_idx[ri].push_back(point(rows[ri].scheme, p.name));
+            cell_idx[ri].push_back(
+                sweep.add(cli.point(rows[ri].scheme, p.name)));
 
     // Degraded-mode cells: same (scheme, profile) grid on a battery
     // provisioned for only a fraction of the worst case, adaptive drain
@@ -73,12 +60,8 @@ main(int argc, char **argv)
     // the overhead this table surfaces.
     const CapacitorParams cap = cli.spec.batteryParams();
     auto shed_point = [&](Scheme s, const std::string &profile) {
-        ExperimentPoint p;
-        p.label = profile + "/" + schemeName(s) + "/shed";
-        p.scheme = s;
-        p.profile = profile;
-        p.instructions = instr;
-        p.seed = cli.spec.seed;
+        ExperimentPoint p = cli.point(s, profile);
+        p.label += "/shed";
         p.tag("battery", "provision=0.6,adaptive=on");
         p.custom = [cap](const ExperimentPoint &pt) {
             const BenchmarkProfile &prof = profileByName(pt.profile);
@@ -123,10 +106,8 @@ main(int argc, char **argv)
         std::vector<double> ratios;
         double shed = 0.0, stalls = 0.0;
         for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-            const double base =
-                static_cast<double>(sweep.at(base_idx[pi]).sim.execTicks);
-            ratios.push_back(sweep.at(cell_idx[ri][pi]).sim.execTicks /
-                             base);
+            ratios.push_back(
+                sweep.execRatio(cell_idx[ri][pi], base_idx[pi]));
             shed += sweep.at(shed_idx[ri][pi])
                         .extraValue("mdc_shed_writes");
             stalls += sweep.at(shed_idx[ri][pi])

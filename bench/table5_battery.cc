@@ -60,7 +60,6 @@ sizePoint(double energy_j, double derate)
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "table5");
     const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
     constexpr unsigned entries = 32;

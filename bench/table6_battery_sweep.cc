@@ -15,7 +15,6 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "table6");
     const unsigned sizes[] = {8, 16, 32, 64, 128, 256, 512};
     const Scheme schemes[] = {Scheme::Cobcm, Scheme::NoGap};

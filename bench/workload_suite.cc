@@ -23,9 +23,7 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     const BenchCli cli = BenchCli::parse(argc, argv, "workload_suite");
-    const std::uint64_t instr = cli.spec.instructions;
 
     struct Entry
     {
@@ -47,23 +45,16 @@ main(int argc, char **argv)
         };
     }
 
-    std::vector<Scheme> schemes;
-    for (Scheme s : {Scheme::Sp, Scheme::NoGap, Scheme::M, Scheme::Cm,
-                     Scheme::Bcm, Scheme::Obcm, Scheme::Cobcm,
-                     Scheme::Secpm, Scheme::Triad, Scheme::Eadr,
-                     Scheme::Stream})
-        if (cli.wantScheme(s))
-            schemes.push_back(s);
+    const std::vector<Scheme> schemes = cli.pick(
+        {Scheme::Sp, Scheme::NoGap, Scheme::M, Scheme::Cm, Scheme::Bcm,
+         Scheme::Obcm, Scheme::Cobcm, Scheme::Secpm, Scheme::Triad,
+         Scheme::Eadr, Scheme::Stream});
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const Entry &wl) {
-        ExperimentPoint p;
+        ExperimentPoint p = cli.point(s, "");
         p.label = wl.label + "/" + schemeName(s);
-        p.scheme = s;
-        p.schemeParams = cli.schemeParams;
         p.workload = wl.spec;
-        p.instructions = instr;
-        p.seed = cli.spec.seed;
         return sweep.add(std::move(p));
     };
 
@@ -79,7 +70,7 @@ main(int argc, char **argv)
 
     std::printf("Server workload suite (%llu instructions/point, "
                 "machine model: %s)\n\n",
-                static_cast<unsigned long long>(instr),
+                static_cast<unsigned long long>(cli.spec.instructions),
                 serverWorkloadProfile().name.c_str());
     std::printf("%-14s %-8s %10s %7s %7s %10s %10s\n", "workload",
                 "scheme", "slowdown", "ipc", "ppti", "sb_stalls",
@@ -95,9 +86,7 @@ main(int argc, char **argv)
             const SimulationResult &sim =
                 sweep.at(cell_idx[wi][si]).sim;
             const double slow =
-                (static_cast<double>(sim.execTicks) /
-                     static_cast<double>(base.execTicks) -
-                 1.0) *
+                (sweep.execRatio(cell_idx[wi][si], base_idx[wi]) - 1.0) *
                 100.0;
             sweep.derive("slowdown_pct",
                          workloads[wi].label + "/" +

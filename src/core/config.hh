@@ -32,9 +32,6 @@ struct ObsConfig
 {
     /** Sample the built-in channels every this many ticks (0 = off). */
     Tick samplePeriod = 0;
-
-    /** Ring capacity: the most recent epochs retained. */
-    std::size_t sampleCapacity = 4096;
 };
 
 /**

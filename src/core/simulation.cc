@@ -13,9 +13,6 @@
 namespace secpb
 {
 
-namespace
-{
-
 std::string
 joinNames(const std::vector<std::string> &v)
 {
@@ -27,8 +24,6 @@ joinNames(const std::vector<std::string> &v)
     }
     return out;
 }
-
-} // namespace
 
 std::uint64_t
 parseDecimalU64(const char *what, const char *v)

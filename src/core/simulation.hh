@@ -83,6 +83,9 @@ struct SimulationSpec
  */
 std::uint64_t parseDecimalU64(const char *what, const char *v);
 
+/** @p v joined with commas ("a,b,c"), for CLI help and diagnostics. */
+std::string joinNames(const std::vector<std::string> &v);
+
 /** The facade: one machine, one lifecycle. See the file comment. */
 class Simulation
 {

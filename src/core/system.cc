@@ -63,8 +63,8 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
     }
 
     if (cfg.obs.samplePeriod > 0) {
-        _sampler = std::make_unique<obs::Sampler>(
-            _eq, cfg.obs.samplePeriod, cfg.obs.sampleCapacity);
+        _sampler =
+            std::make_unique<obs::Sampler>(_eq, cfg.obs.samplePeriod);
         _sampler->addChannel("secpb_occupancy", [this] {
             return static_cast<double>(_secpb->occupancy());
         });

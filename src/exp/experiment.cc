@@ -51,7 +51,6 @@ runExperimentPoint(const ExperimentPoint &point)
     spec.base.secpb.params = point.schemeParams;
     spec.base.walker.bmfMode = point.bmf;
     spec.base.obs.samplePeriod = point.samplePeriod;
-    spec.base.obs.sampleCapacity = point.sampleCapacity;
     if (point.configure)
         point.configure(spec.base);
 

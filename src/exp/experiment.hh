@@ -113,9 +113,6 @@ struct ExperimentPoint
      *  build their own system must apply it themselves. */
     Tick samplePeriod = 0;
 
-    /** Ring capacity for the epoch sampler. */
-    std::size_t sampleCapacity = 4096;
-
     /** Embed the full stats dump in this point's JSON. */
     bool captureStats = false;
 

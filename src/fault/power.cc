@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -29,15 +30,26 @@ parseDouble(const std::string &key, const std::string &value)
     return d;
 }
 
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
+/** A probability or charge fraction: a number in [0, 1]. */
+double
+parseFraction(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const std::uint64_t u = std::strtoull(value.c_str(), &end, 10);
-    fatal_if(end == value.c_str() || *end != '\0',
-             "power schedule: bad value '%s' for key '%s'",
-             value.c_str(), key.c_str());
-    return u;
+    const double d = parseDouble(key, value);
+    fatal_if(!(d >= 0.0 && d <= 1.0),
+             "power schedule: %s must be in [0, 1], got '%s'", key.c_str(),
+             value.c_str());
+    return d;
+}
+
+/** A decimal count that fits `unsigned`. */
+unsigned
+parseUnsigned(const char *what, const std::string &value)
+{
+    const std::uint64_t u = parseDecimalU64(what, value.c_str());
+    fatal_if(u > std::numeric_limits<unsigned>::max(),
+             "%s '%s': out of range for a 32-bit value", what,
+             value.c_str());
+    return static_cast<unsigned>(u);
 }
 
 } // namespace
@@ -63,39 +75,43 @@ PowerScheduleSpec::parse(const std::string &kv)
         const std::string key = pair.substr(0, eq);
         const std::string value = pair.substr(eq + 1);
 
+        const std::string what = "power schedule: " + key;
         if (key == "cycles")
-            spec.cycles = static_cast<unsigned>(parseU64(key, value));
+            spec.cycles = parseUnsigned(what.c_str(), value);
         else if (key == "seed")
-            spec.seed = parseU64(key, value);
+            spec.seed = parseDecimalU64(what.c_str(), value.c_str());
         else if (key == "min-instr")
-            spec.minInstructions = parseU64(key, value);
+            spec.minInstructions =
+                parseDecimalU64(what.c_str(), value.c_str());
         else if (key == "max-instr")
-            spec.maxInstructions = parseU64(key, value);
+            spec.maxInstructions =
+                parseDecimalU64(what.c_str(), value.c_str());
         else if (key == "brownout")
-            spec.brownoutChance = parseDouble(key, value);
+            spec.brownoutChance = parseFraction(key, value);
         else if (key == "retain-min")
-            spec.brownoutRetainMin = parseDouble(key, value);
+            spec.brownoutRetainMin = parseFraction(key, value);
         else if (key == "retain-max")
-            spec.brownoutRetainMax = parseDouble(key, value);
+            spec.brownoutRetainMax = parseFraction(key, value);
         else if (key == "interrupt")
-            spec.interruptChance = parseDouble(key, value);
+            spec.interruptChance = parseFraction(key, value);
         else if (key == "partial-recharge")
-            spec.partialRechargeChance = parseDouble(key, value);
+            spec.partialRechargeChance = parseFraction(key, value);
         else if (key == "recharge-floor")
-            spec.rechargeFloor = parseDouble(key, value);
+            spec.rechargeFloor = parseFraction(key, value);
         else if (key == "fade")
             spec.capacityFadePerCycle = parseDouble(key, value);
         else if (key == "tamper-max")
-            spec.finalTamperMax =
-                static_cast<unsigned>(parseU64(key, value));
+            spec.finalTamperMax = parseUnsigned(what.c_str(), value);
         else
             fatal("power schedule: unknown key '%s'", key.c_str());
     }
     fatal_if(spec.cycles == 0, "power schedule: cycles must be >= 1");
     fatal_if(spec.maxInstructions < spec.minInstructions,
              "power schedule: max-instr < min-instr");
-    fatal_if(spec.capacityFadePerCycle <= 0.0 ||
-                 spec.capacityFadePerCycle > 1.0,
+    fatal_if(spec.brownoutRetainMax < spec.brownoutRetainMin,
+             "power schedule: retain-max < retain-min");
+    fatal_if(!(spec.capacityFadePerCycle > 0.0 &&
+               spec.capacityFadePerCycle <= 1.0),
              "power schedule: fade must be in (0, 1]");
     return spec;
 }

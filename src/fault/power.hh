@@ -87,8 +87,11 @@ struct PowerScheduleSpec
     /**
      * Parse "key=value,key=value" (e.g. "cycles=3,seed=9,brownout=0.5").
      * Keys: cycles, seed, min-instr, max-instr, brownout, retain-min,
-     * retain-max, interrupt, partial-recharge, recharge-floor,
-     * tamper-max. Unknown keys or malformed values are fatal.
+     * retain-max, interrupt, partial-recharge, recharge-floor, fade,
+     * tamper-max. Counts are plain decimal digits (cycles and tamper-max
+     * fit 32 bits); chances and charge fractions lie in [0, 1] with
+     * retain-min <= retain-max, and fade lies in (0, 1]. Unknown keys or
+     * malformed or out-of-range values are fatal.
      */
     static PowerScheduleSpec parse(const std::string &kv);
 

@@ -60,6 +60,9 @@ struct SampleSeries
     void toJson(JsonWriter &w) const;
 };
 
+/** Ring capacity of a system's sampler: the most recent epochs retained. */
+constexpr std::size_t SampleCapacity = 4096;
+
 /** Periodic sampler of scalar probes; see the file comment. */
 class Sampler
 {
@@ -67,7 +70,8 @@ class Sampler
     /** Probe returning one channel's current value. */
     using Probe = std::function<double()>;
 
-    Sampler(EventQueue &eq, Tick period, std::size_t capacity = 4096);
+    Sampler(EventQueue &eq, Tick period,
+            std::size_t capacity = SampleCapacity);
 
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;

@@ -17,7 +17,7 @@
  * TRACE_INSTANT macros, which consult a thread-local current tracer
  * installed by a TraceSession. With no session installed the macros
  * cost a single thread-local load and branch -- cheap enough to leave
- * compiled into every hot path (the micro_ops acceptance bound).
+ * compiled into every hot path.
  * Simulations are single-threaded per system, and the sweep engine
  * runs each point on one thread, so a thread-local session cleanly
  * scopes tracing to exactly one point even under `--jobs N`.

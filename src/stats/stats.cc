@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iomanip>
 
-#include "sim/logging.hh"
 #include "stats/json.hh"
 
 namespace secpb
@@ -48,80 +47,6 @@ std::vector<std::pair<std::string, double>>
 Average::jsonFields() const
 {
     return {{".mean", mean()}, {".count", static_cast<double>(_count)}};
-}
-
-Distribution::Distribution(StatGroup &group, std::string name,
-                           std::string desc, double min, double max,
-                           unsigned num_buckets)
-    : StatBase(group, std::move(name), std::move(desc)),
-      _min(min), _max(max),
-      _bucketWidth(num_buckets ? (max - min) / num_buckets : 1.0),
-      _buckets(num_buckets, 0)
-{
-    panic_if(max <= min, "Distribution %s: max must exceed min",
-             _name.c_str());
-    panic_if(num_buckets == 0, "Distribution %s: needs >= 1 bucket",
-             _name.c_str());
-}
-
-void
-Distribution::sample(double v)
-{
-    if (_count == 0) {
-        _minSeen = v;
-        _maxSeen = v;
-    } else {
-        _minSeen = std::min(_minSeen, v);
-        _maxSeen = std::max(_maxSeen, v);
-    }
-    _sum += v;
-    ++_count;
-
-    if (v < _min) {
-        ++_underflow;
-    } else if (v >= _max) {
-        ++_overflow;
-    } else {
-        auto idx = static_cast<size_t>((v - _min) / _bucketWidth);
-        if (idx >= _buckets.size())
-            idx = _buckets.size() - 1;
-        ++_buckets[idx];
-    }
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    os << std::left << std::setw(48) << (prefix + _name + ".mean")
-       << std::right << std::setw(16) << mean()
-       << "  # " << _desc << "\n";
-    os << std::left << std::setw(48) << (prefix + _name + ".min")
-       << std::right << std::setw(16) << _minSeen << "\n";
-    os << std::left << std::setw(48) << (prefix + _name + ".max")
-       << std::right << std::setw(16) << _maxSeen << "\n";
-    os << std::left << std::setw(48) << (prefix + _name + ".count")
-       << std::right << std::setw(16) << _count << "\n";
-}
-
-std::vector<std::pair<std::string, double>>
-Distribution::jsonFields() const
-{
-    return {{".mean", mean()},
-            {".min", _minSeen},
-            {".max", _maxSeen},
-            {".count", static_cast<double>(_count)}};
-}
-
-void
-Distribution::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _underflow = 0;
-    _overflow = 0;
-    _sum = 0.0;
-    _count = 0;
-    _minSeen = 0.0;
-    _maxSeen = 0.0;
 }
 
 StatGroup::StatGroup(std::string name, StatGroup *parent)

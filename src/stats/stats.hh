@@ -3,9 +3,9 @@
  * Lightweight statistics package, modelled on gem5's Stats.
  *
  * Statistics register themselves with a StatGroup; groups can be dumped as
- * human-readable text or CSV. Three primitive kinds cover everything this
- * project needs: Scalar (a counter or accumulated value), Average (mean of
- * samples), and Distribution (bucketed histogram with min/max/mean).
+ * human-readable text or CSV. Two primitive kinds cover everything this
+ * project needs: Scalar (a counter or accumulated value) and Average (mean
+ * of samples).
  */
 
 #ifndef SECPB_STATS_STATS_HH
@@ -107,40 +107,6 @@ class Average : public StatBase
   private:
     double _sum = 0.0;
     std::uint64_t _count = 0;
-};
-
-/** Linear-bucketed histogram with summary moments. */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(StatGroup &group, std::string name, std::string desc,
-                 double min, double max, unsigned num_buckets);
-
-    void sample(double v);
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    std::uint64_t count() const { return _count; }
-    double minSeen() const { return _minSeen; }
-    double maxSeen() const { return _maxSeen; }
-    const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-    std::uint64_t underflows() const { return _underflow; }
-    std::uint64_t overflows() const { return _overflow; }
-
-    void print(std::ostream &os, const std::string &prefix) const override;
-    std::vector<std::pair<std::string, double>> jsonFields() const override;
-    void reset() override;
-
-  private:
-    double _min;
-    double _max;
-    double _bucketWidth;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    double _sum = 0.0;
-    std::uint64_t _count = 0;
-    double _minSeen = 0.0;
-    double _maxSeen = 0.0;
 };
 
 /**

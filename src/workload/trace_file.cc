@@ -3,6 +3,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "core/simulation.hh"
 #include "sim/logging.hh"
 
 namespace secpb
@@ -344,12 +345,8 @@ TraceFileReader::openText(std::ifstream &probe)
                  _path.c_str(), word.c_str());
         std::string count;
         ls >> count;
-        fatal_if(count.empty() ||
-                     count.find_first_not_of("0123456789") !=
-                         std::string::npos,
-                 "%s: malformed op count '%s'", _path.c_str(),
-                 count.c_str());
-        _numOps = std::stoull(count);
+        _numOps = parseDecimalU64((_path + ": op count").c_str(),
+                                  count.c_str());
         _payloadPos = _in.tellg();
         return;
     }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the shared bench harness: the hardened envU64 (trailing
  * garbage, signs, and overflow are fatal, never a silent truncation),
- * the same strict parse on --jobs and --sample-every, and the BenchCli
- * filter/parse helpers. Every argv is nullptr-terminated like a real
+ * the same strict parse on --jobs and --sample-every, the BenchCli
+ * filter/parse helpers, and the grid helpers (point factory, scheme
+ * picker, Table). Every argv is nullptr-terminated like a real
  * main()'s: SimulationSpec::fromCli re-terminates the array it compacts.
  */
 
@@ -125,6 +126,82 @@ TEST(BenchCli, EnvFallbacksAndDefaults)
     // Empty filters pass everything.
     EXPECT_TRUE(cli.wantScheme(Scheme::Sp));
     EXPECT_TRUE(cli.wantProfile("anything"));
+}
+
+TEST(BenchCli, PointCarriesInstrSeedAndSchemeKnobs)
+{
+    const char *argv[] = {"bench", "--instr", "4321", "--seed", "11",
+                          "--scheme", "triad:levels=3,cm", nullptr};
+    BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1,
+        const_cast<char **>(argv), "bench");
+    const ExperimentPoint p = cli.point(Scheme::Triad, "gamess");
+    EXPECT_EQ(p.label, "gamess/triad");
+    EXPECT_EQ(p.scheme, Scheme::Triad);
+    EXPECT_EQ(p.profile, "gamess");
+    EXPECT_EQ(p.instructions, 4321u);
+    EXPECT_EQ(p.seed, 11u);
+    EXPECT_EQ(p.schemeParams.triadLevels, 3u);
+    // Everything else keeps the ExperimentPoint defaults.
+    EXPECT_EQ(p.secpbEntries, 32u);
+    EXPECT_TRUE(p.workload.empty());
+    EXPECT_TRUE(p.tags.empty());
+    EXPECT_FALSE(p.custom);
+}
+
+TEST(BenchCli, PickKeepsDeclarationOrderUnderTheFilter)
+{
+    // The filter names cm before cobcm; the declared order still wins.
+    const char *argv[] = {"bench", "--scheme", "cm,cobcm", nullptr};
+    BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1,
+        const_cast<char **>(argv), "bench");
+    EXPECT_EQ(cli.pick({Scheme::Cobcm, Scheme::Obcm, Scheme::Cm, Scheme::M}),
+              (std::vector<Scheme>{Scheme::Cobcm, Scheme::Cm}));
+
+    struct Row
+    {
+        const char *name;
+        Scheme scheme;
+    };
+    const std::vector<Row> rows = cli.pick<Row>(
+        {{"a", Scheme::Cobcm}, {"b", Scheme::Sp}, {"c", Scheme::Cm},
+         {"d", Scheme::Cobcm}});
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_STREQ(rows[0].name, "a");
+    EXPECT_STREQ(rows[1].name, "c");
+    EXPECT_STREQ(rows[2].name, "d");
+
+    const char *none[] = {"bench", nullptr};
+    BenchCli all = BenchCli::parse(1, const_cast<char **>(none), "bench");
+    EXPECT_EQ(all.pick({Scheme::M, Scheme::Sp, Scheme::Cm}),
+              (std::vector<Scheme>{Scheme::M, Scheme::Sp, Scheme::Cm}));
+}
+
+TEST(BenchCli, TableSummaryDerivesEachColumn)
+{
+    const char *argv[] = {"bench", nullptr};
+    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
+    Sweep sweep(cli);
+    Table table(sweep, {"x", "y"}, " %5.2f");
+    ::testing::internal::CaptureStdout();
+    table.row("r1", {1.0, 2.0});
+    table.row("r2", {4.0, 8.0});
+    table.summary("geomean", "g", geomean);
+    table.summary("mean", "m", mean);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "r1           |  1.00  2.00\n"
+              "r2           |  4.00  8.00\n"
+              "geomean      |  2.00  4.00\n"
+              "mean         |  2.50  5.00\n");
+    const std::vector<DerivedRow> derived = sweep.report().derived;
+    ASSERT_EQ(derived.size(), 4u);
+    EXPECT_EQ(derived[0].name, "g");
+    EXPECT_EQ(derived[0].group, "x");
+    EXPECT_DOUBLE_EQ(derived[0].value, 2.0);
+    EXPECT_EQ(derived[3].name, "m");
+    EXPECT_EQ(derived[3].group, "y");
+    EXPECT_DOUBLE_EQ(derived[3].value, 5.0);
 }
 
 TEST(BenchCli, ObservabilityFlagsParse)

@@ -135,6 +135,23 @@ TEST(IntermittentDeath, BadScheduleKeysAreFatal)
                 ::testing::ExitedWithCode(1), "key=value");
     EXPECT_EXIT(PowerScheduleSpec::parse("brownout=x"),
                 ::testing::ExitedWithCode(1), "bad value");
+    // Counts are strict decimals that fit their field: no sign wrap,
+    // no silent truncation to 32 bits.
+    EXPECT_EXIT(PowerScheduleSpec::parse("cycles=-1"),
+                ::testing::ExitedWithCode(1), "not a decimal integer");
+    EXPECT_EXIT(PowerScheduleSpec::parse("cycles=4294967297"),
+                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(PowerScheduleSpec::parse("tamper-max=-2"),
+                ::testing::ExitedWithCode(1), "not a decimal integer");
+    // Chances and charge fractions lie in [0, 1]; NaN is not in it.
+    EXPECT_EXIT(PowerScheduleSpec::parse("brownout=nan"),
+                ::testing::ExitedWithCode(1), "must be in \\[0, 1\\]");
+    EXPECT_EXIT(PowerScheduleSpec::parse("brownout=7"),
+                ::testing::ExitedWithCode(1), "must be in \\[0, 1\\]");
+    EXPECT_EXIT(PowerScheduleSpec::parse("retain-min=0.9,retain-max=0.5"),
+                ::testing::ExitedWithCode(1), "retain-max < retain-min");
+    EXPECT_EXIT(PowerScheduleSpec::parse("fade=nan"),
+                ::testing::ExitedWithCode(1), "fade must be in");
 }
 
 TEST(Intermittent, CrashRecoverCrashSurvivesEverySecureScheme)

@@ -39,24 +39,6 @@ TEST(Stats, AverageComputesMean)
     EXPECT_EQ(a.count(), 3u);
 }
 
-TEST(Stats, DistributionBucketsAndMoments)
-{
-    StatGroup g("g");
-    Distribution d(g, "d", "a distribution", 0.0, 100.0, 10);
-    d.sample(5.0);    // bucket 0
-    d.sample(15.0);   // bucket 1
-    d.sample(15.5);   // bucket 1
-    d.sample(-1.0);   // underflow
-    d.sample(250.0);  // overflow
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.buckets()[0], 1u);
-    EXPECT_EQ(d.buckets()[1], 2u);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 1u);
-    EXPECT_DOUBLE_EQ(d.minSeen(), -1.0);
-    EXPECT_DOUBLE_EQ(d.maxSeen(), 250.0);
-}
-
 TEST(Stats, GroupFullNameNests)
 {
     StatGroup parent("system");
@@ -112,21 +94,6 @@ TEST(Stats, FindLocatesByName)
     EXPECT_EQ(g.find("missing"), nullptr);
 }
 
-TEST(Stats, EmptyDistributionReportsZeroMoments)
-{
-    StatGroup g("g");
-    Distribution d(g, "d", "", 0.0, 100.0, 10);
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.underflows(), 0u);
-    EXPECT_EQ(d.overflows(), 0u);
-    // Dumping an empty distribution must not divide by zero or emit NaN.
-    std::ostringstream os;
-    g.dumpCsv(os);
-    EXPECT_EQ(os.str().find("nan"), std::string::npos);
-    EXPECT_EQ(os.str().find("inf"), std::string::npos);
-}
-
 TEST(Stats, AverageWithZeroSamplesIsZeroNotNan)
 {
     StatGroup g("g");
@@ -141,7 +108,6 @@ TEST(Stats, ResetRoundTripsEachKind)
     StatGroup g("g");
     Scalar s(g, "s", "");
     Average a(g, "a", "");
-    Distribution d(g, "d", "", 0.0, 10.0, 5);
 
     // Capture the pristine machine output, mutate, reset, recompare.
     std::ostringstream before;
@@ -149,17 +115,11 @@ TEST(Stats, ResetRoundTripsEachKind)
 
     s += 3;
     a.sample(1.0);
-    d.sample(-5.0);   // touches underflow and min/max tracking
-    d.sample(42.0);
     g.resetAll();
 
     std::ostringstream after;
     g.dumpCsv(after);
     EXPECT_EQ(before.str(), after.str());
-    EXPECT_EQ(d.underflows(), 0u);
-    EXPECT_EQ(d.overflows(), 0u);
-    EXPECT_DOUBLE_EQ(d.minSeen(), 0.0);
-    EXPECT_DOUBLE_EQ(d.maxSeen(), 0.0);
 }
 
 TEST(Stats, NanAndInfSerializeAsJsonNull)

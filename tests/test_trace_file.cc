@@ -226,6 +226,19 @@ TEST(TraceFileDeath, TextCountMismatchIsFatal)
     std::remove(path.c_str());
 }
 
+TEST(TraceFileDeath, OversizedTextCountIsFatal)
+{
+    // All digits, but past 2^64 - 1: a diagnostic, not an uncaught
+    // std::out_of_range.
+    const std::string path = scratchPath("bigcount.trc");
+    {
+        std::ofstream out(path);
+        out << "secpb-trace v1 text\nops 123456789012345678901\nend\n";
+    }
+    EXPECT_DEATH(TraceFileReader r(path), "op count .*out of range");
+    std::remove(path.c_str());
+}
+
 TEST(TraceFileDeath, MisalignedStoreIsFatalAtWriteTime)
 {
     const std::string path = scratchPath("align.trc");
