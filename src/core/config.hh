@@ -90,18 +90,6 @@ struct SystemConfig
     /** Protected PM capacity (8 GB). */
     std::uint64_t pmDataBytes = 8ULL << 30;
 
-    /**
-     * @name Hot-table pre-reservation hints
-     * Expected touched footprint of the sparse PM image and counter
-     * store. These size the open-addressing tables up front so warm-up
-     * rehash churn stops skewing short benchmark rounds; the tables
-     * still grow past the hint if a workload outruns it.
-     * @{
-     */
-    std::size_t pmReserveDataBlocks = 4096;
-    std::size_t pmReserveCounterPages = 512;
-    /** @} */
-
     SecurityKeys keys;
 
     CpuConfig cpu;

@@ -15,12 +15,6 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
       _counters(_layout),
       _energy(EnergyCosts{}, 0 /* placeholder, fixed below */)
 {
-    // Pre-size the sparse PM image and counter store to the expected
-    // touched footprint so warm-up growth of the open-addressing tables
-    // stops skewing short runs.
-    _pm.reserve(cfg.pmReserveDataBlocks, cfg.pmReserveCounterPages);
-    _counters.reserve(cfg.pmReserveCounterPages);
-
     _pcm = std::make_unique<PcmModel>(_eq, cfg.pcm, _rootStats);
     _dcache = std::make_unique<DataHierarchy>(cfg.dataCache, *_pcm,
                                               _rootStats);
@@ -80,10 +74,10 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
                        _secpb->predictCrashDrainWork());
         });
         _sampler->addChannel("ctr_cache_dirty", [this] {
-            return static_cast<double>(_ctrCache->dirtyBlocks().size());
+            return static_cast<double>(_ctrCache->numDirty());
         });
         _sampler->addChannel("mac_cache_dirty", [this] {
-            return static_cast<double>(_macCache->dirtyBlocks().size());
+            return static_cast<double>(_macCache->numDirty());
         });
         _sampler->addChannel("bmt_inflight_walks", [this] {
             return static_cast<double>(_walker->inFlightWalks());

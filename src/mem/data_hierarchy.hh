@@ -111,13 +111,6 @@ class DataHierarchy
     bool residentL2(Addr addr) const { return _l2.contains(addr); }
     bool residentL3(Addr addr) const { return _l3.contains(addr); }
 
-    /** Total lines resident (for eADR-style what-if accounting). */
-    std::uint64_t
-    residentLines() const
-    {
-        return _l1.numValid() + _l2.numValid() + _l3.numValid();
-    }
-
   private:
     static void
     fill(SetAssocCache &cache, Addr addr)

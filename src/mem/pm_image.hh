@@ -116,15 +116,6 @@ class PmImage
         return _counters.sortedKeys();
     }
 
-    /** Pre-size the hot tables (warm-up rehash churn skews short reps). */
-    void
-    reserve(std::size_t data_blocks, std::size_t pages)
-    {
-        _data.reserve(data_blocks);
-        _macs.reserve(data_blocks);
-        _counters.reserve(pages);
-    }
-
     /**
      * Quarantine a data block (restore.hh): drop its ciphertext and MAC
      * so a detected-torn block reads as never-persisted instead of

@@ -78,9 +78,6 @@ class CounterStore
     /** Number of touched counter blocks. */
     std::size_t numTouched() const { return _blocks.size(); }
 
-    /** Pre-size for @p pages touched counter blocks (warm-up churn). */
-    void reserve(std::size_t pages) { _blocks.reserve(pages); }
-
     /**
      * Install a counter block wholesale (power-cycle restore: the
      * working copy is volatile and reboots cold, so recovery reloads it

@@ -93,14 +93,7 @@ class MetadataCache
     /** Invalidate a block (coherence with SecPB-resident metadata). */
     void invalidate(Addr addr) { _tags.invalidate(addr); }
 
-    /** Dirty blocks currently resident (crash-flush support). */
-    std::vector<Addr>
-    dirtyBlocks() const
-    {
-        return _tags.residentBlocks(true);
-    }
-
-    /** dirtyBlocks().size() without the copy (crash-work pricing). */
+    /** Dirty blocks currently resident (crash-work pricing). */
     std::uint64_t numDirty() const { return _tags.numDirty(); }
 
     /**
@@ -113,16 +106,10 @@ class MetadataCache
     std::size_t
     cleanDirty(std::size_t max_blocks)
     {
-        std::size_t cleaned = 0;
-        for (Addr addr : _tags.residentBlocks(true)) {
-            if (cleaned >= max_blocks)
-                break;
+        return _tags.cleanDirty(max_blocks, [this](Addr addr) {
             ++statWritebacks;
             _pcm.writeOccupy(addr);
-            _tags.markClean(addr);
-            ++cleaned;
-        }
-        return cleaned;
+        });
     }
 
     /** Drop everything (post-crash restart). */

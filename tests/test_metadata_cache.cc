@@ -81,9 +81,9 @@ TEST(MetadataCache, DirtyBlocksEnumerated)
     f.cache.writeAccess(0x000);
     f.cache.writeAccess(0x040);
     f.cache.readAccess(0x080);
-    EXPECT_EQ(f.cache.dirtyBlocks().size(), 2u);
+    EXPECT_EQ(f.cache.numDirty(), 2u);
     f.cache.flushAll();
-    EXPECT_TRUE(f.cache.dirtyBlocks().empty());
+    EXPECT_EQ(f.cache.numDirty(), 0u);
 }
 
 TEST(MetadataCache, HitRateTracksAccesses)

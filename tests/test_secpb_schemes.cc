@@ -282,7 +282,7 @@ TEST(SchemeZoo, SecpmCounterWriteThroughKeepsCtrCacheClean)
     for (Addr a = 0; a < 24 * BlockSize; a += BlockSize)
         gen.store(a, a + 11);
     sys.run(gen);
-    EXPECT_TRUE(sys.ctrCache().dirtyBlocks().empty());
+    EXPECT_EQ(sys.ctrCache().numDirty(), 0u);
 
     // Contrast: the same run under BCM (also early-counter, but lazy
     // write-back) leaves dirty counter blocks behind.
@@ -291,7 +291,7 @@ TEST(SchemeZoo, SecpmCounterWriteThroughKeepsCtrCacheClean)
     for (Addr a = 0; a < 24 * BlockSize; a += BlockSize)
         gen2.store(a, a + 11);
     lazy.run(gen2);
-    EXPECT_FALSE(lazy.ctrCache().dirtyBlocks().empty());
+    EXPECT_GT(lazy.ctrCache().numDirty(), 0u);
 
     CrashReport cr = sys.crashNow();
     EXPECT_TRUE(cr.recovered);

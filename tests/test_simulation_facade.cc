@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "core/simulation.hh"
+#include "fault/injector.hh"
+#include "stats/json.hh"
 #include "workload/scripted.hh"
 #include "workload/synthetic.hh"
 
@@ -138,6 +140,68 @@ TEST(SimulationFacade, SingleCoreMatchesDirectSystem)
 
     EXPECT_EQ(crashFingerprint(fcr), crashFingerprint(dcr));
     EXPECT_EQ(statsDumpOf(bsim), statsDumpOf(bdirect));
+}
+
+namespace
+{
+
+/**
+ * One crash_soak-style fault trial on a newly built machine: bounded
+ * battery, crash at a persist count, tampers. Returns every output as
+ * one comparable string: the run result, the fault verdict, every
+ * CrashWork count and the stats JSON.
+ */
+std::string
+faultTrialOutputs()
+{
+    SimulationSpec spec;
+    spec.base.scheme = Scheme::Bcm;
+    spec.base.pmDataBytes = 1ULL << 30;
+    spec.base.cpu.addressDrivenLoads = true;
+    Simulation sim(spec);
+    SyntheticGenerator gen(profileByName("gcc"), 12'000, 99);
+    FaultPlan plan;
+    plan.crashAtPersist = 150;
+    plan.batteryFraction = 0.5;
+    plan.tamperCount = 3;
+    plan.tamperSeed = 17;
+    const FaultReport r = FaultInjector(sim.system(), plan).run(gen);
+    EXPECT_TRUE(r.crashedMidRun);
+    EXPECT_EQ(r.tampers.size(), 3u);
+
+    std::ostringstream os;
+    os << fingerprint(sim.result()) << crashFingerprint(r.crash)
+       << "mid_run=" << r.crashedMidRun << " tick=" << r.crashTick
+       << " persists=" << r.persistsAtCrash << " ok=" << r.ok()
+       << " tampers=" << r.tampers.size()
+       << " detected=" << r.tampersAllDetected
+       << " post_tamper_ok=" << r.postTamper.ok() << '\n';
+    JsonWriter w(os);
+    sim.stats().toJson(w);
+    return os.str();
+}
+
+} // namespace
+
+TEST(SimulationFacade, MachineOutputsDoNotDependOnEarlierMachines)
+{
+    // Tag-array way storage is uninitialised heap memory. A machine
+    // built right after a store-heavy one dirtied every cache and was
+    // destroyed reuses that memory, and must still behave exactly like
+    // the first machine built on this thread.
+    const std::string first = faultTrialOutputs();
+    {
+        SimulationSpec spec;
+        spec.base.scheme = Scheme::Bcm;
+        spec.base.pmDataBytes = 1ULL << 30;
+        spec.base.cpu.addressDrivenLoads = true;
+        Simulation sim(spec);
+        SyntheticGenerator gen(profileByName("povray"), 200'000, 3);
+        sim.run(gen);
+        EXPECT_GT(sim.system().ctrCache().numDirty(), 0u);
+        EXPECT_GT(sim.system().macCache().numDirty(), 0u);
+    }
+    EXPECT_EQ(faultTrialOutputs(), first);
 }
 
 TEST(SimulationFacade, MultiCoreMatchesDirectMultiSystem)
