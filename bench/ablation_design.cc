@@ -14,8 +14,9 @@
  *  4. Store buffer    -- depth absorbs NoGap's per-store MAC latency
  *                        bursts.
  *
- * Every (variant, baseline) pair is two experiment points whose free-form
- * `configure` override applies the ablated knob (recorded in tags).
+ * Every (variant, baseline) pair is two experiment points; each applies
+ * the ablated knob to its SystemConfig when it is made and records the
+ * knob in its tags.
  */
 
 #include "bench_common.hh"
@@ -42,11 +43,12 @@ main(int argc, char **argv)
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile,
                      const std::string &knob, const std::string &value,
-                     std::function<void(SystemConfig &)> configure) {
+                     const std::function<void(SystemConfig &)> &apply) {
         ExperimentPoint p = cli.point(s, profile);
         p.label += "/" + knob + "=" + value;
         p.tag(knob, value);
-        p.configure = std::move(configure);
+        if (apply)
+            apply(p.spec.base);
         return sweep.add(std::move(p));
     };
 

@@ -26,7 +26,8 @@
  *   --profile A[,B...]  keep matching profiles   (repeatable)
  *   --no-progress       suppress the stderr progress/ETA line
  *   --trace-out PATH    write a Perfetto trace of the first point
- *   --sample-every N    epoch-sample every point every N ticks
+ *   --sample-every N    epoch-sample every non-custom point every N
+ *                       ticks
  *   --stats             embed the full stats dump in each JSON point
  *   --debug FLAG[,..]   enable DPRINTF debug flags (see --help)
  * plus the simulation-level flags SimulationSpec::fromCli owns and
@@ -87,7 +88,7 @@ struct BenchCli
     std::string jsonPath;            ///< Empty = no JSON output.
     std::vector<Scheme> schemes;     ///< Empty = no scheme filter.
     /** Scheme knobs from parameterized --scheme specs (triad:levels=N);
-     *  defaults elsewhere. Benches thread this into their points. */
+     *  defaults elsewhere. point() threads this into each point. */
     SchemeParams schemeParams;
     std::vector<std::string> profiles;  ///< Empty = no profile filter.
     bool progress = true;
@@ -252,13 +253,11 @@ struct BenchCli
     ExperimentPoint
     point(Scheme s, const std::string &profile) const
     {
-        ExperimentPoint p;
+        ExperimentPoint p = makePoint(s, profile);
         p.label = profile + "/" + schemeName(s);
-        p.scheme = s;
-        p.schemeParams = schemeParams;
-        p.profile = profile;
-        p.instructions = spec.instructions;
-        p.seed = spec.seed;
+        p.spec.base.secpb.params = schemeParams;
+        p.spec.instructions = spec.instructions;
+        p.spec.seed = spec.seed;
         return p;
     }
 
@@ -317,34 +316,31 @@ class Sweep
     void
     run()
     {
-        // Apply the shared observability knobs here, so no bench binary
-        // needs per-flag plumbing: --sample-every / --stats reach every
-        // point; --trace-out records the first point (one timeline per
-        // trace file keeps the Perfetto track layout readable).
+        // Apply the shared knobs here, so no bench binary needs per-flag
+        // plumbing: --stats reaches every point; --sample-every and
+        // --workload reach every default-runner point (custom runners
+        // build what they measure themselves, and points that pinned
+        // their own period or workload keep it); --trace-out and
+        // --trace-record each capture the first point only (one
+        // timeline, or one op stream, per file).
+        bool record = !_cli.spec.traceRecord.empty();
         for (ExperimentPoint &p : _points) {
-            if (_cli.sampleEvery > 0 && p.samplePeriod == 0)
-                p.samplePeriod = _cli.sampleEvery;
             if (_cli.captureStats)
                 p.captureStats = true;
-            // --workload redirects every default-runner point to the
-            // registry generator; custom runners opt in themselves
-            // (fault_soak does), and points that pinned their own
-            // workload keep it.
-            if (!_cli.spec.workload.empty() && !p.custom && p.workload.empty())
-                p.workload = _cli.spec.workload;
+            if (p.custom)
+                continue;
+            SimulationSpec &spec = p.spec;
+            if (spec.base.obs.samplePeriod == 0)
+                spec.base.obs.samplePeriod = _cli.sampleEvery;
+            if (spec.workload.empty())
+                spec.workload = _cli.spec.workload;
+            if (record) {
+                spec.traceRecord = _cli.spec.traceRecord;
+                record = false;
+            }
         }
         if (_tracer && !_points.empty())
             _points.front().tracer = _tracer.get();
-        if (!_cli.spec.traceRecord.empty()) {
-            // Like --trace-out: record exactly the first point (one
-            // trace file holds one op stream).
-            for (ExperimentPoint &p : _points) {
-                if (p.custom)
-                    continue;
-                p.traceRecord = _cli.spec.traceRecord;
-                break;
-            }
-        }
 
         SweepOptions opts;
         opts.jobs = _cli.jobs;

@@ -131,34 +131,34 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
         Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
         const char *profile =
             SoakProfiles[rng.below(std::size(SoakProfiles))];
-        PowerScheduleSpec spec = base;
-        spec.seed = seed * 1'000'003 + trial;
+        PowerScheduleSpec schedule = base;
+        schedule.seed = seed * 1'000'003 + trial;
         // Alternate the adaptive drain policy: even trials run with it
         // (and must hold the never-overspend invariant), odd trials run
         // the unprotected flat capacitor so brownouts actually abandon
         // entries and exercise the restore triage paths.
         const bool adaptive = trial % 2 == 0;
 
+        // The default machine with a 1 GiB PM region, not a profile's.
         ExperimentPoint p;
         p.label = "trial=" + std::to_string(trial);
-        p.scheme = SchemeZoo[si];
-        if (p.scheme == Scheme::Triad)
-            p.schemeParams.triadLevels =
-                1 + static_cast<unsigned>(trial % 4);
         p.profile = profile;
-        p.instructions = 0;
-        p.seed = spec.seed;
-        p.tag("schedule", spec.describe());
+        SystemConfig &cfg = p.spec.base;
+        cfg.scheme = SchemeZoo[si];
+        if (cfg.scheme == Scheme::Triad)
+            cfg.secpb.params.triadLevels =
+                1 + static_cast<unsigned>(trial % 4);
+        cfg.pmDataBytes = 1ULL << 30;
+        cfg.battery.enabled = true;
+        cfg.battery.cap = params;
+        cfg.battery.adaptive.enabled = adaptive;
+        p.spec.instructions = 0;
+        p.spec.seed = schedule.seed;
+        p.tag("schedule", schedule.describe());
         p.tag("adaptive", adaptive ? "on" : "off");
-        p.custom = [spec, params, adaptive](const ExperimentPoint &pt) {
-            SystemConfig cfg;
-            cfg.scheme = pt.scheme;
-            cfg.secpb.params = pt.schemeParams;
-            cfg.pmDataBytes = 1ULL << 30;
-            cfg.battery.enabled = true;
-            cfg.battery.cap = params;
-            cfg.battery.adaptive.enabled = adaptive;
-            IntermittentPowerInjector inj(cfg, spec, pt.profile);
+        p.custom = [schedule, adaptive](const ExperimentPoint &pt) {
+            IntermittentPowerInjector inj(pt.spec.base, schedule,
+                                          pt.profile);
             const IntermittentReport r = inj.run();
 
             double abandoned = 0, quarantined = 0, rolled = 0;
@@ -272,34 +272,25 @@ main(int argc, char **argv)
         const TrialParams t = drawTrial(seed, trial);
         params.push_back(t);
 
+        // The default machine with a 1 GiB PM region, not a profile's.
         ExperimentPoint p;
         p.label = "trial=" + std::to_string(trial);
-        p.scheme = SchemeZoo[t.schemeIdx];
-        p.schemeParams = t.schemeParams;
         p.profile = t.profile;
+        SimulationSpec &spec = p.spec;
+        spec.base.scheme = SchemeZoo[t.schemeIdx];
+        spec.base.secpb.params = t.schemeParams;
+        spec.base.pmDataBytes = 1ULL << 30;
         // --workload crash-soaks a registry workload (WAL commits and
         // journal trains crashing mid-burst) instead of the profiles.
-        p.workload = cli.spec.workload;
-        p.instructions = t.instructions;
-        p.seed = t.wseed;
+        spec.workload = cli.spec.workload;
+        spec.instructions = t.instructions;
+        spec.seed = t.wseed;
         p.tag("plan", t.plan.describe());
-        p.custom = [t](const ExperimentPoint &pt) {
-            SimulationSpec spec;
-            spec.base.scheme = pt.scheme;
-            spec.base.secpb.params = pt.schemeParams;
-            spec.base.pmDataBytes = 1ULL << 30;
-            spec.instructions = pt.instructions;
-            spec.seed = pt.seed;
-            Simulation sim(spec);
-            SecPbSystem &sys = sim.system();
-            std::unique_ptr<WorkloadGenerator> gen;
-            if (!pt.workload.empty()) {
-                gen = makeWorkload(pt.workload, pt.instructions, pt.seed);
-            } else {
-                gen = std::make_unique<SyntheticGenerator>(
-                    profileByName(pt.profile), pt.instructions, pt.seed);
-            }
-            const FaultReport r = FaultInjector(sys, t.plan).run(*gen);
+        p.custom = [plan = t.plan](const ExperimentPoint &pt) {
+            Simulation sim(pt.spec);
+            const auto gen = pointWorkload(pt);
+            const FaultReport r =
+                FaultInjector(sim.system(), plan).run(*gen);
             ExperimentResult res;
             res.extra = {
                 {"ok", r.ok() ? 1.0 : 0.0},

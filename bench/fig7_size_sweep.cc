@@ -26,7 +26,7 @@ main(int argc, char **argv)
     auto point = [&](Scheme s, const std::string &profile, unsigned size) {
         ExperimentPoint p = cli.point(s, profile);
         p.label += "/entries=" + std::to_string(size);
-        p.secpbEntries = size;
+        p.spec.base.secpb.numEntries = size;
         return sweep.add(std::move(p));
     };
 

@@ -28,7 +28,7 @@ main(int argc, char **argv)
                      unsigned size = 32) {
         ExperimentPoint p = cli.point(s, profile);
         p.label += "/entries=" + std::to_string(size);
-        p.secpbEntries = size;
+        p.spec.base.secpb.numEntries = size;
         return sweep.add(std::move(p));
     };
     // Root updates of a point as a fraction of its sec_wt baseline.

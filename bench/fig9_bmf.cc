@@ -45,7 +45,7 @@ main(int argc, char **argv)
         for (const Variant &v : variants) {
             ExperimentPoint pt = cli.point(v.scheme, p.name);
             pt.label = p.name + "/" + v.name;
-            pt.bmf = v.bmf;
+            pt.spec.base.walker.bmfMode = v.bmf;
             pt.tag("variant", v.name);
             cell_idx.back().push_back(sweep.add(std::move(pt)));
         }

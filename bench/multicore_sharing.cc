@@ -75,15 +75,14 @@ class SharingGenerator : public WorkloadGenerator
 ExperimentResult
 runSharingPoint(const ExperimentPoint &pt, double share)
 {
-    SimulationSpec spec;
-    spec.base.scheme = pt.scheme;
-    spec.cores = NumCores;
+    const SimulationSpec &spec = pt.spec;
     Simulation sim(spec);
     std::vector<std::unique_ptr<SharingGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
     for (unsigned c = 0; c < spec.cores; ++c) {
         gens.push_back(std::make_unique<SharingGenerator>(
-            pt.instructions, share, 0x1000000ULL * (c + 1), pt.seed + c));
+            spec.instructions, share, 0x1000000ULL * (c + 1),
+            spec.seed + c));
         raw.push_back(gens.back().get());
     }
     const MultiCoreResult mr = sim.run(raw);
@@ -123,10 +122,14 @@ main(int argc, char **argv)
     std::vector<std::vector<std::size_t>> idx(schemes.size());
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         for (double share : shares) {
-            ExperimentPoint p = cli.point(schemes[si], "");
+            // The default machine, not a profile's: no configFor.
+            ExperimentPoint p;
             p.label = std::string(schemeName(schemes[si])) + "/share=" +
                       std::to_string(share);
-            p.instructions = instr;
+            p.spec.base.scheme = schemes[si];
+            p.spec.cores = NumCores;
+            p.spec.instructions = instr;
+            p.spec.seed = cli.spec.seed;
             p.tag("cores", std::to_string(NumCores));
             p.custom = [share](const ExperimentPoint &pt) {
                 return runSharingPoint(pt, share);

@@ -21,7 +21,6 @@
  */
 
 #include "bench_common.hh"
-#include "workload/synthetic.hh"
 
 using namespace secpb;
 using namespace secpb::bench;
@@ -45,20 +44,13 @@ crashPoint(const BenchCli &cli, const FrontierSpec &fs,
 {
     ExperimentPoint p = cli.point(fs.scheme, profile);
     p.label = fs.label() + suffix;
-    p.schemeParams = fs.params;
+    p.spec.base.secpb.params = fs.params;
     p.tag("crash_at", "instr/4");
     p.custom = [](const ExperimentPoint &pt) {
-        const BenchmarkProfile &prof = profileByName(pt.profile);
-        SimulationSpec spec;
-        spec.base = SecPbSystem::configFor(pt.scheme, prof);
-        spec.base.secpb.numEntries = pt.secpbEntries;
-        spec.base.secpb.params = pt.schemeParams;
-        spec.instructions = pt.instructions;
-        spec.seed = pt.seed;
-        Simulation sim(spec);
-        SyntheticGenerator gen(prof, pt.instructions, pt.seed);
-        sim.start(gen);
-        sim.runUntil(pt.instructions / 4);
+        Simulation sim(pt.spec);
+        const auto gen = pointWorkload(pt);
+        sim.start(*gen);
+        sim.runUntil(pt.spec.instructions / 4);
         const CrashReport cr = sim.crashNow();
         ExperimentResult r;
         r.sim = sim.result();
@@ -127,7 +119,7 @@ main(int argc, char **argv)
         for (const FrontierSpec &fs : frontier) {
             ExperimentPoint run = cli.point(fs.scheme, profile);
             run.label = fs.label() + "/run-to-end";
-            run.schemeParams = fs.params;
+            run.spec.base.secpb.params = fs.params;
             frontier_run.push_back(sweep.add(std::move(run)));
             frontier_crash.push_back(
                 sweep.add(crashPoint(cli, fs, profile, "/frontier-crash")));

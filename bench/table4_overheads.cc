@@ -63,22 +63,16 @@ main(int argc, char **argv)
         ExperimentPoint p = cli.point(s, profile);
         p.label += "/shed";
         p.tag("battery", "provision=0.6,adaptive=on");
-        p.custom = [cap](const ExperimentPoint &pt) {
-            const BenchmarkProfile &prof = profileByName(pt.profile);
-            SimulationSpec spec;
-            spec.base = SecPbSystem::configFor(pt.scheme, prof);
-            spec.base.secpb.numEntries = pt.secpbEntries;
-            spec.base.battery.enabled = true;
-            spec.base.battery.cap = cap;
-            spec.base.battery.provisionFraction = 0.6;
-            spec.base.battery.adaptive.enabled = true;
-            spec.instructions = pt.instructions;
-            spec.seed = pt.seed;
-            Simulation sim(spec);
+        p.spec.base.battery.enabled = true;
+        p.spec.base.battery.cap = cap;
+        p.spec.base.battery.provisionFraction = 0.6;
+        p.spec.base.battery.adaptive.enabled = true;
+        p.custom = [](const ExperimentPoint &pt) {
+            Simulation sim(pt.spec);
             SecPbSystem &sys = sim.system();
-            SyntheticGenerator gen(prof, pt.instructions, pt.seed);
+            const auto gen = pointWorkload(pt);
             ExperimentResult res;
-            res.sim = sim.run(gen);
+            res.sim = sim.run(*gen);
             res.extra = {
                 {"mdc_shed_writes",
                  sys.secpb().statMdcShedWrites.value()},

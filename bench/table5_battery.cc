@@ -88,8 +88,9 @@ main(int argc, char **argv)
     for (const Row &r : rows) {
         ExperimentPoint p;
         p.label = r.name;
-        p.instructions = 0;
-        p.secpbEntries = entries;
+        p.spec.base.scheme = Scheme::Bbb;
+        p.spec.base.secpb.numEntries = entries;
+        p.spec.instructions = 0;
         p.tag("kind", "battery_sizing");
         const double energy = r.energyJ;
         const double derate = cli.spec.batteryDerate;

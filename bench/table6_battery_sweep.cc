@@ -27,9 +27,9 @@ main(int argc, char **argv)
             ExperimentPoint p;
             p.label = std::string(schemeName(scheme)) + "/entries=" +
                       std::to_string(entries);
-            p.scheme = scheme;
-            p.instructions = 0;
-            p.secpbEntries = entries;
+            p.spec.base.scheme = scheme;
+            p.spec.base.secpb.numEntries = entries;
+            p.spec.instructions = 0;
             p.tag("kind", "battery_sizing");
             const double derate = cli.spec.batteryDerate;
             p.custom = [scheme, entries, derate](const ExperimentPoint &) {

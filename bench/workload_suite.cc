@@ -54,7 +54,7 @@ main(int argc, char **argv)
     auto point = [&](Scheme s, const Entry &wl) {
         ExperimentPoint p = cli.point(s, "");
         p.label = wl.label + "/" + schemeName(s);
-        p.workload = wl.spec;
+        p.spec.workload = wl.spec;
         return sweep.add(std::move(p));
     };
 

@@ -10,12 +10,16 @@
  *   secpb_sim [--scheme cobcm] [--bench gamess|all] [--instr N]
  *             [--entries N] [--bmf none|dbmf|sbmf] [--seed N]
  *             [--stats] [--csv] [--crash TICK] [--list]
+ *
+ * Integer values must be plain non-negative decimals; anything else
+ * (a sign, trailing garbage, overflow) is fatal, never truncated.
  */
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/simulation.hh"
@@ -120,25 +124,34 @@ main(int argc, char **argv)
                 fatal("%s needs a value", flag);
             return argv[++i];
         };
+        auto number = [&](const char *flag) {
+            return parseDecimalU64(
+                (std::string("secpb_sim: ") + flag).c_str(), need(flag));
+        };
         if (!std::strcmp(argv[i], "--scheme"))
             opt.scheme = need("--scheme");
         else if (!std::strcmp(argv[i], "--bench"))
             opt.bench = need("--bench");
         else if (!std::strcmp(argv[i], "--instr"))
-            opt.instr = std::strtoull(need("--instr"), nullptr, 10);
-        else if (!std::strcmp(argv[i], "--entries"))
-            opt.entries = static_cast<unsigned>(
-                std::strtoul(need("--entries"), nullptr, 10));
+            opt.instr = number("--instr");
+        else if (!std::strcmp(argv[i], "--entries")) {
+            const std::uint64_t n = number("--entries");
+            fatal_if(n > std::numeric_limits<unsigned>::max(),
+                     "secpb_sim: --entries '%s': out of range for an "
+                     "entry count",
+                     argv[i]);
+            opt.entries = static_cast<unsigned>(n);
+        }
         else if (!std::strcmp(argv[i], "--bmf"))
             opt.bmf = need("--bmf");
         else if (!std::strcmp(argv[i], "--seed"))
-            opt.seed = std::strtoull(need("--seed"), nullptr, 10);
+            opt.seed = number("--seed");
         else if (!std::strcmp(argv[i], "--stats"))
             opt.dumpStats = true;
         else if (!std::strcmp(argv[i], "--csv"))
             opt.csv = true;
         else if (!std::strcmp(argv[i], "--crash"))
-            opt.crashAt = std::strtoull(need("--crash"), nullptr, 10);
+            opt.crashAt = number("--crash");
         else if (!std::strcmp(argv[i], "--list"))
             opt.list = true;
         else

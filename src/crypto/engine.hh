@@ -63,7 +63,6 @@ class PipelinedUnit
     }
 
     std::uint64_t requests() const { return _requests; }
-    Tick readyAt() const { return _readyAt; }
 
     /**
      * @name Coalesced request trains

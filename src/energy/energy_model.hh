@@ -156,8 +156,6 @@ class EnergyModel
     double actualCrashEnergy(const CrashWork &work) const;
 
     const EnergyCosts &costs() const { return _costs; }
-    unsigned bmtLevels() const { return _bmtLevels; }
-    double coreAreaMm2() const { return _coreAreaMm2; }
 
     /** Worst-case full late-tuple work for one block (all deferred). */
     double fullLateTupleEnergy() const;

@@ -1,10 +1,8 @@
 #include "exp/experiment.hh"
 
-#include <memory>
 #include <sstream>
 #include <utility>
 
-#include "core/simulation.hh"
 #include "sim/logging.hh"
 #include "stats/json.hh"
 #include "workload/registry.hh"
@@ -25,6 +23,44 @@ bmfModeName(BmfMode mode)
     return "?";
 }
 
+ExperimentPoint
+makePoint(Scheme scheme, const std::string &profile)
+{
+    ExperimentPoint p;
+    p.profile = profile;
+    p.spec.base = SecPbSystem::configFor(
+        scheme, profile.empty() ? serverWorkloadProfile()
+                                : profileByName(profile));
+    return p;
+}
+
+std::unique_ptr<WorkloadGenerator>
+pointWorkload(const ExperimentPoint &point)
+{
+    const SimulationSpec &spec = point.spec;
+    fatal_if(point.profile.empty() && spec.workload.empty(),
+             "experiment point '%s' has no profile and no workload",
+             point.label.c_str());
+    std::unique_ptr<WorkloadGenerator> gen;
+    if (!spec.workload.empty()) {
+        gen = makeWorkload(spec.workload, spec.instructions, spec.seed);
+    } else {
+        gen = std::make_unique<SyntheticGenerator>(
+            profileByName(point.profile), spec.instructions, spec.seed);
+    }
+    if (!spec.traceRecord.empty()) {
+        gen = std::make_unique<RecordingGenerator>(
+            std::move(gen), spec.traceRecord, TraceEncoding::Binary,
+            std::vector<std::pair<std::string, std::string>>{
+                {"workload",
+                 spec.workload.empty() ? point.profile : spec.workload},
+                {"seed", std::to_string(spec.seed)},
+                {"instructions", std::to_string(spec.instructions)},
+            });
+    }
+    return gen;
+}
+
 ExperimentResult
 runExperimentPoint(const ExperimentPoint &point)
 {
@@ -35,44 +71,8 @@ runExperimentPoint(const ExperimentPoint &point)
     if (point.custom)
         return point.custom(point);
 
-    fatal_if(point.profile.empty() && point.workload.empty(),
-             "experiment point '%s' has no profile, no workload, and no "
-             "custom runner",
-             point.label.c_str());
-
-    // Workload points default to the server machine model; a profile
-    // name next to a workload only picks the core-side parameters.
-    const BenchmarkProfile &profile = point.profile.empty()
-                                          ? serverWorkloadProfile()
-                                          : profileByName(point.profile);
-    SimulationSpec spec;
-    spec.base = SecPbSystem::configFor(point.scheme, profile);
-    spec.base.secpb.numEntries = point.secpbEntries;
-    spec.base.secpb.params = point.schemeParams;
-    spec.base.walker.bmfMode = point.bmf;
-    spec.base.obs.samplePeriod = point.samplePeriod;
-    if (point.configure)
-        point.configure(spec.base);
-
-    std::unique_ptr<WorkloadGenerator> gen;
-    if (!point.workload.empty()) {
-        gen = makeWorkload(point.workload, point.instructions, point.seed);
-    } else {
-        gen = std::make_unique<SyntheticGenerator>(
-            profile, point.instructions, point.seed);
-    }
-    if (!point.traceRecord.empty()) {
-        gen = std::make_unique<RecordingGenerator>(
-            std::move(gen), point.traceRecord, TraceEncoding::Binary,
-            std::vector<std::pair<std::string, std::string>>{
-                {"workload", point.workload.empty() ? point.profile
-                                                    : point.workload},
-                {"seed", std::to_string(point.seed)},
-                {"instructions", std::to_string(point.instructions)},
-            });
-    }
-
-    Simulation sim(spec);
+    const std::unique_ptr<WorkloadGenerator> gen = pointWorkload(point);
+    Simulation sim(point.spec);
     ExperimentResult res;
     res.sim = sim.run(*gen);
     if (sim.sampler())

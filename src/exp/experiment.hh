@@ -10,14 +10,15 @@
  * SweepRunner execute them on any number of threads with bit-identical
  * results.
  *
- * Two escape hatches keep the descriptor generic:
- *  - `configure` applies free-form SystemConfig overrides (ablation knobs
- *    like drain width or watermarks) after the scheme/profile defaults;
- *    `tags` records what the override did, so the JSON stays
- *    self-describing even though a closure is not serializable.
- *  - `custom` replaces the default single-core run-to-completion runner
- *    entirely, for points that crash mid-run, build a multi-core
- *    Simulation, or only evaluate the energy model.
+ * A point is one SimulationSpec -- the machine plus the run knobs --
+ * with a label, the profile it models, and tags. makePoint() applies the
+ * scheme/profile defaults once, where the point is made; callers then
+ * edit `spec` directly (SecPB size, BMF mode, ablation knobs) and record
+ * what they changed in `tags`, so the JSON stays self-describing. A
+ * `custom` runner replaces the default single-core run-to-completion
+ * runner for points that crash mid-run, build a multi-core Simulation,
+ * or only evaluate the energy model; one that simulates builds from
+ * `Simulation(point.spec)` over `pointWorkload(point)` like the default.
  */
 
 #ifndef SECPB_EXP_EXPERIMENT_HH
@@ -25,11 +26,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/results.hh"
+#include "core/simulation.hh"
 #include "metadata/walker.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
@@ -37,8 +40,6 @@
 
 namespace secpb
 {
-
-struct SystemConfig;
 
 /** What one executed point reports back. */
 struct ExperimentResult
@@ -51,7 +52,7 @@ struct ExperimentResult
      *  migration counts, ...), serialized under "extra". */
     std::vector<std::pair<std::string, double>> extra;
 
-    /** Epoch time-series (empty unless the point set samplePeriod).
+    /** Epoch time-series (empty unless spec.base.obs.samplePeriod is set).
      *  Deterministic: sampling probes never perturb the simulation. */
     obs::SampleSeries samples;
 
@@ -79,39 +80,15 @@ struct ExperimentPoint
     /** Row/column label in the bench's printed table ("gamess/CM"). */
     std::string label;
 
-    Scheme scheme = Scheme::Bbb;
-
-    /** Scheme knobs (triad:levels=N); inert for unparameterized
-     *  schemes. Applied to SystemConfig::secpb.params by the default
-     *  runner before `configure` runs. */
-    SchemeParams schemeParams;
-
-    /** Synthetic profile name; "" for points that don't run one. */
+    /** Synthetic profile name; "" for points that don't run one. When
+     *  spec.workload is set it only names the machine model. */
     std::string profile;
 
-    /**
-     * Registry workload selector ("kv_wal:puts=0.8", "replay:file=x");
-     * "" runs the synthetic profile instead. When set, `profile` only
-     * picks the machine model (default: serverWorkloadProfile()).
-     */
-    std::string workload;
-
-    /** Record the executed op stream to this trace file (workload or
-     *  profile runs alike); "" disables recording. */
-    std::string traceRecord;
-
-    std::uint64_t instructions = 0;
-    unsigned secpbEntries = 32;
-    BmfMode bmf = BmfMode::None;
-
-    /** Workload seed. Determinism is per-point: same seed, same result,
-     *  regardless of which thread runs it or in what order. */
-    std::uint64_t seed = 7;
-
-    /** Epoch-sample the built-in channels every this many ticks
-     *  (0 = off). Honored by the default runner; custom runners that
-     *  build their own system must apply it themselves. */
-    Tick samplePeriod = 0;
+    /** The machine and run knobs. The default runner simulates exactly
+     *  this; spec.workload ("kv_wal:puts=0.8", "replay:file=x") runs a
+     *  registry workload instead of the profile's synthetic stream, and
+     *  spec.traceRecord records the executed op stream. */
+    SimulationSpec spec;
 
     /** Embed the full stats dump in this point's JSON. */
     bool captureStats = false;
@@ -126,10 +103,6 @@ struct ExperimentPoint
 
     /** Human-readable record of config overrides, serialized to JSON. */
     std::vector<std::pair<std::string, std::string>> tags;
-
-    /** Free-form SystemConfig override, applied after scheme/profile
-     *  defaults and the secpbEntries/bmf fields. */
-    std::function<void(SystemConfig &)> configure;
 
     /** Replaces the default runner when set. */
     std::function<ExperimentResult(const ExperimentPoint &)> custom;
@@ -146,8 +119,23 @@ struct ExperimentPoint
 const char *bmfModeName(BmfMode mode);
 
 /**
+ * A point of @p scheme on @p profile: spec.base is
+ * SecPbSystem::configFor(scheme, profile), with an empty @p profile
+ * meaning serverWorkloadProfile() (the machine model of registry
+ * workloads). Everything else keeps the SimulationSpec defaults.
+ */
+ExperimentPoint makePoint(Scheme scheme, const std::string &profile);
+
+/**
+ * The op stream @p point runs: the registry workload spec.workload, else
+ * the synthetic stream of its profile, recorded to spec.traceRecord when
+ * that is set.
+ */
+std::unique_ptr<WorkloadGenerator> pointWorkload(const ExperimentPoint &point);
+
+/**
  * Execute one point: the custom runner if set, otherwise a fresh
- * single-core Simulation over a fresh generator, run to completion.
+ * Simulation(point.spec) over pointWorkload(point), run to completion.
  * hostSeconds is left 0 -- the SweepRunner stamps it.
  */
 ExperimentResult runExperimentPoint(const ExperimentPoint &point);

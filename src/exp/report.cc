@@ -17,14 +17,15 @@ writePoint(JsonWriter &w, const ExperimentPoint &p,
 {
     w.beginObject();
     w.field("label", p.label);
-    w.field("scheme", schemeName(p.scheme));
+    const SimulationSpec &spec = p.spec;
+    w.field("scheme", schemeName(spec.base.scheme));
     w.field("profile", p.profile);
-    if (!p.workload.empty())
-        w.field("workload", p.workload);
-    w.field("instructions", p.instructions);
-    w.field("secpb_entries", p.secpbEntries);
-    w.field("bmf", bmfModeName(p.bmf));
-    w.field("seed", p.seed);
+    if (!spec.workload.empty())
+        w.field("workload", spec.workload);
+    w.field("instructions", spec.instructions);
+    w.field("secpb_entries", spec.base.secpb.numEntries);
+    w.field("bmf", bmfModeName(spec.base.walker.bmfMode));
+    w.field("seed", spec.seed);
     if (!p.tags.empty()) {
         w.key("tags");
         w.beginObject();

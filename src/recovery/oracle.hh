@@ -118,17 +118,6 @@ class PersistOracle
             setBlockWord(b, records[i].word, records[i].value);
         return b;
     }
-
-    /** True if @p content matches some historical version of the block. */
-    bool
-    isHistoricalVersion(Addr addr, const BlockData &content) const
-    {
-        const std::uint64_t n = storeCount(addr);
-        for (std::uint64_t v = 0; v <= n; ++v)
-            if (blockVersion(addr, v) == content)
-                return true;
-        return false;
-    }
     /** @} */
 
     /**

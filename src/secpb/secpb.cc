@@ -1215,21 +1215,20 @@ SecPb::crashDrainAll(
         }
     }
 
-    // SP: the battery completes every pending tuple update so the
-    // functional BMT/counter state and the PM image stay consistent.
-    // Visit order is slot order, which is fine: each tuple touches only
-    // its own block/page, and the work counters are order-insensitive.
+    // SP: a pending tuple update is an ADR-domain obligation -- its WPQ
+    // slot is reserved and its counter already bumped -- so the battery
+    // completes every one, whatever the budget, through the shared entry
+    // path: OTP, ciphertext, MAC and BMT leaf from the block's current
+    // content, with no counter fetch or increment. Visit order is slot
+    // order, which is fine: each tuple touches only its own block/page,
+    // and the work counters are order-insensitive.
     _spPending.forEach([&](const Addr &addr) {
-        persistSpTuple(addr);
-        const std::uint64_t page = _layout.pageIndex(addr);
-        _walker.tree().updateLeaf(
-            page, _walker.tree().leafDigest(_counters.block(page)));
-        ++work.entriesDrained;
-        ++work.otpsGenerated;
-        ++work.macsComputed;
-        ++work.bmtRootUpdates;
-        work.bmtLevelsWalked += _walker.tree().numLevels();
-        work.pmBlockWrites += 3;
+        PbEntry e;
+        e.valid = e.vData = e.ctrIncremented = true;
+        e.addr = addr;
+        e.counter = _counters.counterFor(addr);
+        e.plaintext = _oracle.blockContent(addr);
+        completeEntryFunctionally(e, work);
     });
     _spPending.clear();
 
@@ -1237,9 +1236,10 @@ SecPb::crashDrainAll(
     // eADR's hierarchy flush) outranks draining further entries. It is
     // mandatory, charged even when it alone exceeds a tiny budget (those
     // functional writes happened at drain time and cannot be torn in
-    // this model), so energySpentJ can exceed the budget by at most this
-    // fixed floor. The flush itself runs after the entry pass so the
-    // cache contents still inform the per-entry predictions.
+    // this model), so energySpentJ can exceed the budget by this fixed
+    // floor plus SP's pending tuples above, and by nothing else. The
+    // flush itself runs after the entry pass so the cache contents still
+    // inform the per-entry predictions.
     work += crashFloorWork();
 
     // Persist order: complete entries oldest-first. A bounded battery

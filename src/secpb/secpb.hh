@@ -321,9 +321,6 @@ class SecPb
      *  BBU's protected reserve (SecPbSystem::applyBrownout). */
     double crashReserveEnergyJ() const;
 
-    /** Price of the worst-case entry this scheme can host (cached). */
-    double worstEntryEnergyJ() const { return _worstEntryJ; }
-
     /** Live occupancy bound; numEntries when the policy is off. */
     unsigned adaptiveOccupancyBoundNow() const;
 

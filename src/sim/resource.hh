@@ -53,9 +53,6 @@ class Resource
         return finish;
     }
 
-    /** Tick at which the unit next becomes free. */
-    Tick freeAt() const { return _freeAt; }
-
     /** True if a request issued now would start immediately. */
     bool idle() const { return _freeAt <= _eq.curTick(); }
 

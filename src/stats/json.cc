@@ -150,13 +150,6 @@ JsonWriter::value(std::int64_t v)
 }
 
 void
-JsonWriter::nullValue()
-{
-    preValue();
-    _os << "null";
-}
-
-void
 JsonWriter::rawValue(const std::string &json)
 {
     panic_if(json.empty(), "JsonWriter::rawValue with empty document");

@@ -47,7 +47,6 @@ class JsonWriter
     void value(std::int64_t v);
     void value(int v) { value(static_cast<std::int64_t>(v)); }
     void value(unsigned v) { value(static_cast<std::uint64_t>(v)); }
-    void nullValue();
 
     /**
      * Splice @p json -- an already-serialized JSON value -- in value

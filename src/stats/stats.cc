@@ -15,13 +15,6 @@ StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
 }
 
 void
-StatBase::printCsv(std::ostream &os, const std::string &prefix) const
-{
-    for (const auto &[suffix, value] : jsonFields())
-        os << prefix << _name << suffix << "," << value << "\n";
-}
-
-void
 Scalar::print(std::ostream &os, const std::string &prefix) const
 {
     os << std::left << std::setw(48) << (prefix + _name)
@@ -99,14 +92,6 @@ StatGroup::dump(std::ostream &os) const
 }
 
 void
-StatGroup::dumpCsv(std::ostream &os) const
-{
-    visitStats([&os](const std::string &prefix, const StatBase &s) {
-        s.printCsv(os, prefix);
-    });
-}
-
-void
 StatGroup::toJson(JsonWriter &w) const
 {
     w.beginObject();
@@ -115,15 +100,6 @@ StatGroup::toJson(JsonWriter &w) const
             w.field(prefix + s.name() + suffix, value);
     });
     w.endObject();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (StatBase *s : _stats)
-        s->reset();
-    for (StatGroup *child : _children)
-        child->resetAll();
 }
 
 const StatBase *

@@ -3,7 +3,7 @@
  * Lightweight statistics package, modelled on gem5's Stats.
  *
  * Statistics register themselves with a StatGroup; groups can be dumped as
- * human-readable text or CSV. Two primitive kinds cover everything this
+ * human-readable text or JSON. Two primitive kinds cover everything this
  * project needs: Scalar (a counter or accumulated value) and Average (mean
  * of samples).
  */
@@ -41,22 +41,12 @@ class StatBase
     virtual void print(std::ostream &os, const std::string &prefix) const = 0;
 
     /**
-     * Print CSV rows "prefix.name.suffix,value" -- one row per
-     * jsonFields() entry, so CSV and JSON report identical fields.
-     */
-    void printCsv(std::ostream &os, const std::string &prefix) const;
-
-    /**
      * The stat's value(s) as (suffix, value) pairs for machine output.
      * A Scalar reports one pair with an empty suffix; composite stats
      * report ".mean"/".count"-style suffixes appended to their name.
-     * This is the single source CSV and JSON emission both draw from.
      */
     virtual std::vector<std::pair<std::string, double>>
         jsonFields() const = 0;
-
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
 
   protected:
     std::string _name;
@@ -77,7 +67,6 @@ class Scalar : public StatBase
 
     void print(std::ostream &os, const std::string &prefix) const override;
     std::vector<std::pair<std::string, double>> jsonFields() const override;
-    void reset() override { _value = 0.0; }
 
   private:
     double _value = 0.0;
@@ -102,7 +91,6 @@ class Average : public StatBase
 
     void print(std::ostream &os, const std::string &prefix) const override;
     std::vector<std::pair<std::string, double>> jsonFields() const override;
-    void reset() override { _sum = 0.0; _count = 0; }
 
   private:
     double _sum = 0.0;
@@ -130,7 +118,7 @@ class StatGroup
     /**
      * Visit every stat in this group and its children in registration
      * order, passing the group's dotted prefix ("sys.secpb.") and the
-     * stat. The one traversal that text, CSV, and JSON dumps share.
+     * stat. The one traversal that text and JSON dumps share.
      */
     void visitStats(
         const std::function<void(const std::string &prefix,
@@ -139,18 +127,12 @@ class StatGroup
     /** Dump this group and all children as text. */
     void dump(std::ostream &os) const;
 
-    /** Dump this group and all children as CSV (name,value rows). */
-    void dumpCsv(std::ostream &os) const;
-
     /**
      * Emit this group and all children as one flat JSON object keyed
      * by dotted path ("sys.secpb.persists": 42). The writer must be
      * positioned where a value may start (e.g. after key()).
      */
     void toJson(JsonWriter &w) const;
-
-    /** Reset every stat in this group and its children. */
-    void resetAll();
 
     /** Look up a stat by name within this group only. */
     const StatBase *find(const std::string &name) const;

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "../bench/bench_common.hh"
 
@@ -137,16 +139,62 @@ TEST(BenchCli, PointCarriesInstrSeedAndSchemeKnobs)
         const_cast<char **>(argv), "bench");
     const ExperimentPoint p = cli.point(Scheme::Triad, "gamess");
     EXPECT_EQ(p.label, "gamess/triad");
-    EXPECT_EQ(p.scheme, Scheme::Triad);
     EXPECT_EQ(p.profile, "gamess");
-    EXPECT_EQ(p.instructions, 4321u);
-    EXPECT_EQ(p.seed, 11u);
-    EXPECT_EQ(p.schemeParams.triadLevels, 3u);
-    // Everything else keeps the ExperimentPoint defaults.
-    EXPECT_EQ(p.secpbEntries, 32u);
-    EXPECT_TRUE(p.workload.empty());
+    EXPECT_EQ(p.spec.base.scheme, Scheme::Triad);
+    EXPECT_EQ(p.spec.instructions, 4321u);
+    EXPECT_EQ(p.spec.seed, 11u);
+    EXPECT_EQ(p.spec.base.secpb.params.triadLevels, 3u);
+    // The machine is the profile's; everything else keeps the
+    // SimulationSpec defaults.
+    const SystemConfig want =
+        SecPbSystem::configFor(Scheme::Triad, profileByName("gamess"));
+    EXPECT_DOUBLE_EQ(p.spec.base.cpu.loadPenalties.mem,
+                     want.cpu.loadPenalties.mem);
+    EXPECT_EQ(p.spec.base.secpb.numEntries, 32u);
+    EXPECT_EQ(p.spec.base.walker.bmfMode, BmfMode::None);
+    EXPECT_TRUE(p.spec.workload.empty());
+    EXPECT_TRUE(p.spec.traceRecord.empty());
     EXPECT_TRUE(p.tags.empty());
     EXPECT_FALSE(p.custom);
+}
+
+TEST(BenchCli, SweepFlagsReachDefaultPointsOnly)
+{
+    setQuietLogging(true);
+    const std::string trc = "BenchCli_SweepFlagsReachDefaultPointsOnly.trc";
+    const char *argv[] = {"bench",          "--instr",        "2000",
+                          "--sample-every", "500",            "--workload",
+                          "kv_wal:keys=64", "--trace-record", trc.c_str(),
+                          "--no-progress",  nullptr};
+    BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1,
+        const_cast<char **>(argv), "bench");
+
+    Sweep sweep(cli);
+    ExperimentPoint custom = cli.point(Scheme::Cm, "gcc");
+    custom.custom = [](const ExperimentPoint &) { return ExperimentResult{}; };
+    const std::size_t c = sweep.add(custom);
+    const std::size_t first = sweep.add(cli.point(Scheme::Cobcm, "gcc"));
+    const std::size_t second = sweep.add(cli.point(Scheme::Bbb, "gcc"));
+    sweep.run();
+
+    // The custom point's spec is exactly what it was built with.
+    const SimulationSpec &cs = sweep.points()[c].spec;
+    EXPECT_EQ(cs.base.obs.samplePeriod, 0u);
+    EXPECT_TRUE(cs.workload.empty());
+    EXPECT_TRUE(cs.traceRecord.empty());
+
+    // Default points sample and run the workload; only the first records.
+    for (std::size_t i : {first, second}) {
+        const SimulationSpec &s = sweep.points()[i].spec;
+        EXPECT_EQ(s.base.obs.samplePeriod, 500u);
+        EXPECT_EQ(s.workload, "kv_wal:keys=64");
+        EXPECT_FALSE(sweep.at(i).samples.empty());
+    }
+    EXPECT_EQ(sweep.points()[first].spec.traceRecord, trc);
+    EXPECT_TRUE(sweep.points()[second].spec.traceRecord.empty());
+    EXPECT_TRUE(std::ifstream(trc).good());
+    std::remove(trc.c_str());
 }
 
 TEST(BenchCli, PickKeepsDeclarationOrderUnderTheFilter)

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the SP (strict persistency, SPoP at the MC) baseline: WPQ
- * coalescing window, durability semantics, backpressure, and its
- * position in the performance ordering.
+ * coalescing window, durability semantics, backpressure, crash completion
+ * of pending tuples, and its position in the performance ordering.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "core/system.hh"
 #include "workload/scripted.hh"
@@ -88,6 +90,42 @@ TEST(SpBaseline, MidStoreCrashStillRecovers)
     sys.runUntil(300);  // mid tuple-update
     CrashReport cr = sys.crashNow();
     EXPECT_TRUE(cr.recovered);
+}
+
+TEST(SpBaseline, PendingTuplesCompleteAsFullTuplesUnderAnyBudget)
+{
+    // Crash mid tuple-update, first on an unbounded battery and then on
+    // a budget too small for anything: pending SP tuples are ADR-domain
+    // obligations, so both complete every one. Each counts one OTP,
+    // ciphertext, MAC and BMT root update, and no counter work (the
+    // counter was bumped when the store was accepted).
+    auto crash = [](std::optional<double> budget) {
+        SecPbSystem sys(spCfg());
+        ScriptedGenerator gen;
+        for (Addr a = 0; a < 40 * BlockSize; a += BlockSize)
+            gen.store(a, a + 1);
+        sys.start(gen);
+        sys.runUntil(3000);  // several tuple updates in flight
+        CrashOptions opts;
+        opts.batteryEnergyJ = budget;
+        return sys.crashNow(opts);
+    };
+    const CrashReport unbounded = crash(std::nullopt);
+    const CrashReport bounded = crash(1e-9);
+    for (const CrashReport *cr : {&unbounded, &bounded}) {
+        const CrashWork &w = cr->work;
+        EXPECT_GT(w.entriesDrained, 0u);
+        EXPECT_EQ(w.ciphertexts, w.entriesDrained);
+        EXPECT_EQ(w.otpsGenerated, w.entriesDrained);
+        EXPECT_EQ(w.macsComputed, w.entriesDrained);
+        EXPECT_EQ(w.bmtRootUpdates, w.entriesDrained);
+        EXPECT_EQ(w.counterFetches, 0u);
+        EXPECT_EQ(w.countersIncremented, 0u);
+        EXPECT_FALSE(w.batteryExhausted);
+        EXPECT_TRUE(w.abandoned.empty());
+        EXPECT_TRUE(cr->recovered);
+    }
+    EXPECT_EQ(bounded.work.entriesDrained, unbounded.work.entriesDrained);
 }
 
 TEST(SpBaseline, NoSecPbEntriesUsed)

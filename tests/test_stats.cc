@@ -23,8 +23,6 @@ TEST(Stats, ScalarAccumulates)
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
     s = 10.0;
     EXPECT_DOUBLE_EQ(s.value(), 10.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, AverageComputesMean)
@@ -63,29 +61,6 @@ TEST(Stats, DumpContainsAllStats)
     EXPECT_NE(text.find("9"), std::string::npos);
 }
 
-TEST(Stats, CsvDumpIsParsable)
-{
-    StatGroup g("g");
-    Scalar s(g, "x", "x");
-    s += 42;
-    std::ostringstream os;
-    g.dumpCsv(os);
-    EXPECT_EQ(os.str(), "g.x,42\n");
-}
-
-TEST(Stats, ResetAllRecurses)
-{
-    StatGroup parent("p");
-    StatGroup child("c", &parent);
-    Scalar s1(parent, "a", "");
-    Average s2(child, "b", "");
-    s1 += 5;
-    s2.sample(3.0);
-    parent.resetAll();
-    EXPECT_DOUBLE_EQ(s1.value(), 0.0);
-    EXPECT_EQ(s2.count(), 0u);
-}
-
 TEST(Stats, FindLocatesByName)
 {
     StatGroup g("g");
@@ -103,25 +78,6 @@ TEST(Stats, AverageWithZeroSamplesIsZeroNotNan)
         EXPECT_FALSE(std::isnan(value)) << suffix;
 }
 
-TEST(Stats, ResetRoundTripsEachKind)
-{
-    StatGroup g("g");
-    Scalar s(g, "s", "");
-    Average a(g, "a", "");
-
-    // Capture the pristine machine output, mutate, reset, recompare.
-    std::ostringstream before;
-    g.dumpCsv(before);
-
-    s += 3;
-    a.sample(1.0);
-    g.resetAll();
-
-    std::ostringstream after;
-    g.dumpCsv(after);
-    EXPECT_EQ(before.str(), after.str());
-}
-
 TEST(Stats, NanAndInfSerializeAsJsonNull)
 {
     StatGroup g("g");
@@ -136,13 +92,6 @@ TEST(Stats, NanAndInfSerializeAsJsonNull)
     // JSON has no NaN/Infinity literal; both become null, keeping the
     // document parseable by any strict reader.
     EXPECT_EQ(js.str(), "{\"g.nan_stat\": null,\"g.inf_stat\": null}");
-
-    // CSV passes the raw printf rendering through (CSV has no spec for
-    // non-finite, and hiding the value would mask the bug that made it).
-    std::ostringstream csv;
-    g.dumpCsv(csv);
-    EXPECT_NE(csv.str().find("g.nan_stat,"), std::string::npos);
-    EXPECT_NE(csv.str().find("g.inf_stat,"), std::string::npos);
 }
 
 TEST(Stats, VisitStatsWalksTreeInRegistrationOrder)

@@ -3,7 +3,8 @@
  * The experiment engine's determinism contract: a 16-point sweep run at
  * --jobs 1 (inline, no threads) and --jobs 8 (thread pool) produces
  * byte-identical JSON modulo the host wall-clock fields. Also covers
- * submission-order aggregation and the engine's exception path.
+ * submission-order aggregation, the engine's exception path, and that a
+ * custom runner built from the point's spec reproduces the default one.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "sim/logging.hh"
+#include "stats/json.hh"
 
 using namespace secpb;
 
@@ -31,12 +33,10 @@ sixteenPoints()
     std::vector<ExperimentPoint> points;
     for (const char *prof : profiles) {
         for (Scheme s : schemes) {
-            ExperimentPoint p;
+            ExperimentPoint p = makePoint(s, prof);
             p.label = std::string(prof) + "/" + schemeName(s);
-            p.scheme = s;
-            p.profile = prof;
-            p.instructions = 3000;
-            p.seed = 99;
+            p.spec.instructions = 3000;
+            p.spec.seed = 99;
             points.push_back(std::move(p));
         }
     }
@@ -140,4 +140,41 @@ TEST(SweepRunner, PointExceptionPropagatesAfterSweepCompletes)
     EXPECT_THROW(SweepRunner(opts).run(points), std::runtime_error);
     // Every other queued point still ran before the rethrow.
     EXPECT_EQ(completed.load(), 7);
+}
+
+TEST(Experiment, CustomRunnerFromSpecMatchesDefault)
+{
+    setQuietLogging(true);
+    auto json = [](const auto &emit) {
+        std::ostringstream ss;
+        JsonWriter w(ss, /*pretty=*/false);
+        emit(w);
+        return ss.str();
+    };
+    ExperimentPoint profile_point = makePoint(Scheme::Cm, "gcc");
+    ExperimentPoint wal_point = makePoint(Scheme::Cobcm, "");
+    wal_point.spec.workload = "kv_wal:keys=256";
+    for (ExperimentPoint p : {profile_point, wal_point}) {
+        SCOPED_TRACE(p.spec.workload.empty() ? p.profile : p.spec.workload);
+        p.spec.instructions = 4000;
+        p.spec.seed = 3;
+        p.captureStats = true;
+        const ExperimentResult def = runExperimentPoint(p);
+
+        p.custom = [&json](const ExperimentPoint &pt) {
+            Simulation sim(pt.spec);
+            const auto gen = pointWorkload(pt);
+            ExperimentResult r;
+            r.sim = sim.run(*gen);
+            r.statsJson =
+                json([&](JsonWriter &w) { sim.stats().toJson(w); });
+            return r;
+        };
+        const ExperimentResult custom = runExperimentPoint(p);
+
+        EXPECT_GT(def.sim.persists, 0u);
+        EXPECT_EQ(json([&](JsonWriter &w) { def.sim.toJson(w); }),
+                  json([&](JsonWriter &w) { custom.sim.toJson(w); }));
+        EXPECT_EQ(def.statsJson, custom.statsJson);
+    }
 }

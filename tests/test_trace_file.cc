@@ -316,21 +316,20 @@ TEST(TraceFile, ReplayedRunIsByteIdenticalToLiveRunPerWorkload)
         SCOPED_TRACE(spec);
         const std::string path = scratchPath("e2e.trc");
 
-        ExperimentPoint live;
+        ExperimentPoint live = makePoint(Scheme::Cobcm, "");
         live.label = "live";
-        live.scheme = Scheme::Cobcm;
-        live.workload = spec;
-        live.instructions = 6000;
-        live.seed = 5;
+        live.spec.workload = spec;
+        live.spec.instructions = 6000;
+        live.spec.seed = 5;
+        live.spec.base.obs.samplePeriod = 2048;
+        live.spec.traceRecord = path;
         live.captureStats = true;
-        live.samplePeriod = 2048;
-        live.traceRecord = path;
         const ExperimentResult lr = runExperimentPoint(live);
 
         ExperimentPoint replay = live;
         replay.label = "replay";
-        replay.workload = "replay:file=" + path;
-        replay.traceRecord.clear();
+        replay.spec.workload = "replay:file=" + path;
+        replay.spec.traceRecord.clear();
         const ExperimentResult rr = runExperimentPoint(replay);
 
         EXPECT_EQ(lr.sim.execTicks, rr.sim.execTicks);

@@ -355,12 +355,11 @@ TEST(WorkloadSweep, RegistryPointsAreByteIdenticalAcrossJobs)
         report.jobs = 0;
         for (const char *w : workloads) {
             for (Scheme s : schemes) {
-                ExperimentPoint p;
+                ExperimentPoint p = makePoint(s, "");
                 p.label = std::string(w) + "/" + schemeName(s);
-                p.scheme = s;
-                p.workload = w;
-                p.instructions = 3000;
-                p.seed = 42;
+                p.spec.workload = w;
+                p.spec.instructions = 3000;
+                p.spec.seed = 42;
                 report.points.push_back(std::move(p));
             }
         }
