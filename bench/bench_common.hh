@@ -21,8 +21,7 @@
  *   --jobs N            concurrent points (default 1)
  *   --json PATH         write sweep JSON
  *   --scheme A[,B...]   keep matching schemes    (repeatable; canonical
- *                       lowercase names, legacy spellings accepted
- *                       case-insensitively, triad takes "triad:levels=N")
+ *                       lowercase names, triad takes "triad:levels=N")
  *   --profile A[,B...]  keep matching profiles   (repeatable)
  *   --no-progress       suppress the stderr progress/ETA line
  *   --trace-out PATH    write a Perfetto trace of the first point
@@ -134,9 +133,9 @@ struct BenchCli
                 cli.jsonPath = need(i);
                 ++i;
             } else if (a == "--scheme") {
-                // Canonical names are lowercase; legacy spellings parse
-                // case-insensitively, and an unknown name dies listing
-                // every valid one. "triad:levels=N" sets the depth knob.
+                // Canonical lowercase names only: anything else dies
+                // listing every valid one. "triad:levels=N" sets the
+                // depth knob.
                 for (const std::string &name : splitCommas(need(i)))
                     cli.schemes.push_back(
                         parseSchemeSpec(name, &cli.schemeParams));

@@ -1,8 +1,5 @@
 #include "core/system.hh"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "recovery/drain_latency.hh"
 
 namespace secpb
@@ -263,48 +260,12 @@ SecPbSystem::crashNow(const CrashOptions &opts)
 
     const bool partial =
         cr.work.batteryExhausted || !cr.work.abandoned.empty();
-    if (schemeTraits(_cfg.scheme).secure) {
-        RecoveryVerifier verifier(_layout, _cfg.keys);
-        cr.recovery = partial
-            ? verifier.verifyPartial(_pm, *_tree, _oracle,
-                                     cr.work.abandoned)
-            : verifier.verifyAll(_pm, *_tree, _oracle);
-        cr.recovered = cr.recovery.ok();
-    } else {
-        // BBB stores plaintext; recovery is a plain comparison. An
-        // abandoned block may legitimately sit at its pre-residency
-        // version (or its final one, if the drain raced completion);
-        // anything else is a prefix violation.
-        std::unordered_map<Addr, std::uint64_t> pending;
-        for (const AbandonedResidency &a : cr.work.abandoned)
-            pending[blockAlign(a.addr)] = a.pendingWrites;
-        cr.recovery.blocksChecked = 0;
-        for (Addr addr : _oracle.touchedBlocks()) {
-            ++cr.recovery.blocksChecked;
-            auto it = pending.find(addr);
-            if (it == pending.end()) {
-                if (_pm.readData(addr) != _oracle.blockContent(addr)) {
-                    ++cr.recovery.plaintextMismatches;
-                    cr.recovery.faults.push_back(
-                        {addr, BlockFaultKind::PlaintextMismatch});
-                }
-                continue;
-            }
-            const std::uint64_t total = _oracle.storeCount(addr);
-            const std::uint64_t pre =
-                total - std::min(total, it->second);
-            const BlockData got = _pm.readData(addr);
-            if (got == _oracle.blockVersion(addr, pre) ||
-                got == _oracle.blockContent(addr)) {
-                ++cr.recovery.staleConsistent;
-            } else {
-                ++cr.recovery.prefixViolations;
-                cr.recovery.faults.push_back(
-                    {addr, BlockFaultKind::PrefixViolation});
-            }
-        }
-        cr.recovered = cr.recovery.ok();
-    }
+    RecoveryVerifier verifier(_layout, _cfg.keys,
+                              schemeTraits(_cfg.scheme).secure);
+    cr.recovery = partial
+        ? verifier.verifyPartial(_pm, *_tree, _oracle, cr.work.abandoned)
+        : verifier.verifyAll(_pm, *_tree, _oracle);
+    cr.recovered = cr.recovery.ok();
     return cr;
 }
 

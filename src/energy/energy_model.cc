@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mem/data_hierarchy.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -114,11 +115,12 @@ EnergyModel::provisionedEnergy(Scheme scheme, unsigned secpb_entries,
 }
 
 double
-EnergyModel::eadrBatteryEnergy(const HierarchyFootprint &h) const
+EnergyModel::eadrBatteryEnergy() const
 {
-    const double l1_lines = static_cast<double>(h.l1Bytes) / BlockSize;
-    const double l2_lines = static_cast<double>(h.l2Bytes) / BlockSize;
-    const double l3_lines = static_cast<double>(h.l3Bytes) / BlockSize;
+    const DataHierarchyConfig h;
+    const double l1_lines = static_cast<double>(h.l1.sizeBytes) / BlockSize;
+    const double l2_lines = static_cast<double>(h.l2.sizeBytes) / BlockSize;
+    const double l3_lines = static_cast<double>(h.l3.sizeBytes) / BlockSize;
     const double block = static_cast<double>(BlockSize);
     return l1_lines * block * _costs.moveL1ToPm +
            l2_lines * block * _costs.moveL2ToPm +
@@ -126,14 +128,14 @@ EnergyModel::eadrBatteryEnergy(const HierarchyFootprint &h) const
 }
 
 double
-EnergyModel::sEadrBatteryEnergy(const HierarchyFootprint &h) const
+EnergyModel::sEadrBatteryEnergy() const
 {
     // Assumption (1): every cache line is dirty and needs its full
     // security-metadata tuple generated under the same worst-case
     // assumptions as a fully lazy SecPB entry.
     const double total_lines =
-        static_cast<double>(h.l1Bytes + h.l2Bytes + h.l3Bytes) / BlockSize;
-    return eadrBatteryEnergy(h) + total_lines * fullLateTupleEnergy();
+        static_cast<double>(DataHierarchyConfig{}.totalBytes()) / BlockSize;
+    return eadrBatteryEnergy() + total_lines * fullLateTupleEnergy();
 }
 
 BatteryEstimate

@@ -74,14 +74,6 @@ struct BatteryEstimate
     double areaRatioToCore = 0.0;  ///< Cubic-cell footprint / core area.
 };
 
-/** Cache-hierarchy footprint for the eADR comparisons (Table I). */
-struct HierarchyFootprint
-{
-    std::uint64_t l1Bytes = 64 * 1024;
-    std::uint64_t l2Bytes = 512 * 1024;
-    std::uint64_t l3Bytes = 4 * 1024 * 1024;
-};
-
 /**
  * The analytical drain-energy / battery-capacity model.
  */
@@ -124,14 +116,17 @@ class EnergyModel
     double provisionedEnergy(Scheme scheme, unsigned secpb_entries,
                              unsigned wpq_entries) const;
 
-    /** Battery energy for insecure eADR (flush all caches). */
-    double eadrBatteryEnergy(const HierarchyFootprint &h = {}) const;
+    /**
+     * Battery energy for insecure eADR: flush every line of the Table I
+     * hierarchy (DataHierarchyConfig) to PM.
+     */
+    double eadrBatteryEnergy() const;
 
     /**
      * Battery energy for secure eADR: every cache line dirty, each needing
      * the full worst-case tuple update (assumptions (1)-(5)).
      */
-    double sEadrBatteryEnergy(const HierarchyFootprint &h = {}) const;
+    double sEadrBatteryEnergy() const;
 
     /** Size @p energy_j on @p tech; includes the core-area ratio. */
     BatteryEstimate size(double energy_j, const BatteryTech &tech) const;

@@ -50,7 +50,7 @@ pointWorkload(const ExperimentPoint &point)
     }
     if (!spec.traceRecord.empty()) {
         gen = std::make_unique<RecordingGenerator>(
-            std::move(gen), spec.traceRecord, TraceEncoding::Binary,
+            std::move(gen), spec.traceRecord,
             std::vector<std::pair<std::string, std::string>>{
                 {"workload",
                  spec.workload.empty() ? point.profile : spec.workload},

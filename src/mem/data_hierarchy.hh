@@ -36,6 +36,13 @@ struct DataHierarchyConfig
     Cycles l1Latency = 2;
     Cycles l2Latency = 20;
     Cycles l3Latency = 30;
+
+    /** Capacity of all three levels: what an eADR battery flushes. */
+    std::uint64_t
+    totalBytes() const
+    {
+        return l1.sizeBytes + l2.sizeBytes + l3.sizeBytes;
+    }
 };
 
 /** Result of a load probe. */

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/system.hh"
-#include "crypto/cipher.hh"
 #include "sim/debug.hh"
 
 namespace secpb
@@ -19,7 +18,8 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
     PersistOracle &oracle = _sys.oracle();
     const MetadataLayout &layout = _sys.layout();
     const SchemeTraits traits = schemeTraits(_sys.config().scheme);
-    const SecurityKeys &keys = _sys.config().keys;
+    const RecoveryVerifier verifier(layout, _sys.config().keys,
+                                    traits.secure);
 
     // -- Step 1: reload the volatile counter working copy from PM.
     // Deterministic order; idempotent (plain overwrites).
@@ -32,10 +32,10 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
         }
     }
 
-    // -- Step 2: triage the abandoned suffix. Mirrors the verifier's
-    // classification (recovery/verifier.hh verifyAbandoned), but acts on
-    // it: the oracle -- the reference the *next* power cycle persists on
-    // top of -- is reconciled with the durable truth.
+    // -- Step 2: triage the abandoned suffix through the verifier's
+    // block reader, and act on it: the oracle -- the reference the
+    // *next* power cycle persists on top of -- is reconciled with the
+    // durable truth.
     std::vector<AbandonedResidency> triage = abandoned;
     std::sort(triage.begin(), triage.end(),
               [](const AbandonedResidency &a, const AbandonedResidency &b)
@@ -62,25 +62,13 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
             continue;
         }
 
-        BlockData pt;
-        bool intact;
-        if (traits.secure) {
-            const std::uint64_t page = layout.pageIndex(addr);
-            const CounterBlock cb = pm.readCounterBlock(page);
-            const BlockCounter ctr =
-                cb.counterFor(layout.blockInPage(addr));
-            const BlockData ct = pm.readData(addr);
-            intact = computeMac(keys, addr, ct, ctr) == pm.readMac(addr);
-            pt = decryptBlock(ct, generatePad(keys, addr, ctr));
-        } else {
-            intact = true;
-            pt = pm.readData(addr);
-        }
-
-        if (intact && pt == oracle.blockContent(addr)) {
+        // A MAC-intact block is trusted: a BMT-only failure is the
+        // stale leaf step 3 rebuilds.
+        const BlockReadback b = verifier.readBlock(pm, _sys.tree(), addr);
+        if (b.macOk && b.plaintext == oracle.blockContent(addr)) {
             // The drain had in fact finished before the budget died.
             ++report.blocksRetained;
-        } else if (intact && pt == oracle.blockVersion(addr, pre)) {
+        } else if (b.macOk && b.plaintext == oracle.blockVersion(addr, pre)) {
             oracle.rollbackBlock(addr, pre);
             ++report.blocksRolledBack;
         } else {
@@ -129,24 +117,8 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
 
     // -- Step 4: verify the reconciled image. Zero tolerance: a restore
     // that cannot prove prefix consistency is a failed restore.
-    if (traits.secure) {
-        RecoveryVerifier verifier(layout, keys);
-        report.verify = verifier.verifyAll(pm, _sys.tree(), oracle);
-        report.verified = report.verify.ok();
-    } else {
-        report.verify.blocksChecked = 0;
-        bool ok = true;
-        for (Addr addr : oracle.touchedBlocks()) {
-            ++report.verify.blocksChecked;
-            if (pm.readData(addr) != oracle.blockContent(addr)) {
-                ++report.verify.plaintextMismatches;
-                report.verify.faults.push_back(
-                    {addr, BlockFaultKind::PlaintextMismatch});
-                ok = false;
-            }
-        }
-        report.verified = ok;
-    }
+    report.verify = verifier.verifyAll(pm, _sys.tree(), oracle);
+    report.verified = report.verify.ok();
     return report;
 }
 

@@ -15,6 +15,12 @@
  *    recovered state missing an older store but containing a newer one
  *    diverges from the oracle.
  *
+ * Every check reads a block through one reader (readBlock). BBB, the
+ * insecure row, keeps plaintext in PM and no integrity metadata: its
+ * reader hands back the PM data with both integrity checks passing, so
+ * BBB recovery is the same classification reduced to plaintext
+ * comparisons.
+ *
  * Two additional scan modes exist for fault-injection experiments:
  *
  *  - the spurious-block scan flags PM blocks that the oracle never saw
@@ -83,6 +89,14 @@ struct BlockFault
     BlockFaultKind kind = BlockFaultKind::MacMismatch;
 };
 
+/** One block as recovery reads it back from PM. */
+struct BlockReadback
+{
+    bool macOk = true;    ///< Stored MAC matches (ct, addr, ctr).
+    bool bmtOk = true;    ///< Counter block chains to the BMT root.
+    BlockData plaintext;  ///< Decrypted data (BBB: the PM data itself).
+};
+
 /** Result of a recovery pass. */
 struct RecoveryReport
 {
@@ -116,9 +130,33 @@ struct RecoveryReport
 class RecoveryVerifier
 {
   public:
-    RecoveryVerifier(const MetadataLayout &layout, const SecurityKeys &keys)
-        : _layout(layout), _keys(keys)
+    /** @p secure is the scheme row's `secure` column (false: BBB). */
+    RecoveryVerifier(const MetadataLayout &layout, const SecurityKeys &keys,
+                     bool secure = true)
+        : _layout(layout), _keys(keys), _secure(secure)
     {}
+
+    /** Read back @p addr: both integrity checks and the plaintext. */
+    BlockReadback
+    readBlock(const PmImage &pm, const BonsaiMerkleTree &tree,
+              Addr addr) const
+    {
+        BlockReadback b;
+        if (!_secure) {
+            b.plaintext = pm.readData(addr);
+            return b;
+        }
+        const std::uint64_t page = _layout.pageIndex(addr);
+        const CounterBlock cb = pm.readCounterBlock(page);
+        const BlockCounter ctr = cb.counterFor(_layout.blockInPage(addr));
+        const BlockData ct = pm.readData(addr);
+        // The counter's leaf digest must chain to the root, and the
+        // stored MAC must match (ct, addr, ctr).
+        b.bmtOk = tree.verifyLeaf(page, tree.leafDigest(cb));
+        b.macOk = computeMac(_keys, addr, ct, ctr) == pm.readMac(addr);
+        b.plaintext = decryptBlock(ct, generatePad(_keys, addr, ctr));
+        return b;
+    }
 
     /**
      * Verify and decrypt one block from the PM image.
@@ -130,35 +168,8 @@ class RecoveryVerifier
                 RecoveryReport &report) const
     {
         ++report.blocksChecked;
-        const std::uint64_t page = _layout.pageIndex(block_addr);
-        const CounterBlock cb = pm.readCounterBlock(page);
-        const BlockCounter ctr =
-            cb.counterFor(_layout.blockInPage(block_addr));
-        const BlockData ct = pm.readData(block_addr);
-
-        // Integrity of the counter: leaf digest must chain to the root.
-        if (!tree.verifyLeaf(page, tree.leafDigest(cb))) {
-            ++report.bmtFailures;
-            report.faults.push_back(
-                {block_addr, BlockFaultKind::BmtMismatch});
-        }
-
-        // Integrity of the data: stored MAC must match (ct, addr, ctr).
-        const MacValue mac = computeMac(_keys, block_addr, ct, ctr);
-        if (mac != pm.readMac(block_addr)) {
-            ++report.macFailures;
-            report.faults.push_back(
-                {block_addr, BlockFaultKind::MacMismatch});
-        }
-
-        if (expected) {
-            const BlockData pad = generatePad(_keys, block_addr, ctr);
-            if (decryptBlock(ct, pad) != *expected) {
-                ++report.plaintextMismatches;
-                report.faults.push_back(
-                    {block_addr, BlockFaultKind::PlaintextMismatch});
-            }
-        }
+        tally(block_addr, readBlock(pm, tree, block_addr), expected,
+              report);
     }
 
     /**
@@ -267,6 +278,26 @@ class RecoveryVerifier
         }
     }
 
+    /** Record every failed check of @p b (see BlockFaultKind). */
+    static void
+    tally(Addr addr, const BlockReadback &b, const BlockData *expected,
+          RecoveryReport &report)
+    {
+        if (!b.bmtOk) {
+            ++report.bmtFailures;
+            report.faults.push_back({addr, BlockFaultKind::BmtMismatch});
+        }
+        if (!b.macOk) {
+            ++report.macFailures;
+            report.faults.push_back({addr, BlockFaultKind::MacMismatch});
+        }
+        if (expected && b.plaintext != *expected) {
+            ++report.plaintextMismatches;
+            report.faults.push_back(
+                {addr, BlockFaultKind::PlaintextMismatch});
+        }
+    }
+
     /**
      * Verify a drained block that shares its page with an abandoned
      * residency: a BMT-only failure with MAC and plaintext intact is
@@ -279,35 +310,13 @@ class RecoveryVerifier
                      RecoveryReport &report) const
     {
         ++report.blocksChecked;
-        const std::uint64_t page = _layout.pageIndex(addr);
-        const CounterBlock cb = pm.readCounterBlock(page);
-        const BlockCounter ctr = cb.counterFor(_layout.blockInPage(addr));
-        const BlockData ct = pm.readData(addr);
-
-        const bool bmt_ok = tree.verifyLeaf(page, tree.leafDigest(cb));
-        const bool mac_ok =
-            computeMac(_keys, addr, ct, ctr) == pm.readMac(addr);
-        const BlockData pad = generatePad(_keys, addr, ctr);
-        const bool pt_ok = decryptBlock(ct, pad) == expected;
-
-        if (!bmt_ok && mac_ok && pt_ok) {
+        const BlockReadback b = readBlock(pm, tree, addr);
+        if (!b.bmtOk && b.macOk && b.plaintext == expected) {
             ++report.tornDetected;
             report.faults.push_back({addr, BlockFaultKind::TornResidency});
             return;
         }
-        if (!bmt_ok) {
-            ++report.bmtFailures;
-            report.faults.push_back({addr, BlockFaultKind::BmtMismatch});
-        }
-        if (!mac_ok) {
-            ++report.macFailures;
-            report.faults.push_back({addr, BlockFaultKind::MacMismatch});
-        }
-        if (!pt_ok) {
-            ++report.plaintextMismatches;
-            report.faults.push_back(
-                {addr, BlockFaultKind::PlaintextMismatch});
-        }
+        tally(addr, b, &expected, report);
     }
 
     /** Classify one abandoned-residency block (see verifyPartial). */
@@ -335,15 +344,8 @@ class RecoveryVerifier
             return;
         }
 
-        const std::uint64_t page = _layout.pageIndex(addr);
-        const CounterBlock cb = pm.readCounterBlock(page);
-        const BlockCounter ctr = cb.counterFor(_layout.blockInPage(addr));
-        const BlockData ct = pm.readData(addr);
-
-        const bool bmt_ok = tree.verifyLeaf(page, tree.leafDigest(cb));
-        const bool mac_ok =
-            computeMac(_keys, addr, ct, ctr) == pm.readMac(addr);
-        if (!bmt_ok || !mac_ok) {
+        const BlockReadback b = readBlock(pm, tree, addr);
+        if (!b.bmtOk || !b.macOk) {
             // The abandoned residency left a detectably inconsistent
             // tuple (e.g. an eager scheme's durable BMT root already
             // covers the lost counter update). Loss is flagged, not
@@ -354,10 +356,8 @@ class RecoveryVerifier
             return;
         }
 
-        const BlockData pad = generatePad(_keys, addr, ctr);
-        const BlockData pt = decryptBlock(ct, pad);
-        if (pt == oracle.blockVersion(addr, pre_version) ||
-            pt == oracle.blockContent(addr)) {
+        if (b.plaintext == oracle.blockVersion(addr, pre_version) ||
+            b.plaintext == oracle.blockContent(addr)) {
             ++report.staleConsistent;
         } else {
             ++report.prefixViolations;
@@ -368,6 +368,7 @@ class RecoveryVerifier
 
     const MetadataLayout &_layout;
     SecurityKeys _keys;
+    bool _secure;
 };
 
 } // namespace secpb

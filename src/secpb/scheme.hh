@@ -36,9 +36,7 @@
 #ifndef SECPB_SECPB_SCHEME_HH
 #define SECPB_SECPB_SCHEME_HH
 
-#include <cctype>
 #include <cstddef>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -190,25 +188,20 @@ allSchemeNames()
 }
 
 /**
- * Parse a scheme spec: a canonical name, a legacy mixed-case spelling
- * (accepted case-insensitively with a one-time deprecation note), or a
- * parameterized form (`triad:levels=N`, stored into @p params when
- * non-null). Fatal -- listing every valid name -- on anything else.
+ * Parse a scheme spec: a canonical name or a parameterized form
+ * (`triad:levels=N`, stored into @p params when non-null). Fatal --
+ * listing every valid name -- on anything else.
  */
 inline Scheme
 parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
 {
     const std::string::size_type colon = spec.find(':');
     const std::string name = spec.substr(0, colon);
-    std::string lower = name;
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
 
     Scheme parsed = Scheme::Bbb;
     bool found = false;
     for (const SchemeTraits &row : SchemeTable) {
-        if (lower == row.name) {
+        if (name == row.name) {
             parsed = row.scheme;
             found = true;
             break;
@@ -218,18 +211,6 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
              "unknown scheme name '%s' (valid: %s; triad accepts "
              "'triad:levels=N')",
              spec.c_str(), allSchemeNames().c_str());
-
-    if (name != schemeName(parsed)) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            std::fprintf(stderr,
-                         "secpb: note: scheme spelling '%s' is "
-                         "deprecated; canonical names are lowercase "
-                         "('%s')\n",
-                         name.c_str(), schemeName(parsed));
-        }
-    }
 
     if (colon != std::string::npos) {
         const std::string tail = spec.substr(colon + 1);
@@ -254,7 +235,7 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
     return parsed;
 }
 
-/** Parse a bare scheme name (case-insensitive; no parameters). */
+/** Parse a bare scheme name (no parameters). */
 inline Scheme
 parseScheme(const std::string &name)
 {

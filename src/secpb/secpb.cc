@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "energy/energy_model.hh"
+#include "mem/data_hierarchy.hh"
 #include "obs/trace.hh"
 #include "sim/debug.hh"
 
@@ -1131,8 +1132,7 @@ SecPb::crashFloorWork() const
     w.mdcBlockFlushes = _ctrCache.numDirty() + _macCache.numDirty();
     w.pmBlockWrites = w.mdcBlockFlushes;
     if (_traits.flushesHierarchy) {
-        const HierarchyFootprint h;
-        w.cacheLinesFlushed = (h.l1Bytes + h.l2Bytes + h.l3Bytes) / BlockSize;
+        w.cacheLinesFlushed = DataHierarchyConfig{}.totalBytes() / BlockSize;
     }
     return w;
 }

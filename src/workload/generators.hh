@@ -260,8 +260,6 @@ class ZipfMixGenerator : public QueueGenerator
                      std::uint64_t total_instructions, std::uint64_t seed,
                      Addr region_base = 0);
 
-    std::uint32_t tenants() const { return _p.tenants; }
-
   protected:
     void refill() override;
 

@@ -1,9 +1,7 @@
 #include "workload/trace_file.hh"
 
 #include <cstring>
-#include <sstream>
 
-#include "core/simulation.hh"
 #include "sim/logging.hh"
 
 namespace secpb
@@ -12,36 +10,9 @@ namespace secpb
 namespace
 {
 
-constexpr char TextMagic[] = "secpb-trace";
-constexpr char BinaryMagic[8] = {'S', 'E', 'C', 'P', 'B', 'T', 'R', 'C'};
+constexpr char Magic[8] = {'S', 'E', 'C', 'P', 'B', 'T', 'R', 'C'};
 constexpr std::uint16_t FormatVersion = 1;
-constexpr std::size_t BinaryHeaderBytes = 8 + 2 + 1 + 1 + 8;
-
-const char *
-levelName(MemLevel level)
-{
-    switch (level) {
-      case MemLevel::L1:  return "l1";
-      case MemLevel::L2:  return "l2";
-      case MemLevel::L3:  return "l3";
-      case MemLevel::Mem: return "mem";
-    }
-    return "?";
-}
-
-MemLevel
-parseLevel(const std::string &name, const std::string &path)
-{
-    if (name == "l1")
-        return MemLevel::L1;
-    if (name == "l2")
-        return MemLevel::L2;
-    if (name == "l3")
-        return MemLevel::L3;
-    if (name == "mem")
-        return MemLevel::Mem;
-    fatal("%s: unknown load level '%s'", path.c_str(), name.c_str());
-}
+constexpr std::size_t HeaderBytes = 8 + 2 + 1 + 1 + 8;
 
 void
 putVarint(std::ofstream &out, std::uint64_t v)
@@ -53,22 +24,6 @@ putVarint(std::ofstream &out, std::uint64_t v)
     out.put(static_cast<char>(v));
 }
 
-std::uint64_t
-getVarint(std::ifstream &in, const std::string &path)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int c = in.get();
-        fatal_if(c == std::ifstream::traits_type::eof(),
-                 "%s: truncated varint", path.c_str());
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-    }
-    fatal("%s: varint overruns 64 bits", path.c_str());
-    return 0;
-}
-
 void
 putU64(std::ofstream &out, std::uint64_t v)
 {
@@ -78,20 +33,6 @@ putU64(std::ofstream &out, std::uint64_t v)
     out.write(b, 8);
 }
 
-std::uint64_t
-getU64(std::ifstream &in, const std::string &path)
-{
-    char b[8];
-    in.read(b, 8);
-    fatal_if(in.gcount() != 8, "%s: truncated 64-bit field",
-             path.c_str());
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(b[i])) << (8 * i);
-    return v;
-}
-
 void
 putU16(std::ofstream &out, std::uint16_t v)
 {
@@ -99,34 +40,11 @@ putU16(std::ofstream &out, std::uint16_t v)
     out.put(static_cast<char>(v >> 8));
 }
 
-std::uint16_t
-getU16(std::ifstream &in, const std::string &path)
-{
-    const int lo = in.get();
-    const int hi = in.get();
-    fatal_if(hi == std::ifstream::traits_type::eof(),
-             "%s: truncated 16-bit field", path.c_str());
-    return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
 void
 putString(std::ofstream &out, const std::string &s)
 {
     putVarint(out, s.size());
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string
-getString(std::ifstream &in, const std::string &path)
-{
-    const std::uint64_t n = getVarint(in, path);
-    fatal_if(n > (1ULL << 20), "%s: meta string of %llu bytes",
-             path.c_str(), static_cast<unsigned long long>(n));
-    std::string s(n, '\0');
-    in.read(s.data(), static_cast<std::streamsize>(n));
-    fatal_if(static_cast<std::uint64_t>(in.gcount()) != n,
-             "%s: truncated meta string", path.c_str());
-    return s;
 }
 
 std::uint8_t
@@ -139,43 +57,18 @@ opTag(const TraceOp &op)
 
 } // namespace
 
-TraceEncoding
-parseTraceEncoding(const std::string &name)
-{
-    if (name == "text")
-        return TraceEncoding::Text;
-    if (name == "binary")
-        return TraceEncoding::Binary;
-    fatal("unknown trace encoding '%s' (want text|binary)", name.c_str());
-    return TraceEncoding::Text;
-}
-
-const char *
-traceEncodingName(TraceEncoding enc)
-{
-    return enc == TraceEncoding::Text ? "text" : "binary";
-}
-
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
 
 TraceFileWriter::TraceFileWriter(
-    const std::string &path, TraceEncoding encoding,
+    const std::string &path,
     std::vector<std::pair<std::string, std::string>> meta)
-    : _path(path), _encoding(encoding), _meta(std::move(meta)),
-      _out(path, _encoding == TraceEncoding::Binary
-                     ? std::ios::binary | std::ios::trunc
-                     : std::ios::trunc)
+    : _path(path), _meta(std::move(meta)),
+      _out(path, std::ios::binary | std::ios::trunc)
 {
     fatal_if(!_out, "cannot open trace file '%s' for writing",
              path.c_str());
-    for (const auto &[k, v] : _meta)
-        fatal_if(k.empty() ||
-                     k.find_first_of(" \n") != std::string::npos ||
-                     v.find('\n') != std::string::npos,
-                 "trace meta key/value ('%s') must be newline-free and "
-                 "the key one word", k.c_str());
     fatal_if(_meta.size() > 255, "at most 255 trace meta entries");
     writeHeader();
 }
@@ -189,25 +82,15 @@ TraceFileWriter::~TraceFileWriter()
 void
 TraceFileWriter::writeHeader()
 {
-    if (_encoding == TraceEncoding::Text) {
-        _out << TextMagic << " v" << FormatVersion << " text\n";
-        for (const auto &[k, v] : _meta)
-            _out << "meta " << k << " " << v << "\n";
-        // The op count is patched on close; a fixed-width field keeps
-        // the payload offset stable so the patch never shifts it.
-        _countPos = _out.tellp();
-        _out << "ops " << std::string(20, '0') << "\n";
-    } else {
-        _out.write(BinaryMagic, sizeof(BinaryMagic));
-        putU16(_out, FormatVersion);
-        _out.put(static_cast<char>(1));  // encoding: 1 = binary
-        _out.put(static_cast<char>(_meta.size()));
-        _countPos = _out.tellp();
-        putU64(_out, 0);
-        for (const auto &[k, v] : _meta) {
-            putString(_out, k);
-            putString(_out, v);
-        }
+    _out.write(Magic, sizeof(Magic));
+    putU16(_out, FormatVersion);
+    _out.put(static_cast<char>(1));  // encoding tag: 1 = binary
+    _out.put(static_cast<char>(_meta.size()));
+    _countPos = _out.tellp();
+    putU64(_out, 0);
+    for (const auto &[k, v] : _meta) {
+        putString(_out, k);
+        putString(_out, v);
     }
 }
 
@@ -219,25 +102,6 @@ TraceFileWriter::add(const TraceOp &op)
              "trace '%s': store address %llx is not 8-byte aligned",
              _path.c_str(), static_cast<unsigned long long>(op.addr));
     ++_numOps;
-    if (_encoding == TraceEncoding::Text) {
-        switch (op.kind) {
-          case TraceOp::Kind::Instr:
-            _out << "I " << op.count << "\n";
-            break;
-          case TraceOp::Kind::Load:
-            _out << "L " << levelName(op.level) << " " << op.addr << " "
-                 << op.asid << "\n";
-            break;
-          case TraceOp::Kind::Store:
-            _out << "S " << op.addr << " " << op.value << " " << op.asid
-                 << "\n";
-            break;
-          case TraceOp::Kind::Barrier:
-            _out << "B " << op.asid << "\n";
-            break;
-        }
-        return;
-    }
     _out.put(static_cast<char>(opTag(op)));
     switch (op.kind) {
       case TraceOp::Kind::Instr:
@@ -264,17 +128,8 @@ TraceFileWriter::close()
     if (_closed)
         return;
     _closed = true;
-    if (_encoding == TraceEncoding::Text)
-        _out << "end\n";
     _out.seekp(_countPos);
-    if (_encoding == TraceEncoding::Text) {
-        std::ostringstream count;
-        count << _numOps;
-        std::string padded(20 - count.str().size(), '0');
-        _out << "ops " << padded << count.str();
-    } else {
-        putU64(_out, _numOps);
-    }
+    putU64(_out, _numOps);
     _out.flush();
     fatal_if(!_out, "I/O error writing trace file '%s'", _path.c_str());
     _out.close();
@@ -284,98 +139,98 @@ TraceFileWriter::close()
 // Reader
 // ---------------------------------------------------------------------
 
-TraceFileReader::TraceFileReader(const std::string &path) : _path(path)
+TraceFileReader::TraceFileReader(const std::string &path)
+    : _path(path), _in(path, std::ios::binary)
 {
-    std::ifstream probe(path, std::ios::binary);
-    fatal_if(!probe, "cannot open trace file '%s'", path.c_str());
+    fatal_if(!_in, "cannot open trace file '%s'", path.c_str());
     char magic[8] = {};
-    probe.read(magic, sizeof(magic));
-    if (probe.gcount() == 8 &&
-        std::memcmp(magic, BinaryMagic, sizeof(BinaryMagic)) == 0) {
-        _encoding = TraceEncoding::Binary;
-        _in.open(path, std::ios::binary);
-        openBinary();
-    } else {
-        _encoding = TraceEncoding::Text;
-        openText(probe);
-    }
-}
-
-void
-TraceFileReader::openText(std::ifstream &probe)
-{
-    probe.seekg(0);
-    probe.clear();
-    _in.open(_path);
-    fatal_if(!_in, "cannot open trace file '%s'", _path.c_str());
-
-    std::string line;
-    fatal_if(!std::getline(_in, line),
-             "%s: empty file, not a secpb-trace", _path.c_str());
-    std::istringstream hdr(line);
-    std::string magic, version, enc;
-    hdr >> magic >> version >> enc;
-    fatal_if(magic != TextMagic,
-             "%s: bad magic '%s' (want '%s')", _path.c_str(),
-             magic.c_str(), TextMagic);
-    fatal_if(version != "v1",
-             "%s: unsupported trace version '%s' (want v1)",
-             _path.c_str(), version.c_str());
-    fatal_if(enc != "text", "%s: bad encoding tag '%s' in text header",
-             _path.c_str(), enc.c_str());
-
-    while (std::getline(_in, line)) {
-        std::istringstream ls(line);
-        std::string word;
-        ls >> word;
-        if (word == "meta") {
-            std::string key;
-            ls >> key;
-            std::string value;
-            std::getline(ls, value);
-            if (!value.empty() && value.front() == ' ')
-                value.erase(0, 1);
-            fatal_if(key.empty(), "%s: meta line without a key",
-                     _path.c_str());
-            _meta.emplace_back(key, value);
-            continue;
-        }
-        fatal_if(word != "ops",
-                 "%s: expected 'ops <count>' after header, got '%s'",
-                 _path.c_str(), word.c_str());
-        std::string count;
-        ls >> count;
-        _numOps = parseDecimalU64((_path + ": op count").c_str(),
-                                  count.c_str());
-        _payloadPos = _in.tellg();
-        return;
-    }
-    fatal("%s: header ends without an 'ops' line", _path.c_str());
-}
-
-void
-TraceFileReader::openBinary()
-{
-    fatal_if(!_in, "cannot open trace file '%s'", _path.c_str());
-    _in.seekg(8);  // past the magic the probe verified
-    const std::uint16_t version = getU16(_in, _path);
-    fatal_if(version != FormatVersion,
-             "%s: unsupported trace version %u (want %u)", _path.c_str(),
-             version, FormatVersion);
+    _in.read(magic, sizeof(magic));
+    fatal_if(_in.gcount() != 8 ||
+                 std::memcmp(magic, Magic, sizeof(Magic)) != 0,
+             "%s: bad magic (want \"SECPBTRC\"), not a secpb-trace",
+             path.c_str());
+    const int lo = _in.get();
+    const int hi = _in.get();
     const int enc = _in.get();
-    fatal_if(enc != 1, "%s: binary header carries encoding tag %d",
-             _path.c_str(), enc);
     const int n_meta = _in.get();
     fatal_if(n_meta == std::ifstream::traits_type::eof(),
-             "%s: truncated header (%zu-byte minimum)", _path.c_str(),
-             BinaryHeaderBytes);
-    _numOps = getU64(_in, _path);
+             "%s: truncated header (%zu-byte minimum)", path.c_str(),
+             HeaderBytes);
+    const unsigned version = static_cast<unsigned>(lo | (hi << 8));
+    fatal_if(version != FormatVersion,
+             "%s: unsupported trace version %u (want %u)", path.c_str(),
+             version, FormatVersion);
+    fatal_if(enc != 1, "%s: unknown encoding tag %d (want 1)",
+             path.c_str(), enc);
+    _numOps = getU64("op count");
     for (int i = 0; i < n_meta; ++i) {
-        std::string k = getString(_in, _path);
-        std::string v = getString(_in, _path);
+        std::string k = getString("meta key");
+        std::string v = getString("meta value");
         _meta.emplace_back(std::move(k), std::move(v));
     }
     _payloadPos = _in.tellg();
+}
+
+std::string
+TraceFileReader::where() const
+{
+    if (_payloadPos == 0)
+        return _path + ": header";
+    return csprintf("%s: op %llu", _path.c_str(),
+                    static_cast<unsigned long long>(_opsRead));
+}
+
+std::uint64_t
+TraceFileReader::getVarint(const char *field)
+{
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        const int c = _in.get();
+        fatal_if(c == std::ifstream::traits_type::eof(),
+                 "%s: truncated %s varint", where().c_str(), field);
+        // A 10th byte may carry bit 63 and nothing else.
+        fatal_if(shift == 63 && c > 1, "%s: %s varint overflows 64 bits",
+                 where().c_str(), field);
+        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+        if (!(c & 0x80))
+            return v;
+    }
+}
+
+std::uint32_t
+TraceFileReader::getVarint32(const char *field)
+{
+    const std::uint64_t v = getVarint(field);
+    fatal_if(v > UINT32_MAX, "%s: %s %llu does not fit 32 bits",
+             where().c_str(), field, static_cast<unsigned long long>(v));
+    return static_cast<std::uint32_t>(v);
+}
+
+std::uint64_t
+TraceFileReader::getU64(const char *field)
+{
+    char b[8];
+    _in.read(b, 8);
+    fatal_if(_in.gcount() != 8, "%s: truncated %s", where().c_str(),
+             field);
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(b[i])) << (8 * i);
+    return v;
+}
+
+std::string
+TraceFileReader::getString(const char *field)
+{
+    const std::uint64_t n = getVarint(field);
+    fatal_if(n > (1ULL << 20), "%s: %s of %llu bytes", where().c_str(),
+             field, static_cast<unsigned long long>(n));
+    std::string s(n, '\0');
+    _in.read(s.data(), static_cast<std::streamsize>(n));
+    fatal_if(static_cast<std::uint64_t>(_in.gcount()) != n,
+             "%s: truncated %s", where().c_str(), field);
+    return s;
 }
 
 void
@@ -399,91 +254,45 @@ TraceFileReader::metaValue(const std::string &key,
 bool
 TraceFileReader::next(TraceOp &op)
 {
-    if (_opsRead >= _numOps)
+    if (_opsRead >= _numOps) {
+        fatal_if(_in.peek() != std::ifstream::traits_type::eof(),
+                 "%s: bytes left after the %llu promised ops",
+                 where().c_str(), static_cast<unsigned long long>(_numOps));
         return false;
-    const bool ok = _encoding == TraceEncoding::Text ? nextText(op)
-                                                     : nextBinary(op);
-    fatal_if(!ok, "%s: truncated after %llu of %llu ops", _path.c_str(),
+    }
+    const int tag = _in.get();
+    fatal_if(tag == std::ifstream::traits_type::eof(),
+             "%s: truncated after %llu of %llu ops", _path.c_str(),
              static_cast<unsigned long long>(_opsRead),
              static_cast<unsigned long long>(_numOps));
-    ++_opsRead;
-    return true;
-}
-
-bool
-TraceFileReader::nextText(TraceOp &op)
-{
-    std::string line;
-    while (std::getline(_in, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::string word;
-        ls >> word;
-        fatal_if(word == "end",
-                 "%s: 'end' after %llu ops but header promised %llu",
-                 _path.c_str(),
-                 static_cast<unsigned long long>(_opsRead),
-                 static_cast<unsigned long long>(_numOps));
-        op = TraceOp{};
-        bool parsed = false;
-        if (word == "I") {
-            op.kind = TraceOp::Kind::Instr;
-            parsed = static_cast<bool>(ls >> op.count);
-        } else if (word == "L") {
-            op.kind = TraceOp::Kind::Load;
-            std::string level;
-            parsed = static_cast<bool>(ls >> level >> op.addr >> op.asid);
-            if (parsed)
-                op.level = parseLevel(level, _path);
-        } else if (word == "S") {
-            op.kind = TraceOp::Kind::Store;
-            parsed =
-                static_cast<bool>(ls >> op.addr >> op.value >> op.asid);
-        } else if (word == "B") {
-            op.kind = TraceOp::Kind::Barrier;
-            parsed = static_cast<bool>(ls >> op.asid);
-        } else {
-            fatal("%s: unknown op record '%s'", _path.c_str(),
-                  word.c_str());
-        }
-        fatal_if(!parsed, "%s: malformed %s record '%s'", _path.c_str(),
-                 word.c_str(), line.c_str());
-        return true;
-    }
-    return false;
-}
-
-bool
-TraceFileReader::nextBinary(TraceOp &op)
-{
-    const int tag = _in.get();
-    if (tag == std::ifstream::traits_type::eof())
-        return false;
     const unsigned kind = tag & 0x0f;
     const unsigned level = (tag >> 4) & 0x0f;
     fatal_if(kind > 3 || level > 3, "%s: corrupt op tag 0x%02x",
-             _path.c_str(), tag);
+             where().c_str(), tag);
     op = TraceOp{};
     op.kind = static_cast<TraceOp::Kind>(kind);
     op.level = static_cast<MemLevel>(level);
     switch (op.kind) {
       case TraceOp::Kind::Instr:
-        op.count = static_cast<std::uint32_t>(getVarint(_in, _path));
+        op.count = getVarint32("instr count");
         break;
       case TraceOp::Kind::Load:
-        op.addr = getVarint(_in, _path);
-        op.asid = static_cast<std::uint32_t>(getVarint(_in, _path));
+        op.addr = getVarint("load address");
+        op.asid = getVarint32("asid");
         break;
       case TraceOp::Kind::Store:
-        op.addr = getVarint(_in, _path);
-        op.value = getU64(_in, _path);
-        op.asid = static_cast<std::uint32_t>(getVarint(_in, _path));
+        op.addr = getVarint("store address");
+        fatal_if(op.addr % 8 != 0,
+                 "%s: store address %llx is not 8-byte aligned",
+                 where().c_str(), static_cast<unsigned long long>(op.addr));
+        op.value = getU64("store value");
+        op.asid = getVarint32("asid");
         break;
       case TraceOp::Kind::Barrier:
-        op.asid = static_cast<std::uint32_t>(getVarint(_in, _path));
+        op.asid = getVarint32("asid");
         break;
     }
+    ++_opsRead;
     return true;
 }
 
@@ -513,9 +322,8 @@ ReplayGenerator::rewind()
 
 RecordingGenerator::RecordingGenerator(
     std::unique_ptr<WorkloadGenerator> inner, const std::string &path,
-    TraceEncoding encoding,
     std::vector<std::pair<std::string, std::string>> meta)
-    : _inner(std::move(inner)), _writer(path, encoding, std::move(meta))
+    : _inner(std::move(inner)), _writer(path, std::move(meta))
 {
     fatal_if(!_inner, "RecordingGenerator needs an inner workload");
 }

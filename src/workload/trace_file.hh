@@ -2,32 +2,22 @@
  * @file
  * The secpb-trace file format: versioned, seekable TraceOp streams.
  *
- * Two encodings share one schema-checked header so real memtraces (via
- * tools/convert_memtrace.py) and recorded generator runs replay through
- * the exact same path:
+ * One binary encoding carries both recorded generator runs and real
+ * memtraces (via tools/convert_memtrace.py), so both replay through the
+ * exact same path. A fixed 20-byte header (magic "SECPBTRC", u16
+ * version, u8 encoding tag 1, u8 meta count, u64 op count, little
+ * endian), length-prefixed meta strings, then one tag byte per op
+ * (kind | level << 4) followed by LEB128 varints (store values stay
+ * fixed 8 bytes -- they are pseudo-random and do not compress).
  *
- *  - text: line oriented and diffable.
- *        secpb-trace v1 text
- *        meta <key> <value>       (zero or more)
- *        ops <count>
- *        I <count>
- *        L <level> <addr> <asid>      level in {l1,l2,l3,mem}
- *        S <addr> <value> <asid>
- *        B <asid>
- *        end
- *  - binary: compact records for server-scale traces. Fixed 20-byte
- *    header (magic "SECPBTRC", u16 version, u8 encoding, u8 meta count,
- *    u64 op count, little endian), length-prefixed meta strings, then
- *    one tag byte per op (kind | level << 4) followed by LEB128 varints
- *    (store values stay fixed 8 bytes -- they are pseudo-random and do
- *    not compress).
- *
- * Both encodings round-trip TraceOps losslessly and deterministically:
- * write(read(f)) == f. Headers are validated eagerly and loudly -- a bad
- * magic, version, encoding, or a truncated payload is fatal, never a
- * silently shortened workload. Readers are seekable: rewind() returns
- * to the first op without reopening, which is what lets one
- * ReplayGenerator instance drive multi-cycle fault experiments.
+ * Ops round-trip losslessly and deterministically: write(read(f)) == f.
+ * The reader is as strict as the writer -- a bad magic, version or
+ * encoding tag, a truncated payload, a misaligned store, a count or
+ * ASID past 32 bits, a varint past 64 bits, or bytes after the promised
+ * op count is fatal, never a silently altered workload. Readers are
+ * seekable: rewind() returns to the first op without reopening, which
+ * is what lets one ReplayGenerator instance drive multi-cycle fault
+ * experiments.
  */
 
 #ifndef SECPB_WORKLOAD_TRACE_FILE_HH
@@ -45,17 +35,6 @@
 namespace secpb
 {
 
-/** On-disk encodings of a trace file. */
-enum class TraceEncoding
-{
-    Text,
-    Binary,
-};
-
-/** Parse "text"/"binary" (fatal on anything else). */
-TraceEncoding parseTraceEncoding(const std::string &name);
-const char *traceEncodingName(TraceEncoding enc);
-
 /** Streaming writer; the op count is patched into the header on close. */
 class TraceFileWriter
 {
@@ -65,7 +44,7 @@ class TraceFileWriter
      * provenance (workload spec, seed) replay tools can display.
      */
     TraceFileWriter(
-        const std::string &path, TraceEncoding encoding,
+        const std::string &path,
         std::vector<std::pair<std::string, std::string>> meta = {});
     ~TraceFileWriter();
 
@@ -85,15 +64,14 @@ class TraceFileWriter
     void writeHeader();
 
     std::string _path;
-    TraceEncoding _encoding;
     std::vector<std::pair<std::string, std::string>> _meta;
     std::ofstream _out;
     std::uint64_t _numOps = 0;
-    std::ofstream::pos_type _countPos = 0;  ///< Binary: patch offset.
+    std::ofstream::pos_type _countPos = 0;  ///< Op-count patch offset.
     bool _closed = false;
 };
 
-/** Validating reader over either encoding (auto-detected). */
+/** Validating reader: every op the writer would refuse is fatal. */
 class TraceFileReader
 {
   public:
@@ -105,35 +83,31 @@ class TraceFileReader
 
     /**
      * Read the next op. @return false once all `numOps()` ops were
-     * consumed; a malformed or truncated record is fatal.
+     * consumed; a malformed or truncated record, or bytes after the
+     * last promised op, is fatal.
      */
     bool next(TraceOp &op);
 
     /** Seek back to the first op. */
     void rewind();
 
-    TraceEncoding encoding() const { return _encoding; }
     std::uint64_t numOps() const { return _numOps; }
     std::uint64_t opsRead() const { return _opsRead; }
-
-    const std::vector<std::pair<std::string, std::string>> &
-    meta() const
-    {
-        return _meta;
-    }
 
     /** First value recorded for @p key, or @p fallback. */
     std::string metaValue(const std::string &key,
                           const std::string &fallback = "") const;
 
   private:
-    void openText(std::ifstream &probe);
-    void openBinary();
-    bool nextText(TraceOp &op);
-    bool nextBinary(TraceOp &op);
+    /** "PATH: header" or "PATH: op N", for diagnostics. */
+    std::string where() const;
+
+    std::uint64_t getVarint(const char *field);
+    std::uint32_t getVarint32(const char *field);
+    std::uint64_t getU64(const char *field);
+    std::string getString(const char *field);
 
     std::string _path;
-    TraceEncoding _encoding = TraceEncoding::Text;
     std::ifstream _in;
     std::uint64_t _numOps = 0;
     std::uint64_t _opsRead = 0;
@@ -153,8 +127,6 @@ class ReplayGenerator : public WorkloadGenerator
     /** Restart the trace from the first op (multi-cycle experiments). */
     void rewind();
 
-    const TraceFileReader &reader() const { return *_reader; }
-
   private:
     std::unique_ptr<TraceFileReader> _reader;
     WorkloadCounters _ctr;
@@ -170,7 +142,6 @@ class RecordingGenerator : public WorkloadGenerator
   public:
     RecordingGenerator(
         std::unique_ptr<WorkloadGenerator> inner, const std::string &path,
-        TraceEncoding encoding = TraceEncoding::Binary,
         std::vector<std::pair<std::string, std::string>> meta = {});
 
     bool next(TraceOp &op) override;

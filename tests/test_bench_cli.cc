@@ -97,7 +97,7 @@ TEST(BenchCli, SplitCommas)
 TEST(BenchCli, ParseFlagsOverrideEnv)
 {
     const char *argv[] = {"bench",     "--jobs",   "5",
-                          "--scheme",  "CM,COBCM", "--profile",
+                          "--scheme",  "cm,cobcm", "--profile",
                           "gamess",    "--instr",  "1234",
                           "--seed",    "9",        "--json",
                           "/tmp/x.json", nullptr};

@@ -187,6 +187,25 @@ TEST(FaultInjector, BbbBoundedDrainKeepsPlaintextPrefix)
         << "insecure drain must still lose only a suffix";
 }
 
+TEST(FaultInjector, BbbCorruptedDrainedBlockIsPlaintextMismatch)
+{
+    // BBB has no integrity metadata, so recovery is a plaintext
+    // comparison -- and it must still catch a block that differs from
+    // what was persisted.
+    SecPbSystem sys(cfgFor(Scheme::Bbb));
+    ScriptedGenerator gen = sequentialStores(40);
+    sys.run(gen);
+    ASSERT_TRUE(sys.pm().hasData(0)) << "block 0 must have drained";
+    sys.pm().tamperData(0, 3, 0x5a);
+    const CrashReport cr = sys.crashNow();
+    EXPECT_FALSE(cr.recovered);
+    EXPECT_EQ(cr.recovery.plaintextMismatches, 1u);
+    ASSERT_EQ(cr.recovery.faults.size(), 1u);
+    EXPECT_EQ(cr.recovery.faults[0].addr, 0u);
+    EXPECT_EQ(cr.recovery.faults[0].kind,
+              BlockFaultKind::PlaintextMismatch);
+}
+
 TEST(FaultInjector, TamperEachRegionDetected)
 {
     // Force one tamper of each region in turn and demand detection.

@@ -233,6 +233,49 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
     EXPECT_TRUE(cr2.recovered);
 }
 
+TEST(Intermittent, BbbBoundedCrashRestoresVerified)
+{
+    // BBB keeps plaintext in PM and no integrity metadata: restore has
+    // no counters to reload and no BMT to rebuild, but it must still
+    // reconcile the abandoned suffix and verify the image.
+    SystemConfig cfg;
+    cfg.scheme = Scheme::Bbb;
+    cfg.pmDataBytes = 1ULL << 30;
+    PmImage pm;
+    BonsaiMerkleTree tree(1);
+    PersistOracle oracle;
+    std::vector<AbandonedResidency> abandoned;
+    {
+        SecPbSystem sys(cfg);
+        SyntheticGenerator gen(profileByName("gamess"), 10'000, 3);
+        sys.start(gen);
+        sys.runUntil(40'000);
+        CrashOptions opts;
+        opts.batteryEnergyJ = 0.15 * sys.provisionedCrashEnergy();
+        const CrashReport cr = sys.crashNow(opts);
+        ASSERT_TRUE(cr.work.batteryExhausted);
+        ASSERT_FALSE(cr.work.abandoned.empty());
+        ASSERT_TRUE(cr.recovered);
+        pm = sys.pm();
+        tree = sys.tree();
+        oracle = sys.oracle();
+        abandoned = cr.work.abandoned;
+    }
+
+    SecPbSystem reboot(cfg);
+    reboot.adoptPersistentState(pm, tree, oracle);
+    const RestoreReport r = RestoreManager(reboot).restore(abandoned);
+    EXPECT_TRUE(r.complete);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.counterPagesReloaded, 0u);
+    EXPECT_EQ(r.leavesRebuilt, 0u);
+    EXPECT_EQ(r.blocksQuarantined, 0u);
+    EXPECT_EQ(r.blocksRetained + r.blocksRolledBack + r.blocksForgotten,
+              abandoned.size());
+    EXPECT_EQ(r.verify.blocksChecked,
+              reboot.oracle().touchedBlocks().size());
+}
+
 TEST(Intermittent, AdaptivePolicyNeverOverspendsTheCell)
 {
     // The tentpole invariant: with the adaptive drain policy enabled,

@@ -111,15 +111,12 @@ TEST(Scheme, NamesAreCanonicalLowercase)
     }
 }
 
-TEST(Scheme, ParseIsCaseInsensitive)
+TEST(SchemeDeath, LegacySpellingIsFatal)
 {
-    // Legacy mixed-case spellings from older CLIs/configs keep parsing.
-    EXPECT_EQ(parseScheme("COBCM"), Scheme::Cobcm);
-    EXPECT_EQ(parseScheme("CM"), Scheme::Cm);
-    EXPECT_EQ(parseScheme("NoGap"), Scheme::NoGap);
-    EXPECT_EQ(parseScheme("Sec_WT"), Scheme::SecWt);
-    EXPECT_EQ(parseScheme("eADR"), Scheme::Eadr);
-    EXPECT_EQ(parseScheme("SecPM"), Scheme::Secpm);
+    // Only canonical names parse; the diagnostic lists every one.
+    EXPECT_DEATH(parseScheme("COBCM"),
+                 "unknown scheme name 'COBCM' \\(valid: " +
+                     allSchemeNames());
 }
 
 TEST(Scheme, ParseTriadLevelsSpec)

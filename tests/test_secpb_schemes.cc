@@ -360,9 +360,7 @@ TEST(SchemeZoo, EadrPricesWholeHierarchyFlush)
         gen.store(a, a + 5);
     sys.run(gen);
 
-    const HierarchyFootprint h;
-    const std::uint64_t lines =
-        (h.l1Bytes + h.l2Bytes + h.l3Bytes) / BlockSize;
+    const std::uint64_t lines = DataHierarchyConfig{}.totalBytes() / BlockSize;
     EXPECT_EQ(sys.secpb().predictCrashDrainWork().cacheLinesFlushed, lines);
 
     CrashReport cr = sys.crashNow();

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Validate a secpb-trace workload file written by --trace-record.
 
-An independent re-implementation of the v1 format (text and binary
-encodings), so a bug in the C++ writer/reader pair cannot self-certify.
-Checks, in order:
+An independent re-implementation of the v1 binary format, so a bug in
+the C++ writer/reader pair cannot self-certify. Checks, in order:
 
   1. the header is well-formed: magic, version 1, encoding tag, meta
      entries, and the op count;
   2. every op record decodes, with a known kind, a known cache level,
-     and 8-byte-aligned store addresses;
+     8-byte-aligned store addresses, varints within 64 bits, and
+     instruction counts and ASIDs within 32 bits;
   3. the payload holds exactly the promised number of ops -- no early
-     'end'/EOF, no trailing garbage after it.
+     EOF, no trailing bytes after it.
 
 Exit status 0 on success; 1 with a diagnostic on the first violation.
 Usage: tools/validate_trace_file.py TRACE.trc [--min-ops N]
@@ -20,10 +20,8 @@ Usage: tools/validate_trace_file.py TRACE.trc [--min-ops N]
 import argparse
 import sys
 
-BINARY_MAGIC = b"SECPBTRC"
-TEXT_MAGIC = "secpb-trace"
+MAGIC = b"SECPBTRC"
 VERSION = 1
-LEVELS = ("l1", "l2", "l3", "mem")
 
 
 def fail(msg: str) -> None:
@@ -47,10 +45,18 @@ def read_varint(data: bytes, pos: int, what: str) -> tuple[int, int]:
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
+        if shift == 63 and byte > 1:
+            fail(f"varint overflows 64 bits in {what}")
         if not byte & 0x80:
             return value, pos
-    fail(f"varint overruns 64 bits in {what}")
     return 0, pos  # unreachable
+
+
+def read_u32(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    value, pos = read_varint(data, pos, what)
+    if value >= 1 << 32:
+        fail(f"{what}: {value} does not fit 32 bits")
+    return value, pos
 
 
 def read_string(data: bytes, pos: int, what: str) -> tuple[str, int]:
@@ -65,8 +71,10 @@ def check_store_alignment(addr: int, where: str) -> None:
         fail(f"{where}: store address {addr:#x} is not 8-byte aligned")
 
 
-def validate_binary(data: bytes) -> tuple[dict, Counts]:
-    pos = len(BINARY_MAGIC)
+def validate(data: bytes) -> tuple[dict, Counts]:
+    if data[:len(MAGIC)] != MAGIC:
+        fail(f"bad magic (want {MAGIC.decode()}), not a secpb-trace")
+    pos = len(MAGIC)
     if len(data) < pos + 2 + 1 + 1 + 8:
         fail("binary header shorter than its fixed fields")
     version = int.from_bytes(data[pos:pos + 2], "little")
@@ -97,11 +105,11 @@ def validate_binary(data: bytes) -> tuple[dict, Counts]:
         if kind > 3 or level > 3:
             fail(f"{where}: corrupt op tag {tag:#04x}")
         if kind == 0:  # instr bundle
-            _, pos = read_varint(data, pos, where)
+            _, pos = read_u32(data, pos, f"{where} instr count")
             counts.instr += 1
         elif kind == 1:  # load
             _, pos = read_varint(data, pos, where)
-            _, pos = read_varint(data, pos, where)
+            _, pos = read_u32(data, pos, f"{where} asid")
             counts.load += 1
         elif kind == 2:  # store
             addr, pos = read_varint(data, pos, where)
@@ -109,10 +117,10 @@ def validate_binary(data: bytes) -> tuple[dict, Counts]:
             if pos + 8 > len(data):
                 fail(f"{where}: truncated store value")
             pos += 8
-            _, pos = read_varint(data, pos, where)
+            _, pos = read_u32(data, pos, f"{where} asid")
             counts.store += 1
         else:  # barrier
-            _, pos = read_varint(data, pos, where)
+            _, pos = read_u32(data, pos, f"{where} asid")
             counts.barrier += 1
 
     if pos != len(data):
@@ -120,72 +128,9 @@ def validate_binary(data: bytes) -> tuple[dict, Counts]:
     return meta, counts
 
 
-def validate_text(lines: list[str]) -> tuple[dict, Counts]:
-    if not lines:
-        fail("empty file, not a secpb-trace")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != TEXT_MAGIC:
-        fail(f"bad magic line '{lines[0]}'")
-    if header[1] != f"v{VERSION}":
-        fail(f"unsupported trace version '{header[1]}' (want v{VERSION})")
-    if header[2] != "text":
-        fail(f"bad encoding tag '{header[2]}' in text header")
-
-    meta = {}
-    num_ops = None
-    body = 1
-    for body, line in enumerate(lines[1:], start=1):
-        words = line.split(None, 2)
-        if words and words[0] == "meta":
-            if len(words) < 2:
-                fail(f"line {body + 1}: meta line without a key")
-            meta[words[1]] = words[2] if len(words) > 2 else ""
-            continue
-        if not words or words[0] != "ops":
-            fail(f"line {body + 1}: expected 'ops <count>', got '{line}'")
-        if len(words) < 2 or not words[1].isdigit():
-            fail(f"line {body + 1}: malformed op count")
-        num_ops = int(words[1])
-        break
-    if num_ops is None:
-        fail("header ends without an 'ops' line")
-
-    counts = Counts()
-    saw_end = False
-    for n, line in enumerate(lines[body + 1:], start=body + 2):
-        if saw_end:
-            fail(f"line {n}: content after 'end'")
-        if not line:
-            continue
-        words = line.split()
-        where = f"line {n}"
-        if words[0] == "end":
-            saw_end = True
-        elif words[0] == "I" and len(words) == 2 and words[1].isdigit():
-            counts.instr += 1
-        elif (words[0] == "L" and len(words) == 4 and
-              words[1] in LEVELS and words[2].isdigit() and
-              words[3].isdigit()):
-            counts.load += 1
-        elif (words[0] == "S" and len(words) == 4 and
-              all(w.isdigit() for w in words[1:])):
-            check_store_alignment(int(words[1]), where)
-            counts.store += 1
-        elif words[0] == "B" and len(words) == 2 and words[1].isdigit():
-            counts.barrier += 1
-        else:
-            fail(f"{where}: malformed op record '{line}'")
-    if not saw_end:
-        fail(f"no 'end' line after {counts.total()} ops")
-    if counts.total() != num_ops:
-        fail(f"payload holds {counts.total()} ops but header promised "
-             f"{num_ops}")
-    return meta, counts
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="secpb-trace file (text or binary)")
+    parser.add_argument("trace", help="secpb-trace file")
     parser.add_argument("--min-ops", type=int, default=1,
                         help="require at least N ops")
     parser.add_argument("--expect-meta", action="append", default=[],
@@ -199,13 +144,7 @@ def main() -> None:
     except OSError as e:
         fail(f"{args.trace}: {e}")
 
-    if data[:len(BINARY_MAGIC)] == BINARY_MAGIC:
-        encoding = "binary"
-        meta, counts = validate_binary(data)
-    else:
-        encoding = "text"
-        text = data.decode("utf-8", "replace")
-        meta, counts = validate_text(text.splitlines())
+    meta, counts = validate(data)
 
     for want in args.expect_meta:
         key, _, value = want.partition("=")
@@ -215,7 +154,7 @@ def main() -> None:
     if counts.total() < args.min_ops:
         fail(f"only {counts.total()} ops (need >= {args.min_ops})")
 
-    print(f"validate_trace_file: OK: {encoding} v{VERSION}, "
+    print(f"validate_trace_file: OK: v{VERSION}, "
           f"{counts.total()} ops ({counts.instr} instr, {counts.load} "
           f"load, {counts.store} store, {counts.barrier} barrier), "
           f"{len(meta)} meta entries")
