@@ -17,6 +17,7 @@
 
 #include "secpb/secpb.hh"
 #include "sim/event_queue.hh"
+#include "sim/wait_list.hh"
 #include "stats/stats.hh"
 
 namespace secpb
@@ -62,7 +63,7 @@ class StoreBuffer
     void
     notifyOnSpace(EventCallback cb)
     {
-        _spaceWaiters.push_back(std::move(cb));
+        _spaceWaiters.add(std::move(cb));
     }
 
     /** Register a one-shot callback fired when the buffer drains empty. */
@@ -73,7 +74,7 @@ class StoreBuffer
             cb();
             return;
         }
-        _emptyWaiters.push_back(std::move(cb));
+        _emptyWaiters.add(std::move(cb));
     }
 
     bool empty() const { return _queue.empty() && !_issueInFlight; }
@@ -139,22 +140,11 @@ class StoreBuffer
     {
         _queue.pop_front();
         _issueInFlight = false;
-        wake(_spaceWaiters);
+        _spaceWaiters.wakeAll();
         if (_queue.empty())
-            wake(_emptyWaiters);
+            _emptyWaiters.wakeAll();
         else
             issueHead();
-    }
-
-    void
-    wake(std::vector<EventCallback> &waiters)
-    {
-        if (waiters.empty())
-            return;
-        std::vector<EventCallback> fired;
-        fired.swap(waiters);
-        for (auto &w : fired)
-            w();
     }
 
     EventQueue &_eq;
@@ -163,8 +153,8 @@ class StoreBuffer
     std::deque<PendingStore> _queue;
     bool _issueInFlight = false;
     bool _waitingForPbSpace = false;
-    std::vector<EventCallback> _spaceWaiters;
-    std::vector<EventCallback> _emptyWaiters;
+    WaitList _spaceWaiters;
+    WaitList _emptyWaiters;
     StatGroup _stats;
 
   public:

@@ -10,17 +10,20 @@ CounterBlock::pack() const
 {
     BlockData out{};
     std::memcpy(out.data(), &major, 8);
-    // Pack 64 seven-bit minors into 56 bytes, little-endian bit order.
-    unsigned bitpos = 0;
-    for (unsigned i = 0; i < BlocksPerPage; ++i) {
-        const unsigned v = minors[i] & MinorCounterMax;
-        const unsigned byte = 8 + bitpos / 8;
-        const unsigned shift = bitpos % 8;
-        out[byte] |= static_cast<std::uint8_t>(v << shift);
-        if (shift > 8 - MinorCounterBits)
-            out[byte + 1] |=
-                static_cast<std::uint8_t>(v >> (8 - shift));
-        bitpos += MinorCounterBits;
+    // Pack 64 seven-bit minors into 56 bytes, little-endian bit order:
+    // each run of 8 minors is one 56-bit word, stored as 7 bytes.
+    constexpr unsigned PerWord = 8;
+    constexpr unsigned WordBytes = PerWord * MinorCounterBits / 8;
+    static_assert(BlocksPerPage % PerWord == 0);
+    for (unsigned g = 0; g < BlocksPerPage / PerWord; ++g) {
+        std::uint64_t word = 0;
+        for (unsigned k = 0; k < PerWord; ++k)
+            word |= static_cast<std::uint64_t>(
+                        minors[g * PerWord + k] & MinorCounterMax)
+                    << (k * MinorCounterBits);
+        for (unsigned b = 0; b < WordBytes; ++b)
+            out[8 + g * WordBytes + b] =
+                static_cast<std::uint8_t>(word >> (8 * b));
     }
     return out;
 }

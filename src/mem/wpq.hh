@@ -20,6 +20,7 @@
 #include "mem/flat_map.hh"
 #include "mem/pcm.hh"
 #include "sim/event_queue.hh"
+#include "sim/wait_list.hh"
 #include "stats/stats.hh"
 
 namespace secpb
@@ -73,7 +74,7 @@ class WritePendingQueue
     void
     notifyOnSpace(EventCallback cb)
     {
-        _waiters.push_back(std::move(cb));
+        _waiters.add(std::move(cb));
     }
 
     std::size_t occupancy() const { return _queued.size(); }
@@ -94,12 +95,10 @@ class WritePendingQueue
     {
         _pcm.write(aligned, [this, aligned] {
             _queued.erase(aligned);
-            if (!_waiters.empty()) {
-                std::vector<EventCallback> waiters;
-                waiters.swap(_waiters);
-                for (auto &w : waiters)
-                    w();
-            }
+            // A broadcast: every waiter retries its push, and those that
+            // lose re-register. It runs from a PCM completion event,
+            // never from inside a waiter.
+            _waiters.wakeAll();
         });
     }
 
@@ -107,7 +106,7 @@ class WritePendingQueue
     PcmModel &_pcm;
     unsigned _numEntries;
     FlatSet<Addr> _queued;
-    std::vector<EventCallback> _waiters;
+    WaitList _waiters;
     StatGroup _stats;
 
   public:

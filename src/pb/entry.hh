@@ -83,9 +83,6 @@ struct PbEntry
     /** Stores coalesced into this entry during its residency (NWPE). */
     std::uint64_t numWrites = 0;
 
-    /** Allocation order for FIFO draining. */
-    std::uint64_t allocSeq = 0;
-
     /** Reset to the invalid state. */
     void
     clear()

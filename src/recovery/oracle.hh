@@ -15,10 +15,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "mem/block_data.hh"
+#include "mem/flat_map.hh"
 #include "sim/types.hh"
 
 namespace secpb
@@ -36,51 +37,64 @@ struct AbandonedResidency
     std::uint64_t pendingWrites = 0;  ///< Stores coalesced in the entry.
 };
 
-/** Plaintext shadow of all persisted stores, in persist order. */
+/**
+ * Plaintext shadow of all persisted stores, in persist order.
+ *
+ * Every accepted store lands here, so a persist costs one FlatMap probe
+ * and one log append. Each touched block owns one record (content plus
+ * store log) in a deque, which keeps references stable and never copies
+ * records when it grows; a forgotten block's record is reused.
+ */
 class PersistOracle
 {
   public:
-    /** Apply an accepted 64-bit store to the shadow state. */
-    void
+    /**
+     * Apply an accepted 64-bit store to the shadow state.
+     * @return The block's content after the store.
+     */
+    const BlockData &
     applyStore(Addr addr, std::uint64_t value)
     {
-        const Addr block = blockAlign(addr);
-        BlockData &b = _blocks[block];
+        BlockRecord &r = recordFor(blockAlign(addr));
         const unsigned word = blockOffset(addr) / 8;
-        setBlockWord(b, word, value);
-        _log[block].push_back(
+        setBlockWord(r.content, word, value);
+        r.log.push_back(
             StoreRecord{static_cast<std::uint8_t>(word), value});
         ++_numPersists;
+        return r.content;
     }
 
     /** Last-persisted plaintext of the block containing @p addr. */
     BlockData
     blockContent(Addr addr) const
     {
-        auto it = _blocks.find(blockAlign(addr));
-        return it != _blocks.end() ? it->second : zeroBlock();
+        const BlockRecord *r = find(addr);
+        return r ? r->content : zeroBlock();
     }
 
     /** True if any store to this block has persisted. */
     bool
     touched(Addr addr) const
     {
-        return _blocks.count(blockAlign(addr)) != 0;
+        return _index.contains(blockAlign(addr));
     }
 
-    /** All block addresses ever persisted to. */
+    /**
+     * All block addresses ever persisted to, in the index's slot order
+     * (deterministic for a deterministic history, unsorted).
+     */
     std::vector<Addr>
     touchedBlocks() const
     {
         std::vector<Addr> out;
-        out.reserve(_blocks.size());
-        for (const auto &kv : _blocks)
-            out.push_back(kv.first);
+        out.reserve(_index.size());
+        _index.forEach([&](const Addr &block, const std::uint32_t &)
+                       { out.push_back(block); });
         return out;
     }
 
     std::uint64_t numPersists() const { return _numPersists; }
-    std::size_t numBlocks() const { return _blocks.size(); }
+    std::size_t numBlocks() const { return _index.size(); }
 
     /**
      * @name Per-block version history
@@ -96,8 +110,8 @@ class PersistOracle
     std::uint64_t
     storeCount(Addr addr) const
     {
-        auto it = _log.find(blockAlign(addr));
-        return it != _log.end() ? it->second.size() : 0;
+        const BlockRecord *r = find(addr);
+        return r ? r->log.size() : 0;
     }
 
     /**
@@ -107,16 +121,8 @@ class PersistOracle
     BlockData
     blockVersion(Addr addr, std::uint64_t version) const
     {
-        BlockData b = zeroBlock();
-        auto it = _log.find(blockAlign(addr));
-        if (it == _log.end())
-            return b;
-        const auto &records = it->second;
-        const std::uint64_t n =
-            std::min<std::uint64_t>(version, records.size());
-        for (std::uint64_t i = 0; i < n; ++i)
-            setBlockWord(b, records[i].word, records[i].value);
-        return b;
+        const BlockRecord *r = find(addr);
+        return r ? replay(r->log, version) : zeroBlock();
     }
     /** @} */
 
@@ -139,17 +145,17 @@ class PersistOracle
     void
     rollbackBlock(Addr addr, std::uint64_t version)
     {
-        const Addr block = blockAlign(addr);
         if (version == 0) {
-            forgetBlock(block);
+            forgetBlock(addr);
             return;
         }
-        auto it = _log.find(block);
-        if (it == _log.end())
+        const std::uint32_t *i = _index.find(blockAlign(addr));
+        if (!i)
             return;
-        if (version < it->second.size())
-            it->second.resize(version);
-        _blocks[block] = blockVersion(block, version);
+        BlockRecord &r = _records[*i];
+        if (version < r.log.size())
+            r.log.resize(version);
+        r.content = replay(r.log, version);
     }
 
     /** Drop the block entirely (it was never durable). */
@@ -157,8 +163,13 @@ class PersistOracle
     forgetBlock(Addr addr)
     {
         const Addr block = blockAlign(addr);
-        _blocks.erase(block);
-        _log.erase(block);
+        const std::uint32_t *i = _index.find(block);
+        if (!i)
+            return;
+        const std::uint32_t idx = *i;
+        _index.erase(block);
+        _records[idx] = BlockRecord{};
+        _freeRecords.push_back(idx);
     }
     /** @} */
 
@@ -173,13 +184,14 @@ class PersistOracle
     {
         for (Addr a = page_base; a < page_base + page_bytes;
              a += BlockSize) {
-            auto it = _blocks.find(a);
-            if (it == _blocks.end())
+            const std::uint32_t *i = _index.find(a);
+            if (!i)
                 continue;
-            dst._blocks[a] = it->second;
-            dst._log[a] = std::move(_log[a]);
-            _blocks.erase(it);
-            _log.erase(a);
+            BlockRecord &src = _records[*i];
+            BlockRecord &to = dst.recordFor(a);
+            to.content = src.content;
+            to.log = std::move(src.log);
+            forgetBlock(a);
         }
     }
 
@@ -190,8 +202,51 @@ class PersistOracle
         std::uint64_t value;
     };
 
-    std::unordered_map<Addr, BlockData> _blocks;
-    std::unordered_map<Addr, std::vector<StoreRecord>> _log;
+    struct BlockRecord
+    {
+        BlockData content{};          ///< Last-persisted plaintext.
+        std::vector<StoreRecord> log; ///< Every store, in persist order.
+    };
+
+    const BlockRecord *
+    find(Addr addr) const
+    {
+        const std::uint32_t *i = _index.find(blockAlign(addr));
+        return i ? &_records[*i] : nullptr;
+    }
+
+    /** The record of @p block, made (pristine) on first touch. */
+    BlockRecord &
+    recordFor(Addr block)
+    {
+        if (const std::uint32_t *i = _index.find(block))
+            return _records[*i];
+        std::uint32_t idx;
+        if (_freeRecords.empty()) {
+            idx = static_cast<std::uint32_t>(_records.size());
+            _records.emplace_back();
+        } else {
+            idx = _freeRecords.back();
+            _freeRecords.pop_back();
+        }
+        _index.insert(block, idx);
+        return _records[idx];
+    }
+
+    /** The block after the first @p version stores of @p log. */
+    static BlockData
+    replay(const std::vector<StoreRecord> &log, std::uint64_t version)
+    {
+        BlockData b = zeroBlock();
+        const std::uint64_t n = std::min<std::uint64_t>(version, log.size());
+        for (std::uint64_t i = 0; i < n; ++i)
+            setBlockWord(b, log[i].word, log[i].value);
+        return b;
+    }
+
+    FlatMap<Addr, std::uint32_t> _index;  ///< block -> record index.
+    std::deque<BlockRecord> _records;
+    std::vector<std::uint32_t> _freeRecords;
     std::uint64_t _numPersists = 0;
 };
 

@@ -49,6 +49,7 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
       _pm(pm), _crypto(crypto), _walker(walker), _ctrCache(ctr_cache),
       _macCache(mac_cache), _wpq(wpq),
       _entries(cfg.numEntries),
+      _order(cfg.numEntries),
       _highWm(std::max<unsigned>(
           1, static_cast<unsigned>(cfg.numEntries * cfg.highWatermark))),
       _lowWm(static_cast<unsigned>(cfg.numEntries * cfg.lowWatermark)),
@@ -126,19 +127,30 @@ SecPb::find(Addr addr)
     return idx ? &_entries[*idx] : nullptr;
 }
 
+PbEntry &
+SecPb::claimSlot(Addr addr)
+{
+    const std::uint64_t idx = _freeList.back();
+    _freeList.pop_back();
+    _index.insert(blockAlign(addr), idx);
+    _order[idx] = OrderLink{_newest, NoSlot};
+    if (_newest == NoSlot)
+        _oldest = idx;
+    else
+        _order[_newest].next = idx;
+    _newest = idx;
+    return _entries[idx];
+}
+
 PbEntry *
 SecPb::allocate(Addr addr)
 {
     if (_freeList.empty())
         return nullptr;
-    const std::uint64_t idx = _freeList.back();
-    _freeList.pop_back();
-    PbEntry &e = _entries[idx];
+    PbEntry &e = claimSlot(addr);
     e.clear();
     e.valid = true;
     e.addr = blockAlign(addr);
-    e.allocSeq = ++_allocSeq;
-    _index.insert(e.addr, idx);
     return &e;
 }
 
@@ -350,10 +362,8 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
                     static_cast<unsigned long long>(_eq.curTick()));
         e->asid = asid;
         e->numWrites = 1;
-        e->plaintext = _oracle.blockContent(addr);
-        setBlockWord(e->plaintext, blockOffset(addr) / 8, value);
+        e->plaintext = _oracle.applyStore(addr, value);
         e->vData = true;
-        _oracle.applyStore(addr, value);
         launchEarlyOps(*e, base);
         maybeStartDrain();
     }
@@ -618,18 +628,7 @@ SecPb::persistSpTuple(Addr block_addr)
 void
 SecPb::notifyOnSpace(EventCallback cb)
 {
-    _spaceWaiters.push_back(std::move(cb));
-}
-
-void
-SecPb::wakeSpaceWaiters()
-{
-    if (_spaceWaiters.empty())
-        return;
-    std::vector<EventCallback> waiters;
-    waiters.swap(_spaceWaiters);
-    for (auto &w : waiters)
-        w();
+    _spaceWaiters.add(std::move(cb));
 }
 
 void
@@ -803,21 +802,17 @@ SecPb::maybeStartDrain()
 void
 SecPb::drainNext()
 {
-    // Oldest drainable entry: valid, not already draining, no early ops
-    // still in flight.
-    PbEntry *victim = nullptr;
-    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        PbEntry &e = _entries[idx];
+    // Oldest drainable entry: not already draining, no early ops still
+    // in flight.
+    for (std::uint64_t i = _oldest; i != NoSlot; i = _order[i].next) {
+        PbEntry &e = _entries[i];
         if (e.draining || e.pendingEarlyOps != 0)
-            return;
-        if (!victim || e.allocSeq < victim->allocSeq)
-            victim = &e;
-    });
-    if (!victim)
+            continue;
+        ++_drainsActive;
+        e.draining = true;
+        startDrainOf(e);
         return;
-    ++_drainsActive;
-    victim->draining = true;
-    startDrainOf(*victim);
+    }
 }
 
 void
@@ -987,7 +982,7 @@ SecPb::releaseEntry(PbEntry &e)
     ++statDrainedEntries;
     statNwpe.sample(static_cast<double>(e.numWrites));
     freeSlot(e);
-    wakeSpaceWaiters();
+    _spaceWaiters.wakeAll();
 }
 
 void
@@ -995,8 +990,12 @@ SecPb::freeSlot(PbEntry &e)
 {
     panic_if(!_index.erase(e.addr),
              "freeing an entry the index does not know");
+    const std::uint64_t idx = slotOf(e);
+    const OrderLink link = _order[idx];
+    (link.prev == NoSlot ? _oldest : _order[link.prev].next) = link.next;
+    (link.next == NoSlot ? _newest : _order[link.next].prev) = link.prev;
     e.clear();
-    _freeList.push_back(slotOf(e));
+    _freeList.push_back(idx);
 }
 
 void
@@ -1056,11 +1055,8 @@ SecPb::residentInPersistOrder()
 {
     std::vector<PbEntry *> out;
     out.reserve(_index.size());
-    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        out.push_back(&_entries[idx]);
-    });
-    std::sort(out.begin(), out.end(), [](const PbEntry *a, const PbEntry *b)
-              { return a->allocSeq < b->allocSeq; });
+    for (std::uint64_t i = _oldest; i != NoSlot; i = _order[i].next)
+        out.push_back(&_entries[i]);
     return out;
 }
 
@@ -1323,7 +1319,7 @@ SecPb::extractForMigration(Addr addr)
         return std::nullopt;
     PbEntry copy = *e;
     freeSlot(*e);
-    wakeSpaceWaiters();
+    _spaceWaiters.wakeAll();
     return copy;
 }
 
@@ -1331,16 +1327,12 @@ void
 SecPb::injectMigrated(const PbEntry &entry)
 {
     panic_if(_freeList.empty(), "injectMigrated without a free slot");
-    const std::uint64_t idx = _freeList.back();
-    _freeList.pop_back();
-    PbEntry &e = _entries[idx];
+    PbEntry &e = claimSlot(entry.addr);
     e = entry;
-    e.allocSeq = ++_allocSeq;
     e.draining = false;
     e.pendingEarlyOps = 0;
     e.drainPending = 0;
     e.pushedData = false;
-    _index.insert(e.addr, idx);
 }
 
 bool

@@ -49,6 +49,7 @@
 #include "recovery/oracle.hh"
 #include "secpb/coherence.hh"
 #include "secpb/scheme.hh"
+#include "sim/wait_list.hh"
 #include "stats/stats.hh"
 
 namespace secpb
@@ -281,7 +282,7 @@ class SecPb
 
     /** Re-fire the store buffer's space-waiter retries (the epoch engine
      *  schedules this in the slice queue after granting ownership). */
-    void kickSpaceWaiters() { wakeSpaceWaiters(); }
+    void kickSpaceWaiters() { _spaceWaiters.wakeAll(); }
     /** @} */
 
     /**
@@ -453,14 +454,14 @@ class SecPb
     /** Drop @p e from the index and return its slot to the free list. */
     void freeSlot(PbEntry &e);
 
+    /** Take a free slot for @p addr and append it as the newest. */
+    PbEntry &claimSlot(Addr addr);
+
     /** @p e's slot in _entries. */
     std::uint64_t slotOf(const PbEntry &e) const
     {
         return static_cast<std::uint64_t>(&e - _entries.data());
     }
-
-    /** Fire and clear all registered space waiters. */
-    void wakeSpaceWaiters();
 
     EventQueue &_eq;
     SchemeTraits _traits;
@@ -479,7 +480,20 @@ class SecPb
     std::vector<PbEntry> _entries;
     FlatMap<Addr, std::uint64_t> _index;  ///< addr -> entry idx.
     std::vector<std::uint64_t> _freeList;
-    std::uint64_t _allocSeq = 0;
+
+    /**
+     * Resident slots in allocation (= persist) order, as an intrusive
+     * doubly linked list: _order[i] links slot i while it is resident.
+     */
+    static constexpr std::uint64_t NoSlot = ~std::uint64_t{0};
+    struct OrderLink
+    {
+        std::uint64_t prev = NoSlot;
+        std::uint64_t next = NoSlot;
+    };
+    std::vector<OrderLink> _order;
+    std::uint64_t _oldest = NoSlot;
+    std::uint64_t _newest = NoSlot;
 
     unsigned _highWm;
     unsigned _lowWm;
@@ -498,7 +512,7 @@ class SecPb
     bool _drainAllMode = false;
     EventCallback _drainAllDone;
 
-    std::vector<EventCallback> _spaceWaiters;
+    WaitList _spaceWaiters;
 
     /** Cached at construction: tracing under the "SecPb" debug flag. */
     bool _dbg = false;

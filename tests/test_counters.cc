@@ -10,6 +10,37 @@
 
 using namespace secpb;
 
+namespace
+{
+
+/**
+ * The wire format, written one bit field at a time: 8 bytes of major,
+ * then minor i at bits [7i, 7i + 7) of a little-endian bit stream.
+ * pack() must match it byte for byte -- these bytes feed every BMT leaf
+ * digest, and a round trip through unpack() cannot see a layout change
+ * that unpack() mirrors.
+ */
+BlockData
+packReference(const CounterBlock &cb)
+{
+    BlockData out{};
+    for (unsigned b = 0; b < 8; ++b)
+        out[b] = static_cast<std::uint8_t>(cb.major >> (8 * b));
+    unsigned bitpos = 0;
+    for (unsigned i = 0; i < BlocksPerPage; ++i) {
+        const unsigned v = cb.minors[i] & MinorCounterMax;
+        const unsigned byte = 8 + bitpos / 8;
+        const unsigned shift = bitpos % 8;
+        out[byte] |= static_cast<std::uint8_t>(v << shift);
+        if (shift > 8 - MinorCounterBits)
+            out[byte + 1] |= static_cast<std::uint8_t>(v >> (8 - shift));
+        bitpos += MinorCounterBits;
+    }
+    return out;
+}
+
+} // namespace
+
 TEST(CounterBlock, DefaultIsZero)
 {
     CounterBlock cb;
@@ -89,4 +120,26 @@ TEST(CounterBlock, MaxMinorValueSurvivesRoundTrip)
     for (unsigned i = 0; i < BlocksPerPage; ++i)
         cb.minors[i] = MinorCounterMax;
     EXPECT_EQ(CounterBlock::unpack(cb.pack()), cb);
+}
+
+TEST(CounterBlock, PackMatchesTheBitwiseReference)
+{
+    CounterBlock zero;
+    zero.major = 0x0123456789abcdefULL;
+    EXPECT_EQ(zero.pack(), packReference(zero));
+
+    CounterBlock max;
+    max.major = ~0ULL;
+    max.minors.fill(MinorCounterMax);
+    EXPECT_EQ(max.pack(), packReference(max));
+
+    Rng rng(11);
+    for (int trial = 0; trial < 1000; ++trial) {
+        CounterBlock cb;
+        cb.major = rng.next();
+        for (unsigned i = 0; i < BlocksPerPage; ++i)
+            cb.minors[i] =
+                static_cast<std::uint8_t>(rng.below(MinorCounterMax + 1));
+        ASSERT_EQ(cb.pack(), packReference(cb)) << "trial " << trial;
+    }
 }

@@ -82,6 +82,60 @@ TEST(DrainIntegration, DrainsGoOldestFirst)
     EXPECT_FALSE(sys.pm().hasData(5 * BlockSize));
 }
 
+TEST(DrainIntegration, OldestEntryWithEarlyOpsInFlightIsSkipped)
+{
+    // OBCM fetches the counter in the background, so an entry can be
+    // unblocked while its fetch is still in flight. Block 0 misses in
+    // the counter cache; blocks 1..5 share its page and hit. When block
+    // 5 reaches the high watermark, the oldest entry is still fetching:
+    // the drain takes the next-oldest entries instead, and stops at the
+    // low watermark with block 0 still resident.
+    SystemConfig cfg;
+    cfg.scheme = Scheme::Obcm;
+    cfg.secpb.numEntries = 8;
+    cfg.pmDataBytes = 1ULL << 30;
+    SecPbSystem sys(cfg);
+    ScriptedGenerator gen;
+    for (Addr a = 0; a < 6 * BlockSize; a += BlockSize)
+        gen.store(a, a + 1);
+    sys.run(gen);
+    sys.runUntil(sys.eventQueue().curTick() + 1'000'000);
+    EXPECT_EQ(sys.secpb().occupancy(), 4u);
+    EXPECT_FALSE(sys.pm().hasData(0 * BlockSize));
+    EXPECT_TRUE(sys.pm().hasData(1 * BlockSize));
+    EXPECT_TRUE(sys.pm().hasData(2 * BlockSize));
+    EXPECT_FALSE(sys.pm().hasData(3 * BlockSize));
+}
+
+TEST(DrainIntegration, MigratedEntryIsNewestInPersistOrder)
+{
+    // An entry that leaves and comes back (page migration) re-enters as
+    // the newest resident, so the crash drain -- which completes entries
+    // in persist order -- drains it last.
+    SystemConfig cfg;
+    cfg.scheme = Scheme::Cobcm;
+    cfg.secpb.numEntries = 8;
+    cfg.pmDataBytes = 1ULL << 30;
+    SecPbSystem sys(cfg);
+    ScriptedGenerator gen;
+    for (Addr a = 0; a < 4 * BlockSize; a += BlockSize)
+        gen.store(a, a + 1);  // below the high watermark: no drains
+    sys.run(gen);
+    sys.runUntil(sys.eventQueue().curTick() + 1'000'000);
+    ASSERT_EQ(sys.secpb().occupancy(), 4u);
+
+    const std::optional<PbEntry> e =
+        sys.secpb().extractForMigration(1 * BlockSize);
+    ASSERT_TRUE(e.has_value());
+    sys.secpb().injectMigrated(*e);
+
+    const CrashReport cr = sys.crashNow();
+    EXPECT_TRUE(cr.recovered);
+    const std::vector<Addr> order = {0 * BlockSize, 2 * BlockSize,
+                                     3 * BlockSize, 1 * BlockSize};
+    EXPECT_EQ(cr.work.drainedBlocks, order);
+}
+
 TEST(DrainIntegration, MetadataCacheWritebacksReachPcm)
 {
     // Enough distinct pages to overflow the counter cache: dirty counter

@@ -10,6 +10,7 @@
 #include <numeric>
 
 #include "sim/event_queue.hh"
+#include "sim/wait_list.hh"
 
 using namespace secpb;
 
@@ -191,4 +192,33 @@ TEST(EventQueue, PoolRecyclesSlotsAcrossWaves)
     }
     EXPECT_EQ(fired, 6400u);
     EXPECT_EQ(eq.numExecuted(), 6400u);
+}
+
+TEST(WaitList, WakesInOrderAndReRegistrantsWaitForTheNextWake)
+{
+    WaitList list;
+    std::vector<int> order;
+    list.add([&] { order.push_back(1); });
+    list.add([&] {
+        order.push_back(2);
+        list.add([&] { order.push_back(4); });
+    });
+    list.add([&] { order.push_back(3); });
+    list.wakeAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    list.wakeAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    list.wakeAll();  // empty: nothing fires
+    EXPECT_EQ(order.size(), 4u);
+}
+
+TEST(WaitList, WakeReEnteringItselfPanics)
+{
+    // The wake runs over a scratch vector a nested wake would clobber.
+    WaitList list;
+    list.add([&] {
+        list.add([] {});
+        list.wakeAll();
+    });
+    EXPECT_DEATH(list.wakeAll(), "wake re-entered");
 }

@@ -84,7 +84,7 @@ TEST(FaultInjector, UnboundedPlanMatchesPlainCrash)
 TEST(FaultInjector, BoundedBatteryDrainsInOrderPrefix)
 {
     // Sequential stores to distinct blocks allocate entries in address
-    // order, so allocSeq order == address order among residents: every
+    // order, so allocation order == address order among residents: every
     // drained block must precede every abandoned block.
     SecPbSystem sys(cfgFor(Scheme::Cobcm, 32));
     ScriptedGenerator gen = sequentialStores(20);

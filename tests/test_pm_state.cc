@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "core/system.hh"
 #include "mem/pm_image.hh"
 #include "metadata/counter_store.hh"
@@ -73,6 +76,114 @@ TEST(Oracle, TouchedIsBlockGranular)
     o.applyStore(0x100, 1);
     EXPECT_TRUE(o.touched(0x13F));
     EXPECT_FALSE(o.touched(0x140));
+}
+
+TEST(Oracle, HistoryStaysPerBlockUnderInterleavedStores)
+{
+    // Round-robin stores over 40 blocks: each block's log and versions
+    // see only its own stores, in order.
+    PersistOracle o;
+    constexpr unsigned Blocks = 40;
+    constexpr unsigned Rounds = 9;
+    for (unsigned r = 0; r < Rounds; ++r)
+        for (unsigned b = 0; b < Blocks; ++b)
+            o.applyStore(b * BlockSize + (r % 8) * 8, b * 100 + r);
+    EXPECT_EQ(o.numPersists(), Blocks * Rounds);
+    EXPECT_EQ(o.numBlocks(), Blocks);
+    for (unsigned b = 0; b < Blocks; ++b) {
+        const Addr a = b * BlockSize;
+        ASSERT_EQ(o.storeCount(a), Rounds);
+        EXPECT_EQ(o.blockVersion(a, 0), zeroBlock());
+        const BlockData v3 = o.blockVersion(a, 3);
+        EXPECT_EQ(blockWord(v3, 2), b * 100 + 2);
+        EXPECT_EQ(blockWord(v3, 3), 0u);
+        // Version Rounds is the current content: the ninth store
+        // (r = 8) overwrote word 0.
+        EXPECT_EQ(o.blockVersion(a, Rounds), o.blockContent(a));
+        EXPECT_EQ(blockWord(o.blockContent(a), 0), b * 100 + 8);
+    }
+}
+
+TEST(Oracle, StoresAfterRollbackBuildOnTheRolledBackVersion)
+{
+    PersistOracle o;
+    for (unsigned i = 0; i < 5; ++i)
+        o.applyStore(0x200 + i * 8, 10 + i);
+    o.applyStore(0x1000, 7);  // an unrelated block stays put
+    o.rollbackBlock(0x200, 2);
+    EXPECT_EQ(o.storeCount(0x200), 2u);
+    EXPECT_EQ(o.blockContent(0x200), o.blockVersion(0x200, 2));
+
+    o.applyStore(0x218, 99);
+    EXPECT_EQ(o.storeCount(0x200), 3u);
+    const BlockData b = o.blockContent(0x200);
+    EXPECT_EQ(blockWord(b, 0), 10u);
+    EXPECT_EQ(blockWord(b, 1), 11u);
+    EXPECT_EQ(blockWord(b, 2), 0u);  // rolled back, not restored
+    EXPECT_EQ(blockWord(b, 3), 99u);
+    EXPECT_EQ(o.blockVersion(0x200, 3), b);
+    EXPECT_EQ(o.storeCount(0x1000), 1u);
+    EXPECT_EQ(o.numPersists(), 7u);  // a rollback unmakes no persist
+}
+
+TEST(Oracle, ForgottenBlockStartsAgainFromVersionZero)
+{
+    PersistOracle o;
+    o.applyStore(0x300, 1);
+    o.applyStore(0x308, 2);
+    o.applyStore(0x400, 3);
+    o.forgetBlock(0x300);
+    EXPECT_FALSE(o.touched(0x300));
+    EXPECT_EQ(o.storeCount(0x300), 0u);
+    EXPECT_EQ(o.blockContent(0x300), zeroBlock());
+    EXPECT_EQ(o.numBlocks(), 1u);
+
+    o.applyStore(0x310, 5);
+    EXPECT_EQ(o.storeCount(0x300), 1u);
+    EXPECT_EQ(o.blockVersion(0x300, 0), zeroBlock());
+    const BlockData b = o.blockContent(0x300);
+    EXPECT_EQ(blockWord(b, 0), 0u);
+    EXPECT_EQ(blockWord(b, 2), 5u);
+    EXPECT_EQ(o.blockVersion(0x300, 1), b);
+    EXPECT_EQ(o.storeCount(0x400), 1u);
+}
+
+TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
+{
+    PersistOracle a, b;
+    const Addr page = 3 * PageSize;
+    for (unsigned i = 0; i < 6; ++i)
+        a.applyStore(page + i * BlockSize + i * 8, i + 1);
+    a.applyStore(page + BlockSize, 42);  // second store to block 1
+    b.applyStore(9 * PageSize, 5);       // b's own page stays put
+
+    a.movePageTo(b, page, PageSize);
+    // Every block's store count, first version and current content.
+    const auto snapshot = [&](const PersistOracle &o) {
+        std::vector<std::tuple<std::uint64_t, BlockData, BlockData>> s;
+        for (unsigned i = 0; i < BlocksPerPage; ++i) {
+            const Addr blk = page + i * BlockSize;
+            s.emplace_back(o.storeCount(blk), o.blockVersion(blk, 1),
+                           o.blockContent(blk));
+        }
+        return s;
+    };
+    const auto once = snapshot(b);
+    EXPECT_EQ(a.numBlocks(), 0u);
+    EXPECT_EQ(b.numBlocks(), 7u);
+    EXPECT_EQ(b.storeCount(page + BlockSize), 2u);
+
+    for (int round = 0; round < 1000; ++round) {
+        b.movePageTo(a, page, PageSize);
+        a.movePageTo(b, page, PageSize);
+    }
+    EXPECT_EQ(a.numBlocks(), 0u);
+    EXPECT_EQ(b.numBlocks(), 7u);
+    EXPECT_EQ(snapshot(b), once);
+    EXPECT_EQ(blockWord(b.blockContent(page + BlockSize), 0), 42u);
+    EXPECT_EQ(b.storeCount(9 * PageSize), 1u);
+    EXPECT_EQ(a.numPersists(), 7u);
+    EXPECT_EQ(b.numPersists(), 1u);
 }
 
 TEST(CounterStore, IncrementsAreIndependentAcrossBlocks)
