@@ -13,7 +13,7 @@
 #ifndef SECPB_CPU_STORE_BUFFER_HH
 #define SECPB_CPU_STORE_BUFFER_HH
 
-#include <deque>
+#include <vector>
 
 #include "secpb/secpb.hh"
 #include "sim/event_queue.hh"
@@ -29,7 +29,7 @@ class StoreBuffer
   public:
     StoreBuffer(EventQueue &eq, SecPb &pb, unsigned num_entries,
                 StatGroup &parent)
-        : _eq(eq), _pb(pb), _numEntries(num_entries),
+        : _eq(eq), _pb(pb), _numEntries(num_entries), _ring(num_entries),
           _stats("store_buffer", &parent),
           statPushes(_stats, "pushes", "stores retired into the buffer"),
           statFullStalls(_stats, "full_stalls",
@@ -46,15 +46,15 @@ class StoreBuffer
     bool
     tryPush(Addr addr, std::uint64_t value, std::uint32_t asid = 0)
     {
-        if (_queue.size() >= _numEntries) {
+        if (_count >= _numEntries) {
             ++statFullStalls;
             TRACE_INSTANT_P("store_buffer", "full_stall", _eq.curTick(),
                             asid);
             return false;
         }
         ++statPushes;
-        statOccupancy.sample(static_cast<double>(_queue.size()));
-        _queue.push_back(PendingStore{addr, value, asid});
+        statOccupancy.sample(static_cast<double>(_count));
+        _ring[slot(_count++)] = PendingStore{addr, value, asid};
         issueHead();
         return true;
     }
@@ -70,15 +70,15 @@ class StoreBuffer
     void
     notifyWhenEmpty(EventCallback cb)
     {
-        if (_queue.empty() && !_issueInFlight) {
+        if (empty()) {
             cb();
             return;
         }
         _emptyWaiters.add(std::move(cb));
     }
 
-    bool empty() const { return _queue.empty() && !_issueInFlight; }
-    std::size_t occupancy() const { return _queue.size(); }
+    bool empty() const { return _count == 0 && !_issueInFlight; }
+    std::size_t occupancy() const { return _count; }
 
     /**
      * Stores retired but not yet accepted by the SecPB, in program
@@ -90,16 +90,12 @@ class StoreBuffer
     pendingStores() const
     {
         std::vector<std::pair<Addr, std::uint64_t>> out;
-        out.reserve(_queue.size());
+        out.reserve(_count);
         // The head entry stays queued until its unblock arrives; when an
         // issue is in flight the SecPB has already accepted (persisted)
         // it, so it must not be absorbed a second time.
-        std::size_t skip = _issueInFlight ? 1 : 0;
-        for (const PendingStore &ps : _queue) {
-            if (skip > 0) {
-                --skip;
-                continue;
-            }
+        for (std::size_t i = _issueInFlight ? 1 : 0; i < _count; ++i) {
+            const PendingStore &ps = _ring[slot(i)];
             out.emplace_back(ps.addr, ps.value);
         }
         return out;
@@ -113,12 +109,20 @@ class StoreBuffer
         std::uint32_t asid;
     };
 
+    /** Ring slot of the @p i-th oldest queued store. */
+    std::size_t
+    slot(std::size_t i) const
+    {
+        const std::size_t s = _head + i;
+        return s < _numEntries ? s : s - _numEntries;
+    }
+
     void
     issueHead()
     {
-        if (_issueInFlight || _queue.empty())
+        if (_issueInFlight || _count == 0)
             return;
-        const PendingStore &head = _queue.front();
+        const PendingStore &head = _ring[_head];
         _issueInFlight = true;
         const bool accepted = _pb.tryAcceptStore(
             head.addr, head.value, [this] { headUnblocked(); },
@@ -138,10 +142,12 @@ class StoreBuffer
     void
     headUnblocked()
     {
-        _queue.pop_front();
+        if (++_head == _numEntries)
+            _head = 0;
+        --_count;
         _issueInFlight = false;
         _spaceWaiters.wakeAll();
-        if (_queue.empty())
+        if (_count == 0)
             _emptyWaiters.wakeAll();
         else
             issueHead();
@@ -150,7 +156,10 @@ class StoreBuffer
     EventQueue &_eq;
     SecPb &_pb;
     unsigned _numEntries;
-    std::deque<PendingStore> _queue;
+    /** FIFO of retired stores: a fixed ring of _numEntries slots. */
+    std::vector<PendingStore> _ring;
+    std::size_t _head = 0;   ///< Slot of the oldest store.
+    std::size_t _count = 0;  ///< Stores queued.
     bool _issueInFlight = false;
     bool _waitingForPbSpace = false;
     WaitList _spaceWaiters;

@@ -8,7 +8,7 @@
 namespace secpb::obs
 {
 
-thread_local Tracer *tlCurrentTracer = nullptr;
+constinit thread_local Tracer *tlCurrentTracer = nullptr;
 
 Tracer::Tracer(std::size_t capacity)
     : _capacity(capacity)

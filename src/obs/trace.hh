@@ -133,8 +133,13 @@ class Tracer
     std::unordered_map<std::string, std::uint32_t> _tids;
 };
 
-/** The thread's current tracer (nullptr = tracing disabled). */
-extern thread_local Tracer *tlCurrentTracer;
+/**
+ * The thread's current tracer (nullptr = tracing disabled). constinit
+ * tells every translation unit the variable needs no dynamic
+ * initialisation, so they access it directly instead of through a TLS
+ * init wrapper.
+ */
+extern constinit thread_local Tracer *tlCurrentTracer;
 
 /** Accessor the macros use; a TLS load, no function call at -O2. */
 inline Tracer *

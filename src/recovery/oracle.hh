@@ -13,13 +13,14 @@
 #ifndef SECPB_RECOVERY_ORACLE_HH
 #define SECPB_RECOVERY_ORACLE_HH
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "mem/block_data.hh"
 #include "mem/flat_map.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace secpb
@@ -41,25 +42,35 @@ struct AbandonedResidency
  * Plaintext shadow of all persisted stores, in persist order.
  *
  * Every accepted store lands here, so a persist costs one FlatMap probe
- * and one log append. Each touched block owns one record (content plus
- * store log) in a deque, which keeps references stable and never copies
- * records when it grows; a forgotten block's record is reused.
+ * and no allocation once the block is known. Each touched block owns one
+ * record: its content and store count, plus a snapshot of both taken
+ * when the block's newest SecPB residency opened. A bounded-battery
+ * crash can lose only that residency (paper Section III), so the
+ * snapshot is the one old version recovery ever needs, and memory grows
+ * with blocks, not with persists. Records live in chunks that double up
+ * to 1,024 records, so growth never copies the table and a long run
+ * allocates rarely; a forgotten block's record is reused.
  */
 class PersistOracle
 {
   public:
     /**
      * Apply an accepted 64-bit store to the shadow state.
+     * @param opens_residency the store allocates a SecPB entry: snapshot
+     *        the block first, as the version an abandoned residency
+     *        falls back to.
      * @return The block's content after the store.
      */
     const BlockData &
-    applyStore(Addr addr, std::uint64_t value)
+    applyStore(Addr addr, std::uint64_t value, bool opens_residency = false)
     {
         BlockRecord &r = recordFor(blockAlign(addr));
-        const unsigned word = blockOffset(addr) / 8;
-        setBlockWord(r.content, word, value);
-        r.log.push_back(
-            StoreRecord{static_cast<std::uint8_t>(word), value});
+        if (opens_residency) {
+            r.preContent = r.content;
+            r.preStores = r.stores;
+        }
+        setBlockWord(r.content, blockOffset(addr) / 8, value);
+        ++r.stores;
         ++_numPersists;
         return r.content;
     }
@@ -97,12 +108,14 @@ class PersistOracle
     std::size_t numBlocks() const { return _index.size(); }
 
     /**
-     * @name Per-block version history
+     * @name Block versions
      * Bounded-battery crash drains can legitimately recover a block at an
-     * *older* version (its content before the abandoned final residency).
-     * The per-block store log lets the verifier reconstruct any
-     * historical version and decide whether a recovered image is a
-     * persist-order-consistent prefix or silent corruption.
+     * *older* version: its content before the abandoned final residency.
+     * Version v is the block after its first v stores. The oracle keeps
+     * three: 0 (pristine), the current one, and the pre-residency
+     * snapshot, which is all the verifier needs to decide whether a
+     * recovered image is a persist-order-consistent prefix or silent
+     * corruption.
      * @{
      */
 
@@ -111,18 +124,55 @@ class PersistOracle
     storeCount(Addr addr) const
     {
         const BlockRecord *r = find(addr);
-        return r ? r->log.size() : 0;
+        return r ? r->stores : 0;
+    }
+
+    /** Store count of the block when its newest residency opened. */
+    std::uint64_t
+    preResidencyCount(Addr addr) const
+    {
+        const BlockRecord *r = find(addr);
+        return r ? r->preStores : 0;
+    }
+
+    /**
+     * The version an abandoned residency of @p pending_writes coalesced
+     * stores falls back to. Panics unless the residency is the one the
+     * snapshot was taken for.
+     */
+    std::uint64_t
+    abandonedVersion(Addr addr, std::uint64_t pending_writes) const
+    {
+        const std::uint64_t total = storeCount(addr);
+        const std::uint64_t pre = preResidencyCount(addr);
+        panic_if(pre != total - pending_writes,
+                 "abandoned residency %#llx: %llu of %llu stores pending, "
+                 "but its residency opened after store %llu",
+                 static_cast<unsigned long long>(blockAlign(addr)),
+                 static_cast<unsigned long long>(pending_writes),
+                 static_cast<unsigned long long>(total),
+                 static_cast<unsigned long long>(pre));
+        return pre;
     }
 
     /**
      * Plaintext of the block containing @p addr after its first
-     * @p version stores (version 0 = the pristine zero block).
+     * @p version stores (version 0 = the pristine zero block). Only the
+     * versions the oracle keeps can be asked for.
      */
     BlockData
     blockVersion(Addr addr, std::uint64_t version) const
     {
+        if (version == 0)
+            return zeroBlock();
         const BlockRecord *r = find(addr);
-        return r ? replay(r->log, version) : zeroBlock();
+        if (r && version == r->stores)
+            return r->content;
+        if (r && version == r->preStores)
+            return r->preContent;
+        panic("oracle keeps no version %llu of block %#llx",
+              static_cast<unsigned long long>(version),
+              static_cast<unsigned long long>(blockAlign(addr)));
     }
     /** @} */
 
@@ -139,8 +189,9 @@ class PersistOracle
      */
 
     /**
-     * Roll the block containing @p addr back to its first @p version
-     * stores. Version 0 means the block reverts to pristine (untouched).
+     * Roll the block containing @p addr back to a kept @p version (see
+     * blockVersion). Version 0 means the block reverts to pristine
+     * (untouched).
      */
     void
     rollbackBlock(Addr addr, std::uint64_t version)
@@ -152,10 +203,9 @@ class PersistOracle
         const std::uint32_t *i = _index.find(blockAlign(addr));
         if (!i)
             return;
-        BlockRecord &r = _records[*i];
-        if (version < r.log.size())
-            r.log.resize(version);
-        r.content = replay(r.log, version);
+        BlockRecord &r = record(*i);
+        r.content = blockVersion(addr, version);
+        r.stores = version;
     }
 
     /** Drop the block entirely (it was never durable). */
@@ -166,18 +216,17 @@ class PersistOracle
         const std::uint32_t *i = _index.find(block);
         if (!i)
             return;
-        const std::uint32_t idx = *i;
+        _freeRecords.push_back(*i);
         _index.erase(block);
-        _records[idx] = BlockRecord{};
-        _freeRecords.push_back(idx);
     }
     /** @} */
 
     /**
-     * Page migration (multi-core): move the shadow content and store log
-     * of every block in [page_base, page_base + page_bytes) into @p dst.
-     * _numPersists stays put on both sides -- each core's oracle counts
-     * the stores *it* accepted, so per-core persist sums stay correct.
+     * Page migration (multi-core): move the record (content, count and
+     * residency snapshot) of every block in
+     * [page_base, page_base + page_bytes) into @p dst. _numPersists stays
+     * put on both sides -- each core's oracle counts the stores *it*
+     * accepted, so per-core persist sums stay correct.
      */
     void
     movePageTo(PersistOracle &dst, Addr page_base, std::uint64_t page_bytes)
@@ -187,32 +236,61 @@ class PersistOracle
             const std::uint32_t *i = _index.find(a);
             if (!i)
                 continue;
-            BlockRecord &src = _records[*i];
-            BlockRecord &to = dst.recordFor(a);
-            to.content = src.content;
-            to.log = std::move(src.log);
+            dst.recordFor(a) = record(*i);
             forgetBlock(a);
         }
     }
 
   private:
-    struct StoreRecord
-    {
-        std::uint8_t word;    ///< Word index within the block.
-        std::uint64_t value;
-    };
-
     struct BlockRecord
     {
-        BlockData content{};          ///< Last-persisted plaintext.
-        std::vector<StoreRecord> log; ///< Every store, in persist order.
+        BlockData content{};           ///< Last-persisted plaintext.
+        std::uint64_t stores = 0;      ///< Stores persisted so far.
+        BlockData preContent{};        ///< content when the residency opened.
+        std::uint64_t preStores = 0;   ///< stores when the residency opened.
     };
+
+    /**
+     * Chunk c holds min(FirstChunk << c, MaxChunk) records and is
+     * reserved whole when opened: a short run (a crash trial) reserves
+     * at most twice the records it uses, and a long one adds MaxChunk
+     * records at a time, so a reservation never wastes more than one
+     * chunk.
+     */
+    static constexpr std::uint32_t FirstChunk = 64;
+    static constexpr unsigned Doublings = 4;
+    static constexpr std::uint32_t MaxChunk = FirstChunk << Doublings;
+    /** Records in the chunks smaller than MaxChunk. */
+    static constexpr std::uint32_t SmallRecords = MaxChunk - FirstChunk;
+
+    static std::uint32_t
+    chunkSize(std::size_t c)
+    {
+        return c < Doublings ? FirstChunk << c : MaxChunk;
+    }
+
+    const BlockRecord &
+    record(std::uint32_t i) const
+    {
+        if (i < SmallRecords) {
+            const unsigned c = std::bit_width(i / FirstChunk + 1) - 1;
+            return _chunks[c][i - FirstChunk * ((1u << c) - 1)];
+        }
+        i -= SmallRecords;
+        return _chunks[Doublings + i / MaxChunk][i % MaxChunk];
+    }
+
+    BlockRecord &
+    record(std::uint32_t i)
+    {
+        return const_cast<BlockRecord &>(std::as_const(*this).record(i));
+    }
 
     const BlockRecord *
     find(Addr addr) const
     {
         const std::uint32_t *i = _index.find(blockAlign(addr));
-        return i ? &_records[*i] : nullptr;
+        return i ? &record(*i) : nullptr;
     }
 
     /** The record of @p block, made (pristine) on first touch. */
@@ -220,32 +298,26 @@ class PersistOracle
     recordFor(Addr block)
     {
         if (const std::uint32_t *i = _index.find(block))
-            return _records[*i];
+            return record(*i);
         std::uint32_t idx;
         if (_freeRecords.empty()) {
-            idx = static_cast<std::uint32_t>(_records.size());
-            _records.emplace_back();
+            const std::size_t n = _chunks.size();
+            if (n == 0 || _chunks.back().size() == chunkSize(n - 1))
+                _chunks.emplace_back().reserve(chunkSize(n));
+            idx = _numRecords++;
+            _chunks.back().emplace_back();
         } else {
             idx = _freeRecords.back();
             _freeRecords.pop_back();
+            record(idx) = BlockRecord{};
         }
         _index.insert(block, idx);
-        return _records[idx];
-    }
-
-    /** The block after the first @p version stores of @p log. */
-    static BlockData
-    replay(const std::vector<StoreRecord> &log, std::uint64_t version)
-    {
-        BlockData b = zeroBlock();
-        const std::uint64_t n = std::min<std::uint64_t>(version, log.size());
-        for (std::uint64_t i = 0; i < n; ++i)
-            setBlockWord(b, log[i].word, log[i].value);
-        return b;
+        return record(idx);
     }
 
     FlatMap<Addr, std::uint32_t> _index;  ///< block -> record index.
-    std::deque<BlockRecord> _records;
+    std::vector<std::vector<BlockRecord>> _chunks;
+    std::uint32_t _numRecords = 0;  ///< Records ever made (chunk fill).
     std::vector<std::uint32_t> _freeRecords;
     std::uint64_t _numPersists = 0;
 };

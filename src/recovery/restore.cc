@@ -44,9 +44,14 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
     for (const AbandonedResidency &a : triage) {
         const Addr addr = blockAlign(a.addr);
         abandonedPages.insert(layout.pageIndex(addr));
+        // A block an interrupted earlier pass already reconciled (rolled
+        // back or dropped) has no open residency left: its current
+        // version is the durable one.
         const std::uint64_t total = oracle.storeCount(addr);
         const std::uint64_t pre =
-            total - std::min(total, a.pendingWrites);
+            total == oracle.preResidencyCount(addr)
+                ? total
+                : oracle.abandonedVersion(addr, a.pendingWrites);
 
         if (!pm.hasData(addr)) {
             if (pre == 0) {

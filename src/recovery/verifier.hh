@@ -327,9 +327,8 @@ class RecoveryVerifier
                     RecoveryReport &report) const
     {
         ++report.blocksChecked;
-        const std::uint64_t total = oracle.storeCount(addr);
         const std::uint64_t pre_version =
-            total - std::min(total, pending_writes);
+            oracle.abandonedVersion(addr, pending_writes);
 
         if (!pm.hasData(addr)) {
             if (pre_version == 0) {

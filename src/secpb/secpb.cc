@@ -362,7 +362,7 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
                     static_cast<unsigned long long>(_eq.curTick()));
         e->asid = asid;
         e->numWrites = 1;
-        e->plaintext = _oracle.applyStore(addr, value);
+        e->plaintext = _oracle.applyStore(addr, value, true);
         e->vData = true;
         launchEarlyOps(*e, base);
         maybeStartDrain();
@@ -818,7 +818,6 @@ SecPb::drainNext()
 void
 SecPb::startDrainOf(PbEntry &e)
 {
-    PbEntry *ep = &e;
     const std::uint64_t idx = slotOf(e);
     e.drainStart = _eq.curTick();
 
@@ -831,10 +830,8 @@ SecPb::startDrainOf(PbEntry &e)
         e.pushedCtr = true;
         e.pushedMac = true;
         e.drainPending = 1;
-        _eq.schedule(_eq.curTick(), [this, idx, ep] {
-            if (--ep->drainPending == 0)
-                finalizeDrain(idx);
-        });
+        _eq.schedule(_eq.curTick(),
+                     [this, idx] { drainBranchDone(idx); });
         return;
     }
 
@@ -845,75 +842,87 @@ SecPb::startDrainOf(PbEntry &e)
     e.vCtr = true;
 
     e.drainPending = 2;
-    auto branch_done = [this, idx, ep] {
-        if (--ep->drainPending == 0)
-            finalizeDrain(idx);
-    };
+    _eq.schedule(t_ctr, [this, idx] { drainKick(idx); });
+}
 
+void
+SecPb::drainKick(std::uint64_t idx)
+{
     // One fused kick event runs both late-work branches. They used to be
     // two consecutive same-tick events nothing could schedule between
     // (back-to-back schedule calls, adjacent sequence numbers), so fusing
     // them halves drain-path event traffic while keeping pop order -- and
     // therefore every downstream tick, span, and stat -- bit-identical.
-    _eq.schedule(t_ctr, [this, ep, branch_done] {
-        // Branch A: OTP -> ciphertext -> MAC (skipping already-valid
-        // parts).
-        auto after_otp = [this, ep, branch_done] {
-            auto after_ct = [this, ep, branch_done] {
-                if (!ep->vMac) {
-                    _crypto.generateMac([this, ep, branch_done] {
-                        refreshMac(*ep);
-                        _macCache.writeAccess(_layout.macAddr(ep->addr));
-                        branch_done();
-                    });
-                } else {
-                    branch_done();
-                }
-            };
-            if (!ep->vCt) {
-                _eq.scheduleIn(_crypto.generateCiphertext(),
-                               [this, ep, after_ct] {
-                    refreshCiphertext(*ep);
-                    after_ct();
-                });
-            } else {
-                after_ct();
-            }
-        };
-        if (!ep->vOtp) {
-            _crypto.generateOtp([this, ep, after_otp] {
-                ep->otp = generatePad(_keys, ep->addr, ep->counter);
-                ep->vOtp = true;
-                after_otp();
-            });
-        } else {
-            after_otp();
-        }
+    PbEntry &e = _entries[idx];
 
-        // Branch B: BMT root update, if this residency hasn't done it.
-        // The drain does not wait for the walk to *retire* -- the battery
-        // provisioning includes one in-flight tuple update for exactly
-        // that window -- but it does wait for the pipelined walker to
-        // *accept* the walk, so walker throughput backpressures draining.
-        // Merged same-leaf updates are accepted instantly.
-        if (!ep->vBmt) {
-            const std::uint64_t page = _layout.pageIndex(ep->addr);
-            const Digest d =
-                _walker.tree().leafDigest(_counters.block(page));
-            const BmtWalker::UpdateTiming t =
-                _walker.updateTimed(ep->addr, d);
-            ep->vBmt = true;
-            // Triad-NVM runtime cost: the persisted frontier (the
-            // lowest N path levels) must actually reach PCM at drain
-            // time, not just the walker's volatile node cache.
-            if (_traits.partialBmtPersist)
-                persistBmtPathPrefix(ep->addr, persistedBmtLevels());
-            _eq.schedule(std::max(t.issue, _eq.curTick()),
-                         [branch_done] { branch_done(); });
-        } else {
-            branch_done();
-        }
-    });
+    // Branch A: OTP -> ciphertext -> MAC (skipping already-valid parts).
+    if (!e.vOtp) {
+        _crypto.generateOtp([this, idx] {
+            PbEntry &d = _entries[idx];
+            d.otp = generatePad(_keys, d.addr, d.counter);
+            d.vOtp = true;
+            drainAfterOtp(idx);
+        });
+    } else {
+        drainAfterOtp(idx);
+    }
+
+    // Branch B: BMT root update, if this residency hasn't done it.
+    // The drain does not wait for the walk to *retire* -- the battery
+    // provisioning includes one in-flight tuple update for exactly
+    // that window -- but it does wait for the pipelined walker to
+    // *accept* the walk, so walker throughput backpressures draining.
+    // Merged same-leaf updates are accepted instantly.
+    if (!e.vBmt) {
+        const std::uint64_t page = _layout.pageIndex(e.addr);
+        const Digest d = _walker.tree().leafDigest(_counters.block(page));
+        const BmtWalker::UpdateTiming t = _walker.updateTimed(e.addr, d);
+        e.vBmt = true;
+        // Triad-NVM runtime cost: the persisted frontier (the lowest N
+        // path levels) must actually reach PCM at drain time, not just
+        // the walker's volatile node cache.
+        if (_traits.partialBmtPersist)
+            persistBmtPathPrefix(e.addr, persistedBmtLevels());
+        _eq.schedule(std::max(t.issue, _eq.curTick()),
+                     [this, idx] { drainBranchDone(idx); });
+    } else {
+        drainBranchDone(idx);
+    }
+}
+
+void
+SecPb::drainAfterOtp(std::uint64_t idx)
+{
+    if (!_entries[idx].vCt) {
+        _eq.scheduleIn(_crypto.generateCiphertext(), [this, idx] {
+            refreshCiphertext(_entries[idx]);
+            drainAfterCt(idx);
+        });
+    } else {
+        drainAfterCt(idx);
+    }
+}
+
+void
+SecPb::drainAfterCt(std::uint64_t idx)
+{
+    if (!_entries[idx].vMac) {
+        _crypto.generateMac([this, idx] {
+            PbEntry &e = _entries[idx];
+            refreshMac(e);
+            _macCache.writeAccess(_layout.macAddr(e.addr));
+            drainBranchDone(idx);
+        });
+    } else {
+        drainBranchDone(idx);
+    }
+}
+
+void
+SecPb::drainBranchDone(std::uint64_t idx)
+{
+    if (--_entries[idx].drainPending == 0)
+        finalizeDrain(idx);
 }
 
 void

@@ -445,6 +445,20 @@ class SecPb
     /** Complete the tuple for @p e at the MC, then persist it. */
     void startDrainOf(PbEntry &e);
 
+    /**
+     * @name Late-work steps of the drain of slot @p idx
+     * Continuations capture (this, slot) only, so none spills to the
+     * heap. drainKick starts both branches: OTP -> ciphertext -> MAC
+     * (drainAfterOtp, drainAfterCt) and the BMT update; drainBranchDone
+     * finalizes the drain once both have finished.
+     * @{
+     */
+    void drainKick(std::uint64_t idx);
+    void drainAfterOtp(std::uint64_t idx);
+    void drainAfterCt(std::uint64_t idx);
+    void drainBranchDone(std::uint64_t idx);
+    /** @} */
+
     /** Push data + counter + MAC blocks of @p e through the WPQ. */
     void finalizeDrain(std::uint64_t entry_idx);
 

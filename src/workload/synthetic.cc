@@ -25,7 +25,8 @@ SyntheticGenerator::SyntheticGenerator(const BenchmarkProfile &profile,
              profile.name.c_str());
     fatal_if(mem_pki > 1000.0, "profile '%s' has > 1000 mem ops per ki",
              profile.name.c_str());
-    _meanGap = 1000.0 / mem_pki - 1.0;
+    const double mean_gap = 1000.0 / mem_pki - 1.0;
+    _logNoMemOp = std::log1p(-(1.0 / (mean_gap + 1.0)));
     _pLoad = profile.loadsPerKiloInstr / mem_pki;
     _seqCursor = region_base;
 }
@@ -33,19 +34,15 @@ SyntheticGenerator::SyntheticGenerator(const BenchmarkProfile &profile,
 void
 SyntheticGenerator::rememberBlock(Addr block)
 {
-    _recent.push_front(block);
-    if (_recent.size() > RecentCap)
-        _recent.pop_back();
+    _recent.push(block);
 }
 
 void
 SyntheticGenerator::rememberAllocation(Addr block)
 {
-    if (!_history.empty() && _history.front() == block)
+    if (!_history.empty() && _history[0] == block)
         return;
-    _history.push_front(block);
-    if (_history.size() > RecentCap)
-        _history.pop_back();
+    _history.push(block);
 }
 
 Addr
@@ -137,10 +134,9 @@ SyntheticGenerator::next(TraceOp &op)
     // bundle sizes are geometric -- drawn by inversion to keep the mem-op
     // density exact.
     if (!_inMemOp) {
-        const double p = 1.0 / (_meanGap + 1.0);
         const double u = std::max(_rng.uniform(), 1e-300);
-        std::uint64_t count = static_cast<std::uint64_t>(
-            std::log(u) / std::log1p(-p));
+        std::uint64_t count =
+            static_cast<std::uint64_t>(std::log(u) / _logNoMemOp);
         count = std::min<std::uint64_t>(count, _budget - _emitted);
         _inMemOp = true;
         if (count > 0) {

@@ -11,7 +11,8 @@
 #ifndef SECPB_WORKLOAD_SYNTHETIC_HH
 #define SECPB_WORKLOAD_SYNTHETIC_HH
 
-#include <deque>
+#include <array>
+#include <cstddef>
 
 #include "cpu/trace_op.hh"
 #include "sim/rng.hh"
@@ -54,19 +55,51 @@ class SyntheticGenerator : public WorkloadGenerator
     Rng _rng;
     Addr _regionBase;
 
-    /** Mean plain-instruction gap between memory operations. */
-    double _meanGap;
+    /** log(1 - p) for p = P(an instruction slot is a memory op), the
+     *  divisor of the geometric bundle-size draw. */
+    double _logNoMemOp;
     /** P(load | memory op). */
     double _pLoad;
 
-    /** Recently written blocks, most recent at the front (may contain
-     * duplicates; feeds the hot/warm windows). */
-    std::deque<Addr> _recent;
-    static constexpr std::size_t RecentCap = 512;
+    /** The last Cap block addresses, newest first, in a fixed ring. */
+    class RecentBlocks
+    {
+      public:
+        static constexpr std::size_t Cap = 512;
+
+        /** Make @p block the newest, dropping the oldest when full. */
+        void
+        push(Addr block)
+        {
+            _head = (_head + Cap - 1) % Cap;
+            _slots[_head] = block;
+            if (_size < Cap)
+                ++_size;
+        }
+
+        /** The @p k-th newest block (0 = newest). */
+        Addr
+        operator[](std::size_t k) const
+        {
+            return _slots[(_head + k) % Cap];
+        }
+
+        std::size_t size() const { return _size; }
+        bool empty() const { return _size == 0; }
+
+      private:
+        std::array<Addr, Cap> _slots{};
+        std::size_t _head = 0;
+        std::size_t _size = 0;
+    };
+
+    /** Recently written blocks (may contain duplicates; feeds the
+     * hot/warm windows). */
+    RecentBlocks _recent;
 
     /** Distinct block allocation history (fresh/stream blocks only),
      * feeding the long-tail reuse window. */
-    std::deque<Addr> _history;
+    RecentBlocks _history;
 
     /** Record a newly allocated (fresh or stream) block in the history. */
     void rememberAllocation(Addr block);

@@ -80,19 +80,22 @@ TEST(Oracle, TouchedIsBlockGranular)
 
 TEST(Oracle, HistoryStaysPerBlockUnderInterleavedStores)
 {
-    // Round-robin stores over 40 blocks: each block's log and versions
-    // see only its own stores, in order.
+    // Round-robin stores over 2,100 blocks (every chunk size), each
+    // block opening a residency with its fourth store: each block's
+    // count, snapshot and versions see only its own stores, in order.
     PersistOracle o;
-    constexpr unsigned Blocks = 40;
+    constexpr unsigned Blocks = 2100;
     constexpr unsigned Rounds = 9;
     for (unsigned r = 0; r < Rounds; ++r)
         for (unsigned b = 0; b < Blocks; ++b)
-            o.applyStore(b * BlockSize + (r % 8) * 8, b * 100 + r);
+            o.applyStore(b * BlockSize + (r % 8) * 8, b * 100 + r, r == 3);
     EXPECT_EQ(o.numPersists(), Blocks * Rounds);
     EXPECT_EQ(o.numBlocks(), Blocks);
     for (unsigned b = 0; b < Blocks; ++b) {
         const Addr a = b * BlockSize;
         ASSERT_EQ(o.storeCount(a), Rounds);
+        ASSERT_EQ(o.preResidencyCount(a), 3u);
+        EXPECT_EQ(o.abandonedVersion(a, Rounds - 3), 3u);
         EXPECT_EQ(o.blockVersion(a, 0), zeroBlock());
         const BlockData v3 = o.blockVersion(a, 3);
         EXPECT_EQ(blockWord(v3, 2), b * 100 + 2);
@@ -106,16 +109,20 @@ TEST(Oracle, HistoryStaysPerBlockUnderInterleavedStores)
 
 TEST(Oracle, StoresAfterRollbackBuildOnTheRolledBackVersion)
 {
+    // Five stores, the last three in one residency; the battery lost it.
     PersistOracle o;
     for (unsigned i = 0; i < 5; ++i)
-        o.applyStore(0x200 + i * 8, 10 + i);
+        o.applyStore(0x200 + i * 8, 10 + i, i == 2);
     o.applyStore(0x1000, 7);  // an unrelated block stays put
-    o.rollbackBlock(0x200, 2);
+    const std::uint64_t pre = o.abandonedVersion(0x200, 3);
+    ASSERT_EQ(pre, 2u);
+    o.rollbackBlock(0x200, pre);
     EXPECT_EQ(o.storeCount(0x200), 2u);
     EXPECT_EQ(o.blockContent(0x200), o.blockVersion(0x200, 2));
 
-    o.applyStore(0x218, 99);
+    o.applyStore(0x218, 99, true);
     EXPECT_EQ(o.storeCount(0x200), 3u);
+    EXPECT_EQ(o.preResidencyCount(0x200), 2u);
     const BlockData b = o.blockContent(0x200);
     EXPECT_EQ(blockWord(b, 0), 10u);
     EXPECT_EQ(blockWord(b, 1), 11u);
@@ -154,16 +161,18 @@ TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
     const Addr page = 3 * PageSize;
     for (unsigned i = 0; i < 6; ++i)
         a.applyStore(page + i * BlockSize + i * 8, i + 1);
-    a.applyStore(page + BlockSize, 42);  // second store to block 1
-    b.applyStore(9 * PageSize, 5);       // b's own page stays put
+    a.applyStore(page + BlockSize, 42, true);  // block 1 opens a residency
+    b.applyStore(9 * PageSize, 5);             // b's own page stays put
 
     a.movePageTo(b, page, PageSize);
-    // Every block's store count, first version and current content.
+    // Every block's counts and the versions recovery can ask for.
     const auto snapshot = [&](const PersistOracle &o) {
-        std::vector<std::tuple<std::uint64_t, BlockData, BlockData>> s;
+        std::vector<std::tuple<std::uint64_t, std::uint64_t, BlockData,
+                               BlockData>> s;
         for (unsigned i = 0; i < BlocksPerPage; ++i) {
             const Addr blk = page + i * BlockSize;
-            s.emplace_back(o.storeCount(blk), o.blockVersion(blk, 1),
+            const std::uint64_t pre = o.preResidencyCount(blk);
+            s.emplace_back(o.storeCount(blk), pre, o.blockVersion(blk, pre),
                            o.blockContent(blk));
         }
         return s;
@@ -172,6 +181,7 @@ TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
     EXPECT_EQ(a.numBlocks(), 0u);
     EXPECT_EQ(b.numBlocks(), 7u);
     EXPECT_EQ(b.storeCount(page + BlockSize), 2u);
+    EXPECT_EQ(b.preResidencyCount(page + BlockSize), 1u);
 
     for (int round = 0; round < 1000; ++round) {
         b.movePageTo(a, page, PageSize);
@@ -184,6 +194,63 @@ TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
     EXPECT_EQ(b.storeCount(9 * PageSize), 1u);
     EXPECT_EQ(a.numPersists(), 7u);
     EXPECT_EQ(b.numPersists(), 1u);
+}
+
+TEST(Oracle, SnapshotTravelsWithMigratedPage)
+{
+    // A residency opened on core a is abandoned on core b after its page
+    // migrates: b must roll the block back to a's snapshot.
+    PersistOracle a, b;
+    const Addr blk = 5 * PageSize + 2 * BlockSize;
+    a.applyStore(blk, 1);
+    a.applyStore(blk + 8, 2);
+    const BlockData before = a.blockContent(blk);
+    a.applyStore(blk, 3, true);
+    a.applyStore(blk + 16, 4);
+
+    a.movePageTo(b, 5 * PageSize, PageSize);
+    EXPECT_FALSE(a.touched(blk));
+    EXPECT_EQ(b.storeCount(blk), 4u);
+    EXPECT_EQ(b.abandonedVersion(blk, 2), 2u);
+    EXPECT_EQ(b.blockVersion(blk, 2), before);
+    b.rollbackBlock(blk, 2);
+    EXPECT_EQ(b.blockContent(blk), before);
+    EXPECT_EQ(b.storeCount(blk), 2u);
+}
+
+TEST(Oracle, ReopenedResidencyReplacesTheSnapshot)
+{
+    PersistOracle o;
+    o.applyStore(0x500, 1, true);  // first residency: snapshot is pristine
+    o.applyStore(0x508, 2);
+    EXPECT_EQ(o.preResidencyCount(0x500), 0u);
+    EXPECT_EQ(o.abandonedVersion(0x500, 2), 0u);
+    const BlockData drained = o.blockContent(0x500);
+
+    // The first residency drained; the next store opens a second one.
+    o.applyStore(0x510, 3, true);
+    EXPECT_EQ(o.storeCount(0x500), 3u);
+    EXPECT_EQ(o.preResidencyCount(0x500), 2u);
+    EXPECT_EQ(o.abandonedVersion(0x500, 1), 2u);
+    EXPECT_EQ(o.blockVersion(0x500, 2), drained);
+    EXPECT_EQ(o.blockVersion(0x500, 0), zeroBlock());
+    EXPECT_EQ(blockWord(o.blockVersion(0x500, 3), 2), 3u);
+}
+
+TEST(OracleDeath, UnkeptVersionPanics)
+{
+    PersistOracle o;
+    for (unsigned i = 0; i < 5; ++i)
+        o.applyStore(0x600 + i * 8, i + 1, i == 3);
+    // Kept: 0, the snapshot (3) and the current version (5).
+    EXPECT_EQ(blockWord(o.blockVersion(0x600, 3), 2), 3u);
+    EXPECT_DEATH(o.blockVersion(0x600, 1), "oracle keeps no version 1");
+    EXPECT_DEATH(o.blockVersion(0x600, 4), "oracle keeps no version 4");
+    EXPECT_DEATH(o.rollbackBlock(0x600, 2), "oracle keeps no version 2");
+    EXPECT_DEATH(o.blockVersion(0x700, 1), "oracle keeps no version 1");
+    // An abandoned residency must match the snapshot exactly.
+    EXPECT_DEATH(o.abandonedVersion(0x600, 1), "abandoned residency 0x600");
+    EXPECT_DEATH(o.abandonedVersion(0x600, 6), "abandoned residency 0x600");
 }
 
 TEST(CounterStore, IncrementsAreIndependentAcrossBlocks)

@@ -276,3 +276,28 @@ TEST(Recovery, DrainLatencyNsMatchesClock)
     // 4 GHz: 1 cycle = 0.25 ns.
     EXPECT_NEAR(cr.drainLatencyNs, cr.drainLatency * 0.25, 1e-6);
 }
+
+TEST(RecoveryDeath, AbandonedResidencyMustMatchTheSnapshot)
+{
+    // A starved battery abandons residencies; their pendingWrites agree
+    // with the oracle's snapshots, so the crash's own verifyPartial
+    // passes. A residency claiming one store too many is a bookkeeping
+    // bug, and the verifier must stop on it rather than clamp it away.
+    SecPbSystem sys(cfgFor(Scheme::Cobcm));
+    SyntheticGenerator gen(profileByName("gamess"), 10'000, 3);
+    sys.start(gen);
+    sys.runUntil(40'000);
+    CrashOptions opts;
+    opts.batteryEnergyJ = 0.15 * sys.provisionedCrashEnergy();
+    const CrashReport cr = sys.crashNow(opts);
+    ASSERT_FALSE(cr.work.abandoned.empty());
+    ASSERT_TRUE(cr.recovered);
+
+    std::vector<AbandonedResidency> wrong = cr.work.abandoned;
+    ++wrong.front().pendingWrites;
+    RecoveryVerifier verifier(sys.layout(), sys.config().keys);
+    EXPECT_DEATH(verifier.verifyPartial(sys.pm(), sys.tree(), sys.oracle(),
+                                        wrong),
+                 "abandoned residency 0x[0-9a-f]+: [0-9]+ of [0-9]+ stores "
+                 "pending");
+}
