@@ -15,8 +15,6 @@
 #ifndef SECPB_METADATA_METADATA_CACHE_HH
 #define SECPB_METADATA_METADATA_CACHE_HH
 
-#include <string>
-
 #include "mem/pcm.hh"
 #include "mem/set_assoc.hh"
 #include "stats/stats.hh"
@@ -28,12 +26,12 @@ namespace secpb
 class MetadataCache
 {
   public:
-    MetadataCache(std::string name, const CacheGeometry &geom,
+    MetadataCache(const char *name, const CacheGeometry &geom,
                   Cycles hit_latency, PcmModel &pcm, StatGroup &parent,
                   bool writeback_dirty = true)
         : _tags(geom), _hitLatency(hit_latency), _pcm(pcm),
           _writebackDirty(writeback_dirty),
-          _stats(std::move(name), &parent),
+          _stats(name, &parent),
           statHits(_stats, "hits", "metadata cache hits"),
           statMisses(_stats, "misses", "metadata cache misses"),
           statWritebacks(_stats, "writebacks",

@@ -1,6 +1,5 @@
 #include "stats/stats.hh"
 
-#include <algorithm>
 #include <iomanip>
 
 #include "stats/json.hh"
@@ -8,8 +7,8 @@
 namespace secpb
 {
 
-StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+StatBase::StatBase(StatGroup &group, const char *name, const char *desc)
+    : _name(name), _desc(desc)
 {
     group.addStat(this);
 }
@@ -42,8 +41,8 @@ Average::jsonFields() const
     return {{".mean", mean()}, {".count", static_cast<double>(_count)}};
 }
 
-StatGroup::StatGroup(std::string name, StatGroup *parent)
-    : _name(std::move(name)), _parent(parent)
+StatGroup::StatGroup(const char *name, StatGroup *parent)
+    : _name(name), _parent(parent)
 {
     if (_parent)
         _parent->addChild(this);
@@ -56,11 +55,31 @@ StatGroup::~StatGroup()
 }
 
 void
+StatGroup::addStat(StatBase *stat)
+{
+    (_lastStat ? _lastStat->_next : _firstStat) = stat;
+    _lastStat = stat;
+}
+
+void
+StatGroup::addChild(StatGroup *child)
+{
+    (_lastChild ? _lastChild->_nextSibling : _firstChild) = child;
+    _lastChild = child;
+}
+
+void
 StatGroup::removeChild(StatGroup *child)
 {
-    auto it = std::find(_children.begin(), _children.end(), child);
-    if (it != _children.end())
-        _children.erase(it);
+    StatGroup *prev = nullptr;
+    for (StatGroup *g = _firstChild; g; prev = g, g = g->_nextSibling) {
+        if (g != child)
+            continue;
+        (prev ? prev->_nextSibling : _firstChild) = g->_nextSibling;
+        if (_lastChild == g)
+            _lastChild = prev;
+        return;
+    }
 }
 
 std::string
@@ -77,10 +96,10 @@ StatGroup::visitStats(
                              const StatBase &stat)> &visit) const
 {
     const std::string prefix = fullName() + ".";
-    for (const StatBase *s : _stats)
+    for (const StatBase *s = _firstStat; s; s = s->_next)
         visit(prefix, *s);
-    for (const StatGroup *child : _children)
-        child->visitStats(visit);
+    for (const StatGroup *g = _firstChild; g; g = g->_nextSibling)
+        g->visitStats(visit);
 }
 
 void
@@ -103,35 +122,30 @@ StatGroup::toJson(JsonWriter &w) const
 }
 
 const StatBase *
-StatGroup::find(const std::string &name) const
+StatGroup::find(std::string_view name) const
 {
-    for (const StatBase *s : _stats)
-        if (s->name() == name)
+    for (const StatBase *s = _firstStat; s; s = s->_next)
+        if (name == s->name())
             return s;
     return nullptr;
 }
 
 const StatBase *
-StatGroup::findByPath(const std::string &path) const
+StatGroup::findByPath(std::string_view path) const
 {
     const StatGroup *group = this;
-    std::size_t pos = 0;
     for (;;) {
-        const std::size_t dot = path.find('.', pos);
-        if (dot == std::string::npos)
-            return group->find(path.substr(pos));
-        const std::string segment = path.substr(pos, dot - pos);
-        const StatGroup *next = nullptr;
-        for (const StatGroup *child : group->_children) {
-            if (child->name() == segment) {
-                next = child;
-                break;
-            }
-        }
+        const std::size_t dot = path.find('.');
+        if (dot == std::string_view::npos)
+            return group->find(path);
+        const std::string_view segment = path.substr(0, dot);
+        const StatGroup *next = group->_firstChild;
+        while (next && segment != next->name())
+            next = next->_nextSibling;
         if (!next)
             return nullptr;
         group = next;
-        pos = dot + 1;
+        path.remove_prefix(dot + 1);
     }
 }
 

@@ -6,6 +6,13 @@
  * human-readable text or JSON. Two primitive kinds cover everything this
  * project needs: Scalar (a counter or accumulated value) and Average (mean
  * of samples).
+ *
+ * Registration allocates nothing. Stats and groups borrow their names and
+ * descriptions instead of copying them, so every name and description
+ * must be a string literal or storage that outlives the stat or group
+ * (SystemConfig::statsName and MultiCoreSystem's slice names are the
+ * non-literal cases). A group links its stats and child groups in place,
+ * through intrusive lists kept in registration order.
  */
 
 #ifndef SECPB_STATS_STATS_HH
@@ -15,6 +22,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,14 +36,15 @@ class StatGroup;
 class StatBase
 {
   public:
-    StatBase(StatGroup &group, std::string name, std::string desc);
+    /** @p name and @p desc are borrowed; see the file comment. */
+    StatBase(StatGroup &group, const char *name, const char *desc);
     virtual ~StatBase() = default;
 
     StatBase(const StatBase &) = delete;
     StatBase &operator=(const StatBase &) = delete;
 
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    const char *name() const { return _name; }
+    const char *desc() const { return _desc; }
 
     /** Print "name value # desc" lines. */
     virtual void print(std::ostream &os, const std::string &prefix) const = 0;
@@ -49,8 +58,13 @@ class StatBase
         jsonFields() const = 0;
 
   protected:
-    std::string _name;
-    std::string _desc;
+    const char *_name;
+    const char *_desc;
+
+  private:
+    friend class StatGroup;
+
+    StatBase *_next = nullptr;  ///< Next stat of the same group.
 };
 
 /** A simple accumulating scalar statistic. */
@@ -104,13 +118,14 @@ class Average : public StatBase
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name, StatGroup *parent = nullptr);
+    /** @p name is borrowed; see the file comment. */
+    explicit StatGroup(const char *name, StatGroup *parent = nullptr);
     ~StatGroup();
 
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    const std::string &name() const { return _name; }
+    const char *name() const { return _name; }
 
     /** Fully qualified dotted name (parent.child...). */
     std::string fullName() const;
@@ -135,32 +150,32 @@ class StatGroup
     void toJson(JsonWriter &w) const;
 
     /** Look up a stat by name within this group only. */
-    const StatBase *find(const std::string &name) const;
+    const StatBase *find(std::string_view name) const;
 
     /**
      * Look up a stat by dotted path relative to this group, e.g.
      * "cores0.store_buffer.stalls". Returns nullptr when any segment
      * is missing.
      */
-    const StatBase *findByPath(const std::string &path) const;
-
-    /** Direct child groups in registration order. */
-    const std::vector<StatGroup *> &children() const { return _children; }
-
-    /** Stats registered directly on this group. */
-    const std::vector<StatBase *> &stats() const { return _stats; }
+    const StatBase *findByPath(std::string_view path) const;
 
   private:
     friend class StatBase;
 
-    void addStat(StatBase *stat) { _stats.push_back(stat); }
-    void addChild(StatGroup *child) { _children.push_back(child); }
+    void addStat(StatBase *stat);
+    void addChild(StatGroup *child);
     void removeChild(StatGroup *child);
 
-    std::string _name;
+    const char *_name;
     StatGroup *_parent;
-    std::vector<StatBase *> _stats;
-    std::vector<StatGroup *> _children;
+    /** @name Stats and child groups, each a list in registration order. */
+    /** @{ */
+    StatBase *_firstStat = nullptr;
+    StatBase *_lastStat = nullptr;
+    StatGroup *_firstChild = nullptr;
+    StatGroup *_lastChild = nullptr;
+    StatGroup *_nextSibling = nullptr;
+    /** @} */
 };
 
 } // namespace secpb

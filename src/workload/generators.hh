@@ -268,7 +268,7 @@ class ZipfMixGenerator : public QueueGenerator
     ZipfSampler _tenantZipf;
     ZipfSampler _keyZipf;
     Addr _base;
-    std::vector<std::uint16_t> _putsSinceCommit;  ///< Per tenant.
+    std::vector<std::uint32_t> _putsSinceCommit;  ///< Per tenant.
 };
 
 /** Parameters of the open-loop bursty-arrival wrapper. */

@@ -1,9 +1,12 @@
 #include "workload/registry.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hh"
 #include "workload/generators.hh"
@@ -30,25 +33,34 @@ class ParamReader
     number(const std::string &key, double fallback)
     {
         const std::string raw = take(key);
-        if (raw.empty())
-            return fallback;
-        char *end = nullptr;
-        const double v = std::strtod(raw.c_str(), &end);
-        fatal_if(end == raw.c_str() || *end != '\0',
-                 "workload '%s': parameter %s=%s is not a number",
-                 _spec.name.c_str(), key.c_str(), raw.c_str());
-        return v;
+        return raw.empty() ? fallback : parse(key, raw);
     }
 
-    std::uint64_t
-    count(const std::string &key, std::uint64_t fallback)
+    /**
+     * A whole count that fits @p T. Negative and fractional values die,
+     * and so do values past T's maximum or past 2^53 - 1, beyond which
+     * a double no longer holds every whole number (2^53 + 1 parses as
+     * 2^53); the diagnostic names the maximum.
+     */
+    template <typename T>
+    T
+    count(const std::string &key, T fallback)
     {
-        const double v = number(key, static_cast<double>(fallback));
-        fatal_if(v < 0 || v != static_cast<double>(
-                              static_cast<std::uint64_t>(v)),
-                 "workload '%s': parameter %s must be a whole count",
-                 _spec.name.c_str(), key.c_str());
-        return static_cast<std::uint64_t>(v);
+        static_assert(std::is_unsigned_v<T>, "counts are unsigned");
+        const std::string raw = take(key);
+        if (raw.empty())
+            return fallback;
+        const double v = parse(key, raw);
+        fatal_if(!(v >= 0) || v != std::floor(v),
+                 "workload '%s': parameter %s=%s must be a whole count",
+                 _spec.name.c_str(), key.c_str(), raw.c_str());
+        constexpr std::uint64_t max = std::min<std::uint64_t>(
+            std::numeric_limits<T>::max(), (1ULL << 53) - 1);
+        fatal_if(v > static_cast<double>(max),
+                 "workload '%s': parameter %s=%s exceeds the maximum %llu",
+                 _spec.name.c_str(), key.c_str(), raw.c_str(),
+                 static_cast<unsigned long long>(max));
+        return static_cast<T>(v);
     }
 
     std::string
@@ -70,6 +82,17 @@ class ParamReader
     }
 
   private:
+    double
+    parse(const std::string &key, const std::string &raw) const
+    {
+        char *end = nullptr;
+        const double v = std::strtod(raw.c_str(), &end);
+        fatal_if(end == raw.c_str() || *end != '\0',
+                 "workload '%s': parameter %s=%s is not a number",
+                 _spec.name.c_str(), key.c_str(), raw.c_str());
+        return v;
+    }
+
     std::string
     take(const std::string &key)
     {
@@ -86,9 +109,9 @@ std::unique_ptr<WorkloadGenerator>
 applyBurst(std::unique_ptr<WorkloadGenerator> inner, ParamReader &p,
            const WorkloadSpec &spec)
 {
-    const std::uint64_t period = p.count("burst_period", 0);
+    const auto period = p.count<std::uint64_t>("burst_period", 0);
     const double duty = p.number("burst_duty", 0.25);
-    const std::uint64_t bundle = p.count("burst_bundle", 64);
+    const auto bundle = p.count<std::uint32_t>("burst_bundle", 64);
     if (period == 0) {
         fatal_if(spec.has("burst_duty") || spec.has("burst_bundle"),
                  "workload '%s': burst_duty/burst_bundle need "
@@ -99,8 +122,7 @@ applyBurst(std::unique_ptr<WorkloadGenerator> inner, ParamReader &p,
     BurstParams bp;
     bp.onOps = period;
     bp.duty = duty;
-    bp.idleBundle = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, bundle));
+    bp.idleBundle = std::max<std::uint32_t>(1, bundle);
     return std::make_unique<BurstyArrivalGenerator>(std::move(inner), bp);
 }
 
@@ -193,18 +215,12 @@ makeWorkload(const WorkloadSpec &spec, std::uint64_t instructions,
         kp.scans = p.number("scans", kp.scans);
         kp.keys = p.count("keys", kp.keys);
         kp.zipf = p.number("zipf", kp.zipf);
-        kp.valueWords =
-            static_cast<unsigned>(p.count("value_words", kp.valueWords));
-        kp.walWords =
-            static_cast<unsigned>(p.count("wal_words", kp.walWords));
-        kp.scanLength =
-            static_cast<unsigned>(p.count("scan_len", kp.scanLength));
-        kp.thinkInstrs =
-            static_cast<unsigned>(p.count("think", kp.thinkInstrs));
-        kp.checkpointEvery = static_cast<unsigned>(
-            p.count("ckpt_every", kp.checkpointEvery));
-        kp.checkpointBlocks = static_cast<unsigned>(
-            p.count("ckpt_blocks", kp.checkpointBlocks));
+        kp.valueWords = p.count("value_words", kp.valueWords);
+        kp.walWords = p.count("wal_words", kp.walWords);
+        kp.scanLength = p.count("scan_len", kp.scanLength);
+        kp.thinkInstrs = p.count("think", kp.thinkInstrs);
+        kp.checkpointEvery = p.count("ckpt_every", kp.checkpointEvery);
+        kp.checkpointBlocks = p.count("ckpt_blocks", kp.checkpointBlocks);
         gen = std::make_unique<KvWalGenerator>(kp, instructions, seed);
     } else if (spec.name == "fs_journal" || spec.name == "pstore") {
         JournalParams jp;
@@ -213,32 +229,23 @@ makeWorkload(const WorkloadSpec &spec, std::uint64_t instructions,
             jp.dumpEvery = 64;
             jp.commitEvery = 8;
         }
-        jp.txnStores =
-            static_cast<unsigned>(p.count("txn_stores", jp.txnStores));
+        jp.txnStores = p.count("txn_stores", jp.txnStores);
         jp.metaBlocks = p.count("meta_blocks", jp.metaBlocks);
-        jp.commitEvery =
-            static_cast<unsigned>(p.count("commit_every", jp.commitEvery));
-        jp.journalBlocks = static_cast<unsigned>(
-            p.count("journal_blocks", jp.journalBlocks));
-        jp.thinkInstrs =
-            static_cast<unsigned>(p.count("think", jp.thinkInstrs));
-        jp.dumpEvery =
-            static_cast<unsigned>(p.count("dump_every", jp.dumpEvery));
-        jp.dumpBlocks =
-            static_cast<unsigned>(p.count("dump_blocks", jp.dumpBlocks));
+        jp.commitEvery = p.count("commit_every", jp.commitEvery);
+        jp.journalBlocks = p.count("journal_blocks", jp.journalBlocks);
+        jp.thinkInstrs = p.count("think", jp.thinkInstrs);
+        jp.dumpEvery = p.count("dump_every", jp.dumpEvery);
+        jp.dumpBlocks = p.count("dump_blocks", jp.dumpBlocks);
         gen = std::make_unique<JournalGenerator>(jp, instructions, seed);
     } else if (spec.name == "zipf_mix") {
         ZipfMixParams zp;
-        zp.tenants =
-            static_cast<std::uint32_t>(p.count("tenants", zp.tenants));
+        zp.tenants = p.count("tenants", zp.tenants);
         zp.tenantZipf = p.number("tenant_zipf", zp.tenantZipf);
         zp.keysPerTenant = p.count("keys", zp.keysPerTenant);
         zp.keyZipf = p.number("key_zipf", zp.keyZipf);
         zp.puts = p.number("puts", zp.puts);
-        zp.thinkInstrs =
-            static_cast<unsigned>(p.count("think", zp.thinkInstrs));
-        zp.commitEvery =
-            static_cast<unsigned>(p.count("commit_every", zp.commitEvery));
+        zp.thinkInstrs = p.count("think", zp.thinkInstrs);
+        zp.commitEvery = p.count("commit_every", zp.commitEvery);
         gen = std::make_unique<ZipfMixGenerator>(zp, instructions, seed);
     } else if (spec.name == "replay") {
         const std::string file = p.text("file");

@@ -4,20 +4,26 @@
  *
  * Key popularity in production KV stores and multi-tenant request rates
  * both follow power laws (YCSB's default is Zipf with s = 0.99). The
- * sampler precomputes the normalized CDF over n ranks once and draws by
- * binary search on a single uniform variate, so draws cost O(log n),
- * depend only on the Rng stream, and are bit-identical across hosts.
+ * sampler draws by binary search over the normalized CDF on a single
+ * uniform variate, so draws cost O(log n), depend only on the Rng
+ * stream, and are bit-identical across hosts.
+ *
+ * The CDF is immutable, so samplers with the same (n, exponent) share
+ * one table. It is computed the first time a process asks for that
+ * pair and then lives until the process exits: building a workload
+ * costs no std::pow after the first trial. A table costs 8 bytes per
+ * rank; the repository's generators use three (4,096, 2,048 and 64
+ * ranks, about 50 KB together).
  */
 
 #ifndef SECPB_WORKLOAD_ZIPF_HH
 #define SECPB_WORKLOAD_ZIPF_HH
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace secpb
@@ -27,37 +33,21 @@ namespace secpb
 class ZipfSampler
 {
   public:
-    /** Precompute the CDF. @p n must be in [1, 2^24] (table memory). */
-    ZipfSampler(std::uint64_t n, double exponent)
-    {
-        fatal_if(n == 0, "ZipfSampler needs at least one rank");
-        fatal_if(n > (1ULL << 24),
-                 "ZipfSampler rank count %llu too large (max 2^24)",
-                 static_cast<unsigned long long>(n));
-        fatal_if(exponent < 0.0 || !std::isfinite(exponent),
-                 "Zipf exponent %f must be finite and >= 0", exponent);
-        _cdf.resize(n);
-        double sum = 0.0;
-        for (std::uint64_t r = 0; r < n; ++r) {
-            sum += 1.0 / std::pow(static_cast<double>(r + 1), exponent);
-            _cdf[r] = sum;
-        }
-        const double inv = 1.0 / sum;
-        for (double &c : _cdf)
-            c *= inv;
-        _cdf.back() = 1.0;  // guard against rounding at the tail
-    }
+    /** Borrow (or build) the shared CDF. @p n must be in [1, 2^24]
+     *  (table memory). */
+    ZipfSampler(std::uint64_t n, double exponent);
 
     /** Draw one rank using (exactly) one uniform variate from @p rng. */
     std::uint64_t
     sample(Rng &rng) const
     {
+        const std::vector<double> &cdf = *_cdf;
         const double u = rng.uniform();
-        const auto it = std::upper_bound(_cdf.begin(), _cdf.end(), u);
-        return static_cast<std::uint64_t>(it - _cdf.begin());
+        const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+        return static_cast<std::uint64_t>(it - cdf.begin());
     }
 
-    std::uint64_t numRanks() const { return _cdf.size(); }
+    std::uint64_t numRanks() const { return _cdf->size(); }
 
     /** Probability mass of the @p k most popular ranks. */
     double
@@ -65,11 +55,15 @@ class ZipfSampler
     {
         if (k == 0)
             return 0.0;
-        return _cdf[std::min<std::uint64_t>(k, _cdf.size()) - 1];
+        return (*_cdf)[std::min<std::uint64_t>(k, _cdf->size()) - 1];
     }
 
+    /** The CDF, shared by every sampler with the same (n, exponent). */
+    const std::vector<double> &table() const { return *_cdf; }
+
   private:
-    std::vector<double> _cdf;  ///< cdf[r] = P(rank <= r), ascending.
+    /** cdf[r] = P(rank <= r), ascending. */
+    std::shared_ptr<const std::vector<double>> _cdf;
 };
 
 } // namespace secpb

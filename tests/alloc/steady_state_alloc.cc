@@ -9,6 +9,10 @@
  * same point that differ only in length share their set-up cost, so the
  * allocations between them, divided by the persists between them, is
  * the marginal cost of one persist.
+ *
+ * Building a trial is cheap too: stats register without allocating,
+ * and a workload's Zipf tables are built once per process, so a crash
+ * soak's thousands of short trials stop paying a fixed set-up cost.
  */
 
 #include <gtest/gtest.h>
@@ -19,24 +23,33 @@
 #include <new>
 
 #include "core/simulation.hh"
+#include "workload/registry.hh"
 #include "workload/synthetic.hh"
 
 namespace
 {
 std::atomic<std::uint64_t> gAllocations{0};
+std::atomic<std::uint64_t> gBytes{0};
 } // namespace
 
-void *
+// All three stay out of line: once inlined, GCC pairs malloc() and free()
+// with the new-expressions and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t bytes)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(bytes, std::memory_order_relaxed);
     if (void *p = std::malloc(bytes ? bytes : 1))
         return p;
     throw std::bad_alloc();
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace secpb;
 
@@ -81,6 +94,46 @@ TEST(SteadyStateAlloc, PersistsStopAllocatingAfterWarmUp)
     EXPECT_LE(per_persist, 0.01)
         << allocations << " allocations over "
         << longer.persists - shorter.persists << " extra persists";
+}
+
+/** Heap bytes requested while building one @p spec workload. */
+std::uint64_t
+workloadBuildBytes(const char *spec)
+{
+    const std::uint64_t before = gBytes.load();
+    const auto gen = makeWorkload(spec, 10'000, 1);
+    return gBytes.load() - before;
+}
+
+TEST(TrialBuildAlloc, SimulationConstructionStaysUnderBudget)
+{
+    setQuietLogging(true);
+    for (Scheme scheme : SchemeZoo) {
+        SimulationSpec spec;
+        spec.base.scheme = scheme;
+        spec.base.pmDataBytes = 1ULL << 30;
+        const std::uint64_t before = gAllocations.load();
+        const Simulation sim(spec);
+        const std::uint64_t built = gAllocations.load() - before;
+        EXPECT_LE(built, 60u) << schemeName(scheme);
+    }
+}
+
+TEST(TrialBuildAlloc, RebuiltWorkloadsReuseTheirZipfTables)
+{
+    // kv_wal's default 4,096-key table is 32 KB. zipf_mix's default
+    // 2,048 tenants carry 8 KB of per-tenant commit counters, which are
+    // generator state, so it runs with 256 tenants (a 2 KB table and
+    // 1 KB of counters) and 1,024 keys (an 8 KB table). The generator
+    // itself takes about 2 KB, so a second build under 4 KB rebuilt
+    // neither table.
+    for (const char *spec : {"kv_wal", "zipf_mix:tenants=256,keys=1024"}) {
+        const std::uint64_t first = workloadBuildBytes(spec);
+        const std::uint64_t second = workloadBuildBytes(spec);
+        EXPECT_GT(first, 4096u) << spec;
+        EXPECT_LT(second, 4096u) << spec << " (first build " << first
+                                 << " bytes)";
+    }
 }
 
 } // namespace

@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "stats/json.hh"
 #include "stats/stats.hh"
@@ -143,4 +146,84 @@ TEST(Stats, FindByPathWalksChildGroups)
     // Single-segment paths fall back to a direct stat lookup.
     Scalar direct(root, "direct", "");
     EXPECT_EQ(root.findByPath("direct"), &direct);
+}
+
+TEST(Stats, DestroyedMiddleChildLeavesEveryView)
+{
+    StatGroup root("sys");
+    StatGroup first("a", &root);
+    Scalar x(first, "x", "");
+    auto middle = std::make_unique<StatGroup>("b", &root);
+    Scalar y(*middle, "y", "");
+    StatGroup last("c", &root);
+    Scalar z(last, "z", "");
+    ASSERT_EQ(root.findByPath("b.y"), &y);
+
+    middle.reset();
+    std::ostringstream text;
+    root.dump(text);
+    EXPECT_EQ(text.str().find("sys.b."), std::string::npos);
+    EXPECT_NE(text.str().find("sys.c.z"), std::string::npos);
+    std::ostringstream js;
+    JsonWriter w(js, /*pretty=*/false);
+    root.toJson(w);
+    EXPECT_EQ(js.str(), "{\"sys.a.x\": 0,\"sys.c.z\": 0}");
+    EXPECT_EQ(root.findByPath("b.y"), nullptr);
+    EXPECT_EQ(root.findByPath("c.z"), &z);
+
+    // A child added after the removal still lands at the end.
+    StatGroup late("d", &root);
+    Scalar w2(late, "w", "");
+    std::vector<std::string> seen;
+    root.visitStats([&](const std::string &prefix, const StatBase &stat) {
+        seen.push_back(prefix + stat.name());
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{"sys.a.x", "sys.c.z",
+                                              "sys.d.w"}));
+}
+
+TEST(Stats, DestroyedLastChildLetsTheNextOneAppend)
+{
+    StatGroup root("sys");
+    StatGroup first("a", &root);
+    Scalar x(first, "x", "");
+    {
+        StatGroup gone("b", &root);
+    }
+    StatGroup next("c", &root);
+    Scalar z(next, "z", "");
+    EXPECT_EQ(root.findByPath("c.z"), &z);
+    std::ostringstream js;
+    JsonWriter w(js, /*pretty=*/false);
+    root.toJson(w);
+    EXPECT_EQ(js.str(), "{\"sys.a.x\": 0,\"sys.c.z\": 0}");
+}
+
+TEST(Stats, RegistrationOrderSurvivesInterleavedCreation)
+{
+    StatGroup root("sys");
+    Scalar s1(root, "s1", "");
+    StatGroup g1("g1", &root);
+    Scalar s2(root, "s2", "");
+    Scalar g1a(g1, "a", "");
+    StatGroup g2("g2", &root);
+    Scalar g2a(g2, "a", "");
+    Scalar s3(root, "s3", "");
+    Scalar g1b(g1, "b", "");
+    StatGroup g1sub("sub", &g1);
+    Scalar subx(g1sub, "x", "");
+    Scalar g1c(g1, "c", "");
+
+    std::vector<std::string> seen;
+    root.visitStats([&](const std::string &prefix, const StatBase &stat) {
+        seen.push_back(prefix + stat.name());
+    });
+    // Each group lists its own stats in registration order, then its
+    // child groups in registration order.
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "sys.s1", "sys.s2", "sys.s3", "sys.g1.a",
+                        "sys.g1.b", "sys.g1.c", "sys.g1.sub.x",
+                        "sys.g2.a"}));
+    EXPECT_EQ(root.findByPath("g1.sub.x"), &subx);
+    EXPECT_EQ(root.findByPath("g2.a"), &g2a);
 }

@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/system.hh"
@@ -114,6 +117,25 @@ TEST(WorkloadSpecDeath, TyposAreFatalNotIgnored)
                  "burst_period");
     EXPECT_DEATH(makeWorkload("replay", 1000, 1), "file=");
     EXPECT_DEATH(makeWorkload("spec", 1000, 1), "profile=");
+}
+
+TEST(WorkloadSpecDeath, CountPastItsFieldIsFatal)
+{
+    setQuietLogging(true);
+    // 2^32 + 1 used to narrow to 1 in the unsigned commit_every.
+    EXPECT_DEATH(makeWorkload("zipf_mix:commit_every=4294967297", 1000, 1),
+                 "workload 'zipf_mix': parameter commit_every=4294967297 "
+                 "exceeds the maximum 4294967295");
+}
+
+TEST(WorkloadSpecDeath, CountPastExactDoublesIsFatal)
+{
+    setQuietLogging(true);
+    // 2^53 + 1 parses as 2^53: past 2^53 - 1 the parsed count need not
+    // be the one written.
+    EXPECT_DEATH(makeWorkload("kv_wal:keys=9007199254740993", 1000, 1),
+                 "workload 'kv_wal': parameter keys=9007199254740993 "
+                 "exceeds the maximum 9007199254740991");
 }
 
 // ---------------------------------------------------------------------
@@ -254,6 +276,22 @@ TEST(ZipfMix, ThousandsOfTenantsChurnTheAsidSpace)
     EXPECT_GT(stores[0], stores[100] + 10);
 }
 
+TEST(ZipfMix, CommitIntervalsPastSixteenBitsStillCommit)
+{
+    // One tenant, every request a put: a barrier after every 70,000
+    // stores. A 16-bit per-tenant counter wrapped and never committed.
+    auto gen = makeWorkload(
+        "zipf_mix:tenants=1,keys=8,puts=1,think=1,commit_every=70000",
+        600'000, 3);
+    std::uint64_t stores = 0, barriers = 0;
+    for (const TraceOp &op : drain(*gen)) {
+        stores += op.kind == TraceOp::Kind::Store;
+        barriers += op.kind == TraceOp::Kind::Barrier;
+    }
+    ASSERT_GT(stores, 2u * 70'000);
+    EXPECT_EQ(barriers, stores / 70'000);
+}
+
 // ---------------------------------------------------------------------
 // Zipf sampler sanity.
 // ---------------------------------------------------------------------
@@ -289,6 +327,59 @@ TEST(Zipf, EmpiricalDrawFrequenciesMatchTheCdf)
             ++head;
     const double want = z.headMass(16);
     EXPECT_NEAR(static_cast<double>(head) / draws, want, 0.02);
+}
+
+TEST(Zipf, SharedTableDrawsMatchTheReferenceLoop)
+{
+    constexpr std::uint64_t n = 4096;
+    constexpr double s = 0.99;
+    // The per-sampler loop the shared table replaced, verbatim.
+    std::vector<double> ref(n);
+    double sum = 0.0;
+    for (std::uint64_t r = 0; r < n; ++r) {
+        sum += 1.0 / std::pow(static_cast<double>(r + 1), s);
+        ref[r] = sum;
+    }
+    const double inv = 1.0 / sum;
+    for (double &c : ref)
+        c *= inv;
+    ref.back() = 1.0;
+
+    const ZipfSampler first(n, s);
+    const ZipfSampler z(n, s);
+    ASSERT_EQ(&z.table(), &first.table());
+    ASSERT_EQ(z.table(), ref);
+    Rng drawn(2024), want(2024);
+    for (int i = 0; i < 100000; ++i) {
+        const auto it =
+            std::upper_bound(ref.begin(), ref.end(), want.uniform());
+        ASSERT_EQ(z.sample(drawn), static_cast<std::uint64_t>(
+                                       it - ref.begin()))
+            << "draw " << i;
+    }
+}
+
+TEST(Zipf, ConcurrentSamplersShareOneTable)
+{
+    // An (n, s) pair no other test uses, so the threads race to build.
+    constexpr unsigned kThreads = 8;
+    std::atomic<unsigned> ready{0};
+    std::vector<const std::vector<double> *> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&ready, &seen, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const ZipfSampler z(3001, 0.73);
+            seen[t] = &z.table();
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    const ZipfSampler later(3001, 0.73);
+    for (const std::vector<double> *table : seen)
+        EXPECT_EQ(table, &later.table());
 }
 
 // ---------------------------------------------------------------------
