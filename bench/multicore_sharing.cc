@@ -16,6 +16,7 @@
 
 #include "bench_common.hh"
 #include "core/multicore.hh"
+#include "workload/shared_pool.hh"
 
 using namespace secpb;
 using namespace secpb::bench;
@@ -26,66 +27,28 @@ namespace
 /** Simulated cores in every cell. */
 constexpr unsigned NumCores = 4;
 
-/** Private-region writer with probabilistic shared-pool stores. */
-class SharingGenerator : public WorkloadGenerator
-{
-  public:
-    SharingGenerator(std::uint64_t instructions, double share,
-                     Addr private_base, std::uint64_t seed)
-        : _budget(instructions), _share(share), _privateBase(private_base),
-          _rng(seed)
-    {}
-
-    bool
-    next(TraceOp &op) override
-    {
-        if (_emitted >= _budget)
-            return false;
-        // ~80 stores per kilo-instruction, rest plain instructions.
-        if (_rng.chance(0.08)) {
-            ++_emitted;
-            op.kind = TraceOp::Kind::Store;
-            const bool shared = _rng.chance(_share);
-            const Addr base = shared ? 0x0 : _privateBase;
-            // Same-size pools so locality is held constant and only
-            // cross-core sharing varies.
-            const std::uint64_t pool_blocks = 16;
-            op.addr = base + blockAlign(_rng.below(pool_blocks) * BlockSize)
-                      + 8 * _rng.below(8);
-            op.value = _rng.next();
-            return true;
-        }
-        std::uint32_t count = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(16, _budget - _emitted));
-        _emitted += count;
-        op.kind = TraceOp::Kind::Instr;
-        op.count = count;
-        return true;
-    }
-
-  private:
-    std::uint64_t _budget;
-    std::uint64_t _emitted = 0;
-    double _share;
-    Addr _privateBase;
-    Rng _rng;
-};
-
-/** One (scheme, share) cell: build, run, crash, account. */
+/**
+ * One (scheme, share) cell: build, run, check the coherence invariants,
+ * crash, account. @p invariants_held reports the check, which is not a
+ * JSON field.
+ */
 ExperimentResult
-runSharingPoint(const ExperimentPoint &pt, double share)
+runSharingPoint(const ExperimentPoint &pt, double share,
+                char &invariants_held)
 {
     const SimulationSpec &spec = pt.spec;
     Simulation sim(spec);
-    std::vector<std::unique_ptr<SharingGenerator>> gens;
+    std::vector<std::unique_ptr<SharedPoolGenerator>> gens;
     std::vector<WorkloadGenerator *> raw;
     for (unsigned c = 0; c < spec.cores; ++c) {
-        gens.push_back(std::make_unique<SharingGenerator>(
+        gens.push_back(std::make_unique<SharedPoolGenerator>(
             spec.instructions, share, 0x1000000ULL * (c + 1),
             spec.seed + c));
         raw.push_back(gens.back().get());
     }
     const MultiCoreResult mr = sim.run(raw);
+    invariants_held = sim.multi().invariantNoReplication() &&
+                      sim.multi().directory().invariantSingleOwner();
     std::uint64_t stores = 0;
     for (const auto &pc : mr.perCore)
         stores += pc.persists;
@@ -120,6 +83,9 @@ main(int argc, char **argv)
 
     Sweep sweep(cli);
     std::vector<std::vector<std::size_t>> idx(schemes.size());
+    // One slot per cell, indexed like the sweep's points and sized up
+    // front: sweep workers write their own.
+    std::vector<char> invariants(schemes.size() * std::size(shares), 0);
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         for (double share : shares) {
             // The default machine, not a profile's: no configFor.
@@ -131,8 +97,9 @@ main(int argc, char **argv)
             p.spec.instructions = instr;
             p.spec.seed = cli.spec.seed;
             p.tag("cores", std::to_string(NumCores));
-            p.custom = [share](const ExperimentPoint &pt) {
-                return runSharingPoint(pt, share);
+            char *held = &invariants[sweep.points().size()];
+            p.custom = [share, held](const ExperimentPoint &pt) {
+                return runSharingPoint(pt, share, *held);
             };
             idx[si].push_back(sweep.add(std::move(p)));
         }
@@ -143,17 +110,29 @@ main(int argc, char **argv)
     std::printf("Multi-core SecPB sharing sweep (%u cores, "
                 "%llu instructions/core)\n",
                 NumCores, static_cast<unsigned long long>(instr));
+    int status = 0;
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         std::printf("\n[%s]\n%8s %14s %14s %16s %10s\n",
                     schemeName(schemes[si]), "share", "exec cycles",
                     "migrations", "migr/1k stores", "recovery");
         for (std::size_t ci = 0; ci < std::size(shares); ++ci) {
-            const ExperimentResult &r = sweep.at(idx[si][ci]);
+            const std::size_t k = idx[si][ci];
+            const ExperimentResult &r = sweep.at(k);
+            const bool recovered = r.extraValue("recovered") != 0.0;
             std::printf("%7.0f%% %14.0f %14.0f %16.2f %10s\n",
                         shares[ci] * 100.0, r.extraValue("exec_ticks"),
                         r.extraValue("migrations"),
                         r.extraValue("migr_per_kstore"),
-                        r.extraValue("recovered") != 0.0 ? "OK" : "FAILED");
+                        recovered ? "OK" : "FAILED");
+            const bool held = invariants[k];
+            if (!recovered || !held) {
+                std::fprintf(stderr,
+                             "multicore_sharing: cell %s failed:%s%s\n",
+                             sweep.points()[k].label.c_str(),
+                             recovered ? "" : " recovery",
+                             held ? "" : " coherence invariants");
+                status = 1;
+            }
         }
     }
 
@@ -163,5 +142,5 @@ main(int argc, char **argv)
                 "schemes expose it on the acceptance path.\n");
 
     sweep.writeJson();
-    return 0;
+    return status;
 }

@@ -1,7 +1,6 @@
 #include "core/multicore.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -123,34 +122,33 @@ MultiCoreSystem::kickCore(CoreId core, Tick when)
 void
 MultiCoreSystem::processBarrier(Tick T)
 {
-    struct Req
-    {
-        Tick tick;
-        CoreId core;
-        std::uint64_t seq;
-        std::uint64_t page;
-    };
-    std::vector<Req> reqs;
+    std::vector<BarrierRequest> &reqs = _barrierReqs;
+    reqs.clear();
     for (CoreId c = 0; c < numCores(); ++c)
         for (const PageRequest &r : _gates[c]->pending())
-            reqs.push_back(Req{r.tick, c, r.seq, r.page});
+            reqs.push_back(BarrierRequest{r.tick, c, r.seq, r.page});
     if (reqs.empty())
         return;
     // The canonical total order: request time, then core, then per-gate
     // filing order -- a pure function of the simulated run.
-    std::sort(reqs.begin(), reqs.end(), [](const Req &a, const Req &b) {
-        if (a.tick != b.tick)
-            return a.tick < b.tick;
-        if (a.core != b.core)
-            return a.core < b.core;
-        return a.seq < b.seq;
-    });
+    std::sort(reqs.begin(), reqs.end(),
+              [](const BarrierRequest &a, const BarrierRequest &b) {
+                  if (a.tick != b.tick)
+                      return a.tick < b.tick;
+                  if (a.core != b.core)
+                      return a.core < b.core;
+                  return a.seq < b.seq;
+              });
 
     // One action per page per barrier: later requests for a page this
     // barrier already served retry next barrier, against the new owner.
-    std::unordered_set<std::uint64_t> handled;
-    for (const Req &r : reqs) {
-        if (handled.count(r.page))
+    // A barrier handles a few pages, so a scanned vector is the set.
+    std::vector<std::uint64_t> &handled = _barrierHandled;
+    handled.clear();
+    std::vector<Addr> &entries = _pageScratch;
+    for (const BarrierRequest &r : reqs) {
+        if (std::find(handled.begin(), handled.end(), r.page) !=
+            handled.end())
             continue;
         const CoreId owner = _dir.ownerOfPage(r.page);
 
@@ -160,7 +158,7 @@ MultiCoreSystem::processBarrier(Tick T)
             _gates[r.core]->clearStop(r.page);
             _gates[r.core]->retireRequest(r.page);
             kickCore(r.core, T);
-            handled.insert(r.page);
+            handled.push_back(r.page);
             continue;
         }
 
@@ -173,28 +171,28 @@ MultiCoreSystem::processBarrier(Tick T)
                 ++_dir.statFirstTouches;
                 _gates[r.core]->retireRequest(r.page);
                 kickCore(r.core, T);
-                handled.insert(r.page);
+                handled.push_back(r.page);
             } else if (res == r.core) {
                 // Reclaim after a remote read dropped our ownership;
                 // the durable state never left.
                 _dir.setOwner(r.page, r.core);
                 _gates[r.core]->retireRequest(r.page);
                 kickCore(r.core, T);
-                handled.insert(r.page);
+                handled.push_back(r.page);
             } else {
                 // Unowned but resident elsewhere (a remote read flushed
                 // it). Wait for the forced drains to settle, then move
                 // the durable state over.
-                SecPb &pb = _slices[res]->secpb();
-                if (pb.entriesForPage(r.page).empty() &&
-                    pb.pageQuiescent(r.page)) {
+                const bool quiescent =
+                    _slices[res]->secpb().pageEntries(r.page, entries);
+                if (quiescent && entries.empty()) {
                     movePageState(res, r.core, r.page);
                     _dir.setOwner(r.page, r.core);
                     _dir.setResidence(r.page, r.core);
                     ++_dir.statMigrations;
                     _gates[r.core]->retireRequest(r.page);
                     kickCore(r.core, T + MigrationLatency);
-                    handled.insert(r.page);
+                    handled.push_back(r.page);
                 }
             }
             continue;
@@ -206,8 +204,7 @@ MultiCoreSystem::processBarrier(Tick T)
         // requester has room for every entry.
         SecPb &src = _slices[owner]->secpb();
         SecPb &dst = _slices[r.core]->secpb();
-        const std::vector<Addr> entries = src.entriesForPage(r.page);
-        if (src.pageQuiescent(r.page) &&
+        if (src.pageEntries(r.page, entries) &&
             entries.size() <= dst.freeEntries()) {
             for (Addr a : entries) {
                 auto e = src.extractForMigration(a);
@@ -230,7 +227,7 @@ MultiCoreSystem::processBarrier(Tick T)
             for (Addr a : entries)
                 src.flushForRemoteRead(a);
         }
-        handled.insert(r.page);
+        handled.push_back(r.page);
     }
 }
 
@@ -241,17 +238,7 @@ MultiCoreSystem::movePageState(CoreId from, CoreId to, std::uint64_t page)
     SecPbSystem &b = *_slices[to];
     const Addr base = static_cast<Addr>(page) * PageSize;
 
-    for (Addr addr = base; addr < base + PageSize; addr += BlockSize) {
-        if (!a.pm().hasData(addr))
-            continue;
-        b.pm().writeData(addr, a.pm().readData(addr));
-        b.pm().writeMac(addr, a.pm().readMac(addr));
-        a.pm().eraseDataBlock(addr);
-    }
-    if (a.pm().hasCounterBlock(page)) {
-        b.pm().writeCounterBlock(page, a.pm().readCounterBlock(page));
-        a.pm().eraseCounterBlock(page);
-    }
+    a.pm().movePageTo(b.pm(), page);
     if (a.counters().hasBlock(page)) {
         b.counters().setBlock(page, a.counters().block(page));
         a.counters().erase(page);
@@ -335,7 +322,8 @@ MultiCoreSystem::coreRead(CoreId core, Addr addr)
     // owner's entries for the page flush to its PM and write permission
     // drops (residence stays put until someone writes the page again).
     SecPb &pb = _slices[owner]->secpb();
-    for (Addr a : pb.entriesForPage(page))
+    pb.pageEntries(page, _pageScratch);
+    for (Addr a : _pageScratch)
         pb.flushForRemoteRead(a);
     _dir.clearOwner(page);
     _gates[owner]->clearStop(page);
@@ -407,10 +395,10 @@ MultiCoreSystem::invariantNoReplication() const
     // One buffer cannot replicate, and without a gate no page is owned.
     if (solo())
         return true;
-    std::unordered_set<Addr> seen;
+    FlatSet<Addr> seen;
     for (CoreId c = 0; c < numCores(); ++c) {
         for (Addr a : _slices[c]->secpb().residentAddrs()) {
-            if (!seen.insert(a).second)
+            if (!seen.insert(a))
                 return false;
             if (_dir.owner(a) != c)
                 return false;

@@ -183,6 +183,16 @@ class MultiCoreSystem
     /** True if any slice has pending events or any gate has requests. */
     bool anyWorkPending() const;
 
+    /** A gate's page request, tagged with its core for the barrier's
+     *  canonical (tick, core, seq) order. */
+    struct BarrierRequest
+    {
+        Tick tick;
+        CoreId core;
+        std::uint64_t seq;
+        std::uint64_t page;
+    };
+
     Tick _now = 0;
 
     StatGroup _rootStats;
@@ -190,6 +200,14 @@ class MultiCoreSystem
     std::vector<std::string> _sliceNames;
     std::vector<std::unique_ptr<SecPbSystem>> _slices;
     std::vector<std::unique_ptr<CoherenceGate>> _gates;
+
+    /** @name Barrier scratch: cleared per use, storage kept, so a warm
+     *  barrier allocates nothing. */
+    /** @{ */
+    std::vector<BarrierRequest> _barrierReqs;
+    std::vector<std::uint64_t> _barrierHandled;  ///< Pages served.
+    std::vector<Addr> _pageScratch;  ///< One page's resident entries.
+    /** @} */
 
     bool _started = false;
 };

@@ -120,6 +120,32 @@ class FlatMap
     }
 
     /**
+     * The value under @p key, value-initialised and inserted if absent;
+     * @p inserted says which. One probe on a hit. Unlike operator[], a
+     * hit never grows the table, so the table ends up exactly as after
+     * find() and, on a miss, insert().
+     */
+    V &
+    findOrInsert(const K &key, bool &inserted)
+    {
+        if (_slots.empty())
+            rehash(kMinCapacity);
+        std::size_t i = probe(key);
+        inserted = !_used[i];
+        if (inserted) {
+            if ((_size + 1) * 4 > _slots.size() * 3) {
+                rehash(_slots.size() * 2);
+                i = probe(key);
+            }
+            _used[i] = 1;
+            _slots[i].first = key;
+            _slots[i].second = V{};
+            ++_size;
+        }
+        return _slots[i].second;
+    }
+
+    /**
      * Remove @p key, backward-shifting the probe cluster so no tombstone
      * is left behind. Returns false if the key was absent.
      */
@@ -128,26 +154,28 @@ class FlatMap
     {
         if (_size == 0)
             return false;
-        std::size_t hole = probe(key);
-        if (!_used[hole])
+        const std::size_t i = probe(key);
+        if (!_used[i])
             return false;
-        const std::size_t mask = _slots.size() - 1;
-        std::size_t j = hole;
-        while (true) {
-            j = (j + 1) & mask;
-            if (!_used[j])
-                break;
-            // Slot j may fill the hole iff the hole lies on j's probe
-            // path: dist(ideal -> j) >= dist(hole -> j), cyclically.
-            const std::size_t ideal = _hash(_slots[j].first) & mask;
-            if (((j - ideal) & mask) >= ((j - hole) & mask)) {
-                _slots[hole] = _slots[j];
-                hole = j;
-            }
-        }
-        _used[hole] = 0;
-        _slots[hole] = Entry{};
-        --_size;
+        eraseSlot(i);
+        return true;
+    }
+
+    /**
+     * Remove @p key and hand its value to @p out: erase() and the find()
+     * before it in one probe. Returns false (and leaves @p out alone) if
+     * the key was absent.
+     */
+    bool
+    take(const K &key, V &out)
+    {
+        if (_size == 0)
+            return false;
+        const std::size_t i = probe(key);
+        if (!_used[i])
+            return false;
+        out = _slots[i].second;
+        eraseSlot(i);
         return true;
     }
 
@@ -218,6 +246,29 @@ class FlatMap
         while (_used[i] && !(_slots[i].first == key))
             i = (i + 1) & mask;
         return i;
+    }
+
+    /** Empty used slot @p hole, back-shifting its probe cluster. */
+    void
+    eraseSlot(std::size_t hole)
+    {
+        const std::size_t mask = _slots.size() - 1;
+        std::size_t j = hole;
+        while (true) {
+            j = (j + 1) & mask;
+            if (!_used[j])
+                break;
+            // Slot j may fill the hole iff the hole lies on j's probe
+            // path: dist(ideal -> j) >= dist(hole -> j), cyclically.
+            const std::size_t ideal = _hash(_slots[j].first) & mask;
+            if (((j - ideal) & mask) >= ((j - hole) & mask)) {
+                _slots[hole] = _slots[j];
+                hole = j;
+            }
+        }
+        _used[hole] = 0;
+        _slots[hole] = Entry{};
+        --_size;
     }
 
     void

@@ -20,6 +20,7 @@
 #include "crypto/counters.hh"
 #include "mem/block_data.hh"
 #include "mem/flat_map.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace secpb
@@ -64,20 +65,6 @@ class PmImage
     writeCounterBlock(std::uint64_t page_idx, const CounterBlock &cb)
     {
         _counters[page_idx] = cb;
-    }
-
-    /** True if the page's counter block was ever persisted. */
-    bool
-    hasCounterBlock(std::uint64_t page_idx) const
-    {
-        return _counters.contains(page_idx);
-    }
-
-    /** Drop a page's persisted counter block (page migration). */
-    void
-    eraseCounterBlock(std::uint64_t page_idx)
-    {
-        _counters.erase(page_idx);
     }
 
     /** Read the stored MAC for a data block (0 if untouched). */
@@ -126,6 +113,32 @@ class PmImage
     {
         _data.erase(blockAlign(block_addr));
         _macs.erase(blockAlign(block_addr));
+    }
+
+    /**
+     * Page migration (multi-core): move page @p page_idx's data blocks,
+     * each with its MAC (0 if it has none), and its counter block into
+     * @p dst. Blocks move in ascending order, each table probed once per
+     * block on each side; a MAC without a data block stays behind.
+     */
+    void
+    movePageTo(PmImage &dst, std::uint64_t page_idx)
+    {
+        panic_if(&dst == this, "PM page %llu moved onto itself",
+                 static_cast<unsigned long long>(page_idx));
+        const Addr base = static_cast<Addr>(page_idx) * PageSize;
+        for (Addr a = base; a < base + PageSize; a += BlockSize) {
+            BlockData ct;
+            if (!_data.take(a, ct))
+                continue;
+            dst._data[a] = ct;
+            MacValue mac = 0;
+            _macs.take(a, mac);
+            dst._macs[a] = mac;
+        }
+        CounterBlock cb;
+        if (_counters.take(page_idx, cb))
+            dst._counters[page_idx] = cb;
     }
 
     /**

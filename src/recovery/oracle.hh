@@ -212,32 +212,31 @@ class PersistOracle
     void
     forgetBlock(Addr addr)
     {
-        const Addr block = blockAlign(addr);
-        const std::uint32_t *i = _index.find(block);
-        if (!i)
-            return;
-        _freeRecords.push_back(*i);
-        _index.erase(block);
+        std::uint32_t i;
+        if (_index.take(blockAlign(addr), i))
+            _freeRecords.push_back(i);
     }
     /** @} */
 
     /**
      * Page migration (multi-core): move the record (content, count and
      * residency snapshot) of every block in
-     * [page_base, page_base + page_bytes) into @p dst. _numPersists stays
-     * put on both sides -- each core's oracle counts the stores *it*
-     * accepted, so per-core persist sums stay correct.
+     * [page_base, page_base + page_bytes) into @p dst, in ascending block
+     * order, with one index probe per block on each side. _numPersists
+     * stays put on both sides -- each core's oracle counts the stores
+     * *it* accepted, so per-core persist sums stay correct.
      */
     void
     movePageTo(PersistOracle &dst, Addr page_base, std::uint64_t page_bytes)
     {
+        panic_if(&dst == this, "oracle page moved onto itself");
         for (Addr a = page_base; a < page_base + page_bytes;
              a += BlockSize) {
-            const std::uint32_t *i = _index.find(a);
-            if (!i)
+            std::uint32_t i;
+            if (!_index.take(a, i))
                 continue;
-            dst.recordFor(a) = record(*i);
-            forgetBlock(a);
+            dst.recordFor(a) = record(i);
+            _freeRecords.push_back(i);
         }
     }
 
@@ -297,9 +296,10 @@ class PersistOracle
     BlockRecord &
     recordFor(Addr block)
     {
-        if (const std::uint32_t *i = _index.find(block))
-            return record(*i);
-        std::uint32_t idx;
+        bool fresh;
+        std::uint32_t &idx = _index.findOrInsert(block, fresh);
+        if (!fresh)
+            return record(idx);
         if (_freeRecords.empty()) {
             const std::size_t n = _chunks.size();
             if (n == 0 || _chunks.back().size() == chunkSize(n - 1))
@@ -311,7 +311,6 @@ class PersistOracle
             _freeRecords.pop_back();
             record(idx) = BlockRecord{};
         }
-        _index.insert(block, idx);
         return record(idx);
     }
 

@@ -37,11 +37,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/counters.hh"
+#include "mem/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
@@ -111,16 +110,16 @@ class PageDirectory
     CoreId
     ownerOfPage(std::uint64_t page) const
     {
-        auto it = _owner.find(page);
-        return it != _owner.end() ? it->second : NoOwner;
+        const CoreId *c = _owner.find(page);
+        return c ? *c : NoOwner;
     }
 
     /** Which core's durable state holds the page (NoOwner = untouched). */
     CoreId
     residenceOfPage(std::uint64_t page) const
     {
-        auto it = _residence.find(page);
-        return it != _residence.end() ? it->second : NoOwner;
+        const CoreId *c = _residence.find(page);
+        return c ? *c : NoOwner;
     }
 
     CoreId
@@ -153,9 +152,10 @@ class PageDirectory
     pagesOwnedBy(CoreId core) const
     {
         std::vector<std::uint64_t> out;
-        for (const auto &kv : _owner)
-            if (kv.second == core)
-                out.push_back(kv.first);
+        _owner.forEach([&](const std::uint64_t &page, const CoreId &c) {
+            if (c == core)
+                out.push_back(page);
+        });
         std::sort(out.begin(), out.end());
         return out;
     }
@@ -164,13 +164,13 @@ class PageDirectory
     bool
     invariantSingleOwner() const
     {
-        for (const auto &kv : _owner)
-            if (kv.second >= _numCores)
-                return false;
-        for (const auto &kv : _residence)
-            if (kv.second >= _numCores)
-                return false;
-        return true;
+        bool ok = true;
+        auto check = [&](const std::uint64_t &, const CoreId &c) {
+            ok = ok && c < _numCores;
+        };
+        _owner.forEach(check);
+        _residence.forEach(check);
+        return ok;
     }
 
     std::size_t numTracked() const { return _owner.size(); }
@@ -183,8 +183,8 @@ class PageDirectory
     }
 
     unsigned _numCores;
-    std::unordered_map<std::uint64_t, CoreId> _owner;
-    std::unordered_map<std::uint64_t, CoreId> _residence;
+    FlatMap<std::uint64_t, CoreId> _owner;
+    FlatMap<std::uint64_t, CoreId> _residence;
     StatGroup _stats;
 
   public:
@@ -219,9 +219,9 @@ class CoherenceGate
     allows(Addr addr, Tick now)
     {
         const std::uint64_t page = coherencePage(addr);
-        if (_dir.ownerOfPage(page) == _core && !_stopMarks.count(page))
+        if (_dir.ownerOfPage(page) == _core && !_stopMarks.contains(page))
             return true;
-        if (_requested.insert(page).second)
+        if (_requested.insert(page))
             _requests.push_back(PageRequest{page, now, _nextSeq++});
         return false;
     }
@@ -247,7 +247,7 @@ class CoherenceGate
     void clearStop(std::uint64_t page) { _stopMarks.erase(page); }
     bool stopMarked(std::uint64_t page) const
     {
-        return _stopMarks.count(page) != 0;
+        return _stopMarks.contains(page);
     }
     /** @} */
 
@@ -256,12 +256,12 @@ class CoherenceGate
     CoreId _core;
 
     /** Pages with a filed, un-granted request (dedup set). */
-    std::unordered_set<std::uint64_t> _requested;
+    FlatSet<std::uint64_t> _requested;
     std::vector<PageRequest> _requests;
     std::uint64_t _nextSeq = 0;
 
     /** Owned pages quiescing for a pending transfer: reject new stores. */
-    std::unordered_set<std::uint64_t> _stopMarks;
+    FlatSet<std::uint64_t> _stopMarks;
 };
 
 } // namespace secpb

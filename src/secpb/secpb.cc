@@ -1,8 +1,10 @@
 #include "secpb/secpb.hh"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "energy/energy_model.hh"
 #include "mem/data_hierarchy.hh"
@@ -123,8 +125,7 @@ SecPb::persistBmtPathPrefix(Addr addr, unsigned levels)
 PbEntry *
 SecPb::find(Addr addr)
 {
-    const std::uint64_t *idx = _index.find(blockAlign(addr));
-    return idx ? &_entries[*idx] : nullptr;
+    return const_cast<PbEntry *>(std::as_const(*this).peekEntry(addr));
 }
 
 PbEntry &
@@ -1356,25 +1357,26 @@ SecPb::flushForRemoteRead(Addr addr)
     return true;
 }
 
-std::vector<Addr>
-SecPb::entriesForPage(std::uint64_t page) const
-{
-    std::vector<Addr> out = residentAddrs();
-    std::erase_if(out, [page](Addr a) { return a / PageSize != page; });
-    return out;
-}
-
 bool
-SecPb::pageQuiescent(std::uint64_t page) const
+SecPb::pageEntries(std::uint64_t page, std::vector<Addr> &out) const
 {
+    // The page's entries as a mask over its blocks, so they come out in
+    // ascending order without a sort.
+    static_assert(BlocksPerPage == 64, "one mask bit per block");
+    std::uint64_t blocks = 0;
     bool quiescent = true;
     _index.forEach([&](const Addr &addr, const std::uint64_t &idx) {
         if (addr / PageSize != page)
             return;
+        blocks |= std::uint64_t{1} << (addr % PageSize / BlockSize);
         const PbEntry &e = _entries[idx];
         if (e.draining || e.pendingEarlyOps != 0)
             quiescent = false;
     });
+    out.clear();
+    const Addr base = static_cast<Addr>(page) * PageSize;
+    for (; blocks != 0; blocks &= blocks - 1)
+        out.push_back(base + std::countr_zero(blocks) * BlockSize);
     // SP baseline: a pending tuple update is an in-flight WPQ persist for
     // the page -- its functional effects landed, but the timed completion
     // closure still references this slice's counter store.

@@ -266,19 +266,35 @@ class SecPb
     /** Free entry slots available for migrated injections. */
     std::size_t freeEntries() const { return _freeList.size(); }
 
-    /** Resident entry addresses in @p page, sorted (canonical order). */
-    std::vector<Addr> entriesForPage(std::uint64_t page) const;
+    /**
+     * Fill @p out with the resident entry addresses in @p page, sorted
+     * (canonical order), in one pass over the index; a warm @p out is
+     * not reallocated.
+     * @return true when the page is quiescent: every entry in it is
+     *         extractable (not draining, no early ops in flight) and no
+     *         SP tuple update for the page is pending -- the condition
+     *         under which the page's durable state can move wholesale to
+     *         another core.
+     */
+    bool pageEntries(std::uint64_t page, std::vector<Addr> &out) const;
 
     /** Every resident entry address, sorted (replication invariants). */
     std::vector<Addr> residentAddrs() const;
 
-    /**
-     * True when every resident entry in @p page is extractable (not
-     * draining, no early ops in flight) and no SP tuple update for the
-     * page is pending -- the condition under which the page's durable
-     * state can move wholesale to another core.
-     */
-    bool pageQuiescent(std::uint64_t page) const;
+    /** The resident entry holding @p addr's block, or nullptr. */
+    const PbEntry *
+    peekEntry(Addr addr) const
+    {
+        const std::uint64_t *idx = _index.find(blockAlign(addr));
+        return idx ? &_entries[*idx] : nullptr;
+    }
+
+    /** True while SP's tuple update for @p addr's block is in flight. */
+    bool
+    spTuplePending(Addr addr) const
+    {
+        return _spPending.contains(blockAlign(addr));
+    }
 
     /** Re-fire the store buffer's space-waiter retries (the epoch engine
      *  schedules this in the slice queue after granting ownership). */

@@ -11,6 +11,10 @@
  * window (the next kRingSize ticks -- which is nearly all of them: model
  * latencies top out around 600 cycles) go into a bucket ring, one FIFO
  * vector per tick, making schedule and pop O(1) with no sift at all.
+ * An occupancy mask with one bit per bucket finds the next non-empty
+ * bucket in at most 17 word loads, so advancing over an idle stretch
+ * (a multi-core slice with no event before its barrier) costs O(1),
+ * not one bucket probe per tick.
  * Events beyond the window fall back to a binary heap of 24-byte
  * {when, seq, slot} records. Callbacks themselves sit in a pooled slot
  * array indexed by both structures, and popped slots recycle through a
@@ -30,6 +34,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -87,7 +92,9 @@ class EventQueue
             _slots[slot] = std::move(cb);
         }
         if (when - _curTick < kRingSize) {
-            _ring[when & kRingMask].slots.push_back(slot);
+            const std::size_t bucket = when & kRingMask;
+            _ring[bucket].slots.push_back(slot);
+            _occupied[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
             ++_ringCount;
             // The scan cursor may already sit past this tick (it advances
             // over buckets that were empty when last probed).
@@ -185,6 +192,7 @@ class EventQueue
             b.slots.clear();
             b.head = 0;
         }
+        _occupied.fill(0);
         _ringCount = 0;
         _ringScan = 0;
     }
@@ -193,6 +201,7 @@ class EventQueue
     /** Near-window span: events within this many ticks take the ring. */
     static constexpr std::size_t kRingSize = 1024;
     static constexpr Tick kRingMask = kRingSize - 1;
+    static constexpr std::size_t kMaskWords = kRingSize / 64;
 
     /** One ring bucket: FIFO of slot ids for a single pending tick. */
     struct Bucket
@@ -221,10 +230,11 @@ class EventQueue
     };
 
     /**
-     * Tick of the earliest pending event; requires !empty(). Advances the
-     * (mutable) ring scan cursor over empty buckets -- amortized O(1) per
-     * tick of simulated time, since the cursor only moves forward except
-     * when schedule() re-arms a closer tick.
+     * Tick of the earliest pending event; requires !empty(). Moves the
+     * (mutable) ring scan cursor to the first occupied bucket at or after
+     * it, found in the occupancy mask in at most kMaskWords + 1 word
+     * loads: the cursor's word, the others around the ring, and the
+     * cursor's word again for the buckets behind it.
      */
     Tick
     nextPendingTick() const
@@ -234,16 +244,28 @@ class EventQueue
             return heap_t;
         if (_ringScan < _curTick)
             _ringScan = _curTick;
-        // A non-empty bucket within the window holds exactly the tick the
-        // cursor is probing: two ticks kRingSize apart can never be
-        // resident together (the later one was >= kRingSize away at
-        // schedule time and went to the heap).
-        while (true) {
-            const Bucket &b = _ring[_ringScan & kRingMask];
-            if (b.head < b.slots.size())
-                break;
-            ++_ringScan;
+        // Every ring entry lies in [_ringScan, _curTick + kRingSize), so
+        // the first occupied bucket going round the ring from the
+        // cursor's holds the earliest ring tick, and its distance from
+        // the cursor's bucket is that tick's distance from the cursor.
+        const std::size_t from = _ringScan & kRingMask;
+        const std::size_t w0 = from / 64;
+        const std::uint64_t ahead = ~std::uint64_t{0} << (from % 64);
+        std::size_t bucket;
+        if (const std::uint64_t bits = _occupied[w0] & ahead) {
+            bucket = w0 * 64 + std::countr_zero(bits);
+        } else {
+            // The other words in ring order. A scan that comes back round
+            // to w0 finds only buckets behind the cursor there: the ones
+            // ahead were just seen clear.
+            std::size_t w = (w0 + 1) % kMaskWords;
+            while (w != w0 && _occupied[w] == 0)
+                w = (w + 1) % kMaskWords;
+            panic_if(_occupied[w] == 0, "event ring holds %zu events but "
+                     "no occupied bucket", _ringCount);
+            bucket = w * 64 + std::countr_zero(_occupied[w]);
         }
+        _ringScan += (bucket - from) & kRingMask;
         return std::min(heap_t, _ringScan);
     }
 
@@ -265,6 +287,8 @@ class EventQueue
                 // Drained: recycle in place, keeping the capacity.
                 b.slots.clear();
                 b.head = 0;
+                const std::size_t bucket = t & kRingMask;
+                _occupied[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
             }
         }
         _curTick = t;
@@ -283,6 +307,8 @@ class EventQueue
     std::vector<EventCallback> _slots;
     std::vector<std::uint32_t> _freeSlots;
     std::array<Bucket, kRingSize> _ring;
+    /** Bit b set iff bucket b holds an unpopped event. */
+    std::array<std::uint64_t, kMaskWords> _occupied{};
     std::size_t _ringCount = 0;
     /** No pending ring entries at ticks below this (scan memoization). */
     mutable Tick _ringScan = 0;

@@ -13,6 +13,10 @@
  * Building a trial is cheap too: stats register without allocating,
  * and a workload's Zipf tables are built once per process, so a crash
  * soak's thousands of short trials stop paying a fixed set-up cost.
+ *
+ * A multi-core epoch barrier keeps its request list and scratch vectors
+ * across barriers, so a warm barrier allocates nothing either, however
+ * many pages it queries or moves.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +24,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "core/simulation.hh"
 #include "workload/registry.hh"
+#include "workload/shared_pool.hh"
 #include "workload/synthetic.hh"
 
 namespace
@@ -94,6 +101,50 @@ TEST(SteadyStateAlloc, PersistsStopAllocatingAfterWarmUp)
     EXPECT_LE(per_persist, 0.01)
         << allocations << " allocations over "
         << longer.persists - shorter.persists << " extra persists";
+}
+
+TEST(SteadyStateAlloc, EpochBarriersStopAllocatingAfterWarmUp)
+{
+    // Four cores writing one shared page on every store (the
+    // multicore_sharing bench's share=1.0 cell): the page migrates or
+    // quiesces at nearly every barrier.
+    setQuietLogging(true);
+    constexpr unsigned Cores = 4;
+    constexpr Tick WarmUp = 200'000;
+    constexpr Tick WindowEnd = 600'000;
+    for (Scheme scheme : {Scheme::Cobcm, Scheme::NoGap}) {
+        SimulationSpec spec;
+        spec.base.scheme = scheme;
+        spec.cores = Cores;
+        Simulation sim(spec);
+        std::vector<std::unique_ptr<SharedPoolGenerator>> gens;
+        std::vector<WorkloadGenerator *> raw;
+        for (unsigned c = 0; c < Cores; ++c) {
+            gens.push_back(std::make_unique<SharedPoolGenerator>(
+                10'000'000, 1.0, 0x1000000ULL * (c + 1), 1 + c));
+            raw.push_back(gens.back().get());
+        }
+        sim.start(raw);
+        sim.runUntil(WarmUp);
+        const double migrated_before =
+            sim.multi().directory().statMigrations.value();
+        const std::uint64_t before = gAllocations.load();
+        sim.runUntil(WindowEnd);
+        const double allocations =
+            static_cast<double>(gAllocations.load() - before);
+        ASSERT_FALSE(sim.multi().finished()) << schemeName(scheme);
+        const double migrations =
+            sim.multi().directory().statMigrations.value() -
+            migrated_before;
+        EXPECT_GT(migrations, 100.0) << schemeName(scheme);
+        const double epochs =
+            static_cast<double>((WindowEnd - WarmUp) / EpochTicks);
+        EXPECT_GE(epochs, 6000.0);
+        EXPECT_LE(allocations / epochs, 0.1)
+            << schemeName(scheme) << ": " << allocations
+            << " allocations over " << epochs << " epochs and "
+            << migrations << " migrations";
+    }
 }
 
 /** Heap bytes requested while building one @p spec workload. */

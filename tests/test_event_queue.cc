@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <numeric>
+#include <queue>
+#include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/wait_list.hh"
 
 using namespace secpb;
@@ -192,6 +197,196 @@ TEST(EventQueue, PoolRecyclesSlotsAcrossWaves)
     }
     EXPECT_EQ(fired, 6400u);
     EXPECT_EQ(eq.numExecuted(), 6400u);
+}
+
+namespace
+{
+
+/**
+ * Differential fuzz of the event kernel against a reference priority
+ * queue ordered by (tick, scheduling order). Every event scheduled on
+ * the kernel is mirrored into the reference; when an event fires it
+ * must be the reference's minimum, at its own tick. Delays straddle the
+ * mask-word (64) and ring (1,024) edges, so events land in both levels
+ * and in every position relative to the scan cursor.
+ */
+class QueueFuzz
+{
+  public:
+    explicit QueueFuzz(std::uint64_t seed) : _rng(seed) {}
+
+    /** Run @p actions random actions; stops at the first divergence. */
+    void
+    run(unsigned actions)
+    {
+        for (unsigned i = 0; i < actions; ++i) {
+            // A diverged queue may point at an empty bucket: stop.
+            if (!checkNextTick())
+                return;
+            const std::uint64_t r = _rng.below(100);
+            if (r < 30) {
+                schedule(randomDelay());
+            } else if (r < 60) {
+                const bool had_event = !_ref.empty();
+                EXPECT_EQ(_eq.step(), had_event);
+            } else if (r < 94) {
+                // A slice to a deadline, often one inside an empty stretch.
+                const Tick limit = _eq.curTick() + randomDelay();
+                EXPECT_EQ(_eq.run(limit), limit);
+                EXPECT_GT(refNext(), limit);
+            } else if (r < 97) {
+                _eq.run();
+                EXPECT_TRUE(_ref.empty());
+            } else {
+                // A reset with events pending in the ring and the heap:
+                // nothing of them may survive into the fresh schedule.
+                _eq.reset();
+                _ref = {};
+                EXPECT_TRUE(_eq.empty());
+                EXPECT_EQ(_eq.nextTick(), MaxTick);
+                EXPECT_EQ(_eq.curTick(), 0u);
+                for (int k = 0; k < 3; ++k)
+                    schedule(randomDelay());
+            }
+        }
+        if (!checkNextTick())
+            return;
+        _eq.run();
+        EXPECT_TRUE(_ref.empty());
+    }
+
+    bool diverged() const { return _diverged; }
+    std::uint64_t fired() const { return _fired; }
+
+  private:
+    struct RefEvent
+    {
+        Tick when;
+        std::uint64_t id;  ///< Scheduling order: the same-tick tie-break.
+    };
+
+    struct RefLater
+    {
+        bool
+        operator()(const RefEvent &a, const RefEvent &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.id > b.id;
+        }
+    };
+
+    Tick
+    randomDelay()
+    {
+        static constexpr Tick Edges[] = {0, 1, 63, 64, 1023, 1024, 1025};
+        if (_rng.chance(0.6))
+            return Edges[_rng.below(std::size(Edges))];
+        return _rng.below(4096);
+    }
+
+    void
+    schedule(Tick delay)
+    {
+        const Tick when = _eq.curTick() + delay;
+        const std::uint64_t id = _nextId++;
+        _ref.push(RefEvent{when, id});
+        _eq.schedule(when, [this, id] { fire(id); });
+    }
+
+    /** An event fires: it must be the reference's minimum. Some events
+     *  schedule more (0.7 children on average, so chains end). */
+    void
+    fire(std::uint64_t id)
+    {
+        ++_fired;
+        if (_diverged)
+            return;
+        if (_ref.empty() || _ref.top().id != id ||
+            _ref.top().when != _eq.curTick()) {
+            ADD_FAILURE() << "event " << id << " fired at tick "
+                          << _eq.curTick() << "; reference expected "
+                          << (_ref.empty() ? MaxTick : _ref.top().id)
+                          << " at " << refNext();
+            _diverged = true;
+            return;
+        }
+        _ref.pop();
+        if (_rng.chance(0.45))
+            return;
+        const int children = _rng.chance(0.75) ? 1 : 2;
+        for (int k = 0; k < children; ++k)
+            schedule(randomDelay());
+    }
+
+    Tick refNext() const { return _ref.empty() ? MaxTick : _ref.top().when; }
+
+    /** @return false once the kernel and the reference diverged. */
+    bool
+    checkNextTick()
+    {
+        if (!_diverged && _eq.nextTick() != refNext()) {
+            ADD_FAILURE() << "nextTick() " << _eq.nextTick()
+                          << ", reference " << refNext() << " at tick "
+                          << _eq.curTick();
+            _diverged = true;
+        }
+        return !_diverged;
+    }
+
+    EventQueue _eq;
+    std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> _ref;
+    Rng _rng;
+    std::uint64_t _nextId = 0;
+    std::uint64_t _fired = 0;
+    bool _diverged = false;
+};
+
+} // namespace
+
+TEST(EventQueueFuzz, MatchesReferencePriorityQueue)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        QueueFuzz fuzz(seed);
+        fuzz.run(4000);
+        EXPECT_FALSE(fuzz.diverged()) << "seed " << seed;
+        EXPECT_GT(fuzz.fired(), 1000u) << "seed " << seed;
+    }
+}
+
+TEST(EventQueue, ResetForgetsOccupiedBuckets)
+{
+    // Events pending at ticks 5 and 700 when the queue resets: a fresh
+    // event at 900 must be the next one, not a ghost of the old buckets.
+    EventQueue eq;
+    int fired = 0;
+    eq.schedule(5, [&] { ++fired; });
+    eq.schedule(700, [&] { ++fired; });
+    eq.run(2);
+    eq.reset();
+    eq.schedule(900, [&] { fired += 10; });
+    EXPECT_EQ(eq.nextTick(), 900u);
+    eq.run();
+    EXPECT_EQ(fired, 10);
+    EXPECT_EQ(eq.curTick(), 900u);
+}
+
+TEST(EventQueue, IdleSliceJumpsAcrossTheRing)
+{
+    // One event per stretch, each far past a mask word and around the
+    // ring's end; slices stop short of, at, and past each event.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    Tick when = 0;
+    for (Tick gap : {1000u, 1u, 1023u, 64u, 63u, 1024u, 1025u, 700u}) {
+        when += gap;
+        eq.schedule(when, [&] { seen.push_back(eq.curTick()); });
+        EXPECT_EQ(eq.nextTick(), when);
+        EXPECT_EQ(eq.run(when - 1), when - 1);
+        EXPECT_EQ(eq.nextTick(), when);
+        EXPECT_EQ(eq.run(when), when);
+        EXPECT_TRUE(eq.empty());
+    }
+    EXPECT_EQ(seen, (std::vector<Tick>{1000, 1001, 2024, 2088, 2151, 3175,
+                                       4200, 4900}));
 }
 
 TEST(WaitList, WakesInOrderAndReRegistrantsWaitForTheNextWake)

@@ -254,6 +254,45 @@ TEST(FlatMap, RandomizedAgainstReferenceModel)
     }
 }
 
+TEST(FlatMap, OneProbeOpsLeaveTheTableAsTheirTwoProbePairs)
+{
+    // findOrInsert() must end as find() then (on a miss) insert() would,
+    // and take() as find() then erase(): same contents, same capacity,
+    // same slot order -- the order touchedBlocks() and fault lists
+    // follow. A hit at the growth threshold must not grow the table.
+    FlatMap<std::uint64_t, std::uint64_t, ColliderHash> one, two;
+    std::uint64_t x = 7;
+    for (int i = 0; i < 3000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const std::uint64_t key = (x >> 33) % 97;
+        if ((x >> 20) % 2 == 0) {
+            bool inserted;
+            std::uint64_t &v = one.findOrInsert(key, inserted);
+            if (inserted)
+                v = i;
+            const bool missed = two.find(key) == nullptr;
+            EXPECT_EQ(inserted, missed);
+            if (missed)
+                two.insert(key, i);
+        } else {
+            std::uint64_t got = ~0ULL;
+            const std::uint64_t *want = two.find(key);
+            const std::uint64_t expect = want ? *want : ~0ULL;
+            EXPECT_EQ(one.take(key, got), two.erase(key));
+            EXPECT_EQ(got, expect);
+        }
+        ASSERT_EQ(one.capacity(), two.capacity()) << "op " << i;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> v1, v2;
+        one.forEach([&](std::uint64_t k, std::uint64_t v) {
+            v1.emplace_back(k, v);
+        });
+        two.forEach([&](std::uint64_t k, std::uint64_t v) {
+            v2.emplace_back(k, v);
+        });
+        ASSERT_EQ(v1, v2) << "op " << i;
+    }
+}
+
 TEST(FlatSet, BasicsAndWraparound)
 {
     FlatSet<std::uint64_t> s;
