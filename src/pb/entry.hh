@@ -61,18 +61,11 @@ struct PbEntry
      */
     bool ctrIncremented = false;
 
-    /** Early metadata operations still in flight for this entry. */
-    unsigned pendingEarlyOps = 0;
-
-    /** Drain-time (late) operations still in flight. */
-    unsigned drainPending = 0;
-
-    /** @name WPQ push progress during drain finalization. */
-    /** @{ */
-    bool pushedData = false;
-    bool pushedCtr = false;
-    bool pushedMac = false;
-    /** @} */
+    /**
+     * Tuple-pipeline operations still in flight: the early ops (buffer
+     * write included) while resident, the late stages while draining.
+     */
+    unsigned pendingOps = 0;
 
     /** True once the entry has been handed to the drain engine. */
     bool draining = false;

@@ -2,43 +2,46 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "energy/energy_model.hh"
-#include "mem/data_hierarchy.hh"
 #include "obs/trace.hh"
 #include "sim/debug.hh"
 
 namespace secpb
 {
 
-CrashWork &
-CrashWork::operator+=(const CrashWork &w)
-{
-    entriesDrained += w.entriesDrained;
-    countersIncremented += w.countersIncremented;
-    counterFetches += w.counterFetches;
-    otpsGenerated += w.otpsGenerated;
-    bmtRootUpdates += w.bmtRootUpdates;
-    bmtLevelsWalked += w.bmtLevelsWalked;
-    macsComputed += w.macsComputed;
-    ciphertexts += w.ciphertexts;
-    pmBlockWrites += w.pmBlockWrites;
-    mdcBlockFlushes += w.mdcBlockFlushes;
-    cacheLinesFlushed += w.cacheLinesFlushed;
-    bmtNodesRebuilt += w.bmtNodesRebuilt;
-    batteryExhausted = batteryExhausted || w.batteryExhausted;
-    energySpentJ += w.energySpentJ;
-    drainedBlocks.insert(drainedBlocks.end(), w.drainedBlocks.begin(),
-                         w.drainedBlocks.end());
-    abandoned.insert(abandoned.end(), w.abandoned.begin(),
-                     w.abandoned.end());
-    absorbedApplied += w.absorbedApplied;
-    absorbedLost += w.absorbedLost;
-    return *this;
-}
+// The tuple's dependency graph, one row per stage, in issue order.
+// Columns: stage, dependency, valid bit, early column, value-dependent,
+// re-derived on re-encryption, functional effect, latency source,
+// crash-work counter.
+constexpr SecPb::StageRow SecPb::Stages[] = {
+    {Stage::Counter, Stage::Counter, &PbEntry::ctrIncremented,
+     &SchemeTraits::earlyCounter, false, false, &SecPb::incrementInto,
+     Unit::CounterAccess, &CrashWork::countersIncremented},
+    {Stage::Otp, Stage::Counter, &PbEntry::vOtp,
+     &SchemeTraits::earlyOtp, false, true, &SecPb::generatePadInto,
+     Unit::Aes, &CrashWork::otpsGenerated},
+    {Stage::Ciphertext, Stage::Otp, &PbEntry::vCt,
+     &SchemeTraits::earlyCiphertext, true, true, &SecPb::refreshCiphertext,
+     Unit::Xor, &CrashWork::ciphertexts},
+    {Stage::Mac, Stage::Ciphertext, &PbEntry::vMac,
+     &SchemeTraits::earlyMac, true, true, &SecPb::refreshMac,
+     Unit::MacUnit, &CrashWork::macsComputed},
+    {Stage::Bmt, Stage::Counter, &PbEntry::vBmt,
+     &SchemeTraits::earlyBmt, false, false, &SecPb::updateBmtLeaf,
+     Unit::Walker, &CrashWork::bmtRootUpdates},
+};
+
+constexpr std::array<std::uint8_t, std::size(SecPb::Stages)>
+    SecPb::Dependants = [] {
+        std::array<std::uint8_t, std::size(Stages)> masks{};
+        for (const StageRow &r : Stages)
+            if (r.stage != r.dep)
+                masks[unsigned(r.dep)] |= 1u << unsigned(r.stage);
+        return masks;
+    }();
 
 SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              const MetadataLayout &layout, const SecurityKeys &keys,
@@ -76,6 +79,13 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
                         "dirty metadata written through under battery "
                         "pressure")
 {
+    static_assert([] {
+        for (unsigned i = 0; i < std::size(Stages); ++i)
+            if (unsigned(Stages[i].stage) != i ||
+                Stages[i].dep > Stages[i].stage)
+                return false;
+        return true;
+    }(), "stage row i must describe stage i, after its dependency");
     fatal_if(cfg.numEntries == 0, "SecPB needs at least one entry");
     fatal_if(cfg.lowWatermark >= cfg.highWatermark,
              "SecPB low watermark must be below the high watermark");
@@ -92,9 +102,6 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
     // below the high one (_highWm >= 1, so _lowWm >= 0 always works).
     if (_lowWm >= _highWm)
         _lowWm = _highWm - 1;
-    fatal_if(_lowWm >= _highWm,
-             "SecPB derived watermarks degenerate (low %u >= high %u)",
-             _lowWm, _highWm);
     _index.reserve(cfg.numEntries);
     _freeList.reserve(cfg.numEntries);
     if (_traits.wpqPersistDomain)
@@ -112,20 +119,25 @@ SecPb::counterWriteAccess(Addr addr)
     return _ctrCache.writeAccess(_layout.counterAddr(addr));
 }
 
-void
-SecPb::persistBmtPathPrefix(Addr addr, unsigned levels)
+unsigned
+SecPb::persistedBmtLevels() const
 {
-    std::vector<std::uint64_t> path;
-    _walker.tree().pathIndices(_layout.pageIndex(addr), path);
-    MetadataCache &nodes = _walker.nodeCache();
-    for (unsigned l = 0; l < levels && l < path.size(); ++l)
-        nodes.writeThroughAccess(_layout.bmtNodeAddr(l, path[l]));
+    const unsigned levels = _walker.tree().numLevels();
+    return _traits.partialBmtPersist
+               ? std::min(_cfg.params.triadLevels, levels)
+               : levels;
 }
 
-PbEntry *
-SecPb::find(Addr addr)
+void
+SecPb::persistBmtPathPrefix(Addr addr)
 {
-    return const_cast<PbEntry *>(std::as_const(*this).peekEntry(addr));
+    // Level l of the arity-8 path holds node page / 8^(l+1).
+    MetadataCache &nodes = _walker.nodeCache();
+    std::uint64_t node = _layout.pageIndex(addr);
+    for (unsigned l = 0; l < persistedBmtLevels(); ++l) {
+        node /= 8;
+        nodes.writeThroughAccess(_layout.bmtNodeAddr(l, node));
+    }
 }
 
 PbEntry &
@@ -140,36 +152,35 @@ SecPb::claimSlot(Addr addr)
     else
         _order[_newest].next = idx;
     _newest = idx;
-    return _entries[idx];
-}
-
-PbEntry *
-SecPb::allocate(Addr addr)
-{
-    if (_freeList.empty())
-        return nullptr;
-    PbEntry &e = claimSlot(addr);
-    e.clear();
+    PbEntry &e = _entries[idx];
     e.valid = true;
     e.addr = blockAlign(addr);
-    return &e;
+    return e;
 }
 
 void
 SecPb::opStarted(PbEntry *e, bool gates_unblock)
 {
-    if (gates_unblock)
+    if (gates_unblock && (!e || earlyRun(*e)))
         ++_accept.pending;
     if (e)
-        ++e->pendingEarlyOps;
+        ++e->pendingOps;
 }
 
 void
 SecPb::opFinished(PbEntry *e, bool gates_unblock)
 {
     if (e) {
-        panic_if(e->pendingEarlyOps == 0, "early-op underflow");
-        --e->pendingEarlyOps;
+        panic_if(e->pendingOps == 0, "op underflow");
+        --e->pendingOps;
+        if (!earlyRun(*e)) {
+            // The last op of a drain or of an SP tuple completes it.
+            if (e->pendingOps == 0 && _traits.wpqPersistDomain)
+                persistSp(slotOf(*e));
+            else if (e->pendingOps == 0)
+                finalizeDrain(slotOf(*e));
+            return;
+        }
     }
     if (!gates_unblock) {
         maybeStartDrain();
@@ -189,6 +200,37 @@ SecPb::opFinished(PbEntry *e, bool gates_unblock)
 }
 
 void
+SecPb::beginAccept(EventCallback unblocked)
+{
+    panic_if(_accept.pending != 0,
+             "store offered while a previous acceptance is in flight");
+    _accept.start = _eq.curTick();
+    _accept.cb = std::move(unblocked);
+    ++statPersists;
+}
+
+void
+SecPb::holdAcceptUntil(PbEntry *e, Tick t)
+{
+    opStarted(e);
+    _eq.schedule(t, [this, e] { opFinished(e); });
+}
+
+void
+SecPb::incrementInto(PbEntry &e)
+{
+    e.counter = incrementCounter(e.addr);
+    e.ctrIncremented = true;
+}
+
+void
+SecPb::generatePadInto(PbEntry &e)
+{
+    e.otp = generatePad(_keys, e.addr, e.counter);
+    e.vOtp = true;
+}
+
+void
 SecPb::refreshCiphertext(PbEntry &e)
 {
     e.ciphertext = encryptBlock(e.plaintext, e.otp);
@@ -202,13 +244,25 @@ SecPb::refreshMac(PbEntry &e)
     e.vMac = true;
 }
 
+void
+SecPb::updateBmtLeaf(PbEntry &e)
+{
+    // Functional mode only (the timed walker applies the leaf itself).
+    // Triad-NVM walks only the persisted levels on battery power, as
+    // addEntryWork() prices it; the volatile remainder is rebuilt at
+    // recovery (bmtNodesRebuilt, counted by crashDrainAll).
+    const std::uint64_t page = _layout.pageIndex(e.addr);
+    _walker.tree().updateLeaf(
+        page, _walker.tree().leafDigest(_counters.block(page)));
+    e.vBmt = true;
+}
+
 Cycles
 SecPb::bumpCounter(PbEntry &e)
 {
     const Cycles d_ctr =
         counterWriteAccess(e.addr) + _crypto.latencies().counterInc;
-    e.counter = incrementCounter(e.addr);
-    e.ctrIncremented = true;
+    incrementInto(e);
     return d_ctr;
 }
 
@@ -246,18 +300,17 @@ SecPb::reencryptPage(std::uint64_t page_idx, const CounterBlock &old_cb)
     for (unsigned b = 0; b < BlocksPerPage; ++b) {
         const Addr addr = page_base + b * BlockSize;
         if (PbEntry *e = find(addr)) {
-            // Resident block: retarget its counter snapshot and regenerate
-            // any value-dependent fields it already produced.
+            // Resident block: retarget its counter snapshot and re-apply
+            // the valid stages derived from it.
             e->counter = nb.counterFor(b);
-            if (e->vOtp) {
-                e->otp = generatePad(_keys, addr, e->counter);
-                burst.otp();
-            }
-            if (e->vCt)
-                refreshCiphertext(*e);
-            if (e->vMac) {
-                refreshMac(*e);
-                burst.mac();
+            for (const StageRow &r : Stages) {
+                if (!r.rederived || !(e->*r.done))
+                    continue;
+                (this->*r.effect)(*e);
+                if (r.unit == Unit::Aes)
+                    burst.otp();
+                else if (r.unit == Unit::MacUnit)
+                    burst.mac();
             }
         } else if (_pm.hasData(addr)) {
             // Persisted, non-resident block: transcrypt in place.
@@ -321,19 +374,15 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
     // price deserves a floor as small as wall power can make it, and
     // the liveness-floor admission below must not ride on a floor the
     // battery cannot cover.
-    if (!e)
+    if (!e) {
         shedMetadataDirt();
-    if (!e && batteryGateBlocksAllocation()) {
-        ++statBatteryStalls;
-        return reject("battery_stall", true);
+        if (batteryGateBlocksAllocation()) {
+            ++statBatteryStalls;
+            return reject("battery_stall", true);
+        }
     }
 
-    panic_if(_accept.pending != 0,
-             "store offered while a previous acceptance is in flight");
-    _accept.start = _eq.curTick();
-    _accept.cb = std::move(unblocked);
-
-    ++statPersists;
+    beginAccept(std::move(unblocked));
     statOccupancy.sample(static_cast<double>(_index.size()));
 
     const Tick base = _eq.curTick() + _cfg.accessLatency;
@@ -348,12 +397,14 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
                     static_cast<unsigned long long>(e->numWrites),
                     static_cast<unsigned long long>(_eq.curTick()));
         // PoP: the store persists the moment the entry's plaintext is
-        // updated.
+        // updated. Eager rows regenerate the stale stages now, lazy rows
+        // leave them for drain time; sec_wt redoes the whole tuple.
         setBlockWord(e->plaintext, blockOffset(addr) / 8, value);
         _oracle.applyStore(addr, value);
-        launchHitOps(*e, base);
+        invalidateStages(*e, !_traits.coalesceValueIndependent);
+        runStages(slotOf(*e), base);
     } else {
-        e = allocate(addr);
+        e = &claimSlot(addr);
         ++statAllocs;
         TRACE_INSTANT_P("secpb", "alloc", _eq.curTick(), asid);
         if (_dbg)
@@ -365,138 +416,169 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         e->numWrites = 1;
         e->plaintext = _oracle.applyStore(addr, value, true);
         e->vData = true;
-        launchEarlyOps(*e, base);
+        runStages(slotOf(*e), base);
         maybeStartDrain();
     }
     return true;
 }
 
 void
-SecPb::launchEarlyOps(PbEntry &e, Tick base)
+SecPb::invalidateStages(PbEntry &e, bool whole_tuple)
 {
-    PbEntry *ep = &e;
-
-    // The buffer write itself (access latency).
-    opStarted(ep);
-    _eq.schedule(base, [this, ep] { opFinished(ep); });
-    launchTupleOps(e, base);
+    for (const StageRow &r : Stages)
+        if (whole_tuple || r.valueDependent)
+            e.*r.done = false;
+    if (whole_tuple)
+        e.vCtr = false;
 }
 
-void
-SecPb::launchTupleOps(PbEntry &e, Tick base)
+bool
+SecPb::wanted(const PbEntry &e, Stage s) const
 {
-    if (!_traits.secure)
-        return;
-    PbEntry *ep = &e;
+    return _traits.secure && (e.draining || _traits.*row(s).early);
+}
 
-    // Counter: fetch from the counter cache (miss -> PCM) and increment.
-    // When nothing downstream is produced early (OBCM), the fetch runs in
+template <typename Fn>
+void
+SecPb::forEachNext(const PbEntry &e, Stage from, Fn &&fn) const
+{
+    for (unsigned m = Dependants[unsigned(from)]; m != 0; m &= m - 1) {
+        const StageRow &r = Stages[std::countr_zero(m)];
+        if (e.*r.done)
+            forEachNext(e, r.stage, fn);
+        else if (wanted(e, r.stage))
+            fn(r.stage);
+    }
+}
+
+Tick
+SecPb::runStages(std::uint64_t slot, Tick base)
+{
+    PbEntry &e = _entries[slot];
+    if (earlyRun(e))
+        holdAcceptUntil(&e, base);  // the SecPB write itself
+    if (!e.draining && (e.ctrIncremented || !wanted(e, Stage::Counter))) {
+        // No counter in this run: stages whose inputs are valid start
+        // at base (a coalescing store's ciphertext, then MAC).
+        forEachNext(e, Stage::Counter, [&](Stage s) {
+            opStarted(&e);
+            request(slot, s, base);
+        });
+        return base;
+    }
+
+    // The counter: fetch through the counter cache and increment. Its
+    // latency is known now, so the stages waiting on it are counted now
+    // and issued by its completion event (stageDone()).
+    Tick t_ctr = base;
+    if (_traits.secure && !e.ctrIncremented)
+        t_ctr += bumpCounter(e);
+    unsigned next = 0;
+    forEachNext(e, Stage::Counter, [&next](Stage) { ++next; });
+    // With nothing downstream in an early run (OBCM), the fetch runs in
     // the background: the unblock only waits for a second SecPB access
     // that checks the counter valid bit (paper Section VI-B).
-    Tick t_ctr = base;
-    if (_traits.earlyCounter) {
-        const bool gates = _traits.earlyOtp || _traits.earlyBmt;
-        t_ctr = base + bumpCounter(e);
-        opStarted(ep, gates);
-        _eq.schedule(t_ctr, [this, ep, gates] {
-            ep->vCtr = true;
-            opFinished(ep, gates);
-        });
-        if (!gates) {
-            // The valid-bit check costs one more SecPB access.
-            opStarted(ep);
-            _eq.schedule(base + _cfg.accessLatency,
-                         [this, ep] { opFinished(ep); });
-        }
-    }
-
-    // OTP (depends on the counter), then ciphertext, then MAC.
-    if (_traits.earlyOtp) {
-        opStarted(ep);
-        _eq.schedule(t_ctr, [this, ep] {
-            _crypto.generateOtp([this, ep] {
-                ep->otp = generatePad(_keys, ep->addr, ep->counter);
-                ep->vOtp = true;
-                if (_traits.earlyCiphertext)
-                    launchValueOps(
-                        ep, _eq.curTick() + _crypto.generateCiphertext());
-                opFinished(ep);
-            });
-        });
-    }
-
-    // BMT root update (depends on the counter; parallel with the OTP).
-    if (_traits.earlyBmt) {
-        opStarted(ep);
-        _eq.schedule(t_ctr, [this, ep] {
-            const std::uint64_t page = _layout.pageIndex(ep->addr);
-            const Digest d =
-                _walker.tree().leafDigest(_counters.block(page));
-            if (_traits.streamlinedIssue) {
-                // Streamlined updates: the store only waits for the
-                // pipelined walker to *accept* the walk; the coalesced
-                // root update retires in the background (the battery
-                // provisioning covers the in-flight window, exactly as
-                // it does for the drain engine's deferred walks).
-                const BmtWalker::UpdateTiming t =
-                    _walker.updateTimed(ep->addr, d);
-                ep->vBmt = true;
-                _eq.schedule(std::max(t.issue, _eq.curTick()),
-                             [this, ep] { opFinished(ep); });
-            } else {
-                _walker.update(ep->addr, d, [this, ep] {
-                    ep->vBmt = true;
-                    opFinished(ep);
-                });
-            }
-        });
-    }
+    opStarted(&e, next != 0);
+    _eq.schedule(t_ctr,
+                 [this, slot] { stageDone<Stage::Counter>(slot); });
+    if (next == 0 && earlyRun(e))
+        holdAcceptUntil(&e, base + _cfg.accessLatency);
+    for (; next > 0; --next)
+        opStarted(&e);
+    return t_ctr;
 }
 
 void
-SecPb::launchHitOps(PbEntry &e, Tick base)
+SecPb::request(std::uint64_t slot, Stage s, Tick ready)
 {
-    PbEntry *ep = &e;
-
-    // The coalescing write itself.
-    opStarted(ep);
-    _eq.schedule(base, [this, ep] { opFinished(ep); });
-
-    if (!_traits.secure)
-        return;
-
-    // Value-dependent metadata must reflect the new plaintext: invalidate
-    // stale ciphertext/MAC immediately; eager schemes regenerate them now,
-    // lazy schemes leave them for drain time.
-    e.vCt = false;
-    e.vMac = false;
-
-    if (!_traits.coalesceValueIndependent) {
-        // sec_wt strawman: every store redoes the whole (all-early) tuple.
-        e.vCtr = e.vOtp = e.vBmt = false;
-        e.ctrIncremented = false;
-        launchTupleOps(e, base);
-    } else if (_traits.earlyCiphertext) {
-        launchValueOps(&e, base + _crypto.generateCiphertext());
+    switch (s) {
+      case Stage::Counter:
+        panic("the counter is issued by runStages()");
+      case Stage::Otp:
+        return request<Stage::Otp>(slot, ready);
+      case Stage::Ciphertext:
+        return request<Stage::Ciphertext>(slot, ready);
+      case Stage::Mac:
+        return request<Stage::Mac>(slot, ready);
+      case Stage::Bmt:
+        return request<Stage::Bmt>(slot, ready);
     }
 }
 
+template <SecPb::Stage S>
 void
-SecPb::launchValueOps(PbEntry *ep, Tick at)
+SecPb::request(std::uint64_t slot, Tick ready)
 {
-    opStarted(ep);
-    _eq.schedule(at, [this, ep] {
-        refreshCiphertext(*ep);
-        if (_traits.earlyMac) {
-            opStarted(ep);
-            _crypto.generateMac([this, ep] {
-                refreshMac(*ep);
-                _macCache.writeAccess(_layout.macAddr(ep->addr));
-                opFinished(ep);
-            });
+    constexpr Unit unit = row(S).unit;
+    const auto done = [this, slot] { stageDone<S>(slot); };
+    if constexpr (unit == Unit::Aes) {
+        _crypto.generateOtp(done);
+    } else if constexpr (unit == Unit::Xor) {
+        _eq.schedule(ready + _crypto.generateCiphertext(), done);
+    } else if constexpr (unit == Unit::MacUnit) {
+        _crypto.generateMac(done);
+    } else {
+        static_assert(unit == Unit::Walker);
+        PbEntry &e = _entries[slot];
+        const std::uint64_t page = _layout.pageIndex(e.addr);
+        const Digest d = _walker.tree().leafDigest(_counters.block(page));
+        if (!e.draining && !_traits.streamlinedIssue) {
+            // An early (or SP) walk holds its run until the root write
+            // retires.
+            _walker.update(e.addr, d, done);
+            return;
         }
-        opFinished(ep);
-    });
+        // The drain, and streamlined early updates, wait only for the
+        // pipelined walker to *accept* the walk; the coalesced root
+        // update retires in the background (the battery provisioning
+        // covers one in-flight tuple update for that window), so walker
+        // throughput still backpressures them. Merged same-leaf updates
+        // are accepted at once.
+        const BmtWalker::UpdateTiming t = _walker.updateTimed(e.addr, d);
+        e.vBmt = true;
+        // Triad-NVM runtime cost: the persisted frontier (the lowest N
+        // path levels) must actually reach PCM at drain time, not just
+        // the walker's volatile node cache.
+        if (e.draining && _traits.partialBmtPersist)
+            persistBmtPathPrefix(e.addr);
+        _eq.schedule(std::max(t.issue, _eq.curTick()), done);
+    }
+}
+
+template <SecPb::Stage S>
+void
+SecPb::stageDone(std::uint64_t slot)
+{
+    PbEntry &e = _entries[slot];
+    const Tick now = _eq.curTick();
+    if constexpr (S == Stage::Counter) {
+        // Retire the counter, then issue the stages counted in when it
+        // was issued (in this order: the retire may start drains).
+        e.vCtr = true;
+        Stage next[std::size(Stages)];
+        unsigned n = 0;
+        forEachNext(e, S, [&](Stage t) { next[n++] = t; });
+        opFinished(&e, n != 0);
+        for (unsigned i = 0; i < n; ++i)
+            request(slot, next[i], now);
+    } else {
+        // SP generates the tuple from the block's final content when it
+        // persists (persistSp()), so its stages only take time.
+        constexpr const StageRow &r = row(S);
+        if (!_traits.wpqPersistDomain) {
+            if constexpr (r.unit == Unit::Walker)
+                e.vBmt = true;
+            else
+                (this->*r.effect)(e);
+            if constexpr (r.unit == Unit::MacUnit)
+                _macCache.writeAccess(_layout.macAddr(e.addr));
+        }
+        forEachNext(e, S, [&](Stage t) {
+            opStarted(&e);
+            request(slot, t, now);
+        });
+        opFinished(&e);
+    }
 }
 
 bool
@@ -505,21 +587,14 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
 {
     const Addr block_addr = blockAlign(addr);
 
-    panic_if(_accept.pending != 0,
-             "store offered while a previous acceptance is in flight");
-
     // Coalescing window: a store to a block whose tuple update is still
     // in flight persists on arrival (the target WPQ slot is already
     // reserved in the ADR domain); the pending tuple picks up the value.
     if (_spPending.contains(block_addr)) {
-        _accept.start = _eq.curTick();
-        _accept.cb = std::move(unblocked);
-        ++statPersists;
+        beginAccept(std::move(unblocked));
         ++statCoalescedHits;
         _oracle.applyStore(addr, value);
-        opStarted(nullptr);
-        _eq.scheduleIn(_cfg.spCoalesceCycles,
-                       [this] { opFinished(nullptr); });
+        holdAcceptUntil(nullptr, _eq.curTick() + _cfg.spCoalesceCycles);
         return true;
     }
 
@@ -528,108 +603,75 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
         return false;
     }
 
-    _accept.start = _eq.curTick();
-    _accept.cb = std::move(unblocked);
-
-    ++statPersists;
+    beginAccept(std::move(unblocked));
     ++statAllocs;
 
-    // Traverse the hierarchy to the MC, then fetch and bump the counter.
-    const Cycles d_ctr =
-        _ctrCache.writeAccess(_layout.counterAddr(block_addr)) +
-        _crypto.latencies().counterInc;
-    incrementCounter(block_addr);
-    const Tick t_ctr = _eq.curTick() + _cfg.spTraversalCycles + d_ctr;
+    // Traverse the hierarchy to the MC, then run the whole tuple there
+    // in a free slot.
+    if (_freeList.empty()) {
+        _freeList.push_back(_entries.size());
+        _entries.emplace_back();
+    }
+    const std::uint64_t slot = _freeList.back();
+    _freeList.pop_back();
+    _entries[slot].addr = block_addr;
+    const Tick t_ctr =
+        runStages(slot, _eq.curTick() + _cfg.spTraversalCycles);
 
     _oracle.applyStore(addr, value);
     _spPending.insert(block_addr);
-
-    // Shared finalization state for the parallel chains.
-    struct SpState
-    {
-        unsigned pending = 0;
-        Addr blockAddr;
-        bool pushedData = false;
-    };
-    auto st = std::make_shared<SpState>();
-    st->blockAddr = block_addr;
-
-    // Persist the data block through the WPQ (metadata lands dirty in the
-    // MDCs); retried if the WPQ is momentarily full.
-    auto persist_tuple =
-        [this, st](auto &&self) -> void {
-        if (!st->pushedData) {
-            if (!_wpq.push(st->blockAddr)) {
-                _wpq.notifyOnSpace([self] { self(self); });
-                return;
-            }
-            st->pushedData = true;
-            _macCache.writeAccess(_layout.macAddr(st->blockAddr));
-        }
-        // The tuple is generated from the final (coalesced) plaintext.
-        persistSpTuple(st->blockAddr);
-        _spPending.erase(st->blockAddr);
-    };
-
-    auto finish_one = [st, persist_tuple] {
-        if (--st->pending > 0)
-            return;
-        // Full tuple produced: persist through the WPQ. Under strict
-        // persistency the store only completes once the tuple is durable.
-        persist_tuple(persist_tuple);
-    };
 
     // The store buffer is released once the persist pipeline has
     // absorbed this store: after the MC traversal and counter access,
     // when the walker can take the walk, plus the per-level
     // serialization charge (shared tree levels across updates).
-    opStarted(nullptr);
     const Tick pipe_free = std::max(t_ctr, _walker.pipeReadyAt());
-    const Tick unblock_at =
-        pipe_free + _walker.effectiveLevels() * _cfg.spPerLevelCycles;
-    _eq.schedule(unblock_at, [this] { opFinished(nullptr); });
-
-    // Chain 1: OTP -> ciphertext -> MAC.
-    st->pending = 2;
-    _eq.schedule(t_ctr, [this, st, finish_one] {
-        _crypto.generateOtp([this, st, finish_one] {
-            _eq.scheduleIn(_crypto.generateCiphertext(),
-                           [this, st, finish_one] {
-                _crypto.generateMac([this, st, finish_one]
-                                    { finish_one(); });
-            });
-        });
-    });
-
-    // Chain 2: BMT leaf-to-root update (pipelined/merged in the walker).
-    _eq.schedule(t_ctr, [this, st, finish_one] {
-        const std::uint64_t page = _layout.pageIndex(st->blockAddr);
-        const Digest d = _walker.tree().leafDigest(_counters.block(page));
-        _walker.update(st->blockAddr, d,
-                       [finish_one] { finish_one(); });
-    });
-
+    holdAcceptUntil(nullptr, pipe_free + _walker.effectiveLevels() *
+                                             _cfg.spPerLevelCycles);
     return true;
 }
 
 void
-SecPb::persistSpTuple(Addr block_addr)
+SecPb::persistSp(std::uint64_t slot)
 {
-    const BlockCounter ctr = _counters.counterFor(block_addr);
-    const BlockData pt = _oracle.blockContent(block_addr);
-    const BlockData pad = generatePad(_keys, block_addr, ctr);
-    const BlockData ct = encryptBlock(pt, pad);
+    // Full tuple produced: persist the data block through the WPQ
+    // (metadata lands dirty in the MDCs), retried while it is full.
+    // Under strict persistency the store only completes once the tuple
+    // is durable.
+    PbEntry &e = _entries[slot];
+    if (!_wpq.push(e.addr)) {
+        _wpq.notifyOnSpace([this, slot] { persistSp(slot); });
+        return;
+    }
+    _macCache.writeAccess(_layout.macAddr(e.addr));
+    // The tuple is generated from the final (coalesced) plaintext; its
+    // leaf went through the walker.
+    PbEntry t = spTuple(e.addr);
+    t.vBmt = true;
+    persistFunctionally(t);
     _crypto.generateCiphertext();
-    const std::uint64_t page = _layout.pageIndex(block_addr);
-    _pm.writeData(block_addr, ct);
-    _pm.writeCounterBlock(page, _counters.block(page));
-    _pm.writeMac(block_addr, computeMac(_keys, block_addr, ct, ctr));
+    _spPending.erase(e.addr);
+    e.clear();
+    _freeList.push_back(slot);
 }
 
-void
-SecPb::notifyOnSpace(EventCallback cb)
+PbEntry
+SecPb::oracleEntry(Addr block) const
 {
-    _spaceWaiters.add(std::move(cb));
+    PbEntry e;
+    e.valid = e.vData = true;
+    e.addr = block;
+    e.plaintext = _oracle.blockContent(block);
+    return e;
+}
+
+PbEntry
+SecPb::spTuple(Addr block) const
+{
+    PbEntry e = oracleEntry(block);
+    e.ctrIncremented = true;
+    e.counter = _counters.counterFor(block);
+    return e;
 }
 
 void
@@ -660,9 +702,8 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
         w.pmBlockWrites = 1;
     } else {
         PbEntry worst;
-        worst.ctrIncremented = _traits.earlyCounter;
-        worst.vOtp = _traits.earlyOtp;
-        worst.vBmt = _traits.earlyBmt;
+        for (const StageRow &r : Stages)
+            worst.*r.done = _traits.*r.early && !r.valueDependent;
         addEntryWork(worst, /*ctr_on_chip=*/false, w);
     }
     _worstEntryJ = pricing->actualCrashEnergy(w);
@@ -683,14 +724,6 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
 }
 
 double
-SecPb::predictedDrainEnergyJ() const
-{
-    if (!_pricing)
-        return 0.0;
-    return _pricing->actualCrashEnergy(predictCrashDrainWork());
-}
-
-double
 SecPb::crashReserveEnergyJ() const
 {
     if (!_pricing)
@@ -702,7 +735,8 @@ SecPb::crashReserveEnergyJ() const
     // value-dependent regeneration that may be in flight when the sag
     // hits. Reserving the margin keeps the brownout floor consistent
     // with what batteryGateBlocksAllocation() lets through.
-    return predictedDrainEnergyJ() + _gateMarginJ;
+    return _pricing->actualCrashEnergy(predictCrashDrainWork()) +
+           _gateMarginJ;
 }
 
 void
@@ -789,9 +823,7 @@ SecPb::maybeStartDrain()
     // opportunity would be wasted). drainAll mode ignores the floor.
     while (_drainsActive < _cfg.drainWidth) {
         const std::size_t would_remain = _index.size() - _drainsActive;
-        if (!_drainAllMode && would_remain <= low_wm)
-            break;
-        if (_drainAllMode && would_remain == 0)
+        if (would_remain <= (_drainAllMode ? 0 : low_wm))
             break;
         const unsigned before = _drainsActive;
         drainNext();
@@ -807,123 +839,22 @@ SecPb::drainNext()
     // in flight.
     for (std::uint64_t i = _oldest; i != NoSlot; i = _order[i].next) {
         PbEntry &e = _entries[i];
-        if (e.draining || e.pendingEarlyOps != 0)
+        if (e.draining || e.pendingOps != 0)
             continue;
-        ++_drainsActive;
-        e.draining = true;
-        startDrainOf(e);
+        startDrain(e);
         return;
     }
 }
 
 void
-SecPb::startDrainOf(PbEntry &e)
+SecPb::startDrain(PbEntry &e)
 {
-    const std::uint64_t idx = slotOf(e);
+    // Complete the missing tuple stages at the MC ("late" work). The
+    // insecure BBB baseline has none: its data block drains as-is.
+    ++_drainsActive;
+    e.draining = true;
     e.drainStart = _eq.curTick();
-
-    if (!_traits.secure) {
-        // Insecure BBB baseline: the "tuple" is just the data block, which
-        // drains as-is (no encryption).
-        e.ciphertext = e.plaintext;
-        e.ctrIncremented = true;
-        e.vCtr = e.vOtp = e.vCt = e.vMac = e.vBmt = true;
-        e.pushedCtr = true;
-        e.pushedMac = true;
-        e.drainPending = 1;
-        _eq.schedule(_eq.curTick(),
-                     [this, idx] { drainBranchDone(idx); });
-        return;
-    }
-
-    // Complete the missing tuple components at the MC ("late" work).
-    Tick t_ctr = _eq.curTick();
-    if (!e.ctrIncremented)
-        t_ctr += bumpCounter(e);
-    e.vCtr = true;
-
-    e.drainPending = 2;
-    _eq.schedule(t_ctr, [this, idx] { drainKick(idx); });
-}
-
-void
-SecPb::drainKick(std::uint64_t idx)
-{
-    // One fused kick event runs both late-work branches. They used to be
-    // two consecutive same-tick events nothing could schedule between
-    // (back-to-back schedule calls, adjacent sequence numbers), so fusing
-    // them halves drain-path event traffic while keeping pop order -- and
-    // therefore every downstream tick, span, and stat -- bit-identical.
-    PbEntry &e = _entries[idx];
-
-    // Branch A: OTP -> ciphertext -> MAC (skipping already-valid parts).
-    if (!e.vOtp) {
-        _crypto.generateOtp([this, idx] {
-            PbEntry &d = _entries[idx];
-            d.otp = generatePad(_keys, d.addr, d.counter);
-            d.vOtp = true;
-            drainAfterOtp(idx);
-        });
-    } else {
-        drainAfterOtp(idx);
-    }
-
-    // Branch B: BMT root update, if this residency hasn't done it.
-    // The drain does not wait for the walk to *retire* -- the battery
-    // provisioning includes one in-flight tuple update for exactly
-    // that window -- but it does wait for the pipelined walker to
-    // *accept* the walk, so walker throughput backpressures draining.
-    // Merged same-leaf updates are accepted instantly.
-    if (!e.vBmt) {
-        const std::uint64_t page = _layout.pageIndex(e.addr);
-        const Digest d = _walker.tree().leafDigest(_counters.block(page));
-        const BmtWalker::UpdateTiming t = _walker.updateTimed(e.addr, d);
-        e.vBmt = true;
-        // Triad-NVM runtime cost: the persisted frontier (the lowest N
-        // path levels) must actually reach PCM at drain time, not just
-        // the walker's volatile node cache.
-        if (_traits.partialBmtPersist)
-            persistBmtPathPrefix(e.addr, persistedBmtLevels());
-        _eq.schedule(std::max(t.issue, _eq.curTick()),
-                     [this, idx] { drainBranchDone(idx); });
-    } else {
-        drainBranchDone(idx);
-    }
-}
-
-void
-SecPb::drainAfterOtp(std::uint64_t idx)
-{
-    if (!_entries[idx].vCt) {
-        _eq.scheduleIn(_crypto.generateCiphertext(), [this, idx] {
-            refreshCiphertext(_entries[idx]);
-            drainAfterCt(idx);
-        });
-    } else {
-        drainAfterCt(idx);
-    }
-}
-
-void
-SecPb::drainAfterCt(std::uint64_t idx)
-{
-    if (!_entries[idx].vMac) {
-        _crypto.generateMac([this, idx] {
-            PbEntry &e = _entries[idx];
-            refreshMac(e);
-            _macCache.writeAccess(_layout.macAddr(e.addr));
-            drainBranchDone(idx);
-        });
-    } else {
-        drainBranchDone(idx);
-    }
-}
-
-void
-SecPb::drainBranchDone(std::uint64_t idx)
-{
-    if (--_entries[idx].drainPending == 0)
-        finalizeDrain(idx);
+    runStages(slotOf(e), _eq.curTick());
 }
 
 void
@@ -938,22 +869,15 @@ SecPb::finalizeDrain(std::uint64_t entry_idx)
     // exactly the state the paper's battery-sizing assumptions (2) and (4)
     // describe. Functionally they are applied to the PM image now, since
     // the crash path always flushes them.
-    if (!e.pushedData) {
-        if (!_wpq.push(e.addr)) {
-            _wpq.notifyOnSpace([this, entry_idx]
-                               { finalizeDrain(entry_idx); });
-            return;
-        }
-        e.pushedData = true;
-        _pm.writeData(e.addr, e.ciphertext);
-        if (_traits.secure) {
-            counterWriteAccess(e.addr);
-            _macCache.writeAccess(_layout.macAddr(e.addr));
-            const std::uint64_t page = _layout.pageIndex(e.addr);
-            _pm.writeCounterBlock(page, _counters.block(page));
-            _pm.writeMac(e.addr, e.mac);
-        }
+    if (!_wpq.push(e.addr)) {
+        _wpq.notifyOnSpace([this, entry_idx] { finalizeDrain(entry_idx); });
+        return;
     }
+    if (_traits.secure) {
+        counterWriteAccess(e.addr);
+        _macCache.writeAccess(_layout.macAddr(e.addr));
+    }
+    writeTuple(e);
 
     TRACE_SPAN_P("secpb", "drain", e.drainStart, _eq.curTick(), e.asid);
     releaseEntry(e);
@@ -1022,310 +946,34 @@ SecPb::drainAll(EventCallback done)
 }
 
 void
-SecPb::completeEntryFunctionally(PbEntry &e, CrashWork &work)
+SecPb::persistFunctionally(PbEntry &e)
 {
-    addEntryWork(e, work);
+    if (_traits.secure)
+        for (const StageRow &r : Stages)
+            if (!(e.*r.done))
+                (this->*r.effect)(e);
+    writeTuple(e);
+}
 
+void
+SecPb::writeTuple(const PbEntry &e)
+{
     if (!_traits.secure) {
-        // BBB: the battery just moves the plaintext blocks out.
+        // BBB: the data block is the plaintext, with no metadata.
         _pm.writeData(e.addr, e.plaintext);
         return;
     }
-
-    if (!e.ctrIncremented) {
-        e.counter = incrementCounter(e.addr);
-        e.ctrIncremented = true;
-    }
-    if (!e.vOtp) {
-        e.otp = generatePad(_keys, e.addr, e.counter);
-        e.vOtp = true;
-    }
-    if (!e.vCt)
-        refreshCiphertext(e);
-    if (!e.vMac)
-        refreshMac(e);
-    if (!e.vBmt) {
-        // Triad-NVM walks only the persisted levels on battery power (as
-        // addEntryWork() prices it); the volatile remainder is rebuilt at
-        // recovery (bmtNodesRebuilt, counted by crashDrainAll).
-        const std::uint64_t page = _layout.pageIndex(e.addr);
-        _walker.tree().updateLeaf(
-            page, _walker.tree().leafDigest(_counters.block(page)));
-        e.vBmt = true;
-    }
-
     const std::uint64_t page = _layout.pageIndex(e.addr);
     _pm.writeData(e.addr, e.ciphertext);
     _pm.writeCounterBlock(page, _counters.block(page));
     _pm.writeMac(e.addr, e.mac);
 }
 
-std::vector<PbEntry *>
-SecPb::residentInPersistOrder()
-{
-    std::vector<PbEntry *> out;
-    out.reserve(_index.size());
-    for (std::uint64_t i = _oldest; i != NoSlot; i = _order[i].next)
-        out.push_back(&_entries[i]);
-    return out;
-}
-
-CrashWork
-SecPb::applicationCrash(std::uint32_t asid, AppCrashPolicy policy)
-{
-    CrashWork work;
-    TRACE_INSTANT_P("secpb", "app_crash", _eq.curTick(), asid);
-
-    // Complete the victims in persist order. Entries with early ops or a
-    // drain in flight are left to their normal pipelines -- an
-    // application crash does not stop the clock, so in-flight hardware
-    // operations retire normally.
-    for (PbEntry *ep : residentInPersistOrder()) {
-        if (ep->draining || ep->pendingEarlyOps != 0 ||
-            (policy == AppCrashPolicy::DrainProcess && ep->asid != asid))
-            continue;
-        completeEntryFunctionally(*ep, work);
-        releaseEntry(*ep);
-    }
-    return work;
-}
-
-void
-SecPb::addEntryWork(const PbEntry &e, bool ctr_on_chip, CrashWork &w) const
-{
-    ++w.entriesDrained;
-    if (!_traits.secure) {
-        ++w.pmBlockWrites;
-        return;
-    }
-    if (!e.ctrIncremented) {
-        if (!ctr_on_chip)
-            ++w.counterFetches;
-        ++w.countersIncremented;
-    }
-    if (!e.vOtp)
-        ++w.otpsGenerated;
-    if (!e.vCt)
-        ++w.ciphertexts;
-    if (!e.vMac)
-        ++w.macsComputed;
-    if (!e.vBmt) {
-        ++w.bmtRootUpdates;
-        w.bmtLevelsWalked += persistedBmtLevels();
-    }
-    w.pmBlockWrites += 3;  // data, counter block, MAC
-}
-
-void
-SecPb::addEntryWork(const PbEntry &e, CrashWork &w) const
-{
-    addEntryWork(e,
-                 e.ctrIncremented ||
-                     _ctrCache.contains(_layout.counterAddr(e.addr)),
-                 w);
-}
-
-CrashWork
-SecPb::crashFloorWork() const
-{
-    // The persistent copies of counters and MACs for already drained
-    // blocks live dirty in the MDCs (assumptions (2) and (4) of the
-    // battery sizing). eADR: the whole volatile hierarchy is inside the
-    // persist domain, so every crash owes the full flush.
-    CrashWork w;
-    if (!_traits.secure)
-        return w;
-    w.mdcBlockFlushes = _ctrCache.numDirty() + _macCache.numDirty();
-    w.pmBlockWrites = w.mdcBlockFlushes;
-    if (_traits.flushesHierarchy) {
-        w.cacheLinesFlushed = DataHierarchyConfig{}.totalBytes() / BlockSize;
-    }
-    return w;
-}
-
-unsigned
-SecPb::persistedBmtLevels() const
-{
-    const unsigned levels = _walker.tree().numLevels();
-    return _traits.partialBmtPersist
-               ? std::min(_cfg.params.triadLevels, levels)
-               : levels;
-}
-
-CrashWork
-SecPb::predictCrashDrainWork() const
-{
-    CrashWork w = crashFloorWork();
-    if (_traits.wpqPersistDomain) {
-        // SP's crash-time obligation lives in the WPQ, not the PB: every
-        // queued write still owes one PCM block write at power failure.
-        // The WPQ sits in the ADR domain, but a battery sized for SP has
-        // to carry exactly that domain, so the probe prices it instead
-        // of reporting zero (which made SP look crash-free and barred it
-        // from the adaptive policy). Secure schemes are unchanged: their
-        // WPQ traffic is already-persisted data on its way out.
-        w.pmBlockWrites += _wpq.pendingAtCrash();
-    }
-    _index.forEach([&](const Addr &, const std::uint64_t &idx) {
-        addEntryWork(_entries[idx], w);
-    });
-    return w;
-}
-
-CrashWork
-SecPb::crashDrainAll(
-    const std::vector<std::pair<Addr, std::uint64_t>> &absorbed_stores,
-    const CrashDrainBudget &budget)
-{
-    CrashWork work;
-    panic_if(budget.bounded() && budget.pricing == nullptr,
-             "bounded crash-drain budget needs a pricing model");
-    TRACE_INSTANT("secpb", "crash_drain", _eq.curTick());
-
-    const auto price = [&budget](const CrashWork &w) {
-        return budget.pricing ? budget.pricing->actualCrashEnergy(w) : 0.0;
-    };
-    const auto fits = [&](const PbEntry &e) {
-        CrashWork d;
-        addEntryWork(e, d);
-        return price(work) + price(d) <= *budget.energyJ;
-    };
-
-    if (_dbg)
-        DPRINTF("SecPb", "crash drain: %zu resident, %zu sb-absorbed",
-                _index.size(), absorbed_stores.size());
-
-    // Battery-backed store buffer: absorb its stores in program order.
-    // With an unbounded battery, stores to resident blocks fold into the
-    // entry (stale value-dependent fields are invalidated) and the rest
-    // complete as one-off tuples after the resident pass. Under a
-    // bounded budget, absorbed stores -- the *newest* stores in the
-    // persist order -- are instead deferred until every resident entry
-    // has drained, so an exhausted battery always loses an in-order
-    // suffix rather than tearing the middle of the order.
-    std::vector<Addr> absorbed_blocks;
-    if (!budget.bounded()) {
-        for (const auto &[addr, value] : absorbed_stores) {
-            _oracle.applyStore(addr, value);
-            if (PbEntry *e = find(addr)) {
-                setBlockWord(e->plaintext, blockOffset(addr) / 8, value);
-                e->vCt = false;
-                e->vMac = false;
-            } else {
-                const Addr block = blockAlign(addr);
-                if (std::find(absorbed_blocks.begin(),
-                              absorbed_blocks.end(),
-                              block) == absorbed_blocks.end())
-                    absorbed_blocks.push_back(block);
-            }
-        }
-    }
-
-    // SP: a pending tuple update is an ADR-domain obligation -- its WPQ
-    // slot is reserved and its counter already bumped -- so the battery
-    // completes every one, whatever the budget, through the shared entry
-    // path: OTP, ciphertext, MAC and BMT leaf from the block's current
-    // content, with no counter fetch or increment. Visit order is slot
-    // order, which is fine: each tuple touches only its own block/page,
-    // and the work counters are order-insensitive.
-    _spPending.forEach([&](const Addr &addr) {
-        PbEntry e;
-        e.valid = e.vData = e.ctrIncremented = true;
-        e.addr = addr;
-        e.counter = _counters.counterFor(addr);
-        e.plaintext = _oracle.blockContent(addr);
-        completeEntryFunctionally(e, work);
-    });
-    _spPending.clear();
-
-    // Reserve the crash floor up front: the metadata-cache flush (and
-    // eADR's hierarchy flush) outranks draining further entries. It is
-    // mandatory, charged even when it alone exceeds a tiny budget (those
-    // functional writes happened at drain time and cannot be torn in
-    // this model), so energySpentJ can exceed the budget by this fixed
-    // floor plus SP's pending tuples above, and by nothing else. The
-    // flush itself runs after the entry pass so the cache contents still
-    // inform the per-entry predictions.
-    work += crashFloorWork();
-
-    // Persist order: complete entries oldest-first. A bounded battery
-    // prices each entry before committing to it and stops at the first
-    // entry that no longer fits -- the drained set is an in-order prefix
-    // and the abandoned suffix is reported for prefix verification.
-    for (PbEntry *ep : residentInPersistOrder()) {
-        if (work.batteryExhausted || (budget.bounded() && !fits(*ep))) {
-            work.batteryExhausted = true;
-            work.abandoned.push_back({ep->addr, ep->numWrites});
-            continue;
-        }
-        completeEntryFunctionally(*ep, work);
-        work.drainedBlocks.push_back(ep->addr);
-        // Leave the index at once (the WPQ content was already
-        // functionally applied when pushed -- ADR guarantees it reaches
-        // the cell array): a later entry's counter overflow must
-        // re-encrypt this block's persisted copy, not a dead buffer copy.
-        // Abandoned entries stay resident: their state was never
-        // persisted and simply dies with the machine.
-        freeSlot(*ep);
-    }
-
-    // Complete the absorbed stores. Unbounded: the deduplicated blocks
-    // that had no resident entry. Bounded: every store, in program
-    // order, each priced as a full one-off tuple; the battery stops
-    // mid-list when the budget dies, losing only newer stores.
-    const auto complete_absorbed = [&](Addr block) {
-        PbEntry tmp;
-        tmp.valid = tmp.vData = true;
-        tmp.addr = block;
-        tmp.plaintext = _oracle.blockContent(block);
-        completeEntryFunctionally(tmp, work);
-        ++work.absorbedApplied;
-    };
-    if (!budget.bounded()) {
-        for (Addr block : absorbed_blocks)
-            complete_absorbed(block);
-    } else {
-        for (const auto &[addr, value] : absorbed_stores) {
-            PbEntry fresh;  // nothing early: priced as a full tuple
-            fresh.addr = blockAlign(addr);
-            if (work.batteryExhausted || !fits(fresh)) {
-                work.batteryExhausted = true;
-                ++work.absorbedLost;
-                continue;
-            }
-            _oracle.applyStore(addr, value);
-            complete_absorbed(fresh.addr);
-        }
-    }
-
-    // The MDC flush reserved above (accounting only; see comment there).
-    if (_traits.secure) {
-        _ctrCache.flushAll();
-        _macCache.flushAll();
-    }
-
-    _drainsActive = 0;
-
-    // Triad-NVM recovery: the battery persisted only the lowest path
-    // levels; the volatile upper tree is recomputed bottom-up from the
-    // persisted frontier before verification can run. This happens on
-    // mains power at restart -- it lengthens the recovery window (the
-    // drain-latency model prices bmtNodesRebuilt) but costs the battery
-    // nothing.
-    const unsigned rebuild_from = persistedBmtLevels();
-    if (rebuild_from < _walker.tree().numLevels())
-        work.bmtNodesRebuilt =
-            _walker.tree().rebuildFromLevel(rebuild_from);
-
-    work.energySpentJ = price(work);
-    return work;
-}
-
 std::optional<PbEntry>
 SecPb::extractForMigration(Addr addr)
 {
     PbEntry *e = find(addr);
-    if (!e || e->draining || e->pendingEarlyOps != 0)
+    if (!e || e->draining || e->pendingOps != 0)
         return std::nullopt;
     PbEntry copy = *e;
     freeSlot(*e);
@@ -1340,20 +988,16 @@ SecPb::injectMigrated(const PbEntry &entry)
     PbEntry &e = claimSlot(entry.addr);
     e = entry;
     e.draining = false;
-    e.pendingEarlyOps = 0;
-    e.drainPending = 0;
-    e.pushedData = false;
+    e.pendingOps = 0;
 }
 
 bool
 SecPb::flushForRemoteRead(Addr addr)
 {
     PbEntry *e = find(addr);
-    if (!e || e->draining || e->pendingEarlyOps != 0)
+    if (!e || e->draining || e->pendingOps != 0)
         return false;
-    e->draining = true;
-    ++_drainsActive;
-    startDrainOf(*e);
+    startDrain(*e);
     return true;
 }
 
@@ -1370,7 +1014,7 @@ SecPb::pageEntries(std::uint64_t page, std::vector<Addr> &out) const
             return;
         blocks |= std::uint64_t{1} << (addr % PageSize / BlockSize);
         const PbEntry &e = _entries[idx];
-        if (e.draining || e.pendingEarlyOps != 0)
+        if (e.draining || e.pendingOps != 0)
             quiescent = false;
     });
     out.clear();

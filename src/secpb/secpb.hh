@@ -23,6 +23,9 @@
  *  - the SP baseline (PLP-style strict persistency with the SPoP at the
  *    MC) and the sec_wt write-through strawman used to normalize Fig. 8.
  *
+ * The crash-time half (crash-work model, crash drain, application crash)
+ * is in crash_drain.cc.
+ *
  * Functional-eager, timing-lazy: functional effects (counter increments,
  * pads, tree updates, PM writes) are applied when the operation is
  * initiated; valid bits and timing events model when the hardware would
@@ -32,8 +35,10 @@
 #ifndef SECPB_SECPB_SECPB_HH
 #define SECPB_SECPB_SECPB_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "crypto/cipher.hh"
@@ -168,7 +173,11 @@ class SecPb
                         std::uint32_t asid = 0);
 
     /** Register a one-shot callback fired when room frees up. */
-    void notifyOnSpace(EventCallback cb);
+    void
+    notifyOnSpace(EventCallback cb)
+    {
+        _spaceWaiters.add(std::move(cb));
+    }
 
     /** Begin draining every entry (clean shutdown); @p done on empty. */
     void drainAll(EventCallback done);
@@ -271,7 +280,7 @@ class SecPb
      * (canonical order), in one pass over the index; a warm @p out is
      * not reallocated.
      * @return true when the page is quiescent: every entry in it is
-     *         extractable (not draining, no early ops in flight) and no
+     *         extractable (not draining, no ops in flight) and no
      *         SP tuple update for the page is pending -- the condition
      *         under which the page's durable state can move wholesale to
      *         another core.
@@ -328,9 +337,6 @@ class SecPb
                               const EnergyModel *pricing,
                               const AdaptiveDrainConfig &cfg);
 
-    /** Priced predictCrashDrainWork(), 0 without an attached monitor. */
-    double predictedDrainEnergyJ() const;
-
     /** Committed crash-drain obligation a brownout must not bleed below:
      *  the prediction plus the gate margin (one liveness-floor entry and
      *  one in-flight regeneration -- the allocation the empty-buffer
@@ -358,43 +364,172 @@ class SecPb
      */
     void shedMetadataDirt();
 
-    /** Allocate a free entry for @p addr; returns nullptr if full. */
-    PbEntry *allocate(Addr addr);
-
     /** Entry for @p addr or nullptr. */
-    PbEntry *find(Addr addr);
+    PbEntry *
+    find(Addr addr)
+    {
+        return const_cast<PbEntry *>(std::as_const(*this).peekEntry(addr));
+    }
 
-    /** Launch the early (store-persist-time) ops for a fresh entry: the
-     *  buffer write, then launchTupleOps(). */
-    void launchEarlyOps(PbEntry &e, Tick base);
+    /** Start tracking a store acceptance (@p unblocked fires when every
+     *  gating op is done). */
+    void beginAccept(EventCallback unblocked);
 
-    /** The row's early tuple ops: counter, then OTP -> ciphertext -> MAC
-     *  in parallel with the BMT root update. */
-    void launchTupleOps(PbEntry &e, Tick base);
-
-    /** Per-store early work on a coalescing hit. */
-    void launchHitOps(PbEntry &e, Tick base);
-
-    /** Early ciphertext ready at @p at, then the MAC if the row has it
-     *  early: the value-dependent chain a store regenerates. */
-    void launchValueOps(PbEntry *ep, Tick at);
+    /** One gating op of the acceptance that retires at @p t (a SecPB
+     *  access, SP's pipeline admission). */
+    void holdAcceptUntil(PbEntry *e, Tick t);
 
     /**
-     * Functionally persist one SP tuple from the oracle plaintext, under
-     * the block's current counter (a page re-encryption may have moved it
-     * since the store was accepted).
+     * @name The tuple pipeline
+     * The memory tuple's dependency graph -- counter, then {OTP ->
+     * ciphertext -> MAC, BMT root} -- stated once, as the stage table
+     * Stages. One runner takes a slot through its missing stages; the
+     * mode is the slot's state:
+     *  - early (a resident entry, not draining): the row's early
+     *    stages, each gating the store's unblock signal;
+     *  - drain (draining): every missing stage, then finalizeDrain();
+     *  - SP (wpqPersistDomain; the slot is a pending tuple at the MC):
+     *    every stage, then persistSp();
+     *  - functional (crash drain, application crash, SP's persist):
+     *    every missing stage's effect, with no clock
+     *    (persistFunctionally()).
+     * A stage is requested when its dependency completes, with one
+     * exception: the counter's latency is known when it is issued, so
+     * its dependants are counted then and requested by its completion
+     * event, after it retires. Continuations capture (this, slot) and
+     * stay inline in their callbacks. A page re-encryption
+     * re-applies the effects of the valid stages that derive from the
+     * counter; addEntryWork() prices the missing ones from the table's
+     * crash-work column.
+     * @{
      */
-    void persistSpTuple(Addr block_addr);
+
+    /** Tuple stages, in dependency (and issue) order. */
+    enum class Stage : std::uint8_t { Counter, Otp, Ciphertext, Mac, Bmt };
+
+    /** Where a stage's latency comes from. */
+    enum class Unit : std::uint8_t
+    {
+        CounterAccess, ///< bumpCounter(): counter-cache access + increment.
+        Aes,           ///< The AES pad pipeline.
+        Xor,           ///< generateCiphertext(): a fixed XOR delay.
+        MacUnit,       ///< The MAC unit, then the MAC-cache write.
+        Walker,        ///< The BMT walker (it applies the leaf itself).
+    };
+
+    /** One row of the stage table. */
+    struct StageRow
+    {
+        Stage stage;
+        Stage dep;                        ///< Counter: itself (none).
+        bool PbEntry::*done;              ///< Functional valid bit.
+        bool SchemeTraits::*early;        ///< The scheme row's early bit.
+        /** Stale once a store changes the plaintext (sec_wt, whose row
+         *  does not coalesce, clears every stage instead). */
+        bool valueDependent;
+        /** Derived from the counter's value: re-applied when a page
+         *  re-encryption moves the counter under a valid stage. */
+        bool rederived;
+        void (SecPb::*effect)(PbEntry &); ///< Functional effect.
+        Unit unit;                        ///< Timed latency source.
+        std::uint64_t CrashWork::*work;   ///< Crash-work counter.
+    };
+    static const StageRow Stages[5];
+    /** Bit t of Dependants[s] is set when stage t depends on stage s. */
+    static const std::array<std::uint8_t, 5> Dependants;
+
+    static constexpr const StageRow &
+    row(Stage s)
+    {
+        return Stages[static_cast<unsigned>(s)];
+    }
+
+    /** True for a slot in early mode (its ops gate the unblock). */
+    bool
+    earlyRun(const PbEntry &e) const
+    {
+        return !e.draining && !_traits.wpqPersistDomain;
+    }
+
+    /** The stage belongs to @p e's run: an early run takes the row's
+     *  early stages, a drain or SP run every stage (BBB: none). */
+    bool wanted(const PbEntry &e, Stage s) const;
+
+    /**
+     * Call @p fn for each wanted, missing stage that can start once
+     * @p from is done, in table order: a valid dependant is looked
+     * through to its own dependants.
+     */
+    template <typename Fn>
+    void forEachNext(const PbEntry &e, Stage from, Fn &&fn) const;
+
+    /**
+     * Start @p slot's run at @p base: issue the counter (the drain and
+     * SP always issue it -- it is where the MC work begins), or, when
+     * it is not part of the run, the stages whose inputs are valid.
+     * @return the counter's completion tick (@p base without one).
+     */
+    Tick runStages(std::uint64_t slot, Tick base);
+
+    /** Request @p s from its latency source. Only the XOR reads
+     *  @p ready; every unit is requested at its ready tick. */
+    void request(std::uint64_t slot, Stage s, Tick ready);
+    template <Stage S>
+    void request(std::uint64_t slot, Tick ready);
+
+    /** Stage @p S of @p slot completed: apply its timed effect, issue
+     *  its dependants, retire it. One instance per row, so the row's
+     *  columns are constants there. */
+    template <Stage S>
+    void stageDone(std::uint64_t slot);
+
+    /** A store changed @p e's plaintext: clear the value-dependent
+     *  stages, or every stage with @p whole_tuple. */
+    void invalidateStages(PbEntry &e, bool whole_tuple);
+
+    /** Hand @p e to the drain engine. */
+    void startDrain(PbEntry &e);
+
+    /** @name Functional effects (the table's effect column) */
+    /** @{ */
+    void incrementInto(PbEntry &e);
+    void generatePadInto(PbEntry &e);
+    void refreshCiphertext(PbEntry &e);
+    void refreshMac(PbEntry &e);
+    void updateBmtLeaf(PbEntry &e);
+    /** @} */
+    /** @} */
+
+    /** A tuple for @p block holding its persist-order content (the
+     *  oracle's) and no stage yet. */
+    PbEntry oracleEntry(Addr block) const;
+
+    /**
+     * SP's tuple for @p block: the oracle plaintext under the block's
+     * current counter (a page re-encryption may have moved it since the
+     * store was accepted), which the MC has already incremented.
+     */
+    PbEntry spTuple(Addr block) const;
 
     /** SP baseline: full tuple update at the MC, per store. */
     bool acceptStoreSp(Addr addr, std::uint64_t value,
                        EventCallback unblocked);
 
-    /** Every resident entry, oldest (persist order) first. */
-    std::vector<PbEntry *> residentInPersistOrder();
+    /** SP: push @p slot's finished tuple through the WPQ (retried while
+     *  it is full), persist it and free the slot. */
+    void persistSp(std::uint64_t slot);
 
-    /** Functionally complete + persist one entry (crash-drain helper). */
+    /** Functionally complete + persist one entry on battery power,
+     *  counting the work into @p work. */
     void completeEntryFunctionally(PbEntry &e, CrashWork &work);
+
+    /** Functional mode: apply every missing stage's effect to @p e,
+     *  then write its tuple to PM. */
+    void persistFunctionally(PbEntry &e);
+
+    /** Write @p e's data, counter block and MAC (BBB: the plaintext
+     *  alone) to the PM image. */
+    void writeTuple(const PbEntry &e);
 
     /**
      * The crash-work model: add to @p w what completing @p e on battery
@@ -434,17 +569,13 @@ class SecPb
     Cycles counterWriteAccess(Addr addr);
 
     /**
-     * Triad-NVM drain cost: write the lowest @p levels node levels of
-     * @p addr's BMT path through the node cache to PCM.
+     * Triad-NVM drain cost: write the persisted levels of @p addr's BMT
+     * path through the node cache to PCM.
      */
-    void persistBmtPathPrefix(Addr addr, unsigned levels);
+    void persistBmtPathPrefix(Addr addr);
 
     /** Re-encrypt a page after a minor-counter overflow. */
     void reencryptPage(std::uint64_t page_idx, const CounterBlock &old_cb);
-
-    /** Refresh an entry's value-dependent fields from its plaintext. */
-    void refreshCiphertext(PbEntry &e);
-    void refreshMac(PbEntry &e);
 
     /** True when the adaptive policy must refuse a new allocation. */
     bool batteryGateBlocksAllocation() const;
@@ -457,23 +588,6 @@ class SecPb
 
     /** Drain the oldest drainable entry. */
     void drainNext();
-
-    /** Complete the tuple for @p e at the MC, then persist it. */
-    void startDrainOf(PbEntry &e);
-
-    /**
-     * @name Late-work steps of the drain of slot @p idx
-     * Continuations capture (this, slot) only, so none spills to the
-     * heap. drainKick starts both branches: OTP -> ciphertext -> MAC
-     * (drainAfterOtp, drainAfterCt) and the BMT update; drainBranchDone
-     * finalizes the drain once both have finished.
-     * @{
-     */
-    void drainKick(std::uint64_t idx);
-    void drainAfterOtp(std::uint64_t idx);
-    void drainAfterCt(std::uint64_t idx);
-    void drainBranchDone(std::uint64_t idx);
-    /** @} */
 
     /** Push data + counter + MAC blocks of @p e through the WPQ. */
     void finalizeDrain(std::uint64_t entry_idx);
@@ -507,6 +621,11 @@ class SecPb
     MetadataCache &_macCache;
     WritePendingQueue &_wpq;
 
+    /**
+     * The buffer's slots. Under SP, which keeps no resident entries, they
+     * hold the pending tuples at the MC instead (never indexed or linked
+     * into the persist order), and grow on demand.
+     */
     std::vector<PbEntry> _entries;
     FlatMap<Addr, std::uint64_t> _index;  ///< addr -> entry idx.
     std::vector<std::uint64_t> _freeList;
@@ -565,25 +684,27 @@ class SecPb
 
     /**
      * SP baseline: blocks with an in-flight tuple update headed for the
-     * WPQ. Later stores to the same block coalesce into the pending
-     * entry (the WPQ is the persistence domain, so they persist on
-     * arrival); the tuple is generated from the final plaintext when the
-     * update completes. On a crash the battery completes every pending
+     * WPQ (each in a slot of _entries). Later stores to the same block
+     * coalesce into the pending entry (the WPQ is the persistence
+     * domain, so they persist on arrival); the tuple is generated from
+     * the final plaintext when the update completes. On a crash the battery completes every pending
      * tuple -- covered by the in-flight provisioning margin.
      */
     FlatSet<Addr> _spPending;
 
     /**
-     * Begin tracking one early op for the in-flight acceptance.
-     * @param gates_unblock false for operations that proceed in the
+     * Begin tracking one op of @p e's run (nullptr: of the acceptance
+     * alone). An early run's ops also hold the in-flight acceptance.
+     * @param gates_unblock false for early operations that proceed in the
      *        background without delaying the store-buffer unblock signal
      *        (e.g. OBCM's counter fetch, which the paper overlaps -- the
      *        unblock only waits for the two SecPB accesses).
      */
     void opStarted(PbEntry *e, bool gates_unblock = true);
 
-    /** Complete one early op; fires the unblock when all gating ops are
-     *  done. The @p gates_unblock flag must match the opStarted call. */
+    /** Complete one op: fires the unblock when all gating early ops are
+     *  done; the last op of a drain or an SP tuple completes it. The
+     *  @p gates_unblock flag must match the opStarted call. */
     void opFinished(PbEntry *e, bool gates_unblock = true);
 
     StatGroup _stats;

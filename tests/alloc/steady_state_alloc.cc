@@ -3,12 +3,13 @@
  * Steady-state allocation: once a run is warm, a persist allocates
  * nothing.
  *
- * The persist path (SecPB accept, oracle, drain continuations, store
- * buffer, workload generator) must cost O(1) memory and no heap
- * traffic per store, or long runs grow without bound. Two runs of the
- * same point that differ only in length share their set-up cost, so the
- * allocations between them, divided by the persists between them, is
- * the marginal cost of one persist.
+ * The persist path (SecPB accept, oracle, the tuple pipeline's
+ * continuations, SP's pending tuples, store buffer, workload generator)
+ * must cost O(1) memory and no heap traffic per store, on every scheme
+ * row, or long runs grow without bound. Two runs of the same point that
+ * differ only in length share their set-up cost, so the allocations
+ * between them, divided by the persists between them, is the marginal
+ * cost of one persist.
  *
  * Building a trial is cheap too: stats register without allocating,
  * and a workload's Zipf tables are built once per process, so a crash
@@ -24,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <vector>
@@ -69,16 +71,16 @@ struct RunCost
     std::uint64_t persists;
 };
 
-/** One gamess/COBCM run of @p instructions, set-up included. */
+/** One gamess run of @p instructions under @p scheme, set-up included. */
 RunCost
-gamessCobcm(std::uint64_t instructions)
+gamessRun(Scheme scheme, std::uint64_t instructions)
 {
     const std::uint64_t before = gAllocations.load();
     std::uint64_t persists = 0;
     {
         const BenchmarkProfile &profile = profileByName("gamess");
         SimulationSpec spec;
-        spec.base = SecPbSystem::configFor(Scheme::Cobcm, profile);
+        spec.base = SecPbSystem::configFor(scheme, profile);
         spec.instructions = instructions;
         Simulation sim(spec);
         SyntheticGenerator gen(profile, instructions, spec.seed);
@@ -90,17 +92,27 @@ gamessCobcm(std::uint64_t instructions)
 
 TEST(SteadyStateAlloc, PersistsStopAllocatingAfterWarmUp)
 {
+    // Every scheme row: the baselines and the whole zoo, so each mode of
+    // the tuple pipeline (early, drain, SP, Triad's drain-time path
+    // persist) is covered.
     setQuietLogging(true);
-    const RunCost shorter = gamessCobcm(4'000'000);
-    const RunCost longer = gamessCobcm(8'000'000);
-    ASSERT_GT(longer.persists, shorter.persists);
-    const double allocations = static_cast<double>(longer.allocations) -
-                               static_cast<double>(shorter.allocations);
-    const double per_persist =
-        allocations / static_cast<double>(longer.persists - shorter.persists);
-    EXPECT_LE(per_persist, 0.01)
-        << allocations << " allocations over "
-        << longer.persists - shorter.persists << " extra persists";
+    std::vector<Scheme> rows = {Scheme::Bbb, Scheme::Sp, Scheme::SecWt};
+    rows.insert(rows.end(), std::begin(SchemeZoo), std::end(SchemeZoo));
+    for (Scheme scheme : rows) {
+        const RunCost shorter = gamessRun(scheme, 2'000'000);
+        const RunCost longer = gamessRun(scheme, 4'000'000);
+        ASSERT_GT(longer.persists, shorter.persists) << schemeName(scheme);
+        const double allocations =
+            static_cast<double>(longer.allocations) -
+            static_cast<double>(shorter.allocations);
+        const double per_persist =
+            allocations /
+            static_cast<double>(longer.persists - shorter.persists);
+        EXPECT_LE(per_persist, 0.01)
+            << schemeName(scheme) << ": " << allocations
+            << " allocations over " << longer.persists - shorter.persists
+            << " extra persists";
+    }
 }
 
 TEST(SteadyStateAlloc, EpochBarriersStopAllocatingAfterWarmUp)

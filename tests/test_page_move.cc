@@ -37,7 +37,7 @@ quiescentByRule(const SecPb &pb, std::uint64_t page)
 {
     for (Addr a : entriesByFilter(pb, page)) {
         const PbEntry *e = pb.peekEntry(a);
-        if (e->draining || e->pendingEarlyOps != 0)
+        if (e->draining || e->pendingOps != 0)
             return false;
     }
     const Addr base = static_cast<Addr>(page) * PageSize;
@@ -90,7 +90,8 @@ TEST(PageEntries, MatchesFilterAndQuiescenceRuleOverRandomStates)
                 ++(q ? quiescent : busy);
                 for (Addr a : got) {
                     draining += pb.peekEntry(a)->draining;
-                    early += pb.peekEntry(a)->pendingEarlyOps != 0;
+                    early += !pb.peekEntry(a)->draining &&
+                             pb.peekEntry(a)->pendingOps != 0;
                 }
             }
             for (Addr a : sys.oracle().touchedBlocks())
