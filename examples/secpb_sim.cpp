@@ -9,7 +9,7 @@
  * Usage:
  *   secpb_sim [--scheme cobcm] [--bench gamess|all] [--instr N]
  *             [--entries N] [--bmf none|dbmf|sbmf] [--seed N]
- *             [--stats] [--csv] [--crash TICK] [--list]
+ *             [--stats] [--csv] [--crash TICK] [--list] [--help]
  *
  * Integer values must be plain non-negative decimals; anything else
  * (a sign, trailing garbage, overflow) is fatal, never truncated.
@@ -29,6 +29,13 @@ using namespace secpb;
 
 namespace
 {
+
+/** The usage block above, printed by --help (-h). */
+constexpr const char *Usage =
+    "Usage:\n"
+    "  secpb_sim [--scheme cobcm] [--bench gamess|all] [--instr N]\n"
+    "            [--entries N] [--bmf none|dbmf|sbmf] [--seed N]\n"
+    "            [--stats] [--csv] [--crash TICK] [--list] [--help]\n";
 
 struct Options
 {
@@ -154,7 +161,11 @@ main(int argc, char **argv)
             opt.crashAt = number("--crash");
         else if (!std::strcmp(argv[i], "--list"))
             opt.list = true;
-        else
+        else if (!std::strcmp(argv[i], "--help") ||
+                 !std::strcmp(argv[i], "-h")) {
+            std::fputs(Usage, stdout);
+            return 0;
+        } else
             fatal("unknown flag '%s'", argv[i]);
     }
 

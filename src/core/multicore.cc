@@ -236,14 +236,13 @@ MultiCoreSystem::movePageState(CoreId from, CoreId to, std::uint64_t page)
 {
     SecPbSystem &a = *_slices[from];
     SecPbSystem &b = *_slices[to];
-    const Addr base = static_cast<Addr>(page) * PageSize;
 
     a.pm().movePageTo(b.pm(), page);
     if (a.counters().hasBlock(page)) {
         b.counters().setBlock(page, a.counters().block(page));
         a.counters().erase(page);
     }
-    a.oracle().movePageTo(b.oracle(), base, PageSize);
+    a.oracle().movePageTo(b.oracle(), page);
 
     // The destination's BMT leaf must cover the page's *working* counter
     // block: eager schemes already hashed in-buffer increments into the

@@ -5,10 +5,14 @@
  * Everything that would survive power loss lives here: data ciphertext,
  * split-counter blocks, MACs. (BMT nodes are owned by BonsaiMerkleTree,
  * which is likewise treated as PM-resident; the root lives in an on-chip
- * battery-backed register.) Sparse open-addressing tables keep an 8 GB
- * device cheap to model while staying cache-friendly on the persist path.
- * Tamper hooks let integrity tests corrupt state the way a physical
- * attacker would.
+ * battery-backed register.) A data block and its MAC persist together
+ * (one tuple), so they share one record in a sparse page table
+ * (mem/page_table.hh): a persist probes a table of pages, not one of
+ * blocks, and a page migrates with one row probe per side. Counter
+ * blocks, one per page, sit in their own small table. Tamper hooks let
+ * integrity tests corrupt state the way a physical attacker would; the
+ * only state they can make that a persist cannot, a MAC on a block with
+ * no data, is kept aside.
  */
 
 #ifndef SECPB_MEM_PM_IMAGE_HH
@@ -20,6 +24,7 @@
 #include "crypto/counters.hh"
 #include "mem/block_data.hh"
 #include "mem/flat_map.hh"
+#include "mem/page_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -34,22 +39,31 @@ class PmImage
     BlockData
     readData(Addr block_addr) const
     {
-        const BlockData *b = _data.find(blockAlign(block_addr));
-        return b ? *b : zeroBlock();
+        const Block *b = _blocks.find(block_addr);
+        return b ? b->ciphertext : zeroBlock();
     }
 
     /** Persist the ciphertext of a data block. */
     void
     writeData(Addr block_addr, const BlockData &ciphertext)
     {
-        _data[blockAlign(block_addr)] = ciphertext;
+        blockFor(block_addr).ciphertext = ciphertext;
+    }
+
+    /** Persist a data block's ciphertext and MAC together (one probe). */
+    void
+    writeBlock(Addr block_addr, const BlockData &ciphertext, MacValue mac)
+    {
+        Block &b = blockFor(block_addr);
+        b.ciphertext = ciphertext;
+        b.mac = mac;
     }
 
     /** True if a data block has ever been persisted. */
     bool
     hasData(Addr block_addr) const
     {
-        return _data.contains(blockAlign(block_addr));
+        return _blocks.contains(block_addr);
     }
 
     /** Read the counter block for page @p page_idx (default if untouched). */
@@ -71,7 +85,9 @@ class PmImage
     MacValue
     readMac(Addr block_addr) const
     {
-        const MacValue *m = _macs.find(blockAlign(block_addr));
+        if (const Block *b = _blocks.find(block_addr))
+            return b->mac;
+        const MacValue *m = _loneMacs.find(blockAlign(block_addr));
         return m ? *m : 0;
     }
 
@@ -79,11 +95,14 @@ class PmImage
     void
     writeMac(Addr block_addr, MacValue mac)
     {
-        _macs[blockAlign(block_addr)] = mac;
+        if (Block *b = _blocks.find(block_addr))
+            b->mac = mac;
+        else
+            _loneMacs[blockAlign(block_addr)] = mac;
     }
 
     /** Number of distinct data blocks ever persisted. */
-    std::size_t numDataBlocks() const { return _data.size(); }
+    std::size_t numDataBlocks() const { return _blocks.size(); }
 
     /**
      * All persisted data block addresses, sorted (recovery scans). The
@@ -93,7 +112,7 @@ class PmImage
     std::vector<Addr>
     dataBlockAddrs() const
     {
-        return _data.sortedKeys();
+        return _blocks.sortedBlocks();
     }
 
     /** All page indices with a persisted counter block, sorted. */
@@ -111,31 +130,29 @@ class PmImage
     void
     eraseDataBlock(Addr block_addr)
     {
-        _data.erase(blockAlign(block_addr));
-        _macs.erase(blockAlign(block_addr));
+        _blocks.erase(block_addr);
+        _loneMacs.erase(blockAlign(block_addr));
     }
 
     /**
      * Page migration (multi-core): move page @p page_idx's data blocks,
      * each with its MAC (0 if it has none), and its counter block into
-     * @p dst. Blocks move in ascending order, each table probed once per
-     * block on each side; a MAC without a data block stays behind.
+     * @p dst: one row probe per side. A MAC without a data block stays
+     * behind.
      */
     void
     movePageTo(PmImage &dst, std::uint64_t page_idx)
     {
         panic_if(&dst == this, "PM page %llu moved onto itself",
                  static_cast<unsigned long long>(page_idx));
-        const Addr base = static_cast<Addr>(page_idx) * PageSize;
-        for (Addr a = base; a < base + PageSize; a += BlockSize) {
-            BlockData ct;
-            if (!_data.take(a, ct))
-                continue;
-            dst._data[a] = ct;
-            MacValue mac = 0;
-            _macs.take(a, mac);
-            dst._macs[a] = mac;
+        if (!dst._loneMacs.empty()) {
+            // A moved block's MAC replaces a lone one dst held for it.
+            const Addr base = static_cast<Addr>(page_idx) * PageSize;
+            for (Addr a = base; a < base + PageSize; a += BlockSize)
+                if (_blocks.contains(a))
+                    dst._loneMacs.erase(a);
         }
+        _blocks.movePageTo(dst._blocks, page_idx);
         CounterBlock cb;
         if (_counters.take(page_idx, cb))
             dst._counters[page_idx] = cb;
@@ -149,7 +166,7 @@ class PmImage
     void
     tamperData(Addr block_addr, unsigned byte, std::uint8_t xor_mask)
     {
-        _data[blockAlign(block_addr)][byte % BlockSize] ^= xor_mask;
+        blockFor(block_addr).ciphertext[byte % BlockSize] ^= xor_mask;
     }
 
     void
@@ -164,7 +181,10 @@ class PmImage
     void
     tamperMac(Addr block_addr, std::uint64_t xor_mask)
     {
-        _macs[blockAlign(block_addr)] ^= xor_mask;
+        if (Block *b = _blocks.find(block_addr))
+            b->mac ^= xor_mask;
+        else
+            _loneMacs[blockAlign(block_addr)] ^= xor_mask;
     }
 
     /**
@@ -183,9 +203,29 @@ class PmImage
     /** @} */
 
   private:
-    FlatMap<Addr, BlockData> _data;
+    /** One persisted data block: its tuple's ciphertext and MAC. */
+    struct Block
+    {
+        BlockData ciphertext{};
+        MacValue mac = 0;  ///< 0 until a MAC persists (BBB writes none).
+    };
+
+    /** @p block_addr's record, made on first touch; it adopts a lone MAC. */
+    Block &
+    blockFor(Addr block_addr)
+    {
+        bool fresh;
+        Block &b = _blocks.findOrInsert(block_addr, fresh);
+        if (fresh && !_loneMacs.empty())
+            _loneMacs.take(blockAlign(block_addr), b.mac);
+        return b;
+    }
+
+    PageTable<Block> _blocks;
     FlatMap<std::uint64_t, CounterBlock> _counters;
-    FlatMap<Addr, MacValue> _macs;
+    /** MACs of blocks with no data: tests and tamper hooks make them, a
+     *  persist never does (it writes the data first). */
+    FlatMap<Addr, MacValue> _loneMacs;
 };
 
 } // namespace secpb

@@ -13,13 +13,11 @@
 #ifndef SECPB_RECOVERY_ORACLE_HH
 #define SECPB_RECOVERY_ORACLE_HH
 
-#include <bit>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mem/block_data.hh"
-#include "mem/flat_map.hh"
+#include "mem/page_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -41,15 +39,13 @@ struct AbandonedResidency
 /**
  * Plaintext shadow of all persisted stores, in persist order.
  *
- * Every accepted store lands here, so a persist costs one FlatMap probe
- * and no allocation once the block is known. Each touched block owns one
- * record: its content and store count, plus a snapshot of both taken
- * when the block's newest SecPB residency opened. A bounded-battery
- * crash can lose only that residency (paper Section III), so the
- * snapshot is the one old version recovery ever needs, and memory grows
- * with blocks, not with persists. Records live in chunks that double up
- * to 1,024 records, so growth never copies the table and a long run
- * allocates rarely; a forgotten block's record is reused.
+ * Every accepted store lands here, so a persist costs one probe of a
+ * page table (mem/page_table.hh) and no allocation once the block is
+ * known. Each touched block owns one record: its content and store
+ * count, plus a snapshot of both taken when the block's newest SecPB
+ * residency opened. A bounded-battery crash can lose only that residency
+ * (paper Section III), so the snapshot is the one old version recovery
+ * ever needs, and memory grows with blocks, not with persists.
  */
 class PersistOracle
 {
@@ -64,7 +60,7 @@ class PersistOracle
     const BlockData &
     applyStore(Addr addr, std::uint64_t value, bool opens_residency = false)
     {
-        BlockRecord &r = recordFor(blockAlign(addr));
+        BlockRecord &r = _blocks[addr];
         if (opens_residency) {
             r.preContent = r.content;
             r.preStores = r.stores;
@@ -79,7 +75,7 @@ class PersistOracle
     BlockData
     blockContent(Addr addr) const
     {
-        const BlockRecord *r = find(addr);
+        const BlockRecord *r = _blocks.find(addr);
         return r ? r->content : zeroBlock();
     }
 
@@ -87,25 +83,25 @@ class PersistOracle
     bool
     touched(Addr addr) const
     {
-        return _index.contains(blockAlign(addr));
+        return _blocks.contains(addr);
     }
 
     /**
-     * All block addresses ever persisted to, in the index's slot order
-     * (deterministic for a deterministic history, unsorted).
+     * All block addresses ever persisted to, in the page table's row
+     * order (deterministic for a deterministic history, unsorted).
      */
     std::vector<Addr>
     touchedBlocks() const
     {
         std::vector<Addr> out;
-        out.reserve(_index.size());
-        _index.forEach([&](const Addr &block, const std::uint32_t &)
-                       { out.push_back(block); });
+        out.reserve(_blocks.size());
+        _blocks.forEach([&](Addr block, const BlockRecord &)
+                        { out.push_back(block); });
         return out;
     }
 
     std::uint64_t numPersists() const { return _numPersists; }
-    std::size_t numBlocks() const { return _index.size(); }
+    std::size_t numBlocks() const { return _blocks.size(); }
 
     /**
      * @name Block versions
@@ -123,7 +119,7 @@ class PersistOracle
     std::uint64_t
     storeCount(Addr addr) const
     {
-        const BlockRecord *r = find(addr);
+        const BlockRecord *r = _blocks.find(addr);
         return r ? r->stores : 0;
     }
 
@@ -131,7 +127,7 @@ class PersistOracle
     std::uint64_t
     preResidencyCount(Addr addr) const
     {
-        const BlockRecord *r = find(addr);
+        const BlockRecord *r = _blocks.find(addr);
         return r ? r->preStores : 0;
     }
 
@@ -165,7 +161,7 @@ class PersistOracle
     {
         if (version == 0)
             return zeroBlock();
-        const BlockRecord *r = find(addr);
+        const BlockRecord *r = _blocks.find(addr);
         if (r && version == r->stores)
             return r->content;
         if (r && version == r->preStores)
@@ -200,44 +196,32 @@ class PersistOracle
             forgetBlock(addr);
             return;
         }
-        const std::uint32_t *i = _index.find(blockAlign(addr));
-        if (!i)
+        BlockRecord *r = _blocks.find(addr);
+        if (!r)
             return;
-        BlockRecord &r = record(*i);
-        r.content = blockVersion(addr, version);
-        r.stores = version;
+        r->content = blockVersion(addr, version);
+        r->stores = version;
     }
 
     /** Drop the block entirely (it was never durable). */
     void
     forgetBlock(Addr addr)
     {
-        std::uint32_t i;
-        if (_index.take(blockAlign(addr), i))
-            _freeRecords.push_back(i);
+        _blocks.erase(addr);
     }
     /** @} */
 
     /**
      * Page migration (multi-core): move the record (content, count and
-     * residency snapshot) of every block in
-     * [page_base, page_base + page_bytes) into @p dst, in ascending block
-     * order, with one index probe per block on each side. _numPersists
-     * stays put on both sides -- each core's oracle counts the stores
-     * *it* accepted, so per-core persist sums stay correct.
+     * residency snapshot) of every block of page @p page_idx into
+     * @p dst, with one row probe on each side. _numPersists stays put on
+     * both sides -- each core's oracle counts the stores *it* accepted,
+     * so per-core persist sums stay correct.
      */
     void
-    movePageTo(PersistOracle &dst, Addr page_base, std::uint64_t page_bytes)
+    movePageTo(PersistOracle &dst, std::uint64_t page_idx)
     {
-        panic_if(&dst == this, "oracle page moved onto itself");
-        for (Addr a = page_base; a < page_base + page_bytes;
-             a += BlockSize) {
-            std::uint32_t i;
-            if (!_index.take(a, i))
-                continue;
-            dst.recordFor(a) = record(i);
-            _freeRecords.push_back(i);
-        }
+        _blocks.movePageTo(dst._blocks, page_idx);
     }
 
   private:
@@ -249,75 +233,7 @@ class PersistOracle
         std::uint64_t preStores = 0;   ///< stores when the residency opened.
     };
 
-    /**
-     * Chunk c holds min(FirstChunk << c, MaxChunk) records and is
-     * reserved whole when opened: a short run (a crash trial) reserves
-     * at most twice the records it uses, and a long one adds MaxChunk
-     * records at a time, so a reservation never wastes more than one
-     * chunk.
-     */
-    static constexpr std::uint32_t FirstChunk = 64;
-    static constexpr unsigned Doublings = 4;
-    static constexpr std::uint32_t MaxChunk = FirstChunk << Doublings;
-    /** Records in the chunks smaller than MaxChunk. */
-    static constexpr std::uint32_t SmallRecords = MaxChunk - FirstChunk;
-
-    static std::uint32_t
-    chunkSize(std::size_t c)
-    {
-        return c < Doublings ? FirstChunk << c : MaxChunk;
-    }
-
-    const BlockRecord &
-    record(std::uint32_t i) const
-    {
-        if (i < SmallRecords) {
-            const unsigned c = std::bit_width(i / FirstChunk + 1) - 1;
-            return _chunks[c][i - FirstChunk * ((1u << c) - 1)];
-        }
-        i -= SmallRecords;
-        return _chunks[Doublings + i / MaxChunk][i % MaxChunk];
-    }
-
-    BlockRecord &
-    record(std::uint32_t i)
-    {
-        return const_cast<BlockRecord &>(std::as_const(*this).record(i));
-    }
-
-    const BlockRecord *
-    find(Addr addr) const
-    {
-        const std::uint32_t *i = _index.find(blockAlign(addr));
-        return i ? &record(*i) : nullptr;
-    }
-
-    /** The record of @p block, made (pristine) on first touch. */
-    BlockRecord &
-    recordFor(Addr block)
-    {
-        bool fresh;
-        std::uint32_t &idx = _index.findOrInsert(block, fresh);
-        if (!fresh)
-            return record(idx);
-        if (_freeRecords.empty()) {
-            const std::size_t n = _chunks.size();
-            if (n == 0 || _chunks.back().size() == chunkSize(n - 1))
-                _chunks.emplace_back().reserve(chunkSize(n));
-            idx = _numRecords++;
-            _chunks.back().emplace_back();
-        } else {
-            idx = _freeRecords.back();
-            _freeRecords.pop_back();
-            record(idx) = BlockRecord{};
-        }
-        return record(idx);
-    }
-
-    FlatMap<Addr, std::uint32_t> _index;  ///< block -> record index.
-    std::vector<std::vector<BlockRecord>> _chunks;
-    std::uint32_t _numRecords = 0;  ///< Records ever made (chunk fill).
-    std::vector<std::uint32_t> _freeRecords;
+    PageTable<BlockRecord> _blocks;
     std::uint64_t _numPersists = 0;
 };
 

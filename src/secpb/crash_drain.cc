@@ -201,6 +201,7 @@ SecPb::crashDrainAll(
     _spPending.forEach([&](const Addr &addr) {
         PbEntry e = spTuple(addr);
         completeEntryFunctionally(e, work);
+        dropPageSlot(addr, &PageSlots::spPending);
     });
     _spPending.clear();
 

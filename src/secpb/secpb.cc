@@ -146,6 +146,7 @@ SecPb::claimSlot(Addr addr)
     const std::uint64_t idx = _freeList.back();
     _freeList.pop_back();
     _index.insert(blockAlign(addr), idx);
+    _pageSlots[addr / PageSize].resident |= blockBit(addr);
     _order[idx] = OrderLink{_newest, NoSlot};
     if (_newest == NoSlot)
         _oldest = idx;
@@ -320,8 +321,7 @@ SecPb::reencryptPage(std::uint64_t page_idx, const CounterBlock &old_cb)
             const BlockCounter nc = nb.counterFor(b);
             const BlockData new_pad = generatePad(_keys, addr, nc);
             const BlockData ct = encryptBlock(pt, new_pad);
-            _pm.writeData(addr, ct);
-            _pm.writeMac(addr, computeMac(_keys, addr, ct, nc));
+            _pm.writeBlock(addr, ct, computeMac(_keys, addr, ct, nc));
             burst.otp();
             burst.mac();
         }
@@ -620,6 +620,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
 
     _oracle.applyStore(addr, value);
     _spPending.insert(block_addr);
+    _pageSlots[block_addr / PageSize].spPending |= blockBit(block_addr);
 
     // The store buffer is released once the persist pipeline has
     // absorbed this store: after the MC traversal and counter access,
@@ -651,6 +652,7 @@ SecPb::persistSp(std::uint64_t slot)
     persistFunctionally(t);
     _crypto.generateCiphertext();
     _spPending.erase(e.addr);
+    dropPageSlot(e.addr, &PageSlots::spPending);
     e.clear();
     _freeList.push_back(slot);
 }
@@ -924,6 +926,7 @@ SecPb::freeSlot(PbEntry &e)
 {
     panic_if(!_index.erase(e.addr),
              "freeing an entry the index does not know");
+    dropPageSlot(e.addr, &PageSlots::resident);
     const std::uint64_t idx = slotOf(e);
     const OrderLink link = _order[idx];
     (link.prev == NoSlot ? _oldest : _order[link.prev].next) = link.next;
@@ -964,9 +967,8 @@ SecPb::writeTuple(const PbEntry &e)
         return;
     }
     const std::uint64_t page = _layout.pageIndex(e.addr);
-    _pm.writeData(e.addr, e.ciphertext);
+    _pm.writeBlock(e.addr, e.ciphertext, e.mac);
     _pm.writeCounterBlock(page, _counters.block(page));
-    _pm.writeMac(e.addr, e.mac);
 }
 
 std::optional<PbEntry>
@@ -1001,33 +1003,39 @@ SecPb::flushForRemoteRead(Addr addr)
     return true;
 }
 
+void
+SecPb::dropPageSlot(Addr addr, std::uint64_t PageSlots::*mask)
+{
+    PageSlots *p = _pageSlots.find(addr / PageSize);
+    panic_if(!p || !(p->*mask & blockBit(addr)),
+             "page slot mask lost block %#llx",
+             static_cast<unsigned long long>(addr));
+    p->*mask &= ~blockBit(addr);
+    if (p->resident == 0 && p->spPending == 0)
+        _pageSlots.erase(addr / PageSize);
+}
+
 bool
 SecPb::pageEntries(std::uint64_t page, std::vector<Addr> &out) const
 {
     // The page's entries as a mask over its blocks, so they come out in
     // ascending order without a sort.
-    static_assert(BlocksPerPage == 64, "one mask bit per block");
-    std::uint64_t blocks = 0;
-    bool quiescent = true;
-    _index.forEach([&](const Addr &addr, const std::uint64_t &idx) {
-        if (addr / PageSize != page)
-            return;
-        blocks |= std::uint64_t{1} << (addr % PageSize / BlockSize);
-        const PbEntry &e = _entries[idx];
-        if (e.draining || e.pendingOps != 0)
-            quiescent = false;
-    });
     out.clear();
-    const Addr base = static_cast<Addr>(page) * PageSize;
-    for (; blocks != 0; blocks &= blocks - 1)
-        out.push_back(base + std::countr_zero(blocks) * BlockSize);
+    const PageSlots *p = _pageSlots.find(page);
+    if (!p)
+        return true;
     // SP baseline: a pending tuple update is an in-flight WPQ persist for
     // the page -- its functional effects landed, but the timed completion
     // closure still references this slice's counter store.
-    _spPending.forEach([&](const Addr &addr) {
-        if (addr / PageSize == page)
+    bool quiescent = p->spPending == 0;
+    const Addr base = static_cast<Addr>(page) * PageSize;
+    for (std::uint64_t m = p->resident; m != 0; m &= m - 1) {
+        const Addr addr = base + std::countr_zero(m) * BlockSize;
+        const PbEntry &e = *peekEntry(addr);
+        if (e.draining || e.pendingOps != 0)
             quiescent = false;
-    });
+        out.push_back(addr);
+    }
     return quiescent;
 }
 

@@ -277,8 +277,8 @@ class SecPb
 
     /**
      * Fill @p out with the resident entry addresses in @p page, sorted
-     * (canonical order), in one pass over the index; a warm @p out is
-     * not reallocated.
+     * (canonical order), from the page's slot masks: one probe, then
+     * one index probe per entry; a warm @p out is not reallocated.
      * @return true when the page is quiescent: every entry in it is
      *         extractable (not draining, no ops in flight) and no
      *         SP tuple update for the page is pending -- the condition
@@ -601,6 +601,27 @@ class SecPb
     /** Take a free slot for @p addr and append it as the newest. */
     PbEntry &claimSlot(Addr addr);
 
+    /**
+     * Per page, the blocks holding a slot of _entries, so pageEntries()
+     * reads one row instead of walking the index: resident entries
+     * (claimSlot/freeSlot) and SP's pending tuples.
+     */
+    struct PageSlots
+    {
+        std::uint64_t resident = 0;
+        std::uint64_t spPending = 0;
+    };
+
+    static std::uint64_t
+    blockBit(Addr addr)
+    {
+        static_assert(BlocksPerPage == 64, "one mask bit per block");
+        return std::uint64_t{1} << (addr % PageSize / BlockSize);
+    }
+
+    /** Clear @p addr's bit in @p mask; drop the row once it is empty. */
+    void dropPageSlot(Addr addr, std::uint64_t PageSlots::*mask);
+
     /** @p e's slot in _entries. */
     std::uint64_t slotOf(const PbEntry &e) const
     {
@@ -628,6 +649,7 @@ class SecPb
      */
     std::vector<PbEntry> _entries;
     FlatMap<Addr, std::uint64_t> _index;  ///< addr -> entry idx.
+    FlatMap<std::uint64_t, PageSlots> _pageSlots;  ///< page -> its slots.
     std::vector<std::uint64_t> _freeList;
 
     /**

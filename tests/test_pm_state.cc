@@ -57,6 +57,130 @@ TEST(PmImage, TamperHooksMutateState)
     EXPECT_EQ(pm.readMac(0x000), 0x1111u ^ 0x0Fu);
 }
 
+TEST(PmImage, MacOnlyBlockIsNotData)
+{
+    PmImage pm;
+    pm.tamperMac(0x2000, 0x5);  // an attacker writes a MAC, no data
+    EXPECT_FALSE(pm.hasData(0x2000));
+    EXPECT_EQ(pm.numDataBlocks(), 0u);
+    EXPECT_TRUE(pm.dataBlockAddrs().empty());
+    EXPECT_EQ(pm.readData(0x2000), zeroBlock());
+    EXPECT_EQ(pm.readMac(0x2000), 0x5u);
+
+    // Data persisted later joins the MAC already there.
+    pm.writeData(0x2000, zeroBlock());
+    EXPECT_EQ(pm.dataBlockAddrs(), (std::vector<Addr>{0x2000}));
+    EXPECT_EQ(pm.readMac(0x2000), 0x5u);
+    pm.tamperMac(0x2000, 0x1);
+    EXPECT_EQ(pm.readMac(0x2000), 0x4u);
+}
+
+TEST(PmImage, EraseDataBlockDropsTheMac)
+{
+    PmImage pm;
+    pm.writeBlock(0x3000, zeroBlock(), 0x77);
+    pm.writeData(0x3040, zeroBlock());
+    pm.eraseDataBlock(0x3000);
+    EXPECT_FALSE(pm.hasData(0x3000));
+    EXPECT_EQ(pm.readMac(0x3000), 0u);
+    EXPECT_EQ(pm.dataBlockAddrs(), (std::vector<Addr>{0x3040}));
+
+    // A MAC-only block is dropped too.
+    pm.writeMac(0x3080, 0x9);
+    pm.eraseDataBlock(0x3080);
+    EXPECT_EQ(pm.readMac(0x3080), 0u);
+}
+
+TEST(PmImage, PageMoveLeavesAMacOnlyBlockBehind)
+{
+    const std::uint64_t page = 2;
+    const Addr blk0 = page * PageSize;
+    const Addr blk1 = blk0 + BlockSize;
+    BlockData d = zeroBlock();
+    d[7] = 0x42;
+    PmImage a, b;
+    a.writeBlock(blk0, d, 0x1111);
+    a.writeMac(blk1, 0x2222);  // MAC only
+    b.writeMac(blk0, 0x3333);  // b's lone MAC where a's data moves in
+
+    a.movePageTo(b, page);
+    EXPECT_FALSE(a.hasData(blk0));
+    EXPECT_EQ(a.readMac(blk0), 0u);
+    EXPECT_EQ(a.readMac(blk1), 0x2222u);
+    EXPECT_EQ(b.readData(blk0), d);
+    EXPECT_EQ(b.readMac(blk0), 0x1111u);
+    EXPECT_FALSE(b.hasData(blk1));
+    EXPECT_EQ(b.readMac(blk1), 0u);
+
+    // Out and back restores the page; the replaced lone MAC is gone.
+    b.movePageTo(a, page);
+    EXPECT_EQ(a.dataBlockAddrs(), (std::vector<Addr>{blk0}));
+    EXPECT_EQ(a.readData(blk0), d);
+    EXPECT_EQ(a.readMac(blk0), 0x1111u);
+    EXPECT_EQ(a.readMac(blk1), 0x2222u);
+    EXPECT_TRUE(b.dataBlockAddrs().empty());
+    EXPECT_EQ(b.readMac(blk0), 0u);
+}
+
+TEST(PmImage, CopyIsIndependentOfItsSource)
+{
+    // SecPbSystem::adoptPersistentState copies the image on a reboot.
+    PmImage src;
+    for (unsigned i = 0; i < 300; ++i)
+        src.writeBlock(i * 3 * BlockSize, zeroBlock(), i + 1);
+    src.writeCounterBlock(0, CounterBlock{});
+    PmImage copy = src;
+    copy.writeBlock(0x40000, zeroBlock(), 9);
+    copy.eraseDataBlock(0);
+    copy.tamperData(3 * BlockSize, 0, 0xff);
+    copy.tamperMac(6 * BlockSize, 0xf0);
+    PmImage other;
+    copy.movePageTo(other, 1);
+    src.writeMac(9 * BlockSize, 0xabc);
+
+    EXPECT_EQ(src.numDataBlocks(), 300u);
+    EXPECT_TRUE(src.hasData(0));
+    EXPECT_FALSE(src.hasData(0x40000));
+    EXPECT_EQ(src.readData(3 * BlockSize), zeroBlock());
+    EXPECT_EQ(src.readMac(6 * BlockSize), 3u);
+    EXPECT_TRUE(src.hasData(22 * 3 * BlockSize));  // a page-1 block
+    EXPECT_EQ(src.counterPages(), (std::vector<std::uint64_t>{0}));
+    EXPECT_FALSE(copy.hasData(0));
+    EXPECT_EQ(copy.readData(3 * BlockSize)[0], 0xff);
+    EXPECT_EQ(copy.readMac(6 * BlockSize), 3u ^ 0xf0u);
+    EXPECT_EQ(copy.readMac(9 * BlockSize), 4u);
+    EXPECT_EQ(copy.numDataBlocks(), 300u + 1 - 1 - other.numDataBlocks());
+    EXPECT_GT(other.numDataBlocks(), 0u);
+}
+
+TEST(Oracle, CopyIsIndependentOfItsSource)
+{
+    PersistOracle src;
+    for (unsigned i = 0; i < 300; ++i)
+        src.applyStore(i * 3 * BlockSize, i + 1, i % 2 == 0);
+    PersistOracle copy = src;
+    copy.applyStore(0, 77, true);
+    copy.forgetBlock(3 * BlockSize);
+    PersistOracle other;
+    copy.movePageTo(other, 1);
+    src.applyStore(6 * BlockSize + 8, 5);
+
+    EXPECT_EQ(src.numBlocks(), 300u);
+    EXPECT_EQ(src.storeCount(0), 1u);
+    EXPECT_TRUE(src.touched(3 * BlockSize));
+    EXPECT_TRUE(src.touched(PageSize + 2 * BlockSize));
+    EXPECT_EQ(src.storeCount(6 * BlockSize), 2u);
+    EXPECT_EQ(src.numPersists(), 301u);
+    EXPECT_EQ(copy.storeCount(0), 2u);
+    EXPECT_EQ(copy.preResidencyCount(0), 1u);
+    EXPECT_FALSE(copy.touched(3 * BlockSize));
+    EXPECT_FALSE(copy.touched(PageSize + 2 * BlockSize));
+    EXPECT_EQ(copy.storeCount(6 * BlockSize), 1u);
+    EXPECT_EQ(copy.numPersists(), 301u);
+    EXPECT_EQ(other.storeCount(PageSize + 2 * BlockSize), 1u);
+    EXPECT_EQ(copy.numBlocks() + other.numBlocks(), 299u);
+}
+
 TEST(Oracle, StoresAccumulateInOrder)
 {
     PersistOracle o;
@@ -164,7 +288,7 @@ TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
     a.applyStore(page + BlockSize, 42, true);  // block 1 opens a residency
     b.applyStore(9 * PageSize, 5);             // b's own page stays put
 
-    a.movePageTo(b, page, PageSize);
+    a.movePageTo(b, page / PageSize);
     // Every block's counts and the versions recovery can ask for.
     const auto snapshot = [&](const PersistOracle &o) {
         std::vector<std::tuple<std::uint64_t, std::uint64_t, BlockData,
@@ -184,8 +308,8 @@ TEST(Oracle, PageMovedBackAndForthKeepsItsHistory)
     EXPECT_EQ(b.preResidencyCount(page + BlockSize), 1u);
 
     for (int round = 0; round < 1000; ++round) {
-        b.movePageTo(a, page, PageSize);
-        a.movePageTo(b, page, PageSize);
+        b.movePageTo(a, page / PageSize);
+        a.movePageTo(b, page / PageSize);
     }
     EXPECT_EQ(a.numBlocks(), 0u);
     EXPECT_EQ(b.numBlocks(), 7u);
@@ -208,7 +332,7 @@ TEST(Oracle, SnapshotTravelsWithMigratedPage)
     a.applyStore(blk, 3, true);
     a.applyStore(blk + 16, 4);
 
-    a.movePageTo(b, 5 * PageSize, PageSize);
+    a.movePageTo(b, 5);
     EXPECT_FALSE(a.touched(blk));
     EXPECT_EQ(b.storeCount(blk), 4u);
     EXPECT_EQ(b.abandonedVersion(blk, 2), 2u);
