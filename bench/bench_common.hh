@@ -79,6 +79,34 @@ envU64(const char *name, std::uint64_t fallback)
     return v && *v ? parseDecimalU64(name, v) : fallback;
 }
 
+/** The trials a soak runs, [first, end), and the seed they draw from. */
+struct SoakRange
+{
+    std::uint64_t seed, first, end;
+};
+
+/**
+ * fault_soak's SECPB_SOAK_* knobs: SECPB_SOAK_SEED (default 2026) and
+ * SECPB_SOAK_TRIALS (trials [0, N), default @p default_trials), or
+ * SECPB_SOAK_TRIAL to replay exactly one trial from a reproducer (trial
+ * streams are independent, so it needs none of its predecessors). Each
+ * goes through envU64: strict, and empty means unset.
+ */
+inline SoakRange
+soakRange(std::uint64_t default_trials)
+{
+    SoakRange r{envU64("SECPB_SOAK_SEED", 2026), 0,
+                envU64("SECPB_SOAK_TRIALS", default_trials)};
+    const char *one = std::getenv("SECPB_SOAK_TRIAL");
+    if (one && *one) {
+        r.first = envU64("SECPB_SOAK_TRIAL", 0);
+        fatal_if(r.first == UINT64_MAX,
+                 "SECPB_SOAK_TRIAL '%s': no trial range ends after it", one);
+        r.end = r.first + 1;
+    }
+    return r;
+}
+
 /** Parsed shared command line of one bench binary. */
 struct BenchCli
 {

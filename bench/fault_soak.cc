@@ -7,9 +7,12 @@
  * secpm/triad/eadr/stream, trial t running SchemeZoo[t % 10] -- through
  * randomized crash points, bounded battery budgets, and post-crash tamper
  * attacks, fully deterministic from one seed, and prints a per-scheme
- * summary of what the sweep exercised. Exits nonzero
- * on the first-ever inconsistent recovery or silently accepted tamper,
- * printing a one-line reproducer.
+ * summary of what the sweep exercised. Each trial is drawn by
+ * SoakTrial::draw and judged by judgeSoakTrial (fault/injector.hh), the
+ * same draw and verdict as the unit-test soak: the run exits nonzero,
+ * printing a one-line reproducer per failing trial, on an inconsistent
+ * recovery, a silently accepted tamper, an unbounded battery that
+ * abandons anything, or a bounded one that overspends.
  *
  * Each trial's parameter draw is seeded by (seed, trial index) alone, so
  * trials are independent experiment points: the engine runs them on
@@ -33,7 +36,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hh"
@@ -41,14 +43,9 @@
 #include "fault/power.hh"
 
 using namespace secpb;
-using bench::envU64;
 
 namespace
 {
-
-constexpr const char *SoakProfiles[] = {
-    "gamess", "omnetpp", "lbm", "mcf", "libquantum",
-};
 
 struct SchemeTally
 {
@@ -62,41 +59,6 @@ struct SchemeTally
     std::uint64_t tampers = 0;
     std::uint64_t failures = 0;
 };
-
-/** Deterministic per-trial parameter draw, from (seed, trial) only. */
-struct TrialParams
-{
-    std::uint64_t schemeIdx;
-    SchemeParams schemeParams;
-    const char *profile;
-    std::uint64_t instructions;
-    std::uint64_t wseed;
-    FaultPlan plan;
-};
-
-TrialParams
-drawTrial(std::uint64_t seed, std::uint64_t trial)
-{
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
-    TrialParams t;
-    // Round-robin over the zoo so every scheme soaks evenly; the triad
-    // depth cycles through its useful range.
-    t.schemeIdx = trial % std::size(SchemeZoo);
-    if (SchemeZoo[t.schemeIdx] == Scheme::Triad)
-        t.schemeParams.triadLevels = 1 + static_cast<unsigned>(trial % 4);
-    t.profile = SoakProfiles[rng.below(std::size(SoakProfiles))];
-    t.instructions = 8'000 + rng.below(8'000);
-    t.wseed = rng.next();
-    if (rng.chance(0.5))
-        t.plan.crashAtPersist = 1 + rng.below(220);
-    else
-        t.plan.crashAtTick = 100 + rng.below(40'000);
-    if (!rng.chance(1.0 / 3.0))
-        t.plan.batteryFraction = rng.uniform();
-    t.plan.tamperCount = static_cast<unsigned>(rng.below(4));
-    t.plan.tamperSeed = rng.next();
-    return t;
-}
 
 /**
  * Intermittent-power soak (--power-schedule): each trial runs one full
@@ -123,14 +85,11 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
 
     bench::Sweep sweep(cli);
     std::vector<std::size_t> idx;
-    std::vector<std::uint64_t> schemeOf;
     const CapacitorParams params = cli.spec.batteryParams();
     for (std::uint64_t trial = first; trial < trials; ++trial) {
-        const std::uint64_t si = trial % std::size(SchemeZoo);
-        schemeOf.push_back(si);
-        Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
-        const char *profile =
-            SoakProfiles[rng.below(std::size(SoakProfiles))];
+        // The classic trial's scheme and profile; its crash plan is
+        // replaced by the power schedule.
+        const SoakTrial t = SoakTrial::draw(seed, trial);
         PowerScheduleSpec schedule = base;
         schedule.seed = seed * 1'000'003 + trial;
         // Alternate the adaptive drain policy: even trials run with it
@@ -142,12 +101,10 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
         // The default machine with a 1 GiB PM region, not a profile's.
         ExperimentPoint p;
         p.label = "trial=" + std::to_string(trial);
-        p.profile = profile;
+        p.profile = t.profile;
         SystemConfig &cfg = p.spec.base;
-        cfg.scheme = SchemeZoo[si];
-        if (cfg.scheme == Scheme::Triad)
-            cfg.secpb.params.triadLevels =
-                1 + static_cast<unsigned>(trial % 4);
+        cfg.scheme = t.scheme;
+        cfg.secpb.params = t.params;
         cfg.pmDataBytes = 1ULL << 30;
         cfg.battery.enabled = true;
         cfg.battery.cap = params;
@@ -204,21 +161,18 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
     double tot[7] = {};
     for (std::size_t i = 0; i < idx.size(); ++i) {
         const ExperimentResult &r = sweep.at(idx[i]);
-        ++perScheme[schemeOf[i]];
-        tot[0] += r.extraValue("cycles");
-        tot[1] += r.extraValue("abandoned_entries");
-        tot[2] += r.extraValue("quarantined");
-        tot[3] += r.extraValue("rolled_back");
-        tot[4] += r.extraValue("brownouts");
-        tot[5] += r.extraValue("interrupted_restores");
-        tot[6] += r.extraValue("overspent_drains");
+        const std::size_t si = (first + i) % std::size(SchemeZoo);
+        ++perScheme[si];
+        // The runner's extras after "ok", in the order printed below.
+        for (std::size_t k = 0; k < std::size(tot); ++k)
+            tot[k] += r.extra[k + 1].second;
         if (r.extraValue("ok") == 0.0) {
             exit_code = 1;
             std::printf("FAIL: SECPB_SOAK_SEED=%llu trial=%llu scheme=%s "
                         "--power-schedule '%s'%s\n",
                         static_cast<unsigned long long>(seed),
                         static_cast<unsigned long long>(first + i),
-                        schemeName(SchemeZoo[schemeOf[i]]),
+                        schemeName(SchemeZoo[si]),
                         cli.spec.powerSchedule.c_str(),
                         r.extraValue("overspent_drains") > 0.0
                             ? " (drain exceeded capacitor energy)"
@@ -248,14 +202,7 @@ main(int argc, char **argv)
 {
     const bench::BenchCli cli =
         bench::BenchCli::parse(argc, argv, "fault_soak");
-    const std::uint64_t seed = envU64("SECPB_SOAK_SEED", 2026);
-    // Trial streams are independent (seeded by trial index), so one
-    // reproducer's trial can be replayed without its predecessors.
-    const std::uint64_t first = envU64("SECPB_SOAK_TRIAL", 0);
-    const std::uint64_t trials =
-        std::getenv("SECPB_SOAK_TRIAL")
-            ? first + 1
-            : envU64("SECPB_SOAK_TRIALS", 300);
+    const auto [seed, first, trials] = bench::soakRange(300);
 
     if (!cli.spec.powerSchedule.empty())
         return runIntermittentSoak(cli, seed, first, trials);
@@ -267,9 +214,9 @@ main(int argc, char **argv)
 
     bench::Sweep sweep(cli);
     std::vector<std::size_t> idx;
-    std::vector<TrialParams> params;
+    std::vector<SoakTrial> params;
     for (std::uint64_t trial = first; trial < trials; ++trial) {
-        const TrialParams t = drawTrial(seed, trial);
+        const SoakTrial t = SoakTrial::draw(seed, trial);
         params.push_back(t);
 
         // The default machine with a 1 GiB PM region, not a profile's.
@@ -277,23 +224,24 @@ main(int argc, char **argv)
         p.label = "trial=" + std::to_string(trial);
         p.profile = t.profile;
         SimulationSpec &spec = p.spec;
-        spec.base.scheme = SchemeZoo[t.schemeIdx];
-        spec.base.secpb.params = t.schemeParams;
+        spec.base.scheme = t.scheme;
+        spec.base.secpb.params = t.params;
         spec.base.pmDataBytes = 1ULL << 30;
         // --workload crash-soaks a registry workload (WAL commits and
         // journal trains crashing mid-burst) instead of the profiles.
         spec.workload = cli.spec.workload;
         spec.instructions = t.instructions;
-        spec.seed = t.wseed;
+        spec.seed = t.workloadSeed;
         p.tag("plan", t.plan.describe());
         p.custom = [plan = t.plan](const ExperimentPoint &pt) {
             Simulation sim(pt.spec);
             const auto gen = pointWorkload(pt);
             const FaultReport r =
                 FaultInjector(sim.system(), plan).run(*gen);
+            const SoakVerdict v = judgeSoakTrial(r, plan, sim.system());
             ExperimentResult res;
             res.extra = {
-                {"ok", r.ok() ? 1.0 : 0.0},
+                {"ok", v == SoakVerdict::Pass ? 1.0 : 0.0},
                 {"recovered", r.crash.recovered ? 1.0 : 0.0},
                 {"mid_run_crash", r.crashedMidRun ? 1.0 : 0.0},
                 {"battery_exhausted",
@@ -306,6 +254,10 @@ main(int argc, char **argv)
                  static_cast<double>(r.crash.recovery.staleConsistent)},
                 {"tampers", static_cast<double>(r.tampers.size())},
             };
+            // Only a failing trial carries its verdict, so a clean
+            // soak's JSON keeps its fields.
+            if (v != SoakVerdict::Pass)
+                res.extra.emplace_back("verdict", static_cast<double>(v));
             return res;
         };
         idx.push_back(sweep.add(std::move(p)));
@@ -316,9 +268,9 @@ main(int argc, char **argv)
     SchemeTally tally[std::size(SchemeZoo)];
     int exit_code = 0;
     for (std::size_t i = 0; i < idx.size(); ++i) {
-        const TrialParams &t = params[i];
+        const SoakTrial &t = params[i];
         const ExperimentResult &r = sweep.at(idx[i]);
-        SchemeTally &st = tally[t.schemeIdx];
+        SchemeTally &st = tally[(first + i) % std::size(SchemeZoo)];
         ++st.trials;
         st.midRunCrashes +=
             static_cast<std::uint64_t>(r.extraValue("mid_run_crash"));
@@ -336,17 +288,12 @@ main(int argc, char **argv)
         if (r.extraValue("ok") == 0.0) {
             ++st.failures;
             exit_code = 1;
-            std::printf("FAIL: SECPB_SOAK_SEED=%llu trial=%llu scheme=%s "
-                        "profile=%s instrs=%llu wseed=%llu %s (%s)\n",
+            std::printf("FAIL: SECPB_SOAK_SEED=%llu trial=%llu %s (%s)\n",
                         static_cast<unsigned long long>(seed),
                         static_cast<unsigned long long>(first + i),
-                        schemeName(SchemeZoo[t.schemeIdx]), t.profile,
-                        static_cast<unsigned long long>(t.instructions),
-                        static_cast<unsigned long long>(t.wseed),
-                        t.plan.describe().c_str(),
-                        r.extraValue("recovered") == 0.0
-                            ? "inconsistent recovery"
-                            : "undetected tamper");
+                        t.describe().c_str(),
+                        soakVerdictName(static_cast<SoakVerdict>(
+                            r.extraValue("verdict"))));
         }
     }
 

@@ -7,10 +7,15 @@
  * design space beyond the canned table/figure harnesses.
  *
  * Usage:
- *   secpb_sim [--scheme cobcm] [--bench gamess|all] [--instr N]
- *             [--entries N] [--bmf none|dbmf|sbmf] [--seed N]
- *             [--stats] [--csv] [--crash TICK] [--list] [--help]
+ *   secpb_sim [--scheme cobcm] [--bench gamess|all] [--entries N]
+ *             [--bmf none|dbmf|sbmf] [--stats] [--csv] [--crash TICK]
+ *             [--list] [--help] [spec flags]
  *
+ * The spec flags (--instr, --seed, --workload, --trace-in,
+ * --trace-record, ...) go through SimulationSpec::fromCli, the parser
+ * every bench shares, and the run is built like a sweep point
+ * (makePoint + pointWorkload): --workload or --trace-in runs that
+ * workload on the server machine model instead of a --bench profile.
  * Integer values must be plain non-negative decimals; anything else
  * (a sign, trailing garbage, overflow) is fatal, never truncated.
  */
@@ -22,7 +27,7 @@
 #include <limits>
 #include <string>
 
-#include "core/simulation.hh"
+#include "exp/experiment.hh"
 #include "workload/synthetic.hh"
 
 using namespace secpb;
@@ -33,18 +38,20 @@ namespace
 /** The usage block above, printed by --help (-h). */
 constexpr const char *Usage =
     "Usage:\n"
-    "  secpb_sim [--scheme cobcm] [--bench gamess|all] [--instr N]\n"
-    "            [--entries N] [--bmf none|dbmf|sbmf] [--seed N]\n"
-    "            [--stats] [--csv] [--crash TICK] [--list] [--help]\n";
+    "  secpb_sim [--scheme cobcm] [--bench gamess|all] [--entries N]\n"
+    "            [--bmf none|dbmf|sbmf] [--stats] [--csv] [--crash TICK]\n"
+    "            [--list] [--help] [spec flags]\n"
+    "\n"
+    "Spec flags (--workload/--trace-in run on the server machine model\n"
+    "instead of a --bench profile; the battery and power flags belong\n"
+    "to table6_battery_sweep and fault_soak):\n";
 
 struct Options
 {
     std::string scheme = "cobcm";
-    std::string bench = "gamess";
-    std::uint64_t instr = 300'000;
+    std::string bench;  ///< Empty: gamess, or the --workload alone.
     unsigned entries = 32;
     std::string bmf = "none";
-    std::uint64_t seed = 7;
     bool dumpStats = false;
     bool csv = false;
     Tick crashAt = 0;
@@ -64,42 +71,46 @@ parseBmf(const std::string &s)
 }
 
 void
-printResult(const Options &opt, const std::string &bench,
+printResult(const Options &opt, const std::string &label,
             const SimulationResult &r)
 {
     if (opt.csv) {
         std::printf("%s,%s,%" PRIu64 ",%" PRIu64 ",%.4f,%.2f,%.2f,"
                     "%" PRIu64 ",%" PRIu64 "\n",
-                    opt.scheme.c_str(), bench.c_str(), r.instructions,
+                    opt.scheme.c_str(), label.c_str(), r.instructions,
                     r.execTicks, r.ipc, r.ppti, r.nwpe, r.bmtRootUpdates,
                     r.pcmWrites);
         return;
     }
     std::printf("%-12s %-8s: %10" PRIu64 " cycles  IPC %.3f  PPTI %.1f  "
                 "NWPE %.2f  BMT updates %" PRIu64 "\n",
-                bench.c_str(), opt.scheme.c_str(), r.execTicks, r.ipc,
+                label.c_str(), opt.scheme.c_str(), r.execTicks, r.ipc,
                 r.ppti, r.nwpe, r.bmtRootUpdates);
 }
 
+/** Run @p profile ("" = the server machine under spec.workload). */
 int
-runOne(const Options &opt, const std::string &bench)
+runOne(const Options &opt, const SimulationSpec &spec,
+       const std::string &profile)
 {
-    const BenchmarkProfile &profile = profileByName(bench);
     SchemeParams params;
-    SimulationSpec spec;
-    spec.base = SecPbSystem::configFor(
-        parseSchemeSpec(opt.scheme, &params), profile);
-    spec.base.secpb.params = params;
-    spec.base.secpb.numEntries = opt.entries;
-    spec.base.walker.bmfMode = parseBmf(opt.bmf);
-    spec.instructions = opt.instr;
-    spec.seed = opt.seed;
-    Simulation sim(spec);
+    ExperimentPoint p =
+        makePoint(parseSchemeSpec(opt.scheme, &params), profile);
+    p.label = profile.empty() ? spec.workload : profile;
+    SystemConfig &cfg = p.spec.base;
+    cfg.secpb.params = params;
+    cfg.secpb.numEntries = opt.entries;
+    cfg.walker.bmfMode = parseBmf(opt.bmf);
+    p.spec.instructions = spec.instructions;
+    p.spec.seed = spec.seed;
+    p.spec.workload = spec.workload;
+    p.spec.traceRecord = spec.traceRecord;
+    Simulation sim(p.spec);
     SecPbSystem &sys = sim.system();
-    SyntheticGenerator gen(profile, opt.instr, opt.seed);
+    const std::unique_ptr<WorkloadGenerator> gen = pointWorkload(p);
 
     if (opt.crashAt > 0) {
-        sys.start(gen);
+        sys.start(*gen);
         sys.runUntil(opt.crashAt);
         CrashReport cr = sys.crashNow();
         std::printf("crash @ %" PRIu64 ": drained %" PRIu64 " entries, "
@@ -111,8 +122,8 @@ runOne(const Options &opt, const std::string &bench)
         return cr.recovered ? 0 : 1;
     }
 
-    SimulationResult r = sys.run(gen);
-    printResult(opt, bench, r);
+    SimulationResult r = sys.run(*gen);
+    printResult(opt, p.label, r);
     if (opt.dumpStats)
         sys.dumpStats(std::cout);
     return 0;
@@ -124,6 +135,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
+    SimulationSpec spec = SimulationSpec::fromCli(argc, argv, "secpb_sim");
     Options opt;
     for (int i = 1; i < argc; ++i) {
         auto need = [&](const char *flag) -> const char * {
@@ -139,8 +151,6 @@ main(int argc, char **argv)
             opt.scheme = need("--scheme");
         else if (!std::strcmp(argv[i], "--bench"))
             opt.bench = need("--bench");
-        else if (!std::strcmp(argv[i], "--instr"))
-            opt.instr = number("--instr");
         else if (!std::strcmp(argv[i], "--entries")) {
             const std::uint64_t n = number("--entries");
             fatal_if(n > std::numeric_limits<unsigned>::max(),
@@ -151,8 +161,6 @@ main(int argc, char **argv)
         }
         else if (!std::strcmp(argv[i], "--bmf"))
             opt.bmf = need("--bmf");
-        else if (!std::strcmp(argv[i], "--seed"))
-            opt.seed = number("--seed");
         else if (!std::strcmp(argv[i], "--stats"))
             opt.dumpStats = true;
         else if (!std::strcmp(argv[i], "--csv"))
@@ -164,10 +172,22 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--help") ||
                  !std::strcmp(argv[i], "-h")) {
             std::fputs(Usage, stdout);
+            std::fputs(SimulationSpec::cliHelp(), stdout);
             return 0;
         } else
             fatal("unknown flag '%s'", argv[i]);
     }
+
+    const SimulationSpec defaults;
+    fatal_if(spec.batteryTech != defaults.batteryTech ||
+                 spec.batteryDerate != defaults.batteryDerate ||
+                 !spec.powerSchedule.empty(),
+             "secpb_sim: --battery-tech, --battery-derate and "
+             "--power-schedule are not modelled here (use "
+             "table6_battery_sweep or fault_soak)");
+    fatal_if(!spec.workload.empty() && !opt.bench.empty(),
+             "secpb_sim: --bench and --workload/--trace-in are mutually "
+             "exclusive (a workload runs on the server machine model)");
 
     if (opt.list) {
         std::printf("benchmarks:");
@@ -181,11 +201,15 @@ main(int argc, char **argv)
         std::printf("scheme,bench,instructions,cycles,ipc,ppti,nwpe,"
                     "bmt_updates,pcm_writes\n");
 
+    if (!spec.workload.empty())
+        return runOne(opt, spec, "");
     if (opt.bench == "all") {
         int rc = 0;
-        for (const auto &p : spec2006Profiles())
-            rc |= runOne(opt, p.name);
+        for (const auto &p : spec2006Profiles()) {
+            rc |= runOne(opt, spec, p.name);
+            spec.traceRecord.clear();  // --trace-record: first run only
+        }
         return rc;
     }
-    return runOne(opt, opt.bench);
+    return runOne(opt, spec, opt.bench.empty() ? "gamess" : opt.bench);
 }

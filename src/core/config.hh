@@ -13,7 +13,6 @@
 #include "pb/adaptive.hh"
 #include "crypto/cipher.hh"
 #include "crypto/engine.hh"
-#include "mem/data_hierarchy.hh"
 #include "mem/pcm.hh"
 #include "mem/set_assoc.hh"
 #include "metadata/walker.hh"
@@ -75,7 +74,6 @@ struct SystemConfig
 
     SecPbConfig secpb;
     PcmConfig pcm;
-    DataHierarchyConfig dataCache;
     CryptoLatencies crypto;
     WalkerConfig walker;
 

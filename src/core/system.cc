@@ -13,8 +13,6 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
       _energy(EnergyCosts{}, 0 /* placeholder, fixed below */)
 {
     _pcm = std::make_unique<PcmModel>(_eq, cfg.pcm, _rootStats);
-    _dcache = std::make_unique<DataHierarchy>(cfg.dataCache, *_pcm,
-                                              _rootStats);
     _wpq = std::make_unique<WritePendingQueue>(_eq, *_pcm, cfg.wpqEntries,
                                                _rootStats);
     _ctrCache = std::make_unique<MetadataCache>(
@@ -37,8 +35,7 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
         _pm, *_crypto, *_walker, *_ctrCache, *_macCache, *_wpq, _rootStats);
     _sb = std::make_unique<StoreBuffer>(_eq, *_secpb,
                                         cfg.storeBufferEntries, _rootStats);
-    _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.cpu, _rootStats,
-                                      _dcache.get());
+    _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.cpu, _rootStats);
 
     _energy = EnergyModel(EnergyCosts{}, _tree->numLevels() + 1);
 

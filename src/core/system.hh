@@ -36,7 +36,6 @@
 #include "cpu/store_buffer.hh"
 #include "cpu/trace_cpu.hh"
 #include "energy/energy_model.hh"
-#include "mem/data_hierarchy.hh"
 #include "mem/pcm.hh"
 #include "mem/pm_image.hh"
 #include "mem/wpq.hh"
@@ -167,7 +166,6 @@ class SecPbSystem
     MetadataCache &ctrCache() { return *_ctrCache; }
     MetadataCache &bmtCache() { return *_bmtCache; }
     MetadataCache &macCache() { return *_macCache; }
-    DataHierarchy &dataCache() { return *_dcache; }
     const SystemConfig &config() const { return _cfg; }
     const EnergyModel &energyModel() const { return _energy; }
 
@@ -201,7 +199,6 @@ class SecPbSystem
     EnergyModel _energy;
 
     std::unique_ptr<PcmModel> _pcm;
-    std::unique_ptr<DataHierarchy> _dcache;
     std::unique_ptr<WritePendingQueue> _wpq;
     std::unique_ptr<MetadataCache> _ctrCache;
     std::unique_ptr<MetadataCache> _bmtCache;

@@ -22,7 +22,6 @@
 #include <optional>
 
 #include "cpu/store_buffer.hh"
-#include "mem/data_hierarchy.hh"
 #include "cpu/trace_op.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
@@ -45,13 +44,6 @@ struct CpuConfig
     unsigned retireWidth = 4;
     unsigned quantum = 128;       ///< Instructions retired per CPU event.
     LoadPenalties loadPenalties;
-    /**
-     * Load-path mode: false (default) draws hit levels from the workload
-     * profile's statistics -- the calibrated mode used by the paper
-     * reproductions; true drives the real L1/L2/L3 tag arrays with the
-     * generator's load addresses, letting hit levels emerge.
-     */
-    bool addressDrivenLoads = false;
 };
 
 /** The trace-driven core. */
@@ -59,8 +51,8 @@ class TraceCpu
 {
   public:
     TraceCpu(EventQueue &eq, StoreBuffer &sb, const CpuConfig &cfg,
-             StatGroup &parent, DataHierarchy *dcache = nullptr)
-        : _eq(eq), _sb(sb), _cfg(cfg), _dcache(dcache),
+             StatGroup &parent)
+        : _eq(eq), _sb(sb), _cfg(cfg),
           _stats("cpu", &parent),
           statInstructions(_stats, "instructions", "instructions retired"),
           statLoads(_stats, "loads", "loads retired"),
@@ -124,19 +116,13 @@ class TraceCpu
                 executed += op.count;
                 statInstructions += op.count;
                 break;
-              case TraceOp::Kind::Load: {
-                MemLevel level = op.level;
-                if (_cfg.addressDrivenLoads && _dcache)
-                    level = _dcache->load(op.addr).level;
-                frac += 1.0 / _cfg.retireWidth + loadPenalty(level);
+              case TraceOp::Kind::Load:
+                frac += 1.0 / _cfg.retireWidth + loadPenalty(op.level);
                 ++executed;
                 ++statInstructions;
                 ++statLoads;
                 break;
-              }
               case TraceOp::Kind::Store:
-                if (_cfg.addressDrivenLoads && _dcache)
-                    _dcache->storeAllocate(op.addr);
                 frac += 1.0 / _cfg.retireWidth;
                 ++executed;
                 ++statInstructions;
@@ -216,7 +202,6 @@ class TraceCpu
     EventQueue &_eq;
     StoreBuffer &_sb;
     CpuConfig _cfg;
-    DataHierarchy *_dcache;
     WorkloadGenerator *_gen = nullptr;
     EventCallback _done;
     std::optional<PendingStore> _pendingStore;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "mem/data_hierarchy.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -117,14 +116,10 @@ EnergyModel::provisionedEnergy(Scheme scheme, unsigned secpb_entries,
 double
 EnergyModel::eadrBatteryEnergy() const
 {
-    const DataHierarchyConfig h;
-    const double l1_lines = static_cast<double>(h.l1.sizeBytes) / BlockSize;
-    const double l2_lines = static_cast<double>(h.l2.sizeBytes) / BlockSize;
-    const double l3_lines = static_cast<double>(h.l3.sizeBytes) / BlockSize;
-    const double block = static_cast<double>(BlockSize);
-    return l1_lines * block * _costs.moveL1ToPm +
-           l2_lines * block * _costs.moveL2ToPm +
-           l3_lines * block * _costs.moveL3ToPm;
+    const DataCacheCapacity &h = TableIDataCaches;
+    return static_cast<double>(h.l1Bytes) * _costs.moveL1ToPm +
+           static_cast<double>(h.l2Bytes) * _costs.moveL2ToPm +
+           static_cast<double>(h.l3Bytes) * _costs.moveL3ToPm;
 }
 
 double
@@ -133,9 +128,8 @@ EnergyModel::sEadrBatteryEnergy() const
     // Assumption (1): every cache line is dirty and needs its full
     // security-metadata tuple generated under the same worst-case
     // assumptions as a fully lazy SecPB entry.
-    const double total_lines =
-        static_cast<double>(DataHierarchyConfig{}.totalBytes()) / BlockSize;
-    return eadrBatteryEnergy() + total_lines * fullLateTupleEnergy();
+    const double lines = static_cast<double>(TableIDataCaches.lines());
+    return eadrBatteryEnergy() + lines * fullLateTupleEnergy();
 }
 
 BatteryEstimate

@@ -45,6 +45,23 @@ struct EnergyCosts
     double aesPerByte = 30e-9;      ///< AES-192 (OTP generation), J/B.
 };
 
+/**
+ * Table I's data-cache capacities: the lines an eADR battery flushes.
+ * No simulated cache holds these tags -- the profiles draw load latency
+ * directly, and SecPB data caches never write back (Section IV-C(a)).
+ */
+struct DataCacheCapacity
+{
+    std::uint64_t l1Bytes, l2Bytes, l3Bytes;
+
+    constexpr std::uint64_t lines() const
+    { return (l1Bytes + l2Bytes + l3Bytes) / BlockSize; }
+};
+
+/** 64 KB L1D / 512 KB L2 / 4 MB L3 (Table I). */
+inline constexpr DataCacheCapacity TableIDataCaches{
+    64 * 1024, 512 * 1024, 4 * 1024 * 1024};
+
 /** An energy-storage technology. */
 struct BatteryTech
 {
@@ -118,7 +135,7 @@ class EnergyModel
 
     /**
      * Battery energy for insecure eADR: flush every line of the Table I
-     * hierarchy (DataHierarchyConfig) to PM.
+     * hierarchy (TableIDataCaches) to PM.
      */
     double eadrBatteryEnergy() const;
 

@@ -7,6 +7,7 @@
 #include "obs/trace.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace secpb
 {
@@ -124,6 +125,75 @@ FaultInjector::run(WorkloadGenerator &gen)
     }
 
     return report;
+}
+
+SoakTrial
+SoakTrial::draw(std::uint64_t seed, std::uint64_t trial)
+{
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
+    SoakTrial t;
+    // Round-robin over the zoo so every scheme soaks regardless of the
+    // trial count; the triad depth cycles through its useful range.
+    t.scheme = SchemeZoo[trial % std::size(SchemeZoo)];
+    if (t.scheme == Scheme::Triad)
+        t.params.triadLevels = 1 + static_cast<unsigned>(trial % 4);
+    t.profile = SoakProfiles[rng.below(std::size(SoakProfiles))];
+    t.instructions = 8'000 + rng.below(8'000);
+    t.workloadSeed = rng.next();
+    if (rng.chance(0.5))
+        t.plan.crashAtPersist = 1 + rng.below(220);
+    else
+        t.plan.crashAtTick = 100 + rng.below(40'000);
+    // A third of trials keep the correctly provisioned battery (must
+    // abandon nothing); the rest scale it down to force partial drains.
+    if (!rng.chance(1.0 / 3.0))
+        t.plan.batteryFraction = rng.uniform();
+    t.plan.tamperCount = static_cast<unsigned>(rng.below(4));
+    t.plan.tamperSeed = rng.next();
+    return t;
+}
+
+std::string
+SoakTrial::describe() const
+{
+    return std::string("scheme=") + schemeSpecName(scheme, params) +
+           " profile=" + profile + " instrs=" + std::to_string(instructions) +
+           " wseed=" + std::to_string(workloadSeed) + " " + plan.describe();
+}
+
+const char *
+soakVerdictName(SoakVerdict v)
+{
+    static constexpr const char *Names[] = {
+        "pass", "inconsistent recovery", "undetected tamper",
+        "abandoned entries the battery could pay for", "battery overspent",
+    };
+    return Names[static_cast<int>(v)];
+}
+
+SoakVerdict
+judgeSoakTrial(const FaultReport &r, const FaultPlan &plan,
+               const SecPbSystem &sys)
+{
+    if (!r.crash.recovered)
+        return SoakVerdict::InconsistentRecovery;
+    if (!r.tampersAllDetected)
+        return SoakVerdict::UndetectedTamper;
+    const CrashWork &w = r.crash.work;
+    if (plan.boundedBattery() ? !w.abandoned.empty() && !w.batteryExhausted
+                              : !w.abandoned.empty() || w.batteryExhausted)
+        return SoakVerdict::UnpaidAbandon;
+    if (!plan.boundedBattery())
+        return SoakVerdict::Pass;
+    CrashWork flush_only;
+    flush_only.pmBlockWrites = w.mdcBlockFlushes;
+    flush_only.cacheLinesFlushed = w.cacheLinesFlushed;
+    const double floor = sys.energyModel().actualCrashEnergy(flush_only);
+    const double budget =
+        *plan.batteryFraction * sys.provisionedCrashEnergy();
+    return w.energySpentJ <= std::max(budget, floor) + 1e-12
+               ? SoakVerdict::Pass
+               : SoakVerdict::Overspent;
 }
 
 } // namespace secpb

@@ -125,6 +125,58 @@ class FaultInjector
     FaultPlan _plan;
 };
 
+/** The synthetic profiles a randomized crash soak draws from. */
+inline constexpr const char *SoakProfiles[] = {
+    "gamess", "omnetpp", "lbm", "mcf", "libquantum",
+};
+
+/**
+ * One randomized crash-soak trial, drawn from (seed, trial) alone, so a
+ * reproducer's trial replays without its predecessors. Trial t runs
+ * SchemeZoo[t % 10] (triad's depth cycling 1..4); the RNG picks the
+ * profile, length, workload seed, crash point (a persist count or a
+ * cycle), battery fraction (unbounded one time in three) and tampers.
+ */
+struct SoakTrial
+{
+    Scheme scheme;
+    SchemeParams params;
+    const char *profile;
+    std::uint64_t instructions;
+    std::uint64_t workloadSeed;
+    FaultPlan plan;
+
+    static SoakTrial draw(std::uint64_t seed, std::uint64_t trial);
+
+    /** "scheme=... profile=... instrs=... wseed=... <plan>". */
+    std::string describe() const;
+};
+
+/** A soak trial's outcome: Pass, or the first check it failed. */
+enum class SoakVerdict
+{
+    Pass,
+    InconsistentRecovery,
+    UndetectedTamper,
+    UnpaidAbandon,  ///< Abandoned unexhausted, or a full battery ran dry.
+    Overspent,      ///< Spent > max(budget, mandatory floor).
+};
+
+/** "inconsistent recovery", "undetected tamper", ... ("pass"). */
+const char *soakVerdictName(SoakVerdict v);
+
+/**
+ * Judge one soak trial's report @p r, run under @p plan on @p sys:
+ * recovery is consistent, every tamper was detected, an unbounded
+ * battery never exhausts and abandons nothing, an abandoned entry
+ * implies exhaustion, and a bounded battery never spends more than
+ * max(budget, mandatory floor). The floor is the crash's metadata-cache
+ * (and eADR hierarchy) flush, which the battery pays first even when it
+ * alone exceeds a tiny budget.
+ */
+SoakVerdict judgeSoakTrial(const FaultReport &r, const FaultPlan &plan,
+                           const SecPbSystem &sys);
+
 } // namespace secpb
 
 #endif // SECPB_FAULT_INJECTOR_HH

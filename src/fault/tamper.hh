@@ -41,18 +41,6 @@ enum class TamperRegion
     BmtNode,  ///< Child digest flipped inside a stored BMT node.
 };
 
-inline const char *
-tamperRegionName(TamperRegion r)
-{
-    switch (r) {
-      case TamperRegion::Data:    return "data";
-      case TamperRegion::Counter: return "counter";
-      case TamperRegion::Mac:     return "mac";
-      case TamperRegion::BmtNode: return "bmt_node";
-    }
-    return "?";
-}
-
 /** One recorded mutation. */
 struct TamperRecord
 {

@@ -2,10 +2,11 @@
  * @file
  * Generic set-associative tag store with LRU replacement.
  *
- * Used for the three security-metadata caches (counter, BMT node, MAC) and
- * the L1/L2/L3 data hierarchy (mem/data_hierarchy.hh). Tag-only:
- * functional payloads live in the PM image / metadata structures; this
- * class answers hit/miss questions and picks victims.
+ * Used for the three security-metadata caches (counter, BMT node, MAC);
+ * the data caches have no tags, since the workload profile draws load
+ * latency directly. Tag-only: functional payloads live in the PM image /
+ * metadata structures; this class answers hit/miss questions and picks
+ * victims.
  */
 
 #ifndef SECPB_MEM_SET_ASSOC_HH

@@ -93,7 +93,6 @@ class Sampler
     void sampleNow();
 
     Tick period() const { return _period; }
-    std::uint64_t epochsTaken() const { return _epochsTaken; }
     bool running() const { return _running; }
 
     /** Unroll the ring into a time-ordered series. */

@@ -66,22 +66,6 @@ enum class BlockFaultKind
                         ///< block: silent corruption.
 };
 
-/** Human-readable fault-kind name (reproducer lines, reports). */
-inline const char *
-blockFaultName(BlockFaultKind k)
-{
-    switch (k) {
-      case BlockFaultKind::MacMismatch:       return "mac_mismatch";
-      case BlockFaultKind::BmtMismatch:       return "bmt_mismatch";
-      case BlockFaultKind::PlaintextMismatch: return "plaintext_mismatch";
-      case BlockFaultKind::SpuriousBlock:     return "spurious_block";
-      case BlockFaultKind::MissingBlock:      return "missing_block";
-      case BlockFaultKind::TornResidency:     return "torn_residency";
-      case BlockFaultKind::PrefixViolation:   return "prefix_violation";
-    }
-    return "?";
-}
-
 /** One classified per-block anomaly. */
 struct BlockFault
 {

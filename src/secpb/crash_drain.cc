@@ -13,9 +13,9 @@
 #include "secpb/secpb.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "energy/energy_model.hh"
-#include "mem/data_hierarchy.hh"
 #include "obs/trace.hh"
 #include "sim/debug.hh"
 
@@ -117,9 +117,8 @@ SecPb::crashFloorWork() const
         return w;
     w.mdcBlockFlushes = _ctrCache.numDirty() + _macCache.numDirty();
     w.pmBlockWrites = w.mdcBlockFlushes;
-    if (_traits.flushesHierarchy) {
-        w.cacheLinesFlushed = DataHierarchyConfig{}.totalBytes() / BlockSize;
-    }
+    if (_traits.flushesHierarchy)
+        w.cacheLinesFlushed = TableIDataCaches.lines();
     return w;
 }
 
@@ -195,15 +194,21 @@ SecPb::crashDrainAll(
     // slot is reserved and its counter already bumped -- so the battery
     // completes every one, whatever the budget, through the shared entry
     // path: OTP, ciphertext, MAC and BMT leaf from the block's current
-    // content, with no counter fetch or increment. Visit order is slot
-    // order, which is fine: each tuple touches only its own block/page,
-    // and the work counters are order-insensitive.
-    _spPending.forEach([&](const Addr &addr) {
-        PbEntry e = spTuple(addr);
-        completeEntryFunctionally(e, work);
-        dropPageSlot(addr, &PageSlots::spPending);
-    });
-    _spPending.clear();
+    // content, with no counter fetch or increment. Visit order is page
+    // row order, blocks ascending, which is fine: each tuple touches
+    // only its own block/page, and the work counters are
+    // order-insensitive. The walk leaves the rows alone; SP keeps no
+    // resident entries, so they all go once it is done.
+    if (_traits.wpqPersistDomain) {
+        _pageSlots.forEach([&](const std::uint64_t &page, const PageSlots &p) {
+            const Addr base = static_cast<Addr>(page) * PageSize;
+            for (std::uint64_t m = p.spPending; m != 0; m &= m - 1) {
+                PbEntry e = spTuple(base + std::countr_zero(m) * BlockSize);
+                completeEntryFunctionally(e, work);
+            }
+        });
+        _pageSlots.clear();
+    }
 
     // Reserve the crash floor up front: the metadata-cache flush (and
     // eADR's hierarchy flush) outranks draining further entries. It is

@@ -104,8 +104,6 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
         _lowWm = _highWm - 1;
     _index.reserve(cfg.numEntries);
     _freeList.reserve(cfg.numEntries);
-    if (_traits.wpqPersistDomain)
-        _spPending.reserve(64);
     for (unsigned i = 0; i < cfg.numEntries; ++i)
         _freeList.push_back(cfg.numEntries - 1 - i);
     _dbg = debug::enabled("SecPb");
@@ -590,7 +588,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
     // Coalescing window: a store to a block whose tuple update is still
     // in flight persists on arrival (the target WPQ slot is already
     // reserved in the ADR domain); the pending tuple picks up the value.
-    if (_spPending.contains(block_addr)) {
+    if (spTuplePending(block_addr)) {
         beginAccept(std::move(unblocked));
         ++statCoalescedHits;
         _oracle.applyStore(addr, value);
@@ -619,7 +617,6 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
         runStages(slot, _eq.curTick() + _cfg.spTraversalCycles);
 
     _oracle.applyStore(addr, value);
-    _spPending.insert(block_addr);
     _pageSlots[block_addr / PageSize].spPending |= blockBit(block_addr);
 
     // The store buffer is released once the persist pipeline has
@@ -651,7 +648,6 @@ SecPb::persistSp(std::uint64_t slot)
     t.vBmt = true;
     persistFunctionally(t);
     _crypto.generateCiphertext();
-    _spPending.erase(e.addr);
     dropPageSlot(e.addr, &PageSlots::spPending);
     e.clear();
     _freeList.push_back(slot);

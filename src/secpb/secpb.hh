@@ -302,7 +302,8 @@ class SecPb
     bool
     spTuplePending(Addr addr) const
     {
-        return _spPending.contains(blockAlign(addr));
+        const PageSlots *p = _pageSlots.find(addr / PageSize);
+        return p && (p->spPending & blockBit(addr));
     }
 
     /** Re-fire the store buffer's space-waiter retries (the epoch engine
@@ -609,6 +610,13 @@ class SecPb
     struct PageSlots
     {
         std::uint64_t resident = 0;
+        /**
+         * SP baseline: blocks with an in-flight tuple update headed for
+         * the WPQ. Later stores to such a block coalesce into it (the
+         * WPQ is the persistence domain, so they persist on arrival);
+         * the tuple is generated from the final plaintext when the
+         * update completes, and a crash's battery completes every one.
+         */
         std::uint64_t spPending = 0;
     };
 
@@ -703,16 +711,6 @@ class SecPb
         EventCallback cb;
     };
     AcceptTracker _accept;
-
-    /**
-     * SP baseline: blocks with an in-flight tuple update headed for the
-     * WPQ (each in a slot of _entries). Later stores to the same block
-     * coalesce into the pending entry (the WPQ is the persistence
-     * domain, so they persist on arrival); the tuple is generated from
-     * the final plaintext when the update completes. On a crash the battery completes every pending
-     * tuple -- covered by the in-flight provisioning margin.
-     */
-    FlatSet<Addr> _spPending;
 
     /**
      * Begin tracking one op of @p e's run (nullptr: of the acceptance

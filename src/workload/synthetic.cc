@@ -105,9 +105,10 @@ SyntheticGenerator::pickStoreAddr()
 Addr
 SyntheticGenerator::pickLoadAddr(MemLevel level)
 {
-    // Region-based locality: regions sized so that, against the Table I
-    // hierarchy, a load drawn for level X predominantly hits level X
-    // after warm-up. Read regions sit above the store working set.
+    // Region-based locality: regions sized so that, against Table I's
+    // cache capacities, a load drawn for level X would predominantly hit
+    // level X after warm-up. Read regions sit above the store working
+    // set.
     const std::uint64_t ws_bytes = _profile.workingSetPages * PageSize;
     const Addr read_base = _regionBase + ws_bytes;
     switch (level) {

@@ -110,8 +110,12 @@ class SyntheticGenerator : public WorkloadGenerator
     /** Current allocation page for clustered fresh blocks. */
     Addr _clusterPage = InvalidAddr;
 
-    /** Pick a load address whose locality matches the profile's
-     *  hit-level mixture (for the address-driven load path). */
+    /**
+     * Pick a load address whose locality matches the drawn hit level.
+     * The core prices loads by op.level alone; the address survives only
+     * in recorded trace files. The draw stays so the RNG stream -- and
+     * with it every op stream, trace file and digest -- is unchanged.
+     */
     Addr pickLoadAddr(MemLevel level);
 
     /** Alternation state: next emission is the memory op of the pair. */

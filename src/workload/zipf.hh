@@ -47,8 +47,6 @@ class ZipfSampler
         return static_cast<std::uint64_t>(it - cdf.begin());
     }
 
-    std::uint64_t numRanks() const { return _cdf->size(); }
-
     /** Probability mass of the @p k most popular ranks. */
     double
     headMass(std::uint64_t k) const

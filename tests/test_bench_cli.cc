@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the shared bench harness: the hardened envU64 (trailing
- * garbage, signs, and overflow are fatal, never a silent truncation),
+ * garbage, signs, and overflow are fatal, never a silent truncation)
+ * and the soak's trial range built on it,
  * the same strict parse on --jobs and --sample-every, the BenchCli
  * filter/parse helpers, and the grid helpers (point factory, scheme
  * picker, Table). Every argv is nullptr-terminated like a real
@@ -81,6 +82,48 @@ TEST(EnvU64Death, NonNumericIsFatal)
     setenv("SECPB_TEST_ENV", "lots", 1);
     EXPECT_EXIT(envU64("SECPB_TEST_ENV", 0),
                 ::testing::ExitedWithCode(1), "not a decimal integer");
+}
+
+TEST(SoakRange, EmptyTrialMeansTheDefaultRange)
+{
+    EnvGuard trial("SECPB_SOAK_TRIAL"), trials("SECPB_SOAK_TRIALS"),
+        seed("SECPB_SOAK_SEED");
+    unsetenv("SECPB_SOAK_TRIALS");
+    unsetenv("SECPB_SOAK_SEED");
+    setenv("SECPB_SOAK_TRIAL", "", 1);
+    const SoakRange r = soakRange(300);
+    EXPECT_EQ(r.seed, 2026u);
+    EXPECT_EQ(r.first, 0u);
+    EXPECT_EQ(r.end, 300u);
+}
+
+TEST(SoakRange, TrialReplaysExactlyThatTrial)
+{
+    EnvGuard trial("SECPB_SOAK_TRIAL"), trials("SECPB_SOAK_TRIALS"),
+        seed("SECPB_SOAK_SEED");
+    setenv("SECPB_SOAK_TRIAL", "17", 1);
+    setenv("SECPB_SOAK_TRIALS", "150", 1);
+    setenv("SECPB_SOAK_SEED", "9", 1);
+    const SoakRange r = soakRange(300);
+    EXPECT_EQ(r.seed, 9u);
+    EXPECT_EQ(r.first, 17u);
+    EXPECT_EQ(r.end, 18u);
+}
+
+using SoakRangeDeath = ::testing::Test;
+
+TEST(SoakRangeDeath, MalformedTrialCountIsFatal)
+{
+    // Read leniently, "abc" would run 0 trials -- skipping the coverage
+    // checks and passing -- and "12x" would run 12.
+    EnvGuard trials("SECPB_SOAK_TRIALS");
+    unsetenv("SECPB_SOAK_TRIAL");
+    setenv("SECPB_SOAK_TRIALS", "abc", 1);
+    EXPECT_EXIT(soakRange(120), ::testing::ExitedWithCode(1),
+                "SECPB_SOAK_TRIALS 'abc': not a decimal integer");
+    setenv("SECPB_SOAK_TRIALS", "12x", 1);
+    EXPECT_EXIT(soakRange(120), ::testing::ExitedWithCode(1),
+                "SECPB_SOAK_TRIALS '12x': not a decimal integer");
 }
 
 TEST(BenchCli, SplitCommas)

@@ -14,111 +14,41 @@
  *    their pre-residency version or as detectably torn, never as silent
  *    corruption;
  *  - an unbounded (or fully provisioned) battery abandons nothing;
+ *  - an abandoned entry implies an exhausted battery, and a bounded
+ *    battery spends no more than max(budget, the mandatory
+ *    metadata-cache flush);
  *  - every injected post-crash tamper is flagged by re-verification.
  *
+ * Trials come from SoakTrial::draw and are judged by judgeSoakTrial
+ * (fault/injector.hh), the same draw and verdict bench/fault_soak uses.
  * A failing trial prints a one-line reproducer naming the seed, trial,
  * scheme, workload, and fault plan.
  *
- * Knobs: SECPB_SOAK_TRIALS (default 120), SECPB_SOAK_SEED (default 2026),
- * SECPB_SOAK_TRIAL (replay exactly one trial index from a reproducer).
+ * Knobs (bench::soakRange): SECPB_SOAK_TRIALS (default 120),
+ * SECPB_SOAK_SEED (default 2026), SECPB_SOAK_TRIAL (replay exactly one
+ * trial index from a reproducer).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <iterator>
 #include <string>
 
+#include "../bench/bench_common.hh"
 #include "core/system.hh"
 #include "fault/injector.hh"
 #include "workload/synthetic.hh"
 
 using namespace secpb;
 
-namespace
-{
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-constexpr const char *SoakProfiles[] = {
-    "gamess", "omnetpp", "lbm", "mcf", "libquantum",
-};
-
-/** Everything one trial needs, derived deterministically from its RNG. */
-struct TrialSetup
-{
-    Scheme scheme;
-    SchemeParams params;
-    const char *profile;
-    std::uint64_t instructions;
-    std::uint64_t workloadSeed;
-    FaultPlan plan;
-
-    std::string
-    describe() const
-    {
-        return std::string("scheme=") + schemeSpecName(scheme, params) +
-               " profile=" + profile +
-               " instrs=" + std::to_string(instructions) +
-               " wseed=" + std::to_string(workloadSeed) + " " +
-               plan.describe();
-    }
-};
-
-TrialSetup
-drawTrial(std::uint64_t trial, Rng &rng)
-{
-    TrialSetup t;
-    // Round-robin over the zoo so every scheme soaks regardless of the
-    // trial count; the triad depth cycles through its useful range.
-    t.scheme = SchemeZoo[trial % std::size(SchemeZoo)];
-    if (t.scheme == Scheme::Triad)
-        t.params.triadLevels = 1 + static_cast<unsigned>(trial % 4);
-    t.profile = SoakProfiles[rng.below(std::size(SoakProfiles))];
-    t.instructions = 8'000 + rng.below(8'000);
-    t.workloadSeed = rng.next();
-
-    if (rng.chance(0.5))
-        t.plan.crashAtPersist = 1 + rng.below(220);
-    else
-        t.plan.crashAtTick = 100 + rng.below(40'000);
-
-    // A third of trials keep the correctly provisioned battery (must
-    // abandon nothing); the rest scale it down to force partial drains.
-    if (!rng.chance(1.0 / 3.0))
-        t.plan.batteryFraction = rng.uniform();
-
-    t.plan.tamperCount = static_cast<unsigned>(rng.below(4));
-    t.plan.tamperSeed = rng.next();
-    return t;
-}
-
-} // namespace
-
 TEST(FaultSoak, RandomizedCrashTamperSweep)
 {
-    const std::uint64_t seed = envOr("SECPB_SOAK_SEED", 2026);
-    // Trial streams are independent (seeded by trial index), so one
-    // reproducer's trial can be replayed without its predecessors.
-    const std::uint64_t first = envOr("SECPB_SOAK_TRIAL", 0);
-    const std::uint64_t trials =
-        std::getenv("SECPB_SOAK_TRIAL") ? first + 1
-                                        : envOr("SECPB_SOAK_TRIALS", 120);
+    const auto [seed, first, trials] = bench::soakRange(120);
 
     std::uint64_t bounded = 0, exhausted = 0, torn = 0, stale = 0,
                   tampersInjected = 0;
 
     for (std::uint64_t trial = first; trial < trials; ++trial) {
-        // Independent per-trial stream: one trial is reproducible
-        // without replaying its predecessors.
-        Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
-        const TrialSetup t = drawTrial(trial, rng);
+        const SoakTrial t = SoakTrial::draw(seed, trial);
         const std::string repro =
             "SECPB_SOAK_SEED=" + std::to_string(seed) +
             " trial=" + std::to_string(trial) + " " + t.describe();
@@ -134,39 +64,17 @@ TEST(FaultSoak, RandomizedCrashTamperSweep)
         FaultInjector injector(sys, t.plan);
         const FaultReport r = injector.run(gen);
 
-        ASSERT_TRUE(r.crash.recovered)
-            << "inconsistent recovery: " << repro;
-        if (!r.tampersAllDetected) {
-            std::string detail;
+        const SoakVerdict v = judgeSoakTrial(r, t.plan, sys);
+        std::string detail;
+        if (v == SoakVerdict::UndetectedTamper)
             for (const TamperRecord &rec : r.tampers)
                 detail += "\n  " + rec.describe() +
                           (TamperInjector::detected(rec, r.postTamper,
                                                     sys.layout(), sys.tree())
                                ? " (detected)"
                                : " (SILENT)");
-            FAIL() << "silent tamper acceptance: " << repro << detail;
-        }
-        if (!t.plan.boundedBattery()) {
-            ASSERT_FALSE(r.crash.work.batteryExhausted) << repro;
-            ASSERT_TRUE(r.crash.work.abandoned.empty()) << repro;
-        }
-        if (!r.crash.work.abandoned.empty()) {
-            ASSERT_TRUE(r.crash.work.batteryExhausted) << repro;
-            // The metadata-cache flush is the battery's first, mandatory
-            // claim (its functional writes happened at drain time); the
-            // discretionary entry drains must fit in what remains.
-            CrashWork flush_only;
-            flush_only.pmBlockWrites = r.crash.work.mdcBlockFlushes;
-            // eADR's hierarchy flush is part of the same mandatory floor.
-            flush_only.cacheLinesFlushed = r.crash.work.cacheLinesFlushed;
-            const double floor =
-                sys.energyModel().actualCrashEnergy(flush_only);
-            const double budget = *t.plan.batteryFraction *
-                                  sys.provisionedCrashEnergy();
-            ASSERT_LE(r.crash.work.energySpentJ,
-                      std::max(budget, floor) + 1e-12)
-                << repro;
-        }
+        ASSERT_EQ(v, SoakVerdict::Pass)
+            << soakVerdictName(v) << ": " << repro << detail;
 
         bounded += t.plan.boundedBattery();
         exhausted += r.crash.work.batteryExhausted;

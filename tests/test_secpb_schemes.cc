@@ -360,7 +360,7 @@ TEST(SchemeZoo, EadrPricesWholeHierarchyFlush)
         gen.store(a, a + 5);
     sys.run(gen);
 
-    const std::uint64_t lines = DataHierarchyConfig{}.totalBytes() / BlockSize;
+    const std::uint64_t lines = TableIDataCaches.lines();
     EXPECT_EQ(sys.secpb().predictCrashDrainWork().cacheLinesFlushed, lines);
 
     CrashReport cr = sys.crashNow();

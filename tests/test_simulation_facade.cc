@@ -157,7 +157,6 @@ faultTrialOutputs()
     SimulationSpec spec;
     spec.base.scheme = Scheme::Bcm;
     spec.base.pmDataBytes = 1ULL << 30;
-    spec.base.cpu.addressDrivenLoads = true;
     Simulation sim(spec);
     SyntheticGenerator gen(profileByName("gcc"), 12'000, 99);
     FaultPlan plan;
@@ -194,8 +193,7 @@ TEST(SimulationFacade, MachineOutputsDoNotDependOnEarlierMachines)
         SimulationSpec spec;
         spec.base.scheme = Scheme::Bcm;
         spec.base.pmDataBytes = 1ULL << 30;
-        spec.base.cpu.addressDrivenLoads = true;
-        Simulation sim(spec);
+            Simulation sim(spec);
         SyntheticGenerator gen(profileByName("povray"), 200'000, 3);
         sim.run(gen);
         EXPECT_GT(sim.system().ctrCache().numDirty(), 0u);
