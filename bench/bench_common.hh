@@ -28,7 +28,6 @@
  *   --sample-every N    epoch-sample every non-custom point every N
  *                       ticks
  *   --stats             embed the full stats dump in each JSON point
- *   --debug FLAG[,..]   enable DPRINTF debug flags (see --help)
  * plus the simulation-level flags SimulationSpec::fromCli owns and
  * consumes first (--instr, --seed, --workload, --trace-in,
  * --trace-record, --battery-tech, --battery-derate, --power-schedule;
@@ -60,7 +59,6 @@
 #include "fault/power.hh"
 #include "exp/sweep.hh"
 #include "obs/trace.hh"
-#include "sim/debug.hh"
 #include "workload/registry.hh"
 #include "workload/synthetic.hh"
 
@@ -182,17 +180,6 @@ struct BenchCli
                 ++i;
             } else if (a == "--stats") {
                 cli.captureStats = true;
-            } else if (a == "--debug") {
-                for (const std::string &flag : splitCommas(need(i))) {
-                    const auto &known = debug::knownFlags();
-                    fatal_if(std::find(known.begin(), known.end(), flag) ==
-                                 known.end(),
-                             "%s: unknown --debug flag '%s' (known: %s)",
-                             bench_name, flag.c_str(),
-                             joinNames(known).c_str());
-                    debug::enable(flag);
-                }
-                ++i;
             } else if (a == "--help" || a == "-h") {
                 std::printf(
                     "usage: %s [--jobs N] [--json PATH] [--scheme A[,B]]\n"
@@ -203,7 +190,6 @@ struct BenchCli
                     "          [--battery-derate F] [--power-schedule S]\n"
                     "          [--workload SPEC] [--trace-in PATH]\n"
                     "          [--trace-record PATH]\n"
-                    "          [--debug FLAG[,FLAG]]\n"
                     "  --trace-out PATH    Perfetto trace_event JSON of the"
                     " sweep's\n"
                     "                      first point (load in"
@@ -214,11 +200,9 @@ struct BenchCli
                     "  --stats             embed the full stats dump per"
                     " point\n"
                     "%s"
-                    "                      (workload names: %s)\n"
-                    "  --debug FLAGS       enable DPRINTF flags: %s\n",
+                    "                      (workload names: %s)\n",
                     bench_name, SimulationSpec::cliHelp(),
-                    joinNames(registeredWorkloadNames()).c_str(),
-                    joinNames(debug::knownFlags()).c_str());
+                    joinNames(registeredWorkloadNames()).c_str());
                 std::exit(0);
             } else {
                 fatal("%s: unknown flag '%s' (try --help)", bench_name,

@@ -274,7 +274,7 @@ main(int argc, char **argv)
         ++st.trials;
         st.midRunCrashes +=
             static_cast<std::uint64_t>(r.extraValue("mid_run_crash"));
-        st.boundedDrains += t.plan.boundedBattery();
+        st.boundedDrains += t.plan.batteryFraction.has_value();
         st.exhausted +=
             static_cast<std::uint64_t>(r.extraValue("battery_exhausted"));
         st.abandonedEntries +=

@@ -8,26 +8,6 @@
 namespace secpb
 {
 
-namespace
-{
-
-void
-accumulate(RecoveryReport &into, const RecoveryReport &r)
-{
-    into.blocksChecked += r.blocksChecked;
-    into.macFailures += r.macFailures;
-    into.bmtFailures += r.bmtFailures;
-    into.plaintextMismatches += r.plaintextMismatches;
-    into.spuriousBlocks += r.spuriousBlocks;
-    into.missingBlocks += r.missingBlocks;
-    into.prefixViolations += r.prefixViolations;
-    into.tornDetected += r.tornDetected;
-    into.staleConsistent += r.staleConsistent;
-    into.faults.insert(into.faults.end(), r.faults.begin(), r.faults.end());
-}
-
-} // namespace
-
 MultiCoreSystem::MultiCoreSystem(const SystemConfig &base, unsigned cores)
     : _rootStats("mc_system"), _dir(cores, _rootStats)
 {
@@ -356,7 +336,7 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
             addTo(agg.batteryBudgetJ, cr.batteryBudgetJ);
         addTo(agg.batteryAfterJ, cr.batteryAfterJ);
         agg.work += cr.work;
-        accumulate(agg.recovery, cr.recovery);
+        agg.recovery += cr.recovery;
         agg.actualEnergyJ += cr.actualEnergyJ;
         // Per-core batteries drain in parallel; the observer-blocked
         // window is the slowest core's.

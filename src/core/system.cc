@@ -32,7 +32,8 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
                                           _rootStats);
     _secpb = std::make_unique<SecPb>(
         _eq, cfg.scheme, cfg.secpb, _layout, cfg.keys, _counters, _oracle,
-        _pm, *_crypto, *_walker, *_ctrCache, *_macCache, *_wpq, _rootStats);
+        _pm, *_crypto, *_walker, *_ctrCache, *_macCache, *_wpq, _energy,
+        _rootStats);
     _sb = std::make_unique<StoreBuffer>(_eq, *_secpb,
                                         cfg.storeBufferEntries, _rootStats);
     _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.cpu, _rootStats);
@@ -46,8 +47,7 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
             cfg.battery.provisionFraction * provisionedCrashEnergy(),
             cfg.battery.cap));
         if (cfg.battery.adaptive.enabled)
-            _secpb->attachBatteryMonitor(_battery.get(), &_energy,
-                                         cfg.battery.adaptive);
+            _secpb->attachBatteryMonitor(*_battery);
     }
 
     if (cfg.obs.samplePeriod > 0) {
@@ -230,21 +230,15 @@ SecPbSystem::crashNow(const CrashOptions &opts)
 
     CrashReport cr;
     DrainLatencyModel latency(_cfg.crypto, _cfg.pcm);
-    CrashDrainBudget budget;
-    if (opts.batteryEnergyJ) {
-        budget.energyJ = *opts.batteryEnergyJ;
-        budget.pricing = &_energy;
-    } else if (_battery) {
-        // No explicit budget: the physical battery is what we have.
-        budget.energyJ = _battery->deliverableEnergyJ();
-        budget.pricing = &_energy;
-    }
-    cr.batteryBudgetJ = budget.energyJ;
+    // No explicit budget: the physical battery is what we have.
+    cr.batteryBudgetJ = opts.batteryEnergyJ;
+    if (!cr.batteryBudgetJ && _battery)
+        cr.batteryBudgetJ = _battery->deliverableEnergyJ();
     cr.work = _secpb->crashDrainAll(
         _cfg.batteryBackedStoreBuffer
             ? _sb->pendingStores()
             : std::vector<std::pair<Addr, std::uint64_t>>{},
-        budget);
+        cr.batteryBudgetJ);
     cr.actualEnergyJ = _energy.actualCrashEnergy(cr.work);
     if (_battery) {
         // The drain physically discharged the cell.
@@ -255,13 +249,9 @@ SecPbSystem::crashNow(const CrashOptions &opts)
     cr.drainLatencyNs = latency.estimateNs(cr.work, _cfg.clock);
     cr.provisionedEnergyJ = provisionedCrashEnergy();
 
-    const bool partial =
-        cr.work.batteryExhausted || !cr.work.abandoned.empty();
     RecoveryVerifier verifier(_layout, _cfg.keys,
                               schemeTraits(_cfg.scheme).secure);
-    cr.recovery = partial
-        ? verifier.verifyPartial(_pm, *_tree, _oracle, cr.work.abandoned)
-        : verifier.verifyAll(_pm, *_tree, _oracle);
+    cr.recovery = verifier.verifyCrash(_pm, *_tree, _oracle, cr.work);
     cr.recovered = cr.recovery.ok();
     return cr;
 }

@@ -13,9 +13,10 @@
 #ifndef SECPB_CRYPTO_ENGINE_HH
 #define SECPB_CRYPTO_ENGINE_HH
 
+#include <algorithm>
+
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
-#include "sim/resource.hh"
 #include "stats/stats.hh"
 
 namespace secpb

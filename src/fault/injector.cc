@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "obs/trace.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -30,7 +29,7 @@ FaultPlan::describe() const
     }
     if (out.empty())
         out = "crash@end";
-    if (boundedBattery()) {
+    if (batteryFraction) {
         std::snprintf(buf, sizeof(buf), " battery=%.4f",
                       *batteryFraction);
         out += buf;
@@ -70,12 +69,9 @@ FaultInjector::run(WorkloadGenerator &gen)
     report.crashedMidRun = !_sys.finished();
 
     TRACE_INSTANT("fault", "crash", report.crashTick);
-    DPRINTF("Fault", "crash at tick %llu after %llu persists",
-            static_cast<unsigned long long>(report.crashTick),
-            static_cast<unsigned long long>(report.persistsAtCrash));
 
     CrashOptions opts;
-    if (_plan.boundedBattery())
+    if (_plan.batteryFraction)
         opts.batteryEnergyJ =
             *_plan.batteryFraction * _sys.provisionedCrashEnergy();
     report.crash = _sys.crashNow(opts);
@@ -107,15 +103,10 @@ FaultInjector::run(WorkloadGenerator &gen)
             injector.inject(_sys.pm(), _sys.tree(), _sys.layout(),
                             candidates, _plan.tamperCount);
         TRACE_INSTANT("fault", "tamper", report.crashTick);
-        DPRINTF("Fault", "injected %zu tampers", report.tampers.size());
 
         RecoveryVerifier verifier(_sys.layout(), _sys.config().keys);
-        const bool partial = report.crash.work.batteryExhausted ||
-                             !report.crash.work.abandoned.empty();
-        report.postTamper = partial
-            ? verifier.verifyPartial(_sys.pm(), _sys.tree(), _sys.oracle(),
-                                     report.crash.work.abandoned)
-            : verifier.verifyAll(_sys.pm(), _sys.tree(), _sys.oracle());
+        report.postTamper = verifier.verifyCrash(
+            _sys.pm(), _sys.tree(), _sys.oracle(), report.crash.work);
         report.tampersAllDetected = TamperInjector::allDetected(
             report.tampers, report.postTamper, _sys.layout(), _sys.tree());
         TRACE_INSTANT("fault",
@@ -180,10 +171,10 @@ judgeSoakTrial(const FaultReport &r, const FaultPlan &plan,
     if (!r.tampersAllDetected)
         return SoakVerdict::UndetectedTamper;
     const CrashWork &w = r.crash.work;
-    if (plan.boundedBattery() ? !w.abandoned.empty() && !w.batteryExhausted
-                              : !w.abandoned.empty() || w.batteryExhausted)
+    if (plan.batteryFraction ? !w.abandoned.empty() && !w.batteryExhausted
+                             : !w.abandoned.empty() || w.batteryExhausted)
         return SoakVerdict::UnpaidAbandon;
-    if (!plan.boundedBattery())
+    if (!plan.batteryFraction)
         return SoakVerdict::Pass;
     CrashWork flush_only;
     flush_only.pmBlockWrites = w.mdcBlockFlushes;

@@ -64,13 +64,6 @@ struct FaultPlan
     /** Seed for the tamper injector's RNG. */
     std::uint64_t tamperSeed = 1;
 
-    /** Shim kept from the infinity-sentinel era: is a bound set? */
-    bool
-    boundedBattery() const
-    {
-        return batteryFraction.has_value();
-    }
-
     /** One-line description for reproducer output. */
     std::string describe() const;
 };

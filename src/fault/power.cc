@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "core/simulation.hh"
+#include "obs/trace.hh"
 #include "recovery/restore.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/synthetic.hh"
@@ -214,6 +214,7 @@ IntermittentPowerInjector::run()
         spec.base = _cfg;
         Simulation incarnation(spec);
         SecPbSystem &sys = incarnation.system();
+        TRACE_INSTANT("fault", "power_cycle", sys.eventQueue().curTick());
 
         if (cycle == 0) {
             // First boot: pristine machine, nothing to restore.
@@ -251,14 +252,6 @@ IntermittentPowerInjector::run()
                                    : out.restoreFirst;
         }
         *sys.battery() = cell;
-
-        DPRINTF("Fault",
-                "power cycle %u/%u: %llu instr, %s, battery %.3g/%.3g J",
-                cycle + 1, _spec.cycles,
-                static_cast<unsigned long long>(d.instructions),
-                d.brownout ? "brownout" : "clean",
-                sys.battery()->storedEnergyJ(),
-                sys.battery()->capacityJ());
 
         // Brownout mid-segment: the supply sags and the cell bleeds
         // charge into the dying rails (minus the BBU-protected reserve

@@ -2,9 +2,10 @@
  * @file
  * Phase-change-memory (PCM) main-memory timing model.
  *
- * Table I of the paper: 8 GB PCM, 55 ns reads, 150 ns writes, 128-entry
- * write queue, 64-entry read queue. The device is banked: accesses to
- * distinct banks overlap, same-bank accesses serialize. Two interfaces are
+ * Table I of the paper: 8 GB PCM, 55 ns reads, 150 ns writes. The device
+ * is banked: accesses to distinct banks overlap, same-bank accesses
+ * serialize. (Table I's controller queues are not modelled here; the
+ * ADR write pending queue is mem/wpq.hh.) Two interfaces are
  * offered: a callback style (read/write with completion events) used by the
  * drain machinery, and an occupancy style (readOccupy/writeOccupy) that
  * returns the queuing + service delay for callers that fold memory latency
@@ -14,11 +15,12 @@
 #ifndef SECPB_MEM_PCM_HH
 #define SECPB_MEM_PCM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
-#include "sim/resource.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
@@ -31,8 +33,6 @@ struct PcmConfig
     Cycles readLatency = 220;   ///< 55 ns at 4 GHz.
     Cycles writeLatency = 600;  ///< 150 ns at 4 GHz.
     unsigned numBanks = 32;     ///< Bank/partition parallelism.
-    unsigned readQueueEntries = 64;
-    unsigned writeQueueEntries = 128;
 };
 
 /** Banked PCM timing model. */
@@ -41,7 +41,7 @@ class PcmModel
   public:
     PcmModel(EventQueue &eq, const PcmConfig &cfg, StatGroup &parent)
         : _eq(eq), _cfg(cfg),
-          _banks(eq, "pcm", cfg.numBanks),
+          _bankFree(cfg.numBanks, 0),
           _stats("pcm", &parent),
           statReads(_stats, "reads", "PCM read accesses"),
           statWrites(_stats, "writes", "PCM write accesses"),
@@ -49,15 +49,18 @@ class PcmModel
                         "total read delay incl. queuing (cycles)"),
           statWriteDelay(_stats, "write_delay",
                          "total write delay incl. queuing (cycles)")
-    {}
+    {
+        panic_if(cfg.numBanks == 0, "PCM needs >= 1 bank");
+    }
 
     /** Issue a read; fires @p done when data is available. */
     Tick
     read(Addr addr, EventCallback done)
     {
         ++statReads;
-        Tick finish = _banks.request(addr, _cfg.readLatency,
-                                     std::move(done));
+        const Tick finish = occupy(addr, _cfg.readLatency);
+        if (done)
+            _eq.schedule(finish, std::move(done));
         statReadDelay.sample(static_cast<double>(finish - _eq.curTick()));
         TRACE_SPAN("pcm", "read", _eq.curTick(), finish);
         return finish;
@@ -68,8 +71,9 @@ class PcmModel
     write(Addr addr, EventCallback done)
     {
         ++statWrites;
-        Tick finish = _banks.request(addr, _cfg.writeLatency,
-                                     std::move(done));
+        const Tick finish = occupy(addr, _cfg.writeLatency);
+        if (done)
+            _eq.schedule(finish, std::move(done));
         statWriteDelay.sample(static_cast<double>(finish - _eq.curTick()));
         TRACE_SPAN("pcm", "write", _eq.curTick(), finish);
         return finish;
@@ -84,8 +88,7 @@ class PcmModel
     readOccupy(Addr addr)
     {
         ++statReads;
-        Tick finish = _banks.request(addr, _cfg.readLatency, nullptr);
-        Cycles delay = finish - _eq.curTick();
+        const Cycles delay = occupy(addr, _cfg.readLatency) - _eq.curTick();
         statReadDelay.sample(static_cast<double>(delay));
         return delay;
     }
@@ -95,8 +98,7 @@ class PcmModel
     writeOccupy(Addr addr)
     {
         ++statWrites;
-        Tick finish = _banks.request(addr, _cfg.writeLatency, nullptr);
-        Cycles delay = finish - _eq.curTick();
+        const Cycles delay = occupy(addr, _cfg.writeLatency) - _eq.curTick();
         statWriteDelay.sample(static_cast<double>(delay));
         return delay;
     }
@@ -112,9 +114,21 @@ class PcmModel
     { return static_cast<std::uint64_t>(statWrites.value()); }
 
   private:
+    /**
+     * Hold @p addr's bank (block-interleaved) for @p latency cycles from
+     * max(now, the bank's free tick); returns the finish tick.
+     */
+    Tick
+    occupy(Addr addr, Cycles latency)
+    {
+        Tick &free = _bankFree[blockIndex(addr) % _bankFree.size()];
+        free = std::max(_eq.curTick(), free) + latency;
+        return free;
+    }
+
     EventQueue &_eq;
     PcmConfig _cfg;
-    BankedResource _banks;
+    std::vector<Tick> _bankFree;  ///< Per bank: tick it next goes idle.
     StatGroup _stats;
 
   public:

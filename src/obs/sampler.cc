@@ -1,7 +1,6 @@
 #include "obs/sampler.hh"
 
 #include "obs/trace.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "stats/json.hh"
 
@@ -79,8 +78,6 @@ Sampler::start()
 {
     panic_if(_running, "Sampler::start called twice");
     _running = true;
-    DPRINTF("Sampler", "sampling %zu channels every %llu ticks",
-            _probes.size(), static_cast<unsigned long long>(_period));
     sampleNow();
     _eq.schedule(_eq.curTick() + _period, [this] { fire(); });
 }

@@ -25,7 +25,6 @@
 #ifndef SECPB_PB_ADAPTIVE_HH
 #define SECPB_PB_ADAPTIVE_HH
 
-#include <algorithm>
 #include <cmath>
 
 namespace secpb
@@ -36,37 +35,23 @@ struct AdaptiveDrainConfig
 {
     /** Master switch; disabled keeps the static watermarks bit-exact. */
     bool enabled = false;
-
-    /**
-     * Paranoia multiplier on required headroom: the policy plans as if
-     * only deliverable/safetyFactor joules were available. >= 1.
-     */
-    double safetyFactor = 1.0;
-
-    /**
-     * Extra worst-case entries of slack reserved beyond the one
-     * admission the gate is currently deciding.
-     */
-    unsigned marginEntries = 1;
 };
 
 /**
  * Occupancy bound for watermark modulation: the largest entry count n
  * such that n worst-case entries plus the fixed floor (metadata-cache
- * flush) plus the configured margin fit in the planned-usable energy.
- * Returns @p num_entries (no constraint) when the policy is disabled.
+ * flush) plus a one-entry margin -- the admission the gate is deciding
+ * -- fit in the deliverable energy. Returns @p num_entries (no
+ * constraint) when an entry costs nothing.
  */
 inline unsigned
 adaptiveOccupancyBound(double deliverable_j, double fixed_floor_j,
-                       double worst_entry_j, unsigned num_entries,
-                       const AdaptiveDrainConfig &cfg)
+                       double worst_entry_j, unsigned num_entries)
 {
-    if (!cfg.enabled || worst_entry_j <= 0.0) {
+    if (worst_entry_j <= 0.0) {
         return num_entries;
     }
-    const double safety = std::max(cfg.safetyFactor, 1.0);
-    const double avail = deliverable_j / safety - fixed_floor_j -
-                         double(cfg.marginEntries) * worst_entry_j;
+    const double avail = deliverable_j - fixed_floor_j - worst_entry_j;
     if (avail <= 0.0) {
         return 0;
     }

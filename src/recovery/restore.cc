@@ -4,7 +4,7 @@
 #include <unordered_set>
 
 #include "core/system.hh"
-#include "sim/debug.hh"
+#include "obs/trace.hh"
 
 namespace secpb
 {
@@ -107,10 +107,8 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
                 // Power died mid-recovery. Durable state is further
                 // along than before (the repairs so far persisted), but
                 // the machine must not resume: re-run restore().
-                DPRINTF("Restore",
-                        "interrupted after %llu leaf repairs",
-                        static_cast<unsigned long long>(
-                            report.leavesRebuilt));
+                TRACE_INSTANT("fault", "restore_interrupted",
+                              _sys.eventQueue().curTick());
                 return report;
             }
             tree.updateLeaf(page,

@@ -46,6 +46,7 @@
 #include "metadata/bmt.hh"
 #include "metadata/layout.hh"
 #include "recovery/oracle.hh"
+#include "secpb/secpb.hh"
 
 namespace secpb
 {
@@ -107,6 +108,23 @@ struct RecoveryReport
         return macFailures == 0 && bmtFailures == 0 &&
                plaintextMismatches == 0 && spuriousBlocks == 0 &&
                missingBlocks == 0 && prefixViolations == 0;
+    }
+
+    /** Sum @p r into this report: every count and the fault list. */
+    RecoveryReport &
+    operator+=(const RecoveryReport &r)
+    {
+        blocksChecked += r.blocksChecked;
+        macFailures += r.macFailures;
+        bmtFailures += r.bmtFailures;
+        plaintextMismatches += r.plaintextMismatches;
+        spuriousBlocks += r.spuriousBlocks;
+        missingBlocks += r.missingBlocks;
+        prefixViolations += r.prefixViolations;
+        tornDetected += r.tornDetected;
+        staleConsistent += r.staleConsistent;
+        faults.insert(faults.end(), r.faults.begin(), r.faults.end());
+        return *this;
     }
 };
 
@@ -235,6 +253,19 @@ class RecoveryVerifier
         }
         scanSpurious(pm, oracle, report);
         return report;
+    }
+
+    /**
+     * The scan a crash drain calls for: verifyPartial() when the battery
+     * ran out or abandoned entries, verifyAll() otherwise.
+     */
+    RecoveryReport
+    verifyCrash(const PmImage &pm, const BonsaiMerkleTree &tree,
+                const PersistOracle &oracle, const CrashWork &work) const
+    {
+        return work.batteryExhausted || !work.abandoned.empty()
+                   ? verifyPartial(pm, tree, oracle, work.abandoned)
+                   : verifyAll(pm, tree, oracle);
     }
 
     /** Integrity-only scan (no plaintext oracle), as a real system would. */

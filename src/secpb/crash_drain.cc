@@ -17,7 +17,6 @@
 
 #include "energy/energy_model.hh"
 #include "obs/trace.hh"
-#include "sim/debug.hh"
 
 namespace secpb
 {
@@ -145,25 +144,17 @@ SecPb::predictCrashDrainWork() const
 CrashWork
 SecPb::crashDrainAll(
     const std::vector<std::pair<Addr, std::uint64_t>> &absorbed_stores,
-    const CrashDrainBudget &budget)
+    std::optional<double> budget_j)
 {
     CrashWork work;
-    panic_if(budget.bounded() && budget.pricing == nullptr,
-             "bounded crash-drain budget needs a pricing model");
     TRACE_INSTANT("secpb", "crash_drain", _eq.curTick());
 
-    const auto price = [&budget](const CrashWork &w) {
-        return budget.pricing ? budget.pricing->actualCrashEnergy(w) : 0.0;
-    };
     const auto fits = [&](const PbEntry &e) {
         CrashWork d;
         addEntryWork(e, d);
-        return price(work) + price(d) <= *budget.energyJ;
+        return _energy.actualCrashEnergy(work) +
+                   _energy.actualCrashEnergy(d) <= *budget_j;
     };
-
-    if (_dbg)
-        DPRINTF("SecPb", "crash drain: %zu resident, %zu sb-absorbed",
-                _index.size(), absorbed_stores.size());
 
     // Battery-backed store buffer: absorb its stores in program order.
     // With an unbounded battery, stores to resident blocks fold into the
@@ -174,7 +165,7 @@ SecPb::crashDrainAll(
     // has drained, so an exhausted battery always loses an in-order
     // suffix rather than tearing the middle of the order.
     std::vector<Addr> absorbed_blocks;
-    if (!budget.bounded()) {
+    if (!budget_j) {
         for (const auto &[addr, value] : absorbed_stores) {
             _oracle.applyStore(addr, value);
             if (PbEntry *e = find(addr)) {
@@ -227,7 +218,7 @@ SecPb::crashDrainAll(
     for (std::uint64_t i = _oldest, next; i != NoSlot; i = next) {
         next = _order[i].next;
         PbEntry &e = _entries[i];
-        if (work.batteryExhausted || (budget.bounded() && !fits(e))) {
+        if (work.batteryExhausted || (budget_j && !fits(e))) {
             work.batteryExhausted = true;
             work.abandoned.push_back({e.addr, e.numWrites});
             continue;
@@ -252,7 +243,7 @@ SecPb::crashDrainAll(
         completeEntryFunctionally(e, work);
         ++work.absorbedApplied;
     };
-    if (!budget.bounded()) {
+    if (!budget_j) {
         for (Addr block : absorbed_blocks)
             complete_absorbed(block);
     } else {
@@ -288,7 +279,8 @@ SecPb::crashDrainAll(
         work.bmtNodesRebuilt =
             _walker.tree().rebuildFromLevel(rebuild_from);
 
-    work.energySpentJ = price(work);
+    // Spend is priced only against a budget; unbounded drains report 0.
+    work.energySpentJ = budget_j ? _energy.actualCrashEnergy(work) : 0.0;
     return work;
 }
 

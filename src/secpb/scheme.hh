@@ -36,6 +36,7 @@
 #ifndef SECPB_SECPB_SCHEME_HH
 #define SECPB_SECPB_SCHEME_HH
 
+#include <cctype>
 #include <cstddef>
 #include <cstdlib>
 #include <string>
@@ -225,8 +226,9 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
         const std::string num = tail.substr(std::string(prefix).size());
         const unsigned long levels =
             std::strtoul(num.c_str(), &end, 10);
-        fatal_if(num.empty() || (end && *end != '\0') || levels < 1 ||
-                     levels > 64,
+        // strtoul skips blanks and takes a sign: demand a digit first.
+        fatal_if(!std::isdigit(static_cast<unsigned char>(num[0])) ||
+                     *end != '\0' || levels < 1 || levels > 64,
                  "bad triad level count in '%s' (need 1 <= N <= 64)",
                  spec.c_str());
         if (params)

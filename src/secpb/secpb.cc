@@ -7,7 +7,7 @@
 
 #include "energy/energy_model.hh"
 #include "obs/trace.hh"
-#include "sim/debug.hh"
+#include "pb/adaptive.hh"
 
 namespace secpb
 {
@@ -48,11 +48,12 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              CounterStore &counters, PersistOracle &oracle, PmImage &pm,
              CryptoEngine &crypto, BmtWalker &walker,
              MetadataCache &ctr_cache, MetadataCache &mac_cache,
-             WritePendingQueue &wpq, StatGroup &parent)
+             WritePendingQueue &wpq, const EnergyModel &energy,
+             StatGroup &parent)
     : _eq(eq), _traits(schemeTraits(scheme)), _cfg(cfg),
       _layout(layout), _keys(keys), _counters(counters), _oracle(oracle),
       _pm(pm), _crypto(crypto), _walker(walker), _ctrCache(ctr_cache),
-      _macCache(mac_cache), _wpq(wpq),
+      _macCache(mac_cache), _wpq(wpq), _energy(energy),
       _entries(cfg.numEntries),
       _order(cfg.numEntries),
       _highWm(std::max<unsigned>(
@@ -106,7 +107,6 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
     _freeList.reserve(cfg.numEntries);
     for (unsigned i = 0; i < cfg.numEntries; ++i)
         _freeList.push_back(cfg.numEntries - 1 - i);
-    _dbg = debug::enabled("SecPb");
 }
 
 Cycles
@@ -271,10 +271,7 @@ SecPb::incrementCounter(Addr addr)
     CounterIncrement r = _counters.increment(addr);
     if (r.overflowed) {
         ++statPageReencrypts;
-        if (_dbg)
-            DPRINTF("SecPb", "minor overflow -> re-encrypt page %llu",
-                    static_cast<unsigned long long>(
-                        _layout.pageIndex(addr)));
+        TRACE_INSTANT("secpb", "reencrypt", _eq.curTick());
         reencryptPage(_layout.pageIndex(addr), r.oldBlock);
     }
     return r.counter;
@@ -389,11 +386,6 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         ++statCoalescedHits;
         ++e->numWrites;
         TRACE_INSTANT_P("secpb", "coalesce", _eq.curTick(), e->asid);
-        if (_dbg)
-            DPRINTF("SecPb", "coalesce %#llx (writes=%llu) @%llu",
-                    static_cast<unsigned long long>(e->addr),
-                    static_cast<unsigned long long>(e->numWrites),
-                    static_cast<unsigned long long>(_eq.curTick()));
         // PoP: the store persists the moment the entry's plaintext is
         // updated. Eager rows regenerate the stale stages now, lazy rows
         // leave them for drain time; sec_wt redoes the whole tuple.
@@ -405,11 +397,6 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         e = &claimSlot(addr);
         ++statAllocs;
         TRACE_INSTANT_P("secpb", "alloc", _eq.curTick(), asid);
-        if (_dbg)
-            DPRINTF("SecPb", "alloc %#llx occupancy=%zu @%llu",
-                    static_cast<unsigned long long>(e->addr),
-                    _index.size(),
-                    static_cast<unsigned long long>(_eq.curTick()));
         e->asid = asid;
         e->numWrites = 1;
         e->plaintext = _oracle.applyStore(addr, value, true);
@@ -673,20 +660,9 @@ SecPb::spTuple(Addr block) const
 }
 
 void
-SecPb::attachBatteryMonitor(const Capacitor *battery,
-                            const EnergyModel *pricing,
-                            const AdaptiveDrainConfig &cfg)
+SecPb::attachBatteryMonitor(const Capacitor &battery)
 {
-    if (!battery || !pricing || !cfg.enabled) {
-        _battery = nullptr;
-        _pricing = nullptr;
-        _adaptive = AdaptiveDrainConfig{};
-        _worstEntryJ = _regenJ = _gateMarginJ = 0.0;
-        return;
-    }
-    _battery = battery;
-    _pricing = pricing;
-    _adaptive = cfg;
+    _battery = &battery;
 
     // Worst-case completion of one entry under this scheme: every lazy
     // field missing and the counter block absent on-chip. Ciphertext and
@@ -704,27 +680,26 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
             worst.*r.done = _traits.*r.early && !r.valueDependent;
         addEntryWork(worst, /*ctr_on_chip=*/false, w);
     }
-    _worstEntryJ = pricing->actualCrashEnergy(w);
+    _worstEntryJ = _energy.actualCrashEnergy(w);
 
     // One in-flight ciphertext+MAC regeneration (the store buffer issues
     // one store at a time, so at most one is pending at any instant).
     CrashWork transient;
     transient.ciphertexts = 1;
     transient.macsComputed = 1;
-    _regenJ = pricing->actualCrashEnergy(transient);
+    _regenJ = _energy.actualCrashEnergy(transient);
 
-    // Gate margin: the marginEntries reserve plus the in-flight
-    // regeneration. SP has no crash-time regeneration -- its value work
-    // happens on mains power before the WPQ ever admits the store.
+    // Gate margin: one worst-case entry plus the in-flight regeneration.
+    // SP has no crash-time regeneration -- its value work happens on
+    // mains power before the WPQ ever admits the store.
     _gateMarginJ =
-        double(std::max(1u, _adaptive.marginEntries)) * _worstEntryJ +
-        (_traits.wpqPersistDomain ? 0.0 : _regenJ);
+        _worstEntryJ + (_traits.wpqPersistDomain ? 0.0 : _regenJ);
 }
 
 double
 SecPb::crashReserveEnergyJ() const
 {
-    if (!_pricing)
+    if (!_battery)
         return 0.0;
     // The committed obligation a brownout must not bleed below: every
     // resident entry plus the mandatory metadata-cache flush (both in
@@ -733,16 +708,16 @@ SecPb::crashReserveEnergyJ() const
     // value-dependent regeneration that may be in flight when the sag
     // hits. Reserving the margin keeps the brownout floor consistent
     // with what batteryGateBlocksAllocation() lets through.
-    return _pricing->actualCrashEnergy(predictCrashDrainWork()) +
+    return _energy.actualCrashEnergy(predictCrashDrainWork()) +
            _gateMarginJ;
 }
 
 void
 SecPb::shedMetadataDirt()
 {
-    if (!_adaptive.enabled || !_traits.secure)
+    if (!_battery || !_traits.secure)
         return;
-    const double budget = batteryBudgetJ();
+    const double budget = _battery->deliverableEnergyJ();
     // Resident entries cannot be shed from here (the gate and the
     // effective watermarks bound those); once the caches are clean the
     // loop stops making progress and exits, leaving the gate to reject.
@@ -758,24 +733,17 @@ SecPb::shedMetadataDirt()
 bool
 SecPb::batteryGateBlocksAllocation() const
 {
-    if (!_adaptive.enabled)
+    if (!_battery)
         return false;
     if (_index.empty())
         return false;  // liveness floor: one entry may always allocate
-    return crashReserveEnergyJ() > batteryBudgetJ();
-}
-
-double
-SecPb::batteryBudgetJ() const
-{
-    return _battery->deliverableEnergyJ() /
-           std::max(_adaptive.safetyFactor, 1.0);
+    return crashReserveEnergyJ() > _battery->deliverableEnergyJ();
 }
 
 unsigned
 SecPb::adaptiveOccupancyBoundNow() const
 {
-    if (!_adaptive.enabled)
+    if (!_battery)
         return _cfg.numEntries;
     // Fixed floor: the mandatory metadata-cache flush at its current
     // dirtiness, plus the in-flight regeneration reserve. Sharing the
@@ -783,18 +751,16 @@ SecPb::adaptiveOccupancyBoundNow() const
     // rejects, occupancy already exceeds this bound, so the (tightened)
     // high watermark has drains running and space waiters will wake.
     const double fixed_floor =
-        _pricing->actualCrashEnergy(crashFloorWork()) + _regenJ;
-    AdaptiveDrainConfig cfg = _adaptive;
-    cfg.marginEntries = std::max(1u, _adaptive.marginEntries);
+        _energy.actualCrashEnergy(crashFloorWork()) + _regenJ;
     return adaptiveOccupancyBound(_battery->deliverableEnergyJ(),
                                   fixed_floor, _worstEntryJ,
-                                  _cfg.numEntries, cfg);
+                                  _cfg.numEntries);
 }
 
 unsigned
 SecPb::effectiveHighWatermarkEntries() const
 {
-    if (!_adaptive.enabled)
+    if (!_battery)
         return _highWm;
     // Never below one: occupancy above the bound must trigger drains.
     return std::min(_highWm,
@@ -906,11 +872,6 @@ SecPb::finalizeDrain(std::uint64_t entry_idx)
 void
 SecPb::releaseEntry(PbEntry &e)
 {
-    if (_dbg)
-        DPRINTF("SecPb", "drain %#llx nwpe=%llu @%llu",
-                static_cast<unsigned long long>(e.addr),
-                static_cast<unsigned long long>(e.numWrites),
-                static_cast<unsigned long long>(_eq.curTick()));
     ++statDrainedEntries;
     statNwpe.sample(static_cast<double>(e.numWrites));
     freeSlot(e);

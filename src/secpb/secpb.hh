@@ -49,7 +49,6 @@
 #include "metadata/counter_store.hh"
 #include "metadata/metadata_cache.hh"
 #include "metadata/walker.hh"
-#include "pb/adaptive.hh"
 #include "pb/entry.hh"
 #include "recovery/oracle.hh"
 #include "secpb/coherence.hh"
@@ -125,27 +124,6 @@ struct CrashWork
 };
 
 /**
- * Energy budget for a battery-powered crash drain. The default is an
- * unbounded (ideally provisioned) battery; fault experiments pass a
- * finite budget priced by the energy model, and the drain stops -- at an
- * entry boundary, preserving the persist-order prefix -- once the next
- * entry no longer fits.
- */
-struct CrashDrainBudget
-{
-    /** Unset = unbounded battery (formerly an infinity sentinel). */
-    std::optional<double> energyJ;
-    /** Pricing model; required when energyJ is set. */
-    const EnergyModel *pricing = nullptr;
-
-    bool
-    bounded() const
-    {
-        return energyJ.has_value();
-    }
-};
-
-/**
  * The secure persist buffer, its controller FSM, and the drain engine.
  */
 class SecPb
@@ -156,7 +134,8 @@ class SecPb
           CounterStore &counters, PersistOracle &oracle, PmImage &pm,
           CryptoEngine &crypto, BmtWalker &walker,
           MetadataCache &ctr_cache, MetadataCache &mac_cache,
-          WritePendingQueue &wpq, StatGroup &parent);
+          WritePendingQueue &wpq, const EnergyModel &energy,
+          StatGroup &parent);
 
     /**
      * Offer the head store of the store buffer to the SecPB.
@@ -187,13 +166,16 @@ class SecPb
      * resident entry, in persist (allocation) order. Simulated time does
      * not advance -- the battery works while the clock is dead.
      *
-     * With a bounded @p budget the drain stops at the first entry whose
-     * completion no longer fits: the completed entries form an in-order
-     * *prefix* of the persist order and the abandoned suffix is recorded
-     * so the recovery verifier can check prefix consistency. Under a
-     * bounded budget, battery-backed store-buffer stores (newest in the
-     * persist order) are applied strictly after every resident entry,
-     * rather than coalesced into them.
+     * @p budget_j is the battery's energy in joules, priced by the
+     * machine's EnergyModel; unset is an unbounded (ideally provisioned)
+     * battery, and then energySpentJ stays 0. With a budget the drain
+     * stops at the first entry whose completion no longer fits: the
+     * completed entries form an in-order *prefix* of the persist order
+     * and the abandoned suffix is recorded so the recovery verifier can
+     * check prefix consistency. Under a budget, battery-backed
+     * store-buffer stores (newest in the persist order) are applied
+     * strictly after every resident entry, rather than coalesced into
+     * them.
      *
      * @param absorbed_stores stores still in a battery-backed store
      *        buffer at crash time (Section IV-C(b)): the battery applies
@@ -203,7 +185,7 @@ class SecPb
     CrashWork crashDrainAll(
         const std::vector<std::pair<Addr, std::uint64_t>>
             &absorbed_stores = {},
-        const CrashDrainBudget &budget = {});
+        std::optional<double> budget_j = std::nullopt);
 
     /** Application-crash handling policies (paper Section III-B). */
     enum class AppCrashPolicy
@@ -333,10 +315,8 @@ class SecPb
      * @{
      */
 
-    /** Attach the sensing (battery + pricing) and policy knobs. */
-    void attachBatteryMonitor(const Capacitor *battery,
-                              const EnergyModel *pricing,
-                              const AdaptiveDrainConfig &cfg);
+    /** Turn the policy on, sensing @p battery. */
+    void attachBatteryMonitor(const Capacitor &battery);
 
     /** Committed crash-drain obligation a brownout must not bleed below:
      *  the prediction plus the gate margin (one liveness-floor entry and
@@ -581,9 +561,6 @@ class SecPb
     /** True when the adaptive policy must refuse a new allocation. */
     bool batteryGateBlocksAllocation() const;
 
-    /** Deliverable battery energy over the policy's safety factor. */
-    double batteryBudgetJ() const;
-
     /** Kick the drain engine if the high watermark is reached. */
     void maybeStartDrain();
 
@@ -649,6 +626,7 @@ class SecPb
     MetadataCache &_ctrCache;
     MetadataCache &_macCache;
     WritePendingQueue &_wpq;
+    const EnergyModel &_energy;  ///< Prices crash work in joules.
 
     /**
      * The buffer's slots. Under SP, which keeps no resident entries, they
@@ -679,9 +657,7 @@ class SecPb
 
     /** @name Adaptive drain policy state (inert unless attached). */
     /** @{ */
-    const Capacitor *_battery = nullptr;
-    const EnergyModel *_pricing = nullptr;
-    AdaptiveDrainConfig _adaptive;
+    const Capacitor *_battery = nullptr;  ///< Non-null: policy on.
     double _worstEntryJ = 0.0;   ///< Priced worst-case entry completion.
     double _regenJ = 0.0;        ///< Priced in-flight ct+MAC regeneration.
     double _gateMarginJ = 0.0;   ///< Headroom an admission must leave.
@@ -692,9 +668,6 @@ class SecPb
     EventCallback _drainAllDone;
 
     WaitList _spaceWaiters;
-
-    /** Cached at construction: tracing under the "SecPb" debug flag. */
-    bool _dbg = false;
 
     /** Admission gate (null when single-core: every store is allowed). */
     CoherenceGate *_gate = nullptr;

@@ -76,7 +76,7 @@ TEST(FaultSoak, RandomizedCrashTamperSweep)
         ASSERT_EQ(v, SoakVerdict::Pass)
             << soakVerdictName(v) << ": " << repro << detail;
 
-        bounded += t.plan.boundedBattery();
+        bounded += t.plan.batteryFraction.has_value();
         exhausted += r.crash.work.batteryExhausted;
         torn += r.crash.recovery.tornDetected;
         stale += r.crash.recovery.staleConsistent;

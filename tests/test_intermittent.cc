@@ -14,6 +14,7 @@
 #include "core/system.hh"
 #include "fault/injector.hh"
 #include "fault/power.hh"
+#include "obs/trace.hh"
 #include "recovery/restore.hh"
 #include "workload/synthetic.hh"
 
@@ -176,6 +177,29 @@ TEST(Intermittent, CrashRecoverCrashSurvivesEverySecureScheme)
     }
 }
 
+TEST(Intermittent, TraceMarksEveryBootAndInterruptedRestore)
+{
+    const PowerScheduleSpec spec = PowerScheduleSpec::parse(
+        "cycles=3,seed=21,brownout=0.6,interrupt=0.6");
+    IntermittentPowerInjector inj(batteryConfig(Scheme::Cobcm), spec,
+                                  "omnetpp");
+    obs::Tracer t;
+    IntermittentReport r;
+    {
+        obs::TraceSession session(&t);
+        r = inj.run();
+    }
+    std::size_t boots = 0, interrupted = 0, expected_interrupted = 0;
+    for (const obs::TraceEvent &e : t.events()) {
+        boots += e.name == "power_cycle";
+        interrupted += e.name == "restore_interrupted";
+    }
+    for (const PowerCycleOutcome &c : r.cycles)
+        expected_interrupted += c.restoreInterrupted;
+    EXPECT_EQ(boots, 3u);
+    EXPECT_EQ(interrupted, expected_interrupted);
+}
+
 TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
 {
     // Crash with a starved battery to strand abandoned residencies,
@@ -212,8 +236,15 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
 
     RestoreOptions cut;
     cut.maxLeafRepairs = 1;
-    const RestoreReport first = rm.restore(abandoned, cut);
+    obs::Tracer t;
+    RestoreReport first;
+    {
+        obs::TraceSession session(&t);
+        first = rm.restore(abandoned, cut);
+    }
     ASSERT_FALSE(first.complete);
+    ASSERT_EQ(t.numEvents(), 1u);
+    EXPECT_EQ(t.events()[0].name, "restore_interrupted");
     EXPECT_EQ(first.leavesRebuilt, 1u);
     EXPECT_FALSE(first.verified);
 

@@ -16,7 +16,7 @@ struct Fixture
 {
     EventQueue eq;
     StatGroup g{"g"};
-    PcmConfig pcmCfg{100, 300, 2, 64, 128};
+    PcmConfig pcmCfg{100, 300, 2};
     PcmModel pcm{eq, pcmCfg, g};
     MetadataCache cache{"mdc", CacheGeometry{512, 2, 64}, 2, pcm, g};
 };
@@ -65,7 +65,7 @@ TEST(MetadataCache, NoWritebackModeDiscardsDirty)
     // BMT-node caches are recomputable: dirty evictions are dropped.
     EventQueue eq;
     StatGroup g("g");
-    PcmModel pcm(eq, PcmConfig{100, 300, 2, 64, 128}, g);
+    PcmModel pcm(eq, PcmConfig{100, 300, 2}, g);
     MetadataCache cache("bmt", CacheGeometry{512, 2, 64}, 2, pcm, g,
                         /*writeback_dirty=*/false);
     cache.writeAccess(0x000);

@@ -3,7 +3,9 @@
  * Integration tests for observability wired into the full system: the
  * epoch sampler must never perturb simulation results, sampled series
  * and traces must be deterministic across identical runs, and the
- * built-in channels must all be present.
+ * built-in channels must all be present. The SecPB's event marks
+ * (alloc, coalesce, drain, crash drain, page re-encryption) must reach
+ * the trace.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/system.hh"
 #include "obs/trace.hh"
 #include "stats/json.hh"
+#include "workload/scripted.hh"
 #include "workload/synthetic.hh"
 
 using namespace secpb;
@@ -58,6 +61,18 @@ seriesJson(const SampleSeries &series)
     JsonWriter w(ss, /*pretty=*/false);
     series.toJson(w);
     return ss.str();
+}
+
+/** Events of @p phase named @p name on @p comp's track. */
+std::size_t
+countEvents(const Tracer &t, const std::string &comp,
+            const std::string &name, TraceEvent::Phase phase)
+{
+    return std::count_if(
+        t.events().begin(), t.events().end(), [&](const TraceEvent &e) {
+            return e.phase == phase && e.name == name &&
+                   t.components()[e.tid] == comp;
+        });
 }
 
 } // namespace
@@ -143,4 +158,54 @@ TEST(ObsSystem, TracingDoesNotPerturbSimulationResults)
     }
     EXPECT_GT(t.numEvents(), 0u);
     EXPECT_EQ(resultJson(plain), resultJson(traced));
+}
+
+TEST(ObsSystem, SecPbTracePointsFire)
+{
+    SystemConfig cfg;
+    cfg.secpb.numEntries = 8;
+    cfg.pmDataBytes = 1ULL << 30;
+    Tracer t;
+    {
+        TraceSession session(&t);
+        SecPbSystem sys(cfg);
+        // Four times the buffer's blocks: allocations must wait for
+        // drains to finish, so drain spans close before the run ends.
+        ScriptedGenerator gen;
+        for (Addr a = 0; a < 32 * BlockSize; a += BlockSize)
+            gen.store(a, a).store(a, a + 1);
+        sys.run(gen);
+        sys.crashNow();
+    }
+    using Phase = TraceEvent::Phase;
+    EXPECT_GT(countEvents(t, "secpb", "alloc", Phase::Instant), 0u);
+    EXPECT_GT(countEvents(t, "secpb", "coalesce", Phase::Instant), 0u);
+    EXPECT_GT(countEvents(t, "secpb", "drain", Phase::Span), 0u);
+    EXPECT_EQ(countEvents(t, "secpb", "crash_drain", Phase::Instant), 1u);
+    EXPECT_EQ(countEvents(t, "secpb", "reencrypt", Phase::Instant), 0u);
+}
+
+TEST(ObsSystem, MinorCounterOverflowMarksReencrypt)
+{
+    // sec_wt bumps the minor on every store: 130 stores to one block
+    // overflow the 7-bit minor once.
+    SystemConfig cfg;
+    cfg.scheme = Scheme::SecWt;
+    cfg.secpb.numEntries = 8;
+    cfg.pmDataBytes = 1ULL << 30;
+    Tracer t;
+    double reencrypts = 0;
+    {
+        TraceSession session(&t);
+        SecPbSystem sys(cfg);
+        ScriptedGenerator gen;
+        for (int i = 0; i < 130; ++i)
+            gen.store(0x000, i);
+        sys.run(gen);
+        reencrypts = sys.secpb().statPageReencrypts.value();
+    }
+    ASSERT_GE(reencrypts, 1.0);
+    EXPECT_EQ(countEvents(t, "secpb", "reencrypt",
+                          TraceEvent::Phase::Instant),
+              static_cast<std::size_t>(reencrypts));
 }

@@ -73,6 +73,58 @@ TEST(Pcm, OccupancyStyleReturnsQueuedDelay)
     EXPECT_EQ(pcm.readOccupy(0), 200u);  // queued behind the first
 }
 
+TEST(Pcm, IdleBankStartsNow)
+{
+    EventQueue eq;
+    StatGroup g("g");
+    PcmModel pcm(eq, smallPcm(), g);
+    Tick finish = 0;
+    eq.schedule(1000, [&] { finish = pcm.read(0, nullptr); });
+    eq.run();
+    EXPECT_EQ(finish, 1100u);  // the idle bank starts at 1000, not 0
+}
+
+TEST(Pcm, BackToBackReadsQueueAndCount)
+{
+    EventQueue eq;
+    StatGroup g("g");
+    PcmModel pcm(eq, smallPcm(), g);
+    Tick t1 = 0, t2 = 0;
+    pcm.read(0, [&] { t1 = eq.curTick(); });
+    pcm.read(0, [&] { t2 = eq.curTick(); });
+    eq.run();
+    EXPECT_EQ(t1, 100u);
+    EXPECT_EQ(t2, 200u);
+    EXPECT_EQ(pcm.numReads(), 2u);
+    // The second read's delay includes its 100 cycles queued in the bank.
+    EXPECT_EQ(pcm.statReadDelay.count(), 2u);
+    EXPECT_DOUBLE_EQ(pcm.statReadDelay.mean(), 150.0);
+}
+
+TEST(Pcm, FourBanksOverlapAcrossInterleave)
+{
+    EventQueue eq;
+    StatGroup g("g");
+    PcmConfig cfg = smallPcm();
+    cfg.numBanks = 4;
+    PcmModel pcm(eq, cfg, g);
+    // Consecutive blocks interleave over the banks: all four run at once.
+    for (Addr blk = 0; blk < 4; ++blk)
+        EXPECT_EQ(pcm.write(blk * BlockSize, nullptr), 300u) << blk;
+}
+
+TEST(Pcm, BankInterleaveWrapsToSameBank)
+{
+    EventQueue eq;
+    StatGroup g("g");
+    PcmConfig cfg = smallPcm();
+    cfg.numBanks = 4;
+    PcmModel pcm(eq, cfg, g);
+    EXPECT_EQ(pcm.write(0, nullptr), 300u);
+    EXPECT_EQ(pcm.write(4 * BlockSize, nullptr), 600u);  // bank 0 again
+    EXPECT_EQ(pcm.write(5 * BlockSize, nullptr), 300u);  // bank 1, idle
+}
+
 TEST(Wpq, PushAndDrainFreesSlot)
 {
     EventQueue eq;

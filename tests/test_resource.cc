@@ -1,65 +1,15 @@
 /**
  * @file
- * Unit tests for the hardware occupancy models (Resource, BankedResource,
- * PipelinedUnit).
+ * Unit tests for the crypto engine's occupancy model (PipelinedUnit).
+ * The PCM's bank occupancy is tested in test_pcm_wpq.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "crypto/engine.hh"
-#include "sim/resource.hh"
 #include "stats/stats.hh"
 
 using namespace secpb;
-
-TEST(Resource, BackToBackRequestsSerialize)
-{
-    EventQueue eq;
-    Resource r(eq, "unit");
-    Tick t1 = 0, t2 = 0;
-    r.request(10, [&] { t1 = eq.curTick(); });
-    r.request(10, [&] { t2 = eq.curTick(); });
-    eq.run();
-    EXPECT_EQ(t1, 10u);
-    EXPECT_EQ(t2, 20u);
-    EXPECT_EQ(r.busyCycles(), 20u);
-    EXPECT_EQ(r.requests(), 2u);
-}
-
-TEST(Resource, IdleUnitStartsImmediately)
-{
-    EventQueue eq;
-    Resource r(eq, "unit");
-    eq.schedule(100, [&] {
-        EXPECT_TRUE(r.idle());
-        const Tick finish = r.request(5, nullptr);
-        EXPECT_EQ(finish, 105u);
-    });
-    eq.run();
-}
-
-TEST(BankedResource, DistinctBanksOverlap)
-{
-    EventQueue eq;
-    BankedResource banks(eq, "mem", 4);
-    // Addresses in different banks (consecutive blocks interleave).
-    const Tick f0 = banks.request(0 * BlockSize, 100, nullptr);
-    const Tick f1 = banks.request(1 * BlockSize, 100, nullptr);
-    EXPECT_EQ(f0, 100u);
-    EXPECT_EQ(f1, 100u);  // parallel banks
-}
-
-TEST(BankedResource, SameBankSerializes)
-{
-    EventQueue eq;
-    BankedResource banks(eq, "mem", 4);
-    const Addr a = 0;
-    const Addr same_bank = 4 * BlockSize;  // 4 banks -> same bank as 0
-    const Tick f0 = banks.request(a, 100, nullptr);
-    const Tick f1 = banks.request(same_bank, 100, nullptr);
-    EXPECT_EQ(f0, 100u);
-    EXPECT_EQ(f1, 200u);
-}
 
 TEST(PipelinedUnit, LatencyVsInitiationInterval)
 {

@@ -138,6 +138,8 @@ TEST(Scheme, BadSpecsAreFatal)
     EXPECT_DEATH(parseScheme("banana"), "unknown scheme");
     EXPECT_DEATH(parseSchemeSpec("cobcm:levels=2"), "takes no parameters");
     EXPECT_DEATH(parseSchemeSpec("triad:levels=0"), "triad level");
+    EXPECT_DEATH(parseSchemeSpec("triad:levels=+3"), "triad level");
+    EXPECT_DEATH(parseSchemeSpec("triad:levels= 3"), "triad level");
     EXPECT_DEATH(parseSchemeSpec("triad:depth=2"), "bad triad spec");
 }
 

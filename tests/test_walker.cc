@@ -29,7 +29,7 @@ struct Fixture
     StatGroup g{"g"};
     MetadataLayout layout{8ULL << 30};
     BonsaiMerkleTree tree;
-    PcmConfig pcmCfg{220, 600, 32, 64, 128};
+    PcmConfig pcmCfg{220, 600, 32};
     PcmModel pcm{eq, pcmCfg, g};
     MetadataCache bmtCache{"bmt$", CacheGeometry{128 * 1024, 8, 64}, 2,
                            pcm, g, false};
