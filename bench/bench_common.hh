@@ -149,6 +149,10 @@ struct BenchCli
             return parseDecimalU64(
                 (std::string(bench_name) + ": " + flag).c_str(), v);
         };
+        auto list = [&](int i) {
+            return splitList(need(i),
+                             std::string(bench_name) + ": " + argv[i]);
+        };
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
             if (a == "--jobs") {
@@ -162,12 +166,12 @@ struct BenchCli
                 // Canonical lowercase names only: anything else dies
                 // listing every valid one. "triad:levels=N" sets the
                 // depth knob.
-                for (const std::string &name : splitCommas(need(i)))
+                for (const std::string &name : list(i))
                     cli.schemes.push_back(
                         parseSchemeSpec(name, &cli.schemeParams));
                 ++i;
             } else if (a == "--profile") {
-                for (const std::string &name : splitCommas(need(i)))
+                for (const std::string &name : list(i))
                     cli.profiles.push_back(name);
                 ++i;
             } else if (a == "--no-progress") {
@@ -280,24 +284,6 @@ struct BenchCli
         for (const BenchmarkProfile &p : spec2006Profiles())
             if (wantProfile(p.name))
                 out.push_back(p);
-        return out;
-    }
-
-    static std::vector<std::string>
-    splitCommas(const std::string &s)
-    {
-        std::vector<std::string> out;
-        std::size_t start = 0;
-        while (start <= s.size()) {
-            const std::size_t comma = s.find(',', start);
-            const std::size_t end =
-                comma == std::string::npos ? s.size() : comma;
-            if (end > start)
-                out.push_back(s.substr(start, end - start));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
         return out;
     }
 };

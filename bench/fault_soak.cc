@@ -80,7 +80,7 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(trials),
                 static_cast<unsigned long long>(seed),
-                base.describe().c_str(), cli.spec.batteryTech.c_str(),
+                base.describe(false).c_str(), cli.spec.batteryTech.c_str(),
                 cli.spec.batteryDerate);
 
     bench::Sweep sweep(cli);

@@ -33,7 +33,8 @@ main(int argc, char **argv)
     std::vector<Entry> workloads;
     if (!cli.spec.workload.empty()) {
         workloads.push_back(
-            {WorkloadSpec::parse(cli.spec.workload).name, cli.spec.workload});
+            {KvSpec::parse(cli.spec.workload, "workload").name,
+             cli.spec.workload});
     } else {
         workloads = {
             {"kv_wal", "kv_wal"},

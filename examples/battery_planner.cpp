@@ -13,12 +13,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/simulation.hh"
 #include "energy/energy_model.hh"
+#include "sim/logging.hh"
 #include "workload/synthetic.hh"
 
 using namespace secpb;
@@ -35,24 +35,20 @@ struct Candidate
 
 double
 slowdownOn(const BenchmarkProfile &profile, Scheme scheme, BmfMode bmf,
-           std::uint64_t instr)
+           const SimulationSpec &run)
 {
-    SimulationSpec base_spec;
+    SimulationSpec base_spec = run;
     base_spec.base = SecPbSystem::configFor(Scheme::Bbb, profile);
-    base_spec.instructions = instr;
-    base_spec.seed = 11;
     Simulation base(base_spec);
-    SyntheticGenerator base_gen(profile, instr, 11);
+    SyntheticGenerator base_gen(profile, run.instructions, run.seed);
     const double base_ticks =
         static_cast<double>(base.run(base_gen).execTicks);
 
-    SimulationSpec spec;
+    SimulationSpec spec = run;
     spec.base = SecPbSystem::configFor(scheme, profile);
     spec.base.walker.bmfMode = bmf;
-    spec.instructions = instr;
-    spec.seed = 11;
     Simulation sim(spec);
-    SyntheticGenerator gen(profile, instr, 11);
+    SyntheticGenerator gen(profile, run.instructions, run.seed);
     return sim.run(gen).execTicks / base_ticks;
 }
 
@@ -65,15 +61,29 @@ main(int argc, char **argv)
 
     double budget_mm3 = 2.0;      // default supercap budget
     std::string bench = "gcc";
-    std::uint64_t instr = 60'000;
-    for (int i = 1; i + 1 < argc + 0; i += 2) {
-        if (!std::strcmp(argv[i], "--budget"))
-            budget_mm3 = std::atof(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--bench"))
+    for (int i = 1; i < argc; i += 2) {
+        const std::string a = argv[i];
+        fatal_if(a != "--budget" && a != "--bench" && a != "--instr" &&
+                     a != "--seed",
+                 "battery_planner: unknown flag '%s' (flags: --budget, "
+                 "--bench, --instr, --seed)",
+                 a.c_str());
+        fatal_if(i + 1 >= argc, "battery_planner: flag %s needs a value",
+                 a.c_str());
+        if (a == "--budget")
+            budget_mm3 =
+                parseDecimalNumber("battery_planner: --budget", argv[i + 1]);
+        else if (a == "--bench")
             bench = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--instr"))
-            instr = std::strtoull(argv[i + 1], nullptr, 10);
     }
+    // --instr and --seed go through the shared spec parser; this
+    // planner's defaults are a short run on seed 11.
+    SimulationSpec defaults;
+    defaults.instructions = 60'000;
+    defaults.seed = 11;
+    const SimulationSpec run =
+        SimulationSpec::fromCli(argc, argv, "battery_planner", &defaults);
+    fatal_if(run.instructions == 0, "battery_planner: --instr must be >= 1");
 
     const EnergyModel em(EnergyCosts{}, 8);
     const BenchmarkProfile &profile = profileByName(bench);
@@ -103,7 +113,7 @@ main(int argc, char **argv)
             em.size(em.secPbBatteryEnergy(c.scheme, 32), superCapTech())
                 .volumeMm3;
         const bool fits = volume <= budget_mm3;
-        const double slow = slowdownOn(profile, c.scheme, c.bmf, instr);
+        const double slow = slowdownOn(profile, c.scheme, c.bmf, run);
         slowdowns.push_back(slow);
         if (fits && slow < best_slowdown) {
             best = &c;

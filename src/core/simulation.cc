@@ -1,10 +1,6 @@
 #include "core/simulation.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "fault/power.hh"
 #include "sim/logging.hh"
@@ -12,38 +8,6 @@
 
 namespace secpb
 {
-
-std::string
-joinNames(const std::vector<std::string> &v)
-{
-    std::string out;
-    for (const std::string &s : v) {
-        if (!out.empty())
-            out += ",";
-        out += s;
-    }
-    return out;
-}
-
-std::uint64_t
-parseDecimalU64(const char *what, const char *v)
-{
-    // strtoull alone would accept a sign (wrapping "-1" to 2^64-1) or
-    // leading blanks, so the first character must already be a digit.
-    fatal_if(!std::isdigit(static_cast<unsigned char>(v[0])),
-             "%s '%s': not a decimal integer (must be plain non-negative "
-             "digits)",
-             what, v);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(*end != '\0',
-             "%s '%s': not a decimal integer (trailing garbage at '%s')",
-             what, v, end);
-    fatal_if(errno == ERANGE, "%s '%s': out of range for a 64-bit value",
-             what, v);
-    return parsed;
-}
 
 CapacitorParams
 SimulationSpec::batteryParams() const
@@ -54,15 +18,16 @@ SimulationSpec::batteryParams() const
 }
 
 SimulationSpec
-SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
+SimulationSpec::fromCli(int &argc, char **argv, const char *prog,
+                        const SimulationSpec *defaults)
 {
-    SimulationSpec spec;
+    SimulationSpec spec = defaults ? *defaults : SimulationSpec{};
     std::string traceIn;
 
     // Parse our flags out of argv, compacting the survivors in place so
     // the caller's parser never sees what we consumed.
-    auto parseU64 = [&](const char *flag, const char *v) {
-        return parseDecimalU64((std::string(prog) + ": " + flag).c_str(), v);
+    auto what = [&](const char *flag) {
+        return std::string(prog) + ": " + flag;
     };
     int out = 1;
     for (int i = 1; i < argc; ++i) {
@@ -73,9 +38,10 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
             return argv[++i];
         };
         if (a == "--instr") {
-            spec.instructions = parseU64("--instr", need());
+            spec.instructions =
+                parseDecimalU64(what("--instr").c_str(), need());
         } else if (a == "--seed") {
-            spec.seed = parseU64("--seed", need());
+            spec.seed = parseDecimalU64(what("--seed").c_str(), need());
         } else if (a == "--workload") {
             spec.workload = need();
         } else if (a == "--trace-in") {
@@ -85,11 +51,8 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
         } else if (a == "--battery-tech") {
             spec.batteryTech = need();
         } else if (a == "--battery-derate") {
-            const char *v = need();
-            char *end = nullptr;
-            spec.batteryDerate = std::strtod(v, &end);
-            fatal_if(end == v || *end != '\0',
-                     "%s: --battery-derate '%s' is not a number", prog, v);
+            spec.batteryDerate = parseDecimalNumber(
+                what("--battery-derate").c_str(), need());
         } else if (a == "--power-schedule") {
             spec.powerSchedule = need();
         } else {
@@ -117,7 +80,7 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
         spec.workload = "replay:file=" + traceIn;
     }
     if (!spec.workload.empty()) {
-        const WorkloadSpec ws = WorkloadSpec::parse(spec.workload);
+        const KvSpec ws = KvSpec::parse(spec.workload, "workload");
         fatal_if(!isRegisteredWorkload(ws.name),
                  "%s: unknown workload '%s' (registered: %s)", prog,
                  ws.name.c_str(),

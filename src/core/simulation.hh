@@ -33,6 +33,7 @@
 #include "core/multicore.hh"
 #include "core/system.hh"
 #include "energy/capacitor.hh"
+#include "sim/kv_spec.hh"
 
 namespace secpb
 {
@@ -66,25 +67,16 @@ struct SimulationSpec
      * it owns. Flags: --instr, --seed, --workload, --trace-in,
      * --trace-record, --battery-tech, --battery-derate,
      * --power-schedule. All values are validated eagerly; a
-     * bad one dies listing the valid choices.
+     * bad one dies listing the valid choices. A flag not given keeps
+     * its value in @p defaults (a default-constructed spec if null).
      */
-    static SimulationSpec fromCli(int &argc, char **argv, const char *prog);
+    static SimulationSpec fromCli(int &argc, char **argv, const char *prog,
+                                  const SimulationSpec *defaults = nullptr);
 
     /** Usage text for the flags fromCli owns (callers splice it into
      *  their --help output). */
     static const char *cliHelp();
 };
-
-/**
- * Strict decimal parse of a command-line or environment value: the whole
- * of @p v must be one non-negative decimal integer that fits in 64 bits.
- * Anything else (sign, blank, trailing garbage, overflow) dies with a
- * diagnostic naming @p what ("fig6: --jobs"), never a silent truncation.
- */
-std::uint64_t parseDecimalU64(const char *what, const char *v);
-
-/** @p v joined with commas ("a,b,c"), for CLI help and diagnostics. */
-std::string joinNames(const std::vector<std::string> &v);
 
 /** The facade: one machine, one lifecycle. See the file comment. */
 class Simulation

@@ -251,7 +251,8 @@ SecPbSystem::crashNow(const CrashOptions &opts)
 
     RecoveryVerifier verifier(_layout, _cfg.keys,
                               schemeTraits(_cfg.scheme).secure);
-    cr.recovery = verifier.verifyCrash(_pm, *_tree, _oracle, cr.work);
+    cr.recovery =
+        verifier.verifyAll(_pm, *_tree, _oracle, cr.work.abandoned);
     cr.recovered = cr.recovery.ok();
     return cr;
 }

@@ -105,8 +105,9 @@ FaultInjector::run(WorkloadGenerator &gen)
         TRACE_INSTANT("fault", "tamper", report.crashTick);
 
         RecoveryVerifier verifier(_sys.layout(), _sys.config().keys);
-        report.postTamper = verifier.verifyCrash(
-            _sys.pm(), _sys.tree(), _sys.oracle(), report.crash.work);
+        report.postTamper =
+            verifier.verifyAll(_sys.pm(), _sys.tree(), _sys.oracle(),
+                               report.crash.work.abandoned);
         report.tampersAllDetected = TamperInjector::allDetected(
             report.tampers, report.postTamper, _sys.layout(), _sys.tree());
         TRACE_INSTANT("fault",

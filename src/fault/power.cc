@@ -1,14 +1,13 @@
 #include "fault/power.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <memory>
 #include <utility>
 
 #include "core/simulation.hh"
 #include "obs/trace.hh"
 #include "recovery/restore.hh"
+#include "sim/kv_spec.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/synthetic.hh"
@@ -16,95 +15,33 @@
 namespace secpb
 {
 
-namespace
-{
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    const double d = std::strtod(value.c_str(), &end);
-    fatal_if(end == value.c_str() || *end != '\0',
-             "power schedule: bad value '%s' for key '%s'",
-             value.c_str(), key.c_str());
-    return d;
-}
-
-/** A probability or charge fraction: a number in [0, 1]. */
-double
-parseFraction(const std::string &key, const std::string &value)
-{
-    const double d = parseDouble(key, value);
-    fatal_if(!(d >= 0.0 && d <= 1.0),
-             "power schedule: %s must be in [0, 1], got '%s'", key.c_str(),
-             value.c_str());
-    return d;
-}
-
-/** A decimal count that fits `unsigned`. */
-unsigned
-parseUnsigned(const char *what, const std::string &value)
-{
-    const std::uint64_t u = parseDecimalU64(what, value.c_str());
-    fatal_if(u > std::numeric_limits<unsigned>::max(),
-             "%s '%s': out of range for a 32-bit value", what,
-             value.c_str());
-    return static_cast<unsigned>(u);
-}
-
-} // namespace
-
 PowerScheduleSpec
-PowerScheduleSpec::parse(const std::string &kv)
+PowerScheduleSpec::parse(const std::string &text)
 {
+    KvSpec kv = KvSpec::parsePairs(text, "power schedule");
+    // A probability or charge fraction: a number in [0, 1].
+    auto fraction = [&kv](const char *key, double fallback) {
+        const double d = kv.number(key, fallback);
+        fatal_if(d > 1.0, "power schedule: %s must be in [0, 1], got %g",
+                 key, d);
+        return d;
+    };
     PowerScheduleSpec spec;
-    std::size_t pos = 0;
-    while (pos < kv.size()) {
-        std::size_t comma = kv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = kv.size();
-        const std::string pair = kv.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (pair.empty())
-            continue;
+    spec.cycles = kv.count("cycles", spec.cycles);
+    spec.minInstructions = kv.count("min-instr", spec.minInstructions);
+    spec.maxInstructions = kv.count("max-instr", spec.maxInstructions);
+    spec.brownoutChance = fraction("brownout", spec.brownoutChance);
+    spec.brownoutRetainMin = fraction("retain-min", spec.brownoutRetainMin);
+    spec.brownoutRetainMax = fraction("retain-max", spec.brownoutRetainMax);
+    spec.interruptChance = fraction("interrupt", spec.interruptChance);
+    spec.partialRechargeChance =
+        fraction("partial-recharge", spec.partialRechargeChance);
+    spec.rechargeFloor = fraction("recharge-floor", spec.rechargeFloor);
+    spec.capacityFadePerCycle =
+        kv.number("fade", spec.capacityFadePerCycle);
+    spec.finalTamperMax = kv.count("tamper-max", spec.finalTamperMax);
+    kv.finish();
 
-        const std::size_t eq = pair.find('=');
-        fatal_if(eq == std::string::npos,
-                 "power schedule: expected key=value, got '%s'",
-                 pair.c_str());
-        const std::string key = pair.substr(0, eq);
-        const std::string value = pair.substr(eq + 1);
-
-        const std::string what = "power schedule: " + key;
-        if (key == "cycles")
-            spec.cycles = parseUnsigned(what.c_str(), value);
-        else if (key == "seed")
-            spec.seed = parseDecimalU64(what.c_str(), value.c_str());
-        else if (key == "min-instr")
-            spec.minInstructions =
-                parseDecimalU64(what.c_str(), value.c_str());
-        else if (key == "max-instr")
-            spec.maxInstructions =
-                parseDecimalU64(what.c_str(), value.c_str());
-        else if (key == "brownout")
-            spec.brownoutChance = parseFraction(key, value);
-        else if (key == "retain-min")
-            spec.brownoutRetainMin = parseFraction(key, value);
-        else if (key == "retain-max")
-            spec.brownoutRetainMax = parseFraction(key, value);
-        else if (key == "interrupt")
-            spec.interruptChance = parseFraction(key, value);
-        else if (key == "partial-recharge")
-            spec.partialRechargeChance = parseFraction(key, value);
-        else if (key == "recharge-floor")
-            spec.rechargeFloor = parseFraction(key, value);
-        else if (key == "fade")
-            spec.capacityFadePerCycle = parseDouble(key, value);
-        else if (key == "tamper-max")
-            spec.finalTamperMax = parseUnsigned(what.c_str(), value);
-        else
-            fatal("power schedule: unknown key '%s'", key.c_str());
-    }
     fatal_if(spec.cycles == 0, "power schedule: cycles must be >= 1");
     fatal_if(spec.maxInstructions < spec.minInstructions,
              "power schedule: max-instr < min-instr");
@@ -117,14 +54,16 @@ PowerScheduleSpec::parse(const std::string &kv)
 }
 
 std::string
-PowerScheduleSpec::describe() const
+PowerScheduleSpec::describe(bool with_seed) const
 {
+    const std::string seed_part =
+        with_seed ? " seed=" + std::to_string(seed) : "";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "cycles=%u seed=%llu instr=[%llu,%llu] brownout=%.2f "
+                  "cycles=%u%s instr=[%llu,%llu] brownout=%.2f "
                   "retain=[%.2f,%.2f] interrupt=%.2f partial=%.2f "
                   "floor=%.2f fade=%.3f tamper-max=%u",
-                  cycles, static_cast<unsigned long long>(seed),
+                  cycles, seed_part.c_str(),
                   static_cast<unsigned long long>(minInstructions),
                   static_cast<unsigned long long>(maxInstructions),
                   brownoutChance, brownoutRetainMin, brownoutRetainMax,

@@ -85,18 +85,20 @@ struct PowerScheduleSpec
     unsigned finalTamperMax = 2;
 
     /**
-     * Parse "key=value,key=value" (e.g. "cycles=3,seed=9,brownout=0.5").
-     * Keys: cycles, seed, min-instr, max-instr, brownout, retain-min,
-     * retain-max, interrupt, partial-recharge, recharge-floor, fade,
-     * tamper-max. Counts are plain decimal digits (cycles and tamper-max
-     * fit 32 bits); chances and charge fractions lie in [0, 1] with
-     * retain-min <= retain-max, and fade lies in (0, 1]. Unknown keys or
-     * malformed or out-of-range values are fatal.
+     * Parse a "key=value,..." list (sim/kv_spec.hh; e.g.
+     * "cycles=3,brownout=0.5"). Keys: cycles, min-instr, max-instr,
+     * brownout, retain-min, retain-max, interrupt, partial-recharge,
+     * recharge-floor, fade, tamper-max. Counts fit their field; chances
+     * and charge fractions lie in [0, 1] with retain-min <= retain-max,
+     * and fade lies in (0, 1]. Unknown keys or malformed or out-of-range
+     * values are fatal. The seed is not a key: whoever runs the
+     * schedule sets it.
      */
-    static PowerScheduleSpec parse(const std::string &kv);
+    static PowerScheduleSpec parse(const std::string &text);
 
-    /** One-line description for reproducer output. */
-    std::string describe() const;
+    /** One-line description for reproducer output; @p with_seed adds
+     *  the seed after the cycle count. */
+    std::string describe(bool with_seed = true) const;
 
     /** The deterministic draw for cycle @p cycle (0-based). */
     PowerCycleDraw draw(unsigned cycle) const;

@@ -21,16 +21,17 @@
  * BBB recovery is the same classification reduced to plaintext
  * comparisons.
  *
- * Two additional scan modes exist for fault-injection experiments:
+ * Two checks serve fault-injection experiments:
  *
  *  - the spurious-block scan flags PM blocks that the oracle never saw
  *    persisted (an attacker-planted or wild write must be reported, not
  *    silently ignored);
- *  - verifyPartial() checks a *bounded-battery* drain: a battery that
- *    exhausted its energy budget abandons an in-order suffix of SecPB
- *    entries, so each abandoned block must either be flagged by the
- *    integrity checks (a detected torn residency) or decrypt exactly to
- *    its pre-residency version -- anything else is silent corruption.
+ *  - verifyAll() given the abandoned list checks a *bounded-battery*
+ *    drain: a battery that exhausted its energy budget abandons an
+ *    in-order suffix of SecPB entries, so each abandoned block must
+ *    either be flagged by the integrity checks (a detected torn
+ *    residency) or decrypt exactly to its pre-residency version --
+ *    anything else is silent corruption.
  */
 
 #ifndef SECPB_RECOVERY_VERIFIER_HH
@@ -176,29 +177,16 @@ class RecoveryVerifier
 
     /**
      * Full recovery scan: verify every block the oracle saw persisted and
-     * compare the decrypted plaintext against the oracle state. Blocks
+     * compare the decrypted plaintext against the oracle state. A
+     * persisted block absent from PM is a missing block, and blocks
      * present in the PM image but absent from the oracle are reported as
      * spurious -- an extra write must never be silently accepted.
-     */
-    RecoveryReport
-    verifyAll(const PmImage &pm, const BonsaiMerkleTree &tree,
-              const PersistOracle &oracle) const
-    {
-        RecoveryReport report;
-        for (Addr addr : oracle.touchedBlocks()) {
-            const BlockData expected = oracle.blockContent(addr);
-            verifyBlock(pm, tree, addr, &expected, report);
-        }
-        scanSpurious(pm, oracle, report);
-        return report;
-    }
-
-    /**
-     * Recovery scan after a *bounded-battery* crash drain. Entries the
-     * battery abandoned (an in-order suffix of the persist order) may
-     * legitimately be recovered at their pre-residency version; every
-     * other block must verify exactly as in verifyAll(). For each
-     * abandoned block, one of three outcomes is acceptable:
+     *
+     * @p abandoned lists the entries a *bounded-battery* crash drain
+     * gave up (an in-order suffix of the persist order; empty after a
+     * full drain). Each may legitimately be recovered at its
+     * pre-residency version, so for each abandoned block one of three
+     * outcomes is acceptable:
      *
      *  - never persisted before the abandoned residency and still absent
      *    from PM (nothing to recover, nothing fabricated);
@@ -212,9 +200,9 @@ class RecoveryVerifier
      * is reported as a prefix violation.
      */
     RecoveryReport
-    verifyPartial(const PmImage &pm, const BonsaiMerkleTree &tree,
-                  const PersistOracle &oracle,
-                  const std::vector<AbandonedResidency> &abandoned) const
+    verifyAll(const PmImage &pm, const BonsaiMerkleTree &tree,
+              const PersistOracle &oracle,
+              const std::vector<AbandonedResidency> &abandoned = {}) const
     {
         RecoveryReport report;
         std::unordered_map<Addr, std::uint64_t> pending;
@@ -225,47 +213,30 @@ class RecoveryVerifier
         }
 
         for (Addr addr : oracle.touchedBlocks()) {
-            auto it = pending.find(addr);
-            if (it == pending.end()) {
+            const auto it = pending.find(addr);
+            if (it != pending.end()) {
+                verifyAbandoned(pm, tree, oracle, addr, it->second, report);
+            } else if (!pm.hasData(addr)) {
+                ++report.blocksChecked;
+                ++report.missingBlocks;
+                report.faults.push_back({addr, BlockFaultKind::MissingBlock});
+            } else if (abandonedPages.count(_layout.pageIndex(addr))) {
+                // An abandoned residency can leave its whole page's
+                // counter block and the durable BMT root covering
+                // different counter versions (the abandoned minor
+                // increment made it into one but not the other). Sibling
+                // blocks then fail the BMT check even though their own
+                // MAC and plaintext are exact -- detected collateral of
+                // the dead battery, not corruption.
+                verifyCollateral(pm, tree, addr, oracle.blockContent(addr),
+                                 report);
+            } else {
                 const BlockData expected = oracle.blockContent(addr);
-                if (!pm.hasData(addr)) {
-                    ++report.blocksChecked;
-                    ++report.missingBlocks;
-                    report.faults.push_back(
-                        {addr, BlockFaultKind::MissingBlock});
-                    continue;
-                }
-                if (abandonedPages.count(_layout.pageIndex(addr))) {
-                    // An abandoned residency can leave its whole page's
-                    // counter block and the durable BMT root covering
-                    // different counter versions (the abandoned minor
-                    // increment made it into one but not the other).
-                    // Sibling blocks then fail the BMT check even though
-                    // their own MAC and plaintext are exact -- detected
-                    // collateral of the dead battery, not corruption.
-                    verifyCollateral(pm, tree, addr, expected, report);
-                    continue;
-                }
                 verifyBlock(pm, tree, addr, &expected, report);
-                continue;
             }
-            verifyAbandoned(pm, tree, oracle, addr, it->second, report);
         }
         scanSpurious(pm, oracle, report);
         return report;
-    }
-
-    /**
-     * The scan a crash drain calls for: verifyPartial() when the battery
-     * ran out or abandoned entries, verifyAll() otherwise.
-     */
-    RecoveryReport
-    verifyCrash(const PmImage &pm, const BonsaiMerkleTree &tree,
-                const PersistOracle &oracle, const CrashWork &work) const
-    {
-        return work.batteryExhausted || !work.abandoned.empty()
-                   ? verifyPartial(pm, tree, oracle, work.abandoned)
-                   : verifyAll(pm, tree, oracle);
     }
 
     /** Integrity-only scan (no plaintext oracle), as a real system would. */
@@ -334,7 +305,7 @@ class RecoveryVerifier
         tally(addr, b, &expected, report);
     }
 
-    /** Classify one abandoned-residency block (see verifyPartial). */
+    /** Classify one abandoned-residency block (see verifyAll). */
     void
     verifyAbandoned(const PmImage &pm, const BonsaiMerkleTree &tree,
                     const PersistOracle &oracle, Addr addr,

@@ -36,11 +36,12 @@
 #ifndef SECPB_SECPB_SCHEME_HH
 #define SECPB_SECPB_SCHEME_HH
 
-#include <cctype>
+#include <algorithm>
 #include <cstddef>
-#include <cstdlib>
+#include <iterator>
 #include <string>
 
+#include "sim/kv_spec.hh"
 #include "sim/logging.hh"
 
 namespace secpb
@@ -190,58 +191,34 @@ allSchemeNames()
 
 /**
  * Parse a scheme spec: a canonical name or a parameterized form
- * (`triad:levels=N`, stored into @p params when non-null). Fatal --
- * listing every valid name -- on anything else.
+ * (`triad:levels=N`, in the grammar of sim/kv_spec.hh; stored into
+ * @p params when non-null). Fatal -- listing every valid name -- on
+ * anything else.
  */
 inline Scheme
 parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
 {
-    const std::string::size_type colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-
-    Scheme parsed = Scheme::Bbb;
-    bool found = false;
-    for (const SchemeTraits &row : SchemeTable) {
-        if (name == row.name) {
-            parsed = row.scheme;
-            found = true;
-            break;
-        }
-    }
-    fatal_if(!found,
+    KvSpec kv = KvSpec::parse(spec, "scheme");
+    const SchemeTraits *row = std::find_if(
+        std::begin(SchemeTable), std::end(SchemeTable),
+        [&kv](const SchemeTraits &r) { return kv.name == r.name; });
+    fatal_if(row == std::end(SchemeTable),
              "unknown scheme name '%s' (valid: %s; triad accepts "
              "'triad:levels=N')",
              spec.c_str(), allSchemeNames().c_str());
+    const Scheme parsed = row->scheme;
 
-    if (colon != std::string::npos) {
-        const std::string tail = spec.substr(colon + 1);
-        fatal_if(!schemeTraits(parsed).partialBmtPersist,
-                 "scheme '%s' takes no parameters (got '%s')",
-                 schemeName(parsed), spec.c_str());
-        const char *prefix = "levels=";
-        fatal_if(tail.rfind(prefix, 0) != 0,
-                 "bad triad spec '%s' (expected 'triad:levels=N')",
-                 spec.c_str());
-        char *end = nullptr;
-        const std::string num = tail.substr(std::string(prefix).size());
-        const unsigned long levels =
-            std::strtoul(num.c_str(), &end, 10);
-        // strtoul skips blanks and takes a sign: demand a digit first.
-        fatal_if(!std::isdigit(static_cast<unsigned char>(num[0])) ||
-                     *end != '\0' || levels < 1 || levels > 64,
+    // Only triad takes a key; any other is unknown.
+    if (schemeTraits(parsed).partialBmtPersist && kv.has("levels")) {
+        const unsigned levels = kv.count("levels", 0u);
+        fatal_if(levels < 1 || levels > 64,
                  "bad triad level count in '%s' (need 1 <= N <= 64)",
                  spec.c_str());
         if (params)
-            params->triadLevels = static_cast<unsigned>(levels);
+            params->triadLevels = levels;
     }
+    kv.finish();
     return parsed;
-}
-
-/** Parse a bare scheme name (no parameters). */
-inline Scheme
-parseScheme(const std::string &name)
-{
-    return parseSchemeSpec(name, nullptr);
 }
 
 /** Display label for (scheme, params): "triad:levels=N" or the name. */

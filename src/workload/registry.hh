@@ -7,11 +7,12 @@
  *
  *     name[:key=value[,key=value...]]
  *
- * e.g. "kv_wal:puts=0.8,ckpt_every=256" or "replay:file=run.trc". The
- * registry owns the name space, validates parameters loudly (unknown
- * keys and malformed values are fatal, never ignored), and applies the
- * cross-cutting burst wrapper: every workload accepts burst_period /
- * burst_duty to duty-cycle its arrivals through BurstyArrivalGenerator.
+ * e.g. "kv_wal:puts=0.8,ckpt_every=256" or "replay:file=run.trc" -- the
+ * shared key=value grammar of sim/kv_spec.hh. The registry owns the name
+ * space, reads each workload's parameters (unknown keys and malformed
+ * values are fatal, never ignored), and applies the cross-cutting burst
+ * wrapper: every workload accepts burst_period / burst_duty to
+ * duty-cycle its arrivals through BurstyArrivalGenerator.
  *
  * Registered names: kv_wal, fs_journal, pstore, zipf_mix, replay, and
  * spec (the synthetic SPEC profiles, so one flag reaches everything).
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cpu/trace_op.hh"
@@ -32,24 +32,6 @@
 namespace secpb
 {
 
-/** A parsed "name:k=v,k=v" workload selector. */
-struct WorkloadSpec
-{
-    std::string name;
-    /** In the order written; duplicate keys are fatal at parse time. */
-    std::vector<std::pair<std::string, std::string>> params;
-
-    /** Parse a selector string (fatal on syntax errors). */
-    static WorkloadSpec parse(const std::string &text);
-
-    /** Canonical round-trippable form ("name:k=v,..."). */
-    std::string canonical() const;
-
-    bool has(const std::string &key) const;
-    std::string get(const std::string &key,
-                    const std::string &fallback = "") const;
-};
-
 /** All registered workload names, in display order. */
 const std::vector<std::string> &registeredWorkloadNames();
 
@@ -57,19 +39,15 @@ const std::vector<std::string> &registeredWorkloadNames();
 bool isRegisteredWorkload(const std::string &name);
 
 /**
- * Build the generator a spec describes.
+ * Parse a selector and build the generator it describes.
  *
- * @param spec parsed selector; unknown names/keys are fatal.
+ * @param text "name[:k=v,...]" (sim/kv_spec.hh); unknown names and keys
+ *        and malformed values are fatal.
  * @param instructions emission budget (ignored by replay: the trace's
  *        own length governs).
- * @param seed RNG seed; identical (spec, instructions, seed) triples
+ * @param seed RNG seed; identical (text, instructions, seed) triples
  *        yield bit-identical op streams.
  */
-std::unique_ptr<WorkloadGenerator> makeWorkload(
-    const WorkloadSpec &spec, std::uint64_t instructions,
-    std::uint64_t seed);
-
-/** Convenience: parse and build in one step. */
 std::unique_ptr<WorkloadGenerator> makeWorkload(
     const std::string &text, std::uint64_t instructions,
     std::uint64_t seed);

@@ -126,17 +126,6 @@ TEST(SoakRangeDeath, MalformedTrialCountIsFatal)
                 "SECPB_SOAK_TRIALS '12x': not a decimal integer");
 }
 
-TEST(BenchCli, SplitCommas)
-{
-    EXPECT_EQ(BenchCli::splitCommas("a,b,c"),
-              (std::vector<std::string>{"a", "b", "c"}));
-    EXPECT_EQ(BenchCli::splitCommas("one"),
-              (std::vector<std::string>{"one"}));
-    EXPECT_EQ(BenchCli::splitCommas(""), std::vector<std::string>{});
-    EXPECT_EQ(BenchCli::splitCommas("a,,b"),
-              (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(BenchCli, ParseFlagsOverrideEnv)
 {
     const char *argv[] = {"bench",     "--jobs",   "5",
@@ -348,20 +337,21 @@ TEST(BenchCli, BatteryFlagsParse)
 {
     const char *argv[] = {"bench",           "--battery-tech", "supercap",
                           "--battery-derate", "0.8",
-                          "--power-schedule", "cycles=3,seed=11", nullptr};
+                          "--power-schedule", "cycles=3,brownout=0.25",
+                          nullptr};
     BenchCli cli = BenchCli::parse(
         static_cast<int>(std::size(argv)) - 1,
         const_cast<char **>(argv), "bench");
     EXPECT_EQ(cli.spec.batteryTech, "supercap");
     EXPECT_DOUBLE_EQ(cli.spec.batteryDerate, 0.8);
-    EXPECT_EQ(cli.spec.powerSchedule, "cycles=3,seed=11");
+    EXPECT_EQ(cli.spec.powerSchedule, "cycles=3,brownout=0.25");
     const CapacitorParams p = cli.spec.batteryParams();
     EXPECT_EQ(p.tech, "supercap");
     EXPECT_DOUBLE_EQ(p.capacitanceDerate, 0.8);
     const PowerScheduleSpec spec =
         PowerScheduleSpec::parse(cli.spec.powerSchedule);
     EXPECT_EQ(spec.cycles, 3u);
-    EXPECT_EQ(spec.seed, 11u);
+    EXPECT_EQ(spec.brownoutChance, 0.25);
 }
 
 TEST(BenchCli, BatteryDefaultsIdealFullCapacity)
@@ -385,6 +375,18 @@ TEST(BenchCliDeath, OutOfRangeDerateIsFatal)
     const char *argv[] = {"bench", "--battery-derate", "1.5", nullptr};
     EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
                 ::testing::ExitedWithCode(1), "out of \\(0, 1\\]");
+}
+
+TEST(BenchCliDeath, MalformedDerateIsFatal)
+{
+    // The derate is read like every other number: no blank, no hex.
+    for (const char *v : {" 0.5", "0x1p-1"}) {
+        const char *argv[] = {"bench", "--battery-derate", v, nullptr};
+        EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+                    ::testing::ExitedWithCode(1),
+                    "bench: --battery-derate '.*': not a finite "
+                    "non-negative decimal number");
+    }
 }
 
 TEST(BenchCliDeath, MalformedPowerScheduleIsFatal)

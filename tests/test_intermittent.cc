@@ -108,8 +108,8 @@ TEST(CapacitorBudget, DrainDepletesTheCell)
 
 TEST(Intermittent, ScheduleDrawsAreDeterministicAndIndependent)
 {
-    const PowerScheduleSpec spec =
-        PowerScheduleSpec::parse("cycles=5,seed=99,brownout=0.5");
+    PowerScheduleSpec spec = PowerScheduleSpec::parse("cycles=5,brownout=0.5");
+    spec.seed = 99;
     for (unsigned c = 0; c < 5; ++c) {
         const PowerCycleDraw a = spec.draw(c);
         const PowerCycleDraw b = spec.draw(c);
@@ -135,7 +135,11 @@ TEST(IntermittentDeath, BadScheduleKeysAreFatal)
     EXPECT_EXIT(PowerScheduleSpec::parse("cycles"),
                 ::testing::ExitedWithCode(1), "key=value");
     EXPECT_EXIT(PowerScheduleSpec::parse("brownout=x"),
-                ::testing::ExitedWithCode(1), "bad value");
+                ::testing::ExitedWithCode(1),
+                "not a finite non-negative decimal number");
+    // The schedule's seed is set by whoever runs it, not by the text.
+    EXPECT_EXIT(PowerScheduleSpec::parse("cycles=3,seed=5"),
+                ::testing::ExitedWithCode(1), "unknown key 'seed'");
     // Counts are strict decimals that fit their field: no sign wrap,
     // no silent truncation to 32 bits.
     EXPECT_EXIT(PowerScheduleSpec::parse("cycles=-1"),
@@ -144,14 +148,15 @@ TEST(IntermittentDeath, BadScheduleKeysAreFatal)
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(PowerScheduleSpec::parse("tamper-max=-2"),
                 ::testing::ExitedWithCode(1), "not a decimal integer");
-    // Chances and charge fractions lie in [0, 1]; NaN is not in it.
+    // Chances and charge fractions lie in [0, 1]; NaN is no number.
     EXPECT_EXIT(PowerScheduleSpec::parse("brownout=nan"),
-                ::testing::ExitedWithCode(1), "must be in \\[0, 1\\]");
+                ::testing::ExitedWithCode(1),
+                "brownout 'nan': not a finite non-negative decimal number");
     EXPECT_EXIT(PowerScheduleSpec::parse("brownout=7"),
                 ::testing::ExitedWithCode(1), "must be in \\[0, 1\\]");
     EXPECT_EXIT(PowerScheduleSpec::parse("retain-min=0.9,retain-max=0.5"),
                 ::testing::ExitedWithCode(1), "retain-max < retain-min");
-    EXPECT_EXIT(PowerScheduleSpec::parse("fade=nan"),
+    EXPECT_EXIT(PowerScheduleSpec::parse("fade=0"),
                 ::testing::ExitedWithCode(1), "fade must be in");
 }
 
@@ -161,8 +166,9 @@ TEST(Intermittent, CrashRecoverCrashSurvivesEverySecureScheme)
     // scheme, with brownouts and mid-recovery power loss in the
     // schedule. Every cycle must restore to a verified image and every
     // crash must recover prefix-consistently: zero silent acceptance.
-    const PowerScheduleSpec spec = PowerScheduleSpec::parse(
-        "cycles=3,seed=21,brownout=0.6,interrupt=0.6,tamper-max=2");
+    PowerScheduleSpec spec = PowerScheduleSpec::parse(
+        "cycles=3,brownout=0.6,interrupt=0.6,tamper-max=2");
+    spec.seed = 21;
     for (Scheme scheme : SchemeZoo) {
         IntermittentPowerInjector inj(batteryConfig(scheme), spec,
                                       "omnetpp");
@@ -179,8 +185,9 @@ TEST(Intermittent, CrashRecoverCrashSurvivesEverySecureScheme)
 
 TEST(Intermittent, TraceMarksEveryBootAndInterruptedRestore)
 {
-    const PowerScheduleSpec spec = PowerScheduleSpec::parse(
-        "cycles=3,seed=21,brownout=0.6,interrupt=0.6");
+    PowerScheduleSpec spec = PowerScheduleSpec::parse(
+        "cycles=3,brownout=0.6,interrupt=0.6");
+    spec.seed = 21;
     IntermittentPowerInjector inj(batteryConfig(Scheme::Cobcm), spec,
                                   "omnetpp");
     obs::Tracer t;
@@ -315,9 +322,10 @@ TEST(Intermittent, AdaptivePolicyNeverOverspendsTheCell)
     // recharges, and per-cycle aging on a derated supercap.
     CapacitorParams params = capacitorPresetFor("supercap");
     params.capacitanceDerate = 0.4;
-    const PowerScheduleSpec spec = PowerScheduleSpec::parse(
-        "cycles=4,seed=13,brownout=0.9,retain-min=0.05,retain-max=0.3,"
+    PowerScheduleSpec spec = PowerScheduleSpec::parse(
+        "cycles=4,brownout=0.9,retain-min=0.05,retain-max=0.3,"
         "fade=0.9,recharge-floor=0.5");
+    spec.seed = 13;
     for (Scheme scheme : {Scheme::Cobcm, Scheme::NoGap}) {
         IntermittentPowerInjector inj(
             batteryConfig(scheme, 1.0, /*adaptive=*/true, params), spec,

@@ -280,7 +280,7 @@ TEST(Recovery, DrainLatencyNsMatchesClock)
 TEST(RecoveryDeath, AbandonedResidencyMustMatchTheSnapshot)
 {
     // A starved battery abandons residencies; their pendingWrites agree
-    // with the oracle's snapshots, so the crash's own verifyPartial
+    // with the oracle's snapshots, so the crash's own verifyAll
     // passes. A residency claiming one store too many is a bookkeeping
     // bug, and the verifier must stop on it rather than clamp it away.
     SecPbSystem sys(cfgFor(Scheme::Cobcm));
@@ -296,8 +296,8 @@ TEST(RecoveryDeath, AbandonedResidencyMustMatchTheSnapshot)
     std::vector<AbandonedResidency> wrong = cr.work.abandoned;
     ++wrong.front().pendingWrites;
     RecoveryVerifier verifier(sys.layout(), sys.config().keys);
-    EXPECT_DEATH(verifier.verifyPartial(sys.pm(), sys.tree(), sys.oracle(),
-                                        wrong),
+    EXPECT_DEATH(verifier.verifyAll(sys.pm(), sys.tree(), sys.oracle(),
+                                    wrong),
                  "abandoned residency 0x[0-9a-f]+: [0-9]+ of [0-9]+ stores "
                  "pending");
 }

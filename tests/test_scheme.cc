@@ -95,7 +95,7 @@ TEST(Scheme, OnlySecWtSkipsCoalescing)
 TEST(Scheme, NamesRoundTrip)
 {
     for (const SchemeTraits &row : SchemeTable) {
-        EXPECT_EQ(parseScheme(row.name), row.scheme);
+        EXPECT_EQ(parseSchemeSpec(row.name), row.scheme);
         EXPECT_STREQ(schemeName(row.scheme), row.name);
     }
     ASSERT_EQ(std::size(SchemeTable), 13u);
@@ -114,7 +114,7 @@ TEST(Scheme, NamesAreCanonicalLowercase)
 TEST(SchemeDeath, LegacySpellingIsFatal)
 {
     // Only canonical names parse; the diagnostic lists every one.
-    EXPECT_DEATH(parseScheme("COBCM"),
+    EXPECT_DEATH(parseSchemeSpec("COBCM"),
                  "unknown scheme name 'COBCM' \\(valid: " +
                      allSchemeNames());
 }
@@ -135,12 +135,16 @@ TEST(Scheme, ParseTriadLevelsSpec)
 
 TEST(Scheme, BadSpecsAreFatal)
 {
-    EXPECT_DEATH(parseScheme("banana"), "unknown scheme");
-    EXPECT_DEATH(parseSchemeSpec("cobcm:levels=2"), "takes no parameters");
+    EXPECT_DEATH(parseSchemeSpec("banana"), "unknown scheme");
+    EXPECT_DEATH(parseSchemeSpec("cobcm:levels=2"),
+                 "scheme 'cobcm': unknown key 'levels'");
     EXPECT_DEATH(parseSchemeSpec("triad:levels=0"), "triad level");
-    EXPECT_DEATH(parseSchemeSpec("triad:levels=+3"), "triad level");
-    EXPECT_DEATH(parseSchemeSpec("triad:levels= 3"), "triad level");
-    EXPECT_DEATH(parseSchemeSpec("triad:depth=2"), "bad triad spec");
+    EXPECT_DEATH(parseSchemeSpec("triad:levels=+3"),
+                 "scheme 'triad': parameter levels '\\+3': not a decimal");
+    EXPECT_DEATH(parseSchemeSpec("triad:levels= 3"),
+                 "scheme 'triad': parameter levels ' 3': not a decimal");
+    EXPECT_DEATH(parseSchemeSpec("triad:depth=2"),
+                 "scheme 'triad': unknown key 'depth'");
 }
 
 TEST(Scheme, ZooTraits)

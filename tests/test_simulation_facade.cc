@@ -316,6 +316,9 @@ TEST(SimulationSpecCli, BadValuesDieEagerly)
     EXPECT_DEATH(parse({"prog", "--instr", "-5"}),
                  "--instr '-5': not a decimal integer");
     EXPECT_DEATH(parse({"prog", "--battery-derate", "nan"}),
+                 "--battery-derate 'nan': not a finite non-negative "
+                 "decimal number");
+    EXPECT_DEATH(parse({"prog", "--battery-derate", "0"}),
                  "out of \\(0, 1\\]");
     EXPECT_DEATH(parse({"prog", "--workload", "no-such-workload"}),
                  "unknown workload");
