@@ -40,6 +40,7 @@
 #define SECPB_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -287,6 +288,56 @@ struct BenchCli
         return out;
     }
 };
+
+/**
+ * The shell line that replays trial @p trial of a soak seeded @p seed:
+ * "SECPB_SOAK_SEED=S SECPB_SOAK_TRIAL=T <bench>" plus every spec flag
+ * @p cli was given (--trace-in appears as the replay workload it is).
+ * Each number prints in the shortest form that parses back to the same
+ * value, so the line runs the same trial on the same cell.
+ */
+inline std::string
+soakReproducer(const BenchCli &cli, std::uint64_t seed, std::uint64_t trial)
+{
+    auto word = [](const std::string &v) {
+        if (v.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "0123456789_-.,:=/+") == std::string::npos)
+            return v;
+        std::string q = "'";
+        for (char c : v)
+            q += c == '\'' ? std::string("'\\''") : std::string(1, c);
+        return q + "'";
+    };
+    const SimulationSpec d;
+    const SimulationSpec &s = cli.spec;
+    const CapacitorParams &cell = s.base.battery.cap;
+    std::string out = "SECPB_SOAK_SEED=" + std::to_string(seed) +
+                      " SECPB_SOAK_TRIAL=" + std::to_string(trial) + " " +
+                      cli.bench;
+    auto flag = [&](const char *name, const std::string &v) {
+        out += std::string(" ") + name + " " + word(v);
+    };
+    if (s.instructions != d.instructions)
+        flag("--instr", std::to_string(s.instructions));
+    if (s.seed != d.seed)
+        flag("--seed", std::to_string(s.seed));
+    if (!s.workload.empty())
+        flag("--workload", s.workload);
+    if (!s.traceRecord.empty())
+        flag("--trace-record", s.traceRecord);
+    if (cell.tech != d.base.battery.cap.tech ||
+        cell.capacitanceDerate != d.base.battery.cap.capacitanceDerate) {
+        char buf[32];
+        const auto end =
+            std::to_chars(buf, buf + sizeof(buf), cell.capacitanceDerate).ptr;
+        flag("--battery-tech", cell.tech);
+        flag("--battery-derate", std::string(buf, end));
+    }
+    if (!s.powerSchedule.empty())
+        flag("--power-schedule", s.powerSchedule);
+    return out;
+}
 
 /**
  * One bench's sweep: collect points, run them through the engine, look

@@ -31,8 +31,11 @@
  * mid-recovery), scheme picked by trial index mod 10 and the adaptive
  * drain policy alternating on/off by trial parity. Adaptive trials
  * additionally assert the never-overspend invariant (drain energy <=
- * deliverable at crash). --battery-tech and --battery-derate select the
- * cell.
+ * deliverable at crash; PowerCycleOutcome::overspent). --battery-tech
+ * and --battery-derate build the cell (base.battery.cap).
+ *
+ * A failing trial prints its replay line (bench::soakReproducer): the
+ * SECPB_SOAK_* knobs that select it and every spec flag the run had.
  */
 
 #include <cstdio>
@@ -75,17 +78,17 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
 {
     const PowerScheduleSpec base =
         PowerScheduleSpec::parse(cli.spec.powerSchedule);
+    const CapacitorParams &cell = cli.spec.base.battery.cap;
     std::printf("intermittent soak: trials [%llu, %llu), seed %llu, "
                 "schedule [%s], tech %s derate %.2f\n\n",
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(trials),
                 static_cast<unsigned long long>(seed),
-                base.describe(false).c_str(), cli.spec.batteryTech.c_str(),
-                cli.spec.batteryDerate);
+                base.describe(false).c_str(), cell.tech.c_str(),
+                cell.capacitanceDerate);
 
     bench::Sweep sweep(cli);
     std::vector<std::size_t> idx;
-    const CapacitorParams params = cli.spec.batteryParams();
     for (std::uint64_t trial = first; trial < trials; ++trial) {
         // The classic trial's scheme and profile; its crash plan is
         // replaced by the power schedule.
@@ -107,13 +110,13 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
         cfg.secpb.params = t.params;
         cfg.pmDataBytes = 1ULL << 30;
         cfg.battery.enabled = true;
-        cfg.battery.cap = params;
+        cfg.battery.cap = cell;
         cfg.battery.adaptive.enabled = adaptive;
         p.spec.instructions = 0;
         p.spec.seed = schedule.seed;
         p.tag("schedule", schedule.describe());
         p.tag("adaptive", adaptive ? "on" : "off");
-        p.custom = [schedule, adaptive](const ExperimentPoint &pt) {
+        p.custom = [schedule](const ExperimentPoint &pt) {
             IntermittentPowerInjector inj(pt.spec.base, schedule,
                                           pt.profile);
             const IntermittentReport r = inj.run();
@@ -129,18 +132,11 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
                     c.restoreFinal.blocksRolledBack);
                 brownouts += c.brownoutApplied ? 1.0 : 0.0;
                 interrupts += c.restoreInterrupted ? 1.0 : 0.0;
-                // The adaptive-policy invariant: the drain never needs
-                // more than the cell held when power failed. Without
-                // the policy a deep brownout can sag below the
-                // committed obligation -- that is the failure mode the
-                // policy (plus the BBU reserve) exists to prevent.
-                if (adaptive &&
-                    c.energySpentJ > c.deliverableAtCrashJ + 1e-12)
-                    overspent += 1.0;
+                overspent += c.overspent ? 1.0 : 0.0;
             }
             ExperimentResult res;
             res.extra = {
-                {"ok", (r.ok() && overspent == 0.0) ? 1.0 : 0.0},
+                {"ok", r.ok() ? 1.0 : 0.0},
                 {"cycles", static_cast<double>(r.cycles.size())},
                 {"abandoned_entries", abandoned},
                 {"quarantined", quarantined},
@@ -168,15 +164,12 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
             tot[k] += r.extra[k + 1].second;
         if (r.extraValue("ok") == 0.0) {
             exit_code = 1;
-            std::printf("FAIL: SECPB_SOAK_SEED=%llu trial=%llu scheme=%s "
-                        "--power-schedule '%s'%s\n",
-                        static_cast<unsigned long long>(seed),
-                        static_cast<unsigned long long>(first + i),
+            std::printf("FAIL: scheme=%s%s; replay: %s\n",
                         schemeName(SchemeZoo[si]),
-                        cli.spec.powerSchedule.c_str(),
                         r.extraValue("overspent_drains") > 0.0
                             ? " (drain exceeded capacitor energy)"
-                            : "");
+                            : "",
+                        bench::soakReproducer(cli, seed, first + i).c_str());
         }
     }
 
@@ -238,7 +231,7 @@ main(int argc, char **argv)
             const auto gen = pointWorkload(pt);
             const FaultReport r =
                 FaultInjector(sim.system(), plan).run(*gen);
-            const SoakVerdict v = judgeSoakTrial(r, plan, sim.system());
+            const SoakVerdict v = judgeSoakTrial(r, sim.system());
             ExperimentResult res;
             res.extra = {
                 {"ok", v == SoakVerdict::Pass ? 1.0 : 0.0},
@@ -288,12 +281,11 @@ main(int argc, char **argv)
         if (r.extraValue("ok") == 0.0) {
             ++st.failures;
             exit_code = 1;
-            std::printf("FAIL: SECPB_SOAK_SEED=%llu trial=%llu %s (%s)\n",
-                        static_cast<unsigned long long>(seed),
-                        static_cast<unsigned long long>(first + i),
+            std::printf("FAIL: %s (%s); replay: %s\n",
                         t.describe().c_str(),
                         soakVerdictName(static_cast<SoakVerdict>(
-                            r.extraValue("verdict"))));
+                            r.extraValue("verdict"))),
+                        bench::soakReproducer(cli, seed, first + i).c_str());
         }
     }
 

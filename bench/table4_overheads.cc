@@ -58,7 +58,7 @@ main(int argc, char **argv)
     // policy on. The policy sheds dirty metadata early to keep the
     // crash prediction affordable -- that extra PCM write traffic is
     // the overhead this table surfaces.
-    const CapacitorParams cap = cli.spec.batteryParams();
+    const CapacitorParams &cap = cli.spec.base.battery.cap;
     auto shed_point = [&](Scheme s, const std::string &profile) {
         ExperimentPoint p = cli.point(s, profile);
         p.label += "/shed";

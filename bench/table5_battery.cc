@@ -19,34 +19,31 @@ using namespace secpb::bench;
 namespace
 {
 
-/** Battery-sizing point: pure energy-model evaluation. */
+/**
+ * Battery-sizing point: @p energy_j on each Table V cell, the paper's
+ * flat sizing and the physical one. A real part only delivers the
+ * energy above its regulator cutoff, and a worn part less still, so the
+ * physical columns inflate each cell's volume by its own voltage window
+ * and the CLI's derate.
+ */
 ExperimentResult
 sizePoint(double energy_j, double derate)
 {
     const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
-    const BatteryEstimate sc = em.size(energy_j, superCapTech());
-    const BatteryEstimate li = em.size(energy_j, liThinTech());
-
-    // The paper's flat sizing assumes every stored joule is usable. A
-    // real part only delivers the energy above the regulator cutoff, and
-    // a worn part less still, so the realistic columns inflate each
-    // tech's volume by its own voltage window and the CLI's derate.
-    CapacitorParams scp = capacitorPresetFor("supercap");
-    CapacitorParams lip = capacitorPresetFor("li-thin");
-    scp.capacitanceDerate = derate;
-    lip.capacitanceDerate = derate;
-    const BatteryEstimate scr =
-        em.sizeWithPhysics(energy_j, superCapTech(), scp);
-    const BatteryEstimate lir =
-        em.sizeWithPhysics(energy_j, liThinTech(), lip);
+    const CapacitorParams sc = capacitorPresetFor("supercap", derate);
+    const CapacitorParams li = capacitorPresetFor("li-thin", derate);
+    const BatteryEstimate scf = em.size(energy_j, sc);
+    const BatteryEstimate lif = em.size(energy_j, li);
+    const BatteryEstimate scr = em.sizeWithPhysics(energy_j, sc);
+    const BatteryEstimate lir = em.sizeWithPhysics(energy_j, li);
 
     ExperimentResult r;
     r.extra = {
         {"energy_j", energy_j},
-        {"supercap_mm3", sc.volumeMm3},
-        {"lithin_mm3", li.volumeMm3},
-        {"supercap_core_ratio", sc.areaRatioToCore},
-        {"lithin_core_ratio", li.areaRatioToCore},
+        {"supercap_mm3", scf.volumeMm3},
+        {"lithin_mm3", lif.volumeMm3},
+        {"supercap_core_ratio", scf.areaRatioToCore},
+        {"lithin_core_ratio", lif.areaRatioToCore},
         {"supercap_real_mm3", scr.volumeMm3},
         {"lithin_real_mm3", lir.volumeMm3},
         {"supercap_real_core_ratio", scr.areaRatioToCore},
@@ -61,6 +58,7 @@ int
 main(int argc, char **argv)
 {
     const BenchCli cli = BenchCli::parse(argc, argv, "table5");
+    const double derate = cli.spec.base.battery.cap.capacitanceDerate;
     const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
     constexpr unsigned entries = 32;
 
@@ -93,7 +91,6 @@ main(int argc, char **argv)
         p.spec.instructions = 0;
         p.tag("kind", "battery_sizing");
         const double energy = r.energyJ;
-        const double derate = cli.spec.batteryDerate;
         p.custom = [energy, derate](const ExperimentPoint &) {
             return sizePoint(energy, derate);
         };
@@ -121,7 +118,7 @@ main(int argc, char **argv)
 
     std::printf("\nRealistic physics (voltage window + derate %.2f): "
                 "each tech's own usable window inflates the volume\n\n",
-                cli.spec.batteryDerate);
+                derate);
     std::printf("%-8s %12s %12s %11s %10s\n", "System",
                 "SuperCap mm3", "Li-Thin mm3", "SC/core", "Li/core");
     for (std::size_t i = 0; i < std::size(rows); ++i) {

@@ -16,6 +16,7 @@ int
 main(int argc, char **argv)
 {
     const BenchCli cli = BenchCli::parse(argc, argv, "table6");
+    const double derate = cli.spec.base.battery.cap.capacitanceDerate;
     const unsigned sizes[] = {8, 16, 32, 64, 128, 256, 512};
     const Scheme schemes[] = {Scheme::Cobcm, Scheme::NoGap};
 
@@ -31,23 +32,22 @@ main(int argc, char **argv)
             p.spec.base.secpb.numEntries = entries;
             p.spec.instructions = 0;
             p.tag("kind", "battery_sizing");
-            const double derate = cli.spec.batteryDerate;
             p.custom = [scheme, entries, derate](const ExperimentPoint &) {
                 const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
                 const double e = em.secPbBatteryEnergy(scheme, entries);
-                CapacitorParams scp = capacitorPresetFor("supercap");
-                CapacitorParams lip = capacitorPresetFor("li-thin");
-                scp.capacitanceDerate = derate;
-                lip.capacitanceDerate = derate;
+                const CapacitorParams sc =
+                    capacitorPresetFor("supercap", derate);
+                const CapacitorParams li =
+                    capacitorPresetFor("li-thin", derate);
                 ExperimentResult r;
                 r.extra = {
                     {"energy_j", e},
-                    {"supercap_mm3", em.size(e, superCapTech()).volumeMm3},
-                    {"lithin_mm3", em.size(e, liThinTech()).volumeMm3},
+                    {"supercap_mm3", em.size(e, sc).volumeMm3},
+                    {"lithin_mm3", em.size(e, li).volumeMm3},
                     {"supercap_real_mm3",
-                     em.sizeWithPhysics(e, superCapTech(), scp).volumeMm3},
+                     em.sizeWithPhysics(e, sc).volumeMm3},
                     {"lithin_real_mm3",
-                     em.sizeWithPhysics(e, liThinTech(), lip).volumeMm3},
+                     em.sizeWithPhysics(e, li).volumeMm3},
                 };
                 return r;
             };
@@ -82,7 +82,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\nRealistic physics (voltage window + derate %.2f):\n\n",
-                cli.spec.batteryDerate);
+                derate);
     std::printf("%8s | %12s %12s | %12s %12s\n", "entries",
                 "COBCM SC", "COBCM Li", "NoGap SC", "NoGap Li");
     for (std::size_t i = 0; i < std::size(sizes); ++i) {

@@ -128,7 +128,8 @@ main()
         CrashReport cr = sys.crashNow();
         if (!cr.recovered)
             std::fprintf(stderr, "unexpected recovery failure\n");
-        sys.pm().replayTuple(0x000, old_ct, old_cb, old_mac, 0);
+        sys.pm().writeBlock(0x000, old_ct, old_mac);
+        sys.pm().writeCounterBlock(0, old_cb);
 
         RecoveryVerifier v(sys.layout(), cfg.keys);
         report("tuple replay",

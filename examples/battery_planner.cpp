@@ -86,6 +86,7 @@ main(int argc, char **argv)
     fatal_if(run.instructions == 0, "battery_planner: --instr must be >= 1");
 
     const EnergyModel em(EnergyCosts{}, 8);
+    const CapacitorParams supercap = capacitorPresetFor("supercap");
     const BenchmarkProfile &profile = profileByName(bench);
 
     const Candidate candidates[] = {
@@ -110,8 +111,7 @@ main(int argc, char **argv)
     std::vector<double> slowdowns;
     for (const Candidate &c : candidates) {
         const double volume =
-            em.size(em.secPbBatteryEnergy(c.scheme, 32), superCapTech())
-                .volumeMm3;
+            em.size(em.secPbBatteryEnergy(c.scheme, 32), supercap).volumeMm3;
         const bool fits = volume <= budget_mm3;
         const double slow = slowdownOn(profile, c.scheme, c.bmf, run);
         slowdowns.push_back(slow);

@@ -178,9 +178,8 @@ main(int argc, char **argv)
             fatal("unknown flag '%s'", argv[i]);
     }
 
-    const SimulationSpec defaults;
-    fatal_if(spec.batteryTech != defaults.batteryTech ||
-                 spec.batteryDerate != defaults.batteryDerate ||
+    const CapacitorParams &cell = spec.base.battery.cap;
+    fatal_if(cell.tech != "ideal" || cell.capacitanceDerate != 1.0 ||
                  !spec.powerSchedule.empty(),
              "secpb_sim: --battery-tech, --battery-derate and "
              "--power-schedule are not modelled here (use "

@@ -113,8 +113,6 @@ struct SystemConfig
     ObsConfig obs;
 
     BatteryConfig battery;
-
-    ClockInfo clock;
 };
 
 } // namespace secpb

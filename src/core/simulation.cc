@@ -9,20 +9,14 @@
 namespace secpb
 {
 
-CapacitorParams
-SimulationSpec::batteryParams() const
-{
-    CapacitorParams p = capacitorPresetFor(batteryTech);
-    p.capacitanceDerate = batteryDerate;
-    return p;
-}
-
 SimulationSpec
 SimulationSpec::fromCli(int &argc, char **argv, const char *prog,
                         const SimulationSpec *defaults)
 {
     SimulationSpec spec = defaults ? *defaults : SimulationSpec{};
     std::string traceIn;
+    std::string tech = spec.base.battery.cap.tech;
+    double derate = spec.base.battery.cap.capacitanceDerate;
 
     // Parse our flags out of argv, compacting the survivors in place so
     // the caller's parser never sees what we consumed.
@@ -49,10 +43,10 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog,
         } else if (a == "--trace-record") {
             spec.traceRecord = need();
         } else if (a == "--battery-tech") {
-            spec.batteryTech = need();
+            tech = need();
         } else if (a == "--battery-derate") {
-            spec.batteryDerate = parseDecimalNumber(
-                what("--battery-derate").c_str(), need());
+            derate = parseDecimalNumber(what("--battery-derate").c_str(),
+                                        need());
         } else if (a == "--power-schedule") {
             spec.powerSchedule = need();
         } else {
@@ -64,10 +58,7 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog,
 
     // Validate eagerly: a bad value dies here, before any run starts,
     // with a diagnostic that lists the valid choices.
-    capacitorPresetFor(spec.batteryTech);
-    fatal_if(!(spec.batteryDerate > 0.0 && spec.batteryDerate <= 1.0),
-             "%s: --battery-derate %.3f out of (0, 1]", prog,
-             spec.batteryDerate);
+    spec.base.battery.cap = capacitorPresetFor(tech, derate);
     if (!spec.powerSchedule.empty())
         PowerScheduleSpec::parse(spec.powerSchedule);
     // --trace-in is sugar for the replay workload; combining them would
@@ -99,9 +90,10 @@ SimulationSpec::cliHelp()
         "  --trace-in PATH     replay a recorded trace (= --workload\n"
         "                      replay:file=PATH)\n"
         "  --trace-record PATH record the first point's op stream\n"
-        "  --battery-tech T    capacitor physics preset\n"
+        "  --battery-tech T    the machine's battery cell technology\n"
         "                      (ideal|supercap|li-thin)\n"
-        "  --battery-derate F  end-of-life capacity derate in (0,1]\n"
+        "  --battery-derate F  the cell's end-of-life capacity derate\n"
+        "                      in (0,1]\n"
         "  --power-schedule S  seeded intermittent-power schedule"
         " \"k=v,...\"\n";
 }

@@ -7,7 +7,7 @@
  * machine from a SimulationSpec and talks to the Simulation facade. The
  * spec pins everything a run needs: the per-core SystemConfig, the core
  * count, and the workload-level knobs the shared CLI owns (instructions,
- * seed, workload selector, battery physics, power schedule). One
+ * seed, workload selector, power schedule). One
  * lifecycle -- start / runUntil / run / crashNow / result -- covers
  * every core count.
  *
@@ -32,7 +32,6 @@
 
 #include "core/multicore.hh"
 #include "core/system.hh"
-#include "energy/capacitor.hh"
 #include "sim/kv_spec.hh"
 
 namespace secpb
@@ -53,13 +52,8 @@ struct SimulationSpec
     std::uint64_t seed = 7;
     std::string workload;        ///< Registry selector; "" = profiles.
     std::string traceRecord;     ///< Record first point's ops; "" = off.
-    std::string batteryTech = "ideal";  ///< Capacitor physics preset.
-    double batteryDerate = 1.0;  ///< End-of-life capacity derate.
     std::string powerSchedule;   ///< Intermittent power; "" = none.
     /** @} */
-
-    /** The parsed battery physics preset with the derate applied. */
-    CapacitorParams batteryParams() const;
 
     /**
      * Parse and REMOVE the spec-level flags from @p argv (compacting in
@@ -69,6 +63,10 @@ struct SimulationSpec
      * --power-schedule. All values are validated eagerly; a
      * bad one dies listing the valid choices. A flag not given keeps
      * its value in @p defaults (a default-constructed spec if null).
+     * --battery-tech and --battery-derate, in either order, build one
+     * cell, base.battery.cap: that technology's row of the technology
+     * table at that derate (each flag not given keeps the defaults'
+     * technology or derate).
      */
     static SimulationSpec fromCli(int &argc, char **argv, const char *prog,
                                   const SimulationSpec *defaults = nullptr);

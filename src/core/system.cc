@@ -246,7 +246,7 @@ SecPbSystem::crashNow(const CrashOptions &opts)
         cr.batteryAfterJ = _battery->storedEnergyJ();
     }
     cr.drainLatency = latency.estimate(cr.work);
-    cr.drainLatencyNs = latency.estimateNs(cr.work, _cfg.clock);
+    cr.drainLatencyNs = latency.estimateNs(cr.work);
     cr.provisionedEnergyJ = provisionedCrashEnergy();
 
     RecoveryVerifier verifier(_layout, _cfg.keys,

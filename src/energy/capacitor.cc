@@ -9,40 +9,70 @@
 namespace secpb
 {
 
-CapacitorParams
-capacitorPresetFor(const std::string &tech)
+namespace
 {
-    CapacitorParams p;
-    if (tech == "ideal" || tech.empty()) {
-        return p;
-    }
-    if (tech == "supercap") {
-        // A small EDLC bank: wide voltage swing, noticeable ESR.
-        p.ratedVoltage = 2.7;
-        p.cutoffVoltage = 1.0;
-        p.esrOhms = 0.05;
-        p.dischargeCurrentA = 0.5;
-        p.leakagePowerW = 1.0e-6;
-        p.tech = "supercap";
-        return p;
-    }
-    if (tech == "li-thin") {
-        // Thin-film lithium: flat discharge curve, narrow usable window.
-        p.ratedVoltage = 4.0;
-        p.cutoffVoltage = 3.0;
-        p.esrOhms = 0.02;
-        p.dischargeCurrentA = 0.5;
-        p.leakagePowerW = 1.0e-7;
-        p.tech = "li-thin";
-        return p;
-    }
+
+/** One energy-storage technology: its Table V density and its cell. */
+struct CellTech
+{
+    double densityJPerMm3;  ///< Usable J/mm^3; 0 = no Table V density.
+    CapacitorParams cell;
+};
+
+/** The technology table: each technology stated once, by name. */
+const CellTech &
+cellTech(const std::string &name)
+{
+    static const CellTech Techs[] = {
+        // The lossless cell: every stored joule usable, nothing leaks.
+        {0.0, CapacitorParams{}},
+        // 1e-4 Wh/cm^3. A small EDLC bank: wide voltage swing,
+        // noticeable ESR.
+        {3.6e-4, {.ratedVoltage = 2.7, .cutoffVoltage = 1.0,
+                  .esrOhms = 0.05, .dischargeCurrentA = 0.5,
+                  .leakagePowerW = 1.0e-6, .tech = "supercap"}},
+        // 1e-2 Wh/cm^3. Thin-film lithium: flat discharge curve,
+        // narrow usable window.
+        {3.6e-2, {.ratedVoltage = 4.0, .cutoffVoltage = 3.0,
+                  .esrOhms = 0.02, .dischargeCurrentA = 0.5,
+                  .leakagePowerW = 1.0e-7, .tech = "li-thin"}},
+    };
+    for (const CellTech &t : Techs)
+        if (t.cell.tech == (name.empty() ? "ideal" : name))
+            return t;
     fatal("unknown battery tech '%s' (want ideal|supercap|li-thin)",
-          tech.c_str());
+          name.c_str());
+}
+
+} // namespace
+
+CapacitorParams
+capacitorPresetFor(const std::string &tech, double derate)
+{
+    CapacitorParams p = cellTech(tech).cell;
+    p.capacitanceDerate = derate;
+    usableWindowFraction(p); // checks the derate
+    return p;
+}
+
+double
+cellDensityJPerMm3(const CapacitorParams &cell)
+{
+    const double d = cellTech(cell.tech).densityJPerMm3;
+    fatal_if(d <= 0.0,
+             "battery sizing: the %s cell has no Table V density "
+             "(size supercap or li-thin)",
+             cell.tech.c_str());
+    return d;
 }
 
 double
 usableWindowFraction(const CapacitorParams &p)
 {
+    fatal_if(!(p.capacitanceDerate > 0.0 && p.capacitanceDerate <= 1.0),
+             "battery derate %.3f out of (0, 1] (--battery-derate, "
+             "capacitanceDerate)",
+             p.capacitanceDerate);
     fatal_if(p.ratedVoltage <= p.cutoffVoltage,
              "capacitor rated voltage %.3f V must exceed cutoff %.3f V",
              p.ratedVoltage, p.cutoffVoltage);
@@ -55,11 +85,7 @@ Capacitor
 Capacitor::sizedFor(double usable_j, const CapacitorParams &params)
 {
     fatal_if(usable_j < 0.0, "capacitor sized for negative energy");
-    fatal_if(params.capacitanceDerate <= 0.0 ||
-                 params.capacitanceDerate > 1.0,
-             "capacitanceDerate %.3f out of (0, 1]",
-             params.capacitanceDerate);
-    usableWindowFraction(params); // validates the voltage window
+    usableWindowFraction(params); // validates the cell
     Capacitor c;
     c._params = params;
     // The derate is a fabrication/aging haircut on the same nominal
@@ -129,14 +155,6 @@ Capacitor::deliver(double load_j)
 }
 
 void
-Capacitor::recharge(double joules)
-{
-    if (joules > 0.0) {
-        _storedJ = std::min(_capacityJ, _storedJ + joules);
-    }
-}
-
-void
 Capacitor::setChargeFraction(double fraction)
 {
     _storedJ = std::clamp(fraction, 0.0, 1.0) * _capacityJ;
@@ -174,14 +192,12 @@ Capacitor::applyBrownout(double retain, double reserve_j)
 }
 
 void
-Capacitor::age(double capacity_fade, double esr_growth)
+Capacitor::age(double capacity_fade)
 {
     fatal_if(capacity_fade <= 0.0 || capacity_fade > 1.0,
              "capacity fade %.3f out of (0, 1]", capacity_fade);
-    fatal_if(esr_growth < 1.0, "ESR growth %.3f below 1", esr_growth);
     _capacityJ *= capacity_fade;
     _storedJ = std::min(_storedJ, _capacityJ);
-    _params.esrOhms *= esr_growth;
 }
 
 void

@@ -18,8 +18,8 @@
  *    a terminal-voltage-dependent discharge efficiency;
  *  - leakage: self-discharge at a constant power while the machine sits
  *    powered off between crash and recovery;
- *  - aging/derating: capacity fade and ESR growth, either applied up
- *    front (a worn part) or mid-run (a brownout event sags the charge).
+ *  - aging/derating: capacity fade, either applied up front (a worn
+ *    part) or per power cycle; a brownout event sags the charge.
  */
 
 #ifndef SECPB_ENERGY_CAPACITOR_HH
@@ -54,17 +54,35 @@ struct CapacitorParams
      */
     double capacitanceDerate = 1.0;
 
-    /** Technology label (reports only). */
+    /** Technology: names its row of the technology table, which also
+     *  holds the Table V density that sizing reads. */
     std::string tech = "ideal";
 };
 
-/** Named physics presets for the bench CLI's --battery-tech flag. */
-CapacitorParams capacitorPresetFor(const std::string &tech);
+/**
+ * The cell of technology @p tech ("ideal", "supercap" or "li-thin"; ""
+ * is ideal) at end-of-life capacity derate @p derate: a copy of that
+ * technology's row of the technology table (capacitor.cc), which states
+ * each technology's Table V energy density and cell physics once. Dies
+ * on an unknown technology or a derate outside (0, 1].
+ */
+CapacitorParams capacitorPresetFor(const std::string &tech,
+                                   double derate = 1.0);
+
+/**
+ * Table V energy density of @p cell's technology (J/mm^3): SuperCap
+ * 1e-4 Wh/cm^3, Li thin-film 1e-2 Wh/cm^3. The ideal cell has none, so
+ * sizing it dies.
+ */
+double cellDensityJPerMm3(const CapacitorParams &cell);
 
 /**
  * Fraction of a cell's total stored energy that sits above the cutoff
  * voltage: (V^2 - Vcut^2) / V^2. The flat sizing tables divide by this
  * (and by the aging derate) to get a realistically-provisioned volume.
+ * Every consumer of a cell goes through here, so it is also the one
+ * check of a cell: it dies unless the derate lies in (0, 1] and the
+ * rated voltage exceeds the cutoff.
  */
 double usableWindowFraction(const CapacitorParams &p);
 
@@ -118,19 +136,6 @@ class Capacitor
      */
     double deliver(double load_j);
 
-    /** Recharge to full capacity. */
-    void rechargeFull() { _storedJ = _capacityJ; }
-
-    /** Add @p joules of charge, clamped at capacity. */
-    void recharge(double joules);
-
-    /** Recharge at @p watts for @p seconds (clamped at capacity). */
-    void
-    rechargeFor(double seconds, double watts)
-    {
-        recharge(seconds * watts);
-    }
-
     /** Set the state of charge to @p fraction of capacity, in [0, 1]. */
     void setChargeFraction(double fraction);
 
@@ -145,10 +150,10 @@ class Capacitor
     void applyBrownout(double retain, double reserve_j = 0.0);
 
     /**
-     * Age the cell mid-life: multiply capacity by @p capacity_fade
-     * (clamping the charge) and ESR by @p esr_growth (>= 1).
+     * Age the cell mid-life: multiply capacity by @p capacity_fade,
+     * clamping the charge.
      */
-    void age(double capacity_fade, double esr_growth = 1.0);
+    void age(double capacity_fade);
 
     /** Self-discharge for @p seconds of powered-off time. */
     void leak(double seconds);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace secpb
@@ -133,30 +132,26 @@ EnergyModel::sEadrBatteryEnergy() const
 }
 
 BatteryEstimate
-EnergyModel::size(double energy_j, const BatteryTech &tech) const
+EnergyModel::size(double energy_j, const CapacitorParams &cell) const
 {
     BatteryEstimate est;
     est.energyJ = energy_j;
-    est.volumeMm3 = energy_j / tech.densityJPerMm3;
+    est.volumeMm3 = energy_j / cellDensityJPerMm3(cell);
     const double footprint = std::pow(est.volumeMm3, 2.0 / 3.0);
     est.areaRatioToCore = footprint / _coreAreaMm2;
     return est;
 }
 
 BatteryEstimate
-EnergyModel::sizeWithPhysics(double energy_j, const BatteryTech &tech,
-                             const CapacitorParams &params) const
+EnergyModel::sizeWithPhysics(double energy_j,
+                             const CapacitorParams &cell) const
 {
-    const double window = usableWindowFraction(params);
-    fatal_if(window <= 0.0, "battery sizing: empty usable voltage window");
-    fatal_if(params.capacitanceDerate <= 0.0 ||
-                 params.capacitanceDerate > 1.0,
-             "battery sizing: derate must be in (0, 1]");
     // The cell stores energy_j / window total joules so that energy_j
     // sits above the cutoff, and is built 1/derate larger so the worn
     // end-of-life part still provisions the worst case.
+    const double window = usableWindowFraction(cell);
     BatteryEstimate est =
-        size(energy_j / (window * params.capacitanceDerate), tech);
+        size(energy_j / (window * cell.capacitanceDerate), cell);
     est.energyJ = energy_j;  // Report the *usable* requirement.
     return est;
 }

@@ -13,7 +13,10 @@
  * Energy densities: the paper quotes 1e-4 Wh (SuperCap) and 1e-2 Wh
  * (Li-thin-film) energy densities; interpreting them per cm^3 reproduces
  * Table V's volumes from Table III's per-byte costs, so that is the
- * calibration used here (documented in DESIGN.md / EXPERIMENTS.md).
+ * calibration used here (documented in DESIGN.md / EXPERIMENTS.md). Each
+ * density lives in its technology's row of the technology table
+ * (capacitor.cc), next to that technology's cell physics; sizing takes
+ * the cell and reads the density through it.
  * Footprint area assumes a cubic cell: area = volume^(2/3), compared
  * against a 5.37 mm^2 client-class core.
  */
@@ -22,8 +25,6 @@
 #define SECPB_ENERGY_ENERGY_MODEL_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "energy/capacitor.hh"
 #include "secpb/scheme.hh"
@@ -61,27 +62,6 @@ struct DataCacheCapacity
 /** 64 KB L1D / 512 KB L2 / 4 MB L3 (Table I). */
 inline constexpr DataCacheCapacity TableIDataCaches{
     64 * 1024, 512 * 1024, 4 * 1024 * 1024};
-
-/** An energy-storage technology. */
-struct BatteryTech
-{
-    std::string name;
-    double densityJPerMm3;  ///< Usable energy density, J/mm^3.
-};
-
-/** SuperCap: 1e-4 Wh/cm^3 = 3.6e-4 J/mm^3. */
-inline BatteryTech
-superCapTech()
-{
-    return {"SuperCap", 3.6e-4};
-}
-
-/** Li thin-film: 1e-2 Wh/cm^3 = 3.6e-2 J/mm^3. */
-inline BatteryTech
-liThinTech()
-{
-    return {"Li-Thin", 3.6e-2};
-}
 
 /** A battery sizing estimate. */
 struct BatteryEstimate
@@ -145,20 +125,23 @@ class EnergyModel
      */
     double sEadrBatteryEnergy() const;
 
-    /** Size @p energy_j on @p tech; includes the core-area ratio. */
-    BatteryEstimate size(double energy_j, const BatteryTech &tech) const;
+    /**
+     * The paper's flat sizing of @p energy_j on @p cell's technology:
+     * every stored joule usable, so volume = energy_j / density. Also
+     * gives the core-area ratio.
+     */
+    BatteryEstimate size(double energy_j, const CapacitorParams &cell) const;
 
     /**
-     * Size @p energy_j on @p tech under realistic capacitor physics: the
-     * cell must hold energy_j *usable* joules, so the ideal volume is
-     * inflated by the voltage window (only (V^2 - Vcut^2)/V^2 of the
-     * stored energy sits above the regulator cutoff) and by the end-of-
-     * life capacity derate. The ideal flat sizing is the special case
-     * usableWindowFraction == 1, derate == 1.
+     * Size @p energy_j on @p cell under its physics: the cell must hold
+     * energy_j *usable* joules, so the flat volume is inflated by the
+     * voltage window (only (V^2 - Vcut^2)/V^2 of the stored energy sits
+     * above the regulator cutoff) and by the end-of-life capacity
+     * derate: (energy_j / (window * derate)) / density. The flat sizing
+     * is the special case window == 1, derate == 1.
      */
     BatteryEstimate sizeWithPhysics(double energy_j,
-                                    const BatteryTech &tech,
-                                    const CapacitorParams &params) const;
+                                    const CapacitorParams &cell) const;
 
     /**
      * Energy actually consumed by a specific post-crash drain, from the

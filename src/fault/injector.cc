@@ -164,26 +164,24 @@ soakVerdictName(SoakVerdict v)
 }
 
 SoakVerdict
-judgeSoakTrial(const FaultReport &r, const FaultPlan &plan,
-               const SecPbSystem &sys)
+judgeSoakTrial(const FaultReport &r, const SecPbSystem &sys)
 {
     if (!r.crash.recovered)
         return SoakVerdict::InconsistentRecovery;
     if (!r.tampersAllDetected)
         return SoakVerdict::UndetectedTamper;
     const CrashWork &w = r.crash.work;
-    if (plan.batteryFraction ? !w.abandoned.empty() && !w.batteryExhausted
-                             : !w.abandoned.empty() || w.batteryExhausted)
+    const std::optional<double> &budget = r.crash.batteryBudgetJ;
+    if (budget ? !w.abandoned.empty() && !w.batteryExhausted
+               : !w.abandoned.empty() || w.batteryExhausted)
         return SoakVerdict::UnpaidAbandon;
-    if (!plan.batteryFraction)
+    if (!budget)
         return SoakVerdict::Pass;
     CrashWork flush_only;
     flush_only.pmBlockWrites = w.mdcBlockFlushes;
     flush_only.cacheLinesFlushed = w.cacheLinesFlushed;
     const double floor = sys.energyModel().actualCrashEnergy(flush_only);
-    const double budget =
-        *plan.batteryFraction * sys.provisionedCrashEnergy();
-    return w.energySpentJ <= std::max(budget, floor) + 1e-12
+    return w.energySpentJ <= std::max(*budget, floor) + 1e-12
                ? SoakVerdict::Pass
                : SoakVerdict::Overspent;
 }

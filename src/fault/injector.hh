@@ -159,16 +159,16 @@ enum class SoakVerdict
 const char *soakVerdictName(SoakVerdict v);
 
 /**
- * Judge one soak trial's report @p r, run under @p plan on @p sys:
- * recovery is consistent, every tamper was detected, an unbounded
- * battery never exhausts and abandons nothing, an abandoned entry
- * implies exhaustion, and a bounded battery never spends more than
- * max(budget, mandatory floor). The floor is the crash's metadata-cache
- * (and eADR hierarchy) flush, which the battery pays first even when it
- * alone exceeds a tiny budget.
+ * Judge one soak trial's report @p r from @p sys: recovery is
+ * consistent, every tamper was detected, an unbounded battery (the
+ * crash recorded no budget) never exhausts and abandons nothing, an
+ * abandoned entry implies exhaustion, and a bounded battery never
+ * spends more than max(the budget the crash recorded, mandatory floor).
+ * The floor is the crash's metadata-cache (and eADR hierarchy) flush,
+ * which the battery pays first even when it alone exceeds a tiny
+ * budget.
  */
-SoakVerdict judgeSoakTrial(const FaultReport &r, const FaultPlan &plan,
-                           const SecPbSystem &sys);
+SoakVerdict judgeSoakTrial(const FaultReport &r, const SecPbSystem &sys);
 
 } // namespace secpb
 

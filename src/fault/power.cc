@@ -219,13 +219,15 @@ IntermittentPowerInjector::run()
         out.deliverableAtCrashJ =
             out.fault.crash.batteryBudgetJ.value_or(0.0);
         out.energySpentJ = out.fault.crash.work.energySpentJ;
+        out.overspent = _cfg.battery.adaptive.enabled &&
+                        out.energySpentJ > out.deliverableAtCrashJ + 1e-12;
 
         // The cycle's pass condition: the previous crash restored to a
         // verified image, and this crash's (possibly partial) drain is
-        // prefix-consistent with every tamper detected. Nothing is
-        // accepted silently.
+        // prefix-consistent with every tamper detected and, under the
+        // adaptive policy, paid for. Nothing is accepted silently.
         out.ok = out.restoreFinal.complete && out.restoreFinal.verified &&
-                 out.fault.ok();
+                 out.fault.ok() && !out.overspent;
 
         // Carry the durable world into the next incarnation.
         pm = sys.pm();

@@ -117,7 +117,17 @@ struct PowerCycleOutcome
     bool restoreInterrupted = false;
     RestoreReport restoreFinal;     ///< The completed (re-run) restore.
 
-    /** Segment verified, restore verified, no silent acceptance. */
+    /**
+     * The adaptive drain policy's never-overspend invariant broke: the
+     * drain spent more than the cell could deliver at crash time. Only
+     * judged with the policy on; without it a deep brownout may sag
+     * below the committed obligation, the failure the policy (plus the
+     * BBU reserve) exists to prevent.
+     */
+    bool overspent = false;
+
+    /** Segment verified, restore verified, no silent acceptance, and
+     *  (adaptive policy) no overspend. */
     bool ok = false;
 };
 

@@ -35,6 +35,10 @@ struct PcmConfig
     unsigned numBanks = 32;     ///< Bank/partition parallelism.
 };
 
+static_assert(cyclesToNs(PcmConfig{}.readLatency) == 55.0 &&
+                  cyclesToNs(PcmConfig{}.writeLatency) == 150.0,
+              "Table I: 55 ns PCM reads and 150 ns writes at 4 GHz");
+
 /** Banked PCM timing model. */
 class PcmModel
 {

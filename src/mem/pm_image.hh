@@ -10,9 +10,8 @@
  * (mem/page_table.hh): a persist probes a table of pages, not one of
  * blocks, and a page migrates with one row probe per side. Counter
  * blocks, one per page, sit in their own small table. Tamper hooks let
- * integrity tests corrupt state the way a physical attacker would; the
- * only state they can make that a persist cannot, a MAC on a block with
- * no data, is kept aside.
+ * integrity tests corrupt persisted state the way a physical attacker
+ * would.
  */
 
 #ifndef SECPB_MEM_PM_IMAGE_HH
@@ -47,14 +46,14 @@ class PmImage
     void
     writeData(Addr block_addr, const BlockData &ciphertext)
     {
-        blockFor(block_addr).ciphertext = ciphertext;
+        _blocks[block_addr].ciphertext = ciphertext;
     }
 
     /** Persist a data block's ciphertext and MAC together (one probe). */
     void
     writeBlock(Addr block_addr, const BlockData &ciphertext, MacValue mac)
     {
-        Block &b = blockFor(block_addr);
+        Block &b = _blocks[block_addr];
         b.ciphertext = ciphertext;
         b.mac = mac;
     }
@@ -85,20 +84,8 @@ class PmImage
     MacValue
     readMac(Addr block_addr) const
     {
-        if (const Block *b = _blocks.find(block_addr))
-            return b->mac;
-        const MacValue *m = _loneMacs.find(blockAlign(block_addr));
-        return m ? *m : 0;
-    }
-
-    /** Persist a MAC. */
-    void
-    writeMac(Addr block_addr, MacValue mac)
-    {
-        if (Block *b = _blocks.find(block_addr))
-            b->mac = mac;
-        else
-            _loneMacs[blockAlign(block_addr)] = mac;
+        const Block *b = _blocks.find(block_addr);
+        return b ? b->mac : 0;
     }
 
     /** Number of distinct data blocks ever persisted. */
@@ -131,27 +118,18 @@ class PmImage
     eraseDataBlock(Addr block_addr)
     {
         _blocks.erase(block_addr);
-        _loneMacs.erase(blockAlign(block_addr));
     }
 
     /**
      * Page migration (multi-core): move page @p page_idx's data blocks,
      * each with its MAC (0 if it has none), and its counter block into
-     * @p dst: one row probe per side. A MAC without a data block stays
-     * behind.
+     * @p dst: one row probe per side.
      */
     void
     movePageTo(PmImage &dst, std::uint64_t page_idx)
     {
         panic_if(&dst == this, "PM page %llu moved onto itself",
                  static_cast<unsigned long long>(page_idx));
-        if (!dst._loneMacs.empty()) {
-            // A moved block's MAC replaces a lone one dst held for it.
-            const Addr base = static_cast<Addr>(page_idx) * PageSize;
-            for (Addr a = base; a < base + PageSize; a += BlockSize)
-                if (_blocks.contains(a))
-                    dst._loneMacs.erase(a);
-        }
         _blocks.movePageTo(dst._blocks, page_idx);
         CounterBlock cb;
         if (_counters.take(page_idx, cb))
@@ -160,13 +138,14 @@ class PmImage
 
     /**
      * @name Tamper hooks (integrity tests)
-     * These emulate a physical attacker flipping bits in the NVDIMM.
+     * These emulate a physical attacker flipping bits in the NVDIMM,
+     * on blocks that have persisted (a MAC with no data is not state).
      * @{
      */
     void
     tamperData(Addr block_addr, unsigned byte, std::uint8_t xor_mask)
     {
-        blockFor(block_addr).ciphertext[byte % BlockSize] ^= xor_mask;
+        _blocks[block_addr].ciphertext[byte % BlockSize] ^= xor_mask;
     }
 
     void
@@ -181,24 +160,10 @@ class PmImage
     void
     tamperMac(Addr block_addr, std::uint64_t xor_mask)
     {
-        if (Block *b = _blocks.find(block_addr))
-            b->mac ^= xor_mask;
-        else
-            _loneMacs[blockAlign(block_addr)] ^= xor_mask;
-    }
-
-    /**
-     * Replay attack: roll a block's tuple (ciphertext, counter minor, MAC)
-     * back to a previously captured version.
-     */
-    void
-    replayTuple(Addr block_addr, const BlockData &old_ct,
-                const CounterBlock &old_cb, MacValue old_mac,
-                std::uint64_t page_idx)
-    {
-        writeData(block_addr, old_ct);
-        writeCounterBlock(page_idx, old_cb);
-        writeMac(block_addr, old_mac);
+        Block *b = _blocks.find(block_addr);
+        panic_if(!b, "MAC tamper on block %#llx, which holds no data",
+                 static_cast<unsigned long long>(blockAlign(block_addr)));
+        b->mac ^= xor_mask;
     }
     /** @} */
 
@@ -210,22 +175,8 @@ class PmImage
         MacValue mac = 0;  ///< 0 until a MAC persists (BBB writes none).
     };
 
-    /** @p block_addr's record, made on first touch; it adopts a lone MAC. */
-    Block &
-    blockFor(Addr block_addr)
-    {
-        bool fresh;
-        Block &b = _blocks.findOrInsert(block_addr, fresh);
-        if (fresh && !_loneMacs.empty())
-            _loneMacs.take(blockAlign(block_addr), b.mac);
-        return b;
-    }
-
     PageTable<Block> _blocks;
     FlatMap<std::uint64_t, CounterBlock> _counters;
-    /** MACs of blocks with no data: tests and tamper hooks make them, a
-     *  persist never does (it writes the data first). */
-    FlatMap<Addr, MacValue> _loneMacs;
 };
 
 } // namespace secpb

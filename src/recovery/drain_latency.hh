@@ -75,12 +75,11 @@ class DrainLatencyModel
         return std::max(compute_window, pm_window) + tail;
     }
 
-    /** The same window in nanoseconds at @p clock. */
+    /** The same window in nanoseconds. */
     double
-    estimateNs(const CrashWork &work, const ClockInfo &clock = {}) const
+    estimateNs(const CrashWork &work) const
     {
-        return static_cast<double>(estimate(work)) * 1000.0 /
-               clock.coreFreqMhz;
+        return cyclesToNs(static_cast<double>(estimate(work)));
     }
 
   private:

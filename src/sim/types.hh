@@ -5,7 +5,7 @@
  * The simulator is cycle granular: one Tick equals one core clock cycle at
  * the configured core frequency (4 GHz by default, matching Table I of the
  * SecPB paper). Wall-clock latencies from the paper (e.g. the 55 ns PCM
- * read) are converted to Ticks through ClockInfo.
+ * read) are stored in cycles at CoreFreqMhz.
  */
 
 #ifndef SECPB_SIM_TYPES_HH
@@ -60,26 +60,19 @@ blockIndex(Addr addr)
 }
 
 /**
- * Clock conversion helper.
- *
- * Latencies in the paper are given either in processor cycles (e.g. the
- * 40-cycle MAC) or in nanoseconds (PCM access). ClockInfo converts the
- * latter into Ticks.
+ * The core clock (Table I: 4.00 GHz). Latencies the paper gives in
+ * cycles (the 40-cycle MAC) are used as they are; those it gives in
+ * nanoseconds (the 55/150 ns PCM) are stored in cycles at this rate,
+ * and cyclesToNs converts a window back.
  */
-struct ClockInfo
-{
-    /** Core frequency in MHz (Table I: 4.00 GHz). */
-    double coreFreqMhz = 4000.0;
+inline constexpr double CoreFreqMhz = 4000.0;
 
-    /** Convert a nanosecond latency into core cycles, rounding up. */
-    Cycles
-    nsToCycles(double ns) const
-    {
-        double cycles = ns * coreFreqMhz / 1000.0;
-        auto whole = static_cast<Cycles>(cycles);
-        return (cycles > static_cast<double>(whole)) ? whole + 1 : whole;
-    }
-};
+/** @p cycles of the core clock in nanoseconds. */
+constexpr double
+cyclesToNs(double cycles)
+{
+    return cycles * 1000.0 / CoreFreqMhz;
+}
 
 } // namespace secpb
 

@@ -23,14 +23,11 @@ TEST(Types, BlockArithmetic)
 
 TEST(Types, ClockConversion)
 {
-    ClockInfo clk;  // 4 GHz
-    EXPECT_EQ(clk.nsToCycles(55.0), 220u);   // Table I PCM read
-    EXPECT_EQ(clk.nsToCycles(150.0), 600u);  // Table I PCM write
-    EXPECT_EQ(clk.nsToCycles(0.0), 0u);
-    EXPECT_EQ(clk.nsToCycles(0.1), 1u);      // rounds up
-    ClockInfo slow;
-    slow.coreFreqMhz = 1000.0;
-    EXPECT_EQ(slow.nsToCycles(55.0), 55u);
+    // 4 GHz (Table I): a cycle is a quarter nanosecond.
+    EXPECT_EQ(cyclesToNs(220.0), 55.0);   // Table I PCM read
+    EXPECT_EQ(cyclesToNs(600.0), 150.0);  // Table I PCM write
+    EXPECT_EQ(cyclesToNs(0.0), 0.0);
+    EXPECT_EQ(cyclesToNs(1.0), 0.25);
 }
 
 TEST(Logging, CsprintfFormats)

@@ -342,12 +342,11 @@ TEST(BenchCli, BatteryFlagsParse)
     BenchCli cli = BenchCli::parse(
         static_cast<int>(std::size(argv)) - 1,
         const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.spec.batteryTech, "supercap");
-    EXPECT_DOUBLE_EQ(cli.spec.batteryDerate, 0.8);
     EXPECT_EQ(cli.spec.powerSchedule, "cycles=3,brownout=0.25");
-    const CapacitorParams p = cli.spec.batteryParams();
+    const CapacitorParams &p = cli.spec.base.battery.cap;
     EXPECT_EQ(p.tech, "supercap");
     EXPECT_DOUBLE_EQ(p.capacitanceDerate, 0.8);
+    EXPECT_DOUBLE_EQ(p.esrOhms, capacitorPresetFor("supercap").esrOhms);
     const PowerScheduleSpec spec =
         PowerScheduleSpec::parse(cli.spec.powerSchedule);
     EXPECT_EQ(spec.cycles, 3u);
@@ -358,9 +357,78 @@ TEST(BenchCli, BatteryDefaultsIdealFullCapacity)
 {
     const char *argv[] = {"bench", nullptr};
     BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.spec.batteryTech, "ideal");
-    EXPECT_DOUBLE_EQ(cli.spec.batteryDerate, 1.0);
+    EXPECT_EQ(cli.spec.base.battery.cap.tech, "ideal");
+    EXPECT_DOUBLE_EQ(cli.spec.base.battery.cap.capacitanceDerate, 1.0);
     EXPECT_TRUE(cli.spec.powerSchedule.empty());
+}
+
+TEST(BenchCli, BatteryCellIsTheSameInEitherFlagOrder)
+{
+    // The derate before the tech still derates the tech's cell.
+    const char *argv[] = {"bench", "--battery-derate", "0.8",
+                          "--battery-tech", "li-thin", nullptr};
+    const BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1, const_cast<char **>(argv),
+        "bench");
+    const CapacitorParams &cell = cli.spec.base.battery.cap;
+    const CapacitorParams want = capacitorPresetFor("li-thin", 0.8);
+    EXPECT_EQ(cell.tech, "li-thin");
+    EXPECT_EQ(cell.capacitanceDerate, 0.8);
+    EXPECT_EQ(cell.ratedVoltage, want.ratedVoltage);
+    EXPECT_EQ(cell.cutoffVoltage, want.cutoffVoltage);
+    EXPECT_EQ(cell.esrOhms, want.esrOhms);
+    EXPECT_EQ(cell.leakagePowerW, want.leakagePowerW);
+}
+
+TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
+{
+    const char *argv[] = {"fault_soak", "--jobs", "2",
+                          "--battery-derate", "0.8",
+                          "--workload", "kv_wal",
+                          "--battery-tech", "supercap",
+                          "--power-schedule", "cycles=3,brownout=0.25",
+                          nullptr};
+    const BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1, const_cast<char **>(argv),
+        "fault_soak");
+    const std::string line = soakReproducer(cli, 2026, 41);
+    EXPECT_EQ(line, "SECPB_SOAK_SEED=2026 SECPB_SOAK_TRIAL=41 fault_soak "
+                    "--workload kv_wal --battery-tech supercap "
+                    "--battery-derate 0.8 "
+                    "--power-schedule cycles=3,brownout=0.25");
+
+    // The flags after the command parse back to the same spec.
+    std::vector<std::string> words;
+    for (std::size_t at = line.find("fault_soak"); at != std::string::npos;) {
+        const std::size_t end = line.find(' ', at);
+        words.push_back(line.substr(at, end - at));
+        at = end == std::string::npos ? end : end + 1;
+    }
+    std::vector<char *> again;
+    for (std::string &w : words)
+        again.push_back(w.data());
+    again.push_back(nullptr);
+    const BenchCli replay = BenchCli::parse(
+        static_cast<int>(words.size()), again.data(), "fault_soak");
+    EXPECT_EQ(replay.spec.workload, cli.spec.workload);
+    EXPECT_EQ(replay.spec.powerSchedule, cli.spec.powerSchedule);
+    EXPECT_EQ(replay.spec.base.battery.cap.tech, "supercap");
+    EXPECT_EQ(replay.spec.base.battery.cap.capacitanceDerate, 0.8);
+
+    // A default run replays with the knobs alone; a value the shell
+    // would split is quoted.
+    const char *plain[] = {"fault_soak", nullptr};
+    EXPECT_EQ(soakReproducer(BenchCli::parse(1, const_cast<char **>(plain),
+                                             "fault_soak"),
+                             7, 0),
+              "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak");
+    const char *spaced[] = {"fault_soak", "--trace-in", "my ops.trc",
+                            nullptr};
+    EXPECT_EQ(soakReproducer(BenchCli::parse(3, const_cast<char **>(spaced),
+                                             "fault_soak"),
+                             7, 0),
+              "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak "
+              "--workload 'replay:file=my ops.trc'");
 }
 
 TEST(BenchCliDeath, UnknownBatteryTechIsFatal)

@@ -21,11 +21,15 @@ model()
     return em;
 }
 
+/** The two Table V technologies' rows of the technology table. */
+const CapacitorParams SuperCap = capacitorPresetFor("supercap");
+const CapacitorParams LiThin = capacitorPresetFor("li-thin");
+
 double
 scVolume(Scheme s, unsigned entries)
 {
-    return model().size(model().secPbBatteryEnergy(s, entries),
-                        superCapTech()).volumeMm3;
+    return model().size(model().secPbBatteryEnergy(s, entries), SuperCap)
+        .volumeMm3;
 }
 
 } // namespace
@@ -72,10 +76,10 @@ TEST(Energy, TableVValuesWithinTolerance)
 TEST(Energy, BbbAndEadrRows)
 {
     const auto bbb =
-        model().size(model().bbbBatteryEnergy(32), superCapTech());
+        model().size(model().bbbBatteryEnergy(32), SuperCap);
     EXPECT_NEAR(bbb.volumeMm3, 0.07, 0.01);
     const auto eadr =
-        model().size(model().eadrBatteryEnergy(), superCapTech());
+        model().size(model().eadrBatteryEnergy(), SuperCap);
     EXPECT_NEAR(eadr.volumeMm3, 149.32, 149.32 * 0.01);
 }
 
@@ -83,17 +87,17 @@ TEST(Energy, CoreAreaRatiosMatchPaper)
 {
     // COBCM 32-entry: 53.6% of a 5.37 mm^2 core (SuperCap), 2.5% Li-Thin.
     const double e = model().secPbBatteryEnergy(Scheme::Cobcm, 32);
-    EXPECT_NEAR(model().size(e, superCapTech()).areaRatioToCore, 0.536,
+    EXPECT_NEAR(model().size(e, SuperCap).areaRatioToCore, 0.536,
                 0.06);
-    EXPECT_NEAR(model().size(e, liThinTech()).areaRatioToCore, 0.025,
+    EXPECT_NEAR(model().size(e, LiThin).areaRatioToCore, 0.025,
                 0.004);
 }
 
 TEST(Energy, LiThinIsHundredTimesDenser)
 {
     const double e = 1.0e-3;
-    EXPECT_NEAR(model().size(e, superCapTech()).volumeMm3 /
-                    model().size(e, liThinTech()).volumeMm3,
+    EXPECT_NEAR(model().size(e, SuperCap).volumeMm3 /
+                    model().size(e, LiThin).volumeMm3,
                 100.0, 1e-6);
 }
 
@@ -163,18 +167,14 @@ TEST(Energy, SizeWithPhysicsInflatesByVoltageWindow)
     // stored energy is usable above the regulator cutoff, so the part
     // grows by exactly 1/window relative to the paper's ideal sizing.
     const double e = model().secPbBatteryEnergy(Scheme::Cobcm, 32);
-    const CapacitorParams sc = capacitorPresetFor("supercap");
-    const BatteryEstimate ideal = model().size(e, superCapTech());
-    const BatteryEstimate real =
-        model().sizeWithPhysics(e, superCapTech(), sc);
+    const BatteryEstimate ideal = model().size(e, SuperCap);
+    const BatteryEstimate real = model().sizeWithPhysics(e, SuperCap);
     EXPECT_NEAR(real.volumeMm3 / ideal.volumeMm3,
-                1.0 / usableWindowFraction(sc), 1e-9);
+                1.0 / usableWindowFraction(SuperCap), 1e-9);
 
     // Li-thin window is 7/16 exactly, so the inflation is 16/7.
-    const CapacitorParams li = capacitorPresetFor("li-thin");
-    const BatteryEstimate li_real =
-        model().sizeWithPhysics(e, liThinTech(), li);
-    EXPECT_NEAR(li_real.volumeMm3 / model().size(e, liThinTech()).volumeMm3,
+    const BatteryEstimate li_real = model().sizeWithPhysics(e, LiThin);
+    EXPECT_NEAR(li_real.volumeMm3 / model().size(e, LiThin).volumeMm3,
                 16.0 / 7.0, 1e-9);
 }
 
@@ -182,12 +182,9 @@ TEST(Energy, SizeWithPhysicsDerateCompoundsWithWindow)
 {
     // End-of-life derating compounds multiplicatively with the voltage
     // window: half the rated capacitance means twice the part.
-    CapacitorParams p = capacitorPresetFor("supercap");
-    const BatteryEstimate full =
-        model().sizeWithPhysics(1e-3, superCapTech(), p);
-    p.capacitanceDerate = 0.5;
+    const BatteryEstimate full = model().sizeWithPhysics(1e-3, SuperCap);
     const BatteryEstimate derated =
-        model().sizeWithPhysics(1e-3, superCapTech(), p);
+        model().sizeWithPhysics(1e-3, capacitorPresetFor("supercap", 0.5));
     EXPECT_NEAR(derated.volumeMm3 / full.volumeMm3, 2.0, 1e-9);
     // The usable requirement reported is the caller's, not the inflated
     // stored energy the part must hold.
@@ -196,32 +193,53 @@ TEST(Energy, SizeWithPhysicsDerateCompoundsWithWindow)
 
 TEST(Energy, SizeWithPhysicsIdealParamsMatchIdealSizing)
 {
-    // Ideal params still carry a (wide) default voltage window; with the
-    // window forced to 1 the realistic path degenerates to size().
-    CapacitorParams p;
-    p.ratedVoltage = 5.0;
+    // A cell still carries its voltage window; with the window forced
+    // to 1 (and no derate) the realistic path degenerates to size().
+    CapacitorParams p = SuperCap;
     p.cutoffVoltage = 0.0;
-    const BatteryEstimate a = model().sizeWithPhysics(1e-3,
-                                                      superCapTech(), p);
-    const BatteryEstimate b = model().size(1e-3, superCapTech());
+    const BatteryEstimate a = model().sizeWithPhysics(1e-3, p);
+    const BatteryEstimate b = model().size(1e-3, SuperCap);
     EXPECT_DOUBLE_EQ(a.volumeMm3, b.volumeMm3);
+}
+
+TEST(Energy, TableVVolumesArePinnedToTheBit)
+{
+    // COBCM's 32-entry energy on each Table V cell at derate 0.8: flat
+    // energy / density, physical (energy / (window * derate)) / density.
+    // Any reordering of that arithmetic moves a bit here.
+    const double e = model().secPbBatteryEnergy(Scheme::Cobcm, 32);
+    EXPECT_EQ(e, 0x1.da333eafe99ep-10);
+    const CapacitorParams sc = capacitorPresetFor("supercap", 0.8);
+    const CapacitorParams li = capacitorPresetFor("li-thin", 0.8);
+    EXPECT_EQ(model().size(e, sc).volumeMm3, 0x1.41966b588543ep+2);
+    EXPECT_EQ(model().size(e, li).volumeMm3, 0x1.9ba1d1152575ap-5);
+    EXPECT_EQ(model().sizeWithPhysics(e, sc).volumeMm3,
+              0x1.d1e499aef1e76p+2);
+    EXPECT_EQ(model().sizeWithPhysics(e, li).volumeMm3,
+              0x1.2605de7cd19d2p-3);
 }
 
 TEST(EnergyDeath, SizeWithPhysicsRejectsBadDerate)
 {
     CapacitorParams p = capacitorPresetFor("supercap");
     p.capacitanceDerate = 0.0;
-    EXPECT_EXIT(model().sizeWithPhysics(1e-3, superCapTech(), p),
-                ::testing::ExitedWithCode(1), "derate must be in");
+    EXPECT_EXIT(model().sizeWithPhysics(1e-3, p),
+                ::testing::ExitedWithCode(1), "out of \\(0, 1\\]");
     p.capacitanceDerate = 1.0001;
-    EXPECT_EXIT(model().sizeWithPhysics(1e-3, superCapTech(), p),
-                ::testing::ExitedWithCode(1), "derate must be in");
+    EXPECT_EXIT(model().sizeWithPhysics(1e-3, p),
+                ::testing::ExitedWithCode(1), "out of \\(0, 1\\]");
 }
 
 TEST(EnergyDeath, SizeWithPhysicsRejectsEmptyVoltageWindow)
 {
-    CapacitorParams p;
+    CapacitorParams p = SuperCap;
     p.ratedVoltage = p.cutoffVoltage = 2.0;  // zero usable window
-    EXPECT_EXIT(model().sizeWithPhysics(1e-3, superCapTech(), p),
+    EXPECT_EXIT(model().sizeWithPhysics(1e-3, p),
                 ::testing::ExitedWithCode(1), "must exceed cutoff");
+}
+
+TEST(EnergyDeath, TheIdealCellHasNoTableVDensity)
+{
+    EXPECT_EXIT(model().size(1e-3, CapacitorParams{}),
+                ::testing::ExitedWithCode(1), "no Table V density");
 }

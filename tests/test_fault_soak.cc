@@ -21,8 +21,8 @@
  *
  * Trials come from SoakTrial::draw and are judged by judgeSoakTrial
  * (fault/injector.hh), the same draw and verdict bench/fault_soak uses.
- * A failing trial prints a one-line reproducer naming the seed, trial,
- * scheme, workload, and fault plan.
+ * A failing trial prints its scheme, workload and fault plan, and the
+ * fault_soak line that replays it (bench::soakReproducer).
  *
  * Knobs (bench::soakRange): SECPB_SOAK_TRIALS (default 120),
  * SECPB_SOAK_SEED (default 2026), SECPB_SOAK_TRIAL (replay exactly one
@@ -46,12 +46,15 @@ TEST(FaultSoak, RandomizedCrashTamperSweep)
 
     std::uint64_t bounded = 0, exhausted = 0, torn = 0, stale = 0,
                   tampersInjected = 0;
+    // fault_soak with no flags draws and judges the same trials.
+    bench::BenchCli soak;
+    soak.bench = "fault_soak";
 
     for (std::uint64_t trial = first; trial < trials; ++trial) {
         const SoakTrial t = SoakTrial::draw(seed, trial);
         const std::string repro =
-            "SECPB_SOAK_SEED=" + std::to_string(seed) +
-            " trial=" + std::to_string(trial) + " " + t.describe();
+            t.describe() + "; replay: " +
+            bench::soakReproducer(soak, seed, trial);
 
         SystemConfig cfg;
         cfg.scheme = t.scheme;
@@ -64,7 +67,7 @@ TEST(FaultSoak, RandomizedCrashTamperSweep)
         FaultInjector injector(sys, t.plan);
         const FaultReport r = injector.run(gen);
 
-        const SoakVerdict v = judgeSoakTrial(r, t.plan, sys);
+        const SoakVerdict v = judgeSoakTrial(r, sys);
         std::string detail;
         if (v == SoakVerdict::UndetectedTamper)
             for (const TamperRecord &rec : r.tampers)

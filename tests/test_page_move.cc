@@ -121,18 +121,16 @@ TEST(PmImageMove, OutAndBackRestoresThePage)
         const Addr base = page * PageSize;
         PmImage a, b;
         // The page and its neighbours: some blocks with data and a MAC,
-        // some with data only, some with a MAC only, some absent.
+        // some with data only, some absent.
         for (Addr addr = base - PageSize; addr < base + 2 * PageSize;
              addr += BlockSize) {
-            const std::uint64_t kind = rng.below(4);
-            if (kind == 0 || kind == 1) {
-                BlockData d{};
-                d[rng.below(BlockSize)] = static_cast<std::uint8_t>(
-                    1 + rng.below(255));
-                a.writeData(addr, d);
-            }
-            if (kind == 0 || kind == 2)
-                a.writeMac(addr, rng.next());
+            const std::uint64_t kind = rng.below(3);
+            if (kind == 2)
+                continue;
+            BlockData d{};
+            d[rng.below(BlockSize)] =
+                static_cast<std::uint8_t>(1 + rng.below(255));
+            a.writeBlock(addr, d, kind == 0 ? rng.next() : 0);
         }
         CounterBlock cb;
         cb.major = seed;
@@ -140,8 +138,7 @@ TEST(PmImageMove, OutAndBackRestoresThePage)
         a.writeCounterBlock(page, cb);
         a.writeCounterBlock(page + 1, CounterBlock{});
         // The destination already holds an unrelated page.
-        b.writeData(100 * PageSize, BlockData{});
-        b.writeMac(100 * PageSize, 5);
+        b.writeBlock(100 * PageSize, BlockData{}, 5);
 
         const std::vector<Addr> a_blocks = a.dataBlockAddrs();
         const std::vector<Addr> b_blocks = b.dataBlockAddrs();

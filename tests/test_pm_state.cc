@@ -49,30 +49,19 @@ TEST(PmImage, DataBlockEnumeration)
 TEST(PmImage, TamperHooksMutateState)
 {
     PmImage pm;
-    pm.writeData(0x000, zeroBlock());
+    pm.writeBlock(0x000, zeroBlock(), 0x1111);
     pm.tamperData(0x000, 5, 0xFF);
     EXPECT_EQ(pm.readData(0x000)[5], 0xFF);
-    pm.writeMac(0x000, 0x1111);
     pm.tamperMac(0x000, 0x0F);
     EXPECT_EQ(pm.readMac(0x000), 0x1111u ^ 0x0Fu);
 }
 
-TEST(PmImage, MacOnlyBlockIsNotData)
+TEST(PmImageDeath, MacTamperWithoutDataPanics)
 {
+    // A MAC lives in its block's record: with no data there is no MAC
+    // to corrupt, and the tamper injector only picks persisted blocks.
     PmImage pm;
-    pm.tamperMac(0x2000, 0x5);  // an attacker writes a MAC, no data
-    EXPECT_FALSE(pm.hasData(0x2000));
-    EXPECT_EQ(pm.numDataBlocks(), 0u);
-    EXPECT_TRUE(pm.dataBlockAddrs().empty());
-    EXPECT_EQ(pm.readData(0x2000), zeroBlock());
-    EXPECT_EQ(pm.readMac(0x2000), 0x5u);
-
-    // Data persisted later joins the MAC already there.
-    pm.writeData(0x2000, zeroBlock());
-    EXPECT_EQ(pm.dataBlockAddrs(), (std::vector<Addr>{0x2000}));
-    EXPECT_EQ(pm.readMac(0x2000), 0x5u);
-    pm.tamperMac(0x2000, 0x1);
-    EXPECT_EQ(pm.readMac(0x2000), 0x4u);
+    EXPECT_DEATH(pm.tamperMac(0x2000, 0x5), "holds no data");
 }
 
 TEST(PmImage, EraseDataBlockDropsTheMac)
@@ -84,42 +73,6 @@ TEST(PmImage, EraseDataBlockDropsTheMac)
     EXPECT_FALSE(pm.hasData(0x3000));
     EXPECT_EQ(pm.readMac(0x3000), 0u);
     EXPECT_EQ(pm.dataBlockAddrs(), (std::vector<Addr>{0x3040}));
-
-    // A MAC-only block is dropped too.
-    pm.writeMac(0x3080, 0x9);
-    pm.eraseDataBlock(0x3080);
-    EXPECT_EQ(pm.readMac(0x3080), 0u);
-}
-
-TEST(PmImage, PageMoveLeavesAMacOnlyBlockBehind)
-{
-    const std::uint64_t page = 2;
-    const Addr blk0 = page * PageSize;
-    const Addr blk1 = blk0 + BlockSize;
-    BlockData d = zeroBlock();
-    d[7] = 0x42;
-    PmImage a, b;
-    a.writeBlock(blk0, d, 0x1111);
-    a.writeMac(blk1, 0x2222);  // MAC only
-    b.writeMac(blk0, 0x3333);  // b's lone MAC where a's data moves in
-
-    a.movePageTo(b, page);
-    EXPECT_FALSE(a.hasData(blk0));
-    EXPECT_EQ(a.readMac(blk0), 0u);
-    EXPECT_EQ(a.readMac(blk1), 0x2222u);
-    EXPECT_EQ(b.readData(blk0), d);
-    EXPECT_EQ(b.readMac(blk0), 0x1111u);
-    EXPECT_FALSE(b.hasData(blk1));
-    EXPECT_EQ(b.readMac(blk1), 0u);
-
-    // Out and back restores the page; the replaced lone MAC is gone.
-    b.movePageTo(a, page);
-    EXPECT_EQ(a.dataBlockAddrs(), (std::vector<Addr>{blk0}));
-    EXPECT_EQ(a.readData(blk0), d);
-    EXPECT_EQ(a.readMac(blk0), 0x1111u);
-    EXPECT_EQ(a.readMac(blk1), 0x2222u);
-    EXPECT_TRUE(b.dataBlockAddrs().empty());
-    EXPECT_EQ(b.readMac(blk0), 0u);
 }
 
 TEST(PmImage, CopyIsIndependentOfItsSource)
@@ -136,7 +89,7 @@ TEST(PmImage, CopyIsIndependentOfItsSource)
     copy.tamperMac(6 * BlockSize, 0xf0);
     PmImage other;
     copy.movePageTo(other, 1);
-    src.writeMac(9 * BlockSize, 0xabc);
+    src.writeBlock(9 * BlockSize, zeroBlock(), 0xabc);
 
     EXPECT_EQ(src.numDataBlocks(), 300u);
     EXPECT_TRUE(src.hasData(0));

@@ -260,7 +260,8 @@ TEST_P(SecureSchemes, ReplayedTupleFailsBmtVerification)
     CrashReport cr = sys.crashNow();
     ASSERT_TRUE(cr.recovered);
 
-    sys.pm().replayTuple(0x000, old_ct, old_cb, old_mac, 0);
+    sys.pm().writeBlock(0x000, old_ct, old_mac);
+    sys.pm().writeCounterBlock(0, old_cb);
     RecoveryVerifier verifier(sys.layout(), sys.config().keys);
     RecoveryReport report =
         verifier.verifyAll(sys.pm(), sys.tree(), sys.oracle());

@@ -293,8 +293,8 @@ TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
     EXPECT_EQ(spec.instructions, 300'000u);
     EXPECT_EQ(spec.seed, 7u);
     EXPECT_EQ(spec.cores, 1u);
-    EXPECT_EQ(spec.batteryTech, "ideal");
-    EXPECT_DOUBLE_EQ(spec.batteryDerate, 1.0);
+    EXPECT_EQ(spec.base.battery.cap.tech, "ideal");
+    EXPECT_DOUBLE_EQ(spec.base.battery.cap.capacitanceDerate, 1.0);
     EXPECT_TRUE(spec.workload.empty());
     EXPECT_EQ(av.argc, 1);
 }
