@@ -340,6 +340,35 @@ soakReproducer(const BenchCli &cli, std::uint64_t seed, std::uint64_t trial)
 }
 
 /**
+ * Die naming the flag if @p cli gives a spec flag that the soak's mode
+ * does not read: --workload (or --trace-in) in the intermittent soak
+ * (--power-schedule), whose trials run the drawn synthetic profile, and
+ * --battery-tech or --battery-derate in the classic soak, which builds
+ * no system battery. A flag counts as given when its value differs from
+ * the default, as in soakReproducer.
+ */
+inline void
+requireSoakModeFlags(const BenchCli &cli)
+{
+    const SimulationSpec d;
+    const SimulationSpec &s = cli.spec;
+    const char *bench = cli.bench.c_str();
+    if (!s.powerSchedule.empty()) {
+        fatal_if(!s.workload.empty(),
+                 "%s: --workload (or --trace-in) is not read in "
+                 "intermittent mode (--power-schedule)", bench);
+        return;
+    }
+    const CapacitorParams &cell = s.base.battery.cap;
+    fatal_if(cell.tech != d.base.battery.cap.tech,
+             "%s: --battery-tech is not read in classic mode "
+             "(no --power-schedule)", bench);
+    fatal_if(cell.capacitanceDerate != d.base.battery.cap.capacitanceDerate,
+             "%s: --battery-derate is not read in classic mode "
+             "(no --power-schedule)", bench);
+}
+
+/**
  * One bench's sweep: collect points, run them through the engine, look
  * results up by index, record derived rows, write the JSON document.
  */

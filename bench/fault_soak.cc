@@ -34,6 +34,10 @@
  * deliverable at crash; PowerCycleOutcome::overspent). --battery-tech
  * and --battery-derate build the cell (base.battery.cap).
  *
+ * A spec flag the chosen mode does not read dies naming the flag
+ * (bench::requireSoakModeFlags): --workload with --power-schedule, and
+ * --battery-tech or --battery-derate without it.
+ *
  * A failing trial prints its replay line (bench::soakReproducer): the
  * SECPB_SOAK_* knobs that select it and every spec flag the run had.
  */
@@ -195,6 +199,7 @@ main(int argc, char **argv)
 {
     const bench::BenchCli cli =
         bench::BenchCli::parse(argc, argv, "fault_soak");
+    bench::requireSoakModeFlags(cli);
     const auto [seed, first, trials] = bench::soakRange(300);
 
     if (!cli.spec.powerSchedule.empty())
@@ -282,7 +287,7 @@ main(int argc, char **argv)
             ++st.failures;
             exit_code = 1;
             std::printf("FAIL: %s (%s); replay: %s\n",
-                        t.describe().c_str(),
+                        t.describe(cli.spec.workload).c_str(),
                         soakVerdictName(static_cast<SoakVerdict>(
                             r.extraValue("verdict"))),
                         bench::soakReproducer(cli, seed, first + i).c_str());

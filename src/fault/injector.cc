@@ -146,10 +146,12 @@ SoakTrial::draw(std::uint64_t seed, std::uint64_t trial)
 }
 
 std::string
-SoakTrial::describe() const
+SoakTrial::describe(const std::string &workload) const
 {
     return std::string("scheme=") + schemeSpecName(scheme, params) +
-           " profile=" + profile + " instrs=" + std::to_string(instructions) +
+           (workload.empty() ? " profile=" + std::string(profile)
+                             : " workload=" + workload) +
+           " instrs=" + std::to_string(instructions) +
            " wseed=" + std::to_string(workloadSeed) + " " + plan.describe();
 }
 

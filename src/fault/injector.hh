@@ -141,8 +141,12 @@ struct SoakTrial
 
     static SoakTrial draw(std::uint64_t seed, std::uint64_t trial);
 
-    /** "scheme=... profile=... instrs=... wseed=... <plan>". */
-    std::string describe() const;
+    /**
+     * "scheme=... profile=... instrs=... wseed=... <plan>"; with a
+     * @p workload spec, which runs instead of the drawn profile,
+     * "workload=<spec>" takes the profile's place.
+     */
+    std::string describe(const std::string &workload = {}) const;
 };
 
 /** A soak trial's outcome: Pass, or the first check it failed. */

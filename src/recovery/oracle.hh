@@ -7,7 +7,10 @@
  * accepted store, in acceptance order, to a plaintext shadow of the
  * persistent address space. After a crash plus battery-powered drain,
  * recovery must reproduce exactly this state -- the oracle is what the
- * crash-recovery tests compare decrypted PM content against.
+ * crash-recovery tests compare decrypted PM content against. A bounded
+ * battery may instead leave a block at its version from before its open
+ * residency, so the oracle also keeps that version, for open residencies
+ * only.
  */
 
 #ifndef SECPB_RECOVERY_ORACLE_HH
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "mem/block_data.hh"
+#include "mem/flat_map.hh"
 #include "mem/page_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -41,30 +45,32 @@ struct AbandonedResidency
  *
  * Every accepted store lands here, so a persist costs one probe of a
  * page table (mem/page_table.hh) and no allocation once the block is
- * known. Each touched block owns one record: its content and store
- * count, plus a snapshot of both taken when the block's newest SecPB
- * residency opened. A bounded-battery crash can lose only that residency
- * (paper Section III), so the snapshot is the one old version recovery
- * ever needs, and memory grows with blocks, not with persists.
+ * known. Each touched block owns one 72-byte record: its content and
+ * store count. A bounded-battery crash can lose only a block's *open*
+ * SecPB residency (paper Section III), so the one old version recovery
+ * ever needs is the record as it stood when that residency opened. Those
+ * snapshots live in a side table with one row per open residency: a row
+ * opens with the residency's allocating store and closes when its
+ * content becomes durable (the SecPB drains it, or recovery reconciles
+ * an abandoned one). The side table holds at most a buffer's worth of
+ * rows, and memory grows with blocks, not with persists.
  */
 class PersistOracle
 {
   public:
     /**
      * Apply an accepted 64-bit store to the shadow state.
-     * @param opens_residency the store allocates a SecPB entry: snapshot
-     *        the block first, as the version an abandoned residency
-     *        falls back to.
+     * @param opens_residency the store allocates a SecPB entry: open (or
+     *        replace) the block's snapshot row first, as the version an
+     *        abandoned residency falls back to.
      * @return The block's content after the store.
      */
     const BlockData &
     applyStore(Addr addr, std::uint64_t value, bool opens_residency = false)
     {
         BlockRecord &r = _blocks[addr];
-        if (opens_residency) {
-            r.preContent = r.content;
-            r.preStores = r.stores;
-        }
+        if (opens_residency)
+            openResidency(blockAlign(addr), r);
         setBlockWord(r.content, blockOffset(addr) / 8, value);
         ++r.stores;
         ++_numPersists;
@@ -104,14 +110,45 @@ class PersistOracle
     std::size_t numBlocks() const { return _blocks.size(); }
 
     /**
+     * @name Open residencies
+     * SecPb closes a row when it drains the residency (normally, on an
+     * application crash, or in the crash drain's prefix), and
+     * RestoreManager when it reconciles an abandoned one. A residency
+     * that migrates with its page stays open: movePageTo carries its row.
+     * @{
+     */
+
+    /** The residency holding @p addr's block drained or was reconciled. */
+    void
+    closeResidency(Addr addr)
+    {
+        std::uint32_t i = 0;
+        if (!_openRow.take(blockAlign(addr), i))
+            return;
+        _open[i].block = InvalidAddr;
+        _freeRows.push_back(i);
+    }
+
+    /** True while the block containing @p addr has an open residency. */
+    bool
+    residencyOpen(Addr addr) const
+    {
+        return _openRow.contains(blockAlign(addr));
+    }
+
+    /** Snapshot rows held: one per open residency. */
+    std::size_t numOpenResidencies() const { return _openRow.size(); }
+    /** @} */
+
+    /**
      * @name Block versions
      * Bounded-battery crash drains can legitimately recover a block at an
      * *older* version: its content before the abandoned final residency.
      * Version v is the block after its first v stores. The oracle keeps
-     * three: 0 (pristine), the current one, and the pre-residency
-     * snapshot, which is all the verifier needs to decide whether a
-     * recovered image is a persist-order-consistent prefix or silent
-     * corruption.
+     * three: 0 (pristine), the current one, and, while a residency is
+     * open, its pre-residency snapshot, which is all the verifier needs
+     * to decide whether a recovered image is a persist-order-consistent
+     * prefix or silent corruption.
      * @{
      */
 
@@ -123,22 +160,28 @@ class PersistOracle
         return r ? r->stores : 0;
     }
 
-    /** Store count of the block when its newest residency opened. */
+    /**
+     * Store count of the block when its open residency opened; with none
+     * open, its current count (no store is pending).
+     */
     std::uint64_t
     preResidencyCount(Addr addr) const
     {
-        const BlockRecord *r = _blocks.find(addr);
-        return r ? r->preStores : 0;
+        const BlockRecord *s = snapshotOf(addr);
+        return s ? s->stores : storeCount(addr);
     }
 
     /**
      * The version an abandoned residency of @p pending_writes coalesced
-     * stores falls back to. Panics unless the residency is the one the
-     * snapshot was taken for.
+     * stores falls back to. Panics unless the residency is the open one
+     * the snapshot was taken for.
      */
     std::uint64_t
     abandonedVersion(Addr addr, std::uint64_t pending_writes) const
     {
+        panic_if(!residencyOpen(addr),
+                 "abandoned residency %#llx is not open in the oracle",
+                 static_cast<unsigned long long>(blockAlign(addr)));
         const std::uint64_t total = storeCount(addr);
         const std::uint64_t pre = preResidencyCount(addr);
         panic_if(pre != total - pending_writes,
@@ -164,8 +207,9 @@ class PersistOracle
         const BlockRecord *r = _blocks.find(addr);
         if (r && version == r->stores)
             return r->content;
-        if (r && version == r->preStores)
-            return r->preContent;
+        const BlockRecord *s = snapshotOf(addr);
+        if (s && version == s->stores)
+            return s->content;
         panic("oracle keeps no version %llu of block %#llx",
               static_cast<unsigned long long>(version),
               static_cast<unsigned long long>(blockAlign(addr)));
@@ -186,8 +230,8 @@ class PersistOracle
 
     /**
      * Roll the block containing @p addr back to a kept @p version (see
-     * blockVersion). Version 0 means the block reverts to pristine
-     * (untouched).
+     * blockVersion) and close its residency. Version 0 means the block
+     * reverts to pristine (untouched).
      */
     void
     rollbackBlock(Addr addr, std::uint64_t version)
@@ -201,27 +245,38 @@ class PersistOracle
             return;
         r->content = blockVersion(addr, version);
         r->stores = version;
+        closeResidency(addr);
     }
 
-    /** Drop the block entirely (it was never durable). */
+    /** Drop the block and its residency entirely (never durable). */
     void
     forgetBlock(Addr addr)
     {
         _blocks.erase(addr);
+        closeResidency(addr);
     }
     /** @} */
 
     /**
-     * Page migration (multi-core): move the record (content, count and
-     * residency snapshot) of every block of page @p page_idx into
-     * @p dst, with one row probe on each side. _numPersists stays put on
-     * both sides -- each core's oracle counts the stores *it* accepted,
-     * so per-core persist sums stay correct.
+     * Page migration (multi-core): move the record (content and count)
+     * of every block of page @p page_idx into @p dst, with one row probe
+     * on each side, and the snapshot rows of the page's open residencies
+     * with them: the residencies continue on @p dst's core. The side
+     * table's rows are walked, not probed block by block.
+     * _numPersists stays put on both sides -- each core's oracle counts
+     * the stores *it* accepted, so per-core persist sums stay correct.
      */
     void
     movePageTo(PersistOracle &dst, std::uint64_t page_idx)
     {
         _blocks.movePageTo(dst._blocks, page_idx);
+        for (const OpenRow &row : _open) {
+            const Addr block = row.block;
+            if (block != InvalidAddr && block / PageSize == page_idx) {
+                dst.openResidency(block, row.snapshot);
+                closeResidency(block);
+            }
+        }
     }
 
   private:
@@ -229,11 +284,57 @@ class PersistOracle
     {
         BlockData content{};           ///< Last-persisted plaintext.
         std::uint64_t stores = 0;      ///< Stores persisted so far.
-        BlockData preContent{};        ///< content when the residency opened.
-        std::uint64_t preStores = 0;   ///< stores when the residency opened.
+    };
+    static_assert(sizeof(BlockRecord) <= 72,
+                  "a touched block's record is its content and count");
+
+    /** An open residency: its block and the record when it opened. */
+    struct OpenRow
+    {
+        Addr block = InvalidAddr;
+        BlockRecord snapshot;
     };
 
+    /** Open, or replace, the residency of @p block with @p snapshot. */
+    void
+    openResidency(Addr block, const BlockRecord &snapshot)
+    {
+        // Keep the index at most 1/8 full: drain-order erases walk long
+        // probe clusters in a fuller one (x86-64: 60 ns an insert-erase
+        // pair at 1/2 full, 18 ns at 1/8, with 32 rows open).
+        if (8 * (_openRow.size() + 1) > _openRow.capacity())
+            _openRow.reserve(6 * (_openRow.size() + 1));
+        bool inserted = false;
+        std::uint32_t &i = _openRow.findOrInsert(block, inserted);
+        if (inserted) {
+            if (_freeRows.empty()) {
+                i = static_cast<std::uint32_t>(_open.size());
+                _open.emplace_back();
+            } else {
+                i = _freeRows.back();
+                _freeRows.pop_back();
+            }
+        }
+        _open[i] = {block, snapshot};
+    }
+
+    /** The open residency's snapshot of @p addr's block, or nullptr. */
+    const BlockRecord *
+    snapshotOf(Addr addr) const
+    {
+        const std::uint32_t *i = _openRow.find(blockAlign(addr));
+        return i ? &_open[*i].snapshot : nullptr;
+    }
+
     PageTable<BlockRecord> _blocks;
+    /**
+     * The side table: a row per open residency and a block -> row index.
+     * A closed row (block InvalidAddr) is reused first, so a page move
+     * walks no more rows than were ever open at once.
+     */
+    std::vector<OpenRow> _open;
+    std::vector<std::uint32_t> _freeRows;
+    FlatMap<Addr, std::uint32_t> _openRow;
     std::uint64_t _numPersists = 0;
 };
 

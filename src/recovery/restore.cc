@@ -44,14 +44,13 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
     for (const AbandonedResidency &a : triage) {
         const Addr addr = blockAlign(a.addr);
         abandonedPages.insert(layout.pageIndex(addr));
-        // A block an interrupted earlier pass already reconciled (rolled
-        // back or dropped) has no open residency left: its current
-        // version is the durable one.
-        const std::uint64_t total = oracle.storeCount(addr);
+        // A block an interrupted earlier pass already reconciled
+        // (retained, rolled back or dropped) has no open residency left:
+        // its current version is the durable one.
         const std::uint64_t pre =
-            total == oracle.preResidencyCount(addr)
-                ? total
-                : oracle.abandonedVersion(addr, a.pendingWrites);
+            oracle.residencyOpen(addr)
+                ? oracle.abandonedVersion(addr, a.pendingWrites)
+                : oracle.storeCount(addr);
 
         if (!pm.hasData(addr)) {
             if (pre == 0) {
@@ -72,6 +71,7 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
         const BlockReadback b = verifier.readBlock(pm, _sys.tree(), addr);
         if (b.macOk && b.plaintext == oracle.blockContent(addr)) {
             // The drain had in fact finished before the budget died.
+            oracle.closeResidency(addr);
             ++report.blocksRetained;
         } else if (b.macOk && b.plaintext == oracle.blockVersion(addr, pre)) {
             oracle.rollbackBlock(addr, pre);
@@ -87,6 +87,8 @@ RestoreManager::restore(const std::vector<AbandonedResidency> &abandoned,
             ++report.blocksQuarantined;
         }
     }
+
+    report.openResidencies = oracle.numOpenResidencies();
 
     // -- Step 3: rebuild the BMT leaves from the persisted counter
     // blocks. Pages of abandoned residencies are included even without a

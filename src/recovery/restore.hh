@@ -15,7 +15,7 @@
  *     durable version (stale-consistent), forget blocks that never
  *     reached PM, and quarantine detectably torn tuples (erase the
  *     ciphertext+MAC and drop the block -- the loss is *recorded*, never
- *     silently served);
+ *     silently served); each one's oracle residency closes;
  *  3. rebuild the BMT leaves from the persisted counter blocks (undoing
  *     eager root updates whose counter increment died with the battery);
  *  4. re-verify the full image against the reconciled oracle.
@@ -70,6 +70,10 @@ struct RestoreReport
     /** Detected-torn tuples quarantined: data erased, block dropped.
      *  Recorded data loss -- the opposite of silent acceptance. */
     std::uint64_t blocksQuarantined = 0;
+
+    /** Oracle residencies left open after the triage (0 when every
+     *  abandoned residency was reconciled). */
+    std::uint64_t openResidencies = 0;
 
     /** False when power died mid-rebuild (re-run restore()). */
     bool complete = false;

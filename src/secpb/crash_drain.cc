@@ -230,7 +230,9 @@ SecPb::crashDrainAll(
         // the cell array): a later entry's counter overflow must
         // re-encrypt this block's persisted copy, not a dead buffer copy.
         // Abandoned entries stay resident: their state was never
-        // persisted and simply dies with the machine.
+        // persisted and simply dies with the machine, and their oracle
+        // snapshots stay open until recovery reconciles them.
+        _oracle.closeResidency(e.addr);
         freeSlot(e);
     }
 

@@ -874,6 +874,7 @@ SecPb::releaseEntry(PbEntry &e)
 {
     ++statDrainedEntries;
     statNwpe.sample(static_cast<double>(e.numWrites));
+    _oracle.closeResidency(e.addr);
     freeSlot(e);
     _spaceWaiters.wakeAll();
 }

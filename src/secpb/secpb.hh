@@ -570,10 +570,16 @@ class SecPb
     /** Push data + counter + MAC blocks of @p e through the WPQ. */
     void finalizeDrain(std::uint64_t entry_idx);
 
-    /** Free a drained entry and wake space waiters. */
+    /**
+     * Free a drained entry, close its oracle residency and wake space
+     * waiters.
+     */
     void releaseEntry(PbEntry &e);
 
-    /** Drop @p e from the index and return its slot to the free list. */
+    /**
+     * Drop @p e from the index and return its slot to the free list.
+     * The oracle residency stays open: a migrating entry carries it on.
+     */
     void freeSlot(PbEntry &e);
 
     /** Take a free slot for @p addr and append it as the newest. */

@@ -19,6 +19,10 @@
  * A multi-core epoch barrier keeps its request list and scratch vectors
  * across barriers, so a warm barrier allocates nothing either, however
  * many pages it queries or moves.
+ *
+ * A run's heap grows with the blocks it touches, at a bounded cost per
+ * block: the persist oracle keeps pre-residency snapshots only for open
+ * residencies.
  */
 
 #include <gtest/gtest.h>
@@ -158,6 +162,32 @@ TEST(SteadyStateAlloc, EpochBarriersStopAllocatingAfterWarmUp)
             << " allocations over " << epochs << " epochs and "
             << migrations << " migrations";
     }
+}
+
+TEST(SteadyStateAlloc, RunMemoryGrowsByTheBlockNotBySnapshots)
+{
+    // A run's memory is the machine plus one record per touched block in
+    // the persist oracle and the PM image. The oracle's record is the
+    // block's content and store count; the pre-residency snapshots live
+    // in a side table sized by the buffer, not by the blocks.
+    setQuietLogging(true);
+    const BenchmarkProfile &profile = profileByName("gamess");
+    SimulationSpec spec;
+    spec.base = SecPbSystem::configFor(Scheme::Cobcm, profile);
+    spec.instructions = 4'000'000;
+    const std::uint64_t before = gBytes.load();
+    Simulation sim(spec);
+    SyntheticGenerator gen(profile, spec.instructions, spec.seed);
+    sim.system().run(gen);
+    const double bytes = static_cast<double>(gBytes.load() - before);
+    const PersistOracle &oracle = sim.system().oracle();
+    ASSERT_GT(oracle.numBlocks(), 10'000u);
+    EXPECT_LE(oracle.numOpenResidencies(), spec.base.secpb.numEntries);
+    // 212 bytes a block today over 51,119 blocks (x86-64, g++ 12). An
+    // oracle record that carried its own 72-byte snapshot read 284.
+    const double per_block = bytes / static_cast<double>(oracle.numBlocks());
+    EXPECT_LE(per_block, 240.0) << bytes << " bytes over "
+                                << oracle.numBlocks() << " blocks";
 }
 
 /** Heap bytes requested while building one @p spec workload. */

@@ -431,6 +431,44 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
               "--workload 'replay:file=my ops.trc'");
 }
 
+TEST(BenchCli, SoakModeAcceptsTheFlagsItReads)
+{
+    const char *classic[] = {"fault_soak", "--workload", "kv_wal", nullptr};
+    requireSoakModeFlags(
+        BenchCli::parse(3, const_cast<char **>(classic), "fault_soak"));
+    const char *intermittent[] = {"fault_soak", "--power-schedule",
+                                  "cycles=2", "--battery-tech", "supercap",
+                                  "--battery-derate", "0.8", nullptr};
+    requireSoakModeFlags(BenchCli::parse(
+        7, const_cast<char **>(intermittent), "fault_soak"));
+}
+
+TEST(BenchCliDeath, SoakModeDiesOnAFlagItDoesNotRead)
+{
+    // The intermittent soak runs the drawn synthetic profile, and the
+    // classic soak builds no system battery: each names the flag it
+    // would have ignored.
+    const char *workload[] = {"fault_soak", "--power-schedule", "cycles=2",
+                              "--workload", "kv_wal", nullptr};
+    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
+                    5, const_cast<char **>(workload), "fault_soak")),
+                ::testing::ExitedWithCode(1),
+                "fault_soak: --workload \\(or --trace-in\\) is not read in "
+                "intermittent mode");
+    const char *tech[] = {"fault_soak", "--battery-tech", "li-thin",
+                          nullptr};
+    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
+                    3, const_cast<char **>(tech), "fault_soak")),
+                ::testing::ExitedWithCode(1),
+                "fault_soak: --battery-tech is not read in classic mode");
+    const char *derate[] = {"fault_soak", "--battery-derate", "0.8",
+                            nullptr};
+    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
+                    3, const_cast<char **>(derate), "fault_soak")),
+                ::testing::ExitedWithCode(1),
+                "fault_soak: --battery-derate is not read in classic mode");
+}
+
 TEST(BenchCliDeath, UnknownBatteryTechIsFatal)
 {
     const char *argv[] = {"bench", "--battery-tech", "fusion", nullptr};

@@ -321,6 +321,23 @@ TEST(FaultInjector, PlanDescribeNamesEveryKnob)
     EXPECT_EQ(FaultPlan{}.describe(), "crash@end");
 }
 
+TEST(FaultInjector, SoakTrialLineNamesTheWorkloadThatRan)
+{
+    // fault_soak's classic FAIL line: the drawn synthetic profile, or
+    // the --workload spec that ran in its place.
+    SoakTrial t = SoakTrial::draw(2026, 3);
+    t.plan = FaultPlan{};
+    const std::string head =
+        std::string("scheme=") + schemeSpecName(t.scheme, t.params);
+    const std::string tail = " instrs=" + std::to_string(t.instructions) +
+                             " wseed=" + std::to_string(t.workloadSeed) +
+                             " crash@end";
+    EXPECT_EQ(t.describe(),
+              head + " profile=" + std::string(t.profile) + tail);
+    EXPECT_EQ(t.describe("kv_wal:keys=64"),
+              head + " workload=kv_wal:keys=64" + tail);
+}
+
 TEST(FaultInjector, PostEventHookObservesEveryEvent)
 {
     EventQueue eq;

@@ -247,8 +247,9 @@ TEST(FlatMap, RandomizedAgainstReferenceModel)
             const std::uint64_t *v = m.find(key);
             const std::uint64_t *mv = model_find(key);
             ASSERT_EQ(v == nullptr, mv == nullptr) << "key " << key;
-            if (v)
+            if (v) {
                 EXPECT_EQ(*v, *mv);
+            }
         }
         ASSERT_EQ(m.size(), model.size());
     }

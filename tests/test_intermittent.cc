@@ -183,6 +183,35 @@ TEST(Intermittent, CrashRecoverCrashSurvivesEverySecureScheme)
     }
 }
 
+TEST(Intermittent, RestoreClosesEveryAbandonedResidency)
+{
+    // Deep brownouts on the unprotected flat cell abandon residencies at
+    // most crashes. Each restore -- the interrupted pass and its re-run
+    // alike -- reconciles every one of them, so the oracle is left with
+    // no open residency and keeps no snapshot row across a power cycle.
+    PowerScheduleSpec spec = PowerScheduleSpec::parse(
+        "cycles=5,brownout=1,retain-min=0.05,retain-max=0.3,interrupt=0.5");
+    spec.seed = 7;
+    std::size_t abandoned = 0;
+    for (Scheme scheme : {Scheme::Cobcm, Scheme::NoGap, Scheme::Bbb}) {
+        IntermittentPowerInjector inj(batteryConfig(scheme), spec, "gamess");
+        const IntermittentReport r = inj.run();
+        ASSERT_EQ(r.cycles.size(), 5u);
+        EXPECT_TRUE(r.ok()) << schemeName(scheme);
+        for (std::size_t i = 0; i < r.cycles.size(); ++i) {
+            const PowerCycleOutcome &c = r.cycles[i];
+            EXPECT_EQ(c.restoreFirst.openResidencies, 0u)
+                << schemeName(scheme) << " cycle " << i;
+            EXPECT_EQ(c.restoreFinal.openResidencies, 0u)
+                << schemeName(scheme) << " cycle " << i;
+            // The next cycle restores this crash's abandoned suffix.
+            if (i + 1 < r.cycles.size())
+                abandoned += c.fault.crash.work.abandoned.size();
+        }
+    }
+    EXPECT_GT(abandoned, 0u);
+}
+
 TEST(Intermittent, TraceMarksEveryBootAndInterruptedRestore)
 {
     PowerScheduleSpec spec = PowerScheduleSpec::parse(
@@ -239,6 +268,7 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
 
     SecPbSystem reboot(cfg);
     reboot.adoptPersistentState(pm, tree, oracle);
+    EXPECT_EQ(reboot.oracle().numOpenResidencies(), abandoned.size());
     RestoreManager rm(reboot);
 
     RestoreOptions cut;
@@ -254,6 +284,7 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
     EXPECT_EQ(t.events()[0].name, "restore_interrupted");
     EXPECT_EQ(first.leavesRebuilt, 1u);
     EXPECT_FALSE(first.verified);
+    EXPECT_EQ(first.openResidencies, 0u);
 
     const RestoreReport second = rm.restore(abandoned);
     EXPECT_TRUE(second.complete);
@@ -262,6 +293,12 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
     EXPECT_EQ(second.blocksRetained + second.blocksRolledBack +
                   second.blocksForgotten + second.blocksQuarantined,
               abandoned.size());
+    // The re-run classifies the same blocks with no residency open: a
+    // reconciled block's current version is its durable one.
+    EXPECT_EQ(second.blocksRetained + second.blocksForgotten,
+              first.blocksRetained + first.blocksRolledBack +
+                  first.blocksForgotten + first.blocksQuarantined);
+    EXPECT_EQ(second.openResidencies, 0u);
 
     // And the restored image sustains a fresh workload segment.
     SyntheticGenerator gen2(profileByName("gamess"), 5'000, 4);

@@ -166,6 +166,38 @@ TEST(MultiCore, MigrationCarriesValueIndependentMetadata)
               1u);
 }
 
+TEST(MultiCore, MigratedResidencyRecoversOnAStarvedDestination)
+{
+    // A resident entry migrates with its page; its oracle residency
+    // goes with it, still open. A crash on the destination with no
+    // battery to spare abandons it, and recovery must classify the
+    // block against the snapshot taken on the source core.
+    MultiCoreSystem sys(mcBase(), 2);
+    ScriptedGenerator g0, g1;
+    g0.store(0x3000, 0x1).store(0x3008, 0x2);
+    g1.instr(2000).store(0x3010, 0x3);
+    sys.start({&g0, &g1});
+    sys.runUntil(20'000);
+    ASSERT_GE(sys.directory().statMigrations.value(), 1.0);
+    ASSERT_EQ(sys.secpb(0).occupancy(), 0u);
+    ASSERT_EQ(sys.secpb(1).occupancy(), 1u);
+    const PersistOracle &src = sys.slice(0).oracle();
+    const PersistOracle &dst = sys.slice(1).oracle();
+    EXPECT_EQ(src.numOpenResidencies(), 0u);
+    ASSERT_TRUE(dst.residencyOpen(0x3000));
+    EXPECT_EQ(dst.storeCount(0x3000), 3u);
+    EXPECT_EQ(dst.preResidencyCount(0x3000), 0u);
+
+    CrashOptions starved;
+    starved.batteryEnergyJ = 0.0;
+    const CrashReport cr = sys.slice(1).crashNow(starved);
+    ASSERT_EQ(cr.work.abandoned.size(), 1u);
+    EXPECT_EQ(cr.work.abandoned[0].pendingWrites, 3u);
+    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.recovery.staleConsistent + cr.recovery.tornDetected, 1u);
+    EXPECT_TRUE(dst.residencyOpen(0x3000));
+}
+
 TEST(MultiCore, RemoteReadFlushesOwnerEntry)
 {
     MultiCoreSystem sys(mcBase(), 2);

@@ -194,6 +194,7 @@ TEST(Oracle, StoresAfterRollbackBuildOnTheRolledBackVersion)
     const std::uint64_t pre = o.abandonedVersion(0x200, 3);
     ASSERT_EQ(pre, 2u);
     o.rollbackBlock(0x200, pre);
+    EXPECT_FALSE(o.residencyOpen(0x200));
     EXPECT_EQ(o.storeCount(0x200), 2u);
     EXPECT_EQ(o.blockContent(0x200), o.blockVersion(0x200, 2));
 
@@ -285,14 +286,22 @@ TEST(Oracle, SnapshotTravelsWithMigratedPage)
     a.applyStore(blk, 3, true);
     a.applyStore(blk + 16, 4);
 
+    const Addr stay = 6 * PageSize;
+    a.applyStore(stay, 9, true);  // another page's residency stays on a
+
     a.movePageTo(b, 5);
     EXPECT_FALSE(a.touched(blk));
+    EXPECT_FALSE(a.residencyOpen(blk));
+    EXPECT_TRUE(a.residencyOpen(stay));
+    EXPECT_TRUE(b.residencyOpen(blk));
+    EXPECT_EQ(b.numOpenResidencies(), 1u);
     EXPECT_EQ(b.storeCount(blk), 4u);
     EXPECT_EQ(b.abandonedVersion(blk, 2), 2u);
     EXPECT_EQ(b.blockVersion(blk, 2), before);
     b.rollbackBlock(blk, 2);
     EXPECT_EQ(b.blockContent(blk), before);
     EXPECT_EQ(b.storeCount(blk), 2u);
+    EXPECT_EQ(b.numOpenResidencies(), 0u);
 }
 
 TEST(Oracle, ReopenedResidencyReplacesTheSnapshot)
@@ -305,6 +314,7 @@ TEST(Oracle, ReopenedResidencyReplacesTheSnapshot)
     const BlockData drained = o.blockContent(0x500);
 
     // The first residency drained; the next store opens a second one.
+    o.closeResidency(0x500);
     o.applyStore(0x510, 3, true);
     EXPECT_EQ(o.storeCount(0x500), 3u);
     EXPECT_EQ(o.preResidencyCount(0x500), 2u);
@@ -312,6 +322,49 @@ TEST(Oracle, ReopenedResidencyReplacesTheSnapshot)
     EXPECT_EQ(o.blockVersion(0x500, 2), drained);
     EXPECT_EQ(o.blockVersion(0x500, 0), zeroBlock());
     EXPECT_EQ(blockWord(o.blockVersion(0x500, 3), 2), 3u);
+}
+
+TEST(Oracle, SnapshotRowLivesWhileTheResidencyIsOpen)
+{
+    // A row opens with the allocating store and closes when the
+    // residency drains; forgetting or rolling back a block closes it
+    // too. A closed residency leaves nothing pending.
+    PersistOracle o;
+    o.applyStore(0x800, 1);
+    EXPECT_FALSE(o.residencyOpen(0x800));
+    o.applyStore(0x808, 2, true);
+    o.applyStore(0x900, 3, true);
+    EXPECT_TRUE(o.residencyOpen(0x83F));  // block-granular
+    EXPECT_EQ(o.numOpenResidencies(), 2u);
+    EXPECT_EQ(o.preResidencyCount(0x800), 1u);
+    EXPECT_EQ(o.abandonedVersion(0x800, 1), 1u);
+
+    o.closeResidency(0x808);
+    EXPECT_FALSE(o.residencyOpen(0x800));
+    EXPECT_EQ(o.numOpenResidencies(), 1u);
+    EXPECT_EQ(o.preResidencyCount(0x800), 2u);
+    EXPECT_EQ(o.blockVersion(0x800, 2), o.blockContent(0x800));
+    o.closeResidency(0x800);  // closing twice is harmless
+    EXPECT_EQ(o.numOpenResidencies(), 1u);
+
+    o.forgetBlock(0x900);
+    EXPECT_EQ(o.numOpenResidencies(), 0u);
+    o.applyStore(0xA00, 4, true);
+    o.rollbackBlock(0xA00, 0);
+    EXPECT_FALSE(o.touched(0xA00));
+    EXPECT_EQ(o.numOpenResidencies(), 0u);
+}
+
+TEST(OracleDeath, ClosedResidencyKeepsNoSnapshot)
+{
+    PersistOracle o;
+    o.applyStore(0x800, 1);
+    o.applyStore(0x808, 2, true);
+    EXPECT_EQ(blockWord(o.blockVersion(0x800, 1), 0), 1u);
+    o.closeResidency(0x800);
+    EXPECT_DEATH(o.blockVersion(0x800, 1), "oracle keeps no version 1");
+    EXPECT_DEATH(o.abandonedVersion(0x800, 1),
+                 "abandoned residency 0x800 is not open");
 }
 
 TEST(OracleDeath, UnkeptVersionPanics)

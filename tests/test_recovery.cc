@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "core/system.hh"
 #include "workload/scripted.hh"
 #include "workload/synthetic.hh"
@@ -275,6 +278,45 @@ TEST(Recovery, DrainLatencyNsMatchesClock)
     CrashReport cr = sys.crashNow();
     // 4 GHz: 1 cycle = 0.25 ns.
     EXPECT_NEAR(cr.drainLatencyNs, cr.drainLatency * 0.25, 1e-6);
+}
+
+TEST(Recovery, SnapshotRowsAreTheOpenResidencies)
+{
+    // The oracle keeps a pre-residency snapshot only while a residency
+    // is open: one row per resident entry through a gamess run, so never
+    // more than the buffer's entries, and after a starved battery's
+    // crash exactly the abandoned residencies. Every scheme row.
+    std::vector<Scheme> rows = {Scheme::Bbb, Scheme::Sp, Scheme::SecWt};
+    rows.insert(rows.end(), std::begin(SchemeZoo), std::end(SchemeZoo));
+    for (Scheme scheme : rows) {
+        const SystemConfig cfg = cfgFor(scheme, 32);
+        SecPbSystem sys(cfg);
+        const PersistOracle &oracle = sys.oracle();
+        SyntheticGenerator gen(profileByName("gamess"), 100'000, 3);
+        sys.start(gen);
+        for (Tick t = 10'000; t <= 60'000; t += 10'000) {
+            sys.runUntil(t);
+            ASSERT_EQ(oracle.numOpenResidencies(), sys.secpb().occupancy())
+                << schemeName(scheme) << " at tick " << t;
+            EXPECT_LE(oracle.numOpenResidencies(), cfg.secpb.numEntries);
+        }
+        sys.runUntil(MaxTick);
+        ASSERT_TRUE(sys.finished());
+        EXPECT_EQ(oracle.numOpenResidencies(), sys.secpb().occupancy())
+            << schemeName(scheme);
+
+        CrashOptions opts;
+        opts.batteryEnergyJ = 0.15 * sys.provisionedCrashEnergy();
+        const CrashReport cr = sys.crashNow(opts);
+        EXPECT_TRUE(cr.recovered) << schemeName(scheme);
+        EXPECT_EQ(oracle.numOpenResidencies(), cr.work.abandoned.size())
+            << schemeName(scheme);
+        for (const AbandonedResidency &a : cr.work.abandoned)
+            EXPECT_TRUE(oracle.residencyOpen(a.addr)) << schemeName(scheme);
+        if (scheme == Scheme::Cobcm) {
+            EXPECT_FALSE(cr.work.abandoned.empty());
+        }
+    }
 }
 
 TEST(RecoveryDeath, AbandonedResidencyMustMatchTheSnapshot)
