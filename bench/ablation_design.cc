@@ -38,7 +38,8 @@ struct Pair
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "ablation_design");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "ablation_design", flag::Grid);
 
     Sweep sweep(cli);
     auto point = [&](Scheme s, const std::string &profile,

@@ -17,35 +17,20 @@
  * filter) and Table (print a row, then reduce each column into a
  * derived row).
  *
- * Common CLI (BenchCli::parse):
- *   --jobs N            concurrent points (default 1)
- *   --json PATH         write sweep JSON
- *   --scheme A[,B...]   keep matching schemes    (repeatable; canonical
- *                       lowercase names, triad takes "triad:levels=N")
- *   --profile A[,B...]  keep matching profiles   (repeatable)
- *   --no-progress       suppress the stderr progress/ETA line
- *   --trace-out PATH    write a Perfetto trace of the first point
- *   --sample-every N    epoch-sample every non-custom point every N
- *                       ticks
- *   --stats             embed the full stats dump in each JSON point
- * plus the simulation-level flags SimulationSpec::fromCli owns and
- * consumes first (--instr, --seed, --workload, --trace-in,
- * --trace-record, --battery-tech, --battery-derate, --power-schedule;
- * see SimulationSpec::cliHelp). Benches read those from
- * `cli.spec`. Flags are the only way to configure a run; integer values
- * go through the one strict parseDecimalU64.
+ * BenchCli::parse reads a bench's command line in one pass over the
+ * sweep rows and run-spec rows it names (flag:: bits, sim/cli.hh); a
+ * flag it does not name dies, and --help lists exactly the ones it
+ * does. Flags are the only way to configure a run.
  */
 
 #ifndef SECPB_BENCH_BENCH_COMMON_HH
 #define SECPB_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <memory>
@@ -54,13 +39,9 @@
 #include <vector>
 
 #include "core/simulation.hh"
-#include "core/system.hh"
-#include "energy/capacitor.hh"
 #include "exp/report.hh"
-#include "fault/power.hh"
 #include "exp/sweep.hh"
 #include "obs/trace.hh"
-#include "workload/registry.hh"
 #include "workload/synthetic.hh"
 
 namespace secpb::bench
@@ -122,103 +103,80 @@ struct BenchCli
     Tick sampleEvery = 0;            ///< 0 = no epoch sampling.
     bool captureStats = false;       ///< Embed stats dump per point.
 
-    /** The simulation-level knobs, parsed by SimulationSpec::fromCli. */
+    /** The run-spec knobs (SimulationSpec::parseCli). */
     SimulationSpec spec;
 
+    /** The flag:: bits the command line gave. */
+    unsigned given = 0;
+
     /**
-     * Parse argv; prints usage and exits on unknown flags. Benches print
-     * their own tables, so this first turns the simulator's warn/inform
-     * chatter off.
+     * Parse argv over the sweep and run-spec rows in @p reads (flag::
+     * bits): the flags this bench reads. Any other flag dies naming
+     * the bench. Benches print their own tables, so this first turns
+     * the simulator's warn/inform chatter off.
      */
     static BenchCli
-    parse(int argc, char **argv, const char *bench_name)
+    parse(int argc, const char *const *argv, const char *bench_name,
+          unsigned reads)
     {
         setQuietLogging(true);
         BenchCli cli;
         cli.bench = bench_name;
-        // The spec flags are owned by the facade's parser; it consumes
-        // them from argv, leaving only the sweep-level flags below for
-        // this loop.
-        cli.spec = SimulationSpec::fromCli(argc, argv, bench_name);
-
-        auto need = [&](int i) -> const char * {
-            fatal_if(i + 1 >= argc, "%s: flag %s needs a value",
-                     bench_name, argv[i]);
-            return argv[i + 1];
+        std::vector<CliFlag> rows = {
+            {flag::Jobs, "--jobs", "N", "concurrent points (default 1)",
+             [&cli](const char *what, const char *v) {
+                 readCount(cli.jobs)(what, v);
+                 cli.jobs = std::max(1u, cli.jobs);
+             }},
+            {flag::Json, "--json", "PATH", "write the sweep JSON",
+             readText(cli.jsonPath)},
+            // Canonical lowercase names only: anything else dies listing
+            // every valid one. "triad:levels=N" sets the depth knob.
+            {flag::Schemes, "--scheme", "A[,B]",
+             "keep matching schemes (repeatable; triad:levels=N)",
+             [&cli](const char *what, const char *v) {
+                 for (const std::string &name : splitList(v, what))
+                     cli.schemes.push_back(
+                         parseSchemeSpec(name, &cli.schemeParams));
+             }},
+            {flag::Profiles, "--profile", "A[,B]",
+             "keep matching profiles (repeatable)",
+             [&cli](const char *what, const char *v) {
+                 for (const std::string &name : splitList(v, what)) {
+                     profileByName(name);  // a typo dies before a sweep
+                     cli.profiles.push_back(name);
+                 }
+             }},
+            {flag::NoProgress, "--no-progress", nullptr,
+             "suppress the stderr progress/ETA line",
+             setSwitch(cli.progress, false)},
+            {flag::TraceOut, "--trace-out", "PATH",
+             "Perfetto trace of the sweep's first point",
+             readText(cli.traceOut)},
+            {flag::SampleEvery, "--sample-every", "N",
+             "epoch-sample each default-runner point every N ticks",
+             readCount(cli.sampleEvery)},
+            {flag::Stats, "--stats", nullptr,
+             "embed the full stats dump in each JSON point",
+             setSwitch(cli.captureStats, true)},
         };
-        auto parseU64 = [&](const char *flag, const char *v) {
-            return parseDecimalU64(
-                (std::string(bench_name) + ": " + flag).c_str(), v);
-        };
-        auto list = [&](int i) {
-            return splitList(need(i),
-                             std::string(bench_name) + ": " + argv[i]);
-        };
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a == "--jobs") {
-                cli.jobs = static_cast<unsigned>(std::max<std::uint64_t>(
-                    1, parseU64("--jobs", need(i))));
-                ++i;
-            } else if (a == "--json") {
-                cli.jsonPath = need(i);
-                ++i;
-            } else if (a == "--scheme") {
-                // Canonical lowercase names only: anything else dies
-                // listing every valid one. "triad:levels=N" sets the
-                // depth knob.
-                for (const std::string &name : list(i))
-                    cli.schemes.push_back(
-                        parseSchemeSpec(name, &cli.schemeParams));
-                ++i;
-            } else if (a == "--profile") {
-                for (const std::string &name : list(i))
-                    cli.profiles.push_back(name);
-                ++i;
-            } else if (a == "--no-progress") {
-                cli.progress = false;
-            } else if (a == "--trace-out") {
-                cli.traceOut = need(i);
-                ++i;
-            } else if (a == "--sample-every") {
-                cli.sampleEvery = parseU64("--sample-every", need(i));
-                ++i;
-            } else if (a == "--stats") {
-                cli.captureStats = true;
-            } else if (a == "--help" || a == "-h") {
-                std::printf(
-                    "usage: %s [--jobs N] [--json PATH] [--scheme A[,B]]\n"
-                    "          [--profile A[,B]] [--instr N] [--seed N]\n"
-                    "          [--no-progress] [--trace-out PATH]\n"
-                    "          [--sample-every N] [--stats]\n"
-                    "          [--battery-tech ideal|supercap|li-thin]\n"
-                    "          [--battery-derate F] [--power-schedule S]\n"
-                    "          [--workload SPEC] [--trace-in PATH]\n"
-                    "          [--trace-record PATH]\n"
-                    "  --trace-out PATH    Perfetto trace_event JSON of the"
-                    " sweep's\n"
-                    "                      first point (load in"
-                    " ui.perfetto.dev)\n"
-                    "  --sample-every N    epoch-sample built-in channels"
-                    " every N\n"
-                    "                      ticks into each point's JSON\n"
-                    "  --stats             embed the full stats dump per"
-                    " point\n"
-                    "%s"
-                    "                      (workload names: %s)\n",
-                    bench_name, SimulationSpec::cliHelp(),
-                    joinNames(registeredWorkloadNames()).c_str());
-                std::exit(0);
-            } else {
-                fatal("%s: unknown flag '%s' (try --help)", bench_name,
-                      a.c_str());
-            }
-        }
-        // Validate profile filters eagerly: typos fail before a sweep.
-        // (The spec-level knobs were already validated by fromCli.)
-        for (const std::string &p : cli.profiles)
-            profileByName(p);
+        cli.given = cli.spec.parseCli(argc, argv, bench_name, reads,
+                                      std::move(rows));
         return cli;
+    }
+
+    /**
+     * Die naming the first of the run-spec flags @p flags that the
+     * command line gave: this run reads none of them, @p why ("in
+     * classic mode"). For a bench whose mode picks the flags it reads.
+     */
+    void
+    refuse(unsigned flags, const char *why) const
+    {
+        SimulationSpec unread;
+        for (const CliFlag &f : unread.cliFlags())
+            fatal_if(f.id & flags & given, "%s: %s is not read %s",
+                     bench.c_str(), f.name, why);
     }
 
     /** True if @p s passes the scheme filter (empty filter = all). */
@@ -291,10 +249,11 @@ struct BenchCli
 
 /**
  * The shell line that replays trial @p trial of a soak seeded @p seed:
- * "SECPB_SOAK_SEED=S SECPB_SOAK_TRIAL=T <bench>" plus every spec flag
- * @p cli was given (--trace-in appears as the replay workload it is).
- * Each number prints in the shortest form that parses back to the same
- * value, so the line runs the same trial on the same cell.
+ * "SECPB_SOAK_SEED=S SECPB_SOAK_TRIAL=T <bench>" plus each run-spec row
+ * of @p cli whose value differs from a default spec's, in row order
+ * (--trace-in appears as the replay workload it is). Each number prints
+ * in the shortest form that parses back to the same value, so the line
+ * runs the same trial on the same cell.
  */
 inline std::string
 soakReproducer(const BenchCli &cli, std::uint64_t seed, std::uint64_t trial)
@@ -309,63 +268,17 @@ soakReproducer(const BenchCli &cli, std::uint64_t seed, std::uint64_t trial)
             q += c == '\'' ? std::string("'\\''") : std::string(1, c);
         return q + "'";
     };
-    const SimulationSpec d;
-    const SimulationSpec &s = cli.spec;
-    const CapacitorParams &cell = s.base.battery.cap;
     std::string out = "SECPB_SOAK_SEED=" + std::to_string(seed) +
                       " SECPB_SOAK_TRIAL=" + std::to_string(trial) + " " +
                       cli.bench;
-    auto flag = [&](const char *name, const std::string &v) {
-        out += std::string(" ") + name + " " + word(v);
-    };
-    if (s.instructions != d.instructions)
-        flag("--instr", std::to_string(s.instructions));
-    if (s.seed != d.seed)
-        flag("--seed", std::to_string(s.seed));
-    if (!s.workload.empty())
-        flag("--workload", s.workload);
-    if (!s.traceRecord.empty())
-        flag("--trace-record", s.traceRecord);
-    if (cell.tech != d.base.battery.cap.tech ||
-        cell.capacitanceDerate != d.base.battery.cap.capacitanceDerate) {
-        char buf[32];
-        const auto end =
-            std::to_chars(buf, buf + sizeof(buf), cell.capacitanceDerate).ptr;
-        flag("--battery-tech", cell.tech);
-        flag("--battery-derate", std::string(buf, end));
-    }
-    if (!s.powerSchedule.empty())
-        flag("--power-schedule", s.powerSchedule);
+    SimulationSpec spec = cli.spec, unset;
+    const std::vector<CliFlag> rows = spec.cliFlags(),
+                               defaults = unset.cliFlags();
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if (rows[i].show && rows[i].show() != defaults[i].show())
+            out += std::string(" ") + rows[i].name + " " +
+                   word(rows[i].show());
     return out;
-}
-
-/**
- * Die naming the flag if @p cli gives a spec flag that the soak's mode
- * does not read: --workload (or --trace-in) in the intermittent soak
- * (--power-schedule), whose trials run the drawn synthetic profile, and
- * --battery-tech or --battery-derate in the classic soak, which builds
- * no system battery. A flag counts as given when its value differs from
- * the default, as in soakReproducer.
- */
-inline void
-requireSoakModeFlags(const BenchCli &cli)
-{
-    const SimulationSpec d;
-    const SimulationSpec &s = cli.spec;
-    const char *bench = cli.bench.c_str();
-    if (!s.powerSchedule.empty()) {
-        fatal_if(!s.workload.empty(),
-                 "%s: --workload (or --trace-in) is not read in "
-                 "intermittent mode (--power-schedule)", bench);
-        return;
-    }
-    const CapacitorParams &cell = s.base.battery.cap;
-    fatal_if(cell.tech != d.base.battery.cap.tech,
-             "%s: --battery-tech is not read in classic mode "
-             "(no --power-schedule)", bench);
-    fatal_if(cell.capacitanceDerate != d.base.battery.cap.capacitanceDerate,
-             "%s: --battery-derate is not read in classic mode "
-             "(no --power-schedule)", bench);
 }
 
 /**
@@ -394,23 +307,24 @@ class Sweep
     run()
     {
         // Apply the shared knobs here, so no bench binary needs per-flag
-        // plumbing: --stats reaches every point; --sample-every and
-        // --workload reach every default-runner point (custom runners
-        // build what they measure themselves, and points that pinned
-        // their own period or workload keep it); --trace-out and
-        // --trace-record each capture the first point only (one
-        // timeline, or one op stream, per file).
+        // plumbing: --stats reaches every point; --workload reaches
+        // every point that did not pin its own (a custom runner that
+        // simulates builds from pointWorkload too); --sample-every
+        // reaches every default-runner point that did not pin its own
+        // period; --trace-out traces the first point and --trace-record
+        // records the first default-runner point (one timeline, or one
+        // op stream, per file).
         bool record = !_cli.spec.traceRecord.empty();
         for (ExperimentPoint &p : _points) {
             if (_cli.captureStats)
                 p.captureStats = true;
-            if (p.custom)
-                continue;
             SimulationSpec &spec = p.spec;
-            if (spec.base.obs.samplePeriod == 0)
-                spec.base.obs.samplePeriod = _cli.sampleEvery;
             if (spec.workload.empty())
                 spec.workload = _cli.spec.workload;
+            if (p.custom)
+                continue;
+            if (spec.base.obs.samplePeriod == 0)
+                spec.base.obs.samplePeriod = _cli.sampleEvery;
             if (record) {
                 spec.traceRecord = _cli.spec.traceRecord;
                 record = false;

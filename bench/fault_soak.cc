@@ -21,9 +21,9 @@
  *
  * Knobs: SECPB_SOAK_TRIALS (default 300), SECPB_SOAK_SEED (default 2026),
  * SECPB_SOAK_TRIAL (replay exactly one trial index from a reproducer),
- * plus the shared bench CLI (--jobs, --json, ...). With --workload SPEC
- * the classic soak crashes a registry workload (e.g. kv_wal mid-commit)
- * instead of the synthetic profiles.
+ * plus the flags `--help` lists; each trial draws its own run length and
+ * seed. With --workload SPEC the classic soak crashes a registry
+ * workload (e.g. kv_wal mid-commit) instead of the synthetic profiles.
  *
  * With --power-schedule the soak runs in intermittent-power mode
  * instead: each trial is a multi-cycle crash-recover-crash sequence on
@@ -35,7 +35,7 @@
  * and --battery-derate build the cell (base.battery.cap).
  *
  * A spec flag the chosen mode does not read dies naming the flag
- * (bench::requireSoakModeFlags): --workload with --power-schedule, and
+ * (BenchCli::refuse): --workload with --power-schedule, and
  * --battery-tech or --battery-derate without it.
  *
  * A failing trial prints its replay line (bench::soakReproducer): the
@@ -197,9 +197,18 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const bench::BenchCli cli =
-        bench::BenchCli::parse(argc, argv, "fault_soak");
-    bench::requireSoakModeFlags(cli);
+    // The classic soak builds no system battery; the intermittent one
+    // runs the drawn synthetic profile.
+    const bench::BenchCli cli = bench::BenchCli::parse(
+        argc, argv, "fault_soak",
+        flag::SweepOut | flag::TraceOut | flag::Workloads |
+        flag::BatteryTech | flag::BatteryDerate | flag::PowerSchedule);
+    if (cli.spec.powerSchedule.empty())
+        cli.refuse(flag::BatteryTech | flag::BatteryDerate,
+                   "in classic mode (no --power-schedule)");
+    else
+        cli.refuse(flag::Workloads,
+                   "in intermittent mode (--power-schedule)");
     const auto [seed, first, trials] = bench::soakRange(300);
 
     if (!cli.spec.powerSchedule.empty())
@@ -225,9 +234,6 @@ main(int argc, char **argv)
         spec.base.scheme = t.scheme;
         spec.base.secpb.params = t.params;
         spec.base.pmDataBytes = 1ULL << 30;
-        // --workload crash-soaks a registry workload (WAL commits and
-        // journal trains crashing mid-burst) instead of the profiles.
-        spec.workload = cli.spec.workload;
         spec.instructions = t.instructions;
         spec.seed = t.workloadSeed;
         p.tag("plan", t.plan.describe());

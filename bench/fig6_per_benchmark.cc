@@ -20,7 +20,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "fig6");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "fig6", flag::Grid | flag::Schemes | flag::Profiles);
     const std::vector<Scheme> schemes = cli.pick(
         {Scheme::Cobcm, Scheme::Obcm, Scheme::Bcm, Scheme::Cm, Scheme::M,
          Scheme::NoGap, Scheme::Secpm, Scheme::Triad, Scheme::Eadr,

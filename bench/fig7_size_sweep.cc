@@ -18,7 +18,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "fig7");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "fig7", flag::Grid | flag::Profiles);
     const unsigned sizes[] = {8, 16, 32, 64, 128, 512};
     const std::vector<BenchmarkProfile> profiles = cli.profilesToRun();
 

@@ -15,7 +15,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "fig8");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "fig8", flag::Grid | flag::Schemes | flag::Profiles);
 
     const std::vector<Scheme> schemes =
         cli.pick({Scheme::Cobcm, Scheme::Obcm, Scheme::Bcm, Scheme::Cm,

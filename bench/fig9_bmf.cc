@@ -19,7 +19,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "fig9");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "fig9", flag::Grid | flag::Schemes | flag::Profiles);
 
     struct Variant
     {

@@ -74,7 +74,10 @@ runSharingPoint(const ExperimentPoint &pt, double share,
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "multicore_sharing");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "multicore_sharing",
+        flag::SweepOut | flag::Instr | flag::Seed | flag::Schemes |
+        flag::TraceOut);
     const std::uint64_t instr = cli.spec.instructions / NumCores;
     const double shares[] = {0.0, 0.05, 0.10, 0.25, 0.50, 1.0};
 

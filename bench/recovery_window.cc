@@ -78,7 +78,8 @@ crashPoint(const BenchCli &cli, const FrontierSpec &fs,
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "recovery_window");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "recovery_window", flag::Grid | flag::Schemes);
     const std::string profile = "gamess";
 
     // Crash table: the insecure baseline plus the whole secure zoo.

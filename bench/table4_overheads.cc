@@ -28,7 +28,10 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "table4");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "table4",
+        flag::Grid | flag::Schemes | flag::Profiles | flag::BatteryTech |
+        flag::BatteryDerate);
     const std::uint64_t instr = cli.spec.instructions;
 
     struct Row

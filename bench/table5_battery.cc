@@ -29,7 +29,7 @@ namespace
 ExperimentResult
 sizePoint(double energy_j, double derate)
 {
-    const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
+    const EnergyModel em(/*bmt_levels=*/8);
     const CapacitorParams sc = capacitorPresetFor("supercap", derate);
     const CapacitorParams li = capacitorPresetFor("li-thin", derate);
     const BatteryEstimate scf = em.size(energy_j, sc);
@@ -57,9 +57,10 @@ sizePoint(double energy_j, double derate)
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "table5");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "table5", flag::SweepOut | flag::BatteryDerate);
     const double derate = cli.spec.base.battery.cap.capacitanceDerate;
-    const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
+    const EnergyModel em(/*bmt_levels=*/8);
     constexpr unsigned entries = 32;
 
     struct Row

@@ -15,7 +15,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "table6");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "table6", flag::SweepOut | flag::BatteryDerate);
     const double derate = cli.spec.base.battery.cap.capacitanceDerate;
     const unsigned sizes[] = {8, 16, 32, 64, 128, 256, 512};
     const Scheme schemes[] = {Scheme::Cobcm, Scheme::NoGap};
@@ -33,7 +34,7 @@ main(int argc, char **argv)
             p.spec.instructions = 0;
             p.tag("kind", "battery_sizing");
             p.custom = [scheme, entries, derate](const ExperimentPoint &) {
-                const EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
+                const EnergyModel em(/*bmt_levels=*/8);
                 const double e = em.secPbBatteryEnergy(scheme, entries);
                 const CapacitorParams sc =
                     capacitorPresetFor("supercap", derate);

@@ -16,6 +16,7 @@
  */
 
 #include "bench_common.hh"
+#include "workload/registry.hh"
 
 using namespace secpb;
 using namespace secpb::bench;
@@ -23,7 +24,8 @@ using namespace secpb::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchCli cli = BenchCli::parse(argc, argv, "workload_suite");
+    const BenchCli cli = BenchCli::parse(
+        argc, argv, "workload_suite", flag::Grid | flag::Schemes);
 
     struct Entry
     {

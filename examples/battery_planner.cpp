@@ -61,31 +61,21 @@ main(int argc, char **argv)
 
     double budget_mm3 = 2.0;      // default supercap budget
     std::string bench = "gcc";
-    for (int i = 1; i < argc; i += 2) {
-        const std::string a = argv[i];
-        fatal_if(a != "--budget" && a != "--bench" && a != "--instr" &&
-                     a != "--seed",
-                 "battery_planner: unknown flag '%s' (flags: --budget, "
-                 "--bench, --instr, --seed)",
-                 a.c_str());
-        fatal_if(i + 1 >= argc, "battery_planner: flag %s needs a value",
-                 a.c_str());
-        if (a == "--budget")
-            budget_mm3 =
-                parseDecimalNumber("battery_planner: --budget", argv[i + 1]);
-        else if (a == "--bench")
-            bench = argv[i + 1];
-    }
-    // --instr and --seed go through the shared spec parser; this
-    // planner's defaults are a short run on seed 11.
-    SimulationSpec defaults;
-    defaults.instructions = 60'000;
-    defaults.seed = 11;
-    const SimulationSpec run =
-        SimulationSpec::fromCli(argc, argv, "battery_planner", &defaults);
+    // This planner's defaults are a short run on seed 11.
+    SimulationSpec run;
+    run.instructions = 60'000;
+    run.seed = 11;
+    run.parseCli(argc, argv, "battery_planner", flag::Instr | flag::Seed,
+                 {
+                     {0, "--budget", "MM3",
+                      "SuperCap budget, mm^3 (default 2)",
+                      readNumber(budget_mm3)},
+                     {0, "--bench", "NAME",
+                      "profile to plan for (default gcc)", readText(bench)},
+                 });
     fatal_if(run.instructions == 0, "battery_planner: --instr must be >= 1");
 
-    const EnergyModel em(EnergyCosts{}, 8);
+    const EnergyModel em(8);
     const CapacitorParams supercap = capacitorPresetFor("supercap");
     const BenchmarkProfile &profile = profileByName(bench);
 

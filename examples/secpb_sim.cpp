@@ -6,25 +6,14 @@
  * full statistics tree, or CSV. This is the tool for exploring the
  * design space beyond the canned table/figure harnesses.
  *
- * Usage:
- *   secpb_sim [--scheme cobcm] [--bench gamess|all] [--entries N]
- *             [--bmf none|dbmf|sbmf] [--stats] [--csv] [--crash TICK]
- *             [--list] [--help] [spec flags]
- *
- * The spec flags (--instr, --seed, --workload, --trace-in,
- * --trace-record, ...) go through SimulationSpec::fromCli, the parser
- * every bench shares, and the run is built like a sweep point
+ * `--help` lists its flags. The run is built like a sweep point
  * (makePoint + pointWorkload): --workload or --trace-in runs that
  * workload on the server machine model instead of a --bench profile.
- * Integer values must be plain non-negative decimals; anything else
- * (a sign, trailing garbage, overflow) is fatal, never truncated.
  */
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "exp/experiment.hh"
@@ -34,17 +23,6 @@ using namespace secpb;
 
 namespace
 {
-
-/** The usage block above, printed by --help (-h). */
-constexpr const char *Usage =
-    "Usage:\n"
-    "  secpb_sim [--scheme cobcm] [--bench gamess|all] [--entries N]\n"
-    "            [--bmf none|dbmf|sbmf] [--stats] [--csv] [--crash TICK]\n"
-    "            [--list] [--help] [spec flags]\n"
-    "\n"
-    "Spec flags (--workload/--trace-in run on the server machine model\n"
-    "instead of a --bench profile; the battery and power flags belong\n"
-    "to table6_battery_sweep and fault_soak):\n";
 
 struct Options
 {
@@ -135,55 +113,31 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    SimulationSpec spec = SimulationSpec::fromCli(argc, argv, "secpb_sim");
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        auto number = [&](const char *flag) {
-            return parseDecimalU64(
-                (std::string("secpb_sim: ") + flag).c_str(), need(flag));
-        };
-        if (!std::strcmp(argv[i], "--scheme"))
-            opt.scheme = need("--scheme");
-        else if (!std::strcmp(argv[i], "--bench"))
-            opt.bench = need("--bench");
-        else if (!std::strcmp(argv[i], "--entries")) {
-            const std::uint64_t n = number("--entries");
-            fatal_if(n > std::numeric_limits<unsigned>::max(),
-                     "secpb_sim: --entries '%s': out of range for an "
-                     "entry count",
-                     argv[i]);
-            opt.entries = static_cast<unsigned>(n);
-        }
-        else if (!std::strcmp(argv[i], "--bmf"))
-            opt.bmf = need("--bmf");
-        else if (!std::strcmp(argv[i], "--stats"))
-            opt.dumpStats = true;
-        else if (!std::strcmp(argv[i], "--csv"))
-            opt.csv = true;
-        else if (!std::strcmp(argv[i], "--crash"))
-            opt.crashAt = number("--crash");
-        else if (!std::strcmp(argv[i], "--list"))
-            opt.list = true;
-        else if (!std::strcmp(argv[i], "--help") ||
-                 !std::strcmp(argv[i], "-h")) {
-            std::fputs(Usage, stdout);
-            std::fputs(SimulationSpec::cliHelp(), stdout);
-            return 0;
-        } else
-            fatal("unknown flag '%s'", argv[i]);
-    }
+    SimulationSpec spec;
+    spec.parseCli(
+        argc, argv, "secpb_sim",
+        flag::Instr | flag::Seed | flag::Workloads | flag::TraceRecord,
+        {
+            {0, "--scheme", "S", "scheme, canonical name (default cobcm)",
+             readText(opt.scheme)},
+            {0, "--bench", "NAME",
+             "profile to run, or all (default gamess)",
+             readText(opt.bench)},
+            {0, "--entries", "N", "SecPB entries (default 32)",
+             readCount(opt.entries)},
+            {0, "--bmf", "MODE", "BMT height reduction: none|dbmf|sbmf",
+             readText(opt.bmf)},
+            {0, "--stats", nullptr, "dump the full stats tree",
+             setSwitch(opt.dumpStats, true)},
+            {0, "--csv", nullptr, "print CSV rows",
+             setSwitch(opt.csv, true)},
+            {0, "--crash", "TICK", "crash at TICK and report the drain",
+             readCount(opt.crashAt)},
+            {0, "--list", nullptr, "list the profiles and schemes",
+             setSwitch(opt.list, true)},
+        });
 
-    const CapacitorParams &cell = spec.base.battery.cap;
-    fatal_if(cell.tech != "ideal" || cell.capacitanceDerate != 1.0 ||
-                 !spec.powerSchedule.empty(),
-             "secpb_sim: --battery-tech, --battery-derate and "
-             "--power-schedule are not modelled here (use "
-             "table6_battery_sweep or fault_soak)");
     fatal_if(!spec.workload.empty() && !opt.bench.empty(),
              "secpb_sim: --bench and --workload/--trace-in are mutually "
              "exclusive (a workload runs on the server machine model)");

@@ -22,6 +22,10 @@
 namespace secpb
 {
 
+/** Metadata caches: 128 KB, 8-way, 2-cycle (Table I). */
+inline constexpr CacheGeometry MetadataCacheGeom{128 * 1024, 8, 64};
+inline constexpr Cycles MetadataCacheHitLatency = 2;
+
 /**
  * Observability knobs: epoch time-series sampling of simulator state.
  * Sampling is read-only instrumentation -- a sampled run computes
@@ -77,11 +81,9 @@ struct SystemConfig
     CryptoLatencies crypto;
     WalkerConfig walker;
 
-    /** Metadata caches: 128 KB, 8-way, 2-cycle (Table I). */
-    CacheGeometry ctrCacheGeom{128 * 1024, 8, 64};
-    CacheGeometry bmtCacheGeom{128 * 1024, 8, 64};
-    CacheGeometry macCacheGeom{128 * 1024, 8, 64};
-    Cycles metadataCacheHitLatency = 2;
+    /** The counter cache (the BMT and MAC caches are
+     *  MetadataCacheGeom). */
+    CacheGeometry ctrCacheGeom = MetadataCacheGeom;
 
     unsigned wpqEntries = 32;
 
@@ -90,7 +92,7 @@ struct SystemConfig
 
     SecurityKeys keys;
 
-    CpuConfig cpu;
+    LoadPenalties loadPenalties;
     unsigned storeBufferEntries = 56;
 
     /**

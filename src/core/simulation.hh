@@ -15,11 +15,11 @@
  * N = 1 case: no coherence gate, no epoch barriers, and the "system"
  * stat root, so it runs exactly SecPbSystem's event sequence.
  *
- * SimulationSpec::fromCli is the single parse point for the spec-level
- * command line: it consumes the flags it owns from argv (leaving
- * sweep-level flags like --jobs for the caller) and validates everything
- * eagerly with diagnostics that list the valid values. Flags are the
- * only way to configure a run; no environment variable feeds the spec.
+ * SimulationSpec::parseCli parses a command line in one pass over the
+ * run-spec rows a program reads plus its own (sim/cli.hh), and validates
+ * everything eagerly with diagnostics that list the valid values. Flags
+ * are the only way to configure a run; no environment variable feeds
+ * the spec.
  */
 
 #ifndef SECPB_CORE_SIMULATION_HH
@@ -32,7 +32,7 @@
 
 #include "core/multicore.hh"
 #include "core/system.hh"
-#include "sim/kv_spec.hh"
+#include "sim/cli.hh"
 
 namespace secpb
 {
@@ -55,25 +55,22 @@ struct SimulationSpec
     std::string powerSchedule;   ///< Intermittent power; "" = none.
     /** @} */
 
-    /**
-     * Parse and REMOVE the spec-level flags from @p argv (compacting in
-     * place, updating @p argc), so the caller's parser only sees what
-     * it owns. Flags: --instr, --seed, --workload, --trace-in,
-     * --trace-record, --battery-tech, --battery-derate,
-     * --power-schedule. All values are validated eagerly; a
-     * bad one dies listing the valid choices. A flag not given keeps
-     * its value in @p defaults (a default-constructed spec if null).
-     * --battery-tech and --battery-derate, in either order, build one
-     * cell, base.battery.cap: that technology's row of the technology
-     * table at that derate (each flag not given keeps the defaults'
-     * technology or derate).
-     */
-    static SimulationSpec fromCli(int &argc, char **argv, const char *prog,
-                                  const SimulationSpec *defaults = nullptr);
+    /** The run-spec rows, bound to this spec: each sets its field
+     *  (--trace-in sets the replay workload), and parseCli finishes. */
+    std::vector<CliFlag> cliFlags();
 
-    /** Usage text for the flags fromCli owns (callers splice it into
-     *  their --help output). */
-    static const char *cliHelp();
+    /**
+     * Parse argv in one pass (parseFlags) over @p own, the program's
+     * rows, and the run-spec rows in @p reads; a flag not given keeps
+     * its value here. Then validate eagerly: --battery-tech and
+     * --battery-derate, in either order, build one cell,
+     * base.battery.cap (that technology's row of the technology table
+     * at that derate); --trace-in beside --workload dies; a bad
+     * workload or power schedule dies listing the valid choices.
+     * Returns the flag:: bits given.
+     */
+    unsigned parseCli(int argc, const char *const *argv, const char *prog,
+                      unsigned reads, std::vector<CliFlag> own = {});
 };
 
 /** The facade: one machine, one lifecycle. See the file comment. */

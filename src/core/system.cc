@@ -10,19 +10,19 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
       _rootStats(cfg.statsName),
       _layout(cfg.pmDataBytes),
       _counters(_layout),
-      _energy(EnergyCosts{}, 0 /* placeholder, fixed below */)
+      _energy(0 /* placeholder, fixed below */)
 {
     _pcm = std::make_unique<PcmModel>(_eq, cfg.pcm, _rootStats);
     _wpq = std::make_unique<WritePendingQueue>(_eq, *_pcm, cfg.wpqEntries,
                                                _rootStats);
     _ctrCache = std::make_unique<MetadataCache>(
-        "ctr_cache", cfg.ctrCacheGeom, cfg.metadataCacheHitLatency, *_pcm,
+        "ctr_cache", cfg.ctrCacheGeom, MetadataCacheHitLatency, *_pcm,
         _rootStats);
     _bmtCache = std::make_unique<MetadataCache>(
-        "bmt_cache", cfg.bmtCacheGeom, cfg.metadataCacheHitLatency, *_pcm,
+        "bmt_cache", MetadataCacheGeom, MetadataCacheHitLatency, *_pcm,
         _rootStats, /*writeback_dirty=*/false);
     _macCache = std::make_unique<MetadataCache>(
-        "mac_cache", cfg.macCacheGeom, cfg.metadataCacheHitLatency, *_pcm,
+        "mac_cache", MetadataCacheGeom, MetadataCacheHitLatency, *_pcm,
         _rootStats);
     _crypto = std::make_unique<CryptoEngine>(_eq, cfg.crypto, _rootStats);
     _tree = std::make_unique<BonsaiMerkleTree>(_layout.numPages(),
@@ -36,9 +36,10 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
         _rootStats);
     _sb = std::make_unique<StoreBuffer>(_eq, *_secpb,
                                         cfg.storeBufferEntries, _rootStats);
-    _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.cpu, _rootStats);
+    _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.loadPenalties,
+                                      _rootStats);
 
-    _energy = EnergyModel(EnergyCosts{}, _tree->numLevels() + 1);
+    _energy = EnergyModel(_tree->numLevels() + 1);
 
     if (cfg.battery.enabled) {
         fatal_if(cfg.battery.provisionFraction <= 0.0,
@@ -96,12 +97,12 @@ SecPbSystem::configFor(Scheme scheme, const BenchmarkProfile &profile,
 {
     SystemConfig cfg = base;
     cfg.scheme = scheme;
-    cfg.cpu.loadPenalties.mem = profile.memPenalty(
+    cfg.loadPenalties.mem = profile.memPenalty(
         static_cast<double>(cfg.pcm.readLatency));
     if (!cfg.speculativeVerification && schemeTraits(scheme).secure) {
         // Non-speculative: a PM load waits for its counter fetch (mostly
         // a metadata-cache hit) and MAC check before use.
-        cfg.cpu.loadPenalties.mem += cfg.metadataCacheHitLatency +
+        cfg.loadPenalties.mem += MetadataCacheHitLatency +
                                      static_cast<double>(cfg.crypto.macHash);
     }
     return cfg;

@@ -9,7 +9,7 @@
  * feeding the SecPB. The core stalls when the store buffer fills -- the
  * only way persist latency reaches execution time, exactly as in BBB.
  *
- * Instructions are processed in quanta: up to `quantum` instructions are
+ * Instructions are processed in quanta: up to `Quantum` instructions are
  * retired per event, accumulating fractional cycles, then the core
  * reschedules itself. This keeps event counts (and simulation time) low
  * while bounding intra-quantum timestamp skew to a few dozen cycles.
@@ -38,21 +38,13 @@ struct LoadPenalties
     double mem = 180.0; ///< PCM read with overlap factor applied.
 };
 
-/** Core configuration. */
-struct CpuConfig
-{
-    unsigned retireWidth = 4;
-    unsigned quantum = 128;       ///< Instructions retired per CPU event.
-    LoadPenalties loadPenalties;
-};
-
 /** The trace-driven core. */
 class TraceCpu
 {
   public:
-    TraceCpu(EventQueue &eq, StoreBuffer &sb, const CpuConfig &cfg,
+    TraceCpu(EventQueue &eq, StoreBuffer &sb, const LoadPenalties &penalties,
              StatGroup &parent)
-        : _eq(eq), _sb(sb), _cfg(cfg),
+        : _eq(eq), _sb(sb), _penalties(penalties),
           _stats("cpu", &parent),
           statInstructions(_stats, "instructions", "instructions retired"),
           statLoads(_stats, "loads", "loads retired"),
@@ -62,10 +54,7 @@ class TraceCpu
           statBarriers(_stats, "barriers", "persist barriers retired"),
           statBarrierStalls(_stats, "barrier_stalls",
                             "barriers that waited for the store buffer")
-    {
-        fatal_if(cfg.retireWidth == 0, "retire width must be >= 1");
-        fatal_if(cfg.quantum == 0, "CPU quantum must be >= 1");
-    }
+    {}
 
     /**
      * Begin executing ops pulled from @p gen; @p done fires when the
@@ -87,6 +76,12 @@ class TraceCpu
     }
 
   private:
+    /** Plain instructions retired per cycle. */
+    static constexpr unsigned RetireWidth = 4;
+    /** Instructions retired per CPU event. */
+    static constexpr unsigned Quantum = 128;
+    static_assert(RetireWidth > 0 && Quantum > 0);
+
     void
     wake()
     {
@@ -105,25 +100,25 @@ class TraceCpu
 
         unsigned executed = 0;
         TraceOp op;
-        while (executed < _cfg.quantum) {
+        while (executed < Quantum) {
             if (!_gen->next(op)) {
                 finish(frac);
                 return;
             }
             switch (op.kind) {
               case TraceOp::Kind::Instr:
-                frac += static_cast<double>(op.count) / _cfg.retireWidth;
+                frac += static_cast<double>(op.count) / RetireWidth;
                 executed += op.count;
                 statInstructions += op.count;
                 break;
               case TraceOp::Kind::Load:
-                frac += 1.0 / _cfg.retireWidth + loadPenalty(op.level);
+                frac += 1.0 / RetireWidth + loadPenalty(op.level);
                 ++executed;
                 ++statInstructions;
                 ++statLoads;
                 break;
               case TraceOp::Kind::Store:
-                frac += 1.0 / _cfg.retireWidth;
+                frac += 1.0 / RetireWidth;
                 ++executed;
                 ++statInstructions;
                 ++statStores;
@@ -140,7 +135,7 @@ class TraceCpu
                 }
                 break;
               case TraceOp::Kind::Barrier:
-                frac += 1.0 / _cfg.retireWidth;
+                frac += 1.0 / RetireWidth;
                 ++executed;
                 ++statInstructions;
                 ++statBarriers;
@@ -178,10 +173,10 @@ class TraceCpu
     loadPenalty(MemLevel level) const
     {
         switch (level) {
-          case MemLevel::L1:  return _cfg.loadPenalties.l1;
-          case MemLevel::L2:  return _cfg.loadPenalties.l2;
-          case MemLevel::L3:  return _cfg.loadPenalties.l3;
-          case MemLevel::Mem: return _cfg.loadPenalties.mem;
+          case MemLevel::L1:  return _penalties.l1;
+          case MemLevel::L2:  return _penalties.l2;
+          case MemLevel::L3:  return _penalties.l3;
+          case MemLevel::Mem: return _penalties.mem;
         }
         return 0.0;
     }
@@ -201,7 +196,7 @@ class TraceCpu
 
     EventQueue &_eq;
     StoreBuffer &_sb;
-    CpuConfig _cfg;
+    LoadPenalties _penalties;
     WorkloadGenerator *_gen = nullptr;
     EventCallback _done;
     std::optional<PendingStore> _pendingStore;

@@ -16,23 +16,23 @@ EnergyModel::lateWorkEnergy(const SchemeTraits &t) const
     if (!t.earlyCounter) {
         // Assumption (2): the counter block misses on-chip and must be
         // fetched from PM. The increment itself is negligible (6).
-        e += block * _costs.moveMcToPm;
+        e += block * cost::MoveMcToPm;
     }
     if (!t.earlyOtp) {
         // Assumption (5): OTPs for ciphertexts must be generated.
-        e += block * _costs.aesPerByte;
+        e += block * cost::AesPerByte;
     }
     if (!t.earlyBmt) {
         // Assumption (3): no path overlap, every BMT cache access misses;
         // each level fetches a node from PM and computes its hash.
         e += _bmtLevels *
-             (block * _costs.moveMcToPm + block * _costs.shaPerByte);
+             (block * cost::MoveMcToPm + block * cost::ShaPerByte);
     }
     // Assumption (6): the ciphertext XOR is a single-cycle logical
     // operation with negligible energy.
     if (!t.earlyMac) {
         // Assumption (4): MACs need computing but not fetching.
-        e += block * _costs.shaPerByte;
+        e += block * cost::ShaPerByte;
     }
     return e;
 }
@@ -65,7 +65,7 @@ double
 EnergyModel::entryDrainEnergy(Scheme scheme) const
 {
     const SchemeTraits t = schemeTraits(scheme);
-    double e = entryFootprintBytes(t) * _costs.movePbToPm;
+    double e = entryFootprintBytes(t) * cost::MovePbToPm;
     if (t.secure)
         e += lateWorkEnergy(t);
     return e;
@@ -83,14 +83,14 @@ EnergyModel::secPbBatteryEnergy(Scheme scheme, unsigned entries) const
 double
 EnergyModel::bbbBatteryEnergy(unsigned entries) const
 {
-    return entries * static_cast<double>(BlockSize) * _costs.movePbToPm;
+    return entries * static_cast<double>(BlockSize) * cost::MovePbToPm;
 }
 
 double
 EnergyModel::spAdrEnergy(unsigned wpq_entries) const
 {
     return wpq_entries * (static_cast<double>(BlockSize) *
-                              _costs.moveMcToPm +
+                              cost::MoveMcToPm +
                           fullLateTupleEnergy());
 }
 
@@ -116,9 +116,9 @@ double
 EnergyModel::eadrBatteryEnergy() const
 {
     const DataCacheCapacity &h = TableIDataCaches;
-    return static_cast<double>(h.l1Bytes) * _costs.moveL1ToPm +
-           static_cast<double>(h.l2Bytes) * _costs.moveL2ToPm +
-           static_cast<double>(h.l3Bytes) * _costs.moveL3ToPm;
+    return static_cast<double>(h.l1Bytes) * cost::MoveL1ToPm +
+           static_cast<double>(h.l2Bytes) * cost::MoveL2ToPm +
+           static_cast<double>(h.l3Bytes) * cost::MoveL3ToPm;
 }
 
 double
@@ -138,7 +138,7 @@ EnergyModel::size(double energy_j, const CapacitorParams &cell) const
     est.energyJ = energy_j;
     est.volumeMm3 = energy_j / cellDensityJPerMm3(cell);
     const double footprint = std::pow(est.volumeMm3, 2.0 / 3.0);
-    est.areaRatioToCore = footprint / _coreAreaMm2;
+    est.areaRatioToCore = footprint / CoreAreaMm2;
     return est;
 }
 
@@ -161,17 +161,17 @@ EnergyModel::actualCrashEnergy(const CrashWork &work) const
 {
     const double block = static_cast<double>(BlockSize);
     double e = 0.0;
-    e += work.entriesDrained * block * _costs.movePbToPm;
-    e += work.counterFetches * block * _costs.moveMcToPm;
-    e += work.otpsGenerated * block * _costs.aesPerByte;
+    e += work.entriesDrained * block * cost::MovePbToPm;
+    e += work.counterFetches * block * cost::MoveMcToPm;
+    e += work.otpsGenerated * block * cost::AesPerByte;
     e += work.bmtLevelsWalked *
-         (block * _costs.moveMcToPm + block * _costs.shaPerByte);
-    e += work.macsComputed * block * _costs.shaPerByte;
-    e += work.pmBlockWrites * block * _costs.moveMcToPm;
+         (block * cost::MoveMcToPm + block * cost::ShaPerByte);
+    e += work.macsComputed * block * cost::ShaPerByte;
+    e += work.pmBlockWrites * block * cost::MoveMcToPm;
     // eADR hierarchy flush: lines move from the cache levels to PM; the
     // MC<->PM cost is the common (and cheapest) leg, keeping the actual
     // spend conservatively below the eadrBatteryEnergy() provisioning.
-    e += work.cacheLinesFlushed * block * _costs.moveMcToPm;
+    e += work.cacheLinesFlushed * block * cost::MoveMcToPm;
     // bmtNodesRebuilt is deliberately NOT priced: the Triad-NVM rebuild
     // runs on mains power at recovery (see DrainLatencyModel).
     return e;

@@ -33,18 +33,20 @@
 namespace secpb
 {
 
-/** Per-byte energy costs (Table III). */
-struct EnergyCosts
+/** Per-byte energy costs, J/B (Table III). */
+namespace cost
 {
-    double sramAccess = 1e-12;      ///< SRAM access, J/B.
-    double movePbToPm = 11.839e-9;  ///< SecPB -> PM, J/B.
-    double moveL1ToPm = 11.839e-9;  ///< L1D -> PM, J/B.
-    double moveL2ToPm = 11.228e-9;  ///< L2 -> PM, J/B.
-    double moveL3ToPm = 11.228e-9;  ///< L3 -> PM, J/B.
-    double moveMcToPm = 11.228e-9;  ///< MC <-> PM (either direction), J/B.
-    double shaPerByte = 79.29e-9;   ///< SHA-512 (BMT node / MAC), J/B.
-    double aesPerByte = 30e-9;      ///< AES-192 (OTP generation), J/B.
-};
+inline constexpr double MovePbToPm = 11.839e-9;  ///< SecPB -> PM.
+inline constexpr double MoveL1ToPm = 11.839e-9;  ///< L1D -> PM.
+inline constexpr double MoveL2ToPm = 11.228e-9;  ///< L2 -> PM.
+inline constexpr double MoveL3ToPm = 11.228e-9;  ///< L3 -> PM.
+inline constexpr double MoveMcToPm = 11.228e-9;  ///< MC <-> PM, either way.
+inline constexpr double ShaPerByte = 79.29e-9;   ///< SHA-512 (BMT node, MAC).
+inline constexpr double AesPerByte = 30e-9;      ///< AES-192 (OTP).
+} // namespace cost
+
+/** The client-class core the footprint ratio compares against (mm^2). */
+inline constexpr double CoreAreaMm2 = 5.37;
 
 /**
  * Table I's data-cache capacities: the lines an eADR battery flushes.
@@ -77,10 +79,7 @@ struct BatteryEstimate
 class EnergyModel
 {
   public:
-    EnergyModel(const EnergyCosts &costs = {}, unsigned bmt_levels = 8,
-                double core_area_mm2 = 5.37)
-        : _costs(costs), _bmtLevels(bmt_levels), _coreAreaMm2(core_area_mm2)
-    {}
+    explicit EnergyModel(unsigned bmt_levels = 8) : _bmtLevels(bmt_levels) {}
 
     /**
      * Worst-case energy to complete the deferred ("late") tuple work for
@@ -150,8 +149,6 @@ class EnergyModel
      */
     double actualCrashEnergy(const CrashWork &work) const;
 
-    const EnergyCosts &costs() const { return _costs; }
-
     /** Worst-case full late-tuple work for one block (all deferred). */
     double fullLateTupleEnergy() const;
 
@@ -167,9 +164,7 @@ class EnergyModel
     /** Late work for one entry given which components were deferred. */
     double lateWorkEnergy(const SchemeTraits &t) const;
 
-    EnergyCosts _costs;
     unsigned _bmtLevels;
-    double _coreAreaMm2;
 };
 
 } // namespace secpb

@@ -42,19 +42,21 @@ enum class BmfMode
     Sbmf,   ///< Static forest: updates walk 5 levels.
 };
 
+/** Tree levels a DBMF / SBMF update walks. */
+inline constexpr unsigned DbmfLevels = 2;
+inline constexpr unsigned SbmfLevels = 5;
+/** Pipeline initiation interval between independent walks (cycles). */
+inline constexpr Cycles WalkInitiationInterval = 40;
+/** Geometry of the on-chip subtree-root cache used with BMF. */
+inline constexpr CacheGeometry RootCacheGeom{4 * 1024, 4, BlockSize};
+
 /** Configuration of the walker. */
 struct WalkerConfig
 {
     BmfMode bmfMode = BmfMode::None;
-    unsigned dbmfLevels = 2;
-    unsigned sbmfLevels = 5;
-    /** Pipeline initiation interval between independent walks (cycles). */
-    Cycles initiationInterval = 40;
     /** Merge same-leaf updates into in-flight walks (ablation knob:
      *  disabling shows how load-bearing update merging is). */
     bool enableMerging = true;
-    /** Geometry of the on-chip subtree-root cache used with BMF. */
-    CacheGeometry rootCacheGeom{4 * 1024, 4, BlockSize};
 };
 
 /**
@@ -86,7 +88,7 @@ class BmtWalker
                             "latency of one root update (cycles)")
     {
         if (_cfg.bmfMode != BmfMode::None)
-            _rootCache = std::make_unique<SetAssocCache>(_cfg.rootCacheGeom);
+            _rootCache = std::make_unique<SetAssocCache>(RootCacheGeom);
         // Walks in flight are bounded by walk latency over the initiation
         // interval (~10); reserving well past that kills rehash churn.
         _inFlight.reserve(64);
@@ -141,7 +143,7 @@ class BmtWalker
         ++statRootUpdates;
         const Cycles walk = walkLatency(leaf);
         const Tick issue = std::max(now, _pipeReadyAt);
-        _pipeReadyAt = issue + _cfg.initiationInterval;
+        _pipeReadyAt = issue + WalkInitiationInterval;
         const Tick completion = issue + walk;
         statUpdateLatency.sample(static_cast<double>(completion - now));
         TRACE_SPAN("bmt", "walk", issue, completion);
@@ -171,9 +173,9 @@ class BmtWalker
     {
         switch (_cfg.bmfMode) {
           case BmfMode::Dbmf:
-            return std::min(_cfg.dbmfLevels, _tree.numLevels());
+            return std::min(DbmfLevels, _tree.numLevels());
           case BmfMode::Sbmf:
-            return std::min(_cfg.sbmfLevels, _tree.numLevels());
+            return std::min(SbmfLevels, _tree.numLevels());
           case BmfMode::None:
           default:
             return _tree.numLevels();

@@ -30,9 +30,8 @@ namespace secpb
 class DrainLatencyModel
 {
   public:
-    DrainLatencyModel(const CryptoLatencies &lat, const PcmConfig &pcm,
-                      unsigned crypto_parallelism = 4)
-        : _lat(lat), _pcm(pcm), _par(std::max(1u, crypto_parallelism))
+    DrainLatencyModel(const CryptoLatencies &lat, const PcmConfig &pcm)
+        : _lat(lat), _pcm(pcm)
     {}
 
     /** Cycles from crash detection until the PM image is consistent. */
@@ -61,7 +60,7 @@ class DrainLatencyModel
             reads * _pcm.readLatency + writes * _pcm.writeLatency;
 
         const Cycles compute_window =
-            static_cast<Cycles>(compute / _par);
+            static_cast<Cycles>(compute / CryptoParallelism);
         const Cycles pm_window = static_cast<Cycles>(
             pm_traffic / std::max(1u, _pcm.numBanks));
 
@@ -83,9 +82,11 @@ class DrainLatencyModel
     }
 
   private:
+    /** Crypto units the drain's compute stream spreads over. */
+    static constexpr unsigned CryptoParallelism = 4;
+
     CryptoLatencies _lat;
     PcmConfig _pcm;
-    unsigned _par;
 };
 
 } // namespace secpb

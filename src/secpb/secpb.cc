@@ -12,6 +12,20 @@
 namespace secpb
 {
 
+/** Cycles to look up or write one SecPB entry. */
+constexpr Cycles AccessLatency = 2;
+/** SP only: core-to-MC traversal. */
+constexpr Cycles SpTraversalCycles = 52;
+/**
+ * SP only: per-BMT-level serialization charge per persist. PLP overlaps
+ * tuple updates across stores, but consecutive updates share tree
+ * levels (always the root), so sustained throughput costs a fraction of
+ * a hash per level.
+ */
+constexpr Cycles SpPerLevelCycles = 50;
+/** SP only: cost of a store coalescing into a WPQ-resident block. */
+constexpr Cycles SpCoalesceCycles = 8;
+
 // The tuple's dependency graph, one row per stage, in issue order.
 // Columns: stage, dependency, valid bit, early column, value-dependent,
 // re-derived on re-encryption, functional effect, latency source,
@@ -380,7 +394,7 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
     beginAccept(std::move(unblocked));
     statOccupancy.sample(static_cast<double>(_index.size()));
 
-    const Tick base = _eq.curTick() + _cfg.accessLatency;
+    const Tick base = _eq.curTick() + AccessLatency;
 
     if (e) {
         ++statCoalescedHits;
@@ -467,7 +481,7 @@ SecPb::runStages(std::uint64_t slot, Tick base)
     _eq.schedule(t_ctr,
                  [this, slot] { stageDone<Stage::Counter>(slot); });
     if (next == 0 && earlyRun(e))
-        holdAcceptUntil(&e, base + _cfg.accessLatency);
+        holdAcceptUntil(&e, base + AccessLatency);
     for (; next > 0; --next)
         opStarted(&e);
     return t_ctr;
@@ -579,7 +593,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
         beginAccept(std::move(unblocked));
         ++statCoalescedHits;
         _oracle.applyStore(addr, value);
-        holdAcceptUntil(nullptr, _eq.curTick() + _cfg.spCoalesceCycles);
+        holdAcceptUntil(nullptr, _eq.curTick() + SpCoalesceCycles);
         return true;
     }
 
@@ -600,8 +614,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
     const std::uint64_t slot = _freeList.back();
     _freeList.pop_back();
     _entries[slot].addr = block_addr;
-    const Tick t_ctr =
-        runStages(slot, _eq.curTick() + _cfg.spTraversalCycles);
+    const Tick t_ctr = runStages(slot, _eq.curTick() + SpTraversalCycles);
 
     _oracle.applyStore(addr, value);
     _pageSlots[block_addr / PageSize].spPending |= blockBit(block_addr);
@@ -612,7 +625,7 @@ SecPb::acceptStoreSp(Addr addr, std::uint64_t value,
     // serialization charge (shared tree levels across updates).
     const Tick pipe_free = std::max(t_ctr, _walker.pipeReadyAt());
     holdAcceptUntil(nullptr, pipe_free + _walker.effectiveLevels() *
-                                             _cfg.spPerLevelCycles);
+                                             SpPerLevelCycles);
     return true;
 }
 

@@ -68,20 +68,9 @@ struct SecPbConfig
     unsigned numEntries = 32;
     /** Scheme knobs (e.g. triad:levels=N); inert for the paper's six. */
     SchemeParams params;
-    Cycles accessLatency = 2;
     double highWatermark = 0.75;   ///< Drain trigger (fraction full).
     double lowWatermark = 0.50;    ///< Drain target (fraction full).
     unsigned drainWidth = 8;       ///< Concurrent drain operations.
-    Cycles spTraversalCycles = 52; ///< SP only: core-to-MC traversal.
-    /**
-     * SP only: per-BMT-level serialization charge per persist. PLP
-     * overlaps tuple updates across stores, but consecutive updates
-     * share tree levels (always the root), so sustained throughput costs
-     * a fraction of a hash per level.
-     */
-    Cycles spPerLevelCycles = 50;
-    /** SP only: cost of a store coalescing into a WPQ-resident block. */
-    Cycles spCoalesceCycles = 8;
 };
 
 /** Work performed by the battery after a crash (per-component counts). */

@@ -55,9 +55,9 @@ numberOf(const char *v, What what)
 } // namespace
 
 std::uint64_t
-parseDecimalU64(const char *what, const char *v)
+parseDecimalU64(const char *what, const char *v, std::uint64_t max)
 {
-    return countOf(v, UINT64_MAX, [what] { return std::string(what); });
+    return countOf(v, max, [what] { return std::string(what); });
 }
 
 double

@@ -39,11 +39,13 @@ namespace secpb
 {
 
 /**
- * @p v as a count: the whole of it must be plain decimal digits that fit
- * 64 bits. Anything else (sign, blank, fraction, trailing garbage,
- * overflow) dies with a diagnostic naming @p what ("fig6: --jobs").
+ * @p v as a count: the whole of it must be plain decimal digits no
+ * larger than @p max. Anything else (sign, blank, fraction, trailing
+ * garbage, overflow) dies with a diagnostic naming @p what ("fig6:
+ * --jobs").
  */
-std::uint64_t parseDecimalU64(const char *what, const char *v);
+std::uint64_t parseDecimalU64(const char *what, const char *v,
+                              std::uint64_t max = UINT64_MAX);
 
 /** @p v as a finite, non-negative decimal number, or die naming
  *  @p what. */

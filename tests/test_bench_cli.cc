@@ -6,7 +6,7 @@
  * the same strict parse on --jobs and --sample-every, the BenchCli
  * filter/parse helpers, and the grid helpers (point factory, scheme
  * picker, Table). Every argv is nullptr-terminated like a real
- * main()'s: SimulationSpec::fromCli re-terminates the array it compacts.
+ * main()'s.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +16,17 @@
 #include <fstream>
 
 #include "../bench/bench_common.hh"
+#include "fault/power.hh"
 
 using namespace secpb;
 using namespace secpb::bench;
 
 namespace
 {
+
+/** Every shared row: these tests exercise the parser, not one bench's
+ *  set. */
+constexpr unsigned Every = ~0u;
 
 struct EnvGuard
 {
@@ -126,7 +131,7 @@ TEST(SoakRangeDeath, MalformedTrialCountIsFatal)
                 "SECPB_SOAK_TRIALS '12x': not a decimal integer");
 }
 
-TEST(BenchCli, ParseFlagsOverrideEnv)
+TEST(BenchCli, FlagsSetTheirFields)
 {
     const char *argv[] = {"bench",     "--jobs",   "5",
                           "--scheme",  "cm,cobcm", "--profile",
@@ -134,8 +139,7 @@ TEST(BenchCli, ParseFlagsOverrideEnv)
                           "--seed",    "9",        "--json",
                           "/tmp/x.json", nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     EXPECT_EQ(cli.jobs, 5u);
     EXPECT_EQ(cli.spec.instructions, 1234u);
     EXPECT_EQ(cli.spec.seed, 9u);
@@ -149,10 +153,10 @@ TEST(BenchCli, ParseFlagsOverrideEnv)
     EXPECT_EQ(cli.profilesToRun()[0].name, "gamess");
 }
 
-TEST(BenchCli, EnvFallbacksAndDefaults)
+TEST(BenchCli, NoFlagsKeepTheDefaults)
 {
     const char *argv[] = {"bench", nullptr};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
+    BenchCli cli = BenchCli::parse(1, argv, "bench", Every);
     EXPECT_EQ(cli.jobs, 1u);
     EXPECT_TRUE(cli.jsonPath.empty());
     EXPECT_EQ(cli.spec.instructions, 300'000u);
@@ -167,8 +171,7 @@ TEST(BenchCli, PointCarriesInstrSeedAndSchemeKnobs)
     const char *argv[] = {"bench", "--instr", "4321", "--seed", "11",
                           "--scheme", "triad:levels=3,cm", nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     const ExperimentPoint p = cli.point(Scheme::Triad, "gamess");
     EXPECT_EQ(p.label, "gamess/triad");
     EXPECT_EQ(p.profile, "gamess");
@@ -180,8 +183,8 @@ TEST(BenchCli, PointCarriesInstrSeedAndSchemeKnobs)
     // SimulationSpec defaults.
     const SystemConfig want =
         SecPbSystem::configFor(Scheme::Triad, profileByName("gamess"));
-    EXPECT_DOUBLE_EQ(p.spec.base.cpu.loadPenalties.mem,
-                     want.cpu.loadPenalties.mem);
+    EXPECT_DOUBLE_EQ(p.spec.base.loadPenalties.mem,
+                     want.loadPenalties.mem);
     EXPECT_EQ(p.spec.base.secpb.numEntries, 32u);
     EXPECT_EQ(p.spec.base.walker.bmfMode, BmfMode::None);
     EXPECT_TRUE(p.spec.workload.empty());
@@ -199,8 +202,7 @@ TEST(BenchCli, SweepFlagsReachDefaultPointsOnly)
                           "kv_wal:keys=64", "--trace-record", trc.c_str(),
                           "--no-progress",  nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
 
     Sweep sweep(cli);
     ExperimentPoint custom = cli.point(Scheme::Cm, "gcc");
@@ -210,10 +212,11 @@ TEST(BenchCli, SweepFlagsReachDefaultPointsOnly)
     const std::size_t second = sweep.add(cli.point(Scheme::Bbb, "gcc"));
     sweep.run();
 
-    // The custom point's spec is exactly what it was built with.
+    // The custom point gets the workload (a custom runner builds from
+    // pointWorkload too), but neither the period nor the record.
     const SimulationSpec &cs = sweep.points()[c].spec;
     EXPECT_EQ(cs.base.obs.samplePeriod, 0u);
-    EXPECT_TRUE(cs.workload.empty());
+    EXPECT_EQ(cs.workload, "kv_wal:keys=64");
     EXPECT_TRUE(cs.traceRecord.empty());
 
     // Default points sample and run the workload; only the first records.
@@ -229,13 +232,47 @@ TEST(BenchCli, SweepFlagsReachDefaultPointsOnly)
     std::remove(trc.c_str());
 }
 
+TEST(BenchCli, CustomPointsRunTheWorkload)
+{
+    // A custom runner that builds from pointWorkload runs --workload,
+    // like the default points it is divided by (table4's shed cells,
+    // recovery_window's crash points); a point that pinned its own
+    // workload keeps it.
+    setQuietLogging(true);
+    const char *argv[] = {"bench",      "--instr",        "2000",
+                          "--workload", "kv_wal:keys=64", "--no-progress",
+                          nullptr};
+    BenchCli cli = BenchCli::parse(
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
+
+    Sweep sweep(cli);
+    ExperimentPoint custom = cli.point(Scheme::Cm, "gcc");
+    custom.custom = [](const ExperimentPoint &pt) {
+        Simulation sim(pt.spec);
+        const auto gen = pointWorkload(pt);
+        ExperimentResult r;
+        r.sim = sim.run(*gen);
+        return r;
+    };
+    ExperimentPoint pinned = cli.point(Scheme::Cm, "gcc");
+    pinned.spec.workload = "pstore";
+    const std::size_t c = sweep.add(custom);
+    const std::size_t d = sweep.add(cli.point(Scheme::Cm, "gcc"));
+    const std::size_t p = sweep.add(pinned);
+    sweep.run();
+
+    EXPECT_EQ(sweep.at(c).sim.execTicks, sweep.at(d).sim.execTicks);
+    EXPECT_EQ(sweep.at(c).sim.persists, sweep.at(d).sim.persists);
+    EXPECT_EQ(sweep.points()[p].spec.workload, "pstore");
+    EXPECT_NE(sweep.at(p).sim.execTicks, sweep.at(d).sim.execTicks);
+}
+
 TEST(BenchCli, PickKeepsDeclarationOrderUnderTheFilter)
 {
     // The filter names cm before cobcm; the declared order still wins.
     const char *argv[] = {"bench", "--scheme", "cm,cobcm", nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     EXPECT_EQ(cli.pick({Scheme::Cobcm, Scheme::Obcm, Scheme::Cm, Scheme::M}),
               (std::vector<Scheme>{Scheme::Cobcm, Scheme::Cm}));
 
@@ -253,7 +290,7 @@ TEST(BenchCli, PickKeepsDeclarationOrderUnderTheFilter)
     EXPECT_STREQ(rows[2].name, "d");
 
     const char *none[] = {"bench", nullptr};
-    BenchCli all = BenchCli::parse(1, const_cast<char **>(none), "bench");
+    BenchCli all = BenchCli::parse(1, none, "bench", Every);
     EXPECT_EQ(all.pick({Scheme::M, Scheme::Sp, Scheme::Cm}),
               (std::vector<Scheme>{Scheme::M, Scheme::Sp, Scheme::Cm}));
 }
@@ -261,7 +298,7 @@ TEST(BenchCli, PickKeepsDeclarationOrderUnderTheFilter)
 TEST(BenchCli, TableSummaryDerivesEachColumn)
 {
     const char *argv[] = {"bench", nullptr};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
+    BenchCli cli = BenchCli::parse(1, argv, "bench", Every);
     Sweep sweep(cli);
     Table table(sweep, {"x", "y"}, " %5.2f");
     ::testing::internal::CaptureStdout();
@@ -290,8 +327,7 @@ TEST(BenchCli, ObservabilityFlagsParse)
                           "--sample-every", "2500",        "--stats",
                           nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     EXPECT_EQ(cli.traceOut, "/tmp/t.json");
     EXPECT_EQ(cli.sampleEvery, 2500u);
     EXPECT_TRUE(cli.captureStats);
@@ -300,7 +336,7 @@ TEST(BenchCli, ObservabilityFlagsParse)
 TEST(BenchCli, ObservabilityDefaultsOff)
 {
     const char *argv[] = {"bench", nullptr};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
+    BenchCli cli = BenchCli::parse(1, argv, "bench", Every);
     EXPECT_TRUE(cli.traceOut.empty());
     EXPECT_EQ(cli.sampleEvery, 0u);
     EXPECT_FALSE(cli.captureStats);
@@ -309,12 +345,18 @@ TEST(BenchCli, ObservabilityDefaultsOff)
 TEST(BenchCliDeath, UnknownFlagIsFatal)
 {
     const char *argv[] = {"bench", "--frobnicate", nullptr};
-    EXPECT_EXIT(BenchCli::parse(2, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(2, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "unknown flag");
     // The core count is set in code (SimulationSpec::cores), not a flag.
     const char *cores[] = {"bench", "--cores", "4", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(cores), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, cores, "bench", Every),
                 ::testing::ExitedWithCode(1), "unknown flag '--cores'");
+    // So is a shared flag outside the bench's set.
+    const char *instr[] = {"table5", "--instr", "1000", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, instr, "table5",
+                                flag::SweepOut | flag::BatteryDerate),
+                ::testing::ExitedWithCode(1),
+                "table5: unknown flag '--instr'");
 }
 
 TEST(BenchCliDeath, UnknownDebugFlagIsFatal)
@@ -322,14 +364,14 @@ TEST(BenchCliDeath, UnknownDebugFlagIsFatal)
     // Events go to the Perfetto trace (--trace-out); there is no --debug,
     // so a stale `--debug <flags>` dies instead of being ignored.
     const char *argv[] = {"bench", "--debug", "SecPb", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "unknown flag '--debug'");
 }
 
 TEST(BenchCliDeath, UnknownProfileFilterIsFatal)
 {
     const char *argv[] = {"bench", "--profile", "nonesuch", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "");
 }
 
@@ -340,8 +382,7 @@ TEST(BenchCli, BatteryFlagsParse)
                           "--power-schedule", "cycles=3,brownout=0.25",
                           nullptr};
     BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1,
-        const_cast<char **>(argv), "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     EXPECT_EQ(cli.spec.powerSchedule, "cycles=3,brownout=0.25");
     const CapacitorParams &p = cli.spec.base.battery.cap;
     EXPECT_EQ(p.tech, "supercap");
@@ -356,7 +397,7 @@ TEST(BenchCli, BatteryFlagsParse)
 TEST(BenchCli, BatteryDefaultsIdealFullCapacity)
 {
     const char *argv[] = {"bench", nullptr};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
+    BenchCli cli = BenchCli::parse(1, argv, "bench", Every);
     EXPECT_EQ(cli.spec.base.battery.cap.tech, "ideal");
     EXPECT_DOUBLE_EQ(cli.spec.base.battery.cap.capacitanceDerate, 1.0);
     EXPECT_TRUE(cli.spec.powerSchedule.empty());
@@ -368,8 +409,7 @@ TEST(BenchCli, BatteryCellIsTheSameInEitherFlagOrder)
     const char *argv[] = {"bench", "--battery-derate", "0.8",
                           "--battery-tech", "li-thin", nullptr};
     const BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1, const_cast<char **>(argv),
-        "bench");
+        static_cast<int>(std::size(argv)) - 1, argv, "bench", Every);
     const CapacitorParams &cell = cli.spec.base.battery.cap;
     const CapacitorParams want = capacitorPresetFor("li-thin", 0.8);
     EXPECT_EQ(cell.tech, "li-thin");
@@ -389,8 +429,7 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
                           "--power-schedule", "cycles=3,brownout=0.25",
                           nullptr};
     const BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1, const_cast<char **>(argv),
-        "fault_soak");
+        static_cast<int>(std::size(argv)) - 1, argv, "fault_soak", Every);
     const std::string line = soakReproducer(cli, 2026, 41);
     EXPECT_EQ(line, "SECPB_SOAK_SEED=2026 SECPB_SOAK_TRIAL=41 fault_soak "
                     "--workload kv_wal --battery-tech supercap "
@@ -409,7 +448,7 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
         again.push_back(w.data());
     again.push_back(nullptr);
     const BenchCli replay = BenchCli::parse(
-        static_cast<int>(words.size()), again.data(), "fault_soak");
+        static_cast<int>(words.size()), again.data(), "fault_soak", Every);
     EXPECT_EQ(replay.spec.workload, cli.spec.workload);
     EXPECT_EQ(replay.spec.powerSchedule, cli.spec.powerSchedule);
     EXPECT_EQ(replay.spec.base.battery.cap.tech, "supercap");
@@ -418,14 +457,12 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
     // A default run replays with the knobs alone; a value the shell
     // would split is quoted.
     const char *plain[] = {"fault_soak", nullptr};
-    EXPECT_EQ(soakReproducer(BenchCli::parse(1, const_cast<char **>(plain),
-                                             "fault_soak"),
+    EXPECT_EQ(soakReproducer(BenchCli::parse(1, plain, "fault_soak", Every),
                              7, 0),
               "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak");
     const char *spaced[] = {"fault_soak", "--trace-in", "my ops.trc",
                             nullptr};
-    EXPECT_EQ(soakReproducer(BenchCli::parse(3, const_cast<char **>(spaced),
-                                             "fault_soak"),
+    EXPECT_EQ(soakReproducer(BenchCli::parse(3, spaced, "fault_soak", Every),
                              7, 0),
               "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak "
               "--workload 'replay:file=my ops.trc'");
@@ -433,53 +470,61 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
 
 TEST(BenchCli, SoakModeAcceptsTheFlagsItReads)
 {
+    // fault_soak parses the flags of both its modes, then refuses the
+    // other mode's.
     const char *classic[] = {"fault_soak", "--workload", "kv_wal", nullptr};
-    requireSoakModeFlags(
-        BenchCli::parse(3, const_cast<char **>(classic), "fault_soak"));
+    BenchCli::parse(3, classic, "fault_soak", Every)
+        .refuse(flag::BatteryTech | flag::BatteryDerate, "in classic mode");
     const char *intermittent[] = {"fault_soak", "--power-schedule",
                                   "cycles=2", "--battery-tech", "supercap",
                                   "--battery-derate", "0.8", nullptr};
-    requireSoakModeFlags(BenchCli::parse(
-        7, const_cast<char **>(intermittent), "fault_soak"));
+    BenchCli::parse(7, intermittent, "fault_soak", Every)
+        .refuse(flag::Workloads, "in intermittent mode");
 }
 
 TEST(BenchCliDeath, SoakModeDiesOnAFlagItDoesNotRead)
 {
-    // The intermittent soak runs the drawn synthetic profile, and the
-    // classic soak builds no system battery: each names the flag it
-    // would have ignored.
-    const char *workload[] = {"fault_soak", "--power-schedule", "cycles=2",
-                              "--workload", "kv_wal", nullptr};
-    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
-                    5, const_cast<char **>(workload), "fault_soak")),
+    // A flag outside the soak's set is unknown; a flag of the other
+    // mode's is refused after parsing. Each names the flag it would
+    // have ignored.
+    const char *instr[] = {"fault_soak", "--instr", "1000", nullptr};
+    EXPECT_EXIT(BenchCli::parse(3, instr, "fault_soak",
+                                flag::SweepOut | flag::Workloads),
                 ::testing::ExitedWithCode(1),
-                "fault_soak: --workload \\(or --trace-in\\) is not read in "
-                "intermittent mode");
-    const char *tech[] = {"fault_soak", "--battery-tech", "li-thin",
-                          nullptr};
-    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
-                    3, const_cast<char **>(tech), "fault_soak")),
-                ::testing::ExitedWithCode(1),
-                "fault_soak: --battery-tech is not read in classic mode");
-    const char *derate[] = {"fault_soak", "--battery-derate", "0.8",
-                            nullptr};
-    EXPECT_EXIT(requireSoakModeFlags(BenchCli::parse(
-                    3, const_cast<char **>(derate), "fault_soak")),
-                ::testing::ExitedWithCode(1),
-                "fault_soak: --battery-derate is not read in classic mode");
+                "fault_soak: unknown flag '--instr'");
+    for (const char *f : {"--workload", "--trace-in"}) {
+        const char *argv[] = {"fault_soak", "--power-schedule", "cycles=2",
+                              f, "kv_wal", nullptr};
+        EXPECT_EXIT(BenchCli::parse(5, argv, "fault_soak", Every)
+                        .refuse(flag::Workloads, "in intermittent mode"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fault_soak: ") + f +
+                        " is not read in intermittent mode");
+    }
+    // Given counts, even at the default value.
+    for (const auto &[f, v] : {std::pair{"--battery-tech", "li-thin"},
+                               std::pair{"--battery-derate", "1.0"}}) {
+        const char *argv[] = {"fault_soak", f, v, nullptr};
+        EXPECT_EXIT(BenchCli::parse(3, argv, "fault_soak", Every)
+                        .refuse(flag::BatteryTech | flag::BatteryDerate,
+                                "in classic mode"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fault_soak: ") + f +
+                        " is not read in classic mode");
+    }
 }
 
 TEST(BenchCliDeath, UnknownBatteryTechIsFatal)
 {
     const char *argv[] = {"bench", "--battery-tech", "fusion", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "unknown battery tech");
 }
 
 TEST(BenchCliDeath, OutOfRangeDerateIsFatal)
 {
     const char *argv[] = {"bench", "--battery-derate", "1.5", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "out of \\(0, 1\\]");
 }
 
@@ -488,7 +533,7 @@ TEST(BenchCliDeath, MalformedDerateIsFatal)
     // The derate is read like every other number: no blank, no hex.
     for (const char *v : {" 0.5", "0x1p-1"}) {
         const char *argv[] = {"bench", "--battery-derate", v, nullptr};
-        EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+        EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                     ::testing::ExitedWithCode(1),
                     "bench: --battery-derate '.*': not a finite "
                     "non-negative decimal number");
@@ -499,14 +544,14 @@ TEST(BenchCliDeath, MalformedPowerScheduleIsFatal)
 {
     const char *argv[] = {"bench", "--power-schedule", "cycles=3,warp=9",
                           nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1), "unknown key");
 }
 
 TEST(BenchCliDeath, NonNumericJobsIsFatal)
 {
     const char *argv[] = {"bench", "--jobs", "abc", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1),
                 "--jobs 'abc': not a decimal integer");
 }
@@ -514,7 +559,7 @@ TEST(BenchCliDeath, NonNumericJobsIsFatal)
 TEST(BenchCliDeath, TrailingGarbageJobsIsFatal)
 {
     const char *argv[] = {"bench", "--jobs", "4x", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1),
                 "--jobs '4x': not a decimal integer");
 }
@@ -522,7 +567,7 @@ TEST(BenchCliDeath, TrailingGarbageJobsIsFatal)
 TEST(BenchCliDeath, ExponentSampleEveryIsFatal)
 {
     const char *argv[] = {"bench", "--sample-every", "1e3", nullptr};
-    EXPECT_EXIT(BenchCli::parse(3, const_cast<char **>(argv), "bench"),
+    EXPECT_EXIT(BenchCli::parse(3, argv, "bench", Every),
                 ::testing::ExitedWithCode(1),
                 "--sample-every '1e3': not a decimal integer");
 }

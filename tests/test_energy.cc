@@ -17,7 +17,7 @@ namespace
 const EnergyModel &
 model()
 {
-    static EnergyModel em(EnergyCosts{}, /*bmt_levels=*/8);
+    static EnergyModel em(/*bmt_levels=*/8);
     return em;
 }
 

@@ -314,7 +314,7 @@ TEST(MultiCore, CrashEnergyProvisionsPerCore)
     EXPECT_TRUE(cr.recovered);
     EXPECT_EQ(cr.work.entriesDrained, 4u);
     // Provisioning covers four SecPBs.
-    EnergyModel em(EnergyCosts{}, sys.slice(0).tree().numLevels() + 1);
+    EnergyModel em(sys.slice(0).tree().numLevels() + 1);
     EXPECT_NEAR(cr.provisionedEnergyJ,
                 4 * em.secPbBatteryEnergy(Scheme::Cobcm, 8), 1e-9);
 }

@@ -418,7 +418,7 @@ TEST(SpeculativeVerification, DisablingSlowsMemLoads)
     SystemConfig nonspec;
     nonspec.speculativeVerification = false;
     nonspec = SecPbSystem::configFor(Scheme::Cobcm, p, nonspec);
-    EXPECT_GT(nonspec.cpu.loadPenalties.mem, spec.cpu.loadPenalties.mem);
+    EXPECT_GT(nonspec.loadPenalties.mem, spec.loadPenalties.mem);
 
     auto ticks = [&p](const SystemConfig &cfg) {
         SecPbSystem sys(cfg);
@@ -435,6 +435,6 @@ TEST(SpeculativeVerification, InsecureBaselineUnaffected)
     cfg.speculativeVerification = false;
     cfg = SecPbSystem::configFor(Scheme::Bbb, p, cfg);
     SystemConfig base = SecPbSystem::configFor(Scheme::Bbb, p);
-    EXPECT_DOUBLE_EQ(cfg.cpu.loadPenalties.mem,
-                     base.cpu.loadPenalties.mem);
+    EXPECT_DOUBLE_EQ(cfg.loadPenalties.mem,
+                     base.loadPenalties.mem);
 }

@@ -4,8 +4,9 @@
  * the facade must be a zero-cost veneer (cores == 1 byte-identical to a
  * direct SecPbSystem, run to completion or crashed mid-run; cores > 1
  * to a direct MultiCoreSystem), and
- * SimulationSpec::fromCli must consume exactly its own flags from argv,
- * compact the survivors in place, and validate eagerly.
+ * SimulationSpec::parseCli must read the run-spec rows it is given
+ * beside the program's own, refuse every other flag, and validate
+ * eagerly.
  */
 
 #include <gtest/gtest.h>
@@ -74,25 +75,29 @@ crashFingerprint(const CrashReport &cr)
     return os.str();
 }
 
-/** Mutable argc/argv pair for exercising fromCli's in-place compaction. */
+/** argv for @p args, nullptr-terminated like a real main()'s. */
 struct Argv
 {
-    std::vector<std::string> store;
-    std::vector<char *> ptrs;
-    int argc;
+    std::vector<const char *> ptrs;
 
-    explicit Argv(std::initializer_list<const char *> args)
+    Argv(std::initializer_list<const char *> args) : ptrs(args)
     {
-        for (const char *a : args)
-            store.emplace_back(a);
-        for (std::string &s : store)
-            ptrs.push_back(s.data());
         ptrs.push_back(nullptr);
-        argc = static_cast<int>(store.size());
     }
 
-    char **data() { return ptrs.data(); }
+    int argc() const { return static_cast<int>(ptrs.size()) - 1; }
+    const char *const *data() const { return ptrs.data(); }
 };
+
+/** A spec parsed from @p args over every run-spec row. */
+SimulationSpec
+parsed(std::initializer_list<const char *> args)
+{
+    const Argv av(args);
+    SimulationSpec spec;
+    spec.parseCli(av.argc(), av.data(), "test", ~0u);
+    return spec;
+}
 
 } // namespace
 
@@ -264,65 +269,60 @@ TEST(SimulationFacade, GeneratorArityMismatchPanics)
     EXPECT_DEATH(sim.run(two), "2 generators for 1 cores");
 }
 
-TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
+TEST(SimulationSpecCli, ReadsSpecRowsBesideTheProgramsOwn)
 {
-    Argv av{"prog", "--jobs", "3",      "--instr", "5000",
-            "--seed", "9",    "--json", "out.json"};
-    const SimulationSpec spec =
-        SimulationSpec::fromCli(av.argc, av.data(), "test");
+    const Argv av{"prog", "--jobs", "3",      "--instr", "5000",
+                  "--seed", "9",    "--json", "out.json"};
+    std::uint64_t jobs = 0;
+    std::string json;
+    SimulationSpec spec;
+    const unsigned given = spec.parseCli(
+        av.argc(), av.data(), "test", flag::Instr | flag::Seed,
+        {{0, "--jobs", "N", "", readCount(jobs)},
+         {0, "--json", "PATH", "", readText(json)}});
 
     EXPECT_EQ(spec.instructions, 5'000u);
     EXPECT_EQ(spec.seed, 9u);
-
-    // Only the caller-owned flags survive, order preserved, array
-    // re-terminated.
-    ASSERT_EQ(av.argc, 5);
-    EXPECT_STREQ(av.data()[0], "prog");
-    EXPECT_STREQ(av.data()[1], "--jobs");
-    EXPECT_STREQ(av.data()[2], "3");
-    EXPECT_STREQ(av.data()[3], "--json");
-    EXPECT_STREQ(av.data()[4], "out.json");
-    EXPECT_EQ(av.data()[5], nullptr);
+    EXPECT_EQ(jobs, 3u);
+    EXPECT_EQ(json, "out.json");
+    EXPECT_EQ(given, flag::Instr | flag::Seed);
 }
 
 TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
 {
-    Argv av{"prog"};
-    const SimulationSpec spec =
-        SimulationSpec::fromCli(av.argc, av.data(), "test");
+    const SimulationSpec spec = parsed({"prog"});
     EXPECT_EQ(spec.instructions, 300'000u);
     EXPECT_EQ(spec.seed, 7u);
     EXPECT_EQ(spec.cores, 1u);
     EXPECT_EQ(spec.base.battery.cap.tech, "ideal");
     EXPECT_DOUBLE_EQ(spec.base.battery.cap.capacitanceDerate, 1.0);
     EXPECT_TRUE(spec.workload.empty());
-    EXPECT_EQ(av.argc, 1);
 }
 
 TEST(SimulationSpecCli, TraceInIsReplayWorkloadSugar)
 {
-    Argv av{"prog", "--trace-in", "/tmp/ops.trace"};
     const SimulationSpec spec =
-        SimulationSpec::fromCli(av.argc, av.data(), "test");
+        parsed({"prog", "--trace-in", "/tmp/ops.trace"});
     EXPECT_EQ(spec.workload, "replay:file=/tmp/ops.trace");
 }
 
 TEST(SimulationSpecCli, BadValuesDieEagerly)
 {
-    auto parse = [](std::initializer_list<const char *> args) {
-        Argv av(args);
-        SimulationSpec::fromCli(av.argc, av.data(), "test");
-    };
-    EXPECT_DEATH(parse({"prog", "--instr", "-5"}),
+    EXPECT_DEATH(parsed({"prog", "--instr", "-5"}),
                  "--instr '-5': not a decimal integer");
-    EXPECT_DEATH(parse({"prog", "--battery-derate", "nan"}),
+    EXPECT_DEATH(parsed({"prog", "--battery-derate", "nan"}),
                  "--battery-derate 'nan': not a finite non-negative "
                  "decimal number");
-    EXPECT_DEATH(parse({"prog", "--battery-derate", "0"}),
+    EXPECT_DEATH(parsed({"prog", "--battery-derate", "0"}),
                  "out of \\(0, 1\\]");
-    EXPECT_DEATH(parse({"prog", "--workload", "no-such-workload"}),
+    EXPECT_DEATH(parsed({"prog", "--workload", "no-such-workload"}),
                  "unknown workload");
-    EXPECT_DEATH(parse({"prog", "--trace-in", "x.trc", "--workload",
-                        "kv_wal"}),
+    EXPECT_DEATH(parsed({"prog", "--trace-in", "x.trc", "--workload",
+                         "kv_wal"}),
                  "mutually exclusive");
+    // A run-spec row the program does not read is an unknown flag.
+    const Argv av{"prog", "--seed", "3"};
+    SimulationSpec spec;
+    EXPECT_DEATH(spec.parseCli(av.argc(), av.data(), "test", flag::Instr),
+                 "test: unknown flag '--seed'");
 }

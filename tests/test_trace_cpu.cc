@@ -20,8 +20,7 @@ cpuConfig()
     SystemConfig cfg;
     cfg.scheme = Scheme::Bbb;
     cfg.pmDataBytes = 1ULL << 30;
-    cfg.cpu.retireWidth = 4;
-    cfg.cpu.loadPenalties = LoadPenalties{0.0, 8.0, 20.0, 100.0};
+    cfg.loadPenalties = LoadPenalties{0.0, 8.0, 20.0, 100.0};
     return cfg;
 }
 
