@@ -8,11 +8,14 @@
  * randomized crash points, bounded battery budgets, and post-crash tamper
  * attacks, fully deterministic from one seed, and prints a per-scheme
  * summary of what the sweep exercised. Each trial is drawn by
- * SoakTrial::draw and judged by judgeSoakTrial (fault/injector.hh), the
- * same draw and verdict as the unit-test soak: the run exits nonzero,
- * printing a one-line reproducer per failing trial, on an inconsistent
- * recovery, a silently accepted tamper, an unbounded battery that
- * abandons anything, or a bounded one that overspends.
+ * SoakTrial::draw (fault/injector.hh), the same draw as the unit-test
+ * soak, and judged by its FaultReport::verdict(): the one crash verdict
+ * that every crashNow sets (judgeCrash, core/results.hh) plus the
+ * tamper check. The run exits nonzero, printing a one-line reproducer
+ * per failing trial, on an inconsistent recovery, a silently accepted
+ * tamper, an unbounded battery that abandons anything, a bounded one
+ * that abandons an entry it could pay for, or a drain that spends more
+ * than max(budget, the mandatory floor).
  *
  * Each trial's parameter draw is seeded by (seed, trial index) alone, so
  * trials are independent experiment points: the engine runs them on
@@ -29,10 +32,11 @@
  * instead: each trial is a multi-cycle crash-recover-crash sequence on
  * a physical Capacitor (brownouts, partial recharges, aging, power loss
  * mid-recovery), scheme picked by trial index mod 10 and the adaptive
- * drain policy alternating on/off by trial parity. Adaptive trials
- * additionally assert the never-overspend invariant (drain energy <=
- * deliverable at crash; PowerCycleOutcome::overspent). --battery-tech
- * and --battery-derate build the cell (base.battery.cap).
+ * drain policy alternating on/off by trial parity. Every cycle's crash
+ * gets the same verdict; with the adaptive policy on, its allowance is
+ * what the cell could deliver at crash time, mandatory floor included.
+ * --battery-tech and --battery-derate build the cell
+ * (base.battery.cap).
  *
  * A spec flag the chosen mode does not read dies naming the flag
  * (BenchCli::refuse): --workload with --power-schedule, and
@@ -70,11 +74,10 @@ struct SchemeTally
 /**
  * Intermittent-power soak (--power-schedule): each trial runs one full
  * multi-cycle power schedule -- brownouts, crash-recover-crash, power
- * loss during recovery -- on the system Capacitor with the adaptive
- * drain policy enabled. Trial t runs scheme SchemeZoo[t % 10], so any
- * run of >= 10 trials covers the whole zoo. Fails on the first
- * unverified restore, inconsistent recovery, undetected tamper, or
- * drain that spent more than the capacitor held at crash time.
+ * loss during recovery -- on the system Capacitor, the adaptive drain
+ * policy on for even trials. Trial t runs scheme SchemeZoo[t % 10], so
+ * any run of >= 10 trials covers the whole zoo. Fails on the first
+ * unverified restore or crash that fails its verdict.
  */
 int
 runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
@@ -100,9 +103,10 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
         PowerScheduleSpec schedule = base;
         schedule.seed = seed * 1'000'003 + trial;
         // Alternate the adaptive drain policy: even trials run with it
-        // (and must hold the never-overspend invariant), odd trials run
-        // the unprotected flat capacitor so brownouts actually abandon
-        // entries and exercise the restore triage paths.
+        // (and must keep even the mandatory floor inside the cell), odd
+        // trials run the unprotected flat capacitor so brownouts
+        // actually abandon entries and exercise the restore triage
+        // paths.
         const bool adaptive = trial % 2 == 0;
 
         // The default machine with a 1 GiB PM region, not a profile's.
@@ -136,7 +140,8 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
                     c.restoreFinal.blocksRolledBack);
                 brownouts += c.brownoutApplied ? 1.0 : 0.0;
                 interrupts += c.restoreInterrupted ? 1.0 : 0.0;
-                overspent += c.overspent ? 1.0 : 0.0;
+                overspent +=
+                    c.fault.verdict() == CrashVerdict::Overspent ? 1.0 : 0.0;
             }
             ExperimentResult res;
             res.extra = {
@@ -171,7 +176,7 @@ runIntermittentSoak(const bench::BenchCli &cli, std::uint64_t seed,
             std::printf("FAIL: scheme=%s%s; replay: %s\n",
                         schemeName(SchemeZoo[si]),
                         r.extraValue("overspent_drains") > 0.0
-                            ? " (drain exceeded capacitor energy)"
+                            ? " (drain spent past its allowance)"
                             : "",
                         bench::soakReproducer(cli, seed, first + i).c_str());
         }
@@ -242,10 +247,10 @@ main(int argc, char **argv)
             const auto gen = pointWorkload(pt);
             const FaultReport r =
                 FaultInjector(sim.system(), plan).run(*gen);
-            const SoakVerdict v = judgeSoakTrial(r, sim.system());
+            const CrashVerdict v = r.verdict();
             ExperimentResult res;
             res.extra = {
-                {"ok", v == SoakVerdict::Pass ? 1.0 : 0.0},
+                {"ok", v == CrashVerdict::Pass ? 1.0 : 0.0},
                 {"recovered", r.crash.recovered ? 1.0 : 0.0},
                 {"mid_run_crash", r.crashedMidRun ? 1.0 : 0.0},
                 {"battery_exhausted",
@@ -260,7 +265,7 @@ main(int argc, char **argv)
             };
             // Only a failing trial carries its verdict, so a clean
             // soak's JSON keeps its fields.
-            if (v != SoakVerdict::Pass)
+            if (v != CrashVerdict::Pass)
                 res.extra.emplace_back("verdict", static_cast<double>(v));
             return res;
         };
@@ -294,7 +299,7 @@ main(int argc, char **argv)
             exit_code = 1;
             std::printf("FAIL: %s (%s); replay: %s\n",
                         t.describe(cli.spec.workload).c_str(),
-                        soakVerdictName(static_cast<SoakVerdict>(
+                        crashVerdictName(static_cast<CrashVerdict>(
                             r.extraValue("verdict"))),
                         bench::soakReproducer(cli, seed, first + i).c_str());
         }

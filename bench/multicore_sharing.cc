@@ -64,7 +64,7 @@ runSharingPoint(const ExperimentPoint &pt, double share,
         {"migr_per_kstore",
          1000.0 * mr.migrations /
              std::max<std::uint64_t>(1, stores)},
-        {"recovered", cr.recovered ? 1.0 : 0.0},
+        {"recovered", cr.verdict == CrashVerdict::Pass ? 1.0 : 0.0},
     };
     return r;
 }

@@ -66,7 +66,7 @@ crashPoint(const BenchCli &cli, const FrontierSpec &fs,
             {"window_cycles", static_cast<double>(cr.drainLatency)},
             {"window_ns", cr.drainLatencyNs},
             {"energy_uj", cr.actualEnergyJ * 1e6},
-            {"recovered", cr.recovered ? 1.0 : 0.0},
+            {"recovered", cr.verdict == CrashVerdict::Pass ? 1.0 : 0.0},
         };
         return r;
     };
@@ -129,6 +129,15 @@ main(int argc, char **argv)
 
     sweep.run();
 
+    // A crash that fails its verdict (the "recovered" extra) fails the
+    // run.
+    int status = 0;
+    const auto verdict = [&status](const ExperimentResult &r) {
+        if (r.extraValue("recovered") != 0.0)
+            return "recovered";
+        status = 1;
+        return "RECOVERY FAILED";
+    };
     std::printf("Recovery window after a crash at mid-run (gamess, "
                 "32-entry SecPB)\n\n");
     std::printf("%-14s %8s %9s %9s %8s %12s %12s %10s\n", "scheme",
@@ -144,9 +153,7 @@ main(int argc, char **argv)
                     r.extraValue("bmt_nodes_rebuilt"),
                     r.extraValue("cache_lines_flushed"),
                     r.extraValue("window_cycles"), r.extraValue("window_ns"),
-                    r.extraValue("energy_uj"),
-                    r.extraValue("recovered") != 0.0 ? "recovered"
-                                                     : "RECOVERY FAILED");
+                    r.extraValue("energy_uj"), verdict(r));
         sweep.derive("window_ns", name, r.extraValue("window_ns"));
     }
     std::printf("\nlazier schemes block the crash observer longer: the "
@@ -173,10 +180,7 @@ main(int argc, char **argv)
                         name.c_str(), overhead_pct,
                         cr.extraValue("window_ns"),
                         cr.extraValue("bmt_nodes_rebuilt"),
-                        cr.extraValue("energy_uj"),
-                        cr.extraValue("recovered") != 0.0
-                            ? "recovered"
-                            : "RECOVERY FAILED");
+                        cr.extraValue("energy_uj"), verdict(cr));
             sweep.derive("frontier_overhead_pct", name, overhead_pct);
             sweep.derive("frontier_window_ns", name,
                          cr.extraValue("window_ns"));
@@ -191,5 +195,5 @@ main(int argc, char **argv)
     }
 
     sweep.writeJson();
-    return 0;
+    return status;
 }

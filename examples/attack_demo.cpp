@@ -32,7 +32,7 @@ runAndDrain(SecPbSystem &sys)
         gen.store(a, 0xD00D0000 + a);
     sys.run(gen);
     CrashReport cr = sys.crashNow();
-    if (!cr.recovered)
+    if (cr.verdict != CrashVerdict::Pass)
         std::fprintf(stderr, "unexpected: clean drain failed recovery\n");
 }
 
@@ -126,7 +126,7 @@ main()
         sys.storeBuffer().tryPush(0x000, 0x2222);
         sys.runUntil(sys.eventQueue().curTick() + 1'000'000);
         CrashReport cr = sys.crashNow();
-        if (!cr.recovered)
+        if (cr.verdict != CrashVerdict::Pass)
             std::fprintf(stderr, "unexpected recovery failure\n");
         sys.pm().writeBlock(0x000, old_ct, old_mac);
         sys.pm().writeCounterBlock(0, old_cb);

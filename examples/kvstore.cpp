@@ -103,8 +103,8 @@ main()
                 cr.work.entriesDrained, cr.actualEnergyJ * 1e6,
                 cr.provisionedEnergyJ * 1e6);
     std::printf("  integrity at recovery: %s\n",
-                cr.recovered ? "verified" : "FAILED");
-    if (!cr.recovered)
+                cr.verdict == CrashVerdict::Pass ? "verified" : "FAILED");
+    if (cr.verdict != CrashVerdict::Pass)
         return 1;
 
     // --- 2. Parse the recovered log ------------------------------------

@@ -71,8 +71,9 @@ main()
     std::printf("  blocks verified at recovery: %" PRIu64 "\n",
                 cr.recovery.blocksChecked);
     std::printf("  recovery                   : %s\n",
-                cr.recovered ? "OK (plaintext + MAC + BMT all verified)"
-                             : "FAILED");
+                cr.verdict == CrashVerdict::Pass
+                    ? "OK (plaintext + MAC + BMT all verified)"
+                    : "FAILED");
 
-    return cr.recovered ? 0 : 1;
+    return cr.verdict == CrashVerdict::Pass ? 0 : 1;
 }

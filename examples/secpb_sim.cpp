@@ -39,12 +39,9 @@ struct Options
 BmfMode
 parseBmf(const std::string &s)
 {
-    if (s == "none")
-        return BmfMode::None;
-    if (s == "dbmf")
-        return BmfMode::Dbmf;
-    if (s == "sbmf")
-        return BmfMode::Sbmf;
+    for (BmfMode m : {BmfMode::None, BmfMode::Dbmf, BmfMode::Sbmf})
+        if (s == bmfModeName(m))
+            return m;
     fatal("unknown BMF mode '%s' (none|dbmf|sbmf)", s.c_str());
 }
 
@@ -96,8 +93,8 @@ runOne(const Options &opt, const SimulationSpec &spec,
                     static_cast<std::uint64_t>(opt.crashAt),
                     cr.work.entriesDrained, cr.actualEnergyJ * 1e6,
                     cr.provisionedEnergyJ * 1e6,
-                    cr.recovered ? "OK" : "FAILED");
-        return cr.recovered ? 0 : 1;
+                    cr.verdict == CrashVerdict::Pass ? "OK" : "FAILED");
+        return cr.verdict == CrashVerdict::Pass ? 0 : 1;
     }
 
     SimulationResult r = sys.run(*gen);

@@ -317,6 +317,7 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
     agg.batteryBudgetJ = opts.batteryEnergyJ;
     std::optional<double> remaining = opts.batteryEnergyJ;
     bool recovered = true;
+    agg.verdict = CrashVerdict::Pass;
     // Add @p v into @p sum when set (unset + unset stays unset).
     auto addTo = [](std::optional<double> &sum, std::optional<double> v) {
         if (v)
@@ -343,6 +344,9 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
         agg.drainLatency = std::max(agg.drainLatency, cr.drainLatency);
         agg.drainLatencyNs = std::max(agg.drainLatencyNs, cr.drainLatencyNs);
         recovered = recovered && cr.recovered;
+        // Each slice judged its own drain; the first failure stands.
+        if (agg.verdict == CrashVerdict::Pass)
+            agg.verdict = cr.verdict;
     }
 
     // One battery per core, each sized by the scheme's own rule.

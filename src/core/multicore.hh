@@ -117,7 +117,9 @@ class MultiCoreSystem
      * verification runs per slice (each core recovers its resident
      * pages) and the report aggregates work, energy, and verification
      * across cores: the budget is the pool, else the sum of the
-     * slices' budgets; batteryAfterJ sums the slices' cells.
+     * slices' budgets; batteryAfterJ sums the slices' cells. Each
+     * slice judges its own drain, and the verdict is the first slice
+     * verdict that is not Pass, in core order.
      */
     CrashReport crashNow(const CrashOptions &opts = {});
 

@@ -71,6 +71,23 @@ struct SimulationResult
     void toJson(JsonWriter &w) const;
 };
 
+/**
+ * A crash's verdict: Pass, or the first rule it broke. Every crashNow
+ * judges its own crash (judgeCrash); FaultReport::verdict adds the
+ * tamper check.
+ */
+enum class CrashVerdict
+{
+    Pass,
+    InconsistentRecovery,
+    UndetectedTamper,
+    UnpaidAbandon,  ///< Abandoned unexhausted, or a full battery ran dry.
+    Overspent,      ///< Spent past the allowance (see judgeCrash).
+};
+
+/** "inconsistent recovery", "undetected tamper", ... ("pass"). */
+const char *crashVerdictName(CrashVerdict v);
+
 /** Outcome of a crash + battery-drain + recovery experiment. */
 struct CrashReport
 {
@@ -81,6 +98,8 @@ struct CrashReport
     Cycles drainLatency = 0;          ///< Observer-blocked window (cycles).
     double drainLatencyNs = 0.0;      ///< The same window in nanoseconds.
     bool recovered = false;           ///< True when recovery verified.
+    /** The crash's verdict (unjudged: as `recovered` says). */
+    CrashVerdict verdict = CrashVerdict::InconsistentRecovery;
 
     /** Energy budget the drain ran under (unset = unbounded). */
     std::optional<double> batteryBudgetJ;
@@ -88,6 +107,20 @@ struct CrashReport
     /** Capacitor charge remaining after the drain (system battery only). */
     std::optional<double> batteryAfterJ;
 };
+
+/**
+ * The one crash verdict; its rules, in order:
+ *  - InconsistentRecovery: recovery did not verify.
+ *  - UnpaidAbandon: an unbounded battery abandoned anything or ran dry,
+ *    or a budgeted one abandoned an entry without running dry.
+ *  - Overspent: the drain spent more than its allowance (+1e-12 J).
+ *    With @p budget_is_ceiling (the budget is the machine's own cell
+ *    and the adaptive policy is attached, so it promises to fit even
+ *    the mandatory work) the allowance is the budget; otherwise it is
+ *    max(budget, work.mandatoryJ), since the crash floor and SP's
+ *    pending tuples are charged whatever the budget.
+ */
+CrashVerdict judgeCrash(const CrashReport &cr, bool budget_is_ceiling);
 
 } // namespace secpb
 

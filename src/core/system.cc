@@ -255,6 +255,8 @@ SecPbSystem::crashNow(const CrashOptions &opts)
     cr.recovery =
         verifier.verifyAll(_pm, *_tree, _oracle, cr.work.abandoned);
     cr.recovered = cr.recovery.ok();
+    cr.verdict = judgeCrash(cr, !opts.batteryEnergyJ && _battery &&
+                                    _cfg.battery.adaptive.enabled);
     return cr;
 }
 

@@ -104,7 +104,8 @@ class SecPbSystem
      * bounded battery budget makes the drain stop once the energy runs
      * out; recovery then verifies that the drained entries form an
      * in-order prefix of the persist order and classifies every
-     * abandoned block.
+     * abandoned block. The report carries the crash's verdict
+     * (judgeCrash).
      */
     CrashReport crashNow(const CrashOptions &opts = {});
 

@@ -155,37 +155,4 @@ SoakTrial::describe(const std::string &workload) const
            " wseed=" + std::to_string(workloadSeed) + " " + plan.describe();
 }
 
-const char *
-soakVerdictName(SoakVerdict v)
-{
-    static constexpr const char *Names[] = {
-        "pass", "inconsistent recovery", "undetected tamper",
-        "abandoned entries the battery could pay for", "battery overspent",
-    };
-    return Names[static_cast<int>(v)];
-}
-
-SoakVerdict
-judgeSoakTrial(const FaultReport &r, const SecPbSystem &sys)
-{
-    if (!r.crash.recovered)
-        return SoakVerdict::InconsistentRecovery;
-    if (!r.tampersAllDetected)
-        return SoakVerdict::UndetectedTamper;
-    const CrashWork &w = r.crash.work;
-    const std::optional<double> &budget = r.crash.batteryBudgetJ;
-    if (budget ? !w.abandoned.empty() && !w.batteryExhausted
-               : !w.abandoned.empty() || w.batteryExhausted)
-        return SoakVerdict::UnpaidAbandon;
-    if (!budget)
-        return SoakVerdict::Pass;
-    CrashWork flush_only;
-    flush_only.pmBlockWrites = w.mdcBlockFlushes;
-    flush_only.cacheLinesFlushed = w.cacheLinesFlushed;
-    const double floor = sys.energyModel().actualCrashEnergy(flush_only);
-    return w.energySpentJ <= std::max(*budget, floor) + 1e-12
-               ? SoakVerdict::Pass
-               : SoakVerdict::Overspent;
-}
-
 } // namespace secpb

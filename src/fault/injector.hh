@@ -46,10 +46,11 @@ struct FaultPlan
      * provisioning (SecPbSystem::provisionedCrashEnergy). Unset (the
      * default) models the correctly-provisioned battery; values < 1
      * model an under-provisioned or partially-discharged one and force
-     * prefix verification. Values >= 1 can never exhaust (provisioning
-     * is worst-case by construction). An engaged value is one way to
-     * initialize a Capacitor; a system-owned Capacitor (see
-     * BatteryConfig) supplies the budget when this is unset.
+     * prefix verification. Values >= 1 can still exhaust: for several
+     * rows a full drain costs more than the provisioning. An engaged
+     * value is one way to initialize a Capacitor; a system-owned
+     * Capacitor (see BatteryConfig) supplies the budget when this is
+     * unset.
      *
      * This used to be an infinity sentinel; std::optional keeps the
      * "unbounded" state representable without relying on IEEE compare
@@ -90,16 +91,22 @@ struct FaultReport
     bool tampersAllDetected = true;
 
     /**
-     * The experiment's pass condition: recovery of the (possibly
-     * partial) drain is consistent, and no tamper went undetected.
-     * The tampered image itself is *expected* to fail verification --
-     * that failure is the detection.
+     * The crash's verdict (judgeCrash), then the tamper check: a
+     * passing crash with a tamper the re-verification missed is
+     * UndetectedTamper. The tampered image itself is *expected* to fail
+     * verification -- that failure is the detection.
      */
-    bool
-    ok() const
+    CrashVerdict
+    verdict() const
     {
-        return crash.recovered && tampersAllDetected;
+        if (crash.verdict != CrashVerdict::Pass)
+            return crash.verdict;
+        return tampersAllDetected ? CrashVerdict::Pass
+                                  : CrashVerdict::UndetectedTamper;
     }
+
+    /** The experiment's pass condition: verdict() is Pass. */
+    bool ok() const { return verdict() == CrashVerdict::Pass; }
 };
 
 /** Executes one FaultPlan against one system. */
@@ -148,31 +155,6 @@ struct SoakTrial
      */
     std::string describe(const std::string &workload = {}) const;
 };
-
-/** A soak trial's outcome: Pass, or the first check it failed. */
-enum class SoakVerdict
-{
-    Pass,
-    InconsistentRecovery,
-    UndetectedTamper,
-    UnpaidAbandon,  ///< Abandoned unexhausted, or a full battery ran dry.
-    Overspent,      ///< Spent > max(budget, mandatory floor).
-};
-
-/** "inconsistent recovery", "undetected tamper", ... ("pass"). */
-const char *soakVerdictName(SoakVerdict v);
-
-/**
- * Judge one soak trial's report @p r from @p sys: recovery is
- * consistent, every tamper was detected, an unbounded battery (the
- * crash recorded no budget) never exhausts and abandons nothing, an
- * abandoned entry implies exhaustion, and a bounded battery never
- * spends more than max(the budget the crash recorded, mandatory floor).
- * The floor is the crash's metadata-cache (and eADR hierarchy) flush,
- * which the battery pays first even when it alone exceeds a tiny
- * budget.
- */
-SoakVerdict judgeSoakTrial(const FaultReport &r, const SecPbSystem &sys);
 
 } // namespace secpb
 

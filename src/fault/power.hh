@@ -15,10 +15,14 @@
  * Capacitor itself: charge, capacity fade, and ESR growth carry across
  * incarnations, and between cycles it leaks and (partially) recharges.
  *
- * Every cycle's outcome is classified by the prefix-consistency
- * verifier and the restore pass -- zero silent acceptance. Tampers, if
- * requested, are injected only on the final cycle so attacker damage is
- * never conflated with battery loss.
+ * Every cycle passes only if the restore verified and its crash passed
+ * the one crash verdict (judgeCrash, core/results.hh): consistent
+ * recovery, no abandon the battery could pay for, no spend past the
+ * allowance (with the adaptive policy on, the cell's deliverable
+ * energy at crash time; without it, max(that, the mandatory floor)),
+ * and no undetected tamper. Tampers, if requested, are injected only on
+ * the final cycle so attacker damage is never conflated with battery
+ * loss.
  */
 
 #ifndef SECPB_FAULT_POWER_HH
@@ -108,8 +112,6 @@ struct PowerScheduleSpec
 struct PowerCycleOutcome
 {
     FaultReport fault;              ///< Crash + verification of the segment.
-    double deliverableAtCrashJ = 0; ///< Capacitor budget at crash time.
-    double energySpentJ = 0;        ///< What the drain actually consumed.
     bool brownoutApplied = false;
 
     /** Restore of the *previous* cycle's crash (cycle 0: all-default). */
@@ -117,17 +119,8 @@ struct PowerCycleOutcome
     bool restoreInterrupted = false;
     RestoreReport restoreFinal;     ///< The completed (re-run) restore.
 
-    /**
-     * The adaptive drain policy's never-overspend invariant broke: the
-     * drain spent more than the cell could deliver at crash time. Only
-     * judged with the policy on; without it a deep brownout may sag
-     * below the committed obligation, the failure the policy (plus the
-     * BBU reserve) exists to prevent.
-     */
-    bool overspent = false;
-
-    /** Segment verified, restore verified, no silent acceptance, and
-     *  (adaptive policy) no overspend. */
+    /** The restore verified and the crash passed its verdict
+     *  (fault.ok()). */
     bool ok = false;
 };
 

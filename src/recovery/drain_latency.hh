@@ -49,13 +49,13 @@ class DrainLatencyModel
 
         // PM stream: counter fetches + node fetches (one read per level
         // walked and per node rebuilt, worst case) + all block writes
-        // (including the eADR hierarchy flush), over the banks.
+        // (pmBlockWrites already holds the metadata-cache flush; plus
+        // the eADR hierarchy flush), over the banks.
         const std::uint64_t reads =
             work.counterFetches + work.bmtLevelsWalked +
             work.bmtNodesRebuilt;
         const std::uint64_t writes =
-            work.pmBlockWrites + work.mdcBlockFlushes +
-            work.cacheLinesFlushed;
+            work.pmBlockWrites + work.cacheLinesFlushed;
         const std::uint64_t pm_traffic =
             reads * _pcm.readLatency + writes * _pcm.writeLatency;
 

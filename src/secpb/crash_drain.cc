@@ -38,6 +38,7 @@ CrashWork::operator+=(const CrashWork &w)
     bmtNodesRebuilt += w.bmtNodesRebuilt;
     batteryExhausted = batteryExhausted || w.batteryExhausted;
     energySpentJ += w.energySpentJ;
+    mandatoryJ += w.mandatoryJ;
     drainedBlocks.insert(drainedBlocks.end(), w.drainedBlocks.begin(),
                          w.drainedBlocks.end());
     abandoned.insert(abandoned.end(), w.abandoned.begin(),
@@ -206,10 +207,11 @@ SecPb::crashDrainAll(
     // mandatory, charged even when it alone exceeds a tiny budget (those
     // functional writes happened at drain time and cannot be torn in
     // this model), so energySpentJ can exceed the budget by this fixed
-    // floor plus SP's pending tuples above, and by nothing else. The
-    // flush itself runs after the entry pass so the cache contents still
-    // inform the per-entry predictions.
+    // floor plus SP's pending tuples above (together mandatoryJ), and
+    // by nothing else. The flush itself runs after the entry pass so
+    // the cache contents still inform the per-entry predictions.
     work += crashFloorWork();
+    work.mandatoryJ = budget_j ? _energy.actualCrashEnergy(work) : 0.0;
 
     // Persist order: complete entries oldest-first. A bounded battery
     // prices each entry before committing to it and stops at the first

@@ -99,6 +99,9 @@ struct CrashWork
     bool batteryExhausted = false;
     /** Energy actually consumed, priced when a budget was supplied. */
     double energySpentJ = 0.0;
+    /** The part of energySpentJ charged whatever the budget: the crash
+     *  floor plus SP's pending tuples (crashDrainAll). */
+    double mandatoryJ = 0.0;
     /** Resident entries completed, in drain (persist) order. */
     std::vector<Addr> drainedBlocks;
     /** In-order suffix of resident entries the battery abandoned. */

@@ -26,11 +26,10 @@ regionBytes(std::uint64_t blocks)
 
 KvWalGenerator::KvWalGenerator(const KvWalParams &params,
                                std::uint64_t total_instructions,
-                               std::uint64_t seed, Addr region_base)
+                               std::uint64_t seed)
     : QueueGenerator(total_instructions, seed),
       _p(params),
-      _zipf(params.keys, params.zipf),
-      _tableBase(region_base)
+      _zipf(params.keys, params.zipf)
 {
     fatal_if(_p.puts < 0.0 || _p.scans < 0.0 || _p.puts + _p.scans > 1.0,
              "kv_wal: puts (%f) + scans (%f) must stay within [0, 1]",
@@ -40,7 +39,9 @@ KvWalGenerator::KvWalGenerator(const KvWalParams &params,
              _p.valueWords, BlockSize / 8);
     fatal_if(_p.walWords == 0, "kv_wal: walWords must be nonzero");
 
-    _walBase = _tableBase + regionBytes(_p.keys);
+    // The table starts at address 0; the WAL and checkpoint regions
+    // follow it.
+    _walBase = regionBytes(_p.keys);
     // Size the WAL ring so checkpoints, not wrap-around, bound the
     // recovery window: 4 checkpoint intervals of records.
     const std::uint64_t interval =
@@ -59,7 +60,7 @@ KvWalGenerator::refill()
 
     const double u = _rng.uniform();
     const std::uint64_t key = _zipf.sample(_rng);
-    const Addr keyBlock = _tableBase + key * BlockSize;
+    const Addr keyBlock = key * BlockSize;
 
     if (u < _p.puts) {
         // Put: append a WAL record, commit it, update the table row.
@@ -91,8 +92,7 @@ KvWalGenerator::refill()
         const std::uint64_t start = _rng.below(_p.keys);
         for (unsigned i = 0; i < _p.scanLength; ++i) {
             const std::uint64_t k = (start + i) % _p.keys;
-            emitLoad(drawLevel(0.25, 0.20, 0.30),
-                     _tableBase + k * BlockSize);
+            emitLoad(drawLevel(0.25, 0.20, 0.30), k * BlockSize);
         }
     } else {
         // Get: point read of a popular key -- mostly cache resident.
@@ -106,10 +106,8 @@ KvWalGenerator::refill()
 
 JournalGenerator::JournalGenerator(const JournalParams &params,
                                    std::uint64_t total_instructions,
-                                   std::uint64_t seed, Addr region_base)
-    : QueueGenerator(total_instructions, seed),
-      _p(params),
-      _metaBase(region_base)
+                                   std::uint64_t seed)
+    : QueueGenerator(total_instructions, seed), _p(params)
 {
     fatal_if(_p.txnStores == 0, "journal: txnStores must be nonzero");
     fatal_if(_p.metaBlocks == 0, "journal: metaBlocks must be nonzero");
@@ -117,7 +115,9 @@ JournalGenerator::JournalGenerator(const JournalParams &params,
     fatal_if(_p.journalBlocks == 0,
              "journal: journalBlocks must be nonzero");
 
-    _journalBase = _metaBase + regionBytes(_p.metaBlocks);
+    // Metadata starts at address 0; the journal ring and the dump
+    // region follow it.
+    _journalBase = regionBytes(_p.metaBlocks);
     // Journal ring: a few commit trains deep, like a small jbd2 area.
     _journalRing = std::max<std::uint64_t>(64, 8 * _p.journalBlocks);
     _dumpBase = _journalBase + regionBytes(_journalRing);
@@ -132,8 +132,7 @@ JournalGenerator::refill()
     // One transaction: scattered metadata updates, interleaved with the
     // reads that found them.
     for (unsigned s = 0; s < _p.txnStores; ++s) {
-        const Addr block =
-            _metaBase + _rng.below(_p.metaBlocks) * BlockSize;
+        const Addr block = _rng.below(_p.metaBlocks) * BlockSize;
         if (_rng.chance(0.5))
             emitLoad(drawLevel(0.30, 0.25, 0.15), block);
         emitStore(block, static_cast<unsigned>(_rng.below(BlockSize / 8)));
@@ -179,12 +178,11 @@ JournalGenerator::refill()
 
 ZipfMixGenerator::ZipfMixGenerator(const ZipfMixParams &params,
                                    std::uint64_t total_instructions,
-                                   std::uint64_t seed, Addr region_base)
+                                   std::uint64_t seed)
     : QueueGenerator(total_instructions, seed),
       _p(params),
       _tenantZipf(params.tenants, params.tenantZipf),
       _keyZipf(params.keysPerTenant, params.keyZipf),
-      _base(region_base),
       _putsSinceCommit(params.tenants, 0)
 {
     fatal_if(_p.tenants == 0, "zipf_mix: tenants must be nonzero");
@@ -203,8 +201,7 @@ ZipfMixGenerator::refill()
         static_cast<std::uint32_t>(_tenantZipf.sample(_rng));
     const std::uint64_t key = _keyZipf.sample(_rng);
     const Addr block =
-        _base + (static_cast<Addr>(tenant) * _p.keysPerTenant + key) *
-                    BlockSize;
+        (static_cast<Addr>(tenant) * _p.keysPerTenant + key) * BlockSize;
 
     if (_rng.chance(_p.puts)) {
         emitStore(block, static_cast<unsigned>(_rng.below(2)), tenant);
@@ -255,19 +252,17 @@ BurstyArrivalGenerator::next(TraceOp &op)
         return false;
 
     while (_inner->next(op)) {
-        if (_p.stripThinkTime && op.kind == TraceOp::Kind::Instr)
+        if (op.kind == TraceOp::Kind::Instr)
             continue;  // line-rate arrivals: drop inner think time
         countOp(_ctr, op);
-        _burstInstrs +=
-            op.kind == TraceOp::Kind::Instr ? op.count : 1;
         if (++_opsThisBurst >= _p.onOps) {
             // Size the off period so this burst occupies `duty` of the
-            // wall-clock instruction budget: idle = on * (1 - d) / d.
+            // wall-clock instruction budget: idle = on * (1 - d) / d,
+            // where the burst's onOps memory ops are one instruction
+            // each.
             _idleLeft = static_cast<std::uint64_t>(
-                static_cast<double>(_burstInstrs) * (1.0 - _p.duty) /
-                _p.duty);
+                static_cast<double>(_p.onOps) * (1.0 - _p.duty) / _p.duty);
             _opsThisBurst = 0;
-            _burstInstrs = 0;
         }
         return true;
     }

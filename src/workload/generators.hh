@@ -161,8 +161,7 @@ class KvWalGenerator : public QueueGenerator
 {
   public:
     KvWalGenerator(const KvWalParams &params,
-                   std::uint64_t total_instructions, std::uint64_t seed,
-                   Addr region_base = 0);
+                   std::uint64_t total_instructions, std::uint64_t seed);
 
     std::uint64_t putsIssued() const { return _puts; }
     std::uint64_t checkpoints() const { return _checkpoints; }
@@ -173,7 +172,6 @@ class KvWalGenerator : public QueueGenerator
   private:
     KvWalParams _p;
     ZipfSampler _zipf;
-    Addr _tableBase;
     Addr _walBase;
     Addr _ckptBase;
     std::uint64_t _walBlocks;
@@ -212,8 +210,7 @@ class JournalGenerator : public QueueGenerator
 {
   public:
     JournalGenerator(const JournalParams &params,
-                     std::uint64_t total_instructions, std::uint64_t seed,
-                     Addr region_base = 0);
+                     std::uint64_t total_instructions, std::uint64_t seed);
 
     std::uint64_t commits() const { return _commits; }
     std::uint64_t dumps() const { return _dumps; }
@@ -223,7 +220,6 @@ class JournalGenerator : public QueueGenerator
 
   private:
     JournalParams _p;
-    Addr _metaBase;
     Addr _journalBase;
     Addr _dumpBase;
     std::uint64_t _journalCursor = 0;  ///< Block offset into the ring.
@@ -257,8 +253,7 @@ class ZipfMixGenerator : public QueueGenerator
 {
   public:
     ZipfMixGenerator(const ZipfMixParams &params,
-                     std::uint64_t total_instructions, std::uint64_t seed,
-                     Addr region_base = 0);
+                     std::uint64_t total_instructions, std::uint64_t seed);
 
   protected:
     void refill() override;
@@ -267,7 +262,6 @@ class ZipfMixGenerator : public QueueGenerator
     ZipfMixParams _p;
     ZipfSampler _tenantZipf;
     ZipfSampler _keyZipf;
-    Addr _base;
     std::vector<std::uint32_t> _putsSinceCommit;  ///< Per tenant.
 };
 
@@ -279,16 +273,13 @@ struct BurstParams
     /** Duty cycle in (0, 1]: fraction of wall instructions that are
      *  burst; the idle gap is sized from what the burst emitted. */
     double duty = 0.25;
-    /** Strip the inner generator's think-time Instr ops during the
-     *  burst, so requests arrive back to back at line rate. */
-    bool stripThinkTime = true;
     /** Idle bundle granularity (instructions per emitted Instr op). */
     std::uint32_t idleBundle = 64;
 };
 
 /**
  * Open-loop duty-cycled arrival modulation of any inner workload:
- * bursts of back-to-back requests (optionally with think time stripped)
+ * bursts of back-to-back requests (the inner think time stripped)
  * alternating with idle gaps sized to hit the duty cycle. Open loop
  * means the idle/burst schedule never reacts to backpressure -- exactly
  * the arrival process that drives a SecPB into full-stall and the
@@ -308,7 +299,6 @@ class BurstyArrivalGenerator : public WorkloadGenerator
     BurstParams _p;
     WorkloadCounters _ctr;
     std::uint64_t _opsThisBurst = 0;
-    std::uint64_t _burstInstrs = 0;   ///< Instructions this burst emitted.
     std::uint64_t _idleLeft = 0;      ///< Idle instructions still owed.
     bool _innerDone = false;
 };

@@ -104,7 +104,7 @@ TEST(AppCrash, SurvivorContinuesAndFullCrashStillRecovers)
     sys.runUntil(sys.eventQueue().curTick() + 1'000'000);
 
     CrashReport cr = sys.crashNow();
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
 }
 
 TEST(AppCrash, DrainProcessOnEagerScheme)

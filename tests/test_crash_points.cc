@@ -2,19 +2,22 @@
  * @file
  * Exhaustive crash points: every scheme row, crashed after every persist
  * count of a short scripted workload, on an ideal battery and on one
- * holding half the worst-case provisioning.
+ * budget for every length of drained prefix.
  *
  * The workload allocates past the high watermark (so drains run), hits
  * resident entries (coalescing), and crosses a persist barrier; a
  * sec_wt run redoes the whole tuple on every store to one block, so its
  * sweep also crosses a minor-counter overflow and the page
- * re-encryption it triggers. Recovery must be consistent at every
- * point: tuple atomicity, and the persist-order prefix when the battery
- * runs out.
+ * re-encryption it triggers. Every crash must pass its verdict
+ * (judgeCrash): tuple atomicity, the persist-order prefix when the
+ * battery runs out, no abandon the battery could pay for, and no spend
+ * past max(budget, the mandatory floor).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "core/system.hh"
@@ -86,7 +89,17 @@ struct Coverage
     unsigned resident = 0;   ///< Crashes with entries left to drain.
 };
 
-/** Crash @p scheme's run of @p script at every persist count. */
+/**
+ * Crash @p scheme's run of @p script at every persist count: once on an
+ * unbounded battery, then once per drained-prefix length 0..k, where k
+ * is the number of entries resident at the crash. The budgets are found
+ * by bisecting the battery fraction between 0, which drains nothing, and
+ * one that drains everything: the provisioning (fraction 1), doubled
+ * until it does -- for several rows the drain costs more than the
+ * provisioning. Every crash must pass its verdict, and a bounded drain
+ * must complete exactly the first entries of the unbounded drain's
+ * persist order.
+ */
 Coverage
 crashEverywhere(Scheme scheme, const ScriptedGenerator &script)
 {
@@ -101,14 +114,13 @@ crashEverywhere(Scheme scheme, const ScriptedGenerator &script)
     for (TraceOp op; probe.next(op);)
         stores += op.kind == TraceOp::Kind::Store;
     EXPECT_GT(stores, 0u);
-    for (const bool bounded : {false, true}) {
-        for (std::uint64_t n = 1; n <= stores; ++n) {
+    for (std::uint64_t n = 1; n <= stores; ++n) {
+        const auto crash = [&](std::optional<double> fraction) {
             SecPbSystem sys(cfg);
             ScriptedGenerator gen = script;
             FaultPlan plan;
             plan.crashAtPersist = n;
-            if (bounded)
-                plan.batteryFraction = 0.5;
+            plan.batteryFraction = fraction;
             const FaultReport r = FaultInjector(sys, plan).run(gen);
             const CrashWork &w = r.crash.work;
             const RecoveryReport &rr = r.crash.recovery;
@@ -116,12 +128,54 @@ crashEverywhere(Scheme scheme, const ScriptedGenerator &script)
             cov.exhausted += w.batteryExhausted;
             cov.resident += w.entriesDrained > 0 || !w.abandoned.empty();
             EXPECT_TRUE(r.ok())
-                << schemeName(scheme) << " " << plan.describe()
-                << ": mac " << rr.macFailures << ", bmt " << rr.bmtFailures
+                << schemeName(scheme) << " " << plan.describe() << ": "
+                << crashVerdictName(r.verdict()) << "; mac "
+                << rr.macFailures << ", bmt " << rr.bmtFailures
                 << ", plaintext " << rr.plaintextMismatches << ", missing "
                 << rr.missingBlocks << ", spurious " << rr.spuriousBlocks
                 << ", prefix " << rr.prefixViolations;
+            return w.drainedBlocks;
+        };
+        const std::vector<Addr> order = crash(std::nullopt);
+        const std::size_t k = order.size();
+
+        struct Probe
+        {
+            double fraction;
+            std::size_t drained;
+        };
+        std::vector<bool> seen(k + 1, false);
+        const auto bounded = [&](double fraction) {
+            const std::vector<Addr> drained = crash(fraction);
+            const std::size_t j = drained.size();
+            EXPECT_TRUE(j <= k && std::equal(drained.begin(), drained.end(),
+                                             order.begin()))
+                << schemeName(scheme) << " crash@persist=" << n
+                << " battery=" << fraction << ": not the drain's prefix";
+            seen[std::min(j, k)] = true;
+            return Probe{fraction, j};
+        };
+        Probe all = bounded(1.0);
+        for (int i = 0; i < 16 && all.drained < k; ++i)
+            all = bounded(2 * all.fraction);
+        std::vector<std::pair<Probe, Probe>> todo = {{bounded(0.0), all}};
+        while (!todo.empty()) {
+            const auto [lo, hi] = todo.back();
+            todo.pop_back();
+            if (hi.drained < lo.drained + 2)
+                continue;
+            const double mid = (lo.fraction + hi.fraction) / 2;
+            if (mid == lo.fraction || mid == hi.fraction)
+                continue;  // no budget between: reported below
+            const Probe m = bounded(mid);
+            todo.push_back({lo, m});
+            todo.push_back({m, hi});
         }
+        for (std::size_t j = 0; j <= k; ++j)
+            EXPECT_TRUE(seen[j]) << schemeName(scheme)
+                                 << " crash@persist=" << n
+                                 << ": no budget drains exactly " << j
+                                 << " of " << k << " entries";
     }
     return cov;
 }

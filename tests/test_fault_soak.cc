@@ -15,12 +15,12 @@
  *    corruption;
  *  - an unbounded (or fully provisioned) battery abandons nothing;
  *  - an abandoned entry implies an exhausted battery, and a bounded
- *    battery spends no more than max(budget, the mandatory
- *    metadata-cache flush);
+ *    battery spends no more than max(budget, the mandatory crash floor);
  *  - every injected post-crash tamper is flagged by re-verification.
  *
- * Trials come from SoakTrial::draw and are judged by judgeSoakTrial
- * (fault/injector.hh), the same draw and verdict bench/fault_soak uses.
+ * Trials come from SoakTrial::draw (fault/injector.hh) and are judged by
+ * FaultReport::verdict(), the crash's own verdict plus the tamper check:
+ * the same draw and verdict bench/fault_soak uses.
  * A failing trial prints its scheme, workload and fault plan, and the
  * fault_soak line that replays it (bench::soakReproducer).
  *
@@ -67,17 +67,17 @@ TEST(FaultSoak, RandomizedCrashTamperSweep)
         FaultInjector injector(sys, t.plan);
         const FaultReport r = injector.run(gen);
 
-        const SoakVerdict v = judgeSoakTrial(r, sys);
+        const CrashVerdict v = r.verdict();
         std::string detail;
-        if (v == SoakVerdict::UndetectedTamper)
+        if (v == CrashVerdict::UndetectedTamper)
             for (const TamperRecord &rec : r.tampers)
                 detail += "\n  " + rec.describe() +
                           (TamperInjector::detected(rec, r.postTamper,
                                                     sys.layout(), sys.tree())
                                ? " (detected)"
                                : " (SILENT)");
-        ASSERT_EQ(v, SoakVerdict::Pass)
-            << soakVerdictName(v) << ": " << repro << detail;
+        ASSERT_EQ(v, CrashVerdict::Pass)
+            << crashVerdictName(v) << ": " << repro << detail;
 
         bounded += t.plan.batteryFraction.has_value();
         exhausted += r.crash.work.batteryExhausted;

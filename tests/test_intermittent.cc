@@ -85,7 +85,7 @@ TEST(CapacitorBudget, FullNominalIsByteIdenticalToFlatBudget)
             EXPECT_EQ(flat.crash.work.abandoned[i].addr,
                       cell.crash.work.abandoned[i].addr);
         EXPECT_EQ(flat.crash.recovered, cell.crash.recovered);
-        EXPECT_TRUE(cell.crash.recovered);
+        EXPECT_EQ(cell.crash.verdict, CrashVerdict::Pass);
         // And the cell's charge accounting closed the loop.
         ASSERT_TRUE(cell.crash.batteryAfterJ.has_value());
         EXPECT_FALSE(flat.crash.batteryAfterJ.has_value());
@@ -103,7 +103,7 @@ TEST(CapacitorBudget, DrainDepletesTheCell)
     ASSERT_TRUE(cr.batteryAfterJ.has_value());
     EXPECT_DOUBLE_EQ(before - *cr.batteryAfterJ, cr.work.energySpentJ);
     EXPECT_FALSE(cr.work.batteryExhausted);
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
 }
 
 TEST(Intermittent, ScheduleDrawsAreDeterministicAndIndependent)
@@ -259,7 +259,7 @@ TEST(Intermittent, InterruptedRestoreRerunsToConvergence)
         const CrashReport cr = sys.crashNow(opts);
         ASSERT_TRUE(cr.work.batteryExhausted);
         ASSERT_FALSE(cr.work.abandoned.empty());
-        ASSERT_TRUE(cr.recovered);
+        ASSERT_EQ(cr.verdict, CrashVerdict::Pass);
         pm = sys.pm();
         tree = sys.tree();
         oracle = sys.oracle();
@@ -330,7 +330,7 @@ TEST(Intermittent, BbbBoundedCrashRestoresVerified)
         const CrashReport cr = sys.crashNow(opts);
         ASSERT_TRUE(cr.work.batteryExhausted);
         ASSERT_FALSE(cr.work.abandoned.empty());
-        ASSERT_TRUE(cr.recovered);
+        ASSERT_EQ(cr.verdict, CrashVerdict::Pass);
         pm = sys.pm();
         tree = sys.tree();
         oracle = sys.oracle();
@@ -369,7 +369,7 @@ TEST(Intermittent, AdaptivePolicyNeverOverspendsTheCell)
         const IntermittentReport r = inj.run();
         EXPECT_TRUE(r.ok()) << "scheme " << schemeName(scheme);
         for (const PowerCycleOutcome &c : r.cycles)
-            EXPECT_FALSE(c.overspent)
+            EXPECT_NE(c.fault.verdict(), CrashVerdict::Overspent)
                 << "scheme " << schemeName(scheme)
                 << ": drain needed more than the cell held";
     }
@@ -398,7 +398,7 @@ TEST(Adaptive, WatermarksTightenWithBatteryHeadroom)
     const CrashReport cr = sys.crashNow();
     EXPECT_FALSE(cr.work.batteryExhausted);
     EXPECT_LE(cr.work.energySpentJ, *cr.batteryBudgetJ + 1e-12);
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
 }
 
 TEST(Adaptive, FullNominalCellLeavesWatermarksAlone)
@@ -433,5 +433,5 @@ TEST(Intermittent, BrownoutReserveProtectsCommittedWork)
     sys.applyBrownout(0.0);  // As deep as a sag can go.
     const CrashReport cr = sys.crashNow();
     EXPECT_LE(cr.work.energySpentJ, *cr.batteryBudgetJ + 1e-12);
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
 }

@@ -156,7 +156,7 @@ TEST(MultiCore, MigrationCarriesValueIndependentMetadata)
     // durable state (counter block included) lives in the slice it
     // migrated to; a crash must verify and leave the minor at 1.
     CrashReport cr = sys.crashNow();
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
     SecPbSystem &home = sys.residentSystem(0x2000);
     EXPECT_GT(home.tree().numLevels(), 0u);
     EXPECT_EQ(home.pm()
@@ -193,7 +193,7 @@ TEST(MultiCore, MigratedResidencyRecoversOnAStarvedDestination)
     const CrashReport cr = sys.slice(1).crashNow(starved);
     ASSERT_EQ(cr.work.abandoned.size(), 1u);
     EXPECT_EQ(cr.work.abandoned[0].pendingWrites, 3u);
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
     EXPECT_EQ(cr.recovery.staleConsistent + cr.recovery.tornDetected, 1u);
     EXPECT_TRUE(dst.residencyOpen(0x3000));
 }
@@ -245,7 +245,7 @@ TEST(MultiCore, PingPongSharingStillRecovers)
     MultiCoreResult r = sys.run(gens);
     EXPECT_GE(r.migrations, 2u);
     CrashReport cr = sys.crashNow();
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
     EXPECT_TRUE(sys.invariantNoReplication());
 }
 
@@ -272,7 +272,7 @@ TEST(MultiCore, RandomSharingPropertyCrash)
         sys.start(raw);
         sys.runUntil(1'500);
         CrashReport cr = sys.crashNow();
-        EXPECT_TRUE(cr.recovered) << schemeName(s);
+        EXPECT_EQ(cr.verdict, CrashVerdict::Pass) << schemeName(s);
         EXPECT_TRUE(sys.directory().invariantSingleOwner());
         EXPECT_TRUE(sys.invariantNoReplication()) << schemeName(s);
     }
@@ -311,7 +311,7 @@ TEST(MultiCore, CrashEnergyProvisionsPerCore)
     std::vector<WorkloadGenerator *> gens{&g0, &g1, &g2, &g3};
     sys.run(gens);
     CrashReport cr = sys.crashNow();
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
     EXPECT_EQ(cr.work.entriesDrained, 4u);
     // Provisioning covers four SecPBs.
     EnergyModel em(sys.slice(0).tree().numLevels() + 1);
@@ -346,7 +346,7 @@ TEST(MultiCore, CrashReportSumsPerCoreBatteries)
             stored += sys.slice(c).battery()->storedEnergyJ();
 
         EXPECT_GT(cr.work.entriesDrained, 0u);
-        EXPECT_TRUE(cr.recovered);
+        EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
         ASSERT_TRUE(cr.batteryBudgetJ.has_value());
         EXPECT_DOUBLE_EQ(*cr.batteryBudgetJ,
                          opts.batteryEnergyJ.value_or(deliverable));

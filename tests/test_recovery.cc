@@ -269,6 +269,36 @@ TEST(Recovery, DrainLatencyScalesWithResidency)
     EXPECT_GT(window_entries(40), window_entries(5));
 }
 
+TEST(Recovery, DrainWindowCountsTheMdcFlushOnce)
+{
+    // Drain the buffer cleanly, then crash: the battery's only work is
+    // the dirty metadata-cache flush, N block writes with no compute, so
+    // the window is N writes over the banks plus the serial tail.
+    const SystemConfig cfg = cfgFor(Scheme::Cobcm, 16);
+    SecPbSystem sys(cfg);
+    ScriptedGenerator gen;
+    for (Addr a = 0; a < 12 * BlockSize; a += BlockSize)
+        gen.store(a, a);
+    sys.run(gen);
+    sys.secpb().drainAll(nullptr);
+    sys.runUntil(sys.eventQueue().curTick() + 1'000'000);
+    const CrashReport cr = sys.crashNow();
+    const CrashWork &w = cr.work;
+    ASSERT_EQ(w.entriesDrained, 0u);
+    ASSERT_GT(w.mdcBlockFlushes, 0u);
+    ASSERT_EQ(w.pmBlockWrites, w.mdcBlockFlushes);
+    ASSERT_EQ(w.otpsGenerated + w.macsComputed + w.bmtLevelsWalked +
+                  w.bmtNodesRebuilt + w.counterFetches +
+                  w.cacheLinesFlushed,
+              0u);
+    const PcmConfig &pcm = cfg.pcm;
+    const CryptoLatencies &lat = cfg.crypto;
+    const Cycles tail = pcm.readLatency + lat.aesPad + 8 * lat.bmtHash +
+                        lat.macHash + pcm.writeLatency;
+    EXPECT_EQ(cr.drainLatency,
+              w.mdcBlockFlushes * pcm.writeLatency / pcm.numBanks + tail);
+}
+
 TEST(Recovery, DrainLatencyNsMatchesClock)
 {
     SecPbSystem sys(cfgFor(Scheme::Cobcm, 16));

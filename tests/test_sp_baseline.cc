@@ -89,7 +89,7 @@ TEST(SpBaseline, MidStoreCrashStillRecovers)
     sys.start(gen);
     sys.runUntil(300);  // mid tuple-update
     CrashReport cr = sys.crashNow();
-    EXPECT_TRUE(cr.recovered);
+    EXPECT_EQ(cr.verdict, CrashVerdict::Pass);
 }
 
 TEST(SpBaseline, PendingTuplesCompleteAsFullTuplesUnderAnyBudget)
@@ -123,7 +123,7 @@ TEST(SpBaseline, PendingTuplesCompleteAsFullTuplesUnderAnyBudget)
         EXPECT_EQ(w.countersIncremented, 0u);
         EXPECT_FALSE(w.batteryExhausted);
         EXPECT_TRUE(w.abandoned.empty());
-        EXPECT_TRUE(cr->recovered);
+        EXPECT_EQ(cr->verdict, CrashVerdict::Pass);
     }
     EXPECT_EQ(bounded.work.entriesDrained, unbounded.work.entriesDrained);
 }
