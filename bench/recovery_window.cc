@@ -64,7 +64,7 @@ crashPoint(const BenchCli &cli, const FrontierSpec &fs,
             {"cache_lines_flushed",
              static_cast<double>(cr.work.cacheLinesFlushed)},
             {"window_cycles", static_cast<double>(cr.drainLatency)},
-            {"window_ns", cr.drainLatencyNs},
+            {"window_ns", cyclesToNs(cr.drainLatency)},
             {"energy_uj", cr.actualEnergyJ * 1e6},
             {"recovered", cr.verdict == CrashVerdict::Pass ? 1.0 : 0.0},
         };

@@ -67,7 +67,8 @@ main()
     std::printf("  battery actually used      : %.3f uJ\n",
                 cr.actualEnergyJ * 1e6);
     std::printf("  observer-blocked window    : %" PRIu64 " cycles "
-                "(%.0f ns)\n", cr.drainLatency, cr.drainLatencyNs);
+                "(%.0f ns)\n",
+                cr.drainLatency, cyclesToNs(cr.drainLatency));
     std::printf("  blocks verified at recovery: %" PRIu64 "\n",
                 cr.recovery.blocksChecked);
     std::printf("  recovery                   : %s\n",

@@ -12,7 +12,6 @@
 #include "energy/capacitor.hh"
 #include "pb/adaptive.hh"
 #include "crypto/cipher.hh"
-#include "crypto/engine.hh"
 #include "mem/pcm.hh"
 #include "mem/set_assoc.hh"
 #include "metadata/walker.hh"
@@ -78,7 +77,6 @@ struct SystemConfig
 
     SecPbConfig secpb;
     PcmConfig pcm;
-    CryptoLatencies crypto;
     WalkerConfig walker;
 
     /** The counter cache (the BMT and MAC caches are

@@ -342,7 +342,6 @@ MultiCoreSystem::crashNow(const CrashOptions &opts)
         // Per-core batteries drain in parallel; the observer-blocked
         // window is the slowest core's.
         agg.drainLatency = std::max(agg.drainLatency, cr.drainLatency);
-        agg.drainLatencyNs = std::max(agg.drainLatencyNs, cr.drainLatencyNs);
         recovered = recovered && cr.recovered;
         // Each slice judged its own drain; the first failure stands.
         if (agg.verdict == CrashVerdict::Pass)

@@ -96,7 +96,6 @@ struct CrashReport
     double provisionedEnergyJ = 0.0;  ///< Worst-case battery sizing.
     double actualEnergyJ = 0.0;       ///< Energy this drain consumed.
     Cycles drainLatency = 0;          ///< Observer-blocked window (cycles).
-    double drainLatencyNs = 0.0;      ///< The same window in nanoseconds.
     bool recovered = false;           ///< True when recovery verified.
     /** The crash's verdict (unjudged: as `recovered` says). */
     CrashVerdict verdict = CrashVerdict::InconsistentRecovery;

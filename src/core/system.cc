@@ -10,7 +10,9 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
       _rootStats(cfg.statsName),
       _layout(cfg.pmDataBytes),
       _counters(_layout),
-      _energy(0 /* placeholder, fixed below */)
+      _tree(std::make_unique<BonsaiMerkleTree>(_layout.numPages(),
+                                               cfg.keys.macKey ^ 0xb037)),
+      _energy(_tree->updateHashCount())
 {
     _pcm = std::make_unique<PcmModel>(_eq, cfg.pcm, _rootStats);
     _wpq = std::make_unique<WritePendingQueue>(_eq, *_pcm, cfg.wpqEntries,
@@ -24,12 +26,11 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
     _macCache = std::make_unique<MetadataCache>(
         "mac_cache", MetadataCacheGeom, MetadataCacheHitLatency, *_pcm,
         _rootStats);
-    _crypto = std::make_unique<CryptoEngine>(_eq, cfg.crypto, _rootStats);
-    _tree = std::make_unique<BonsaiMerkleTree>(_layout.numPages(),
-                                               cfg.keys.macKey ^ 0xb037);
+    _crypto =
+        std::make_unique<CryptoEngine>(_eq, CryptoLatencies{}, _rootStats);
     _walker = std::make_unique<BmtWalker>(_eq, cfg.walker, _layout, *_tree,
-                                          *_bmtCache, *_pcm, cfg.crypto,
-                                          _rootStats);
+                                          *_bmtCache, *_pcm,
+                                          CryptoLatencies{}, _rootStats);
     _secpb = std::make_unique<SecPb>(
         _eq, cfg.scheme, cfg.secpb, _layout, cfg.keys, _counters, _oracle,
         _pm, *_crypto, *_walker, *_ctrCache, *_macCache, *_wpq, _energy,
@@ -38,8 +39,6 @@ SecPbSystem::SecPbSystem(const SystemConfig &cfg)
                                         cfg.storeBufferEntries, _rootStats);
     _cpu = std::make_unique<TraceCpu>(_eq, *_sb, cfg.loadPenalties,
                                       _rootStats);
-
-    _energy = EnergyModel(_tree->numLevels() + 1);
 
     if (cfg.battery.enabled) {
         fatal_if(cfg.battery.provisionFraction <= 0.0,
@@ -102,8 +101,9 @@ SecPbSystem::configFor(Scheme scheme, const BenchmarkProfile &profile,
     if (!cfg.speculativeVerification && schemeTraits(scheme).secure) {
         // Non-speculative: a PM load waits for its counter fetch (mostly
         // a metadata-cache hit) and MAC check before use.
-        cfg.loadPenalties.mem += MetadataCacheHitLatency +
-                                     static_cast<double>(cfg.crypto.macHash);
+        cfg.loadPenalties.mem +=
+            MetadataCacheHitLatency +
+            static_cast<double>(CryptoLatencies{}.macHash);
     }
     return cfg;
 }
@@ -230,7 +230,6 @@ SecPbSystem::crashNow(const CrashOptions &opts)
         _sampler->sampleNow();
 
     CrashReport cr;
-    DrainLatencyModel latency(_cfg.crypto, _cfg.pcm);
     // No explicit budget: the physical battery is what we have.
     cr.batteryBudgetJ = opts.batteryEnergyJ;
     if (!cr.batteryBudgetJ && _battery)
@@ -246,8 +245,7 @@ SecPbSystem::crashNow(const CrashOptions &opts)
         _battery->deliver(cr.work.energySpentJ);
         cr.batteryAfterJ = _battery->storedEnergyJ();
     }
-    cr.drainLatency = latency.estimate(cr.work);
-    cr.drainLatencyNs = latency.estimateNs(cr.work);
+    cr.drainLatency = drainWindow(cr.work, _crypto->latencies(), _cfg.pcm);
     cr.provisionedEnergyJ = provisionedCrashEnergy();
 
     RecoveryVerifier verifier(_layout, _cfg.keys,

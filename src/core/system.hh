@@ -197,6 +197,7 @@ class SecPbSystem
     PmImage _pm;
     CounterStore _counters;
     PersistOracle _oracle;
+    std::unique_ptr<BonsaiMerkleTree> _tree;
     EnergyModel _energy;
 
     std::unique_ptr<PcmModel> _pcm;
@@ -205,7 +206,6 @@ class SecPbSystem
     std::unique_ptr<MetadataCache> _bmtCache;
     std::unique_ptr<MetadataCache> _macCache;
     std::unique_ptr<CryptoEngine> _crypto;
-    std::unique_ptr<BonsaiMerkleTree> _tree;
     std::unique_ptr<BmtWalker> _walker;
     std::unique_ptr<SecPb> _secpb;
     std::unique_ptr<StoreBuffer> _sb;

@@ -10,31 +10,15 @@ namespace secpb
 double
 EnergyModel::lateWorkEnergy(const SchemeTraits &t) const
 {
-    const double block = static_cast<double>(BlockSize);
-    double e = 0.0;
-
-    if (!t.earlyCounter) {
-        // Assumption (2): the counter block misses on-chip and must be
-        // fetched from PM. The increment itself is negligible (6).
-        e += block * cost::MoveMcToPm;
-    }
-    if (!t.earlyOtp) {
-        // Assumption (5): OTPs for ciphertexts must be generated.
-        e += block * cost::AesPerByte;
-    }
-    if (!t.earlyBmt) {
-        // Assumption (3): no path overlap, every BMT cache access misses;
-        // each level fetches a node from PM and computes its hash.
-        e += _bmtLevels *
-             (block * cost::MoveMcToPm + block * cost::ShaPerByte);
-    }
-    // Assumption (6): the ciphertext XOR is a single-cycle logical
-    // operation with negligible energy.
-    if (!t.earlyMac) {
-        // Assumption (4): MACs need computing but not fetching.
-        e += block * cost::ShaPerByte;
-    }
-    return e;
+    // Every deferred component at its worst case: the counter block
+    // misses on-chip, the tree update walks every level, and the pad and
+    // MAC are computed. The ciphertext XOR costs nothing (6).
+    CrashWork w;
+    w.counterFetches = !t.earlyCounter;
+    w.otpsGenerated = !t.earlyOtp;
+    w.bmtLevelsWalked = t.earlyBmt ? 0 : _bmtLevels;
+    w.macsComputed = !t.earlyMac;
+    return actualCrashEnergy(w);
 }
 
 double
@@ -159,21 +143,10 @@ EnergyModel::sizeWithPhysics(double energy_j,
 double
 EnergyModel::actualCrashEnergy(const CrashWork &work) const
 {
-    const double block = static_cast<double>(BlockSize);
     double e = 0.0;
-    e += work.entriesDrained * block * cost::MovePbToPm;
-    e += work.counterFetches * block * cost::MoveMcToPm;
-    e += work.otpsGenerated * block * cost::AesPerByte;
-    e += work.bmtLevelsWalked *
-         (block * cost::MoveMcToPm + block * cost::ShaPerByte);
-    e += work.macsComputed * block * cost::ShaPerByte;
-    e += work.pmBlockWrites * block * cost::MoveMcToPm;
-    // eADR hierarchy flush: lines move from the cache levels to PM; the
-    // MC<->PM cost is the common (and cheapest) leg, keeping the actual
-    // spend conservatively below the eadrBatteryEnergy() provisioning.
-    e += work.cacheLinesFlushed * block * cost::MoveMcToPm;
-    // bmtNodesRebuilt is deliberately NOT priced: the Triad-NVM rebuild
-    // runs on mains power at recovery (see DrainLatencyModel).
+    for (const CrashLedgerRow &r : CrashLedger)
+        if (r.joules != 0.0)
+            e += work.*r.count * r.joules;
     return e;
 }
 

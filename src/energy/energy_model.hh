@@ -10,6 +10,12 @@
  * access misses, BMT update paths never overlap, MACs need computing but
  * not fetching, and XOR/increment energy is negligible.
  *
+ * The crash-work ledger (CrashLedger) states once what one unit of each
+ * CrashWork count costs: its joules, its PM reads and writes, and its
+ * crypto latency. The spend of an actual crash, the late tuple work the
+ * sizing rules charge per entry, the observer-blocked window
+ * (recovery/drain_latency.hh) and the sum of two CrashWorks all read it.
+ *
  * Energy densities: the paper quotes 1e-4 Wh (SuperCap) and 1e-2 Wh
  * (Li-thin-film) energy densities; interpreting them per cm^3 reproduces
  * Table V's volumes from Table III's per-byte costs, so that is the
@@ -44,6 +50,62 @@ inline constexpr double MoveMcToPm = 11.228e-9;  ///< MC <-> PM, either way.
 inline constexpr double ShaPerByte = 79.29e-9;   ///< SHA-512 (BMT node, MAC).
 inline constexpr double AesPerByte = 30e-9;      ///< AES-192 (OTP).
 } // namespace cost
+
+/** One row of the crash-work ledger: what one unit of a count costs. */
+struct CrashLedgerRow
+{
+    std::uint64_t CrashWork::*count;  ///< The CrashWork count priced.
+    double joules;                    ///< Battery joules per unit.
+    unsigned pmReads;                 ///< PM block reads per unit.
+    unsigned pmWrites;                ///< PM block writes per unit.
+    Cycles CryptoLatencies::*crypto;  ///< Crypto latency per unit, or none.
+};
+
+/**
+ * The crash-work ledger, one row per CrashWork count. The joules are
+ * Table III's per-byte costs for one 64-byte block under the worst-case
+ * assumptions (1)-(6); actualCrashEnergy sums them in row order. The PM
+ * traffic and crypto latency price the observer-blocked window
+ * (drainWindow, recovery/drain_latency.hh), and CrashWork::operator+=
+ * sums the counts. A row with 0 J is counted but not priced; its comment
+ * says why.
+ */
+inline constexpr CrashLedgerRow CrashLedger[] = {
+    // The entry's footprint moves PB -> PM; its block writes are
+    // pmBlockWrites.
+    {&CrashWork::entriesDrained, BlockSize * cost::MovePbToPm, 0, 0, nullptr},
+    // (6) The increment is negligible; a miss is a counterFetches unit.
+    {&CrashWork::countersIncremented, 0, 0, 0, nullptr},
+    // (2) The counter block misses on-chip and is fetched from PM.
+    {&CrashWork::counterFetches, BlockSize * cost::MoveMcToPm, 1, 0, nullptr},
+    // (5) One pad per ciphertext.
+    {&CrashWork::otpsGenerated, BlockSize * cost::AesPerByte, 0, 0,
+     &CryptoLatencies::aesPad},
+    // The walk is priced per level (bmtLevelsWalked).
+    {&CrashWork::bmtRootUpdates, 0, 0, 0, nullptr},
+    // (3) No path overlap: each level fetches its node from PM and hashes.
+    {&CrashWork::bmtLevelsWalked,
+     BlockSize * cost::MoveMcToPm + BlockSize * cost::ShaPerByte, 1, 0,
+     &CryptoLatencies::bmtHash},
+    // (4) MACs need computing but not fetching.
+    {&CrashWork::macsComputed, BlockSize * cost::ShaPerByte, 0, 0,
+     &CryptoLatencies::macHash},
+    // (6) The ciphertext XOR is negligible.
+    {&CrashWork::ciphertexts, 0, 0, 0, nullptr},
+    {&CrashWork::pmBlockWrites, BlockSize * cost::MoveMcToPm, 0, 1, nullptr},
+    // Already counted in pmBlockWrites.
+    {&CrashWork::mdcBlockFlushes, 0, 0, 0, nullptr},
+    // eADR's hierarchy flush, priced at the MC <-> PM leg alone: below
+    // what sEadrBatteryEnergy provisions (ROADMAP item 3).
+    {&CrashWork::cacheLinesFlushed, BlockSize * cost::MoveMcToPm, 0, 1,
+     nullptr},
+    // Triad-NVM's rebuild runs on mains power at recovery: window time
+    // (one node read and hash each), no battery joules.
+    {&CrashWork::bmtNodesRebuilt, 0, 1, 0, &CryptoLatencies::bmtHash},
+    // An absorbed store's tuple is priced in the rows above.
+    {&CrashWork::absorbedApplied, 0, 0, 0, nullptr},
+    {&CrashWork::absorbedLost, 0, 0, 0, nullptr},
+};
 
 /** The client-class core the footprint ratio compares against (mm^2). */
 inline constexpr double CoreAreaMm2 = 5.37;
@@ -143,9 +205,13 @@ class EnergyModel
                                     const CapacitorParams &cell) const;
 
     /**
-     * Energy actually consumed by a specific post-crash drain, from the
-     * work accounting the SecPB reports. Always <= the worst case the
-     * battery was provisioned for.
+     * Energy actually consumed by a specific post-crash drain: the
+     * ledger's joules for the work the SecPB reports. It can exceed
+     * provisionedEnergy(): a full drain charges each entry's PB -> PM
+     * move and its MC -> PM block writes, and the metadata-cache flush on
+     * top, while the provisioning charges the footprint alone. The worst
+     * unbounded crash of a 40-store script spends 2.27x the provisioning
+     * for nogap, stream and sec_wt (ROADMAP item 3).
      */
     double actualCrashEnergy(const CrashWork &work) const;
 

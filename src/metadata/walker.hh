@@ -95,12 +95,6 @@ class BmtWalker
         _pathScratch.reserve(_tree.numLevels());
     }
 
-    /**
-     * Perform (functionally) and time one leaf-to-root update for the
-     * counter block covering @p data_addr, whose fresh digest is
-     * @p leaf_digest. Fires @p done when the root write would retire.
-     * @return the completion tick.
-     */
     /** Ticks of one update: when the pipe accepts it and when the root
      *  write retires. Merged updates are accepted immediately. */
     struct UpdateTiming
@@ -110,6 +104,12 @@ class BmtWalker
         bool merged;
     };
 
+    /**
+     * Perform (functionally) and time one leaf-to-root update for the
+     * counter block covering @p data_addr, whose fresh digest is
+     * @p leaf_digest. Fires @p done when the root write would retire.
+     * @return the completion tick.
+     */
     Tick
     update(Addr data_addr, Digest leaf_digest, EventCallback done = nullptr)
     {

@@ -24,18 +24,8 @@ namespace secpb
 CrashWork &
 CrashWork::operator+=(const CrashWork &w)
 {
-    entriesDrained += w.entriesDrained;
-    countersIncremented += w.countersIncremented;
-    counterFetches += w.counterFetches;
-    otpsGenerated += w.otpsGenerated;
-    bmtRootUpdates += w.bmtRootUpdates;
-    bmtLevelsWalked += w.bmtLevelsWalked;
-    macsComputed += w.macsComputed;
-    ciphertexts += w.ciphertexts;
-    pmBlockWrites += w.pmBlockWrites;
-    mdcBlockFlushes += w.mdcBlockFlushes;
-    cacheLinesFlushed += w.cacheLinesFlushed;
-    bmtNodesRebuilt += w.bmtNodesRebuilt;
+    for (const CrashLedgerRow &r : CrashLedger)
+        this->*r.count += w.*r.count;
     batteryExhausted = batteryExhausted || w.batteryExhausted;
     energySpentJ += w.energySpentJ;
     mandatoryJ += w.mandatoryJ;
@@ -43,8 +33,6 @@ CrashWork::operator+=(const CrashWork &w)
                          w.drainedBlocks.end());
     abandoned.insert(abandoned.end(), w.abandoned.begin(),
                      w.abandoned.end());
-    absorbedApplied += w.absorbedApplied;
-    absorbedLost += w.absorbedLost;
     return *this;
 }
 
@@ -275,8 +263,8 @@ SecPb::crashDrainAll(
     // Triad-NVM recovery: the battery persisted only the lowest path
     // levels; the volatile upper tree is recomputed bottom-up from the
     // persisted frontier before verification can run. This happens on
-    // mains power at restart -- it lengthens the recovery window (the
-    // drain-latency model prices bmtNodesRebuilt) but costs the battery
+    // mains power at restart -- it lengthens the recovery window
+    // (drainWindow prices bmtNodesRebuilt) but costs the battery
     // nothing.
     const unsigned rebuild_from = persistedBmtLevels();
     if (rebuild_from < _walker.tree().numLevels())

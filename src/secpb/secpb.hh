@@ -111,7 +111,8 @@ struct CrashWork
     std::uint64_t absorbedLost = 0;
     /** @} */
 
-    /** Sum @p w into this accounting: every count, the spend, both lists. */
+    /** Sum @p w into this accounting: every count (one CrashLedger row
+     *  each, energy/energy_model.hh), the spend, both lists. */
     CrashWork &operator+=(const CrashWork &w);
 };
 

@@ -68,7 +68,8 @@ crashFingerprint(const CrashReport &cr)
        << r.prefixViolations << ',' << r.tornDetected << ','
        << r.staleConsistent << ',' << r.faults.size() << '\n';
     os << "energy=" << cr.provisionedEnergyJ << ',' << cr.actualEnergyJ
-       << " latency=" << cr.drainLatency << ',' << cr.drainLatencyNs
+       << " latency=" << cr.drainLatency << ','
+       << cyclesToNs(cr.drainLatency)
        << " recovered=" << cr.recovered
        << " budget=" << cr.batteryBudgetJ.value_or(-1.0)
        << " after=" << cr.batteryAfterJ.value_or(-1.0) << '\n';
