@@ -18,9 +18,10 @@
  * derived row).
  *
  * BenchCli::parse reads a bench's command line in one pass over the
- * sweep rows and run-spec rows it names (flag:: bits, sim/cli.hh); a
- * flag it does not name dies, and --help lists exactly the ones it
- * does. Flags are the only way to configure a run.
+ * sweep rows and run-spec rows it names (flag:: bits, sim/cli.hh) and
+ * any rows of the bench's own (SoakCli's trial range); a flag it does
+ * not name dies, and --help lists exactly the ones it does. Flags are
+ * the only way to configure a run.
  */
 
 #ifndef SECPB_BENCH_BENCH_COMMON_HH
@@ -30,10 +31,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -46,46 +47,6 @@
 
 namespace secpb::bench
 {
-
-/**
- * A non-negative integer knob from the environment, or @p fallback when
- * @p name is unset or empty. The value goes through the same strict
- * parse as the command line (fault_soak's SECPB_SOAK_* knobs).
- */
-inline std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? parseDecimalU64(name, v) : fallback;
-}
-
-/** The trials a soak runs, [first, end), and the seed they draw from. */
-struct SoakRange
-{
-    std::uint64_t seed, first, end;
-};
-
-/**
- * fault_soak's SECPB_SOAK_* knobs: SECPB_SOAK_SEED (default 2026) and
- * SECPB_SOAK_TRIALS (trials [0, N), default @p default_trials), or
- * SECPB_SOAK_TRIAL to replay exactly one trial from a reproducer (trial
- * streams are independent, so it needs none of its predecessors). Each
- * goes through envU64: strict, and empty means unset.
- */
-inline SoakRange
-soakRange(std::uint64_t default_trials)
-{
-    SoakRange r{envU64("SECPB_SOAK_SEED", 2026), 0,
-                envU64("SECPB_SOAK_TRIALS", default_trials)};
-    const char *one = std::getenv("SECPB_SOAK_TRIAL");
-    if (one && *one) {
-        r.first = envU64("SECPB_SOAK_TRIAL", 0);
-        fatal_if(r.first == UINT64_MAX,
-                 "SECPB_SOAK_TRIAL '%s': no trial range ends after it", one);
-        r.end = r.first + 1;
-    }
-    return r;
-}
 
 /** Parsed shared command line of one bench binary. */
 struct BenchCli
@@ -111,13 +72,14 @@ struct BenchCli
 
     /**
      * Parse argv over the sweep and run-spec rows in @p reads (flag::
-     * bits): the flags this bench reads. Any other flag dies naming
-     * the bench. Benches print their own tables, so this first turns
-     * the simulator's warn/inform chatter off.
+     * bits), the flags this bench reads, plus the bench's @p own rows.
+     * Any other flag dies naming the bench. Benches print their own
+     * tables, so this first turns the simulator's warn/inform chatter
+     * off.
      */
     static BenchCli
     parse(int argc, const char *const *argv, const char *bench_name,
-          unsigned reads)
+          unsigned reads, std::vector<CliFlag> own = {})
     {
         setQuietLogging(true);
         BenchCli cli;
@@ -160,6 +122,7 @@ struct BenchCli
              "embed the full stats dump in each JSON point",
              setSwitch(cli.captureStats, true)},
         };
+        rows.insert(rows.end(), own.begin(), own.end());
         cli.given = cli.spec.parseCli(argc, argv, bench_name, reads,
                                       std::move(rows));
         return cli;
@@ -248,38 +211,86 @@ struct BenchCli
 };
 
 /**
- * The shell line that replays trial @p trial of a soak seeded @p seed:
- * "SECPB_SOAK_SEED=S SECPB_SOAK_TRIAL=T <bench>" plus each run-spec row
- * of @p cli whose value differs from a default spec's, in row order
- * (--trace-in appears as the replay workload it is). Each number prints
- * in the shortest form that parses back to the same value, so the line
- * runs the same trial on the same cell.
+ * fault_soak's command line: the shared rows it reads plus its three
+ * trial rows. --soak-seed S (default 2026) seeds every trial's draw;
+ * --trials N runs trials [0, N) (default 300); --trial T runs exactly
+ * trial T, a reproducer's (each trial draws from (seed, T) alone, so it
+ * needs none of its predecessors). --trial with --trials dies: one
+ * would be ignored.
  */
-inline std::string
-soakReproducer(const BenchCli &cli, std::uint64_t seed, std::uint64_t trial)
+struct SoakCli : BenchCli
 {
-    auto word = [](const std::string &v) {
-        if (v.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
-                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                                "0123456789_-.,:=/+") == std::string::npos)
-            return v;
-        std::string q = "'";
-        for (char c : v)
-            q += c == '\'' ? std::string("'\\''") : std::string(1, c);
-        return q + "'";
-    };
-    std::string out = "SECPB_SOAK_SEED=" + std::to_string(seed) +
-                      " SECPB_SOAK_TRIAL=" + std::to_string(trial) + " " +
-                      cli.bench;
-    SimulationSpec spec = cli.spec, unset;
-    const std::vector<CliFlag> rows = spec.cliFlags(),
-                               defaults = unset.cliFlags();
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        if (rows[i].show && rows[i].show() != defaults[i].show())
-            out += std::string(" ") + rows[i].name + " " +
-                   word(rows[i].show());
-    return out;
-}
+    std::uint64_t seed = 2026;
+    std::uint64_t first = 0, end = 300;  ///< The trials run, [first, end).
+
+    /** The classic soak builds no system battery and the intermittent
+     *  one runs the drawn synthetic profile, so neither reads --instr or
+     *  --seed; each mode refuses the other's rows (BenchCli::refuse). */
+    static SoakCli
+    parse(int argc, const char *const *argv)
+    {
+        SoakCli s;
+        std::optional<std::uint64_t> trials, trial;
+        const auto into = [](std::optional<std::uint64_t> &dst) {
+            return [&dst](const char *what, const char *v) {
+                dst = parseDecimalU64(what, v);
+            };
+        };
+        static_cast<BenchCli &>(s) = BenchCli::parse(
+            argc, argv, "fault_soak",
+            flag::SweepOut | flag::TraceOut | flag::Workloads |
+                flag::BatteryTech | flag::BatteryDerate |
+                flag::PowerSchedule,
+            {{0, "--soak-seed", "S",
+              "seed of every trial (default 2026)", readCount(s.seed)},
+             {0, "--trials", "N", "run trials [0, N) (default 300)",
+              into(trials)},
+             {0, "--trial", "T", "run exactly trial T (a reproducer's)",
+              into(trial)}});
+        fatal_if(trial && trials,
+                 "fault_soak: --trial and --trials are mutually exclusive");
+        fatal_if(trial == UINT64_MAX,
+                 "fault_soak: --trial %llu: no trial range ends after it",
+                 static_cast<unsigned long long>(*trial));
+        s.first = trial.value_or(0);
+        s.end = trial ? *trial + 1 : trials.value_or(s.end);
+        return s;
+    }
+
+    /**
+     * The shell line that replays trial @p trial: "fault_soak
+     * --soak-seed S --trial T" plus each run-spec row whose value
+     * differs from a default spec's, in row order (--trace-in appears
+     * as the replay workload it is). Each number prints in the shortest
+     * form that parses back to the same value, so the line runs the
+     * same trial on the same cell.
+     */
+    std::string
+    reproducer(std::uint64_t trial) const
+    {
+        auto word = [](const std::string &v) {
+            if (v.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                    "0123456789_-.,:=/+") ==
+                std::string::npos)
+                return v;
+            std::string q = "'";
+            for (char c : v)
+                q += c == '\'' ? std::string("'\\''") : std::string(1, c);
+            return q + "'";
+        };
+        std::string out = bench + " --soak-seed " + std::to_string(seed) +
+                          " --trial " + std::to_string(trial);
+        SimulationSpec now = spec, unset;
+        const std::vector<CliFlag> rows = now.cliFlags(),
+                                   defaults = unset.cliFlags();
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            if (rows[i].show && rows[i].show() != defaults[i].show())
+                out += std::string(" ") + rows[i].name + " " +
+                       word(rows[i].show());
+        return out;
+    }
+};
 
 /**
  * One bench's sweep: collect points, run them through the engine, look

@@ -62,8 +62,7 @@ struct CrashOptions
      * deliverable energy if one is configured, else the classic
      * unbounded correctly-provisioned battery. Fault experiments scale
      * this down from provisionedCrashEnergy() to model an
-     * under-provisioned or partially-discharged battery. (Formerly an
-     * infinity sentinel; see FaultPlan::batteryFraction.)
+     * under-provisioned or partially-discharged battery.
      */
     std::optional<double> batteryEnergyJ;
 };

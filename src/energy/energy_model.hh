@@ -141,7 +141,7 @@ struct BatteryEstimate
 class EnergyModel
 {
   public:
-    explicit EnergyModel(unsigned bmt_levels = 8) : _bmtLevels(bmt_levels) {}
+    explicit EnergyModel(unsigned bmt_levels) : _bmtLevels(bmt_levels) {}
 
     /**
      * Worst-case energy to complete the deferred ("late") tuple work for

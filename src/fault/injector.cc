@@ -124,14 +124,16 @@ SoakTrial::draw(std::uint64_t seed, std::uint64_t trial)
 {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + trial);
     SoakTrial t;
+    SystemConfig &cfg = t.spec.base;
+    cfg.pmDataBytes = 1ULL << 30;
     // Round-robin over the zoo so every scheme soaks regardless of the
     // trial count; the triad depth cycles through its useful range.
-    t.scheme = SchemeZoo[trial % std::size(SchemeZoo)];
-    if (t.scheme == Scheme::Triad)
-        t.params.triadLevels = 1 + static_cast<unsigned>(trial % 4);
+    cfg.scheme = SchemeZoo[trial % std::size(SchemeZoo)];
+    if (cfg.scheme == Scheme::Triad)
+        cfg.secpb.params.triadLevels = 1 + static_cast<unsigned>(trial % 4);
     t.profile = SoakProfiles[rng.below(std::size(SoakProfiles))];
-    t.instructions = 8'000 + rng.below(8'000);
-    t.workloadSeed = rng.next();
+    t.spec.instructions = 8'000 + rng.below(8'000);
+    t.spec.seed = rng.next();
     if (rng.chance(0.5))
         t.plan.crashAtPersist = 1 + rng.below(220);
     else
@@ -148,11 +150,12 @@ SoakTrial::draw(std::uint64_t seed, std::uint64_t trial)
 std::string
 SoakTrial::describe(const std::string &workload) const
 {
-    return std::string("scheme=") + schemeSpecName(scheme, params) +
+    return std::string("scheme=") +
+           schemeSpecName(spec.base.scheme, spec.base.secpb.params) +
            (workload.empty() ? " profile=" + std::string(profile)
                              : " workload=" + workload) +
-           " instrs=" + std::to_string(instructions) +
-           " wseed=" + std::to_string(workloadSeed) + " " + plan.describe();
+           " instrs=" + std::to_string(spec.instructions) +
+           " wseed=" + std::to_string(spec.seed) + " " + plan.describe();
 }
 
 } // namespace secpb

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/simulation.hh"
 #include "core/system.hh"
 #include "fault/tamper.hh"
 
@@ -51,11 +52,6 @@ struct FaultPlan
      * value is one way to initialize a Capacitor; a system-owned
      * Capacitor (see BatteryConfig) supplies the budget when this is
      * unset.
-     *
-     * This used to be an infinity sentinel; std::optional keeps the
-     * "unbounded" state representable without relying on IEEE compare
-     * semantics (which -ffast-math-style flags break) and serializes
-     * cleanly in sweep JSON.
      */
     std::optional<double> batteryFraction;
 
@@ -139,11 +135,11 @@ inline constexpr const char *SoakProfiles[] = {
  */
 struct SoakTrial
 {
-    Scheme scheme;
-    SchemeParams params;
+    /** The machine and run: the default machine (not the profile's)
+     *  with a 1 GiB PM region, the trial's scheme and knobs, its length
+     *  and its workload seed. */
+    SimulationSpec spec;
     const char *profile;
-    std::uint64_t instructions;
-    std::uint64_t workloadSeed;
     FaultPlan plan;
 
     static SoakTrial draw(std::uint64_t seed, std::uint64_t trial);

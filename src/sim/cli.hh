@@ -77,7 +77,7 @@ struct CliFlag
     std::string help;      ///< Its line in --help.
     CliSetter set;
     /** The target's value as flag text; only the run-spec rows have
-     *  one (bench::soakReproducer replays them). */
+     *  one (bench::SoakCli::reproducer replays them). */
     std::function<std::string()> show = {};
 };
 

@@ -19,8 +19,8 @@
  *  - a number is a finite, non-negative decimal ("0.5", ".5", "5e-1"):
  *    nan, inf, hex, a sign and a blank are fatal.
  *
- * Bare flag values (--instr, --jobs, --battery-derate, the SECPB_SOAK_*
- * knobs) go through the same two readers, parseDecimalU64 and
+ * Bare flag values (--instr, --jobs, --battery-derate, fault_soak's
+ * --trials) go through the same two readers, parseDecimalU64 and
  * parseDecimalNumber. Every diagnostic names its input ("workload
  * 'kv_wal'", "power schedule", "scheme 'triad'", or the flag).
  */

@@ -113,9 +113,6 @@ class ScriptedGenerator : public WorkloadGenerator
         return true;
     }
 
-    /** Restart from the beginning (for re-runs). */
-    void rewind() { _cursor = 0; }
-
     std::size_t size() const { return _ops.size(); }
 
   private:

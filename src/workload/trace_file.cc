@@ -168,13 +168,13 @@ TraceFileReader::TraceFileReader(const std::string &path)
         std::string v = getString("meta value");
         _meta.emplace_back(std::move(k), std::move(v));
     }
-    _payloadPos = _in.tellg();
+    _inPayload = true;
 }
 
 std::string
 TraceFileReader::where() const
 {
-    if (_payloadPos == 0)
+    if (!_inPayload)
         return _path + ": header";
     return csprintf("%s: op %llu", _path.c_str(),
                     static_cast<unsigned long long>(_opsRead));
@@ -231,14 +231,6 @@ TraceFileReader::getString(const char *field)
     fatal_if(static_cast<std::uint64_t>(_in.gcount()) != n,
              "%s: truncated %s", where().c_str(), field);
     return s;
-}
-
-void
-TraceFileReader::rewind()
-{
-    _in.clear();
-    _in.seekg(_payloadPos);
-    _opsRead = 0;
 }
 
 std::string
@@ -311,13 +303,6 @@ ReplayGenerator::next(TraceOp &op)
         return false;
     countOp(_ctr, op);
     return true;
-}
-
-void
-ReplayGenerator::rewind()
-{
-    _reader->rewind();
-    _ctr = WorkloadCounters{};
 }
 
 RecordingGenerator::RecordingGenerator(

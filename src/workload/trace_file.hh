@@ -1,6 +1,6 @@
 /**
  * @file
- * The secpb-trace file format: versioned, seekable TraceOp streams.
+ * The secpb-trace file format: versioned TraceOp streams.
  *
  * One binary encoding carries both recorded generator runs and real
  * memtraces (via tools/convert_memtrace.py), so both replay through the
@@ -14,10 +14,7 @@
  * The reader is as strict as the writer -- a bad magic, version or
  * encoding tag, a truncated payload, a misaligned store, a count or
  * ASID past 32 bits, a varint past 64 bits, or bytes after the promised
- * op count is fatal, never a silently altered workload. Readers are
- * seekable: rewind() returns to the first op without reopening, which
- * is what lets one ReplayGenerator instance drive multi-cycle fault
- * experiments.
+ * op count is fatal, never a silently altered workload.
  */
 
 #ifndef SECPB_WORKLOAD_TRACE_FILE_HH
@@ -88,9 +85,6 @@ class TraceFileReader
      */
     bool next(TraceOp &op);
 
-    /** Seek back to the first op. */
-    void rewind();
-
     std::uint64_t numOps() const { return _numOps; }
     std::uint64_t opsRead() const { return _opsRead; }
 
@@ -111,7 +105,7 @@ class TraceFileReader
     std::ifstream _in;
     std::uint64_t _numOps = 0;
     std::uint64_t _opsRead = 0;
-    std::ifstream::pos_type _payloadPos = 0;
+    bool _inPayload = false;  ///< The header has been read.
     std::vector<std::pair<std::string, std::string>> _meta;
 };
 
@@ -123,9 +117,6 @@ class ReplayGenerator : public WorkloadGenerator
 
     bool next(TraceOp &op) override;
     const WorkloadCounters *counters() const override { return &_ctr; }
-
-    /** Restart the trace from the first op (multi-cycle experiments). */
-    void rewind();
 
   private:
     std::unique_ptr<TraceFileReader> _reader;

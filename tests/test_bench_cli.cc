@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the shared bench harness: the hardened envU64 (trailing
- * garbage, signs, and overflow are fatal, never a silent truncation)
- * and the soak's trial range built on it,
- * the same strict parse on --jobs and --sample-every, the BenchCli
- * filter/parse helpers, and the grid helpers (point factory, scheme
+ * Tests for the shared bench harness: the strict count parse on --jobs
+ * and --sample-every, the BenchCli filter/parse helpers, fault_soak's
+ * command line (SoakCli: its trial-range rows and the reproducer line
+ * that replays them), and the grid helpers (point factory, scheme
  * picker, Table). Every argv is nullptr-terminated like a real
  * main()'s.
  */
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "../bench/bench_common.hh"
@@ -28,108 +26,7 @@ namespace
  *  set. */
 constexpr unsigned Every = ~0u;
 
-struct EnvGuard
-{
-    explicit EnvGuard(const char *name) : _name(name) {}
-    ~EnvGuard() { unsetenv(_name); }
-    const char *_name;
-};
-
 } // namespace
-
-TEST(EnvU64, FallbackWhenUnsetOrEmpty)
-{
-    unsetenv("SECPB_TEST_ENV");
-    EXPECT_EQ(envU64("SECPB_TEST_ENV", 42), 42u);
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "", 1);
-    EXPECT_EQ(envU64("SECPB_TEST_ENV", 42), 42u);
-}
-
-TEST(EnvU64, ParsesPlainDecimal)
-{
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "300000", 1);
-    EXPECT_EQ(envU64("SECPB_TEST_ENV", 0), 300000u);
-    setenv("SECPB_TEST_ENV", "18446744073709551615", 1);
-    EXPECT_EQ(envU64("SECPB_TEST_ENV", 0), UINT64_MAX);
-}
-
-using EnvU64Death = ::testing::Test;
-
-TEST(EnvU64Death, TrailingGarbageIsFatal)
-{
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "300k", 1);
-    EXPECT_EXIT(envU64("SECPB_TEST_ENV", 0),
-                ::testing::ExitedWithCode(1), "not a decimal integer");
-}
-
-TEST(EnvU64Death, NegativeIsFatalNotWrapped)
-{
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "-1", 1);
-    EXPECT_EXIT(envU64("SECPB_TEST_ENV", 0),
-                ::testing::ExitedWithCode(1), "non-negative");
-}
-
-TEST(EnvU64Death, OverflowIsFatalNotTruncated)
-{
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "99999999999999999999999", 1);
-    EXPECT_EXIT(envU64("SECPB_TEST_ENV", 0),
-                ::testing::ExitedWithCode(1), "out of range");
-}
-
-TEST(EnvU64Death, NonNumericIsFatal)
-{
-    EnvGuard guard("SECPB_TEST_ENV");
-    setenv("SECPB_TEST_ENV", "lots", 1);
-    EXPECT_EXIT(envU64("SECPB_TEST_ENV", 0),
-                ::testing::ExitedWithCode(1), "not a decimal integer");
-}
-
-TEST(SoakRange, EmptyTrialMeansTheDefaultRange)
-{
-    EnvGuard trial("SECPB_SOAK_TRIAL"), trials("SECPB_SOAK_TRIALS"),
-        seed("SECPB_SOAK_SEED");
-    unsetenv("SECPB_SOAK_TRIALS");
-    unsetenv("SECPB_SOAK_SEED");
-    setenv("SECPB_SOAK_TRIAL", "", 1);
-    const SoakRange r = soakRange(300);
-    EXPECT_EQ(r.seed, 2026u);
-    EXPECT_EQ(r.first, 0u);
-    EXPECT_EQ(r.end, 300u);
-}
-
-TEST(SoakRange, TrialReplaysExactlyThatTrial)
-{
-    EnvGuard trial("SECPB_SOAK_TRIAL"), trials("SECPB_SOAK_TRIALS"),
-        seed("SECPB_SOAK_SEED");
-    setenv("SECPB_SOAK_TRIAL", "17", 1);
-    setenv("SECPB_SOAK_TRIALS", "150", 1);
-    setenv("SECPB_SOAK_SEED", "9", 1);
-    const SoakRange r = soakRange(300);
-    EXPECT_EQ(r.seed, 9u);
-    EXPECT_EQ(r.first, 17u);
-    EXPECT_EQ(r.end, 18u);
-}
-
-using SoakRangeDeath = ::testing::Test;
-
-TEST(SoakRangeDeath, MalformedTrialCountIsFatal)
-{
-    // Read leniently, "abc" would run 0 trials -- skipping the coverage
-    // checks and passing -- and "12x" would run 12.
-    EnvGuard trials("SECPB_SOAK_TRIALS");
-    unsetenv("SECPB_SOAK_TRIAL");
-    setenv("SECPB_SOAK_TRIALS", "abc", 1);
-    EXPECT_EXIT(soakRange(120), ::testing::ExitedWithCode(1),
-                "SECPB_SOAK_TRIALS 'abc': not a decimal integer");
-    setenv("SECPB_SOAK_TRIALS", "12x", 1);
-    EXPECT_EXIT(soakRange(120), ::testing::ExitedWithCode(1),
-                "SECPB_SOAK_TRIALS '12x': not a decimal integer");
-}
 
 TEST(BenchCli, FlagsSetTheirFields)
 {
@@ -420,6 +317,47 @@ TEST(BenchCli, BatteryCellIsTheSameInEitherFlagOrder)
     EXPECT_EQ(cell.leakagePowerW, want.leakagePowerW);
 }
 
+TEST(SoakCli, NoFlagsRunTheDefaultRange)
+{
+    const char *argv[] = {"fault_soak", nullptr};
+    const SoakCli soak = SoakCli::parse(1, argv);
+    EXPECT_EQ(soak.seed, 2026u);
+    EXPECT_EQ(soak.first, 0u);
+    EXPECT_EQ(soak.end, 300u);
+}
+
+TEST(SoakCli, TrialRunsExactlyThatTrial)
+{
+    const char *argv[] = {"fault_soak", "--trial", "17", "--soak-seed", "9",
+                          nullptr};
+    const SoakCli soak = SoakCli::parse(5, argv);
+    EXPECT_EQ(soak.seed, 9u);
+    EXPECT_EQ(soak.first, 17u);
+    EXPECT_EQ(soak.end, 18u);
+    const char *many[] = {"fault_soak", "--trials", "120", nullptr};
+    const SoakCli sweep = SoakCli::parse(3, many);
+    EXPECT_EQ(sweep.first, 0u);
+    EXPECT_EQ(sweep.end, 120u);
+}
+
+TEST(SoakCliDeath, MalformedTrialRangeIsFatal)
+{
+    // Read leniently, "12x" would run 12 trials -- skipping the coverage
+    // checks and passing.
+    const char *garbage[] = {"fault_soak", "--trials", "12x", nullptr};
+    EXPECT_EXIT(SoakCli::parse(3, garbage), ::testing::ExitedWithCode(1),
+                "fault_soak: --trials '12x': not a decimal integer");
+    // --trial runs one trial, so a range beside it would be ignored.
+    const char *both[] = {"fault_soak", "--trial", "17", "--trials", "150",
+                          nullptr};
+    EXPECT_EXIT(SoakCli::parse(5, both), ::testing::ExitedWithCode(1),
+                "--trial and --trials are mutually exclusive");
+    const char *last[] = {"fault_soak", "--trial", "18446744073709551615",
+                          nullptr};
+    EXPECT_EXIT(SoakCli::parse(3, last), ::testing::ExitedWithCode(1),
+                "no trial range ends after it");
+}
+
 TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
 {
     const char *argv[] = {"fault_soak", "--jobs", "2",
@@ -428,17 +366,17 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
                           "--battery-tech", "supercap",
                           "--power-schedule", "cycles=3,brownout=0.25",
                           nullptr};
-    const BenchCli cli = BenchCli::parse(
-        static_cast<int>(std::size(argv)) - 1, argv, "fault_soak", Every);
-    const std::string line = soakReproducer(cli, 2026, 41);
-    EXPECT_EQ(line, "SECPB_SOAK_SEED=2026 SECPB_SOAK_TRIAL=41 fault_soak "
+    const SoakCli soak =
+        SoakCli::parse(static_cast<int>(std::size(argv)) - 1, argv);
+    const std::string line = soak.reproducer(41);
+    EXPECT_EQ(line, "fault_soak --soak-seed 2026 --trial 41 "
                     "--workload kv_wal --battery-tech supercap "
                     "--battery-derate 0.8 "
                     "--power-schedule cycles=3,brownout=0.25");
 
-    // The flags after the command parse back to the same spec.
+    // The line parses back to the same soak seed, trial and spec.
     std::vector<std::string> words;
-    for (std::size_t at = line.find("fault_soak"); at != std::string::npos;) {
+    for (std::size_t at = 0; at != std::string::npos;) {
         const std::size_t end = line.find(' ', at);
         words.push_back(line.substr(at, end - at));
         at = end == std::string::npos ? end : end + 1;
@@ -447,24 +385,25 @@ TEST(BenchCli, SoakReproducerReplaysEverySpecFlag)
     for (std::string &w : words)
         again.push_back(w.data());
     again.push_back(nullptr);
-    const BenchCli replay = BenchCli::parse(
-        static_cast<int>(words.size()), again.data(), "fault_soak", Every);
-    EXPECT_EQ(replay.spec.workload, cli.spec.workload);
-    EXPECT_EQ(replay.spec.powerSchedule, cli.spec.powerSchedule);
+    const SoakCli replay =
+        SoakCli::parse(static_cast<int>(words.size()), again.data());
+    EXPECT_EQ(replay.seed, 2026u);
+    EXPECT_EQ(replay.first, 41u);
+    EXPECT_EQ(replay.end, 42u);
+    EXPECT_EQ(replay.spec.workload, soak.spec.workload);
+    EXPECT_EQ(replay.spec.powerSchedule, soak.spec.powerSchedule);
     EXPECT_EQ(replay.spec.base.battery.cap.tech, "supercap");
     EXPECT_EQ(replay.spec.base.battery.cap.capacitanceDerate, 0.8);
 
-    // A default run replays with the knobs alone; a value the shell
-    // would split is quoted.
-    const char *plain[] = {"fault_soak", nullptr};
-    EXPECT_EQ(soakReproducer(BenchCli::parse(1, plain, "fault_soak", Every),
-                             7, 0),
-              "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak");
-    const char *spaced[] = {"fault_soak", "--trace-in", "my ops.trc",
-                            nullptr};
-    EXPECT_EQ(soakReproducer(BenchCli::parse(3, spaced, "fault_soak", Every),
-                             7, 0),
-              "SECPB_SOAK_SEED=7 SECPB_SOAK_TRIAL=0 fault_soak "
+    // A default run replays with the soak flags alone; a value the
+    // shell would split is quoted.
+    const char *seeded[] = {"fault_soak", "--soak-seed", "7", nullptr};
+    EXPECT_EQ(SoakCli::parse(3, seeded).reproducer(0),
+              "fault_soak --soak-seed 7 --trial 0");
+    const char *spaced[] = {"fault_soak", "--soak-seed", "7", "--trace-in",
+                            "my ops.trc", nullptr};
+    EXPECT_EQ(SoakCli::parse(5, spaced).reproducer(0),
+              "fault_soak --soak-seed 7 --trial 0 "
               "--workload 'replay:file=my ops.trc'");
 }
 

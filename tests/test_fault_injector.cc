@@ -328,9 +328,10 @@ TEST(FaultInjector, SoakTrialLineNamesTheWorkloadThatRan)
     SoakTrial t = SoakTrial::draw(2026, 3);
     t.plan = FaultPlan{};
     const std::string head =
-        std::string("scheme=") + schemeSpecName(t.scheme, t.params);
-    const std::string tail = " instrs=" + std::to_string(t.instructions) +
-                             " wseed=" + std::to_string(t.workloadSeed) +
+        std::string("scheme=") +
+        schemeSpecName(t.spec.base.scheme, t.spec.base.secpb.params);
+    const std::string tail = " instrs=" + std::to_string(t.spec.instructions) +
+                             " wseed=" + std::to_string(t.spec.seed) +
                              " crash@end";
     EXPECT_EQ(t.describe(),
               head + " profile=" + std::string(t.profile) + tail);

@@ -2,8 +2,7 @@
  * @file
  * The secpb-trace file format: lossless round trips, loud failures on
  * corrupt headers, truncated payloads and every op the writer would
- * refuse, seekable
- * replay, and the record/replay identity the workload front-end is
+ * refuse, and the record/replay identity the workload front-end is
  * built on -- replaying a recording is byte-identical to the live run,
  * all the way down to the simulation results.
  */
@@ -181,11 +180,6 @@ TEST(TraceFileRoundTrip, OpsMetaAndCountSurviveLosslessly)
     EXPECT_FALSE(r.next(got));
     EXPECT_EQ(r.opsRead(), ops.size());
 
-    // Seekable: rewind() replays from the first op without reopening.
-    r.rewind();
-    ASSERT_TRUE(r.next(got));
-    expectOpEq(ops[0], got);
-
     std::remove(path.c_str());
 }
 
@@ -358,11 +352,6 @@ TEST(TraceFile, RecordingTeesExactlyWhatTheConsumerSaw)
     EXPECT_EQ(i, live.size());
     ASSERT_NE(rep.counters(), nullptr);
     EXPECT_EQ(rep.counters()->ops, live.size());
-
-    // rewind() supports multi-cycle fault experiments.
-    rep.rewind();
-    ASSERT_TRUE(rep.next(op));
-    expectOpEq(live[0], op);
 
     std::remove(path.c_str());
 }
